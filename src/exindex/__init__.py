@@ -33,11 +33,9 @@ from .sim import (
 )
 from .estimate import (
     BlocksEvaluator,
-    CurvePoint,
     EstimatorConfig,
     SkippedPoint,
     ThresholdCurve,
-    blocks_empirical,
     blocks_fixed,
     blocks_true_quantile,
     count_at,

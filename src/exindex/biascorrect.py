@@ -31,14 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, ExindexError, MeasureConditionError
-from .estimate import (
-    BlocksEvaluator,
-    CurvePoint,
-    SkippedPoint,
-    ThresholdCurve,
-    count_at,
-)
+from .errors import DegenerateDenominator, MeasureConditionError
+from .estimate import BlocksEvaluator, ThresholdCurve, count_at
 
 __all__ = [
     "SignedMeasureAtoms",
@@ -258,6 +252,20 @@ def scale_measure(mu: SignedMeasureAtoms, t0: float) -> SignedMeasureAtoms:
     )
 
 
+def _combine(w, hs, ht, eps_den):
+    """Numerator, denominator and degeneracy flag of the mu-combination.
+
+    ``hs[a]`` and ``ht[a]`` are the curve at the two levels of atom ``a`` (a
+    number or a row of grid values); both sums run over the atoms in atom
+    order, so the curve and the point estimate agree bit for bit.
+    """
+    num = den = 0.0
+    for wa, a, b in zip(w, hs, ht):
+        num = num + wa * a * b
+        den = den + wa * (a + b)
+    return num, den, np.abs(den) < eps_den
+
+
 def corrected_estimate(evaluator, mu: SignedMeasureAtoms, eps_den: float = None) -> float:
     """Combine curve evaluations under mu into a bias-reduced point estimate.
 
@@ -276,14 +284,9 @@ def corrected_estimate(evaluator, mu: SignedMeasureAtoms, eps_den: float = None)
             cache[t] = float(evaluator(t))
         return cache[t]
 
-    num = 0.0
-    den = 0.0
-    for s, t, w in mu.atoms:
-        hs = ev(s)
-        ht = ev(t)
-        num += w * hs * ht
-        den += w * (hs + ht)
-    if abs(den) < eps_den:
+    hs, ht = zip(*[(ev(s), ev(t)) for s, t, _ in mu.atoms])  # order s1, t1, s2, t2, ...
+    num, den, degenerate = _combine([w for _, _, w in mu.atoms], hs, ht, eps_den)
+    if degenerate:
         raise DegenerateDenominator(
             f"correction denominator {den:.3e} below {eps_den:.3e}; "
             "curve is constant or bias-free at the atom levels",
@@ -295,26 +298,37 @@ def corrected_estimate(evaluator, mu: SignedMeasureAtoms, eps_den: float = None)
 def corrected_curve(x, cfg, mu: SignedMeasureAtoms, t_grid) -> ThresholdCurve:
     """Corrected estimate per threshold level, via the measure scaled to each level.
 
-    For each grid level t the measure is shrunk by scale_measure(mu, t) so all
-    atom levels sit at or below t, then the corrected estimate is computed
-    from the empirical-threshold blocks curve.  Points where the denominator
-    degenerates or an atom level has no exceedances are recorded as skipped,
-    not interpolated.
+    At grid level t the measure is shrunk to atoms (t s, t s', w), as
+    scale_measure(mu, t) does, so all atom levels sit at or below t; the
+    blocks curve is evaluated at every level of outer(grid, atom levels) in
+    one call.  A level takes the code of its first undefined atom level, in
+    the order s1, t1, s2, t2, ..., else ``DEGENERATE_DENOMINATOR`` when the
+    denominator falls below 1e-8 times the total variation; such levels are
+    NaN, not interpolated.
     """
     ev = BlocksEvaluator(x, cfg.r, cfg.k)
-    entries = []
-    skipped = []
-    for t in np.asarray(t_grid, dtype=float):
-        t = float(t)
-        try:
-            val = corrected_estimate(ev, scale_measure(mu, t))
-        except ExindexError as err:
-            skipped.append(SkippedPoint(t=t, k_t=count_at(cfg.k, t), reason=err.code))
-            continue
-        entries.append(CurvePoint(t=t, k_t=count_at(cfg.k, t), theta_hat=val))
+    grid = np.asarray(t_grid, dtype=float)
+    outside = grid[~((grid > 0.0) & (grid <= 1.0))]
+    if outside.size:
+        raise ValueError(f"t0 must lie in (0, 1], got {outside[0]}")
+    s, t, w = mu.arrays()
+    levels = np.outer(grid, np.column_stack([s, t]).ravel())
+    values, codes = ev.at_counts(count_at(cfg.k, levels))
+    num, den, degenerate = _combine(
+        w, values[:, 0::2].T, values[:, 1::2].T, 1e-8 * mu.total_variation
+    )
+    undefined = codes != ""
+    first = codes[np.arange(len(grid)), undefined.argmax(axis=1)]
+    code = np.where(
+        undefined.any(axis=1), first, np.where(degenerate, DegenerateDenominator.code, "")
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.where(code == "", num / den, np.nan)
     return ThresholdCurve(
-        entries=tuple(entries),
-        skipped=tuple(skipped),
+        t=grid,
+        k_t=count_at(cfg.k, grid),
+        theta_hat=value,
+        code=code,
         variant="corrected",
         config=cfg,
         n=ev.n,

@@ -31,7 +31,6 @@ from .estimate import (
     BlocksEvaluator,
     EstimatorConfig,
     blocks_fixed,
-    count_at,
     default_grid,
     runs_estimator,
     sweep,
@@ -198,19 +197,11 @@ def _cmd_runs(args) -> None:
     )
 
 
-def _curve_lines(curve, grid):
-    flagged = {p.t: p.reason for p in curve.skipped}
-    values = {p.t: p for p in curve.entries}
+def _curve_lines(curve):
     lines = ["t,k_t,theta_hat,variant,flag"]
-    for t in grid:
-        t = float(t)
-        if t in values:
-            p = values[t]
-            lines.append(f"{_fmt(p.t)},{p.k_t},{_fmt(p.theta_hat)},{curve.variant},")
-        else:
-            lines.append(
-                f"{_fmt(t)},{count_at(curve.config.k, t)},,{curve.variant},{flagged.get(t, '')}"
-            )
+    for t, k_t, value, code in zip(curve.t, curve.k_t, curve.theta_hat, curve.code):
+        shown = "" if code else _fmt(value)
+        lines.append(f"{_fmt(t)},{k_t},{shown},{curve.variant},{code}")
     return lines
 
 
@@ -220,8 +211,7 @@ def _cmd_sweep(args) -> None:
     grid = _parse_grid(args.grid, args.k)
     if grid is None:
         grid = default_grid(args.k).tolist()
-    curve = sweep(x, cfg, grid)
-    _emit(_curve_lines(curve, grid), args.out)
+    _emit(_curve_lines(sweep(x, cfg, grid)), args.out)
 
 
 def _cmd_correct(args) -> None:
@@ -233,8 +223,7 @@ def _cmd_correct(args) -> None:
         val = corrected_estimate(BlocksEvaluator(x, cfg.r, cfg.k), mu)
         _emit([_fmt(val)], args.out)
         return
-    curve = corrected_curve(x, cfg, mu, grid)
-    _emit(_curve_lines(curve, grid), args.out)
+    _emit(_curve_lines(corrected_curve(x, cfg, mu, grid)), args.out)
 
 
 def _cmd_check_measure(args) -> None:

@@ -19,7 +19,6 @@ The runs estimator counts an exceedance as a cluster end when the next
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +27,11 @@ from .errors import NoExceedances, TiesDetected
 
 __all__ = [
     "EstimatorConfig",
-    "CurvePoint",
     "SkippedPoint",
     "ThresholdCurve",
     "BlocksEvaluator",
     "count_at",
     "blocks_fixed",
-    "blocks_empirical",
     "blocks_true_quantile",
     "runs_estimator",
     "sweep",
@@ -69,13 +66,6 @@ class EstimatorConfig:
 
 
 @dataclass(frozen=True)
-class CurvePoint:
-    t: float
-    k_t: int
-    theta_hat: float
-
-
-@dataclass(frozen=True)
 class SkippedPoint:
     t: float
     k_t: int
@@ -84,41 +74,52 @@ class SkippedPoint:
 
 @dataclass(frozen=True, eq=False)
 class ThresholdCurve:
-    """Estimates on a threshold grid; failed grid points are recorded, not dropped."""
+    """Estimates on a threshold grid, one array entry per grid level.
 
-    entries: tuple
-    skipped: tuple
+    ``theta_hat[j]`` is NaN exactly where ``code[j]`` names the error that
+    left level ``t[j]`` undefined; ``code[j]`` is "" where a value exists.
+    """
+
+    t: np.ndarray
+    k_t: np.ndarray
+    theta_hat: np.ndarray
+    code: np.ndarray
     variant: str  # empirical_quantile | true_quantile | corrected
     config: EstimatorConfig
     n: int
 
-    def ts(self) -> np.ndarray:
-        return np.array([e.t for e in self.entries])
+    @property
+    def skipped(self) -> tuple:
+        """The undefined levels as (t, k_t, reason) records, in grid order."""
+        return tuple(
+            SkippedPoint(t=float(self.t[j]), k_t=int(self.k_t[j]), reason=str(self.code[j]))
+            for j in np.flatnonzero(self.code != "")
+        )
 
-    def values(self) -> np.ndarray:
-        return np.array([e.theta_hat for e in self.entries])
 
-
-def count_at(k: int, t: float) -> int:
+def count_at(k: int, t):
     """Exceedance budget ceil(k*t), robust to floating-point boundary droop.
 
     Products within 1e-12 (relative) of an integer are treated as exactly that
     integer before the ceiling is taken, so grid values like j/k never flip to
-    the next count; everything else is nudged up by 1e-12 and ceiled.
+    the next count; everything else is nudged up by 1e-12 and ceiled.  A
+    scalar ``t`` gives an int, an array of levels an integer array.
     """
-    if t <= 0.0:
+    ts = np.asarray(t, dtype=float)
+    if not np.all(ts > 0.0):
         raise ValueError(f"t must be positive, got {t}")
-    prod = k * t
-    nearest = round(prod)
-    if abs(prod - nearest) <= 1e-12 * max(1.0, abs(prod)):
-        kt = int(nearest)
-    else:
-        kt = math.ceil(prod + 1e-12)
-    return max(kt, 1)
+    prod = k * ts
+    nearest = np.rint(prod)
+    exact = np.abs(prod - nearest) <= 1e-12 * np.maximum(1.0, np.abs(prod))
+    kt = np.maximum(np.where(exact, nearest, np.ceil(prod + 1e-12)), 1).astype(np.int64)
+    return int(kt) if kt.ndim == 0 else kt
 
 
 def _values(x) -> np.ndarray:
-    return np.asarray(getattr(x, "values", x), dtype=float)
+    xs = np.asarray(getattr(x, "values", x), dtype=float)
+    if not np.isfinite(xs).all():
+        raise ValueError("series values must be finite; found NaN or inf")
+    return xs
 
 
 def blocks_fixed(x, r: int, u: float) -> float:
@@ -155,11 +156,12 @@ def runs_estimator(x, run_length: int, u: float) -> float:
 
 
 class BlocksEvaluator:
-    """Reusable t -> theta_hat evaluator for one (sample, r, k).
+    """Reusable k_t -> theta_hat evaluator for one (sample, r, k).
 
     Precomputes sorted sample values, sorted block maxima, and the sorted
-    uncovered tail once; each evaluation is then two binary searches, cached by
-    the exceedance budget k_t (the estimate depends on t only through k_t).
+    uncovered tail once; ``at_counts`` then evaluates any array of exceedance
+    budgets with two binary searches over all of them at once (the estimate
+    depends on t only through k_t).
     """
 
     def __init__(self, x, r: int, k: int):
@@ -174,45 +176,47 @@ class BlocksEvaluator:
         self._sorted = np.sort(xs)
         self._block_max_sorted = np.sort(xs[: self.m * r].reshape(self.m, r).max(axis=1))
         self._tail_sorted = np.sort(xs[self.m * r :])
-        self._cache: dict[int, float] = {}
 
-    def threshold(self, k_t: int) -> float:
-        """The order statistic below the top ``k_t`` sample values."""
-        if not 1 <= k_t <= self.k:
+    def at_counts(self, k_t):
+        """Estimates and skip codes for an array of exceedance budgets.
+
+        The threshold for budget k_t is the order statistic below the top k_t
+        sample values.  Returns ``(values, codes)`` shaped like ``k_t``: a code
+        is ``TIES_DETECTED`` when that threshold ties the smallest retained
+        value, else ``NO_EXCEEDANCES`` when every retained value lies beyond
+        the block coverage, else "" with the value defined; values are NaN
+        wherever a code is set.
+        """
+        k_t = np.asarray(k_t, dtype=np.int64)
+        if np.any((k_t < 1) | (k_t > self.k)):
             raise ValueError(f"need 1 <= k_t <= k={self.k}, got {k_t}")
-        return float(self._sorted[self.n - k_t - 1])
+        u = self._sorted[self.n - k_t - 1]
+        hit = self.m - np.searchsorted(self._block_max_sorted, u, side="right")
+        tail_exceed = len(self._tail_sorted) - np.searchsorted(self._tail_sorted, u, side="right")
+        # without a tie exactly k_t values exceed u, so the in-block count is
+        # k_t minus those in the tail
+        in_blocks = k_t - tail_exceed
+        codes = np.where(
+            u == self._sorted[self.n - k_t],
+            TiesDetected.code,
+            np.where(in_blocks == 0, NoExceedances.code, ""),
+        )
+        values = np.where(codes == "", hit / np.maximum(in_blocks, 1), np.nan)
+        return values, codes
 
     def at_count(self, k_t: int) -> float:
-        if k_t in self._cache:
-            return self._cache[k_t]
-        u = self.threshold(k_t)
-        if u == self._sorted[self.n - k_t]:
+        """The estimate for one budget; an undefined one raises its coded error."""
+        values, codes = self.at_counts(k_t)
+        if codes == TiesDetected.code:
             raise TiesDetected(
                 f"threshold order statistic ties the smallest of the top {k_t} values"
             )
-        hit = self.m - int(np.searchsorted(self._block_max_sorted, u, side="right"))
-        tail_exceed = len(self._tail_sorted) - int(
-            np.searchsorted(self._tail_sorted, u, side="right")
-        )
-        if tail_exceed == 0:
-            value = hit / k_t
-        else:
-            in_blocks = k_t - tail_exceed
-            if in_blocks == 0:
-                raise NoExceedances(
-                    f"all top {k_t} values lie beyond the block coverage"
-                )
-            value = hit / in_blocks
-        self._cache[k_t] = value
-        return value
+        if codes == NoExceedances.code:
+            raise NoExceedances(f"all top {k_t} values lie beyond the block coverage")
+        return float(values)
 
     def __call__(self, t: float) -> float:
         return self.at_count(count_at(self.k, t))
-
-
-def blocks_empirical(x, cfg: EstimatorConfig, t: float) -> float:
-    """Blocks estimate with the threshold set at the top-ceil(k*t) order statistic."""
-    return BlocksEvaluator(x, cfg.r, cfg.k)(t)
 
 
 def blocks_true_quantile(x, cfg: EstimatorConfig, t: float, marginal_quantile) -> float:
@@ -234,11 +238,10 @@ def sweep(x, cfg: EstimatorConfig, grid=None) -> ThresholdCurve:
     """Evaluate the empirical-threshold blocks estimator on a grid of t values.
 
     Grid points where the estimate is undefined (no exceedance inside the
-    blocks, or a threshold tie) become ``skipped`` entries carrying the error
-    code instead of silently disappearing.
+    blocks, or a threshold tie) keep their place in the curve with a NaN value
+    and the error code, instead of silently disappearing.
     """
-    xs = _values(x)
-    ev = BlocksEvaluator(xs, cfg.r, cfg.k)
+    ev = BlocksEvaluator(x, cfg.r, cfg.k)
     if grid is None:
         grid = default_grid(cfg.k)
     grid = np.asarray(grid, dtype=float)
@@ -246,17 +249,13 @@ def sweep(x, cfg: EstimatorConfig, grid=None) -> ThresholdCurve:
         raise ValueError("grid values must lie in (0, 1]")
     if np.any(np.diff(grid) < 0):
         raise ValueError("grid must be sorted ascending")
-    entries = []
-    skipped = []
-    for t in grid:
-        k_t = count_at(cfg.k, t)
-        try:
-            entries.append(CurvePoint(t=float(t), k_t=k_t, theta_hat=ev.at_count(k_t)))
-        except (NoExceedances, TiesDetected) as err:
-            skipped.append(SkippedPoint(t=float(t), k_t=k_t, reason=err.code))
+    k_t = count_at(cfg.k, grid)
+    values, codes = ev.at_counts(k_t)
     return ThresholdCurve(
-        entries=tuple(entries),
-        skipped=tuple(skipped),
+        t=grid,
+        k_t=k_t,
+        theta_hat=values,
+        code=codes,
         variant="empirical_quantile",
         config=cfg,
         n=ev.n,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
@@ -241,11 +241,17 @@ class ExperimentConfig:
         for t in self.t_grid:
             if not 0.0 < t <= 1.0:
                 raise ValueError(f"grid levels must lie in (0, 1], got {t}")
+        for lo, hi in zip(self.t_grid, self.t_grid[1:]):
+            if not lo < hi:
+                raise ValueError(f"t_grid must be strictly increasing, got {lo} then {hi}")
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        unknown = sorted(set(d) - _CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         measure, delta = _measure_from_dict(d.get("measure"))
         k = int(d["k"])
         return cls(
@@ -286,6 +292,13 @@ class ExperimentConfig:
         }
 
 
+# the top-level keys that to_dict writes and from_dict accepts
+_CONFIG_KEYS = frozenset(
+    ("model", "n", "r_list", "k", "t_grid", "measure", "replicates", "base_seed",
+     "out_dir", "run_lengths", "burn_in")
+)
+
+
 def oracle_theta_nt(model, r: int, v: float, t: float):
     """Closed-form mean curve of the blocks estimator, or None if unavailable."""
     if isinstance(model, IID):
@@ -302,30 +315,30 @@ def oracle_theta_nt(model, r: int, v: float, t: float):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlagRecord:
-    kind: str  # raw | corrected | runs
-    r: int
-    replicate: int
-    t: float
-    code: str
-
-
 @dataclass(frozen=True, eq=False)
 class MCResult:
     """Per-replicate curves plus per-(r, t) summaries.
 
-    ``raw[r]`` and ``corrected[r]`` are (replicates x grid) arrays with NaN at
-    flagged points; every NaN has a matching FlagRecord, so n_used +
-    n_skipped always equals the replicate count and the summary is exactly
-    recomputable from the arrays via ``summarize``.
+    ``raw[r]`` and ``corrected[r]`` are (replicates x grid) value arrays with
+    NaN at undefined points; ``raw_code[r]`` and ``corrected_code[r]`` are the
+    matching code arrays, "" where a value exists and the error code where it
+    is NaN.  So n_used + n_skipped always equals the replicate count and the
+    summary is exactly recomputable from the arrays via ``summarize``.
     """
 
     config: ExperimentConfig
     raw: dict
     corrected: dict
-    flags: tuple
+    raw_code: dict
+    corrected_code: dict
     files: tuple = ()
+
+    def kinds(self) -> tuple:
+        """(kind, values by r, codes by r) for the raw and corrected curves."""
+        return (
+            ("raw", self.raw, self.raw_code),
+            ("corrected", self.corrected, self.corrected_code),
+        )
 
     def summarize(self) -> list:
         """Per-(kind, r, t) rows: mean, sd, bias and RMSE against references.
@@ -338,7 +351,7 @@ class MCResult:
         v = cfg.k / cfg.n
         theta = model_theta(cfg.model)
         rows = []
-        for kind, curves in (("raw", self.raw), ("corrected", self.corrected)):
+        for kind, curves, _ in self.kinds():
             for r in cfg.r_list:
                 if r not in curves:
                     continue
@@ -398,67 +411,65 @@ def _write_sidecar(path, config: ExperimentConfig, extra=None) -> None:
         fh.write("\n")
 
 
+def _new_curves(cfg: ExperimentConfig, keys) -> tuple:
+    """(values, codes) dicts of (replicates x grid) arrays, one pair per key."""
+    shape = (cfg.replicates, len(cfg.t_grid))
+    return (
+        {key: np.full(shape, np.nan) for key in keys},
+        {key: np.full(shape, "", dtype=object) for key in keys},
+    )
+
+
+def _fill_replicate(cfg: ExperimentConfig, x, rep: int, grid, raw, corrected) -> None:
+    """Row ``rep`` of the blocks curves, and of the corrected ones under a measure."""
+    for r in cfg.r_list:
+        est = EstimatorConfig(r=r, k=cfg.k)
+        curves = [(sweep(x.values, est, grid), raw)]
+        if cfg.measure is not None:
+            curves.append((corrected_curve(x, est, cfg.measure, grid), corrected))
+        for curve, (values, codes) in curves:
+            values[r][rep] = curve.theta_hat
+            codes[r][rep] = curve.code
+
+
 def run(config: ExperimentConfig) -> MCResult:
     """Execute the experiment; write curves.csv, summary.csv, meta.json if out_dir set."""
     cfg = config
     grid = np.asarray(cfg.t_grid)
-    raw = {r: np.full((cfg.replicates, len(grid)), np.nan) for r in cfg.r_list}
-    corrected = (
-        {r: np.full((cfg.replicates, len(grid)), np.nan) for r in cfg.r_list}
-        if cfg.measure is not None
-        else {}
-    )
-    flags = []
+    raw = _new_curves(cfg, cfg.r_list)
+    corrected = _new_curves(cfg, cfg.r_list if cfg.measure is not None else ())
     for rep in range(cfg.replicates):
         x = generate(cfg.model, cfg.n, substream(cfg.base_seed, rep), burn_in=cfg.burn_in)
-        for r in cfg.r_list:
-            est = EstimatorConfig(r=r, k=cfg.k)
-            curve = sweep(x.values, est, grid)
-            for point in curve.entries:
-                raw[r][rep, _index_of(grid, point.t)] = point.theta_hat
-            for miss in curve.skipped:
-                flags.append(FlagRecord("raw", r, rep, miss.t, miss.reason))
-            if cfg.measure is not None:
-                ccurve = corrected_curve(x, est, cfg.measure, grid)
-                for point in ccurve.entries:
-                    corrected[r][rep, _index_of(grid, point.t)] = point.theta_hat
-                for miss in ccurve.skipped:
-                    flags.append(FlagRecord("corrected", r, rep, miss.t, miss.reason))
+        _fill_replicate(cfg, x, rep, grid, raw, corrected)
     result = MCResult(
-        config=cfg, raw=raw, corrected=corrected, flags=tuple(flags), files=()
+        config=cfg,
+        raw=raw[0],
+        corrected=corrected[0],
+        raw_code=raw[1],
+        corrected_code=corrected[1],
     )
     if cfg.out_dir is not None:
-        files = _persist(result)
-        result = MCResult(
-            config=cfg, raw=raw, corrected=corrected, flags=tuple(flags), files=files
-        )
+        result = replace(result, files=_persist(result))
     return result
-
-
-def _index_of(grid, t: float) -> int:
-    idx = int(np.argmin(np.abs(grid - t)))
-    return idx
 
 
 def _persist(result: MCResult) -> tuple:
     cfg = result.config
     os.makedirs(cfg.out_dir, exist_ok=True)
-    flag_lookup = {
-        (rec.kind, rec.r, rec.replicate, round(rec.t, 12)): rec.code
-        for rec in result.flags
-    }
     curve_rows = []
-    for kind, curves in (("raw", result.raw), ("corrected", result.corrected)):
+    flag_count = 0
+    for kind, curves, codes in result.kinds():
         for r in cfg.r_list:
             if r not in curves:
                 continue
             arr = curves[r]
+            code = codes[r]
+            flag_count += int(np.count_nonzero(code != ""))
             for rep in range(cfg.replicates):
                 for j, t in enumerate(cfg.t_grid):
                     val = arr[rep, j]
-                    flag = flag_lookup.get((kind, r, rep, round(t, 12)), "")
                     curve_rows.append(
-                        (rep, kind, r, t, "" if np.isnan(val) else _fmt(float(val)), flag)
+                        (rep, kind, r, t, "" if np.isnan(val) else _fmt(float(val)), code[rep, j])
                     )
     curves_path = os.path.join(cfg.out_dir, "curves.csv")
     _write_csv(
@@ -488,7 +499,7 @@ def _persist(result: MCResult) -> tuple:
     _write_sidecar(
         meta_path,
         cfg,
-        extra={"flag_count": len(result.flags), "outputs": ["curves.csv", "summary.csv"]},
+        extra={"flag_count": flag_count, "outputs": ["curves.csv", "summary.csv"]},
     )
     return (curves_path, summary_path, meta_path)
 
@@ -499,19 +510,15 @@ def _persist(result: MCResult) -> tuple:
 
 
 def _runs_curve_values(values, run_length: int, k: int, grid):
-    """Runs estimates across the grid at empirical-quantile thresholds."""
-    xs = np.sort(values)
-    n = len(values)
+    """Runs estimates across the grid at empirical-quantile thresholds, NaN where undefined."""
+    thresholds = np.sort(values)[len(values) - count_at(k, grid) - 1]
     out = np.full(len(grid), np.nan)
-    codes = [""] * len(grid)
-    for j, t in enumerate(grid):
-        k_t = count_at(k, t)
-        u = xs[n - k_t - 1]
+    for j, u in enumerate(thresholds):
         try:
             out[j] = runs_estimator(values, run_length, u)
-        except ExindexError as err:
-            codes[j] = err.code
-    return out, codes
+        except ExindexError:
+            pass
+    return out
 
 
 def figure1_bundle(config: ExperimentConfig) -> tuple:
@@ -524,27 +531,14 @@ def figure1_bundle(config: ExperimentConfig) -> tuple:
     if cfg.out_dir is None:
         raise ValueError("figure1_bundle requires out_dir")
     grid = np.asarray(cfg.t_grid)
-    blocks = {r: np.full((cfg.replicates, len(grid)), np.nan) for r in cfg.r_list}
-    corrected = (
-        {r: np.full((cfg.replicates, len(grid)), np.nan) for r in cfg.r_list}
-        if cfg.measure is not None
-        else {}
-    )
+    blocks = _new_curves(cfg, cfg.r_list)
+    corrected = _new_curves(cfg, cfg.r_list if cfg.measure is not None else ())
     runs = {rl: np.full((cfg.replicates, len(grid)), np.nan) for rl in cfg.run_lengths}
     for rep in range(cfg.replicates):
         x = generate(cfg.model, cfg.n, substream(cfg.base_seed, rep), burn_in=cfg.burn_in)
-        for r in cfg.r_list:
-            est = EstimatorConfig(r=r, k=cfg.k)
-            curve = sweep(x.values, est, grid)
-            for point in curve.entries:
-                blocks[r][rep, _index_of(grid, point.t)] = point.theta_hat
-            if cfg.measure is not None:
-                ccurve = corrected_curve(x, est, cfg.measure, grid)
-                for point in ccurve.entries:
-                    corrected[r][rep, _index_of(grid, point.t)] = point.theta_hat
+        _fill_replicate(cfg, x, rep, grid, blocks, corrected)
         for rl in cfg.run_lengths:
-            vals, _ = _runs_curve_values(x.values, rl, cfg.k, grid)
-            runs[rl][rep] = vals
+            runs[rl][rep] = _runs_curve_values(x.values, rl, cfg.k, grid)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
 
@@ -568,9 +562,9 @@ def figure1_bundle(config: ExperimentConfig) -> tuple:
 
     paths = []
     for fname, curves, param in (
-        ("blocks_curves.csv", blocks, "r"),
+        ("blocks_curves.csv", blocks[0], "r"),
         ("runs_curves.csv", runs, "run_length"),
-        ("corrected_curves.csv", corrected, "r"),
+        ("corrected_curves.csv", corrected[0], "r"),
     ):
         path = os.path.join(cfg.out_dir, fname)
         _write_csv(path, [param, "t", "mean", "sd", "n_used"], band_rows(curves, param))
@@ -613,8 +607,7 @@ def _standardized_estimates(model, n, r, k, t, replicates, base_seed, burn_in):
     grid = np.asarray([t])
     for rep in range(replicates):
         x = generate(model, n, substream(base_seed, rep), burn_in=burn_in)
-        curve = sweep(x.values, est, grid)
-        vals[rep] = curve.entries[0].theta_hat if curve.entries else np.nan
+        vals[rep] = sweep(x.values, est, grid).theta_hat[0]
     vals = vals[~np.isnan(vals)]
     return np.sqrt(n * v) * t * (vals - target)
 

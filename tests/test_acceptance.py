@@ -282,12 +282,10 @@ def test_criterion_09_brute_force_equivalence():
         else:
             x = rng.integers(0, 10, size=n).astype(float)
         curve = ex.sweep(x, ex.EstimatorConfig(r=r, k=k), ex.default_grid(k))
-        got = {p.t: p.theta_hat for p in curve.entries}
-        skip = {s.t: s.reason for s in curve.skipped}
         xs = np.sort(x)
         m = n // r
         covered = x[: m * r]
-        for t in ex.default_grid(k):
+        for j, t in enumerate(ex.default_grid(k)):
             kt = ex.count_at(k, t)
             u = xs[n - kt - 1]
             naive_exc = int((covered > u).sum())
@@ -301,10 +299,12 @@ def test_criterion_09_brute_force_equivalence():
                 )
                 expect = ("val", hit / naive_exc)
             checked += 1
-            if expect[0] == "skip":
-                if skip.get(t) != expect[1]:
+            if curve.t[j] != t or curve.k_t[j] != kt:
+                mismatches += 1
+            elif expect[0] == "skip":
+                if curve.code[j] != expect[1]:
                     mismatches += 1
-            elif got.get(t) != expect[1]:
+            elif curve.code[j] or curve.theta_hat[j] != expect[1]:
                 mismatches += 1
     ok = mismatches == 0
     line = _report(

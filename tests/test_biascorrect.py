@@ -200,9 +200,31 @@ def test_corrected_curve_accounting():
     curve = ex.corrected_curve(x, cfg, mu, grid)
     assert curve.variant == "corrected"
     assert curve.n == 5000
-    assert len(curve.entries) + len(curve.skipped) == len(grid)
+    assert list(curve.t) == grid
+    assert len(curve.theta_hat) == len(curve.code) == len(grid)
+    assert (np.isnan(curve.theta_hat) == (curve.code != "")).all()
     allowed = {"DEGENERATE_DENOMINATOR", "NO_EXCEEDANCES", "TIES_DETECTED"}
     assert all(p.reason in allowed for p in curve.skipped)
+
+
+def test_corrected_curve_takes_first_failing_atom_code():
+    # sorted: 1,2,3,4,5,5,100 with blocks (1,2,3), (5,5,4) and the tail (100);
+    # k_t=1 keeps only the tail value (NO_EXCEEDANCES), k_t=2 ties at 5
+    x = np.array([1.0, 2.0, 3.0, 5.0, 5.0, 4.0, 100.0])
+    cfg = ex.EstimatorConfig(r=3, k=3)
+    ev = ex.BlocksEvaluator(x, 3, 3)
+    for mu, want in (
+        # atom levels s1=0.5 (k_t=2, tie) before t1=0.3 (k_t=1)
+        (ex.two_atom_measure(1.0, 0.3, 2.0), "TIES_DETECTED"),
+        # s1=0.25 (k_t=1) before s2=0.5 (k_t=2, tie)
+        (ex.two_atom_measure(0.5, 1.0, 2.0), "NO_EXCEEDANCES"),
+    ):
+        curve = ex.corrected_curve(x, cfg, mu, [1.0])
+        assert list(curve.code) == [want]
+        assert np.isnan(curve.theta_hat[0])
+        with pytest.raises(ex.ExindexError) as err:
+            ex.corrected_estimate(ev, mu)
+        assert err.value.code == want
 
 
 def test_corrected_curve_iid_is_flat_or_degenerate():
@@ -213,7 +235,8 @@ def test_corrected_curve_iid_is_flat_or_degenerate():
     mu = ex.two_atom_measure(0.5, 1.0, 2.0)
     grid = [0.2, 0.4, 0.6, 0.8, 1.0]
     curve = ex.corrected_curve(x, cfg, mu, grid)
-    near_one = sum(abs(p.theta_hat - 1.0) <= 0.5 for p in curve.entries)
+    defined = curve.theta_hat[curve.code == ""]
+    near_one = int(np.count_nonzero(np.abs(defined - 1.0) <= 0.5))
     assert near_one + len(curve.skipped) >= 3
 
 

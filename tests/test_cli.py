@@ -279,3 +279,34 @@ def test_usage_and_io_errors(tmp_path, capsys):
 def test_version_flag(capsys):
     assert dispatch(["--version"]) == 0
     assert "exindex" in capsys.readouterr().out
+
+
+def test_non_finite_series_and_unknown_config_keys_exit_1(tmp_path, capsys):
+    path = tmp_path / "x.txt"
+    path.write_text("".join(f"{v}\n" for v in SERIES[:3] + ["nan"] + SERIES[3:]))
+    rc = dispatch(["sweep", "--series", str(path), "--r", "3", "--k", "4"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("INVALID_ARGUMENT: series values must be finite")
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(
+        json.dumps({"model": {"name": "iid"}, "n": 200, "r_list": [5], "k": 20, "replicate": 3})
+    )
+    rc = dispatch(["mc", "--config", str(config_path), "--out", str(tmp_path / "exp")])
+    assert rc == 1
+    assert capsys.readouterr().err == "INVALID_ARGUMENT: unknown config keys: replicate\n"
+
+
+def test_correct_grid_rows_follow_the_grid_with_codes(tmp_path, capsys):
+    # sorted 1,2,3,4,5,5,100: k_t=1 keeps only the uncovered tail value, k_t=2 ties at 5
+    path = tmp_path / "x.txt"
+    path.write_text("".join(f"{v}\n" for v in [1.0, 2.0, 3.0, 5.0, 5.0, 4.0, 100.0]))
+    rc = dispatch(
+        ["correct", "--series", str(path), "--r", "3", "--k", "3", "--two-atom", "1,0.3,2",
+         "--grid", "0.5,1.0"]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "t,k_t,theta_hat,variant,flag",
+        "0.5,2,,corrected,NO_EXCEEDANCES",
+        "1,3,,corrected,TIES_DETECTED",
+    ]

@@ -47,14 +47,12 @@ def test_runs_estimator_no_exceedances():
 
 
 def test_blocks_empirical_hand_count():
-    cfg = ex.EstimatorConfig(r=3, k=4)
-    assert ex.blocks_empirical(X6, cfg, 0.5) == 1.0
+    assert ex.BlocksEvaluator(X6, r=3, k=4)(0.5) == 1.0
 
 
 def test_blocks_empirical_single_top_value():
-    cfg = ex.EstimatorConfig(r=3, k=4)
     # ceil(4 * 0.25) = 1: threshold is the second-largest value, one block exceeds
-    assert ex.blocks_empirical(X6, cfg, 0.25) == 1.0
+    assert ex.BlocksEvaluator(X6, r=3, k=4)(0.25) == 1.0
 
 
 def test_sweep_hand_curve():
@@ -62,8 +60,9 @@ def test_sweep_hand_curve():
     curve = ex.sweep(X6, cfg, [0.25, 0.5, 0.75, 1.0])
     assert curve.variant == "empirical_quantile"
     assert not curve.skipped
-    assert [p.k_t for p in curve.entries] == [1, 2, 3, 4]
-    assert list(curve.values()) == [1.0, 1.0, 2.0 / 3.0, 0.5]
+    assert list(curve.code) == [""] * 4
+    assert list(curve.k_t) == [1, 2, 3, 4]
+    assert list(curve.theta_hat) == [1.0, 1.0, 2.0 / 3.0, 0.5]
 
 
 def test_sweep_singleton_matches_blocks_empirical():
@@ -71,8 +70,8 @@ def test_sweep_singleton_matches_blocks_empirical():
     x = rng.random(60)
     cfg = ex.EstimatorConfig(r=5, k=12)
     curve = ex.sweep(x, cfg, [0.5])
-    assert len(curve.entries) == 1
-    assert curve.entries[0].theta_hat == ex.blocks_empirical(x, cfg, 0.5)
+    assert len(curve.theta_hat) == 1 and curve.code[0] == ""
+    assert curve.theta_hat[0] == ex.BlocksEvaluator(x, cfg.r, cfg.k)(0.5)
 
 
 def test_sweep_grid_validation():
@@ -111,8 +110,9 @@ def test_monotone_counting_invariant():
     x = rng.random(504)
     cfg = ex.EstimatorConfig(r=7, k=50)
     curve = ex.sweep(x, cfg, ex.default_grid(50))
-    kts = np.array([p.k_t for p in curve.entries])
-    hits = np.array([p.theta_hat * p.k_t for p in curve.entries])
+    defined = curve.code == ""
+    kts = curve.k_t[defined]
+    hits = curve.theta_hat[defined] * kts
     assert (np.diff(kts) >= 0).all()
     assert (np.diff(hits) >= -1e-9).all()
     # n divisible by r: the simplified form applies, so theta_hat * k_t is an integer
@@ -126,7 +126,7 @@ def test_estimates_stay_in_unit_interval():
         x = rng.random(n)
         cfg = ex.EstimatorConfig(r=int(rng.integers(1, 8)), k=int(rng.integers(2, n // 2 + 2)))
         curve = ex.sweep(x, cfg, ex.default_grid(cfg.k))
-        vals = curve.values()
+        vals = curve.theta_hat[curve.code == ""]
         assert (vals > 0).all() and (vals <= 1).all()
 
 
@@ -164,7 +164,8 @@ def test_sweep_skips_points_with_reasons():
     curve = ex.sweep(x, cfg, [1.0 / 3.0, 2.0 / 3.0, 1.0])
     reasons = {p.t: p.reason for p in curve.skipped}
     assert reasons[1.0 / 3.0] == "NO_EXCEEDANCES"  # only the tail value 100 is top-1
-    assert len(curve.entries) + len(curve.skipped) == 3
+    assert len(curve.theta_hat) == len(curve.code) == 3
+    assert int(np.isnan(curve.theta_hat).sum()) == len(curve.skipped)
 
 
 def test_sweep_matches_naive_recount():
@@ -176,18 +177,17 @@ def test_sweep_matches_naive_recount():
         x = rng.random(n)
         cfg = ex.EstimatorConfig(r=r, k=k)
         curve = ex.sweep(x, cfg, ex.default_grid(k))
-        got = {p.t: p.theta_hat for p in curve.entries}
-        skipped = {p.t: p.reason for p in curve.skipped}
         xs = np.sort(x)
         m = n // r
         covered = x[: m * r]
-        for t in ex.default_grid(k):
+        for j, t in enumerate(ex.default_grid(k)):
             k_t = ex.count_at(k, t)
             u = xs[n - k_t - 1]
             if not (covered > u).any():
-                assert skipped[t] == "NO_EXCEEDANCES"
+                assert curve.code[j] == "NO_EXCEEDANCES"
             else:
-                assert got[t] == ex.blocks_fixed(x, r, u)
+                assert curve.code[j] == ""
+                assert curve.theta_hat[j] == ex.blocks_fixed(x, r, u)
 
 
 def test_blocks_true_quantile_iid_uniform():
@@ -241,5 +241,31 @@ def test_estimator_config_validation():
 
 def test_evaluator_accepts_series_sample():
     x = ex.generate(ex.IID(innovation=ex.Uniform01()), 100, ex.substream(1, 0))
-    cfg = ex.EstimatorConfig(r=5, k=10)
-    assert ex.blocks_empirical(x, cfg, 1.0) == ex.blocks_empirical(x.values, cfg, 1.0)
+    assert ex.BlocksEvaluator(x, 5, 10)(1.0) == ex.BlocksEvaluator(x.values, 5, 10)(1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sweep_rejects_non_finite_values(bad):
+    # a NaN would take a top-k slot yet never count as a block hit
+    x = np.random.default_rng(5).random(1000)
+    x[137] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ex.sweep(x, ex.EstimatorConfig(r=10, k=50), [0.5, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        ex.BlocksEvaluator(x, 10, 50)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_blocks_fixed_rejects_non_finite_values(bad):
+    x = X6.copy()
+    x[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ex.blocks_fixed(x, 3, 3.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_runs_estimator_rejects_non_finite_values(bad):
+    x = X6.copy()
+    x[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ex.runs_estimator(x, 2, 3.5)

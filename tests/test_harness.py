@@ -115,6 +115,27 @@ def test_config_validation():
     assert small_config(run_lengths=(3, 7)).run_lengths == (3, 7)
 
 
+def test_config_rejects_unknown_keys():
+    base = dict(model={"name": "iid", "innovation": "uniform"}, n=1000, r_list=[5], k=50)
+    with pytest.raises(ValueError, match="unknown config keys: replicate$"):
+        ex.ExperimentConfig.from_dict({**base, "replicate": 3})
+    with pytest.raises(ValueError, match="unknown config keys: replicate, seed$"):
+        ex.ExperimentConfig.from_dict({**base, "seed": 1, "replicate": 3})
+    # every key that to_dict writes is accepted back
+    full = small_config(out_dir="exp", run_lengths=(3,), burn_in=2).to_dict()
+    assert ex.ExperimentConfig.from_dict(full).to_dict() == full
+
+
+def test_config_rejects_grid_that_is_not_strictly_increasing():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        small_config(t_grid=(0.25, 0.5, 0.5, 1.0))  # duplicated level
+    with pytest.raises(ValueError, match="strictly increasing"):
+        small_config(t_grid=(1.0, 0.75, 0.5))  # descending
+    base = dict(model={"name": "iid", "innovation": "uniform"}, n=1000, r_list=[5], k=50)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ex.ExperimentConfig.from_dict({**base, "t_grid": [0.5, 0.5, 1.0]})
+
+
 def test_oracle_theta_nt_dispatch():
     assert ex.oracle_theta_nt(ex.IID(innovation=ex.Uniform01()), 10, 0.01, 1.0) == (
         ex.theta_nt_iid(10, 0.01, 1.0)
@@ -134,13 +155,21 @@ def test_run_deterministic_and_flag_accounted():
     for r in cfg.r_list:
         np.testing.assert_array_equal(res1.raw[r], res2.raw[r])
         np.testing.assert_array_equal(res1.corrected[r], res2.corrected[r])
-    assert res1.flags == res2.flags
-    # every NaN cell is matched by exactly one flag record
+        np.testing.assert_array_equal(res1.raw_code[r], res2.raw_code[r])
+        np.testing.assert_array_equal(res1.corrected_code[r], res2.corrected_code[r])
+    # every NaN cell is matched by exactly one flag code
     nan_cells = sum(
         int(np.isnan(res1.raw[r]).sum() + np.isnan(res1.corrected[r]).sum())
         for r in cfg.r_list
     )
-    assert len(res1.flags) == nan_cells
+    flag_cells = sum(
+        int((res1.raw_code[r] != "").sum() + (res1.corrected_code[r] != "").sum())
+        for r in cfg.r_list
+    )
+    assert flag_cells == nan_cells
+    for r in cfg.r_list:
+        assert (np.isnan(res1.raw[r]) == (res1.raw_code[r] != "")).all()
+        assert (np.isnan(res1.corrected[r]) == (res1.corrected_code[r] != "")).all()
     for row in res1.summarize():
         assert row["n_used"] + row["n_skipped"] == cfg.replicates
 
@@ -148,7 +177,7 @@ def test_run_deterministic_and_flag_accounted():
 def test_run_without_measure_has_no_corrected_curves():
     res = ex.run(small_config(measure=None))
     assert res.corrected == {}
-    assert {rec.kind for rec in res.flags} <= {"raw"}
+    assert res.corrected_code == {}
 
 
 def test_summary_file_recomputable_from_curves(tmp_path):

@@ -1,0 +1,135 @@
+"""Property tests: the array kernels against their definitions and the scalar path."""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import exindex as ex
+
+TIES = "TIES_DETECTED"
+NO_EXC = "NO_EXCEEDANCES"
+
+
+@st.composite
+def samples(draw):
+    """(x, r, k): continuous or heavily tied integer-valued series with r <= n, k < n."""
+    n = draw(st.integers(6, 40))
+    if draw(st.booleans()):
+        x = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    else:
+        x = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    r = draw(st.integers(1, min(6, n)))
+    k = draw(st.integers(1, n - 1))
+    return np.asarray(x, dtype=float), r, k
+
+
+levels = st.floats(1e-3, 1.0)
+grids = st.lists(levels, min_size=1, max_size=12).map(sorted)
+
+
+def brute_force(x, r, k, t):
+    """The criterion-9 definition: (value, "") or (nan, code), counted on the series."""
+    n = len(x)
+    xs = np.sort(x)
+    m = n // r
+    covered = x[: m * r]
+    kt = ex.count_at(k, t)
+    u = xs[n - kt - 1]
+    if xs[n - kt] == u:
+        return math.nan, TIES
+    exceed = int((covered > u).sum())
+    if exceed == 0:
+        return math.nan, NO_EXC
+    hit = sum(1 for b in range(m) if covered[b * r : (b + 1) * r].max() > u)
+    return hit / exceed, ""
+
+
+def count_rule(k, t):
+    """ceil(k t), snapping products within 1e-12 (relative) of an integer to it."""
+    prod = k * t
+    nearest = round(prod)
+    if abs(prod - nearest) <= 1e-12 * max(1.0, abs(prod)):
+        return max(int(nearest), 1)
+    return max(math.ceil(prod + 1e-12), 1)
+
+
+def same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5000), st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=30))
+def test_count_at_array_matches_scalar_rule(k, ts):
+    got = ex.count_at(k, np.asarray(ts))
+    assert got.tolist() == [count_rule(k, t) for t in ts]
+    assert [ex.count_at(k, t) for t in ts] == [count_rule(k, t) for t in ts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples(), st.one_of(st.none(), grids))
+def test_sweep_matches_brute_force(sample, grid):
+    x, r, k = sample
+    if grid is None:
+        grid = ex.default_grid(k)
+    curve = ex.sweep(x, ex.EstimatorConfig(r=r, k=k), grid)
+    assert len(curve.t) == len(curve.k_t) == len(curve.theta_hat) == len(curve.code) == len(grid)
+    for j, t in enumerate(grid):
+        value, code = brute_force(x, r, k, t)
+        assert curve.t[j] == t and curve.k_t[j] == ex.count_at(k, t)
+        assert curve.code[j] == code
+        assert same(curve.theta_hat[j], value)
+    assert [(p.t, p.k_t, p.reason) for p in curve.skipped] == [
+        (float(curve.t[j]), int(curve.k_t[j]), curve.code[j])
+        for j in range(len(grid))
+        if curve.code[j]
+    ]
+
+
+@st.composite
+def measures(draw):
+    if draw(st.booleans()):
+        p = draw(st.floats(0.05, 1.0))
+        q = draw(st.floats(0.05, 1.0))
+        assume(p != q)
+        return ex.two_atom_measure(p, q, draw(st.floats(1.1, 4.0)))
+    return ex.product_measure(
+        draw(st.floats(0.5, 3.0)),
+        draw(st.floats(1.1, 4.0)),
+        draw(st.floats(1.1, 4.0)),
+        draw(st.integers(1, 4)),
+    )
+
+
+def pointwise_corrected(x, r, k, mu, t):
+    """corrected_estimate on the measure scaled to level t, as (value, code)."""
+    try:
+        return ex.corrected_estimate(ex.BlocksEvaluator(x, r, k), ex.scale_measure(mu, t)), ""
+    except ex.ExindexError as err:
+        return math.nan, err.code
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples(), measures(), grids)
+def test_corrected_curve_matches_pointwise_estimate(sample, mu, grid):
+    x, r, k = sample
+    curve = ex.corrected_curve(x, ex.EstimatorConfig(r=r, k=k), mu, grid)
+    assert curve.variant == "corrected"
+    for j, t in enumerate(grid):
+        value, code = pointwise_corrected(x, r, k, mu, t)
+        assert curve.t[j] == t and curve.k_t[j] == ex.count_at(k, t)
+        assert curve.code[j] == code
+        assert same(curve.theta_hat[j], value)  # bit for bit
+
+
+@settings(max_examples=100, deadline=None)
+@given(samples(), measures(), grids, st.sampled_from([-4.0, -1.0, 0.125, 0.5, 2.0, 8.0]))
+def test_corrected_curve_weight_scale_invariance(sample, mu, grid, lam):
+    # power-of-two scales are exact in floating point, so the curve must not move at all
+    x, r, k = sample
+    cfg = ex.EstimatorConfig(r=r, k=k)
+    base = ex.corrected_curve(x, cfg, mu, grid)
+    scaled = ex.corrected_curve(x, cfg, mu.scaled_weights(lam), grid)
+    np.testing.assert_array_equal(scaled.code, base.code)
+    np.testing.assert_array_equal(scaled.theta_hat, base.theta_hat)
