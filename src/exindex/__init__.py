@@ -28,7 +28,6 @@ from .sim import (
     generate,
     model_marginal,
     model_theta,
-    quantile_second_order_pareto,
     substream,
 )
 from .estimate import (

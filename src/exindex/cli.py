@@ -37,11 +37,12 @@ from .estimate import (
 )
 from .harness import (
     ExperimentConfig,
-    figure1_bundle,
+    _run_with_figure1,
     model_from_dict,
     normality_check,
     run,
 )
+from .harness import figure1_bundle  # noqa: F401  (perfbench/layers.py traces this binding)
 from .oracle import (
     bias_expansion_mm,
     bias_expansion_wn,
@@ -321,12 +322,11 @@ def _cmd_mc(args) -> None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
     if cfg.out_dir is None:
         raise _Usage("set out_dir in the config or pass --out")
-    lines = []
-    result = run(cfg)
-    lines += [f"wrote {p}" for p in result.files]
     if args.figure1:
-        for p in figure1_bundle(cfg):
-            lines.append(f"wrote {p}")
+        result, figure_files = _run_with_figure1(cfg)
+    else:
+        result, figure_files = run(cfg), ()
+    lines = [f"wrote {p}" for p in result.files + figure_files]
     if args.normality:
         rep = normality_check(cfg)
         lines += [

@@ -31,8 +31,8 @@ from .biascorrect import (
     read_measure_csv,
     two_atom_measure,
 )
-from .errors import ExindexError
-from .estimate import EstimatorConfig, count_at, runs_estimator, sweep
+from .estimate import EstimatorConfig, count_at, sweep
+from .estimate import runs_estimator  # noqa: F401  (perfbench/layers.py traces this binding)
 from .oracle import theta_nt_mm_exact, theta_nt_wn
 from .sim import (
     IID,
@@ -310,6 +310,18 @@ def oracle_theta_nt(model, r: int, v: float, t: float):
     return None
 
 
+def _raw_references(model, r: int, v: float, grid) -> np.ndarray:
+    """``oracle_theta_nt`` at every grid level, NaN where no closed form exists.
+
+    Moving maxima take one oracle call for the whole grid, which inverts the
+    marginal once for all levels.
+    """
+    if isinstance(model, MovingMaxima):
+        return theta_nt_mm_exact(model, r, v, np.asarray(grid))
+    refs = (oracle_theta_nt(model, r, v, t) for t in grid)
+    return np.array([np.nan if ref is None else float(ref) for ref in refs])
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo driver
 # ---------------------------------------------------------------------------
@@ -356,14 +368,14 @@ class MCResult:
                 if r not in curves:
                     continue
                 arr = curves[r]
+                if kind == "raw":
+                    refs = _raw_references(cfg.model, r, v, cfg.t_grid)
+                else:
+                    refs = np.full(len(cfg.t_grid), theta)
                 for j, t in enumerate(cfg.t_grid):
                     col = arr[:, j]
                     used = col[~np.isnan(col)]
-                    if kind == "raw":
-                        ref = oracle_theta_nt(cfg.model, r, v, t)
-                        ref = np.nan if ref is None else float(ref)
-                    else:
-                        ref = theta
+                    ref = float(refs[j])
                     mean = float(used.mean()) if used.size else np.nan
                     sd = float(used.std(ddof=1)) if used.size > 1 else np.nan
                     rows.append(
@@ -432,15 +444,23 @@ def _fill_replicate(cfg: ExperimentConfig, x, rep: int, grid, raw, corrected) ->
             codes[r][rep] = curve.code
 
 
-def run(config: ExperimentConfig) -> MCResult:
-    """Execute the experiment; write curves.csv, summary.csv, meta.json if out_dir set."""
-    cfg = config
+def _replicates(cfg: ExperimentConfig, run_lengths=()) -> tuple:
+    """Simulate every replicate once: its ``MCResult`` and runs curves for ``run_lengths``.
+
+    ``runs[run_length]`` is a (replicates x grid) value array with NaN where
+    the runs estimate is undefined.
+    """
     grid = np.asarray(cfg.t_grid)
     raw = _new_curves(cfg, cfg.r_list)
     corrected = _new_curves(cfg, cfg.r_list if cfg.measure is not None else ())
+    runs = {rl: np.full((cfg.replicates, len(grid)), np.nan) for rl in run_lengths}
     for rep in range(cfg.replicates):
         x = generate(cfg.model, cfg.n, substream(cfg.base_seed, rep), burn_in=cfg.burn_in)
         _fill_replicate(cfg, x, rep, grid, raw, corrected)
+        if run_lengths:
+            thresholds = np.sort(x.values)[x.n - count_at(cfg.k, grid) - 1]
+            for rl in run_lengths:
+                runs[rl][rep] = _runs_curve_values(x.values, rl, thresholds)
     result = MCResult(
         config=cfg,
         raw=raw[0],
@@ -448,9 +468,27 @@ def run(config: ExperimentConfig) -> MCResult:
         raw_code=raw[1],
         corrected_code=corrected[1],
     )
-    if cfg.out_dir is not None:
+    return result, runs
+
+
+def run(config: ExperimentConfig) -> MCResult:
+    """Execute the experiment; write curves.csv, summary.csv, meta.json if out_dir set."""
+    result, _ = _replicates(config)
+    if config.out_dir is not None:
         result = replace(result, files=_persist(result))
     return result
+
+
+def _run_with_figure1(config: ExperimentConfig) -> tuple:
+    """``run`` and ``figure1_bundle`` from one simulation of each replicate.
+
+    ``config.out_dir`` must be set.  Returns the persisted ``MCResult`` and the
+    figure-bundle paths; every file is byte-identical to the one the two
+    separate calls write.
+    """
+    result, runs = _replicates(config, config.run_lengths)
+    result = replace(result, files=_persist(result))
+    return result, _write_figure1(result, runs)
 
 
 def _persist(result: MCResult) -> tuple:
@@ -509,15 +547,26 @@ def _persist(result: MCResult) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _runs_curve_values(values, run_length: int, k: int, grid):
-    """Runs estimates across the grid at empirical-quantile thresholds, NaN where undefined."""
-    thresholds = np.sort(values)[len(values) - count_at(k, grid) - 1]
-    out = np.full(len(grid), np.nan)
-    for j, u in enumerate(thresholds):
-        try:
-            out[j] = runs_estimator(values, run_length, u)
-        except ExindexError:
-            pass
+def _runs_curve_values(values, run_length: int, thresholds) -> np.ndarray:
+    """``runs_estimator(values, run_length, u)`` at every threshold u, NaN where undefined.
+
+    With M_i the maximum of the ``run_length`` values after X_i, a run ends at
+    exceedance i iff M_i <= u.  Over i < n - run_length, the denominator is
+    #{X_i > u} and the numerator that minus #{min(X_i, M_i) > u}; both counts
+    come from one binary search per threshold on a sorted array.
+    """
+    n = len(values)
+    if not 1 <= run_length < n:
+        raise ValueError(f"need 1 <= run_length < n, got run_length={run_length}, n={n}")
+    stop = n - run_length
+    starts = values[:stop]
+    after = values[1 : stop + 1].copy()
+    for j in range(2, run_length + 1):
+        np.maximum(after, values[j : j + stop], out=after)
+    denom = stop - np.searchsorted(np.sort(starts), thresholds, side="right")
+    both = stop - np.searchsorted(np.sort(np.minimum(starts, after)), thresholds, side="right")
+    out = np.full(len(thresholds), np.nan)
+    np.divide(denom - both, denom, out=out, where=denom > 0)
     return out
 
 
@@ -527,22 +576,17 @@ def figure1_bundle(config: ExperimentConfig) -> tuple:
     Each file holds per-(parameter, t) replicate means with standard-deviation
     bands; the same simulated paths drive all three panels.
     """
-    cfg = config
-    if cfg.out_dir is None:
+    if config.out_dir is None:
         raise ValueError("figure1_bundle requires out_dir")
-    grid = np.asarray(cfg.t_grid)
-    blocks = _new_curves(cfg, cfg.r_list)
-    corrected = _new_curves(cfg, cfg.r_list if cfg.measure is not None else ())
-    runs = {rl: np.full((cfg.replicates, len(grid)), np.nan) for rl in cfg.run_lengths}
-    for rep in range(cfg.replicates):
-        x = generate(cfg.model, cfg.n, substream(cfg.base_seed, rep), burn_in=cfg.burn_in)
-        _fill_replicate(cfg, x, rep, grid, blocks, corrected)
-        for rl in cfg.run_lengths:
-            runs[rl][rep] = _runs_curve_values(x.values, rl, cfg.k, grid)
+    result, runs = _replicates(config, config.run_lengths)
+    return _write_figure1(result, runs)
 
+
+def _write_figure1(result: MCResult, runs: dict) -> tuple:
+    cfg = result.config
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    def band_rows(curves, param_name):
+    def band_rows(curves):
         rows = []
         for key in sorted(curves):
             arr = curves[key]
@@ -562,12 +606,12 @@ def figure1_bundle(config: ExperimentConfig) -> tuple:
 
     paths = []
     for fname, curves, param in (
-        ("blocks_curves.csv", blocks[0], "r"),
+        ("blocks_curves.csv", result.raw, "r"),
         ("runs_curves.csv", runs, "run_length"),
-        ("corrected_curves.csv", corrected[0], "r"),
+        ("corrected_curves.csv", result.corrected, "r"),
     ):
         path = os.path.join(cfg.out_dir, fname)
-        _write_csv(path, [param, "t", "mean", "sd", "n_used"], band_rows(curves, param))
+        _write_csv(path, [param, "t", "mean", "sd", "n_used"], band_rows(curves))
         paths.append(path)
     _write_sidecar(
         os.path.join(cfg.out_dir, "figure1_meta.json"),

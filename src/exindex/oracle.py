@@ -153,17 +153,22 @@ def mm_block_nonexceed(spec: MovingMaxima, r: int, u: float) -> float:
     return prob
 
 
-def theta_nt_mm_exact(spec: MovingMaxima, r: int, v: float, t: float) -> float:
+def theta_nt_mm_exact(spec: MovingMaxima, r: int, v: float, t):
     """Exact mean curve of the blocks estimator for the moving-maxima model.
 
     Inverts the stationary marginal at 1 - v t numerically, then evaluates the
-    exact block-maximum probability product.
+    exact block-maximum probability product.  ``t`` may be an array of levels:
+    the marginal is then inverted at all of them in one call, and each value
+    equals the one for its level alone, bit for bit.
     """
-    vt = v * t
-    if not 0.0 < vt < 1.0:
+    vt = v * np.asarray(t, dtype=float)
+    if not np.all((0.0 < vt) & (vt < 1.0)):
         raise ValueError(f"v*t must lie in (0, 1), got {vt}")
     u = model_marginal(spec).quantile(1.0 - vt)
-    return (1.0 - mm_block_nonexceed(spec, r, u)) / (r * vt)
+    # scalar products, so that each level's value equals a call for that level alone
+    nonexceed = np.array([mm_block_nonexceed(spec, r, float(ui)) for ui in np.ravel(u)])
+    out = (1.0 - nonexceed.reshape(vt.shape)) / (r * vt)
+    return float(out) if out.ndim == 0 else out
 
 
 def block_exceed_prob_mm(spec: MovingMaxima, r: int, v: float, t: float) -> float:

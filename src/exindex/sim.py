@@ -38,7 +38,6 @@ __all__ = [
     "SeriesSample",
     "substream",
     "generate",
-    "quantile_second_order_pareto",
     "model_marginal",
     "model_theta",
 ]
@@ -180,25 +179,12 @@ class SecondOrderPareto:
         return 1.0 - self.survival(x)
 
     def quantile(self, p):
-        scalar = np.ndim(p) == 0
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        if np.any((p <= 0.0) | (p >= 1.0)):
-            raise ValueError("p must lie strictly between 0 and 1")
-        target = 1.0 - p
-        lo = np.full_like(target, self.z_min)
-        hi = np.full_like(target, max(2.0 * self.z_min, 2.0))
-        # grow the upper bracket until the survival drops below the target
-        pending = self._raw_survival(hi) >= target
-        while np.any(pending):
-            hi[pending] *= 2.0
-            pending = self._raw_survival(hi) >= target
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            above = self._raw_survival(mid) >= target
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        out = 0.5 * (lo + hi)
-        return float(out[0]) if scalar else out
+        return _bisect_quantile(
+            p,
+            lambda z, q: self._raw_survival(z) >= 1.0 - q,
+            self.z_min,
+            max(2.0 * self.z_min, 2.0),
+        )
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
@@ -206,14 +192,35 @@ class SecondOrderPareto:
         return self.quantile(u)
 
 
-def quantile_second_order_pareto(p: float, params: tuple) -> float:
-    """Quantile of the survival law c1 * z^(-b1) * (1 + c2 * z^(-b2)).
+def _bisect_quantile(p, below, lo: float, hi: float):
+    """Invert a distribution at ``p`` (scalar or array) by bracketed bisection.
 
-    ``params`` is (beta1, beta2, c1, c2).  Inversion is by bracketed bisection;
-    the returned z satisfies survival(z) = 1 - p to high accuracy.
+    ``below(z, p)`` is True where z lies below the p-quantile; it must hold at
+    ``lo`` and turn False once, as z grows.  The upper bracket starts at
+    ``hi`` and doubles until ``below`` fails there.  Bisection stops after
+    100 steps or as soon as every midpoint equals its ``lo`` or ``hi``: from
+    then on each later midpoint is that same value, so stopping early returns
+    exactly what all 100 steps would.
     """
-    beta1, beta2, c1, c2 = params
-    return SecondOrderPareto(beta1, beta2, c1, c2).quantile(p)
+    scalar = np.ndim(p) == 0
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    if np.any((p <= 0.0) | (p >= 1.0)):
+        raise ValueError("p must lie strictly between 0 and 1")
+    lo = np.full_like(p, lo)
+    hi = np.full_like(p, hi)
+    pending = below(hi, p)
+    while np.any(pending):
+        hi[pending] *= 2.0
+        pending = below(hi, p)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        left = below(mid, p)
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    out = 0.5 * (lo + hi)
+    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -386,24 +393,9 @@ class _MovingMaximaMarginal:
         return 1.0 - self.cdf(x)
 
     def quantile(self, p):
-        scalar = np.ndim(p) == 0
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        if np.any((p <= 0.0) | (p >= 1.0)):
-            raise ValueError("p must lie strictly between 0 and 1")
         # support starts at z_min because max_j psi_j = 1
-        lo = np.full_like(p, self.innovation.z_min)
-        hi = np.full_like(p, 2.0 * self.innovation.z_min)
-        pending = self.cdf(hi) <= p
-        while np.any(pending):
-            hi[pending] *= 2.0
-            pending = self.cdf(hi) <= p
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) <= p
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
-        return float(out[0]) if scalar else out
+        z_min = self.innovation.z_min
+        return _bisect_quantile(p, lambda z, q: self.cdf(z) <= q, z_min, 2.0 * z_min)
 
 
 @dataclass(frozen=True)

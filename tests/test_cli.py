@@ -245,6 +245,49 @@ def test_mc_runs_config(tmp_path, capsys):
     assert (out_dir / "curves.csv").read_bytes() == before
 
 
+def test_mc_figure1_simulates_each_replicate_once(tmp_path, monkeypatch, capsys):
+    from exindex import harness
+
+    out_dir = tmp_path / "exp"
+    cfg = ex.ExperimentConfig(
+        model=ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5),
+        n=400,
+        r_list=(5, 10),
+        k=40,
+        t_grid=(0.5, 0.75, 1.0),
+        measure=ex.two_atom_measure(0.5, 1.0, 2.0),
+        replicates=4,
+        run_lengths=(2, 5),
+        out_dir=str(out_dir),
+    )
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(cfg.to_dict()))
+    calls = []
+    generate = harness.generate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "generate", counted)
+    assert dispatch(["mc", "--config", str(config_path), "--figure1"]) == 0
+    assert len(calls) == cfg.replicates
+    names = ["curves.csv", "summary.csv", "meta.json", "blocks_curves.csv",
+             "runs_curves.csv", "corrected_curves.csv"]
+    assert capsys.readouterr().out == "".join(f"wrote {out_dir / name}\n" for name in names)
+    once = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert sorted(once) == sorted(names + ["figure1_meta.json"])
+
+    # the same files from the two separate calls on the config the command read
+    monkeypatch.undo()
+    for p in out_dir.iterdir():
+        p.unlink()
+    parsed = ex.ExperimentConfig.from_json(config_path)
+    ex.run(parsed)
+    ex.figure1_bundle(parsed)
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == once
+
+
 def test_mc_requires_out_dir(tmp_path, capsys):
     cfg = ex.ExperimentConfig(
         model=ex.IID(innovation=ex.Uniform01()),

@@ -148,6 +148,27 @@ def test_oracle_theta_nt_dispatch():
     assert ex.oracle_theta_nt(ex.AR1Cauchy(phi=0.6), 10, 0.01, 1.0) is None
 
 
+def test_mm_summary_reference_equals_scalar_oracle_calls():
+    mm = ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5)
+    # v = 0.75 puts the levels in the body of the law, where rounding differences show
+    grid = np.linspace(0.2, 1.0, 81)
+    cfg = small_config(
+        model=mm, r_list=(5, 10, 20), k=300, t_grid=grid, measure=None, replicates=2
+    )
+    v = cfg.k / cfg.n
+    rows = [row for row in ex.run(cfg).summarize() if row["kind"] == "raw"]
+    assert len(rows) == len(cfg.r_list) * len(cfg.t_grid)
+    marginal = ex.model_marginal(mm)
+    for row in rows:
+        r, vt = row["r"], v * row["t"]
+        assert row["reference"] == ex.theta_nt_mm_exact(mm, r, v, row["t"])  # bit for bit
+        # the scalar formula, one level at a time
+        nonexceed = ex.mm_block_nonexceed(mm, r, marginal.quantile(1.0 - vt))
+        assert row["reference"] == (1.0 - nonexceed) / (r * vt)
+    curve = ex.theta_nt_mm_exact(mm, 5, v, grid)
+    assert curve.tolist() == [ex.theta_nt_mm_exact(mm, 5, v, t) for t in cfg.t_grid]
+
+
 def test_run_deterministic_and_flag_accounted():
     cfg = small_config()
     res1 = ex.run(cfg)

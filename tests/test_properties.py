@@ -7,22 +7,31 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import exindex as ex
+from exindex.harness import _runs_curve_values
 
 TIES = "TIES_DETECTED"
 NO_EXC = "NO_EXCEEDANCES"
 
 
 @st.composite
-def samples(draw):
-    """(x, r, k): continuous or heavily tied integer-valued series with r <= n, k < n."""
-    n = draw(st.integers(6, 40))
+def series(draw, min_size=6):
+    """A continuous or a heavily tied integer-valued series of at most 40 values."""
+    n = draw(st.integers(min_size, 40))
     if draw(st.booleans()):
         x = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     else:
         x = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    return np.asarray(x, dtype=float)
+
+
+@st.composite
+def samples(draw):
+    """(x, r, k): continuous or heavily tied integer-valued series with r <= n, k < n."""
+    x = draw(series())
+    n = len(x)
     r = draw(st.integers(1, min(6, n)))
     k = draw(st.integers(1, n - 1))
-    return np.asarray(x, dtype=float), r, k
+    return x, r, k
 
 
 levels = st.floats(1e-3, 1.0)
@@ -133,3 +142,27 @@ def test_corrected_curve_weight_scale_invariance(sample, mu, grid, lam):
     scaled = ex.corrected_curve(x, cfg, mu.scaled_weights(lam), grid)
     np.testing.assert_array_equal(scaled.code, base.code)
     np.testing.assert_array_equal(scaled.theta_hat, base.theta_hat)
+
+
+@st.composite
+def runs_cases(draw):
+    """(x, run_length, thresholds): thresholds are sample values or levels around them."""
+    x = draw(series(min_size=2))
+    run_length = draw(st.integers(1, len(x) - 1))
+    level = st.one_of(st.sampled_from(x.tolist()), st.floats(-1.0, 10.0))
+    return x, run_length, np.asarray(draw(st.lists(level, min_size=1, max_size=12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs_cases())
+def test_runs_curve_matches_runs_estimator(case):
+    x, run_length, thresholds = case
+    curve = _runs_curve_values(x, run_length, thresholds)
+    assert curve.shape == thresholds.shape
+    for u, got in zip(thresholds, curve):
+        try:
+            want = ex.runs_estimator(x, run_length, u)
+        except ex.NoExceedances:
+            assert math.isnan(got)
+        else:
+            assert got == want

@@ -65,11 +65,53 @@ def test_second_order_pareto_sampling_matches_law():
         assert np.mean(z > zq) == pytest.approx(sop.survival(zq), abs=0.025)
 
 
-def test_quantile_wrapper_matches_class():
-    params = (2.0, 1.0, 1.0, 0.5)
-    assert ex.quantile_second_order_pareto(0.9, params) == ex.SecondOrderPareto(
-        *params
-    ).quantile(0.9)
+def test_second_order_pareto_scalar_quantile_matches_array():
+    sop = ex.SecondOrderPareto(2.0, 1.0, 1.0, 0.5)
+    z = sop.quantile(0.9)
+    assert isinstance(z, float)
+    assert z == sop.quantile(np.array([0.9]))[0]
+
+
+def reference_quantile(law, p):
+    """Reference: the plain bisection, always 100 steps, with no early stop."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    if isinstance(law, ex.SecondOrderPareto):
+        def below(z):
+            return law._raw_survival(z) >= 1.0 - p
+
+        lo, hi = law.z_min, max(2.0 * law.z_min, 2.0)
+    else:
+        def below(z):
+            return law.cdf(z) <= p
+
+        lo, hi = law.innovation.z_min, 2.0 * law.innovation.z_min
+    lo = np.full_like(p, lo)
+    hi = np.full_like(p, hi)
+    pending = below(hi)
+    while np.any(pending):
+        hi[pending] *= 2.0
+        pending = below(hi)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        left = below(mid)
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_bisection_quantiles_equal_100_step_reference():
+    laws = [
+        ex.SecondOrderPareto(2.0, 1.0, 1.0, 0.5),
+        ex.SecondOrderPareto(2.0, 1.0, 1.0, -0.3),
+        ex.model_marginal(ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5)),
+    ]
+    rng = np.random.Generator(np.random.Philox(5))
+    edges = np.array([0.5**53, 1.0 - 0.5**53])
+    for law in laws:
+        for p in (edges, rng.random(1000), rng.random(7) ** 8):
+            got = law.quantile(p)
+            np.testing.assert_array_equal(got, reference_quantile(law, p))
+            assert [law.quantile(float(pi)) for pi in p] == got.tolist()
 
 
 def test_generate_deterministic_and_substreams_distinct():
