@@ -33,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import sim
-from .estimate import BlocksEvaluator, EstimatorConfig
+from .estimate import BlocksEvaluator, EstimatorConfig, _values
 
 __all__ = [
     "StandardizedBlocks",
@@ -75,9 +76,10 @@ def standardize(x, v: float, r: int, marginal_cdf=None) -> StandardizedBlocks:
 
     With ``marginal_cdf`` given, U_i = F(X_i) (known-marginal mode); otherwise
     U_i = rank_i / n, which reproduces exactly the exceedance sets of the
-    empirical-threshold estimator.
+    empirical-threshold estimator.  Ranks are those of a stable sort (ties
+    ranked in index order); only the values with a positive excess are ranked.
     """
-    xs = np.asarray(getattr(x, "values", x), dtype=float)
+    xs = _values(x)
     n = len(xs)
     if not 0.0 < v < 1.0:
         raise ValueError(f"v must lie in (0, 1), got {v}")
@@ -85,15 +87,33 @@ def standardize(x, v: float, r: int, marginal_cdf=None) -> StandardizedBlocks:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if marginal_cdf is not None:
         u = np.asarray(marginal_cdf(xs), dtype=float)
+        excess = np.clip((u - (1.0 - v)) / v, 0.0, None)
         mode = "known_marginal"
     else:
-        ranks = np.empty(n, dtype=float)
-        ranks[np.argsort(xs, kind="stable")] = np.arange(1, n + 1)
-        u = ranks / n
+        excess = _rank_excess(xs, v)
         mode = "rank"
-    excess = np.clip((u - (1.0 - v)) / v, 0.0, None)
     m = n // r
     return StandardizedBlocks(blocks=excess[: m * r].reshape(m, r), n=n, v=v, mode=mode)
+
+
+def _rank_excess(xs: np.ndarray, v: float) -> np.ndarray:
+    """Excess of rank_i / n for every value, ranking only the top of the sample.
+
+    The excess is nondecreasing in the rank, so the q positive ones belong to
+    the q highest stable ranks.  Those values are at least the (n - q)-th order
+    statistic b; stably sorting the candidates xs >= b (kept in index order)
+    ranks them exactly as a stable sort of the whole sample would.
+    """
+    n = len(xs)
+    ladder = np.clip((np.arange(1, n + 1) / n - (1.0 - v)) / v, 0.0, None)
+    q = int(np.count_nonzero(ladder))
+    excess = np.zeros(n)
+    if q:
+        b = np.partition(xs, n - q)[n - q]
+        candidates = np.flatnonzero(xs >= b)
+        top = candidates[np.argsort(xs[candidates], kind="stable")[-q:]]
+        excess[top] = ladder[n - q :]
+    return excess
 
 
 def f_max(blocks: np.ndarray, t: float) -> np.ndarray:
@@ -106,7 +126,34 @@ def g_count(blocks: np.ndarray, t: float) -> np.ndarray:
     return np.count_nonzero(np.asarray(blocks) > 1.0 - t, axis=1).astype(float)
 
 
-_FUNCTIONALS = {"max": f_max, "count": g_count}
+def _level_sums(blocks: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over all blocks of f_max and g_count at every grid level at once.
+
+    Equal to ``f_max(blocks, t).sum()`` and ``g_count(blocks, t).sum()`` for
+    each t in a grid inside (0, 1]: there 1 - t >= 0, so zero excesses never
+    count, and each sum is a count of sorted values above 1 - t.
+    """
+    levels = 1.0 - grid
+    maxima = np.sort(blocks.max(axis=1))
+    positive = np.sort(blocks[blocks > 0.0])
+    hit = maxima.size - np.searchsorted(maxima, levels, side="right")
+    count = positive.size - np.searchsorted(positive, levels, side="right")
+    return hit.astype(float), count.astype(float)
+
+
+def _check_grid(grid) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if (
+        grid.ndim != 1
+        or grid.size == 0
+        or not np.isfinite(grid).all()
+        or np.any(np.diff(grid) <= 0)
+        or not 0.0 < grid[0] <= grid[-1] <= 1.0
+    ):
+        raise ValueError(
+            f"grid must be finite, strictly increasing and inside (0, 1], got {grid}"
+        )
+    return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,12 +171,11 @@ def process_path(sb: StandardizedBlocks, family: str, grid, centering) -> Proces
     mean).  Centering by the replicate's own mean is not offered: the path
     would degenerate to 0 by construction.
     """
-    if family not in _FUNCTIONALS:
+    if family not in ("max", "count"):
         raise ValueError(f"family must be 'max' or 'count', got {family!r}")
     if centering is None:
         raise ValueError("centering is required (exact value or cross-replicate mean)")
-    h = _FUNCTIONALS[family]
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_grid(grid)
     if callable(centering):
         expected = np.array([float(centering(t)) for t in grid])
         mode = "model_oracle"
@@ -138,10 +184,10 @@ def process_path(sb: StandardizedBlocks, family: str, grid, centering) -> Proces
         if expected.shape != grid.shape:
             raise ValueError("centering sequence must align with the grid")
         mode = "mc_mean"
+    hit, count = _level_sums(sb.blocks, grid)
+    sums = hit if family == "max" else count
     scale = 1.0 / np.sqrt(sb.n * sb.v)
-    values = np.array(
-        [scale * (h(sb.blocks, t).sum() - sb.m * e) for t, e in zip(grid, expected)]
-    )
+    values = scale * (sums - sb.m * expected)
     return ProcessPath(grid=grid, values=values, centering=mode)
 
 
@@ -181,11 +227,6 @@ class TailChainSeries:
         self.theta = theta
         self.v = v
         self.K = self.windows.shape[1]
-
-    def p_joint(self, s: float, t: float, k: int) -> float:
-        """Estimate of P{W_1 > 1-s, W_k > 1-t}."""
-        w = self.windows
-        return float(np.mean((w[:, 0] > 1.0 - s) & (w[:, k - 1] > 1.0 - t)))
 
     def c_g(self, s: float, t: float, K: int | None = None) -> float:
         K = self.K if K is None else min(K, self.K)
@@ -233,12 +274,9 @@ class MCGrid:
     """
 
     def __init__(self, grid, c_mat, cg_mat, cfg_mat, theta: float):
-        grid = np.asarray(grid, dtype=float)
-        if np.any(np.diff(grid) <= 0) or grid[0] <= 0.0:
-            raise ValueError("grid must be strictly increasing and positive")
-        self.grid = grid
+        self.grid = _check_grid(grid)
         self.theta = theta
-        self._ext = np.concatenate([[0.0], grid])
+        self._ext = np.concatenate([[0.0], self.grid])
         self._c = self._pad(c_mat)
         self._cg = self._pad(cg_mat)
         self._cfg = self._pad(cfg_mat)
@@ -292,7 +330,7 @@ def estimate_kernel_mc(
     """
     if replicates < 100:
         raise ValueError(f"need at least 100 replicates, got {replicates}")
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_grid(grid)
     v = cfg.v(n)
     sf = np.zeros((replicates, grid.size))
     sg = np.zeros((replicates, grid.size))
@@ -300,9 +338,7 @@ def estimate_kernel_mc(
     for rep in range(replicates):
         x = sim.generate(model, n, sim.substream(seed, rep))
         sb = standardize(x, v=v, r=cfg.r, marginal_cdf=marginal_cdf)
-        for j, t in enumerate(grid):
-            sf[rep, j] = f_max(sb.blocks, t).sum()
-            sg[rep, j] = g_count(sb.blocks, t).sum()
+        sf[rep], sg[rep] = _level_sums(sb.blocks, grid)
         theta_hats[rep] = BlocksEvaluator(x, cfg.r, cfg.k)(1.0)
     scale = 1.0 / np.sqrt(n * v)
     zf = scale * (sf - sf.mean(axis=0))
@@ -324,17 +360,17 @@ def tail_chain_probabilities(
     Windows are collected over ``replicates`` simulated paths using the exact
     model marginal; windows running past a path's end are discarded.
     """
-    if K < 2:
-        raise ValueError(f"K must be at least 2, got {K}")
+    if not 2 <= K <= n:
+        raise ValueError(f"need 2 <= K <= n, got K={K}, n={n}")
     marginal = sim.model_marginal(model)
-    rows = []
+    windows = []
     for rep in range(replicates):
         x = sim.generate(model, n, sim.substream(seed, rep))
         u = np.asarray(marginal.cdf(x.values), dtype=float)
         excess = np.clip((u - (1.0 - v)) / v, 0.0, None)
         starts = np.flatnonzero(excess[: n - K + 1] > 0.0)
-        for i in starts:
-            rows.append(excess[i : i + K])
+        windows.append(sliding_window_view(excess, K)[starts])
+    rows = np.concatenate(windows)
     if len(rows) < 50:
         raise ValueError(f"only {len(rows)} windows collected; need at least 50")
-    return TailChainSeries(np.array(rows), theta=sim.model_theta(model), v=v)
+    return TailChainSeries(rows, theta=sim.model_theta(model), v=v)

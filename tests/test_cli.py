@@ -353,3 +353,10 @@ def test_correct_grid_rows_follow_the_grid_with_codes(tmp_path, capsys):
         "0.5,2,,corrected,NO_EXCEEDANCES",
         "1,3,,corrected,TIES_DETECTED",
     ]
+
+
+def test_kernel_mc_level_above_one_exit_1(capsys):
+    rc = dispatch(["kernel", "--model", "iid", "--method", "mc", "--s", "0.5", "--t", "1.5",
+                   "--r", "5", "--k", "20", "--n", "1000"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("INVALID_ARGUMENT: grid must be finite")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import exindex as ex
+import exindex.sim as sim_module
 
 
 def test_standardize_known_marginal_hand_values():
@@ -186,3 +187,113 @@ def test_kernel_mc_deterministic():
     assert a.c(1.0, 1.0) != c.c(1.0, 1.0)
     with pytest.raises(ValueError):
         ex.estimate_kernel_mc(*args, replicates=50, seed=0)
+
+
+def kernel_mc_reference(model, n, cfg, grid, replicates, seed, marginal_cdf=None):
+    """The per-level loop over full stable-sort ranks, as an ``MCGrid``."""
+    grid = np.asarray(grid, dtype=float)
+    v = cfg.v(n)
+    m = n // cfg.r
+    sf = np.zeros((replicates, grid.size))
+    sg = np.zeros((replicates, grid.size))
+    theta_hats = np.zeros(replicates)
+    for rep in range(replicates):
+        x = ex.generate(model, n, ex.substream(seed, rep)).values
+        if marginal_cdf is None:
+            ranks = np.empty(n)
+            ranks[np.argsort(x, kind="stable")] = np.arange(1, n + 1)
+            u = ranks / n
+        else:
+            u = marginal_cdf(x)
+        blocks = np.clip((u - (1.0 - v)) / v, 0.0, None)[: m * cfg.r].reshape(m, cfg.r)
+        for j, t in enumerate(grid):
+            sf[rep, j] = ex.f_max(blocks, t).sum()
+            sg[rep, j] = ex.g_count(blocks, t).sum()
+        theta_hats[rep] = ex.BlocksEvaluator(x, cfg.r, cfg.k)(1.0)
+    scale = 1.0 / np.sqrt(n * v)
+    zf = scale * (sf - sf.mean(axis=0))
+    zg = scale * (sg - sg.mean(axis=0))
+    theta = float(theta_hats.mean())
+    return ex.MCGrid(
+        grid,
+        np.cov(zf - theta * zg, rowvar=False),
+        np.cov(zg, rowvar=False),
+        zf.T @ zg / (replicates - 1),
+        theta,
+    )
+
+
+@pytest.mark.parametrize("case", ["ar1_rank", "iid_known_marginal"])
+def test_kernel_mc_equals_per_level_loop(case):
+    u01 = ex.Uniform01()
+    if case == "ar1_rank":
+        model, cdf, cfg = ex.AR1Cauchy(phi=0.6), None, ex.EstimatorConfig(r=10, k=100)
+    else:
+        model, cdf, cfg = ex.IID(innovation=u01), u01.cdf, ex.EstimatorConfig(r=5, k=40)
+    grid = np.linspace(0.1, 1.0, 8)
+    got = ex.estimate_kernel_mc(model, 4000, cfg, grid, replicates=100, seed=3, marginal_cdf=cdf)
+    want = kernel_mc_reference(model, 4000, cfg, grid, 100, 3, marginal_cdf=cdf)
+    for name in ("_c", "_cg", "_cfg"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.theta == want.theta
+
+
+def test_process_path_equals_per_level_sums():
+    x = ex.generate(ex.AR1Cauchy(phi=0.6), 3000, ex.substream(4, 0)).values
+    sb = ex.standardize(x, v=0.05, r=10)
+    grid = np.linspace(0.05, 1.0, 11)
+    expected = 0.4 * grid
+    scale = 1.0 / np.sqrt(sb.n * sb.v)
+    for family, h in (("max", ex.f_max), ("count", ex.g_count)):
+        path = ex.process_path(sb, family, grid, expected)
+        want = [scale * (h(sb.blocks, t).sum() - sb.m * e) for t, e in zip(grid, expected)]
+        assert path.values.tolist() == want
+
+
+def test_standardize_rejects_non_finite_values():
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.arange(20.0)
+        x[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ex.standardize(x, v=0.1, r=5)
+        with pytest.raises(ValueError, match="finite"):
+            ex.standardize(x, v=0.1, r=5, marginal_cdf=lambda z: z / 20.0)
+
+
+BAD_GRIDS = ([0.5, 1.5], [1.0, 0.5], [0.5, 0.5], [0.0, 0.5], [-0.2, 1.0], [np.nan],
+             [0.5, np.inf], [])
+
+
+def test_kernel_mc_rejects_bad_grid_before_simulating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sim_module, "generate", lambda *a, **kw: calls.append(a))
+    args = (ex.IID(innovation=ex.Uniform01()), 1000, ex.EstimatorConfig(r=5, k=10))
+    for grid in BAD_GRIDS:
+        with pytest.raises(ValueError, match="grid"):
+            ex.estimate_kernel_mc(*args, grid, replicates=100, seed=0)
+    assert calls == []
+
+
+def test_process_path_and_mc_grid_reject_bad_grid():
+    sb = ex.standardize(np.random.default_rng(0).random(100), v=0.1, r=5)
+    for grid in BAD_GRIDS:
+        with pytest.raises(ValueError, match="grid"):
+            ex.process_path(sb, "count", grid, lambda t: 0.0)
+        with pytest.raises(ValueError, match="grid"):
+            ex.MCGrid(grid, np.eye(len(grid)), np.eye(len(grid)), np.eye(len(grid)), 1.0)
+
+
+def test_tail_chain_windows_equal_per_exceedance_loop():
+    model = ex.RandomRepetition(psi=0.6, innovation=ex.Uniform01())
+    v, K, n = 2e-3, 20, 20_000
+    series = ex.tail_chain_probabilities(model, v=v, K=K, replicates=30, seed=2, n=n)
+    marg = ex.model_marginal(model)
+    rows = []
+    for rep in range(30):
+        x = ex.generate(model, n, ex.substream(2, rep))
+        excess = np.clip((marg.cdf(x.values) - (1.0 - v)) / v, 0.0, None)
+        for i in np.flatnonzero(excess[: n - K + 1] > 0.0):
+            rows.append(excess[i : i + K])
+    assert np.array_equal(series.windows, np.array(rows))
+    with pytest.raises(ValueError, match="K <= n"):
+        ex.tail_chain_probabilities(model, v=0.01, K=1001, replicates=100, seed=0, n=1000)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import exindex as ex
+from exindex.clusterproc import _level_sums
 from exindex.harness import _runs_curve_values
 
 TIES = "TIES_DETECTED"
@@ -166,3 +167,53 @@ def test_runs_curve_matches_runs_estimator(case):
             assert math.isnan(got)
         else:
             assert got == want
+
+
+def rank_blocks_reference(x, v, r):
+    """Rank-mode standardized blocks by a full stable argsort of the series."""
+    n = len(x)
+    ranks = np.empty(n)
+    ranks[np.argsort(x, kind="stable")] = np.arange(1, n + 1)
+    excess = np.clip((ranks / n - (1.0 - v)) / v, 0.0, None)
+    m = n // r
+    return excess[: m * r].reshape(m, r)
+
+
+fractions = st.one_of(
+    st.floats(1e-9, 1e-3), st.floats(1e-3, 0.999), st.floats(0.999, 1.0, exclude_max=True)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(series(min_size=1), fractions, st.data())
+def test_standardize_rank_mode_matches_full_stable_sort(x, v, data):
+    r = data.draw(st.integers(1, len(x)))
+    sb = ex.standardize(x, v=v, r=r)
+    assert sb.mode == "rank"
+    np.testing.assert_array_equal(sb.blocks, rank_blocks_reference(x, v, r))
+
+
+def test_standardize_rank_mode_matches_full_stable_sort_on_long_series():
+    rng = np.random.default_rng(5)
+    ar1 = ex.generate(ex.AR1Cauchy(phi=0.6), 20_000, ex.substream(0, 0)).values
+    rounded = np.round(rng.standard_normal(20_000), 1)
+    integers = rng.integers(0, 50, 20_000).astype(float)
+    for x in (ar1, rounded, integers, rounded[:10]):
+        for v in (1e-6, 0.01, 0.1, 0.5, 0.999):
+            for r in (1, 7, 10):
+                got = ex.standardize(x, v=v, r=r).blocks
+                np.testing.assert_array_equal(got, rank_blocks_reference(x, v, r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(series(min_size=1), fractions, st.booleans(), grids, st.data())
+def test_level_sums_match_per_level_functionals(x, v, known, grid, data):
+    r = data.draw(st.integers(1, len(x)))
+    cdf = (lambda z: z / (1.0 + np.max(z))) if known else None
+    sb = ex.standardize(x, v=v, r=r, marginal_cdf=cdf)
+    # levels that put 1 - t on or next to a standardized excess test the strict ">"
+    edges = [1.0 - e for e in sb.blocks.ravel().tolist() if 0.0 < 1.0 - e <= 1.0]
+    levels = np.array(sorted(set(grid) | set(edges)))
+    hit, count = _level_sums(sb.blocks, levels)
+    assert hit.tolist() == [ex.f_max(sb.blocks, t).sum() for t in levels]
+    assert count.tolist() == [ex.g_count(sb.blocks, t).sum() for t in levels]
