@@ -26,8 +26,6 @@ from .sim import (
     Uniform01,
     UnitPareto,
     generate,
-    model_marginal,
-    model_theta,
     substream,
 )
 from .estimate import (
@@ -56,7 +54,6 @@ from .clusterproc import (
     tail_chain_probabilities,
 )
 from .biascorrect import (
-    BiasModel,
     ConditionReport,
     SignedMeasureAtoms,
     check_conditions,
@@ -74,12 +71,8 @@ from .oracle import (
     MMExpansionReport,
     bias_expansion_mm,
     bias_expansion_wn,
-    block_exceed_prob_mm,
-    block_exceed_prob_wn,
     expected_g,
-    iid_kernel,
     mm_block_nonexceed,
-    theta_nt_iid,
     theta_nt_mm_exact,
     theta_nt_wn,
 )
@@ -89,7 +82,6 @@ from .harness import (
     NormalityReport,
     figure1_bundle,
     model_from_dict,
-    model_to_dict,
     normality_check,
     oracle_theta_nt,
     run,

@@ -36,7 +36,6 @@ from .estimate import BlocksEvaluator, ThresholdCurve, count_at
 
 __all__ = [
     "SignedMeasureAtoms",
-    "BiasModel",
     "ConditionReport",
     "DEFAULT_DELTA_PROBE",
     "two_atom_measure",
@@ -96,25 +95,6 @@ class SignedMeasureAtoms:
         return SignedMeasureAtoms(
             tuple((s, t, lam * w) for s, t, w in self.atoms), provenance=self.provenance
         )
-
-
-@dataclass(frozen=True)
-class BiasModel:
-    """Curve model theta_n + c_n * t^delta + R(t) with sup |t * R(t)| <= d_n."""
-
-    theta_n: float
-    c_n: float
-    delta: float
-    d_n: float = 0.0
-
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.d_n < 0:
-            raise ValueError(f"remainder bound must be nonnegative, got {self.d_n}")
-
-    def curve(self, t):
-        return self.theta_n + self.c_n * np.asarray(t, dtype=float) ** self.delta
 
 
 def two_atom_measure(p: float, q: float, a: float) -> SignedMeasureAtoms:

@@ -25,7 +25,7 @@ from .biascorrect import (
     two_atom_measure,
     write_measure_csv,
 )
-from .clusterproc import estimate_kernel_mc, tail_chain_probabilities
+from .clusterproc import ClosedFormIID, estimate_kernel_mc, tail_chain_probabilities
 from .errors import DegenerateDenominator, ExindexError, MeasureConditionError
 from .estimate import (
     BlocksEvaluator,
@@ -40,17 +40,12 @@ from .harness import (
     _run_with_figure1,
     model_from_dict,
     normality_check,
+    oracle_theta_nt,
     run,
 )
 from .harness import figure1_bundle  # noqa: F401  (perfbench/layers.py traces this binding)
-from .oracle import (
-    bias_expansion_mm,
-    bias_expansion_wn,
-    iid_kernel,
-    theta_nt_mm_exact,
-    theta_nt_wn,
-)
-from .sim import IID, MovingMaxima, RandomRepetition, generate
+from .oracle import bias_expansion_mm, bias_expansion_wn
+from .sim import IID, MovingMaxima, generate
 
 __all__ = ["dispatch", "main"]
 
@@ -256,40 +251,34 @@ def _cmd_check_measure(args) -> None:
 
 def _cmd_oracle(args) -> None:
     model = model_from_dict(_model_dict(args))
-    lines = []
-    if isinstance(model, (IID, RandomRepetition)):
-        psi = model.psi if isinstance(model, RandomRepetition) else 0.0
-        lines.append(f"theta_nt {_fmt(theta_nt_wn(psi, args.r, args.v, args.t))}")
-        exp = bias_expansion_wn(psi, args.r, args.v)
-        lines += [
-            f"theta_n {_fmt(exp.theta_n)}",
-            f"c_n {_fmt(exp.c_n)}",
-            f"delta {_fmt(exp.delta)}",
-        ]
-    elif isinstance(model, MovingMaxima):
-        lines.append(
-            f"theta_nt {_fmt(theta_nt_mm_exact(model, args.r, args.v, args.t))}"
-        )
-        rep = bias_expansion_mm(model, args.r, args.v)
-        lines += [
-            f"theta_n {_fmt(rep.theta_n)}",
-            f"c_n {_fmt(rep.c_n)}",
-            f"delta {_fmt(rep.delta)}",
-            f"branch {rep.selected}",
-            f"d {_fmt(rep.diagnostics['d'])}",
-        ]
-    else:
+    theta_nt = oracle_theta_nt(model, args.r, args.v, args.t)
+    if theta_nt is None:
         raise _Usage("no closed-form curve target for this model")
-    _emit(lines, args.out)
+    if isinstance(model, MovingMaxima):
+        rep = bias_expansion_mm(model, args.r, args.v)
+        exp, extra = rep.expansion, [f"branch {rep.selected}", f"d {_fmt(rep.diagnostics['d'])}"]
+    else:
+        # random repetition, with independent data as its psi = 0 case
+        exp, extra = bias_expansion_wn(getattr(model, "psi", 0.0), args.r, args.v), []
+    lines = [
+        f"theta_nt {_fmt(theta_nt)}",
+        f"theta_n {_fmt(exp.theta_n)}",
+        f"c_n {_fmt(exp.c_n)}",
+        f"delta {_fmt(exp.delta)}",
+    ]
+    _emit(lines + extra, args.out)
 
 
 def _cmd_kernel(args) -> None:
     model = model_from_dict(_model_dict(args))
+    independent = isinstance(model, IID)
     method = args.method
     if method == "auto":
-        method = "iid" if isinstance(model, IID) else "tail"
+        method = "iid" if independent else "tail"
     if method == "iid":
-        kern = iid_kernel()
+        if not independent:
+            raise _Usage("--method iid holds for independent data only; use --model iid")
+        kern = ClosedFormIID()
     elif method == "tail":
         if args.v is None:
             raise _Usage("--v required for the tail-chain method")

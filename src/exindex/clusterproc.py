@@ -362,7 +362,7 @@ def tail_chain_probabilities(
     """
     if not 2 <= K <= n:
         raise ValueError(f"need 2 <= K <= n, got K={K}, n={n}")
-    marginal = sim.model_marginal(model)
+    marginal = model.marginal
     windows = []
     for rep in range(replicates):
         x = sim.generate(model, n, sim.substream(seed, rep))
@@ -373,4 +373,4 @@ def tail_chain_probabilities(
     rows = np.concatenate(windows)
     if len(rows) < 50:
         raise ValueError(f"only {len(rows)} windows collected; need at least 50")
-    return TailChainSeries(rows, theta=sim.model_theta(model), v=v)
+    return TailChainSeries(rows, theta=model.theta, v=v)

@@ -16,6 +16,7 @@ corrected curves averaged with standard-deviation bands.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 from dataclasses import dataclass, replace
@@ -44,7 +45,6 @@ from .sim import (
     Uniform01,
     UnitPareto,
     generate,
-    model_theta,
     substream,
 )
 
@@ -57,7 +57,6 @@ __all__ = [
     "normality_check",
     "oracle_theta_nt",
     "model_from_dict",
-    "model_to_dict",
 ]
 
 
@@ -65,97 +64,62 @@ __all__ = [
 # Config parsing
 # ---------------------------------------------------------------------------
 
+# config name -> class; each class writes its own name in ``to_dict``
+_MODELS = {cls.name: cls for cls in (IID, RandomRepetition, AR1Cauchy, MovingMaxima)}
+_MODELS.update(random_repetition=RandomRepetition, moving_maxima=MovingMaxima)
 _INNOVATIONS = {
-    "uniform": Uniform01,
-    "cauchy": StandardCauchy,
+    cls.name: cls for cls in (Uniform01, StandardCauchy, UnitPareto, SecondOrderPareto)
 }
+
+
+def _key(d: dict, key: str, where: str):
+    """``d[key]``, with a ``ValueError`` that names the key if it is missing."""
+    try:
+        return d[key]
+    except KeyError:
+        raise ValueError(f"missing key {key!r} in {where}") from None
+
+
+def _from_dict(d: dict, registry: dict, what: str):
+    """``registry[d["name"]]`` built from the other keys of ``d``.
+
+    Every constructor parameter is a required float key, except ``coeffs``
+    (a list of floats) and ``innovation`` (a law, uniform when omitted).
+    Missing and unknown keys raise ``ValueError`` naming them.
+    """
+    name = _key(d, "name", what)
+    cls = registry.get(str(name).lower().replace("-", "_"))
+    if cls is None:
+        raise ValueError(f"unknown {what} {name!r}")
+    params = inspect.signature(cls).parameters
+    unknown = sorted(set(d) - set(params) - {"name"})
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+    kwargs = {}
+    for key in params:
+        if key == "innovation":
+            kwargs[key] = _innovation_from_dict(d.get(key))
+        elif key == "coeffs":
+            kwargs[key] = tuple(float(c) for c in _key(d, key, what))
+        else:
+            kwargs[key] = float(_key(d, key, what))
+    return cls(**kwargs)
 
 
 def _innovation_from_dict(d) -> object:
     if d is None:
         return Uniform01()
-    if isinstance(d, str):
-        d = {"name": d}
-    name = d["name"].lower()
-    if name in _INNOVATIONS:
-        return _INNOVATIONS[name]()
-    if name == "pareto":
-        return UnitPareto(alpha=float(d["alpha"]))
-    if name == "second_order_pareto":
-        return SecondOrderPareto(
-            beta1=float(d["beta1"]),
-            beta2=float(d["beta2"]),
-            c1=float(d["c1"]),
-            c2=float(d["c2"]),
-        )
-    raise ValueError(f"unknown innovation {d['name']!r}")
-
-
-def _innovation_to_dict(marg) -> object:
-    if isinstance(marg, Uniform01):
-        return {"name": "uniform"}
-    if isinstance(marg, StandardCauchy):
-        return {"name": "cauchy"}
-    if isinstance(marg, UnitPareto):
-        return {"name": "pareto", "alpha": marg.alpha}
-    if isinstance(marg, SecondOrderPareto):
-        return {
-            "name": "second_order_pareto",
-            "beta1": marg.beta1,
-            "beta2": marg.beta2,
-            "c1": marg.c1,
-            "c2": marg.c2,
-        }
-    raise ValueError(f"cannot serialize innovation {marg!r}")
+    return _from_dict({"name": d} if isinstance(d, str) else d, _INNOVATIONS, "innovation")
 
 
 def model_from_dict(d: dict):
     """Build a model from {"name": ..., <params>}.
 
     Names: iid, wn (alias random_repetition), ar1_cauchy, mm (alias
-    moving_maxima).
+    moving_maxima); an innovation is {"name": ..., <params>} or just its name
+    (uniform, cauchy, pareto, second_order_pareto).
     """
-    name = d["name"].lower().replace("-", "_")
-    if name == "iid":
-        return IID(innovation=_innovation_from_dict(d.get("innovation")))
-    if name in ("wn", "random_repetition"):
-        return RandomRepetition(
-            psi=float(d["psi"]), innovation=_innovation_from_dict(d.get("innovation"))
-        )
-    if name == "ar1_cauchy":
-        return AR1Cauchy(phi=float(d["phi"]))
-    if name in ("mm", "moving_maxima"):
-        return MovingMaxima(
-            coeffs=tuple(float(c) for c in d["coeffs"]),
-            beta1=float(d["beta1"]),
-            beta2=float(d["beta2"]),
-            c1=float(d["c1"]),
-            c2=float(d["c2"]),
-        )
-    raise ValueError(f"unknown model {d['name']!r}")
-
-
-def model_to_dict(model) -> dict:
-    if isinstance(model, IID):
-        return {"name": "iid", "innovation": _innovation_to_dict(model.innovation)}
-    if isinstance(model, RandomRepetition):
-        return {
-            "name": "wn",
-            "psi": model.psi,
-            "innovation": _innovation_to_dict(model.innovation),
-        }
-    if isinstance(model, AR1Cauchy):
-        return {"name": "ar1_cauchy", "phi": model.phi}
-    if isinstance(model, MovingMaxima):
-        return {
-            "name": "mm",
-            "coeffs": list(model.coeffs),
-            "beta1": model.beta1,
-            "beta2": model.beta2,
-            "c1": model.c1,
-            "c2": model.c2,
-        }
-    raise ValueError(f"cannot serialize model {model!r}")
+    return _from_dict(d, _MODELS, "model")
 
 
 def _measure_from_dict(d):
@@ -163,14 +127,16 @@ def _measure_from_dict(d):
         return None, 1.0
     kind = d.get("kind", "two_atom").lower()
     delta = float(d.get("delta", 1.0))
+
+    def get(key, cast=float):
+        return cast(_key(d, key, "measure"))
+
     if kind == "two_atom" and "p" in d:
-        mu = two_atom_measure(float(d["p"]), float(d["q"]), float(d["a"]))
+        mu = two_atom_measure(get("p"), get("q"), get("a"))
     elif kind in ("product", "product_construction") and "kappa" in d:
-        mu = product_measure(
-            kappa=float(d["kappa"]), a=float(d["a"]), b=float(d["b"]), m=int(d["m"])
-        )
+        mu = product_measure(kappa=get("kappa"), a=get("a"), b=get("b"), m=get("m", int))
     elif kind == "file":
-        mu = read_measure_csv(d["path"])
+        mu = read_measure_csv(_key(d, "path", "measure"))
     elif "atoms" in d:
         # embedded atom list, as written to sidecar metadata
         mu = SignedMeasureAtoms(
@@ -201,7 +167,7 @@ def _grid_from_spec(spec, k: int):
     if isinstance(spec, dict):
         lo = float(spec.get("lo", 1.0 / k))
         hi = float(spec.get("hi", 1.0))
-        count = int(spec["count"])
+        count = int(_key(spec, "count", "t_grid"))
         return tuple(np.linspace(lo, hi, count))
     return tuple(float(t) for t in spec)
 
@@ -253,11 +219,11 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         measure, delta = _measure_from_dict(d.get("measure"))
-        k = int(d["k"])
+        k = int(_key(d, "k", "config"))
         return cls(
-            model=model_from_dict(d["model"]),
-            n=int(d["n"]),
-            r_list=tuple(int(r) for r in d["r_list"]),
+            model=model_from_dict(_key(d, "model", "config")),
+            n=int(_key(d, "n", "config")),
+            r_list=tuple(int(r) for r in _key(d, "r_list", "config")),
             k=k,
             t_grid=_grid_from_spec(d.get("t_grid"), k),
             measure=measure,
@@ -278,7 +244,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {
-            "model": model_to_dict(self.model),
+            "model": self.model.to_dict(),
             "n": self.n,
             "r_list": list(self.r_list),
             "k": self.k,
@@ -299,27 +265,21 @@ _CONFIG_KEYS = frozenset(
 )
 
 
-def oracle_theta_nt(model, r: int, v: float, t: float):
-    """Closed-form mean curve of the blocks estimator, or None if unavailable."""
-    if isinstance(model, IID):
-        return theta_nt_wn(0.0, r, v, t)
-    if isinstance(model, RandomRepetition):
-        return theta_nt_wn(model.psi, r, v, t)
-    if isinstance(model, MovingMaxima):
-        return theta_nt_mm_exact(model, r, v, t)
-    return None
+def oracle_theta_nt(model, r: int, v: float, t):
+    """Closed-form mean curve of the blocks estimator at ``t``, or None if unavailable.
 
-
-def _raw_references(model, r: int, v: float, grid) -> np.ndarray:
-    """``oracle_theta_nt`` at every grid level, NaN where no closed form exists.
-
-    Moving maxima take one oracle call for the whole grid, which inverts the
-    marginal once for all levels.
+    ``t`` is a level or an array of levels.  Moving maxima invert the marginal
+    once for all levels; random repetition, and independent data as its
+    psi = 0 case, take one ``theta_nt_wn`` call per level.
     """
     if isinstance(model, MovingMaxima):
-        return theta_nt_mm_exact(model, r, v, np.asarray(grid))
-    refs = (oracle_theta_nt(model, r, v, t) for t in grid)
-    return np.array([np.nan if ref is None else float(ref) for ref in refs])
+        return theta_nt_mm_exact(model, r, v, t)
+    if not isinstance(model, (IID, RandomRepetition)):
+        return None
+    psi = getattr(model, "psi", 0.0)
+    if np.ndim(t) == 0:
+        return theta_nt_wn(psi, r, v, t)
+    return np.array([theta_nt_wn(psi, r, v, float(level)) for level in t])
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +321,18 @@ class MCResult:
         """
         cfg = self.config
         v = cfg.k / cfg.n
-        theta = model_theta(cfg.model)
         rows = []
         for kind, curves, _ in self.kinds():
             for r in cfg.r_list:
                 if r not in curves:
                     continue
                 arr = curves[r]
-                if kind == "raw":
-                    refs = _raw_references(cfg.model, r, v, cfg.t_grid)
-                else:
-                    refs = np.full(len(cfg.t_grid), theta)
+                refs = (
+                    oracle_theta_nt(cfg.model, r, v, cfg.t_grid)
+                    if kind == "raw"
+                    else cfg.model.theta
+                )
+                refs = np.broadcast_to(np.nan if refs is None else refs, len(cfg.t_grid))
                 for j, t in enumerate(cfg.t_grid):
                     col = arr[:, j]
                     used = col[~np.isnan(col)]

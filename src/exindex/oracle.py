@@ -20,9 +20,10 @@ small-threshold regime (r v^(b2/b1) large, r v^(1-b2/b1) small), and linear in
 t in the general regime (r v^max(1/2, 1-b2/b1) large); both expansions are
 reported with diagnostics because the regimes are asymptotic statements.
 
-Independent data admit the exact curve (1 - (1 - v t)^r) / (r v t) and a
-degenerate tail sequence, making the limit covariance of the normalized blocks
-estimator vanish identically.
+Independent data are the psi = 0 case: ``theta_nt_wn(0, r, v, t)`` is their
+exact curve (1 - (1 - v t)^r) / (r v t), and their degenerate tail sequence
+makes the limit covariance of the normalized blocks estimator vanish
+identically (``clusterproc.ClosedFormIID``).
 """
 
 from __future__ import annotations
@@ -31,22 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clusterproc import ClosedFormIID
-from .sim import MovingMaxima, model_marginal
+from .sim import MovingMaxima
 
 __all__ = [
     "BiasExpansion",
     "MMExpansionReport",
     "theta_nt_wn",
-    "theta_nt_iid",
     "bias_expansion_wn",
-    "block_exceed_prob_wn",
     "expected_g",
     "mm_block_nonexceed",
     "theta_nt_mm_exact",
-    "block_exceed_prob_mm",
     "bias_expansion_mm",
-    "iid_kernel",
 ]
 
 
@@ -85,19 +81,6 @@ def theta_nt_wn(psi: float, r: int, v: float, t: float) -> float:
     theta = 1.0 - psi
     vt = v * t
     return (1.0 - (1.0 - vt) * (1.0 - theta * vt) ** (r - 1)) / (r * vt)
-
-
-def theta_nt_iid(r: int, v: float, t: float) -> float:
-    """Exact mean curve of the blocks estimator for independent data."""
-    return theta_nt_wn(0.0, r, v, t)
-
-
-def block_exceed_prob_wn(psi: float, r: int, v: float, t: float) -> float:
-    """P{maximum of an r-block exceeds the (1 - v t)-quantile} under random repetition."""
-    _check_wn_args(psi, r, v, t)
-    theta = 1.0 - psi
-    vt = v * t
-    return 1.0 - (1.0 - vt) * (1.0 - theta * vt) ** (r - 1)
 
 
 def expected_g(r: int, v: float, t: float) -> float:
@@ -164,20 +147,11 @@ def theta_nt_mm_exact(spec: MovingMaxima, r: int, v: float, t):
     vt = v * np.asarray(t, dtype=float)
     if not np.all((0.0 < vt) & (vt < 1.0)):
         raise ValueError(f"v*t must lie in (0, 1), got {vt}")
-    u = model_marginal(spec).quantile(1.0 - vt)
+    u = spec.marginal.quantile(1.0 - vt)
     # scalar products, so that each level's value equals a call for that level alone
     nonexceed = np.array([mm_block_nonexceed(spec, r, float(ui)) for ui in np.ravel(u)])
     out = (1.0 - nonexceed.reshape(vt.shape)) / (r * vt)
     return float(out) if out.ndim == 0 else out
-
-
-def block_exceed_prob_mm(spec: MovingMaxima, r: int, v: float, t: float) -> float:
-    """Exact P{max of an r-block exceeds the (1 - v t)-quantile} for moving maxima."""
-    vt = v * t
-    if not 0.0 < vt < 1.0:
-        raise ValueError(f"v*t must lie in (0, 1), got {vt}")
-    u = model_marginal(spec).quantile(1.0 - vt)
-    return 1.0 - mm_block_nonexceed(spec, r, u)
 
 
 @dataclass(frozen=True)
@@ -200,22 +174,6 @@ class MMExpansionReport:
     @property
     def expansion(self) -> BiasExpansion:
         return self.power if self.selected == "power" else self.linear
-
-    # Delegation so the report can stand in for the selected expansion.
-    @property
-    def theta_n(self) -> float:
-        return self.expansion.theta_n
-
-    @property
-    def c_n(self) -> float:
-        return self.expansion.c_n
-
-    @property
-    def delta(self) -> float:
-        return self.expansion.delta
-
-    def curve(self, t):
-        return self.expansion.curve(t)
 
 
 def bias_expansion_mm(spec: MovingMaxima, r: int, v: float) -> MMExpansionReport:
@@ -265,8 +223,3 @@ def bias_expansion_mm(spec: MovingMaxima, r: int, v: float) -> MMExpansionReport
             "beta2<beta1": spec.beta2 < spec.beta1,
         },
     )
-
-
-def iid_kernel() -> ClosedFormIID:
-    """Exact limit covariance kernel for independent data (c identically 0)."""
-    return ClosedFormIID()

@@ -13,6 +13,11 @@ models:
 * ``MovingMaxima`` -- X_t = max_{0<=j<=q} psi_j * Z_{t-j} with heavy-tailed
   innovations whose survival function is c1 * z^(-b1) * (1 + c2 * z^(-b2)).
 
+Every model and every innovation law answers the same questions:
+``sample(rng, size)`` draws values and ``to_dict()`` writes its config form
+under its config ``name``.  Each model also has ``marginal`` (its exact
+stationary law) and ``theta`` (its extremal index) properties.
+
 All generators are deterministic functions of (model, n, seed, burn_in).
 Replicate streams come from a counter-based generator keyed by
 (seed, replicate), so parallel Monte Carlo runs are reproducible independent of
@@ -38,8 +43,6 @@ __all__ = [
     "SeriesSample",
     "substream",
     "generate",
-    "model_marginal",
-    "model_theta",
 ]
 
 
@@ -51,7 +54,10 @@ __all__ = [
 class Uniform01:
     """Uniform distribution on (0, 1)."""
 
-    name = "uniform01"
+    name = "uniform"
+
+    def to_dict(self) -> dict:
+        return {"name": self.name}
 
     def cdf(self, x):
         return np.clip(x, 0.0, 1.0)
@@ -70,6 +76,9 @@ class StandardCauchy:
     """Standard Cauchy distribution (location 0, scale 1)."""
 
     name = "cauchy"
+
+    def to_dict(self) -> dict:
+        return {"name": self.name}
 
     def cdf(self, x):
         return 0.5 + np.arctan(x) / np.pi
@@ -92,8 +101,11 @@ class UnitPareto:
     name = "pareto"
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (self.alpha > 0 and np.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "alpha": self.alpha}
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -132,6 +144,9 @@ class SecondOrderPareto:
     name = "second_order_pareto"
 
     def __post_init__(self):
+        params = (self.beta1, self.beta2, self.c1, self.c2)
+        if not np.all(np.isfinite(params)):
+            raise ValueError(f"beta1, beta2, c1 and c2 must be finite, got {params}")
         if not (self.beta1 > 0 and self.beta2 > 0):
             raise ValueError("beta1 and beta2 must be positive")
         if not self.c1 > 0:
@@ -139,6 +154,15 @@ class SecondOrderPareto:
         if self.c2 == 0:
             raise ValueError("c2 must be nonzero")
         object.__setattr__(self, "z_min", self._solve_support_start())
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "beta1": self.beta1,
+            "beta2": self.beta2,
+            "c1": self.c1,
+            "c2": self.c2,
+        }
 
     def _raw_survival(self, z):
         return self.c1 * z ** (-self.beta1) * (1.0 + self.c2 * z ** (-self.beta2))
@@ -235,17 +259,48 @@ class IID:
     innovation: object
     name = "iid"
 
+    @property
+    def marginal(self):
+        return self.innovation
+
+    @property
+    def theta(self) -> float:
+        return 1.0
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.innovation.sample(rng, size)
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "innovation": self.innovation.to_dict()}
+
 
 @dataclass(frozen=True)
 class AR1Cauchy:
     """AR(1) recursion with standard Cauchy innovations; extremal index 1 - phi."""
 
     phi: float
-    name = "ar1"
+    name = "ar1_cauchy"
 
     def __post_init__(self):
         if not 0.0 < self.phi < 1.0:
             raise ValueError(f"phi must lie in (0, 1), got {self.phi}")
+
+    @property
+    def marginal(self):
+        return _CauchyScale(scale=1.0 / (1.0 - self.phi))
+
+    @property
+    def theta(self) -> float:
+        return 1.0 - self.phi
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        eps = rng.standard_cauchy(size)
+        x0 = rng.standard_cauchy() / (1.0 - self.phi)
+        values, _ = lfilter([1.0], [1.0, -self.phi], eps, zi=[self.phi * x0])
+        return values
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "phi": self.phi}
 
 
 @dataclass(frozen=True)
@@ -254,11 +309,29 @@ class RandomRepetition:
 
     psi: float
     innovation: object
-    name = "random_repetition"
+    name = "wn"
 
     def __post_init__(self):
         if not 0.0 <= self.psi < 1.0:
             raise ValueError(f"psi must lie in [0, 1), got {self.psi}")
+
+    @property
+    def marginal(self):
+        return self.innovation
+
+    @property
+    def theta(self) -> float:
+        return 1.0 - self.psi
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        z = self.innovation.sample(rng, size + 1)  # Z_0 .. Z_size
+        renew = rng.random(size) >= self.psi  # xi_t = 1 events, t = 1..size
+        pos = np.where(renew, np.arange(1, size + 1), 0)
+        last = np.maximum.accumulate(pos)  # index of the innovation in force
+        return z[last]
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "psi": self.psi, "innovation": self.innovation.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -276,13 +349,15 @@ class MovingMaxima:
     beta2: float
     c1: float
     c2: float
-    name = "moving_maxima"
+    name = "mm"
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) == 0:
             raise ValueError("coeffs must be nonempty")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError(f"coeffs must be finite, got {coeffs}")
         if any(c < 0 for c in coeffs):
             raise ValueError("coeffs must be nonnegative")
         if abs(max(coeffs) - 1.0) > 1e-12:
@@ -295,6 +370,33 @@ class MovingMaxima:
     @property
     def q(self) -> int:
         return len(self.coeffs) - 1
+
+    @property
+    def marginal(self):
+        return _MovingMaximaMarginal(self)
+
+    @property
+    def theta(self) -> float:
+        return 1.0 / sum(c ** self.beta1 for c in self.coeffs)
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        q = self.q
+        z = self.innovation.sample(rng, size + q)  # Z_{1-q} .. Z_size
+        values = np.full(size, -np.inf)
+        for j, coeff in enumerate(self.coeffs):
+            if coeff > 0:
+                np.maximum(values, coeff * z[q - j : q - j + size], out=values)
+        return values
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "coeffs": list(self.coeffs),
+            "beta1": self.beta1,
+            "beta2": self.beta2,
+            "c1": self.c1,
+            "c2": self.c2,
+        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,37 +440,16 @@ def generate(model, n: int, seed, burn_in: int = 0) -> SeriesSample:
         raise ValueError(f"n must be at least 1, got {n}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
-    rng = _rng(seed)
-    total = n + burn_in
-
-    if isinstance(model, IID):
-        values = model.innovation.sample(rng, total)
-    elif isinstance(model, AR1Cauchy):
-        eps = rng.standard_cauchy(total)
-        x0 = rng.standard_cauchy() / (1.0 - model.phi)
-        values, _ = lfilter([1.0], [1.0, -model.phi], eps, zi=[model.phi * x0])
-    elif isinstance(model, RandomRepetition):
-        z = model.innovation.sample(rng, total + 1)  # Z_0 .. Z_total
-        renew = rng.random(total) >= model.psi  # xi_t = 1 events, t = 1..total
-        pos = np.where(renew, np.arange(1, total + 1), 0)
-        last = np.maximum.accumulate(pos)  # index of the innovation in force
-        values = z[last]
-    elif isinstance(model, MovingMaxima):
-        q = model.q
-        z = model.innovation.sample(rng, total + q)  # Z_{1-q} .. Z_total
-        values = np.full(total, -np.inf)
-        for j, coeff in enumerate(model.coeffs):
-            if coeff > 0:
-                np.maximum(values, coeff * z[q - j : q - j + total], out=values)
-    else:
+    sample = getattr(model, "sample", None)
+    if sample is None:
         raise ValueError(f"unknown model spec: {model!r}")
-
+    values = sample(_rng(seed), n + burn_in)
     return SeriesSample(values=np.asarray(values[burn_in:], dtype=float), model=model,
                         seed=seed, burn_in=burn_in)
 
 
 # ---------------------------------------------------------------------------
-# Model-level marginals and extremal indexes (for oracles and true-quantile work)
+# Model-level marginals (for oracles and true-quantile work)
 # ---------------------------------------------------------------------------
 
 
@@ -413,29 +494,3 @@ class _CauchyScale:
 
     def quantile(self, p):
         return self.scale * np.tan(np.pi * (np.asarray(p, dtype=float) - 0.5))
-
-
-def model_marginal(model):
-    """Exact stationary marginal distribution of ``model``."""
-    if isinstance(model, IID):
-        return model.innovation
-    if isinstance(model, RandomRepetition):
-        return model.innovation
-    if isinstance(model, AR1Cauchy):
-        return _CauchyScale(scale=1.0 / (1.0 - model.phi))
-    if isinstance(model, MovingMaxima):
-        return _MovingMaximaMarginal(model)
-    raise ValueError(f"unknown model spec: {model!r}")
-
-
-def model_theta(model) -> float:
-    """True extremal index of ``model``."""
-    if isinstance(model, IID):
-        return 1.0
-    if isinstance(model, RandomRepetition):
-        return 1.0 - model.psi
-    if isinstance(model, AR1Cauchy):
-        return 1.0 - model.phi
-    if isinstance(model, MovingMaxima):
-        return 1.0 / sum(c ** model.beta1 for c in model.coeffs)
-    raise ValueError(f"unknown model spec: {model!r}")

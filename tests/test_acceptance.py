@@ -152,7 +152,7 @@ def test_criterion_04_bias_reduction_wn():
 def test_criterion_05_iid_oracle():
     start = time.perf_counter()
     model = ex.IID(innovation=ex.Uniform01())
-    marg = ex.model_marginal(model)
+    marg = model.marginal
     cfg = ex.EstimatorConfig(r=10, k=200)
     vals = np.array(
         [
@@ -163,7 +163,7 @@ def test_criterion_05_iid_oracle():
             for rep in range(500)
         ]
     )
-    oracle = ex.theta_nt_iid(10, 0.01, 1.0)
+    oracle = ex.theta_nt_wn(0.0, 10, 0.01, 1.0)
     bias = float(vals.mean() - oracle)
     band = 3.0 * float(vals.std(ddof=1)) / np.sqrt(500)
     elapsed = time.perf_counter() - start
@@ -251,7 +251,7 @@ def test_criterion_07_measure_validator():
 def test_criterion_08_tail_process_variance():
     start = time.perf_counter()
     model = ex.IID(innovation=ex.Uniform01())
-    marg = ex.model_marginal(model)
+    marg = model.marginal
     n, r, k = 10_000, 10, 100
     v = k / n
     z = np.empty(500)

@@ -318,9 +318,9 @@ def test_measure_csv_roundtrip(tmp_path):
 
 
 def test_bias_model_curve():
-    model = ex.BiasModel(theta_n=0.43, c_n=-0.032, delta=1.0)
+    model = ex.BiasExpansion(theta=0.4, theta_n=0.43, c_n=-0.032, delta=1.0)
     assert model.curve(0.5) == pytest.approx(0.43 - 0.016)
     with pytest.raises(ValueError):
-        ex.BiasModel(theta_n=0.4, c_n=0.1, delta=0.0)
+        ex.BiasExpansion(theta=0.4, theta_n=0.4, c_n=0.1, delta=0.0)
     with pytest.raises(ValueError):
-        ex.BiasModel(theta_n=0.4, c_n=0.1, delta=1.0, d_n=-0.1)
+        ex.BiasExpansion(theta=1.5, theta_n=0.4, c_n=0.1, delta=1.0)

@@ -360,3 +360,34 @@ def test_kernel_mc_level_above_one_exit_1(capsys):
                    "--r", "5", "--k", "20", "--n", "1000"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("INVALID_ARGUMENT: grid must be finite")
+
+
+def test_kernel_method_iid_needs_the_iid_model(capsys):
+    # the independent-data kernel (c = 0) would be a wrong answer for dependent models
+    for model in (["--model", "ar1_cauchy", "--phi", "0.6"], ["--model", "wn", "--psi", "0.6"]):
+        rc = dispatch(["kernel", *model, "--s", "0.5", "--t", "1", "--method", "iid"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: --method iid")
+
+
+def test_mc_bad_model_parameters_and_missing_keys_exit_1(tmp_path, capsys):
+    base = {"n": 200, "r_list": [5], "k": 20, "t_grid": [0.5, 1.0], "replicates": 2}
+    mm = {"name": "mm", "coeffs": [float("nan"), 1.0], "beta1": 2.0, "beta2": 1.0, "c1": 1.0,
+          "c2": 0.5}
+    cases = [
+        ({**base, "model": mm}, "INVALID_ARGUMENT: coeffs must be finite"),
+        ({**base, "model": {**mm, "coeffs": [1.0], "c2": float("nan")}},
+         "INVALID_ARGUMENT: beta1, beta2, c1 and c2 must be finite"),
+        ({**base, "model": {"name": "wn"}}, "INVALID_ARGUMENT: missing key 'psi' in model\n"),
+        ({"model": {"name": "iid"}, "n": 200, "r_list": [5]},
+         "INVALID_ARGUMENT: missing key 'k' in config\n"),
+    ]
+    config_path = tmp_path / "exp.json"
+    for config, err in cases:
+        config_path.write_text(json.dumps(config))  # NaN is written as a bare NaN token
+        rc = dispatch(["mc", "--config", str(config_path), "--out", str(tmp_path / "exp")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(err)
+    assert not (tmp_path / "exp").exists()

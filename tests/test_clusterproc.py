@@ -61,7 +61,7 @@ def test_process_path_requires_centering_and_family():
 
 def test_process_path_mc_mean_centering_is_exact():
     model = ex.RandomRepetition(psi=0.6, innovation=ex.Uniform01())
-    marg = ex.model_marginal(model)
+    marg = model.marginal
     grid = [0.5, 1.0]
     sbs = [
         ex.standardize(ex.generate(model, 2000, ex.substream(0, rep)).values, v=0.05, r=10,
@@ -79,13 +79,13 @@ def test_process_path_mc_mean_centering_is_exact():
 def test_process_path_model_centering_wn():
     # exact per-block means keep the fluctuation paths centered across replicates
     model = ex.RandomRepetition(psi=0.6, innovation=ex.Uniform01())
-    marg = ex.model_marginal(model)
+    marg = model.marginal
     r, v = 10, 0.01
     zf, zg = [], []
     for rep in range(200):
         x = ex.generate(model, 10_000, ex.substream(1, rep))
         sb = ex.standardize(x.values, v=v, r=r, marginal_cdf=marg.cdf)
-        pf = ex.process_path(sb, "max", [1.0], lambda t: ex.block_exceed_prob_wn(0.6, r, v, t))
+        pf = ex.process_path(sb, "max", [1.0], lambda t: r * v * t * ex.theta_nt_wn(0.6, r, v, t))
         pg = ex.process_path(sb, "count", [1.0], lambda t: ex.expected_g(r, v, t))
         zf.append(pf.values[0])
         zg.append(pg.values[0])
@@ -116,7 +116,7 @@ def test_closed_form_iid_kernel():
     assert kern.c_g(0.4, 0.9) == 0.4
     assert kern.c_fg(0.2, 0.9) == 0.2
     assert kern.theta == 1.0
-    assert ex.iid_kernel().c(1.0, 1.0) == 0.0
+    assert kern.c(1.0, 1.0) == 0.0
 
 
 def test_tail_chain_iid_degenerate_kernel():
@@ -163,7 +163,7 @@ def test_kernel_mc_iid_known_marginal():
     assert abs(kern.c(1.0, 1.0)) <= 0.2
     assert 0.5 <= kern.c_g(1.0, 1.0) <= 1.2
     assert 0.4 <= kern.c_fg(1.0, 1.0) <= 1.1
-    assert kern.theta == pytest.approx(ex.theta_nt_iid(10, 0.01, 1.0), abs=0.05)
+    assert kern.theta == pytest.approx(ex.theta_nt_wn(0.0, 10, 0.01, 1.0), abs=0.05)
     assert abs(kern.c(1e-9, 1e-9)) <= 1e-6  # kernel vanishes toward t = 0
 
 
@@ -287,7 +287,7 @@ def test_tail_chain_windows_equal_per_exceedance_loop():
     model = ex.RandomRepetition(psi=0.6, innovation=ex.Uniform01())
     v, K, n = 2e-3, 20, 20_000
     series = ex.tail_chain_probabilities(model, v=v, K=K, replicates=30, seed=2, n=n)
-    marg = ex.model_marginal(model)
+    marg = model.marginal
     rows = []
     for rep in range(30):
         x = ex.generate(model, n, ex.substream(2, rep))

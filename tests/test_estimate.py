@@ -209,7 +209,7 @@ def test_blocks_true_quantile_threshold_above_max():
 def test_blocks_true_quantile_wn_oracle_agreement():
     # denominator is random here, so the match holds within MC error only
     model = ex.RandomRepetition(psi=0.6, innovation=ex.Uniform01())
-    marg = ex.model_marginal(model)
+    marg = model.marginal
     cfg = ex.EstimatorConfig(r=10, k=200)
     target = ex.theta_nt_wn(0.6, 10, 0.01, 1.0)
     vals = np.array(

@@ -44,8 +44,8 @@ def test_model_dict_roundtrip():
         ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5),
     ]
     for model in models:
-        d = ex.model_to_dict(model)
-        assert ex.model_to_dict(ex.model_from_dict(d)) == d
+        d = model.to_dict()
+        assert ex.model_from_dict(d).to_dict() == d
 
 
 def test_measure_spec_kinds(tmp_path):
@@ -136,9 +136,57 @@ def test_config_rejects_grid_that_is_not_strictly_increasing():
         ex.ExperimentConfig.from_dict({**base, "t_grid": [0.5, 0.5, 1.0]})
 
 
+def test_config_names_missing_keys():
+    base = dict(model={"name": "wn", "psi": 0.6}, n=1000, r_list=[5], k=50)
+    cases = [
+        ({key: val for key, val in base.items() if key != "k"}, "'k' in config"),
+        ({**base, "model": {"psi": 0.6}}, "'name' in model"),
+        ({**base, "model": {"name": "wn"}}, "'psi' in model"),
+        ({**base, "model": {"name": "iid", "innovation": {"name": "pareto"}}},
+         "'alpha' in innovation"),
+        ({**base, "measure": {"kind": "two_atom", "p": 0.5, "a": 2.0}}, "'q' in measure"),
+    ]
+    for d, where in cases:
+        with pytest.raises(ValueError, match=f"^missing key {where}$"):
+            ex.ExperimentConfig.from_dict(d)
+
+
+def test_config_rejects_unknown_model_and_innovation_keys():
+    base = dict(n=1000, r_list=[5], k=50)
+    with pytest.raises(ValueError, match="^unknown model keys: psi$"):
+        ex.ExperimentConfig.from_dict(
+            {**base, "model": {"name": "ar1_cauchy", "phi": 0.6, "psi": 0.3}}
+        )
+    with pytest.raises(ValueError, match="^unknown model keys: innovation$"):
+        ex.model_from_dict(
+            {"name": "mm", "coeffs": [1.0], "beta1": 2, "beta2": 1, "c1": 1, "c2": 0.5,
+             "innovation": "uniform"}
+        )
+    with pytest.raises(ValueError, match="^unknown innovation keys: alpha, beta$"):
+        ex.model_from_dict(
+            {"name": "iid", "innovation": {"name": "cauchy", "beta": 1, "alpha": 2}}
+        )
+    with pytest.raises(ValueError, match="^unknown model 'ar2'$"):
+        ex.model_from_dict({"name": "ar2"})
+    with pytest.raises(ValueError, match="^unknown innovation 'gauss'$"):
+        ex.model_from_dict({"name": "iid", "innovation": "gauss"})
+
+
+def test_model_aliases_and_innovation_string_form():
+    wn = ex.model_from_dict({"name": "random_repetition", "psi": 0.6, "innovation": "cauchy"})
+    assert wn.to_dict() == {"name": "wn", "psi": 0.6, "innovation": {"name": "cauchy"}}
+    mm = ex.model_from_dict(
+        {"name": "moving_maxima", "coeffs": [1, 0.5], "beta1": 2, "beta2": 1, "c1": 1, "c2": 0.5}
+    )
+    assert mm == ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2.0, beta2=1.0, c1=1.0, c2=0.5)
+    assert mm.to_dict()["name"] == "mm"
+    iid = ex.model_from_dict({"name": "iid"})
+    assert iid.to_dict() == {"name": "iid", "innovation": {"name": "uniform"}}
+
+
 def test_oracle_theta_nt_dispatch():
     assert ex.oracle_theta_nt(ex.IID(innovation=ex.Uniform01()), 10, 0.01, 1.0) == (
-        ex.theta_nt_iid(10, 0.01, 1.0)
+        ex.theta_nt_wn(0.0, 10, 0.01, 1.0)
     )
     assert ex.oracle_theta_nt(WN, 10, 0.01, 0.5) == ex.theta_nt_wn(0.6, 10, 0.01, 0.5)
     mm = ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5)
@@ -158,7 +206,7 @@ def test_mm_summary_reference_equals_scalar_oracle_calls():
     v = cfg.k / cfg.n
     rows = [row for row in ex.run(cfg).summarize() if row["kind"] == "raw"]
     assert len(rows) == len(cfg.r_list) * len(cfg.t_grid)
-    marginal = ex.model_marginal(mm)
+    marginal = mm.marginal
     for row in rows:
         r, vt = row["r"], v * row["t"]
         assert row["reference"] == ex.theta_nt_mm_exact(mm, r, v, row["t"])  # bit for bit

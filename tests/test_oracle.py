@@ -20,8 +20,9 @@ def test_theta_nt_wn_formula():
     vt = v * t
     expect = (1.0 - (1.0 - vt) * (1.0 - theta * vt) ** (r - 1)) / (r * vt)
     assert ex.theta_nt_wn(psi, r, v, t) == expect
-    assert ex.block_exceed_prob_wn(psi, r, v, t) == pytest.approx(
-        expect * r * vt, rel=1e-12
+    # the block-exceedance probability is r v t theta_nt
+    assert r * vt * ex.theta_nt_wn(psi, r, v, t) == pytest.approx(
+        1.0 - (1.0 - vt) * (1.0 - theta * vt) ** (r - 1), rel=1e-12
     )
 
 
@@ -42,10 +43,10 @@ def test_theta_nt_wn_validation():
 
 def test_theta_nt_iid_formula():
     r, v, t = 10, 0.01, 1.0
-    assert ex.theta_nt_iid(r, v, t) == pytest.approx(
+    assert ex.theta_nt_wn(0.0, r, v, t) == pytest.approx(
         (1.0 - (1.0 - v * t) ** r) / (r * v * t), rel=1e-12
     )
-    assert ex.theta_nt_iid(1, 0.05, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert ex.theta_nt_wn(0.0, 1, 0.05, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expected_g_identity():
@@ -76,7 +77,7 @@ def test_wn_expansion_remainder_bound():
 
 
 def test_mm_block_nonexceed_r1_is_marginal_cdf():
-    marg = ex.model_marginal(MM_SPEC)
+    marg = MM_SPEC.marginal
     for u in (2.0, 5.0, 20.0):
         assert ex.mm_block_nonexceed(MM_SPEC, 1, u) == pytest.approx(marg.cdf(u), rel=1e-12)
 
@@ -91,7 +92,8 @@ def test_mm_block_nonexceed_product_structure():
 
 def test_theta_nt_mm_consistency():
     val = ex.theta_nt_mm_exact(MM_SPEC, 50, 0.005, 1.0)
-    prob = ex.block_exceed_prob_mm(MM_SPEC, 50, 0.005, 1.0)
+    u = MM_SPEC.marginal.quantile(1.0 - 0.005)
+    prob = 1.0 - ex.mm_block_nonexceed(MM_SPEC, 50, u)
     assert val == pytest.approx(prob / (50 * 0.005), rel=1e-12)
     assert 0.0 < val <= 1.0
 
@@ -100,12 +102,12 @@ def test_theta_nt_mm_single_coeff_matches_iid():
     spec = ex.MovingMaxima(coeffs=(1.0,), beta1=2, beta2=1, c1=1, c2=0.5)
     for r, v, t in ((10, 0.01, 1.0), (20, 0.005, 0.5)):
         assert ex.theta_nt_mm_exact(spec, r, v, t) == pytest.approx(
-            ex.theta_nt_iid(r, v, t), abs=1e-10
+            ex.theta_nt_wn(0.0, r, v, t), abs=1e-10
         )
 
 
 def test_theta_nt_mm_matches_simulation():
-    marg = ex.model_marginal(MM_SPEC)
+    marg = MM_SPEC.marginal
     exact = ex.theta_nt_mm_exact(MM_SPEC, 50, 0.005, 1.0)
     cfg = ex.EstimatorConfig(r=50, k=100)
     vals = np.array(
@@ -137,8 +139,9 @@ def test_mm_expansion_theta_and_branches():
     assert rep.theta == pytest.approx(0.8)  # 1 / (1 + 0.25)
     # beta2/beta1 = 0.5 makes the power-regime inequalities contradictory
     assert rep.selected == "linear"
-    assert rep.delta == 1.0
-    assert rep.c_n == pytest.approx(-0.5 * 0.8**2 * 10 * 0.01)
+    assert rep.expansion is rep.linear
+    assert rep.expansion.delta == 1.0
+    assert rep.expansion.c_n == pytest.approx(-0.5 * 0.8**2 * 10 * 0.01)
     assert rep.power.delta == 0.5
     for key in ("d", "r*v^(b2/b1)", "r*v^(1-b2/b1)", "beta2<beta1"):
         assert key in rep.diagnostics
@@ -149,8 +152,9 @@ def test_mm_expansion_power_branch_selection():
     # ratio 0.25: grow = r v^0.25 > 1 and shrink = r v^0.75 < 1 both hold
     rep = ex.bias_expansion_mm(spec, 100, 1e-4)
     assert rep.selected == "power"
-    assert rep.delta == 0.25
-    assert rep.c_n == pytest.approx(rep.diagnostics["d"] * (1e-4) ** 0.25)
+    assert rep.expansion is rep.power
+    assert rep.expansion.delta == 0.25
+    assert rep.expansion.c_n == pytest.approx(rep.diagnostics["d"] * (1e-4) ** 0.25)
     # same spec in a short-window regime falls back to the linear branch
     assert ex.bias_expansion_mm(spec, 2, 1e-4).selected == "linear"
 
@@ -164,11 +168,11 @@ def test_mm_power_expansion_converges():
         r = int(round(v**-0.5))
         rep = ex.bias_expansion_mm(spec, r, v)
         assert rep.selected == "power"
-        resid.append(abs(ex.theta_nt_mm_exact(spec, r, v, 1.0) - float(rep.curve(1.0))) / v**0.25)
+        resid.append(abs(ex.theta_nt_mm_exact(spec, r, v, 1.0) - float(rep.expansion.curve(1.0))) / v**0.25)
     assert all(b < a for a, b in zip(resid, resid[1:]))
 
 
 def test_iid_kernel_is_closed_form():
-    kern = ex.iid_kernel()
+    kern = ex.ClosedFormIID()
     assert kern.c(0.5, 1.0) == 0.0
     assert kern.c_g(0.3, 0.6) == 0.3

@@ -1,5 +1,7 @@
 """Marginal laws, stationary model simulators, and seed management."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -103,7 +105,7 @@ def test_bisection_quantiles_equal_100_step_reference():
     laws = [
         ex.SecondOrderPareto(2.0, 1.0, 1.0, 0.5),
         ex.SecondOrderPareto(2.0, 1.0, 1.0, -0.3),
-        ex.model_marginal(ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5)),
+        ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5).marginal,
     ]
     rng = np.random.Generator(np.random.Philox(5))
     edges = np.array([0.5**53, 1.0 - 0.5**53])
@@ -209,7 +211,7 @@ def test_moving_maxima_identity_coeffs_reduce_to_iid():
 
 def test_moving_maxima_marginal_product_formula():
     model = ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5)
-    marg = ex.model_marginal(model)
+    marg = model.marginal
     inn = ex.SecondOrderPareto(2.0, 1.0, 1.0, 0.5)
     for u in (2.0, 5.0, 20.0):
         assert marg.cdf(u) == pytest.approx(inn.cdf(u) * inn.cdf(2.0 * u), rel=1e-12)
@@ -218,7 +220,7 @@ def test_moving_maxima_marginal_product_formula():
 
 def test_moving_maxima_marginal_matches_empirical():
     model = ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5)
-    marg = ex.model_marginal(model)
+    marg = model.marginal
     x = ex.generate(model, 200_000, ex.substream(3, 0))
     for p in (0.5, 0.9, 0.99):
         assert np.mean(x.values <= marg.quantile(p)) == pytest.approx(p, abs=0.012)
@@ -228,14 +230,14 @@ def test_ar1_marginal_scale():
     x = ex.generate(ex.AR1Cauchy(phi=0.6), 100_000, ex.substream(9, 0))
     # stationary marginal is Cauchy with scale 1/(1-phi) = 2.5; median |X| equals the scale
     assert np.median(np.abs(x.values)) == pytest.approx(2.5, abs=0.1)
-    marg = ex.model_marginal(ex.AR1Cauchy(phi=0.6))
+    marg = ex.AR1Cauchy(phi=0.6).marginal
     assert marg.quantile(0.75) == pytest.approx(2.5, rel=1e-9)
     assert marg.cdf(0.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ar1_runs_near_theta_at_high_threshold():
     model = ex.AR1Cauchy(phi=0.6)
-    u = ex.model_marginal(model).quantile(0.996)
+    u = model.marginal.quantile(0.996)
     vals = [
         ex.runs_estimator(ex.generate(model, 100_000, ex.substream(7, s)).values, 2, u)
         for s in range(10)
@@ -244,8 +246,65 @@ def test_ar1_runs_near_theta_at_high_threshold():
 
 
 def test_model_theta_values():
-    assert ex.model_theta(ex.IID(innovation=ex.Uniform01())) == 1.0
-    assert ex.model_theta(ex.RandomRepetition(psi=0.6, innovation=ex.Uniform01())) == pytest.approx(0.4)
-    assert ex.model_theta(ex.AR1Cauchy(phi=0.6)) == pytest.approx(0.4)
+    assert ex.IID(innovation=ex.Uniform01()).theta == 1.0
+    assert ex.RandomRepetition(psi=0.6, innovation=ex.Uniform01()).theta == pytest.approx(0.4)
+    assert ex.AR1Cauchy(phi=0.6).theta == pytest.approx(0.4)
     mm = ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5)
-    assert ex.model_theta(mm) == pytest.approx(1.0 / 1.25)
+    assert mm.theta == pytest.approx(1.0 / 1.25)
+
+
+# sha256 of generate(model, 2000, substream(7, 3), burn_in=b).values.tobytes():
+# a change to any model's ``sample`` that moves one bit of its stream fails here
+GOLDEN_MODELS = {
+    "iid_uniform": ex.IID(innovation=ex.Uniform01()),
+    "iid_cauchy": ex.IID(innovation=ex.StandardCauchy()),
+    "iid_pareto2": ex.IID(innovation=ex.UnitPareto(2.0)),
+    "iid_sop": ex.IID(innovation=ex.SecondOrderPareto(2.0, 1.0, 1.0, 0.5)),
+    "ar1": ex.AR1Cauchy(phi=0.6),
+    "wn_uniform": ex.RandomRepetition(psi=0.6, innovation=ex.Uniform01()),
+    "wn_cauchy": ex.RandomRepetition(psi=0.6, innovation=ex.StandardCauchy()),
+    "mm_pos": ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5),
+    "mm_neg": ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=-0.3),
+}
+GOLDEN_STREAMS = {
+    ("iid_uniform", 0): "4f91d2125526df5777e6d620f2e266046bdb0354465c2a99343fc8053fde4632",
+    ("iid_uniform", 5): "31361adf34e2aed6ccc3c366c8a3b991ec4431263fae129ab6c0c0f0c57f259f",
+    ("iid_cauchy", 0): "a300a6f57212d5a318c8e1c9ffe15b69e183fc333316893afe319e4d9d64416a",
+    ("iid_cauchy", 5): "48d760de08f3c82bd2f6b9335f108d176badea4d5162954a25690575bf4076a3",
+    ("iid_pareto2", 0): "eaeedf46743c6b75c933412eae4dcca3395e10faf4ac165f07ff03332a6b8118",
+    ("iid_pareto2", 5): "fb0e1615d2cd528b279c7f5ed5d39981c9efcf4009cf9f6465c0631233dc7c47",
+    ("iid_sop", 0): "7571ada9112bee57bf46810a494ace3d5baff8e04a6da1ff960b083f94ba81ff",
+    ("iid_sop", 5): "5bb3a64f919cd2ca562a92b2191e98a3d7652e11cdfed22a8500210c53e1bac7",
+    ("ar1", 0): "c977d66c6b508dea8b6975dac2d443a46efbaeb8ceda27561eed74be6034930c",
+    ("ar1", 5): "ac6047fcfe9cd2b007f8e76c228601dbbb79055e1a90af8c2a8ddf7145369db6",
+    ("wn_uniform", 0): "a71512e72908739a03fa553633d9c4923065c9e2da5374c717b30d3cbf21c909",
+    ("wn_uniform", 5): "5eeead00b5ad06de2a2f230e4827d7bbebbdedede019ff4c6e8a7806a183c167",
+    ("wn_cauchy", 0): "aa8636def246e1c0d0e32b3a9dc68308988f7cad20aa560dc79c94f96aca34ac",
+    ("wn_cauchy", 5): "e5591d2f6516176dbb362d395c701c907817f9989ed301b2457568070666052b",
+    ("mm_pos", 0): "b600597dce31f882842cbc0ec24812e8728cdb80ab1da2ef84746811a49acf05",
+    ("mm_pos", 5): "896061f09ae1c25c63bb49fb8bf4645380beca4bd029337e8e1e6ab64eb2aab9",
+    ("mm_neg", 0): "fb65773e3fc4a07018287378043a7354ae36d72ab228aff6ef0158e0185f15c8",
+    ("mm_neg", 5): "d8278daae1cb97e24ba15fb7507154bb1ca52de97e8502842ea81dc049299279",
+}
+
+
+@pytest.mark.parametrize("name, burn_in", sorted(GOLDEN_STREAMS))
+def test_generate_streams_equal_recorded_hashes(name, burn_in):
+    x = ex.generate(GOLDEN_MODELS[name], 2000, ex.substream(7, 3), burn_in=burn_in)
+    assert hashlib.sha256(x.values.tobytes()).hexdigest() == GOLDEN_STREAMS[name, burn_in]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ex.MovingMaxima(coeffs=(np.nan, 1.0), beta1=2, beta2=1, c1=1, c2=0.5),
+        lambda: ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=np.nan),
+        lambda: ex.SecondOrderPareto(2.0, 1.0, np.inf, 0.5),
+        lambda: ex.SecondOrderPareto(np.inf, 1.0, 1.0, 0.5),
+        lambda: ex.UnitPareto(alpha=np.inf),
+    ],
+    ids=["mm_coeff_nan", "mm_c2_nan", "c1_inf", "beta1_inf", "pareto_alpha_inf"],
+)
+def test_non_finite_parameters_are_rejected(build):
+    with pytest.raises(ValueError, match="must be .*finite"):
+        build()
