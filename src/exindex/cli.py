@@ -112,9 +112,8 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, help="tail exponent (pareto innovation)")
 
 
-def _model_dict(args) -> dict:
-    name = args.model
-    d = {"name": name}
+def _innovation_dict(args) -> dict:
+    """The ``--innovation`` law and its flags, for the models that draw from one."""
     inno = {"name": args.innovation}
     if args.innovation == "pareto":
         if args.alpha is None:
@@ -125,13 +124,19 @@ def _model_dict(args) -> dict:
             if getattr(args, f) is None:
                 raise _Usage(f"--{f} required for second_order_pareto innovation")
             inno[f] = getattr(args, f)
+    return inno
+
+
+def _model_dict(args) -> dict:
+    name = args.model
+    d = {"name": name}
     if name == "iid":
-        d["innovation"] = inno
+        d["innovation"] = _innovation_dict(args)
     elif name in ("wn", "random_repetition"):
         if args.psi is None:
             raise _Usage("--psi required for the wn model")
         d["psi"] = args.psi
-        d["innovation"] = inno
+        d["innovation"] = _innovation_dict(args)
     elif name == "ar1_cauchy":
         if args.phi is None:
             raise _Usage("--phi required for the ar1_cauchy model")

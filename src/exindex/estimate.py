@@ -30,6 +30,7 @@ __all__ = [
     "SkippedPoint",
     "ThresholdCurve",
     "BlocksEvaluator",
+    "check_evaluator",
     "count_at",
     "blocks_fixed",
     "blocks_true_quantile",
@@ -161,7 +162,8 @@ class BlocksEvaluator:
     Precomputes sorted sample values, sorted block maxima, and the sorted
     uncovered tail once; ``at_counts`` then evaluates any array of exceedance
     budgets with two binary searches over all of them at once (the estimate
-    depends on t only through k_t).
+    depends on t only through k_t).  ``sweep`` and ``corrected_curve`` accept
+    one in place of the series, so both curves can share a single build.
     """
 
     def __init__(self, x, r: int, k: int):
@@ -174,7 +176,13 @@ class BlocksEvaluator:
         self.k = k
         self.m = n // r
         self._sorted = np.sort(xs)
-        self._block_max_sorted = np.sort(xs[: self.m * r].reshape(self.m, r).max(axis=1))
+        # column j holds the j-th value of every block; max is exact, so r
+        # strided passes give the same maxima as a row-wise reduction, faster
+        block_max = xs[0 : self.m * r : r].copy()
+        for j in range(1, r):
+            np.maximum(block_max, xs[j : self.m * r : r], out=block_max)
+        block_max.sort()
+        self._block_max_sorted = block_max
         self._tail_sorted = np.sort(xs[self.m * r :])
 
     def at_counts(self, k_t):
@@ -219,6 +227,15 @@ class BlocksEvaluator:
         return self.at_count(count_at(self.k, t))
 
 
+def check_evaluator(ev, cfg: EstimatorConfig):
+    """``ev`` itself, once its block length and budget are checked against ``cfg``."""
+    if (ev.r, ev.k) != (cfg.r, cfg.k):
+        raise ValueError(
+            f"evaluator built for r={ev.r}, k={ev.k}, but the config has r={cfg.r}, k={cfg.k}"
+        )
+    return ev
+
+
 def blocks_true_quantile(x, cfg: EstimatorConfig, t: float, marginal_quantile) -> float:
     """Blocks estimate with the threshold at the known marginal (1 - v*t)-quantile."""
     xs = _values(x)
@@ -237,11 +254,13 @@ def default_grid(k: int) -> np.ndarray:
 def sweep(x, cfg: EstimatorConfig, grid=None) -> ThresholdCurve:
     """Evaluate the empirical-threshold blocks estimator on a grid of t values.
 
-    Grid points where the estimate is undefined (no exceedance inside the
-    blocks, or a threshold tie) keep their place in the curve with a NaN value
-    and the error code, instead of silently disappearing.
+    ``x`` is a series, or an evaluator (anything with ``at_counts``) already
+    built for ``cfg``'s r and k.  Grid points where the estimate is undefined
+    (no exceedance inside the blocks, or a threshold tie) keep their place in
+    the curve with a NaN value and the error code, instead of silently
+    disappearing.
     """
-    ev = BlocksEvaluator(x, cfg.r, cfg.k)
+    ev = check_evaluator(x, cfg) if hasattr(x, "at_counts") else BlocksEvaluator(x, cfg.r, cfg.k)
     if grid is None:
         grid = default_grid(cfg.k)
     grid = np.asarray(grid, dtype=float)

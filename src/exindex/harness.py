@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import stats
 
+from . import estimate
 from ._version import __version__
 from .biascorrect import (
     SignedMeasureAtoms,
@@ -80,14 +81,61 @@ def _key(d: dict, key: str, where: str):
         raise ValueError(f"missing key {key!r} in {where}") from None
 
 
+_REQUIRED = object()
+
+
+def _int(value) -> int:
+    """``int(value)`` for a whole number; a fractional one is rejected, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value} is not a whole number")
+    return int(value)
+
+
+def _number(d: dict, key: str, where: str, cast=float, default=_REQUIRED):
+    """``cast(d[key])``, or ``default`` when the key is absent and one is given.
+
+    ``cast`` is ``float`` or ``_int``.  A missing required key, or a value
+    ``cast`` rejects (a list, an object, a non-numeric string, a fraction for
+    an integer), raises ``ValueError`` naming the key.
+    """
+    if default is not _REQUIRED and key not in d:
+        return default
+    value = _key(d, key, where)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        what = "an integer" if cast is _int else "a number"
+        raise ValueError(f"{where} key {key!r} must be {what}, got {value!r}") from None
+
+
+def _numbers(values, key: str, where: str, cast=float) -> tuple:
+    """The list ``values`` of key ``key`` as a tuple of ``cast`` numbers."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{where} key {key!r} must be a list, got {values!r}")
+    try:
+        return tuple(cast(v) for v in values)
+    except (TypeError, ValueError):
+        what = "integers" if cast is _int else "numbers"
+        raise ValueError(
+            f"{where} key {key!r} must be a list of {what}, got {values!r}"
+        ) from None
+
+
+def _object(d, what: str) -> dict:
+    """``d`` itself if it is a JSON object, else a ``ValueError`` naming ``what``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be an object, got {d!r}")
+    return d
+
+
 def _from_dict(d: dict, registry: dict, what: str):
     """``registry[d["name"]]`` built from the other keys of ``d``.
 
     Every constructor parameter is a required float key, except ``coeffs``
     (a list of floats) and ``innovation`` (a law, uniform when omitted).
-    Missing and unknown keys raise ``ValueError`` naming them.
+    Missing, unknown and wrongly typed keys raise ``ValueError`` naming them.
     """
-    name = _key(d, "name", what)
+    name = _key(_object(d, what), "name", what)
     cls = registry.get(str(name).lower().replace("-", "_"))
     if cls is None:
         raise ValueError(f"unknown {what} {name!r}")
@@ -100,9 +148,9 @@ def _from_dict(d: dict, registry: dict, what: str):
         if key == "innovation":
             kwargs[key] = _innovation_from_dict(d.get(key))
         elif key == "coeffs":
-            kwargs[key] = tuple(float(c) for c in _key(d, key, what))
+            kwargs[key] = _numbers(_key(d, key, what), key, what)
         else:
-            kwargs[key] = float(_key(d, key, what))
+            kwargs[key] = _number(d, key, what)
     return cls(**kwargs)
 
 
@@ -122,28 +170,53 @@ def model_from_dict(d: dict):
     return _from_dict(d, _MODELS, "model")
 
 
+# measure kind -> the keys that build it, besides "kind" and "delta"
+_MEASURE_KEYS = {
+    "two_atom": ("p", "q", "a"),
+    "product": ("kappa", "a", "b", "m"),
+    "product_construction": ("kappa", "a", "b", "m"),
+    "file": ("path",),
+}
+# what ``_measure_to_dict`` writes to meta.json: any kind, with its atoms embedded
+_EMBEDDED_MEASURE_KEYS = frozenset(("kind", "delta", "atom_count", "total_variation", "atoms"))
+
+
 def _measure_from_dict(d):
     if d is None:
         return None, 1.0
-    kind = d.get("kind", "two_atom").lower()
-    delta = float(d.get("delta", 1.0))
-
-    def get(key, cast=float):
-        return cast(_key(d, key, "measure"))
-
-    if kind == "two_atom" and "p" in d:
-        mu = two_atom_measure(get("p"), get("q"), get("a"))
-    elif kind in ("product", "product_construction") and "kappa" in d:
-        mu = product_measure(kappa=get("kappa"), a=get("a"), b=get("b"), m=get("m", int))
-    elif kind == "file":
-        mu = read_measure_csv(_key(d, "path", "measure"))
-    elif "atoms" in d:
-        # embedded atom list, as written to sidecar metadata
-        mu = SignedMeasureAtoms(
-            tuple(tuple(atom) for atom in d["atoms"]), provenance=kind
-        )
+    kind = str(_object(d, "measure").get("kind", "two_atom")).lower()
+    embedded = "atoms" in d or "atom_count" in d
+    if embedded:
+        allowed = _EMBEDDED_MEASURE_KEYS
+    elif kind in _MEASURE_KEYS:
+        allowed = {"kind", "delta", *_MEASURE_KEYS[kind]}
     else:
         raise ValueError(f"unknown measure kind {kind!r}")
+    unknown = sorted(set(d) - allowed)
+    if unknown:
+        raise ValueError(f"unknown measure keys: {', '.join(unknown)}")
+    delta = _number(d, "delta", "measure", default=1.0)
+    if embedded:
+        atoms = _key(d, "atoms", "measure")
+        if not isinstance(atoms, list):
+            raise ValueError(f"measure key 'atoms' must be a list, got {atoms!r}")
+        mu = SignedMeasureAtoms(
+            tuple(_numbers(atom, "atoms", "measure") for atom in atoms), provenance=kind
+        )
+    elif kind == "two_atom":
+        mu = two_atom_measure(*(_number(d, key, "measure") for key in ("p", "q", "a")))
+    elif kind == "file":
+        path = _key(d, "path", "measure")
+        if not isinstance(path, str):  # open() would take an integer for a file descriptor
+            raise ValueError(f"measure key 'path' must be a string, got {path!r}")
+        mu = read_measure_csv(path)
+    else:
+        mu = product_measure(
+            kappa=_number(d, "kappa", "measure"),
+            a=_number(d, "a", "measure"),
+            b=_number(d, "b", "measure"),
+            m=_number(d, "m", "measure", _int),
+        )
     return mu, delta
 
 
@@ -165,11 +238,11 @@ def _grid_from_spec(spec, k: int):
     if spec is None:
         return tuple(np.linspace(0.05, 1.0, 20))
     if isinstance(spec, dict):
-        lo = float(spec.get("lo", 1.0 / k))
-        hi = float(spec.get("hi", 1.0))
-        count = int(_key(spec, "count", "t_grid"))
+        lo = _number(spec, "lo", "t_grid", default=1.0 / k)
+        hi = _number(spec, "hi", "t_grid", default=1.0)
+        count = _number(spec, "count", "t_grid", _int)
         return tuple(np.linspace(lo, hi, count))
-    return tuple(float(t) for t in spec)
+    return _numbers(spec, "t_grid", "config")
 
 
 @dataclass(frozen=True)
@@ -215,26 +288,28 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = sorted(set(d) - _CONFIG_KEYS)
+        unknown = sorted(set(_object(d, "config")) - _CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         measure, delta = _measure_from_dict(d.get("measure"))
-        k = int(_key(d, "k", "config"))
+        k = _number(d, "k", "config", _int)
+        run_lengths = None
+        if d.get("run_lengths") is not None:
+            # an empty list means the default, r_list
+            run_lengths = _numbers(d["run_lengths"], "run_lengths", "config", _int) or None
         return cls(
             model=model_from_dict(_key(d, "model", "config")),
-            n=int(_key(d, "n", "config")),
-            r_list=tuple(int(r) for r in _key(d, "r_list", "config")),
+            n=_number(d, "n", "config", _int),
+            r_list=_numbers(_key(d, "r_list", "config"), "r_list", "config", _int),
             k=k,
             t_grid=_grid_from_spec(d.get("t_grid"), k),
             measure=measure,
             delta=delta,
-            replicates=int(d.get("replicates", 100)),
-            base_seed=int(d.get("base_seed", 0)),
+            replicates=_number(d, "replicates", "config", _int, 100),
+            base_seed=_number(d, "base_seed", "config", _int, 0),
             out_dir=d.get("out_dir"),
-            run_lengths=tuple(int(r) for r in d["run_lengths"])
-            if d.get("run_lengths")
-            else None,
-            burn_in=int(d.get("burn_in", 0)),
+            run_lengths=run_lengths,
+            burn_in=_number(d, "burn_in", "config", _int, 0),
         )
 
     @classmethod
@@ -394,12 +469,18 @@ def _new_curves(cfg: ExperimentConfig, keys) -> tuple:
 
 
 def _fill_replicate(cfg: ExperimentConfig, x, rep: int, grid, raw, corrected) -> None:
-    """Row ``rep`` of the blocks curves, and of the corrected ones under a measure."""
+    """Row ``rep`` of the blocks curves, and of the corrected ones under a measure.
+
+    One evaluator per r serves both curves, so the sample and its block maxima
+    are sorted once per (replicate, r).
+    """
     for r in cfg.r_list:
         est = EstimatorConfig(r=r, k=cfg.k)
-        curves = [(sweep(x.values, est, grid), raw)]
+        # built through the module attribute, where a tracing wrapper sees each build
+        ev = estimate.BlocksEvaluator(x.values, r, cfg.k)
+        curves = [(sweep(ev, est, grid), raw)]
         if cfg.measure is not None:
-            curves.append((corrected_curve(x, est, cfg.measure, grid), corrected))
+            curves.append((corrected_curve(ev, est, cfg.measure, grid), corrected))
         for curve, (values, codes) in curves:
             values[r][rep] = curve.theta_hat
             codes[r][rep] = curve.code
@@ -452,30 +533,38 @@ def _run_with_figure1(config: ExperimentConfig) -> tuple:
     return result, _write_figure1(result, runs)
 
 
-def _persist(result: MCResult) -> tuple:
+def _curves_csv(result: MCResult) -> str:
+    """The text of curves.csv: one row per (kind, r, replicate, level).
+
+    Cells are formatted as ``_write_csv`` formats them (``repr`` of a float,
+    "" for an undefined value), but from ``tolist()`` rows in one join.
+    """
     cfg = result.config
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    curve_rows = []
-    flag_count = 0
+    lines = ["replicate,kind,r,t,value,flag\n"]
     for kind, curves, codes in result.kinds():
         for r in cfg.r_list:
             if r not in curves:
                 continue
-            arr = curves[r]
-            code = codes[r]
-            flag_count += int(np.count_nonzero(code != ""))
-            for rep in range(cfg.replicates):
-                for j, t in enumerate(cfg.t_grid):
-                    val = arr[rep, j]
-                    curve_rows.append(
-                        (rep, kind, r, t, "" if np.isnan(val) else _fmt(float(val)), code[rep, j])
-                    )
-    curves_path = os.path.join(cfg.out_dir, "curves.csv")
-    _write_csv(
-        curves_path,
-        ["replicate", "kind", "r", "t", "value", "flag"],
-        curve_rows,
+            middles = [f"{kind},{r},{t!r}" for t in cfg.t_grid]
+            for rep, (values, flags) in enumerate(zip(curves[r].tolist(), codes[r].tolist())):
+                lines.extend(
+                    f"{rep},{mid},{'' if v != v else repr(v)},{flag}\n"
+                    for mid, v, flag in zip(middles, values, flags)
+                )
+    return "".join(lines)
+
+
+def _persist(result: MCResult) -> tuple:
+    cfg = result.config
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    flag_count = sum(
+        int(np.count_nonzero(code != ""))
+        for _, _, codes in result.kinds()
+        for code in codes.values()
     )
+    curves_path = os.path.join(cfg.out_dir, "curves.csv")
+    with open(curves_path, "w") as fh:
+        fh.write(_curves_csv(result))
     summary_path = os.path.join(cfg.out_dir, "summary.csv")
     cols = [
         "kind",

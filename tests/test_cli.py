@@ -391,3 +391,73 @@ def test_mc_bad_model_parameters_and_missing_keys_exit_1(tmp_path, capsys):
         assert rc == 1
         assert capsys.readouterr().err.startswith(err)
     assert not (tmp_path / "exp").exists()
+
+
+MM_MODEL = {"name": "mm", "coeffs": [1.0, 0.5], "beta1": 2.0, "beta2": 1.0, "c1": 1.0, "c2": 0.5}
+
+
+@pytest.mark.parametrize(
+    "overrides, err",
+    [
+        ({"model": "iid"}, "model must be an object, got 'iid'"),
+        ({"r_list": 5}, "config key 'r_list' must be a list, got 5"),
+        ({"model": {**MM_MODEL, "coeffs": 1.0}}, "model key 'coeffs' must be a list, got 1.0"),
+        ({"run_lengths": 5}, "config key 'run_lengths' must be a list, got 5"),
+    ],
+    ids=["model_string", "r_list_scalar", "coeffs_scalar", "run_lengths_scalar"],
+)
+def test_mc_wrongly_typed_config_value_exits_1(tmp_path, capsys, overrides, err):
+    config = {"model": {"name": "iid"}, "n": 200, "r_list": [5], "k": 20, "t_grid": [0.5, 1.0],
+              "replicates": 2, **overrides}
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(config))
+    rc = dispatch(["mc", "--config", str(config_path), "--out", str(tmp_path / "exp")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"INVALID_ARGUMENT: {err}\n"
+    assert not (tmp_path / "exp").exists()
+
+
+def test_simulate_ignores_innovation_flags_for_models_without_one(capsys):
+    argv = ["simulate", "--model", "ar1_cauchy", "--phi", "0.6", "--n", "3"]
+    assert dispatch(argv) == 0
+    plain = capsys.readouterr().out
+    # AR(1) draws Cauchy innovations of its own, so the flag and its missing --alpha are moot
+    assert dispatch(argv + ["--innovation", "pareto"]) == 0
+    assert capsys.readouterr().out == plain
+    # the models that draw from --innovation still need its flags
+    rc = dispatch(["simulate", "--model", "iid", "--innovation", "pareto", "--n", "3"])
+    assert rc == 2
+    assert capsys.readouterr().err == "usage error: --alpha required for pareto innovation\n"
+
+
+def test_mc_builds_one_evaluator_per_replicate_and_r(tmp_path, monkeypatch):
+    from exindex import biascorrect, estimate
+
+    cfg = ex.ExperimentConfig(
+        model=ex.AR1Cauchy(phi=0.6),
+        n=400,
+        r_list=(5, 10, 20),
+        k=40,
+        t_grid=(0.25, 0.5, 1.0),
+        measure=ex.two_atom_measure(0.5, 1.0, 2.0),
+        replicates=4,
+    )
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(cfg.to_dict()))
+    argv = ["mc", "--config", str(config_path), "--out", str(tmp_path / "exp")]
+    assert dispatch(argv) == 0
+    plain = {p.name: p.read_bytes() for p in (tmp_path / "exp").iterdir()}
+
+    # a plain function in place of the class, as a tracing wrapper installs it
+    builds = []
+    build = estimate.BlocksEvaluator
+
+    def counted(*args, **kwargs):
+        builds.append(args[1:])
+        return build(*args, **kwargs)
+
+    for module in (estimate, biascorrect):
+        monkeypatch.setattr(module, "BlocksEvaluator", counted)
+    assert dispatch(argv) == 0
+    assert sorted(builds) == sorted((r, cfg.k) for r in cfg.r_list for _ in range(cfg.replicates))
+    assert {p.name: p.read_bytes() for p in (tmp_path / "exp").iterdir()} == plain

@@ -172,6 +172,74 @@ def test_config_rejects_unknown_model_and_innovation_keys():
         ex.model_from_dict({"name": "iid", "innovation": "gauss"})
 
 
+def test_measure_rejects_unknown_and_names_missing_keys():
+    base = dict(model={"name": "iid"}, n=1000, r_list=[5], k=50, t_grid=[0.5, 1.0])
+    two = {"kind": "two_atom", "p": 0.5, "q": 1.0, "a": 2.0}
+    prod = {"kind": "product", "kappa": 1.0, "a": 2.0, "b": 3.0, "m": 2}
+    embedded = small_config().to_dict()["measure"]
+    assert sorted(embedded) == ["atom_count", "atoms", "delta", "kind", "total_variation"]
+    cases = [
+        ({**two, "x": 3}, "^unknown measure keys: x$"),
+        ({**two, "kappa": 1.0, "b": 3.0}, "^unknown measure keys: b, kappa$"),
+        ({**prod, "p": 0.5}, "^unknown measure keys: p$"),
+        ({**prod, "kind": "product_construction", "q": 1.0}, "^unknown measure keys: q$"),
+        ({"kind": "file", "path": "mu.csv", "m": 2}, "^unknown measure keys: m$"),
+        ({**embedded, "p": 0.5}, "^unknown measure keys: p$"),
+        ({key: val for key, val in two.items() if key != "p"}, "^missing key 'p' in measure$"),
+        ({"q": 1.0, "a": 2.0}, "^missing key 'p' in measure$"),  # two_atom is the default kind
+        ({key: val for key, val in prod.items() if key != "kappa"},
+         "^missing key 'kappa' in measure$"),
+        ({"kind": "file"}, "^missing key 'path' in measure$"),
+        ({key: val for key, val in embedded.items() if key != "atoms"},
+         "^missing key 'atoms' in measure$"),
+        ({"kind": "normal", "p": 0.5}, "^unknown measure kind 'normal'$"),
+        ({**two, "p": "half"}, "^measure key 'p' must be a number, got 'half'$"),
+        ({**prod, "m": 2.5}, "^measure key 'm' must be an integer, got 2.5$"),
+        ({"kind": "file", "path": 0}, "^measure key 'path' must be a string, got 0$"),
+        (0.5, "^measure must be an object, got 0.5$"),
+    ]
+    for measure, message in cases:
+        with pytest.raises(ValueError, match=message):
+            ex.ExperimentConfig.from_dict({**base, "measure": measure})
+
+
+def test_measure_meta_json_form_roundtrips(tmp_path):
+    for mu in (ex.two_atom_measure(0.5, 1.0, 2.0), ex.product_measure(1.0, 2.0, 3.0, 4)):
+        cfg = small_config(measure=mu, delta=0.5, replicates=2, out_dir=str(tmp_path / "exp"))
+        ex.run(cfg)
+        written = json.loads((tmp_path / "exp" / "meta.json").read_text())["config"]
+        assert written["measure"]["atom_count"] == len(mu.atoms)
+        again = ex.ExperimentConfig.from_dict(written)
+        assert again.measure == mu and again.delta == 0.5
+        assert again.to_dict() == written
+
+
+def test_wrongly_typed_config_values_name_their_key():
+    base = dict(model={"name": "iid"}, n=1000, r_list=[5], k=50)
+    cases = [
+        ({**base, "n": [1000]}, r"^config key 'n' must be an integer, got \[1000\]$"),
+        ({**base, "k": 50.9}, "^config key 'k' must be an integer, got 50.9$"),  # not 50
+        ({**base, "replicates": 3.5}, "^config key 'replicates' must be an integer, got 3.5$"),
+        ({**base, "r_list": [5, 7.5]},
+         r"^config key 'r_list' must be a list of integers, got \[5, 7.5\]$"),
+        ({**base, "t_grid": 0.5}, "^config key 't_grid' must be a list, got 0.5$"),
+        ({**base, "t_grid": {"count": None}}, "^t_grid key 'count' must be an integer, got None$"),
+        ({**base, "replicates": None}, "^config key 'replicates' must be an integer, got None$"),
+        ({**base, "model": {"name": "wn", "psi": [0.6]}},
+         r"^model key 'psi' must be a number, got \[0.6\]$"),
+        ({**base, "model": {"name": "iid", "innovation": 2}},
+         "^innovation must be an object, got 2$"),
+    ]
+    for d, message in cases:
+        with pytest.raises(ValueError, match=message):
+            ex.ExperimentConfig.from_dict(d)
+    with pytest.raises(ValueError, match=r"^config must be an object, got \[1, 2\]$"):
+        ex.ExperimentConfig.from_dict([1, 2])
+    # an empty run_lengths list keeps meaning the default, r_list; whole floats are integers
+    assert ex.ExperimentConfig.from_dict({**base, "run_lengths": []}).run_lengths == (5,)
+    assert ex.ExperimentConfig.from_dict({**base, "k": 50.0}).k == 50
+
+
 def test_model_aliases_and_innovation_string_form():
     wn = ex.model_from_dict({"name": "random_repetition", "psi": 0.6, "innovation": "cauchy"})
     assert wn.to_dict() == {"name": "wn", "psi": 0.6, "innovation": {"name": "cauchy"}}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import exindex as ex
 from exindex.clusterproc import _level_sums
-from exindex.harness import _runs_curve_values
+from exindex.harness import MCResult, _curves_csv, _runs_curve_values
 
 TIES = "TIES_DETECTED"
 NO_EXC = "NO_EXCEEDANCES"
@@ -145,6 +145,22 @@ def test_corrected_curve_weight_scale_invariance(sample, mu, grid, lam):
     np.testing.assert_array_equal(scaled.theta_hat, base.theta_hat)
 
 
+@settings(max_examples=150, deadline=None)
+@given(samples(), measures(), grids)
+def test_curves_from_an_evaluator_equal_curves_from_the_series(sample, mu, grid):
+    x, r, k = sample
+    cfg = ex.EstimatorConfig(r=r, k=k)
+    ev = ex.BlocksEvaluator(x, r, k)
+    for from_series, from_evaluator in (
+        (ex.sweep(x, cfg, grid), ex.sweep(ev, cfg, grid)),
+        (ex.corrected_curve(x, cfg, mu, grid), ex.corrected_curve(ev, cfg, mu, grid)),
+    ):
+        np.testing.assert_array_equal(from_evaluator.k_t, from_series.k_t)
+        np.testing.assert_array_equal(from_evaluator.code, from_series.code)
+        np.testing.assert_array_equal(from_evaluator.theta_hat, from_series.theta_hat)
+        assert from_evaluator.n == from_series.n
+
+
 @st.composite
 def runs_cases(draw):
     """(x, run_length, thresholds): thresholds are sample values or levels around them."""
@@ -217,3 +233,71 @@ def test_level_sums_match_per_level_functionals(x, v, known, grid, data):
     hit, count = _level_sums(sb.blocks, levels)
     assert hit.tolist() == [ex.f_max(sb.blocks, t).sum() for t in levels]
     assert count.tolist() == [ex.g_count(sb.blocks, t).sum() for t in levels]
+
+
+def _fmt(x) -> str:
+    if isinstance(x, float):
+        return repr(float(x))
+    return str(x)
+
+
+def curves_csv_row_by_row(result):
+    """The reference curves.csv writer: one row tuple per point, each cell through ``_fmt``."""
+    cfg = result.config
+    rows = []
+    for kind, curves, codes in result.kinds():
+        for r in cfg.r_list:
+            if r not in curves:
+                continue
+            for rep in range(cfg.replicates):
+                for j, t in enumerate(cfg.t_grid):
+                    val = curves[r][rep, j]
+                    shown = "" if np.isnan(val) else _fmt(float(val))
+                    rows.append((rep, kind, r, t, shown, codes[r][rep, j]))
+    header = ["replicate", "kind", "r", "t", "value", "flag"]
+    return "".join(",".join(_fmt(x) for x in row) + "\n" for row in [header] + rows)
+
+
+cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, -0.0, 0.0, 0.1, 1 / 3, 5e-324, -2.2250738585072014e-308, 1e300]),
+)
+flags = st.sampled_from(["", TIES, NO_EXC, "DEGENERATE_DENOMINATOR"])
+
+
+@st.composite
+def mc_results(draw):
+    """An ``MCResult`` with arbitrary values and codes, with or without corrected curves."""
+    r_list = tuple(draw(st.lists(st.integers(1, 50), min_size=1, max_size=3, unique=True)))
+    level = st.one_of(st.floats(1e-9, 1.0), st.sampled_from([0.1, 0.2, 1 / 3, 0.7, 1.0]))
+    t_grid = sorted(draw(st.lists(level, min_size=1, max_size=5, unique=True)))
+    replicates = draw(st.integers(1, 4))
+    measured = draw(st.booleans())
+    cfg = ex.ExperimentConfig(
+        model=ex.AR1Cauchy(phi=0.6),
+        n=1000,
+        r_list=r_list,
+        k=100,
+        t_grid=t_grid,
+        measure=ex.two_atom_measure(0.5, 1.0, 2.0) if measured else None,
+        replicates=replicates,
+    )
+    shape = (replicates, len(t_grid))
+    size = replicates * len(t_grid)
+
+    def array(elements, dtype=float):
+        drawn = draw(st.lists(elements, min_size=size, max_size=size))
+        return np.array(drawn, dtype=dtype).reshape(shape)
+
+    def curves(keys):
+        return {r: array(cells) for r in keys}, {r: array(flags, object) for r in keys}
+
+    raw, raw_code = curves(r_list)
+    corrected, corrected_code = curves(r_list if measured else ())
+    return MCResult(cfg, raw, corrected, raw_code, corrected_code)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mc_results())
+def test_curves_csv_equals_the_row_by_row_writer(result):
+    assert _curves_csv(result) == curves_csv_row_by_row(result)
