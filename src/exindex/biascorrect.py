@@ -246,17 +246,16 @@ def _combine(w, hs, ht, eps_den):
     return num, den, np.abs(den) < eps_den
 
 
-def corrected_estimate(evaluator, mu: SignedMeasureAtoms, eps_den: float = None) -> float:
+def corrected_estimate(evaluator, mu: SignedMeasureAtoms) -> float:
     """Combine curve evaluations under mu into a bias-reduced point estimate.
 
     ``evaluator`` maps a level t in (0,1] to an estimate.  A near-zero
-    denominator (below eps_den, default 1e-8 times the total variation)
-    signals a constant or already bias-free curve, for which the combination
-    is 0/0; DegenerateDenominator is raised carrying the plug-in evaluation at
-    the largest atom coordinate as a usable fallback.
+    denominator (below 1e-8 times the total variation, as in
+    ``corrected_curve``) signals a constant or already bias-free curve, for
+    which the combination is 0/0; DegenerateDenominator is raised carrying the
+    plug-in evaluation at the largest atom coordinate as a usable fallback.
     """
-    if eps_den is None:
-        eps_den = 1e-8 * mu.total_variation
+    eps_den = 1e-8 * mu.total_variation
     cache = {}
 
     def ev(t):

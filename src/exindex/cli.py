@@ -36,6 +36,8 @@ from .estimate import (
     sweep,
 )
 from .harness import (
+    _INNOVATIONS,
+    _MODELS,
     ExperimentConfig,
     _run_with_figure1,
     model_from_dict,
@@ -45,7 +47,7 @@ from .harness import (
 )
 from .harness import figure1_bundle  # noqa: F401  (perfbench/layers.py traces this binding)
 from .oracle import bias_expansion_mm, bias_expansion_wn
-from .sim import IID, MovingMaxima, generate
+from .sim import IID, MovingMaxima, config_fields, generate
 
 __all__ = ["dispatch", "main"]
 
@@ -112,67 +114,50 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, help="tail exponent (pareto innovation)")
 
 
-def _innovation_dict(args) -> dict:
-    """The ``--innovation`` law and its flags, for the models that draw from one."""
-    inno = {"name": args.innovation}
-    if args.innovation == "pareto":
-        if args.alpha is None:
-            raise _Usage("--alpha required for pareto innovation")
-        inno["alpha"] = args.alpha
-    if args.innovation == "second_order_pareto":
-        for f in ("beta1", "beta2", "c1", "c2"):
-            if getattr(args, f) is None:
-                raise _Usage(f"--{f} required for second_order_pareto innovation")
-            inno[f] = getattr(args, f)
-    return inno
+def _model_dict(args, innovation=False) -> dict:
+    """Config form of ``--model`` (or of ``--innovation``), read from its flags.
 
-
-def _model_dict(args) -> dict:
-    name = args.model
+    Each constructor field of the chosen class is the flag of the same name,
+    checked in field order; ``--coeffs`` is a comma list and ``innovation``
+    is the ``--innovation`` law with its own flags.
+    """
+    name = args.innovation if innovation else args.model
+    cls = (_INNOVATIONS if innovation else _MODELS)[name]
+    owner = f"{cls.name} innovation" if innovation else f"the {cls.name} model"
     d = {"name": name}
-    if name == "iid":
-        d["innovation"] = _innovation_dict(args)
-    elif name in ("wn", "random_repetition"):
-        if args.psi is None:
-            raise _Usage("--psi required for the wn model")
-        d["psi"] = args.psi
-        d["innovation"] = _innovation_dict(args)
-    elif name == "ar1_cauchy":
-        if args.phi is None:
-            raise _Usage("--phi required for the ar1_cauchy model")
-        d["phi"] = args.phi
-    else:
-        for f in ("coeffs", "beta1", "beta2", "c1", "c2"):
-            if getattr(args, f) is None:
-                raise _Usage(f"--{f} required for the mm model")
-        d.update(
-            coeffs=[float(c) for c in args.coeffs.split(",") if c.strip()],
-            beta1=args.beta1,
-            beta2=args.beta2,
-            c1=args.c1,
-            c2=args.c2,
-        )
+    for key in config_fields(cls):
+        if key == "innovation":
+            d[key] = _model_dict(args, innovation=True)
+            continue
+        value = getattr(args, key)
+        if value is None:
+            raise _Usage(f"--{key} required for {owner}")
+        d[key] = [float(c) for c in value.split(",") if c.strip()] if key == "coeffs" else value
     return d
 
 
+def _flag_numbers(value: str, flag: str, fields: str) -> list:
+    """The comma-separated numbers given to ``flag``, one for each of ``fields``."""
+    try:
+        numbers = [float(p) for p in value.split(",")]
+    except ValueError:
+        numbers = []
+    if len(numbers) != len(fields.split(",")):
+        raise ValueError(f"{flag} takes the numbers {fields}, got {value!r}")
+    return numbers
+
+
 def _load_measure(args, flag="--measure"):
-    given = [
-        name
-        for name, val in (
-            (flag, getattr(args, "measure", None)),
-            ("--two-atom", getattr(args, "two_atom", None)),
-            ("--product", getattr(args, "product", None)),
-        )
-        if val
-    ]
+    given = [val for val in (args.measure, args.two_atom, args.product) if val]
     if len(given) != 1:
         raise _Usage(f"exactly one of {flag}, --two-atom, --product is required")
-    if getattr(args, "measure", None):
+    if args.measure:
         return read_measure_csv(args.measure)
-    if getattr(args, "two_atom", None):
-        p, q, a = (float(x) for x in args.two_atom.split(","))
-        return two_atom_measure(p, q, a)
-    kappa, a, b, m = (float(x) for x in args.product.split(","))
+    if args.two_atom:
+        return two_atom_measure(*_flag_numbers(args.two_atom, "--two-atom", "p,q,a"))
+    kappa, a, b, m = _flag_numbers(args.product, "--product", "kappa,a,b,m")
+    if not m.is_integer():
+        raise ValueError(f"--product m must be a whole number, got {m}")
     return product_measure(kappa, a, b, int(m))
 
 
@@ -228,10 +213,7 @@ def _cmd_correct(args) -> None:
 
 
 def _cmd_check_measure(args) -> None:
-    if getattr(args, "infile", None):
-        mu = read_measure_csv(args.infile)
-    else:
-        mu = _load_measure(args, flag="--in")
+    mu = _load_measure(args, flag="--in")
     probes = list(DEFAULT_DELTA_PROBE)
     if args.delta is not None and args.delta not in probes:
         probes.append(args.delta)
@@ -392,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_correct)
 
     p = sub.add_parser("check-measure", help="validate a signed measure")
-    p.add_argument("--in", dest="infile", help="measure CSV (s,t,w)")
+    p.add_argument("--in", dest="measure", help="measure CSV (s,t,w)")
     p.add_argument("--two-atom", dest="two_atom", help="p,q,a")
     p.add_argument("--product", help="kappa,a,b,m")
     p.add_argument("--delta", type=float, help="extra exponent to probe")

@@ -42,19 +42,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Block length ``r``, top-order-statistic budget ``k``, optional runs length."""
+    """Block length ``r`` and top-order-statistic budget ``k``."""
 
     r: int
     k: int
-    run_length: int | None = None
 
     def __post_init__(self):
         if self.r < 1:
             raise ValueError(f"r must be at least 1, got {self.r}")
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
-        if self.run_length is not None and self.run_length < 1:
-            raise ValueError(f"run_length must be at least 1, got {self.run_length}")
 
     def validate_for(self, n: int) -> None:
         if self.r > n:

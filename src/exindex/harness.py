@@ -16,7 +16,6 @@ corrected curves averaged with standard-deviation bands.
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 from dataclasses import dataclass, replace
@@ -45,6 +44,8 @@ from .sim import (
     StandardCauchy,
     Uniform01,
     UnitPareto,
+    _config_value,
+    config_fields,
     generate,
     substream,
 )
@@ -131,7 +132,7 @@ def _object(d, what: str) -> dict:
 def _from_dict(d: dict, registry: dict, what: str):
     """``registry[d["name"]]`` built from the other keys of ``d``.
 
-    Every constructor parameter is a required float key, except ``coeffs``
+    Every constructor field is a required float key, except ``coeffs``
     (a list of floats) and ``innovation`` (a law, uniform when omitted).
     Missing, unknown and wrongly typed keys raise ``ValueError`` naming them.
     """
@@ -139,12 +140,12 @@ def _from_dict(d: dict, registry: dict, what: str):
     cls = registry.get(str(name).lower().replace("-", "_"))
     if cls is None:
         raise ValueError(f"unknown {what} {name!r}")
-    params = inspect.signature(cls).parameters
-    unknown = sorted(set(d) - set(params) - {"name"})
+    keys = config_fields(cls)
+    unknown = sorted(set(d) - set(keys) - {"name"})
     if unknown:
         raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
     kwargs = {}
-    for key in params:
+    for key in keys:
         if key == "innovation":
             kwargs[key] = _innovation_from_dict(d.get(key))
         elif key == "coeffs":
@@ -275,6 +276,8 @@ class ExperimentConfig:
             raise ValueError(f"replicates must be at least 1, got {self.replicates}")
         if not self.r_list:
             raise ValueError("r_list must be nonempty")
+        if not self.t_grid:
+            raise ValueError("t_grid must be nonempty")
         for r in self.r_list:
             EstimatorConfig(r=r, k=self.k).validate_for(self.n)
         for t in self.t_grid:
@@ -288,7 +291,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = sorted(set(_object(d, "config")) - _CONFIG_KEYS)
+        unknown = sorted(set(_object(d, "config")) - set(_CONFIG_KEYS))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         measure, delta = _measure_from_dict(d.get("measure"))
@@ -318,26 +321,14 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "n": self.n,
-            "r_list": list(self.r_list),
-            "k": self.k,
-            "t_grid": list(self.t_grid),
-            "measure": _measure_to_dict(self.measure, self.delta),
-            "replicates": self.replicates,
-            "base_seed": self.base_seed,
-            "out_dir": self.out_dir,
-            "run_lengths": list(self.run_lengths),
-            "burn_in": self.burn_in,
-        }
+        """Every field as a model's config form writes it; ``delta`` goes inside ``measure``."""
+        out = {key: _config_value(getattr(self, key)) for key in _CONFIG_KEYS}
+        out["measure"] = _measure_to_dict(self.measure, self.delta)
+        return out
 
 
 # the top-level keys that to_dict writes and from_dict accepts
-_CONFIG_KEYS = frozenset(
-    ("model", "n", "r_list", "k", "t_grid", "measure", "replicates", "base_seed",
-     "out_dir", "run_lengths", "burn_in")
-)
+_CONFIG_KEYS = tuple(key for key in config_fields(ExperimentConfig) if key != "delta")
 
 
 def oracle_theta_nt(model, r: int, v: float, t):
@@ -691,19 +682,19 @@ class NormalityReport:
     degenerate: bool
 
 
-def _standardized_estimates(model, n, r, k, t, replicates, base_seed, burn_in):
-    v = k / n
-    target = oracle_theta_nt(model, r, v, t)
+def _standardized_estimates(cfg: ExperimentConfig):
+    """sqrt(n v) * t * (estimate - curve target) of each replicate with an estimate.
+
+    ``cfg`` has one block length and one level.
+    """
+    (r,), (t,) = cfg.r_list, cfg.t_grid
+    v = cfg.k / cfg.n
+    target = oracle_theta_nt(cfg.model, r, v, t)
     if target is None:
         raise ValueError("normality check needs a model with a closed-form curve target")
-    vals = np.empty(replicates)
-    est = EstimatorConfig(r=r, k=k)
-    grid = np.asarray([t])
-    for rep in range(replicates):
-        x = generate(model, n, substream(base_seed, rep), burn_in=burn_in)
-        vals[rep] = sweep(x.values, est, grid).theta_hat[0]
+    vals = _replicates(cfg)[0].raw[r][:, 0]
     vals = vals[~np.isnan(vals)]
-    return np.sqrt(n * v) * t * (vals - target)
+    return np.sqrt(cfg.n * v) * t * (vals - target)
 
 
 def normality_check(config: ExperimentConfig, t: float = None) -> NormalityReport:
@@ -716,28 +707,20 @@ def normality_check(config: ExperimentConfig, t: float = None) -> NormalityRepor
     data drive the limit variance to 0, so near-zero variance is reported as
     degenerate rather than failed.
     """
-    cfg = config
     if t is None:
-        t = max(cfg.t_grid)
-    r = cfg.r_list[0]
-    z1 = _standardized_estimates(
-        cfg.model, cfg.n, r, cfg.k, t, cfg.replicates, cfg.base_seed, cfg.burn_in
+        t = max(config.t_grid)
+    cfg = replace(
+        config, r_list=config.r_list[:1], t_grid=(t,), measure=None, out_dir=None
     )
+    z1 = _standardized_estimates(cfg)
     z2 = _standardized_estimates(
-        cfg.model,
-        2 * cfg.n,
-        r,
-        2 * cfg.k,
-        t,
-        cfg.replicates,
-        cfg.base_seed + 1,
-        cfg.burn_in,
+        replace(cfg, n=2 * cfg.n, k=2 * cfg.k, base_seed=cfg.base_seed + 1)
     )
     var1 = float(z1.var(ddof=1))
     var2 = float(z2.var(ddof=1))
     stat, pvalue = stats.normaltest(z1)
     return NormalityReport(
-        t=float(t),
+        t=cfg.t_grid[0],
         skewness=float(stats.skew(z1)),
         kurtosis_excess=float(stats.kurtosis(z1)),
         stat=float(stat),

@@ -16,7 +16,10 @@ models:
 Every model and every innovation law answers the same questions:
 ``sample(rng, size)`` draws values and ``to_dict()`` writes its config form
 under its config ``name``.  Each model also has ``marginal`` (its exact
-stationary law) and ``theta`` (its extremal index) properties.
+stationary law) and ``theta`` (its extremal index) properties.  The
+constructor fields, as :func:`config_fields` lists them, are the only list of
+a class's parameters: ``to_dict``, the config parser and the CLI model flags
+all read them.
 
 All generators are deterministic functions of (model, n, seed, burn_in).
 Replicate streams come from a counter-based generator keyed by
@@ -26,7 +29,7 @@ scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.signal import lfilter
@@ -41,9 +44,31 @@ __all__ = [
     "RandomRepetition",
     "MovingMaxima",
     "SeriesSample",
+    "config_fields",
     "substream",
     "generate",
 ]
+
+
+def config_fields(cls) -> tuple:
+    """Names of the constructor fields of dataclass ``cls``, in order."""
+    return tuple(f.name for f in fields(cls) if f.init)
+
+
+def _config_value(value):
+    """A field as a config form writes it: a law through its ``to_dict``, a tuple as a list."""
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    return list(value) if isinstance(value, tuple) else value
+
+
+class _ConfigForm:
+    """``to_dict``: the config ``name`` plus every constructor field."""
+
+    def to_dict(self) -> dict:
+        out = {"name": self.name}
+        out.update((key, _config_value(getattr(self, key))) for key in config_fields(type(self)))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -51,13 +76,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class Uniform01:
+@dataclass(frozen=True)
+class Uniform01(_ConfigForm):
     """Uniform distribution on (0, 1)."""
 
     name = "uniform"
-
-    def to_dict(self) -> dict:
-        return {"name": self.name}
 
     def cdf(self, x):
         return np.clip(x, 0.0, 1.0)
@@ -72,13 +95,11 @@ class Uniform01:
         return rng.random(size)
 
 
-class StandardCauchy:
+@dataclass(frozen=True)
+class StandardCauchy(_ConfigForm):
     """Standard Cauchy distribution (location 0, scale 1)."""
 
     name = "cauchy"
-
-    def to_dict(self) -> dict:
-        return {"name": self.name}
 
     def cdf(self, x):
         return 0.5 + np.arctan(x) / np.pi
@@ -94,7 +115,7 @@ class StandardCauchy:
 
 
 @dataclass(frozen=True)
-class UnitPareto:
+class UnitPareto(_ConfigForm):
     """Pareto distribution on [1, inf) with survival z^(-alpha)."""
 
     alpha: float = 1.0
@@ -103,9 +124,6 @@ class UnitPareto:
     def __post_init__(self):
         if not (self.alpha > 0 and np.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "alpha": self.alpha}
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -124,7 +142,7 @@ class UnitPareto:
 
 
 @dataclass(frozen=True)
-class SecondOrderPareto:
+class SecondOrderPareto(_ConfigForm):
     """Heavy-tailed distribution with survival c1 * z^(-b1) * (1 + c2 * z^(-b2)).
 
     The formula only pins down the tail; the body is the same expression
@@ -154,15 +172,6 @@ class SecondOrderPareto:
         if self.c2 == 0:
             raise ValueError("c2 must be nonzero")
         object.__setattr__(self, "z_min", self._solve_support_start())
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "c1": self.c1,
-            "c2": self.c2,
-        }
 
     def _raw_survival(self, z):
         return self.c1 * z ** (-self.beta1) * (1.0 + self.c2 * z ** (-self.beta2))
@@ -253,7 +262,7 @@ def _bisect_quantile(p, below, lo: float, hi: float):
 
 
 @dataclass(frozen=True)
-class IID:
+class IID(_ConfigForm):
     """Independent draws from ``innovation``."""
 
     innovation: object
@@ -270,12 +279,9 @@ class IID:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.innovation.sample(rng, size)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "innovation": self.innovation.to_dict()}
-
 
 @dataclass(frozen=True)
-class AR1Cauchy:
+class AR1Cauchy(_ConfigForm):
     """AR(1) recursion with standard Cauchy innovations; extremal index 1 - phi."""
 
     phi: float
@@ -299,12 +305,9 @@ class AR1Cauchy:
         values, _ = lfilter([1.0], [1.0, -self.phi], eps, zi=[self.phi * x0])
         return values
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "phi": self.phi}
-
 
 @dataclass(frozen=True)
-class RandomRepetition:
+class RandomRepetition(_ConfigForm):
     """Each innovation is repeated a geometric number of times; extremal index 1 - psi."""
 
     psi: float
@@ -330,12 +333,9 @@ class RandomRepetition:
         last = np.maximum.accumulate(pos)  # index of the innovation in force
         return z[last]
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "psi": self.psi, "innovation": self.innovation.to_dict()}
-
 
 @dataclass(frozen=True)
-class MovingMaxima:
+class MovingMaxima(_ConfigForm):
     """Moving maximum of scaled heavy-tailed innovations.
 
     ``coeffs`` are the nonnegative scale coefficients (psi_0, ..., psi_q),
@@ -387,16 +387,6 @@ class MovingMaxima:
             if coeff > 0:
                 np.maximum(values, coeff * z[q - j : q - j + size], out=values)
         return values
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "coeffs": list(self.coeffs),
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "c1": self.c1,
-            "c2": self.c2,
-        }
 
 
 @dataclass(frozen=True, eq=False)

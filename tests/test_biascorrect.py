@@ -134,13 +134,11 @@ def test_corrected_estimate_constant_curve_degenerates():
     assert err.value.code == "DEGENERATE_DENOMINATOR"
 
 
-def test_corrected_estimate_eps_den_override():
+def test_corrected_estimate_near_constant_curve_degenerates():
     mu = ex.two_atom_measure(0.5, 1.0, 2.0)
     evaluator = lambda t: 0.4 + 1e-12 * t
     with pytest.raises(ex.DegenerateDenominator):
-        ex.corrected_estimate(evaluator, mu)  # default eps_den = 2e-8
-    val = ex.corrected_estimate(evaluator, mu, eps_den=1e-16)
-    assert val == pytest.approx(0.4, abs=1e-3)
+        ex.corrected_estimate(evaluator, mu)  # threshold 1e-8 * total variation = 2e-8
 
 
 def test_corrected_estimate_product_measure_fractional_delta():

@@ -461,3 +461,102 @@ def test_mc_builds_one_evaluator_per_replicate_and_r(tmp_path, monkeypatch):
     assert dispatch(argv) == 0
     assert sorted(builds) == sorted((r, cfg.k) for r in cfg.r_list for _ in range(cfg.replicates))
     assert {p.name: p.read_bytes() for p in (tmp_path / "exp").iterdir()} == plain
+
+
+MM_FLAGS = ["--coeffs", "1,0.5", "--beta1", "2", "--beta2", "1", "--c1", "1", "--c2", "0.5"]
+SOP_FLAGS = ["--beta1", "2", "--beta2", "1", "--c1", "1", "--c2", "0.5"]
+
+
+def _without(flags, flag):
+    i = flags.index(flag)
+    return flags[:i] + flags[i + 2 :]
+
+
+@pytest.mark.parametrize(
+    "model_flags, message",
+    [
+        (["--model", "wn"], "--psi required for the wn model"),
+        (["--model", "random_repetition"], "--psi required for the wn model"),
+        # psi is checked before the innovation's flags, in field order
+        (["--model", "wn", "--innovation", "pareto"], "--psi required for the wn model"),
+        (["--model", "ar1_cauchy"], "--phi required for the ar1_cauchy model"),
+        (["--model", "moving_maxima"], "--coeffs required for the mm model"),
+        *[
+            (["--model", "mm", *_without(MM_FLAGS, flag)], f"{flag} required for the mm model")
+            for flag in MM_FLAGS[::2]
+        ],
+        (["--model", "iid", "--innovation", "pareto"], "--alpha required for pareto innovation"),
+        (
+            ["--model", "wn", "--psi", "0.6", "--innovation", "pareto"],
+            "--alpha required for pareto innovation",
+        ),
+        *[
+            (
+                ["--model", model, *extra, "--innovation", "second_order_pareto",
+                 *_without(SOP_FLAGS, flag)],
+                f"{flag} required for second_order_pareto innovation",
+            )
+            for model, extra in (("iid", []), ("wn", ["--psi", "0.6"]))
+            for flag in SOP_FLAGS[::2]
+        ],
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "oracle", "kernel"])
+def test_missing_model_flag_usage_messages(command, model_flags, message, capsys):
+    rest = {
+        "simulate": ["--n", "3"],
+        "oracle": ["--r", "5", "--v", "0.01", "--t", "0.5"],
+        "kernel": ["--s", "0.5", "--t", "1"],
+    }[command]
+    assert dispatch([command, *model_flags, *rest]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_check_measure_in_conflicts_with_other_measure_flags(tmp_path, capsys):
+    path = tmp_path / "mu.csv"
+    ex.write_measure_csv(ex.two_atom_measure(0.5, 1.0, 2.0), path)
+    for other in (["--product", "1,2,2,3"], ["--two-atom", "0.5,1,2"]):
+        assert dispatch(["check-measure", "--in", str(path), *other]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: exactly one of --in, --two-atom, --product is required\n"
+        )
+    assert dispatch(["check-measure", "--in", str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, flags, err",
+    [
+        ("correct", ["--product", "1,2,2,2.5"], "--product m must be a whole number, got 2.5"),
+        ("check-measure", ["--product", "1,2,2,0.5"],
+         "--product m must be a whole number, got 0.5"),
+        ("check-measure", ["--product", "1,2,2"],
+         "--product takes the numbers kappa,a,b,m, got '1,2,2'"),
+        ("correct", ["--two-atom", "0.5,1"], "--two-atom takes the numbers p,q,a, got '0.5,1'"),
+        ("check-measure", ["--two-atom", "0.5,1,x"],
+         "--two-atom takes the numbers p,q,a, got '0.5,1,x'"),
+    ],
+    ids=["fractional-m", "fractional-m-below-1", "three-product-values", "two-two-atom-values",
+         "non-number"],
+)
+def test_measure_flags_take_their_fields_and_a_whole_m(series_file, command, flags, err, capsys):
+    argv = [command]
+    if command == "correct":
+        argv += ["--series", series_file, "--r", "3", "--k", "4"]
+    assert dispatch([*argv, *flags]) == 1
+    assert capsys.readouterr().err == f"INVALID_ARGUMENT: {err}\n"
+    # a whole m given as a float is still accepted
+    assert dispatch(["check-measure", "--product", "1,2,2,2.0"]) == 0
+
+
+@pytest.mark.parametrize("grid", [[], {"count": 0}])
+@pytest.mark.parametrize("extra", [[], ["--normality"], ["--figure1"]])
+def test_mc_empty_grid_exits_1_before_writing(tmp_path, grid, extra, capsys):
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(
+        {"model": {"name": "wn", "psi": 0.6}, "n": 400, "r_list": [5], "k": 40,
+         "t_grid": grid, "replicates": 3}
+    ))
+    out = tmp_path / "out"
+    assert dispatch(["mc", "--config", str(config_path), "--out", str(out), *extra]) == 1
+    assert capsys.readouterr().err == "INVALID_ARGUMENT: t_grid must be nonempty\n"
+    assert not out.exists()

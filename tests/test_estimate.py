@@ -229,8 +229,6 @@ def test_estimator_config_validation():
         ex.EstimatorConfig(r=0, k=5)
     with pytest.raises(ValueError):
         ex.EstimatorConfig(r=2, k=0)
-    with pytest.raises(ValueError):
-        ex.EstimatorConfig(r=2, k=5, run_length=0)
     cfg = ex.EstimatorConfig(r=50, k=5)
     with pytest.raises(ValueError):
         cfg.validate_for(20)

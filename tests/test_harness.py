@@ -6,8 +6,11 @@ import os
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import exindex as ex
+from exindex import harness
+from exindex.sim import config_fields
 
 WN = ex.RandomRepetition(psi=0.6, innovation=ex.Uniform01())
 
@@ -27,6 +30,40 @@ def small_config(**overrides):
     return ex.ExperimentConfig(**base)
 
 
+# the config form of every registered model and innovation class
+CONFIG_FORMS = [
+    (ex.Uniform01(), {"name": "uniform"}),
+    (ex.StandardCauchy(), {"name": "cauchy"}),
+    (ex.UnitPareto(alpha=1.5), {"name": "pareto", "alpha": 1.5}),
+    (
+        ex.SecondOrderPareto(2.0, 1.0, 1.0, 0.5),
+        {"name": "second_order_pareto", "beta1": 2.0, "beta2": 1.0, "c1": 1.0, "c2": 0.5},
+    ),
+    (
+        ex.IID(innovation=ex.UnitPareto(alpha=1.5)),
+        {"name": "iid", "innovation": {"name": "pareto", "alpha": 1.5}},
+    ),
+    (
+        ex.RandomRepetition(psi=0.25, innovation=ex.SecondOrderPareto(2.0, 1.0, 1.0, 0.5)),
+        {
+            "name": "wn",
+            "psi": 0.25,
+            "innovation": {
+                "name": "second_order_pareto", "beta1": 2.0, "beta2": 1.0, "c1": 1.0, "c2": 0.5,
+            },
+        },
+    ),
+    (ex.AR1Cauchy(phi=0.6), {"name": "ar1_cauchy", "phi": 0.6}),
+    (
+        ex.MovingMaxima(coeffs=(1, 0.5, 0.25), beta1=2.0, beta2=1.0, c1=1.0, c2=0.5),
+        {"name": "mm", "coeffs": [1.0, 0.5, 0.25], "beta1": 2.0, "beta2": 1.0, "c1": 1.0,
+         "c2": 0.5},
+    ),
+]
+
+FORM_IDS = [type(law).__name__ for law, _ in CONFIG_FORMS]
+
+
 def test_config_dict_roundtrip(tmp_path):
     cfg = small_config(r_list=(5, 10), delta=0.5, base_seed=4)
     again = ex.ExperimentConfig.from_dict(cfg.to_dict())
@@ -43,9 +80,33 @@ def test_model_dict_roundtrip():
         ex.AR1Cauchy(phi=0.6),
         ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5),
     ]
+    # every registered model, and every innovation as the law of an iid model
+    models += [law if hasattr(law, "theta") else ex.IID(innovation=law) for law, _ in CONFIG_FORMS]
     for model in models:
         d = model.to_dict()
         assert ex.model_from_dict(d).to_dict() == d
+        assert ex.model_from_dict(d) == model  # field-less laws compare by value too
+
+
+def test_every_registered_class_has_a_recorded_config_form():
+    registered = {*harness._MODELS.values(), *harness._INNOVATIONS.values()}
+    assert registered == {type(law) for law, _ in CONFIG_FORMS}
+
+
+@pytest.mark.parametrize("law, form", CONFIG_FORMS, ids=FORM_IDS)
+def test_config_form_is_the_recorded_dict(law, form):
+    assert law.to_dict() == form  # a list is not equal to a tuple, so coeffs must be a list
+
+
+def test_config_fields_are_the_constructor_fields():
+    assert config_fields(ex.Uniform01) == ()
+    assert config_fields(ex.SecondOrderPareto) == ("beta1", "beta2", "c1", "c2")  # not z_min
+    assert config_fields(ex.MovingMaxima) == ("coeffs", "beta1", "beta2", "c1", "c2")
+    assert config_fields(ex.RandomRepetition) == ("psi", "innovation")
+    assert harness._CONFIG_KEYS == (
+        "model", "n", "r_list", "k", "t_grid", "measure", "replicates", "base_seed",
+        "out_dir", "run_lengths", "burn_in",
+    )
 
 
 def test_measure_spec_kinds(tmp_path):
@@ -399,6 +460,47 @@ def test_normality_check_iid_degenerates():
     report = ex.normality_check(cfg)
     assert report.degenerate
     assert report.variance < 0.15
+
+
+def test_normality_check_draws_the_replicates_a_direct_loop_draws():
+    """Each field equals the one computed from generate and sweep, replicate by replicate."""
+    cfg = ex.ExperimentConfig(
+        model=WN, n=2000, r_list=(10, 5), k=100, t_grid=(0.5, 1.0), replicates=40,
+        base_seed=3, burn_in=7, measure=ex.two_atom_measure(0.5, 1.0, 2.0),
+    )
+
+    def standardized(n, k, seed):
+        v = k / n
+        est = ex.EstimatorConfig(r=10, k=k)
+        vals = np.array([
+            ex.sweep(ex.generate(WN, n, ex.substream(seed, rep), burn_in=7).values, est, [1.0])
+            .theta_hat[0]
+            for rep in range(40)
+        ])
+        vals = vals[~np.isnan(vals)]
+        return np.sqrt(n * v) * 1.0 * (vals - ex.oracle_theta_nt(WN, 10, v, 1.0))
+
+    z1, z2 = standardized(2000, 100, 3), standardized(4000, 200, 4)
+    report = ex.normality_check(cfg)
+    stat, pvalue = stats.normaltest(z1)
+    assert report == ex.NormalityReport(
+        t=1.0,
+        skewness=float(stats.skew(z1)),
+        kurtosis_excess=float(stats.kurtosis(z1)),
+        stat=float(stat),
+        pvalue=float(pvalue),
+        variance=float(z1.var(ddof=1)),
+        variance_doubled=float(z2.var(ddof=1)),
+        variance_ratio=float(z2.var(ddof=1)) / float(z1.var(ddof=1)),
+        degenerate=bool(z1.var(ddof=1) < 0.1),
+    )
+
+
+def test_empty_grid_is_rejected():
+    base = dict(model={"name": "iid"}, n=1000, r_list=[5], k=50)
+    for grid in ([], {"count": 0}):
+        with pytest.raises(ValueError, match="^t_grid must be nonempty$"):
+            ex.ExperimentConfig.from_dict({**base, "t_grid": grid})
 
 
 def test_normality_check_needs_curve_target():
