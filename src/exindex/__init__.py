@@ -35,6 +35,7 @@ from .estimate import (
     ThresholdCurve,
     blocks_fixed,
     blocks_true_quantile,
+    check_grid,
     count_at,
     default_grid,
     runs_estimator,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, MeasureConditionError
-from .estimate import BlocksEvaluator, ThresholdCurve, check_evaluator, count_at
+from .estimate import BlocksEvaluator, ThresholdCurve, check_evaluator, check_grid, count_at
 
 __all__ = [
     "SignedMeasureAtoms",
@@ -278,19 +278,17 @@ def corrected_curve(x, cfg, mu: SignedMeasureAtoms, t_grid) -> ThresholdCurve:
     """Corrected estimate per threshold level, via the measure scaled to each level.
 
     ``x`` is a series, or an evaluator (anything with ``at_counts``) already
-    built for ``cfg``'s r and k.  At grid level t the measure is shrunk to
-    atoms (t s, t s', w), as scale_measure(mu, t) does, so all atom levels sit
-    at or below t; the blocks curve is evaluated at every level of
-    outer(grid, atom levels) in one call.  A level takes the code of its first
-    undefined atom level, in the order s1, t1, s2, t2, ..., else
-    ``DEGENERATE_DENOMINATOR`` when the denominator falls below 1e-8 times the
-    total variation; such levels are NaN, not interpolated.
+    built for ``cfg``'s r and k, and ``t_grid`` must pass ``check_grid``.  At
+    grid level t the measure is shrunk to atoms (t s, t s', w), as
+    scale_measure(mu, t) does, so all atom levels sit at or below t; the
+    blocks curve is evaluated at every level of outer(grid, atom levels) in
+    one call.  A level takes the code of its first undefined atom level, in
+    the order s1, t1, s2, t2, ..., else ``DEGENERATE_DENOMINATOR`` when the
+    denominator falls below 1e-8 times the total variation; such levels are
+    NaN, not interpolated.
     """
+    grid = check_grid(t_grid)
     ev = check_evaluator(x, cfg) if hasattr(x, "at_counts") else BlocksEvaluator(x, cfg.r, cfg.k)
-    grid = np.asarray(t_grid, dtype=float)
-    outside = grid[~((grid > 0.0) & (grid <= 1.0))]
-    if outside.size:
-        raise ValueError(f"t0 must lie in (0, 1], got {outside[0]}")
     s, t, w = mu.arrays()
     levels = np.outer(grid, np.column_stack([s, t]).ravel())
     values, codes = ev.at_counts(count_at(cfg.k, levels))

@@ -73,8 +73,8 @@ def _emit(lines, out) -> None:
         sys.stdout.write(text)
 
 
-def _parse_grid(spec, k):
-    """Comma list of levels, single level, or an integer count meaning j/N."""
+def _parse_grid(spec):
+    """Comma list of levels, single level, or an integer count N meaning j/N."""
     if spec is None:
         return None
     s = str(spec).strip()
@@ -85,7 +85,7 @@ def _parse_grid(spec, k):
     count = int(s)
     if count < 1:
         raise _Usage(f"grid count must be positive, got {count}")
-    return (np.arange(1, count + 1) / count).tolist()
+    return default_grid(count)
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +94,7 @@ def _parse_grid(spec, k):
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--model",
-        required=True,
-        choices=["iid", "wn", "random_repetition", "ar1_cauchy", "mm", "moving_maxima"],
-    )
+    p.add_argument("--model", required=True, choices=list(_MODELS))
     p.add_argument("--psi", type=float, help="repeat probability (wn)")
     p.add_argument("--phi", type=float, help="autoregression coefficient (ar1_cauchy)")
     p.add_argument("--coeffs", help="comma-separated coefficients (mm)")
@@ -106,11 +102,7 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta2", type=float)
     p.add_argument("--c1", type=float)
     p.add_argument("--c2", type=float)
-    p.add_argument(
-        "--innovation",
-        default="uniform",
-        choices=["uniform", "cauchy", "pareto", "second_order_pareto"],
-    )
+    p.add_argument("--innovation", default="uniform", choices=list(_INNOVATIONS))
     p.add_argument("--alpha", type=float, help="tail exponent (pareto innovation)")
 
 
@@ -132,7 +124,12 @@ def _model_dict(args, innovation=False) -> dict:
         value = getattr(args, key)
         if value is None:
             raise _Usage(f"--{key} required for {owner}")
-        d[key] = [float(c) for c in value.split(",") if c.strip()] if key == "coeffs" else value
+        try:
+            d[key] = [float(c) for c in value.split(",") if c.strip()] if key == "coeffs" else value
+        except ValueError:
+            raise ValueError(
+                f"--coeffs takes comma-separated numbers for {owner}, got {value!r}"
+            ) from None
     return d
 
 
@@ -194,17 +191,14 @@ def _curve_lines(curve):
 def _cmd_sweep(args) -> None:
     x = _read_series(args.series)
     cfg = EstimatorConfig(r=args.r, k=args.k)
-    grid = _parse_grid(args.grid, args.k)
-    if grid is None:
-        grid = default_grid(args.k).tolist()
-    _emit(_curve_lines(sweep(x, cfg, grid)), args.out)
+    _emit(_curve_lines(sweep(x, cfg, _parse_grid(args.grid))), args.out)
 
 
 def _cmd_correct(args) -> None:
     x = _read_series(args.series)
     cfg = EstimatorConfig(r=args.r, k=args.k)
     mu = _load_measure(args)
-    grid = _parse_grid(args.grid, args.k)
+    grid = _parse_grid(args.grid)
     if grid is None:
         val = corrected_estimate(BlocksEvaluator(x, cfg.r, cfg.k), mu)
         _emit([_fmt(val)], args.out)

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import sim
-from .estimate import BlocksEvaluator, EstimatorConfig, _values
+from .estimate import BlocksEvaluator, EstimatorConfig, _values, check_grid
 
 __all__ = [
     "StandardizedBlocks",
@@ -141,21 +141,6 @@ def _level_sums(blocks: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.nd
     return hit.astype(float), count.astype(float)
 
 
-def _check_grid(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if (
-        grid.ndim != 1
-        or grid.size == 0
-        or not np.isfinite(grid).all()
-        or np.any(np.diff(grid) <= 0)
-        or not 0.0 < grid[0] <= grid[-1] <= 1.0
-    ):
-        raise ValueError(
-            f"grid must be finite, strictly increasing and inside (0, 1], got {grid}"
-        )
-    return grid
-
-
 @dataclass(frozen=True, eq=False)
 class ProcessPath:
     grid: np.ndarray
@@ -175,7 +160,7 @@ def process_path(sb: StandardizedBlocks, family: str, grid, centering) -> Proces
         raise ValueError(f"family must be 'max' or 'count', got {family!r}")
     if centering is None:
         raise ValueError("centering is required (exact value or cross-replicate mean)")
-    grid = _check_grid(grid)
+    grid = check_grid(grid)
     if callable(centering):
         expected = np.array([float(centering(t)) for t in grid])
         mode = "model_oracle"
@@ -274,7 +259,7 @@ class MCGrid:
     """
 
     def __init__(self, grid, c_mat, cg_mat, cfg_mat, theta: float):
-        self.grid = _check_grid(grid)
+        self.grid = check_grid(grid)
         self.theta = theta
         self._ext = np.concatenate([[0.0], self.grid])
         self._c = self._pad(c_mat)
@@ -330,7 +315,7 @@ def estimate_kernel_mc(
     """
     if replicates < 100:
         raise ValueError(f"need at least 100 replicates, got {replicates}")
-    grid = _check_grid(grid)
+    grid = check_grid(grid)
     v = cfg.v(n)
     sf = np.zeros((replicates, grid.size))
     sg = np.zeros((replicates, grid.size))

@@ -37,6 +37,8 @@ __all__ = [
     "runs_estimator",
     "sweep",
     "default_grid",
+    "check_grid",
+    "check_run_length",
 ]
 
 
@@ -82,7 +84,7 @@ class ThresholdCurve:
     k_t: np.ndarray
     theta_hat: np.ndarray
     code: np.ndarray
-    variant: str  # empirical_quantile | true_quantile | corrected
+    variant: str  # empirical_quantile | corrected
     config: EstimatorConfig
     n: int
 
@@ -135,12 +137,17 @@ def blocks_fixed(x, r: int, u: float) -> float:
     return hit / exceed
 
 
+def check_run_length(run_length: int, n: int) -> None:
+    """Reject a run length the runs estimator cannot use on a series of length ``n``."""
+    if not 1 <= run_length < n:
+        raise ValueError(f"need 1 <= run_length < n, got run_length={run_length}, n={n}")
+
+
 def runs_estimator(x, run_length: int, u: float) -> float:
     """Runs estimate at a fixed threshold ``u``."""
     xs = _values(x)
     n = len(xs)
-    if not 1 <= run_length < n:
-        raise ValueError(f"need 1 <= run_length < n, got run_length={run_length}, n={n}")
+    check_run_length(run_length, n)
     exc = xs > u
     stop = n - run_length
     denom = int(np.count_nonzero(exc[:stop]))
@@ -248,23 +255,39 @@ def default_grid(k: int) -> np.ndarray:
     return np.arange(1, k + 1) / k
 
 
+def check_grid(grid, what: str = "grid") -> np.ndarray:
+    """``grid`` as a float array, once it passes the one rule for threshold grids.
+
+    A grid is 1-D, nonempty, finite, strictly increasing and inside (0, 1];
+    ``what`` names it in the ``ValueError`` that a bad one raises.
+    """
+    levels = np.asarray(grid, dtype=float)
+    if levels.size == 0:
+        raise ValueError(f"{what} must be nonempty")
+    if (
+        levels.ndim != 1
+        or not np.isfinite(levels).all()
+        or np.any(np.diff(levels) <= 0)
+        or not 0.0 < levels[0] <= levels[-1] <= 1.0
+    ):
+        raise ValueError(
+            f"{what} must be finite, strictly increasing and inside (0, 1], got {levels}"
+        )
+    return levels
+
+
 def sweep(x, cfg: EstimatorConfig, grid=None) -> ThresholdCurve:
     """Evaluate the empirical-threshold blocks estimator on a grid of t values.
 
     ``x`` is a series, or an evaluator (anything with ``at_counts``) already
-    built for ``cfg``'s r and k.  Grid points where the estimate is undefined
-    (no exceedance inside the blocks, or a threshold tie) keep their place in
-    the curve with a NaN value and the error code, instead of silently
-    disappearing.
+    built for ``cfg``'s r and k.  ``grid`` defaults to ``default_grid(k)``; any
+    other grid must pass ``check_grid``.  Grid points where the estimate is
+    undefined (no exceedance inside the blocks, or a threshold tie) keep their
+    place in the curve with a NaN value and the error code, instead of
+    silently disappearing.
     """
+    grid = default_grid(cfg.k) if grid is None else check_grid(grid)
     ev = check_evaluator(x, cfg) if hasattr(x, "at_counts") else BlocksEvaluator(x, cfg.r, cfg.k)
-    if grid is None:
-        grid = default_grid(cfg.k)
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0.0) or np.any(grid > 1.0):
-        raise ValueError("grid values must lie in (0, 1]")
-    if np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be sorted ascending")
     k_t = count_at(cfg.k, grid)
     values, codes = ev.at_counts(k_t)
     return ThresholdCurve(

@@ -32,7 +32,7 @@ from .biascorrect import (
     read_measure_csv,
     two_atom_measure,
 )
-from .estimate import EstimatorConfig, count_at, sweep
+from .estimate import EstimatorConfig, check_grid, check_run_length, count_at, sweep
 from .estimate import runs_estimator  # noqa: F401  (perfbench/layers.py traces this binding)
 from .oracle import theta_nt_mm_exact, theta_nt_wn
 from .sim import (
@@ -224,15 +224,13 @@ def _measure_from_dict(d):
 def _measure_to_dict(mu: SignedMeasureAtoms, delta: float):
     if mu is None:
         return None
-    out = {
+    return {
         "kind": mu.provenance,
         "delta": delta,
         "atom_count": len(mu.atoms),
         "total_variation": mu.total_variation,
+        "atoms": [list(atom) for atom in mu.atoms],
     }
-    if len(mu.atoms) <= 64:
-        out["atoms"] = [list(atom) for atom in mu.atoms]
-    return out
 
 
 def _grid_from_spec(spec, k: int):
@@ -265,7 +263,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "r_list", tuple(int(r) for r in self.r_list))
-        object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
+        object.__setattr__(self, "t_grid", tuple(check_grid(self.t_grid, "t_grid").tolist()))
         if self.run_lengths is None:
             object.__setattr__(self, "run_lengths", self.r_list)
         else:
@@ -276,16 +274,8 @@ class ExperimentConfig:
             raise ValueError(f"replicates must be at least 1, got {self.replicates}")
         if not self.r_list:
             raise ValueError("r_list must be nonempty")
-        if not self.t_grid:
-            raise ValueError("t_grid must be nonempty")
         for r in self.r_list:
             EstimatorConfig(r=r, k=self.k).validate_for(self.n)
-        for t in self.t_grid:
-            if not 0.0 < t <= 1.0:
-                raise ValueError(f"grid levels must lie in (0, 1], got {t}")
-        for lo, hi in zip(self.t_grid, self.t_grid[1:]):
-            if not lo < hi:
-                raise ValueError(f"t_grid must be strictly increasing, got {lo} then {hi}")
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
 
@@ -399,22 +389,17 @@ class MCResult:
                     else cfg.model.theta
                 )
                 refs = np.broadcast_to(np.nan if refs is None else refs, len(cfg.t_grid))
-                for j, t in enumerate(cfg.t_grid):
-                    col = arr[:, j]
-                    used = col[~np.isnan(col)]
-                    ref = float(refs[j])
-                    mean = float(used.mean()) if used.size else np.nan
-                    sd = float(used.std(ddof=1)) if used.size > 1 else np.nan
+                for t, ref, (used, mean, sd) in zip(cfg.t_grid, refs.tolist(), _column_stats(arr)):
                     rows.append(
                         {
                             "kind": kind,
                             "r": r,
                             "t": t,
                             "n_used": int(used.size),
-                            "n_skipped": int(np.isnan(col).sum()),
+                            "n_skipped": len(arr) - int(used.size),
                             "mean": mean,
                             "sd": sd,
-                            "reference": float(ref),
+                            "reference": ref,
                             "bias": mean - ref if used.size else np.nan,
                             "rmse": float(np.sqrt(((used - ref) ** 2).mean()))
                             if used.size and not np.isnan(ref)
@@ -422,6 +407,21 @@ class MCResult:
                         }
                     )
         return rows
+
+
+def _column_stats(arr: np.ndarray) -> list:
+    """(used, mean, sd) of the non-NaN values in each column of ``arr``.
+
+    ``mean`` is ``used.mean()`` (NaN if none), ``sd`` ``used.std(ddof=1)`` (NaN if
+    fewer than two); summary.csv and the figure bands both read them.
+    """
+    out = []
+    for col in arr.T:
+        used = col[~np.isnan(col)]
+        mean = float(used.mean()) if used.size else np.nan
+        sd = float(used.std(ddof=1)) if used.size > 1 else np.nan
+        out.append((used, mean, sd))
+    return out
 
 
 def _fmt(x) -> str:
@@ -483,6 +483,8 @@ def _replicates(cfg: ExperimentConfig, run_lengths=()) -> tuple:
     ``runs[run_length]`` is a (replicates x grid) value array with NaN where
     the runs estimate is undefined.
     """
+    for run_length in run_lengths:
+        check_run_length(run_length, cfg.n)
     grid = np.asarray(cfg.t_grid)
     raw = _new_curves(cfg, cfg.r_list)
     corrected = _new_curves(cfg, cfg.r_list if cfg.measure is not None else ())
@@ -594,12 +596,10 @@ def _runs_curve_values(values, run_length: int, thresholds) -> np.ndarray:
     With M_i the maximum of the ``run_length`` values after X_i, a run ends at
     exceedance i iff M_i <= u.  Over i < n - run_length, the denominator is
     #{X_i > u} and the numerator that minus #{min(X_i, M_i) > u}; both counts
-    come from one binary search per threshold on a sorted array.
+    come from one binary search per threshold on a sorted array.  ``_replicates``
+    checks ``run_length`` once, before it simulates any replicate.
     """
-    n = len(values)
-    if not 1 <= run_length < n:
-        raise ValueError(f"need 1 <= run_length < n, got run_length={run_length}, n={n}")
-    stop = n - run_length
+    stop = len(values) - run_length
     starts = values[:stop]
     after = values[1 : stop + 1].copy()
     for j in range(2, run_length + 1):
@@ -628,22 +628,17 @@ def _write_figure1(result: MCResult, runs: dict) -> tuple:
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     def band_rows(curves):
-        rows = []
-        for key in sorted(curves):
-            arr = curves[key]
-            for j, t in enumerate(cfg.t_grid):
-                col = arr[:, j]
-                used = col[~np.isnan(col)]
-                rows.append(
-                    (
-                        key,
-                        t,
-                        _fmt(float(used.mean())) if used.size else "",
-                        _fmt(float(used.std(ddof=1))) if used.size > 1 else "",
-                        int(used.size),
-                    )
-                )
-        return rows
+        return [
+            (
+                key,
+                t,
+                _fmt(mean) if used.size else "",
+                _fmt(sd) if used.size > 1 else "",
+                int(used.size),
+            )
+            for key in sorted(curves)
+            for t, (used, mean, sd) in zip(cfg.t_grid, _column_stats(curves[key]))
+        ]
 
     paths = []
     for fname, curves, param in (

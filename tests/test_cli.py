@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import exindex as ex
+from exindex import harness
 from exindex.cli import dispatch
 
 SERIES = [5.0, 1.0, 4.0, 2.0, 3.0, 6.0]
@@ -534,9 +535,12 @@ def test_check_measure_in_conflicts_with_other_measure_flags(tmp_path, capsys):
         ("correct", ["--two-atom", "0.5,1"], "--two-atom takes the numbers p,q,a, got '0.5,1'"),
         ("check-measure", ["--two-atom", "0.5,1,x"],
          "--two-atom takes the numbers p,q,a, got '0.5,1,x'"),
+        ("simulate", ["--model", "mm", "--coeffs", "1,x", "--beta1", "2", "--beta2", "1",
+                      "--c1", "1", "--c2", "0.5", "--n", "3"],
+         "--coeffs takes comma-separated numbers for the mm model, got '1,x'"),
     ],
     ids=["fractional-m", "fractional-m-below-1", "three-product-values", "two-two-atom-values",
-         "non-number"],
+         "non-number", "non-number-coeffs"],
 )
 def test_measure_flags_take_their_fields_and_a_whole_m(series_file, command, flags, err, capsys):
     argv = [command]
@@ -559,4 +563,69 @@ def test_mc_empty_grid_exits_1_before_writing(tmp_path, grid, extra, capsys):
     out = tmp_path / "out"
     assert dispatch(["mc", "--config", str(config_path), "--out", str(out), *extra]) == 1
     assert capsys.readouterr().err == "INVALID_ARGUMENT: t_grid must be nonempty\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, flag",
+    [
+        ([], ","),
+        ([0.5, 0.5], "0.5,0.5"),
+        ([1.0, 0.5], "1.0,0.5"),
+        ([[0.5, 1.0]], None),  # the CLI cannot spell a 2-D grid
+        (0.5, None),  # nor a scalar one: "--grid 0.5" is the list [0.5]
+        ([float("nan")], "nan,"),
+        ([0.0, 0.5], "0.0,0.5"),
+        ([0.5, 1.5], "0.5,1.5"),
+    ],
+    ids=["empty", "repeated", "descending", "2-d", "scalar", "nan", "zero", "above-one"],
+)
+def test_every_entry_point_rejects_a_bad_grid_alike(series_file, grid, flag, capsys):
+    x = np.asarray(SERIES)
+    cfg = ex.EstimatorConfig(r=3, k=4)
+    mu = ex.two_atom_measure(0.5, 1.0, 2.0)
+    sb = ex.standardize(x, v=0.5, r=3)
+    calls = [
+        lambda: ex.sweep(x, cfg, grid),
+        lambda: ex.corrected_curve(x, cfg, mu, grid),
+        lambda: ex.estimate_kernel_mc(ex.IID(ex.Uniform01()), 1000, ex.EstimatorConfig(r=5, k=20), grid,
+                                      replicates=100, seed=0),
+        lambda: ex.MCGrid(grid, np.eye(2), np.eye(2), np.eye(2), 1.0),
+        lambda: ex.process_path(sb, "max", grid, lambda t: 0.0),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        messages.add(str(err.value))
+    (message,) = messages
+    assert message == "grid must be nonempty" or message.startswith(
+        "grid must be finite, strictly increasing and inside (0, 1], got "
+    )
+    base = dict(model={"name": "iid"}, n=1000, r_list=[5], k=50)
+    with pytest.raises(ValueError, match="t_grid"):
+        ex.ExperimentConfig.from_dict({**base, "t_grid": grid})
+    if flag is None:
+        return
+    series = ["--series", series_file, "--r", "3", "--k", "4", "--grid", flag]
+    for argv in (["sweep", *series], ["correct", *series, "--two-atom", "0.5,1,2"]):
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == f"INVALID_ARGUMENT: {message}\n"
+
+
+@pytest.mark.parametrize("run_length", [0, -3, 400])
+def test_mc_bad_run_length_exits_1_before_simulating(tmp_path, run_length, monkeypatch, capsys):
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(
+        {"model": {"name": "wn", "psi": 0.6}, "n": 400, "r_list": [5], "k": 40,
+         "run_lengths": [5, run_length], "replicates": 3}
+    ))
+    calls = []
+    monkeypatch.setattr(harness, "generate", lambda *a, **kw: calls.append(a))
+    out = tmp_path / "out"
+    assert dispatch(["mc", "--config", str(config_path), "--out", str(out), "--figure1"]) == 1
+    assert capsys.readouterr().err == (
+        f"INVALID_ARGUMENT: need 1 <= run_length < n, got run_length={run_length}, n=400\n"
+    )
+    assert calls == []
     assert not out.exists()

@@ -265,7 +265,11 @@ def test_measure_rejects_unknown_and_names_missing_keys():
 
 
 def test_measure_meta_json_form_roundtrips(tmp_path):
-    for mu in (ex.two_atom_measure(0.5, 1.0, 2.0), ex.product_measure(1.0, 2.0, 3.0, 4)):
+    for mu in (
+        ex.two_atom_measure(0.5, 1.0, 2.0),
+        ex.product_measure(1.0, 2.0, 3.0, 4),
+        ex.product_measure(1.0, 2.0, 3.0, 8),  # 128 atoms
+    ):
         cfg = small_config(measure=mu, delta=0.5, replicates=2, out_dir=str(tmp_path / "exp"))
         ex.run(cfg)
         written = json.loads((tmp_path / "exp" / "meta.json").read_text())["config"]

@@ -36,7 +36,7 @@ def samples(draw):
 
 
 levels = st.floats(1e-3, 1.0)
-grids = st.lists(levels, min_size=1, max_size=12).map(sorted)
+grids = st.lists(levels, min_size=1, max_size=12, unique=True).map(sorted)
 
 
 def brute_force(x, r, k, t):
@@ -143,6 +143,19 @@ def test_corrected_curve_weight_scale_invariance(sample, mu, grid, lam):
     scaled = ex.corrected_curve(x, cfg, mu.scaled_weights(lam), grid)
     np.testing.assert_array_equal(scaled.code, base.code)
     np.testing.assert_array_equal(scaled.theta_hat, base.theta_hat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples(), measures(), grids)
+def test_symmetrizing_the_measure_leaves_the_corrected_curve(sample, mu, grid):
+    # the swapped atoms repeat every term of both sums, so the ratio stays put
+    x, r, k = sample
+    cfg = ex.EstimatorConfig(r=r, k=k)
+    base = ex.corrected_curve(x, cfg, mu, grid)
+    sym = ex.corrected_curve(x, cfg, mu.symmetrized(), grid)
+    np.testing.assert_array_equal(sym.code, base.code)
+    for got, want in zip(sym.theta_hat, base.theta_hat):
+        assert math.isclose(got, want, rel_tol=1e-9) or (math.isnan(got) and math.isnan(want))
 
 
 @settings(max_examples=150, deadline=None)
