@@ -82,10 +82,7 @@ def _parse_grid(spec):
         return [float(p) for p in s.split(",") if p.strip()]
     if any(ch in s for ch in ".eE"):
         return [float(s)]
-    count = int(s)
-    if count < 1:
-        raise _Usage(f"grid count must be positive, got {count}")
-    return default_grid(count)
+    return default_grid(int(s))
 
 
 # ---------------------------------------------------------------------------

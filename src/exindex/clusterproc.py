@@ -256,6 +256,9 @@ class MCGrid:
 
     The grid is implicitly extended by t = 0 where every path (and hence every
     covariance) vanishes, so evaluation is defined on [0, max(grid)]^2.
+
+    From :func:`estimate_kernel_mc` in rank mode, ``c_g`` and ``c_fg`` are
+    exactly 0 whenever r divides n; only ``c`` is meaningful there.
     """
 
     def __init__(self, grid, c_mat, cg_mat, cfg_mat, theta: float):
@@ -312,6 +315,12 @@ def estimate_kernel_mc(
     covariance matrices (combined, count-count, and indicator-count cross) as
     an interpolating kernel.  theta is the Monte Carlo mean of the blocks
     estimate at t = 1.
+
+    In rank mode (``marginal_cdf=None``) the thresholds are empirical: the
+    count sum over blocks at each level is the number of top-ranked values
+    among the covered ones, which is fixed when r divides n.  Z_g then has no
+    variance, so ``c_g`` and ``c_fg`` are exactly 0 at every level and only
+    ``c`` is meaningful; pass ``marginal_cdf`` for the count kernels.
     """
     if replicates < 100:
         raise ValueError(f"need at least 100 replicates, got {replicates}")

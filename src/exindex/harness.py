@@ -21,7 +21,6 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from . import estimate
 from ._version import __version__
@@ -702,6 +701,8 @@ def normality_check(config: ExperimentConfig, t: float = None) -> NormalityRepor
     data drive the limit variance to 0, so near-zero variance is reported as
     degenerate rather than failed.
     """
+    from scipy import stats  # loaded here, so no other run imports scipy
+
     if t is None:
         t = max(config.t_grid)
     cfg = replace(

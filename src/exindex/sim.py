@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "StandardCauchy",
@@ -212,12 +211,28 @@ class SecondOrderPareto(_ConfigForm):
         return 1.0 - self.survival(x)
 
     def quantile(self, p):
-        return _bisect_quantile(
-            p,
-            lambda z, q: self._raw_survival(z) >= 1.0 - q,
-            self.z_min,
-            max(2.0 * self.z_min, 2.0),
-        )
+        return _bisect_quantile(p, self._tail_test, self.z_min, max(2.0 * self.z_min, 2.0))
+
+    def _tail_test(self, p):
+        """``below`` for :func:`_bisect_quantile`: writes ``_raw_survival(z) >= 1 - p``.
+
+        The survival is evaluated into two scratch arrays in the operation
+        order of ``_raw_survival``, so it has the same bits without allocating.
+        """
+        level = 1.0 - p
+        s = np.empty_like(p)
+        t = np.empty_like(p)
+
+        def below(z, out):
+            np.power(z, -self.beta1, out=s)
+            np.multiply(self.c1, s, out=s)
+            np.power(z, -self.beta2, out=t)
+            np.multiply(self.c2, t, out=t)
+            np.add(1.0, t, out=t)
+            np.multiply(s, t, out=s)
+            return np.greater_equal(s, level, out=out)
+
+        return below
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
@@ -225,33 +240,53 @@ class SecondOrderPareto(_ConfigForm):
         return self.quantile(u)
 
 
-def _bisect_quantile(p, below, lo: float, hi: float):
+def _bisect_quantile(p, below_for, lo: float, hi: float):
     """Invert a distribution at ``p`` (scalar or array) by bracketed bisection.
 
-    ``below(z, p)`` is True where z lies below the p-quantile; it must hold at
-    ``lo`` and turn False once, as z grows.  The upper bracket starts at
-    ``hi`` and doubles until ``below`` fails there.  Bisection stops after
+    ``below_for(p)`` returns ``below(z, out)``, which writes into the boolean
+    array ``out`` where z lies below the p-quantile and returns it; it must
+    hold at ``lo`` and turn False once, as z grows.  The upper bracket starts
+    at ``hi`` and doubles until ``below`` fails there.  Bisection stops after
     100 steps or as soon as every midpoint equals its ``lo`` or ``hi``: from
     then on each later midpoint is that same value, so stopping early returns
     exactly what all 100 steps would.
+
+    A step allocates nothing: the midpoint, the stop test and the test result
+    live in buffers made once per call.  The brackets are updated through
+    their int64 views with a branch-free select, ``lo ^= (lo ^ mid) & mask``
+    and ``hi = mid ^ ((hi ^ mid) & mask)`` with ``mask`` all ones where
+    ``below`` holds.  That copies whole bit patterns, so every bracket and the
+    result have the same bits as selecting with ``np.where``.
     """
     scalar = np.ndim(p) == 0
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("p must lie strictly between 0 and 1")
+    below = below_for(p)
     lo = np.full_like(p, lo)
     hi = np.full_like(p, hi)
-    pending = below(hi, p)
-    while np.any(pending):
-        hi[pending] *= 2.0
-        pending = below(hi, p)
+    mid = np.empty_like(p)
+    left = np.empty(p.shape, dtype=bool)
+    same = np.empty(p.shape, dtype=bool)
+    mask = np.empty(p.shape, dtype=np.int64)
+    bits = np.empty(p.shape, dtype=np.int64)
+    lo_bits, hi_bits, mid_bits = lo.view(np.int64), hi.view(np.int64), mid.view(np.int64)
+    while np.any(below(hi, left)):
+        hi[left] *= 2.0
     for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
+        np.add(lo, hi, out=mid)
+        np.multiply(0.5, mid, out=mid)
+        np.equal(mid, lo, out=same)
+        np.logical_or(same, np.equal(mid, hi, out=left), out=same)
+        if same.all():
             break
-        left = below(mid, p)
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
+        np.subtract(0, below(mid, left), out=mask, dtype=np.int64)
+        np.bitwise_xor(lo_bits, mid_bits, out=bits)
+        np.bitwise_and(bits, mask, out=bits)
+        np.bitwise_xor(lo_bits, bits, out=lo_bits)
+        np.bitwise_xor(hi_bits, mid_bits, out=bits)
+        np.bitwise_and(bits, mask, out=bits)
+        np.bitwise_xor(mid_bits, bits, out=hi_bits)
     out = 0.5 * (lo + hi)
     return float(out[0]) if scalar else out
 
@@ -300,6 +335,8 @@ class AR1Cauchy(_ConfigForm):
         return 1.0 - self.phi
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        from scipy.signal import lfilter  # loaded here, so other models never import scipy
+
         eps = rng.standard_cauchy(size)
         x0 = rng.standard_cauchy() / (1.0 - self.phi)
         values, _ = lfilter([1.0], [1.0, -self.phi], eps, zi=[self.phi * x0])
@@ -466,7 +503,9 @@ class _MovingMaximaMarginal:
     def quantile(self, p):
         # support starts at z_min because max_j psi_j = 1
         z_min = self.innovation.z_min
-        return _bisect_quantile(p, lambda z, q: self.cdf(z) <= q, z_min, 2.0 * z_min)
+        return _bisect_quantile(
+            p, lambda q: lambda z, out: np.less_equal(self.cdf(z), q, out=out), z_min, 2.0 * z_min
+        )
 
 
 @dataclass(frozen=True)

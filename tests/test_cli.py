@@ -1,6 +1,9 @@
 """Subcommand behavior: output formats, exit codes, and error reporting."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -570,6 +573,8 @@ def test_mc_empty_grid_exits_1_before_writing(tmp_path, grid, extra, capsys):
     "grid, flag",
     [
         ([], ","),
+        ([], "0"),  # a grid count below 1 is an empty grid, not a usage error
+        ([], "-3"),
         ([0.5, 0.5], "0.5,0.5"),
         ([1.0, 0.5], "1.0,0.5"),
         ([[0.5, 1.0]], None),  # the CLI cannot spell a 2-D grid
@@ -578,7 +583,7 @@ def test_mc_empty_grid_exits_1_before_writing(tmp_path, grid, extra, capsys):
         ([0.0, 0.5], "0.0,0.5"),
         ([0.5, 1.5], "0.5,1.5"),
     ],
-    ids=["empty", "repeated", "descending", "2-d", "scalar", "nan", "zero", "above-one"],
+    ids=["empty", "count-0", "count-negative", "repeated", "descending", "2-d", "scalar", "nan", "zero", "above-one"],
 )
 def test_every_entry_point_rejects_a_bad_grid_alike(series_file, grid, flag, capsys):
     x = np.asarray(SERIES)
@@ -629,3 +634,56 @@ def test_mc_bad_run_length_exits_1_before_simulating(tmp_path, run_length, monke
     )
     assert calls == []
     assert not out.exists()
+
+
+_IMPORT_PROBE = """
+import json, sys
+import exindex as ex
+from exindex.cli import dispatch
+
+seen = [["import", 0, "scipy" in sys.modules]]
+for name, argv in json.loads(sys.argv[1]):
+    seen.append([name, dispatch(argv), "scipy" in sys.modules])
+cfg = ex.ExperimentConfig.from_json(sys.argv[2])
+report = ex.normality_check(cfg)
+seen.append(["normality_check", 0 <= report.pvalue <= 1, "scipy.stats" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_only_for_ar1_generation_and_normality_check(tmp_path):
+    configs = {
+        "wn": ex.ExperimentConfig(model=ex.RandomRepetition(psi=0.6, innovation=ex.Uniform01()),
+                                  n=400, r_list=(5,), k=40, t_grid=(0.5, 1.0), replicates=20),
+        "mm": ex.ExperimentConfig(model=ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1,
+                                                        c2=0.5),
+                                  n=400, r_list=(5,), k=40, t_grid=(0.5, 1.0), replicates=3,
+                                  run_lengths=(2,)),
+        "ar1": ex.ExperimentConfig(model=ex.AR1Cauchy(phi=0.6), n=400, r_list=(5,), k=40,
+                                   t_grid=(0.5, 1.0), replicates=3),
+    }
+    for name, cfg in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg.to_dict()))
+    runs = [
+        ["wn mc", ["mc", "--config", str(tmp_path / "wn.json"), "--out", str(tmp_path / "wn")]],
+        ["mm mc --figure1", ["mc", "--config", str(tmp_path / "mm.json"), "--out",
+                             str(tmp_path / "mm"), "--figure1"]],
+        ["ar1 mc", ["mc", "--config", str(tmp_path / "ar1.json"), "--out", str(tmp_path / "ar1")]],
+    ]
+    # a fresh interpreter: this one has loaded scipy through other tests
+    src = os.path.dirname(os.path.dirname(ex.__file__))
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs), str(tmp_path / "wn.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == [
+        ["import", 0, False],
+        ["wn mc", 0, False],
+        ["mm mc --figure1", 0, False],
+        ["ar1 mc", 0, True],  # lfilter runs the AR(1) recursion
+        ["normality_check", True, True],
+    ]

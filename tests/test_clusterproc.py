@@ -169,13 +169,19 @@ def test_kernel_mc_iid_known_marginal():
 
 def test_kernel_mc_rank_mode_pins_counts():
     # rank standardization with no dropped tail fixes the exceedance counts,
-    # so the count-process covariance at grid nodes is exactly zero
-    kern = ex.estimate_kernel_mc(
-        ex.IID(innovation=ex.Uniform01()), 2000, ex.EstimatorConfig(r=10, k=20),
-        [0.5, 1.0], replicates=100, seed=0,
-    )
-    assert kern.c_g(1.0, 1.0) == 0.0
-    assert kern.c_fg(1.0, 1.0) == 0.0
+    # so the count-process covariances are exactly zero at every level pair;
+    # only c carries information
+    cases = [
+        (ex.IID(innovation=ex.Uniform01()), 2000, 20, [0.5, 1.0]),
+        (ex.AR1Cauchy(phi=0.6), 20_000, 200, np.linspace(0.05, 1.0, 20)),
+    ]
+    for model, n, k, grid in cases:
+        kern = ex.estimate_kernel_mc(model, n, ex.EstimatorConfig(r=10, k=k), grid,
+                                     replicates=100, seed=0)
+        pairs = [(s, t) for s in grid for t in grid]
+        assert [kern.c_g(s, t) for s, t in pairs] == [0.0] * len(pairs)
+        assert [kern.c_fg(s, t) for s, t in pairs] == [0.0] * len(pairs)
+        assert all(kern.c(t, t) > 0.0 for t in grid)
 
 
 def test_kernel_mc_deterministic():

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -314,3 +315,66 @@ def mc_results(draw):
 @given(mc_results())
 def test_curves_csv_equals_the_row_by_row_writer(result):
     assert _curves_csv(result) == curves_csv_row_by_row(result)
+
+
+def where_bisection(p, below, lo, hi):
+    """Reference: the bisection with two ``np.where`` selects and fresh temporaries per step."""
+    lo = np.full_like(p, lo)
+    hi = np.full_like(p, hi)
+    pending = below(hi, p)
+    while np.any(pending):
+        hi[pending] *= 2.0
+        pending = below(hi, p)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        left = below(mid, p)
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def where_quantile(law, p):
+    if isinstance(law, ex.SecondOrderPareto):
+        def below(z, q):
+            return law._raw_survival(z) >= 1.0 - q
+
+        return where_bisection(p, below, law.z_min, max(2.0 * law.z_min, 2.0))
+    z_min = law.innovation.z_min
+    return where_bisection(p, lambda z, q: law.cdf(z) <= q, z_min, 2.0 * z_min)
+
+
+@st.composite
+def tail_laws(draw):
+    """A valid second-order Pareto law (either sign of c2) or a moving-maxima marginal of one."""
+    beta1, beta2 = draw(st.floats(0.2, 4.0)), draw(st.floats(0.2, 4.0))
+    c1 = draw(st.floats(0.5, 20.0))
+    c2 = draw(st.floats(1e-3, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    try:
+        sop = ex.SecondOrderPareto(beta1, beta2, c1, c2)
+    except ValueError:
+        assume(False)
+    if draw(st.booleans()):
+        return sop
+    coeffs = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=0, max_size=3))
+    return ex.MovingMaxima(coeffs=(1.0, *coeffs), beta1=beta1, beta2=beta2, c1=c1, c2=c2).marginal
+
+
+@settings(max_examples=150, deadline=None)
+@given(tail_laws(), st.lists(st.floats(0.5**53, 1.0 - 2.0**-53), min_size=0, max_size=30))
+def test_tail_quantiles_have_the_bits_of_the_where_bisection(law, ps):
+    p = np.array([0.5**53, 1.0 - 2.0**-53, 0.5, *ps])
+    got = law.quantile(p)
+    assert got.shape == p.shape
+    np.testing.assert_array_equal(got.view(np.int64), where_quantile(law, p).view(np.int64))
+    grid = np.stack([p, p[::-1]])
+    assert law.quantile(grid).shape == grid.shape
+    np.testing.assert_array_equal(law.quantile(grid).view(np.int64),
+                                  where_quantile(law, grid).view(np.int64))
+    one = law.quantile(float(p[-1]))
+    assert type(one) is float
+    assert np.float64(one).view(np.int64) == got[-1:].view(np.int64)[0]
+    for bad in (0.0, 1.0, -0.5, 1.5, [0.5, 1.0]):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            law.quantile(bad)
