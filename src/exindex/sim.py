@@ -151,6 +151,15 @@ class SecondOrderPareto(_ConfigForm):
     z* = ((b1 + b2) * (-c2) / b1)^(1/b2) and decreases beyond it; the
     parameters are valid only if the maximum value reaches 1, so that a root
     z_min >= z* exists on the decreasing branch.
+
+    ``quantile`` bisects the survival test of ``_tail_test``.  For c2 > 0 it
+    starts each element's bracket at a Newton estimate of the quantile
+    (``_newton_start``), which ends the bisection after ~15 steps instead of
+    ~60 with the same bits: every operation of the test is then monotone in
+    z, so the test flips at one pair of adjacent floats, which any confirmed
+    bracket finds.  For c2 < 0 the float survival is not monotone just above
+    ``z_min``, so a narrow bracket could end on another flip; those laws keep
+    the wide bracket [z_min, max(2 * z_min, 2)].
     """
 
     beta1: float
@@ -211,7 +220,43 @@ class SecondOrderPareto(_ConfigForm):
         return 1.0 - self.survival(x)
 
     def quantile(self, p):
-        return _bisect_quantile(p, self._tail_test, self.z_min, max(2.0 * self.z_min, 2.0))
+        start = self._newton_start if self.c2 > 0 else None
+        return _bisect_quantile(
+            p, self._tail_test, self.z_min, max(2.0 * self.z_min, 2.0), start
+        )
+
+    def _newton_start(self, p):
+        """``start`` for :func:`_bisect_quantile`: the quantile after 4 Newton steps.
+
+        With w = beta1 * log z, survival(z) = 1 - p reads f(w) = 0 for
+        f(w) = a - w + log1p(c2 * exp(-r * w)), a = log(c1) - log1p(-p) and
+        r = beta2 / beta1.  The steps start at w = a, the quantile of the
+        Pareto part c1 * z^(-beta1).  For c2 > 0, f is convex and decreasing
+        with f(a) > 0, so they approach the root from below.  The result and
+        three scratch arrays are made once per call; the steps allocate
+        nothing.
+        """
+        r = self.beta2 / self.beta1
+        a = np.negative(p)
+        np.log1p(a, out=a)
+        np.subtract(np.log(self.c1), a, out=a)
+        e = np.empty_like(p)
+        f = np.empty_like(p)
+        z = a.copy()
+        for _ in range(4):
+            np.multiply(-r, z, out=e)
+            np.exp(e, out=e)
+            np.multiply(self.c2, e, out=e)
+            np.log1p(e, out=f)
+            np.add(f, a, out=f)
+            np.subtract(f, z, out=f)  # f(w)
+            np.add(1.0, e, out=e)
+            np.divide(-r, e, out=e)
+            np.add(1.0 + r, e, out=e)  # -f'(w) = 1 + r * e / (1 + e)
+            np.divide(f, e, out=f)
+            np.add(z, f, out=z)
+        np.divide(z, self.beta1, out=z)
+        return np.exp(z, out=z)
 
     def _tail_test(self, p):
         """``below`` for :func:`_bisect_quantile`: writes ``_raw_survival(z) >= 1 - p``.
@@ -240,7 +285,7 @@ class SecondOrderPareto(_ConfigForm):
         return self.quantile(u)
 
 
-def _bisect_quantile(p, below_for, lo: float, hi: float):
+def _bisect_quantile(p, below_for, lo: float, hi: float, start=None):
     """Invert a distribution at ``p`` (scalar or array) by bracketed bisection.
 
     ``below_for(p)`` returns ``below(z, out)``, which writes into the boolean
@@ -251,23 +296,48 @@ def _bisect_quantile(p, below_for, lo: float, hi: float):
     then on each later midpoint is that same value, so stopping early returns
     exactly what all 100 steps would.
 
+    ``start(p)``, if given, returns a guess z of each quantile.  Each
+    element's bracket then narrows to [max(z * (1 - 1e-12), lo),
+    z * (1 + 1e-12)], but an end is kept only where ``below`` confirms it
+    (True at the lower end, False at the upper one); elsewhere that element
+    keeps ``lo`` or ``hi``.  Where ``below`` flips at a single pair of
+    adjacent floats, every confirmed bracket ends on that pair, so the result
+    has the bits of the wide bracket whenever the wide bisection reaches its
+    fixed point; a guess within 1e-12 only shortens the bisection to ~15
+    steps.  An end that is not finite is never confirmed.
+
     A step allocates nothing: the midpoint, the stop test and the test result
-    live in buffers made once per call.  The brackets are updated through
-    their int64 views with a branch-free select, ``lo ^= (lo ^ mid) & mask``
+    live in buffers made once per call.  The guess becomes the midpoint
+    buffer, and the start frees its scratch before the brackets are made, so
+    it does not raise the call's peak memory.  The brackets are updated
+    through their int64 views with a branch-free select, ``lo ^= (lo ^ mid) & mask``
     and ``hi = mid ^ ((hi ^ mid) & mask)`` with ``mask`` all ones where
     ``below`` holds.  That copies whole bit patterns, so every bracket and the
     result have the same bits as selecting with ``np.where``.
     """
     scalar = np.ndim(p) == 0
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if not np.all((p > 0.0) & (p < 1.0)):  # also rejects NaN
         raise ValueError("p must lie strictly between 0 and 1")
     below = below_for(p)
-    lo = np.full_like(p, lo)
-    hi = np.full_like(p, hi)
-    mid = np.empty_like(p)
     left = np.empty(p.shape, dtype=bool)
     same = np.empty(p.shape, dtype=bool)
+    if start is None:
+        mid = np.empty_like(p)
+        lo = np.full_like(p, lo)
+        hi = np.full_like(p, hi)
+    else:
+        lo_end, hi_end = lo, hi
+        with np.errstate(all="ignore"):  # a guess that overflows is just not confirmed
+            mid = start(p)
+            lo = np.multiply(mid, 1.0 - 1e-12)
+            np.maximum(lo, lo_end, out=lo)
+            np.logical_not(below(lo, left), out=left)
+            np.copyto(lo, lo_end, where=left)
+            hi = np.multiply(mid, 1.0 + 1e-12)
+            np.logical_not(np.isfinite(hi, out=same), out=same)
+            np.logical_or(below(hi, left), same, out=left)
+            np.copyto(hi, hi_end, where=left)
     mask = np.empty(p.shape, dtype=np.int64)
     bits = np.empty(p.shape, dtype=np.int64)
     lo_bits, hi_bits, mid_bits = lo.view(np.int64), hi.view(np.int64), mid.view(np.int64)
@@ -494,7 +564,10 @@ class _MovingMaximaMarginal:
         out = np.ones_like(x, dtype=float)
         for coeff in self.model.coeffs:
             if coeff > 0:
-                out = out * self.innovation.cdf(x / coeff)
+                # a subnormal coeff overflows x / coeff to inf, where the cdf is 1
+                with np.errstate(over="ignore"):
+                    scaled = x / coeff
+                out = out * self.innovation.cdf(scaled)
         return out
 
     def survival(self, x):

@@ -357,7 +357,8 @@ def tail_laws(draw):
         assume(False)
     if draw(st.booleans()):
         return sop
-    coeffs = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=0, max_size=3))
+    coeff = st.just(0.0) | st.floats(1e-3, 1.0) | st.floats(5e-324, 2.0**-1022, exclude_max=True)
+    coeffs = draw(st.lists(coeff, min_size=0, max_size=3))
     return ex.MovingMaxima(coeffs=(1.0, *coeffs), beta1=beta1, beta2=beta2, c1=c1, c2=c2).marginal
 
 
@@ -375,6 +376,31 @@ def test_tail_quantiles_have_the_bits_of_the_where_bisection(law, ps):
     one = law.quantile(float(p[-1]))
     assert type(one) is float
     assert np.float64(one).view(np.int64) == got[-1:].view(np.int64)[0]
-    for bad in (0.0, 1.0, -0.5, 1.5, [0.5, 1.0]):
+    for bad in (0.0, 1.0, -0.5, 1.5, [0.5, 1.0], math.nan, [0.5, math.nan]):
         with pytest.raises(ValueError, match="strictly between 0 and 1"):
             law.quantile(bad)
+
+
+@pytest.mark.parametrize("params", [(0.2, 1.0, 20.0, 0.5), (0.5, 1.0, 1.0, 0.5)])
+def test_tail_quantile_keeps_the_bits_where_the_narrow_bracket_falls_back(params):
+    # at p = 0.5**53 the test fails at z_min itself, so the lower end of the
+    # narrow bracket cannot be confirmed and falls back to z_min; below z_min
+    # the test holds again, so a bracket reaching under z_min would end elsewhere
+    law = ex.SecondOrderPareto(*params)
+    p = np.array([0.5**53, 1.0 - 2.0**-53])
+    at_z_min = law._tail_test(p)(np.full(2, law.z_min), np.empty(2, dtype=bool))
+    assert at_z_min.tolist() == [False, True]
+    got = law.quantile(p)
+    np.testing.assert_array_equal(got.view(np.int64), where_quantile(law, p).view(np.int64))
+    assert [law.quantile(float(q)) for q in p] == got.tolist()
+
+
+def test_tail_quantile_keeps_the_bits_where_the_newton_start_is_nan():
+    # with c1 tiny and beta2 / beta1 large, exp(-r w) overflows in the Newton
+    # steps and the start is NaN at small p: both ends take the wide bracket
+    law = ex.SecondOrderPareto(0.2, 4.0, 1e-16, 0.5)
+    p = np.array([0.5**53, 0.5, 0.9, 1.0 - 2.0**-53])
+    with np.errstate(all="ignore"):
+        assert np.isnan(law._newton_start(p)).tolist() == [True, True, False, False]
+    got = law.quantile(p)
+    np.testing.assert_array_equal(got.view(np.int64), where_quantile(law, p).view(np.int64))

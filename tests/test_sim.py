@@ -116,6 +116,33 @@ def test_bisection_quantiles_equal_100_step_reference():
             assert [law.quantile(float(pi)) for pi in p] == got.tolist()
 
 
+def count_tail_tests(monkeypatch, law, p):
+    """Number of ``below`` evaluations in one ``law.quantile(p)``."""
+    tail_test = ex.SecondOrderPareto._tail_test
+    calls = []
+
+    def counting(self, q):
+        below = tail_test(self, q)
+
+        def counted(z, out):
+            calls.append(1)
+            return below(z, out)
+
+        return counted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ex.SecondOrderPareto, "_tail_test", counting)
+        law.quantile(p)
+    return len(calls)
+
+
+def test_newton_start_shortens_the_bisection_for_positive_c2_only(monkeypatch):
+    p = np.random.Generator(np.random.Philox(0)).random(20001)
+    # the wide bracket takes 63 evaluations on these draws, for either sign of c2
+    assert count_tail_tests(monkeypatch, ex.SecondOrderPareto(2.0, 1.0, 1.0, 0.5), p) < 25
+    assert count_tail_tests(monkeypatch, ex.SecondOrderPareto(2.0, 1.0, 1.0, -0.3), p) == 63
+
+
 def test_generate_deterministic_and_substreams_distinct():
     for model in ALL_MODELS:
         a = ex.generate(model, 200, ex.substream(11, 3))
