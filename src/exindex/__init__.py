@@ -44,13 +44,10 @@ from .estimate import (
 from .clusterproc import (
     ClosedFormIID,
     MCGrid,
-    ProcessPath,
-    StandardizedBlocks,
     TailChainSeries,
     estimate_kernel_mc,
     f_max,
     g_count,
-    process_path,
     standardize,
     tail_chain_probabilities,
 )
@@ -72,7 +69,6 @@ from .oracle import (
     MMExpansionReport,
     bias_expansion_mm,
     bias_expansion_wn,
-    expected_g,
     mm_block_nonexceed,
     theta_nt_mm_exact,
     theta_nt_wn,

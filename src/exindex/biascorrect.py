@@ -89,13 +89,6 @@ class SignedMeasureAtoms:
         swapped = tuple((t, s, w) for s, t, w in self.atoms)
         return SignedMeasureAtoms(self.atoms + swapped, provenance=self.provenance)
 
-    def scaled_weights(self, lam: float) -> "SignedMeasureAtoms":
-        if lam == 0.0:
-            raise ValueError("weight scale must be nonzero")
-        return SignedMeasureAtoms(
-            tuple((s, t, lam * w) for s, t, w in self.atoms), provenance=self.provenance
-        )
-
 
 def two_atom_measure(p: float, q: float, a: float) -> SignedMeasureAtoms:
     """Measure with atoms (p/a, q, +1) and (p, q/a, -1).

@@ -30,8 +30,6 @@ c_g = c_fg = min(s, t), theta = 1 and c vanishes identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -39,12 +37,9 @@ from . import sim
 from .estimate import BlocksEvaluator, EstimatorConfig, _values, check_grid
 
 __all__ = [
-    "StandardizedBlocks",
     "standardize",
     "f_max",
     "g_count",
-    "ProcessPath",
-    "process_path",
     "ClosedFormIID",
     "TailChainSeries",
     "MCGrid",
@@ -53,26 +48,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class StandardizedBlocks:
-    """m x r array of standardized excesses, plus the context that produced it."""
-
-    blocks: np.ndarray
-    n: int
-    v: float
-    mode: str  # known_marginal | rank
-
-    @property
-    def m(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.blocks.shape[1]
-
-
-def standardize(x, v: float, r: int, marginal_cdf=None) -> StandardizedBlocks:
-    """Blocks of standardized excesses ((U_i - (1 - v))+ ) / v.
+def standardize(x, v: float, r: int, marginal_cdf=None) -> np.ndarray:
+    """m x r array of standardized excesses ((U_i - (1 - v))+ ) / v, m = n // r.
 
     With ``marginal_cdf`` given, U_i = F(X_i) (known-marginal mode); otherwise
     U_i = rank_i / n, which reproduces exactly the exceedance sets of the
@@ -88,12 +65,10 @@ def standardize(x, v: float, r: int, marginal_cdf=None) -> StandardizedBlocks:
     if marginal_cdf is not None:
         u = np.asarray(marginal_cdf(xs), dtype=float)
         excess = np.clip((u - (1.0 - v)) / v, 0.0, None)
-        mode = "known_marginal"
     else:
         excess = _rank_excess(xs, v)
-        mode = "rank"
     m = n // r
-    return StandardizedBlocks(blocks=excess[: m * r].reshape(m, r), n=n, v=v, mode=mode)
+    return excess[: m * r].reshape(m, r)
 
 
 def _rank_excess(xs: np.ndarray, v: float) -> np.ndarray:
@@ -139,41 +114,6 @@ def _level_sums(blocks: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.nd
     hit = maxima.size - np.searchsorted(maxima, levels, side="right")
     count = positive.size - np.searchsorted(positive, levels, side="right")
     return hit.astype(float), count.astype(float)
-
-
-@dataclass(frozen=True, eq=False)
-class ProcessPath:
-    grid: np.ndarray
-    values: np.ndarray
-    centering: str  # model_oracle | mc_mean
-
-
-def process_path(sb: StandardizedBlocks, family: str, grid, centering) -> ProcessPath:
-    """Fluctuation path Z_n(h_t) = (n v)^(-1/2) sum_j (h_t(Y_j) - E h_t) on a grid.
-
-    ``centering`` supplies E h_t(Y_1) per grid point, either as a callable of t
-    (exact model value) or a sequence aligned with the grid (cross-replicate
-    mean).  Centering by the replicate's own mean is not offered: the path
-    would degenerate to 0 by construction.
-    """
-    if family not in ("max", "count"):
-        raise ValueError(f"family must be 'max' or 'count', got {family!r}")
-    if centering is None:
-        raise ValueError("centering is required (exact value or cross-replicate mean)")
-    grid = check_grid(grid)
-    if callable(centering):
-        expected = np.array([float(centering(t)) for t in grid])
-        mode = "model_oracle"
-    else:
-        expected = np.asarray(centering, dtype=float)
-        if expected.shape != grid.shape:
-            raise ValueError("centering sequence must align with the grid")
-        mode = "mc_mean"
-    hit, count = _level_sums(sb.blocks, grid)
-    sums = hit if family == "max" else count
-    scale = 1.0 / np.sqrt(sb.n * sb.v)
-    values = scale * (sums - sb.m * expected)
-    return ProcessPath(grid=grid, values=values, centering=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +183,6 @@ class TailChainSeries:
     def c(self, s: float, t: float) -> float:
         th = self.theta
         return th * (min(s, t) - self.c_fg(s, t) - self.c_fg(t, s)) + th * th * self.c_g(s, t)
-
-    def truncation_stability(self, drop: int = 10) -> float:
-        """Relative change of c_g(1, 1) when the window tail is shortened."""
-        full = self.c_g(1.0, 1.0)
-        short = self.c_g(1.0, 1.0, K=self.K - drop)
-        return abs(full - short) / abs(full)
 
 
 class MCGrid:
@@ -329,10 +263,9 @@ def estimate_kernel_mc(
     sf = np.zeros((replicates, grid.size))
     sg = np.zeros((replicates, grid.size))
     theta_hats = np.zeros(replicates)
-    for rep in range(replicates):
-        x = sim.generate(model, n, sim.substream(seed, rep))
-        sb = standardize(x, v=v, r=cfg.r, marginal_cdf=marginal_cdf)
-        sf[rep], sg[rep] = _level_sums(sb.blocks, grid)
+    for rep, x in sim.replicate_paths(model, n, seed, replicates):
+        blocks = standardize(x, v=v, r=cfg.r, marginal_cdf=marginal_cdf)
+        sf[rep], sg[rep] = _level_sums(blocks, grid)
         theta_hats[rep] = BlocksEvaluator(x, cfg.r, cfg.k)(1.0)
     scale = 1.0 / np.sqrt(n * v)
     zf = scale * (sf - sf.mean(axis=0))
@@ -358,8 +291,7 @@ def tail_chain_probabilities(
         raise ValueError(f"need 2 <= K <= n, got K={K}, n={n}")
     marginal = model.marginal
     windows = []
-    for rep in range(replicates):
-        x = sim.generate(model, n, sim.substream(seed, rep))
+    for _, x in sim.replicate_paths(model, n, seed, replicates):
         u = np.asarray(marginal.cdf(x.values), dtype=float)
         excess = np.clip((u - (1.0 - v)) / v, 0.0, None)
         starts = np.flatnonzero(excess[: n - K + 1] > 0.0)

@@ -3,9 +3,8 @@
 An experiment is described by a JSON-serializable config: a model, a sample
 size, block lengths, the number k of top order statistics, a threshold grid,
 an optional correcting measure with its bias exponent delta, a replicate
-count, and a base seed.  Replicate i always draws from the dedicated
-substream (base_seed, i), and reductions run in replicate order, so reruns
-are bit-identical regardless of how the work is scheduled.
+count, and a base seed.  Paths come from :func:`sim.replicate_paths` with
+the base seed, so reruns are bit-identical.
 
 Outputs are plot-ready CSVs plus a JSON sidecar carrying the full config and
 package version: per-replicate curves (so every summary row can be recomputed
@@ -45,9 +44,9 @@ from .sim import (
     UnitPareto,
     _config_value,
     config_fields,
-    generate,
-    substream,
+    replicate_paths,
 )
+from .sim import generate  # noqa: F401  (perfbench/layers.py traces this binding)
 
 __all__ = [
     "ExperimentConfig",
@@ -488,8 +487,7 @@ def _replicates(cfg: ExperimentConfig, run_lengths=()) -> tuple:
     raw = _new_curves(cfg, cfg.r_list)
     corrected = _new_curves(cfg, cfg.r_list if cfg.measure is not None else ())
     runs = {rl: np.full((cfg.replicates, len(grid)), np.nan) for rl in run_lengths}
-    for rep in range(cfg.replicates):
-        x = generate(cfg.model, cfg.n, substream(cfg.base_seed, rep), burn_in=cfg.burn_in)
+    for rep, x in replicate_paths(cfg.model, cfg.n, cfg.base_seed, cfg.replicates, cfg.burn_in):
         _fill_replicate(cfg, x, rep, grid, raw, corrected)
         if run_lengths:
             thresholds = np.sort(x.values)[x.n - count_at(cfg.k, grid) - 1]

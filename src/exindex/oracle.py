@@ -39,7 +39,6 @@ __all__ = [
     "MMExpansionReport",
     "theta_nt_wn",
     "bias_expansion_wn",
-    "expected_g",
     "mm_block_nonexceed",
     "theta_nt_mm_exact",
     "bias_expansion_mm",
@@ -81,15 +80,6 @@ def theta_nt_wn(psi: float, r: int, v: float, t: float) -> float:
     theta = 1.0 - psi
     vt = v * t
     return (1.0 - (1.0 - vt) * (1.0 - theta * vt) ** (r - 1)) / (r * vt)
-
-
-def expected_g(r: int, v: float, t: float) -> float:
-    """Exact mean exceedance count per r-block at level t: r * v * t.
-
-    Holds for every stationary model with a continuous marginal, because each
-    of the r positions exceeds the (1 - v t)-quantile with probability v t.
-    """
-    return r * v * t
 
 
 def bias_expansion_wn(psi: float, r: int, v: float) -> BiasExpansion:

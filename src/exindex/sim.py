@@ -22,9 +22,7 @@ a class's parameters: ``to_dict``, the config parser and the CLI model flags
 all read them.
 
 All generators are deterministic functions of (model, n, seed, burn_in).
-Replicate streams come from a counter-based generator keyed by
-(seed, replicate), so parallel Monte Carlo runs are reproducible independent of
-scheduling.
+Every Monte Carlo loop draws its paths through :func:`replicate_paths`.
 """
 
 from __future__ import annotations
@@ -46,6 +44,7 @@ __all__ = [
     "config_fields",
     "substream",
     "generate",
+    "replicate_paths",
 ]
 
 
@@ -291,10 +290,13 @@ def _bisect_quantile(p, below_for, lo: float, hi: float, start=None):
     ``below_for(p)`` returns ``below(z, out)``, which writes into the boolean
     array ``out`` where z lies below the p-quantile and returns it; it must
     hold at ``lo`` and turn False once, as z grows.  The upper bracket starts
-    at ``hi`` and doubles until ``below`` fails there.  Bisection stops after
-    100 steps or as soon as every midpoint equals its ``lo`` or ``hi``: from
-    then on each later midpoint is that same value, so stopping early returns
-    exactly what all 100 steps would.
+    at ``hi`` and doubles until ``below`` fails there.  Bisection stops as
+    soon as every midpoint equals its ``lo`` or ``hi``: from then on each
+    later midpoint is that same value.  Each step halves the gap between the
+    ends, and every float64 is a multiple of 2**-1074 below 2**1024, so from
+    any finite bracket the gap reaches adjacent floats within 2098 steps.  The
+    cap of 2100 steps therefore never stops a finite bracket short of that
+    fixed point, however far the quantile lies below the bracket's width.
 
     ``start(p)``, if given, returns a guess z of each quantile.  Each
     element's bracket then narrows to [max(z * (1 - 1e-12), lo),
@@ -342,8 +344,10 @@ def _bisect_quantile(p, below_for, lo: float, hi: float, start=None):
     bits = np.empty(p.shape, dtype=np.int64)
     lo_bits, hi_bits, mid_bits = lo.view(np.int64), hi.view(np.int64), mid.view(np.int64)
     while np.any(below(hi, left)):
-        hi[left] *= 2.0
-    for _ in range(100):
+        # a quantile beyond the largest float doubles hi to inf, the right result
+        with np.errstate(over="ignore"):
+            hi[left] *= 2.0
+    for _ in range(2100):
         np.add(lo, hi, out=mid)
         np.multiply(0.5, mid, out=mid)
         np.equal(mid, lo, out=same)
@@ -543,6 +547,19 @@ def generate(model, n: int, seed, burn_in: int = 0) -> SeriesSample:
     values = sample(_rng(seed), n + burn_in)
     return SeriesSample(values=np.asarray(values[burn_in:], dtype=float), model=model,
                         seed=seed, burn_in=burn_in)
+
+
+def replicate_paths(model, n: int, seed: int, replicates: int, burn_in: int = 0):
+    """Yield ``(rep, path)`` for rep = 0 .. replicates - 1, in that order.
+
+    Replicate i draws ``generate(model, n, substream(seed, i), burn_in=burn_in)``,
+    so each path depends only on (model, n, seed, i, burn_in).  The loop is
+    serial; callers reduce in replicate order, so reruns are bit-identical.
+    ``generate`` is looked up in this module at each draw, where a wrapper
+    set on ``sim.generate`` sees every path.
+    """
+    for rep in range(replicates):
+        yield rep, generate(model, n, substream(seed, rep), burn_in=burn_in)
 
 
 # ---------------------------------------------------------------------------

@@ -257,8 +257,8 @@ def test_criterion_08_tail_process_variance():
     z = np.empty(500)
     for rep in range(500):
         x = ex.generate(model, n, ex.substream(0, rep))
-        sb = ex.standardize(x.values, v=v, r=r, marginal_cdf=marg.cdf)
-        z[rep] = (ex.g_count(sb.blocks, 1.0).sum() - n * v) / np.sqrt(n * v)
+        blocks = ex.standardize(x.values, v=v, r=r, marginal_cdf=marg.cdf)
+        z[rep] = (ex.g_count(blocks, 1.0).sum() - n * v) / np.sqrt(n * v)
     var = float(z.var(ddof=1))
     elapsed = time.perf_counter() - start
     ok = abs(var - 1.0) <= 0.15 and elapsed < 120.0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import exindex as ex
-from exindex import harness
+from exindex import sim
 from exindex.cli import dispatch
 
 SERIES = [5.0, 1.0, 4.0, 2.0, 3.0, 6.0]
@@ -250,8 +250,6 @@ def test_mc_runs_config(tmp_path, capsys):
 
 
 def test_mc_figure1_simulates_each_replicate_once(tmp_path, monkeypatch, capsys):
-    from exindex import harness
-
     out_dir = tmp_path / "exp"
     cfg = ex.ExperimentConfig(
         model=ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5),
@@ -267,13 +265,14 @@ def test_mc_figure1_simulates_each_replicate_once(tmp_path, monkeypatch, capsys)
     config_path = tmp_path / "exp.json"
     config_path.write_text(json.dumps(cfg.to_dict()))
     calls = []
-    generate = harness.generate
+    generate = sim.generate
 
     def counted(*args, **kwargs):
         calls.append(args)
         return generate(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "generate", counted)
+    # the binding that sim.replicate_paths calls
+    monkeypatch.setattr(sim, "generate", counted)
     assert dispatch(["mc", "--config", str(config_path), "--figure1"]) == 0
     assert len(calls) == cfg.replicates
     names = ["curves.csv", "summary.csv", "meta.json", "blocks_curves.csv",
@@ -589,14 +588,12 @@ def test_every_entry_point_rejects_a_bad_grid_alike(series_file, grid, flag, cap
     x = np.asarray(SERIES)
     cfg = ex.EstimatorConfig(r=3, k=4)
     mu = ex.two_atom_measure(0.5, 1.0, 2.0)
-    sb = ex.standardize(x, v=0.5, r=3)
     calls = [
         lambda: ex.sweep(x, cfg, grid),
         lambda: ex.corrected_curve(x, cfg, mu, grid),
         lambda: ex.estimate_kernel_mc(ex.IID(ex.Uniform01()), 1000, ex.EstimatorConfig(r=5, k=20), grid,
                                       replicates=100, seed=0),
         lambda: ex.MCGrid(grid, np.eye(2), np.eye(2), np.eye(2), 1.0),
-        lambda: ex.process_path(sb, "max", grid, lambda t: 0.0),
     ]
     messages = set()
     for call in calls:
@@ -626,7 +623,7 @@ def test_mc_bad_run_length_exits_1_before_simulating(tmp_path, run_length, monke
          "run_lengths": [5, run_length], "replicates": 3}
     ))
     calls = []
-    monkeypatch.setattr(harness, "generate", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(sim, "generate", lambda *a, **kw: calls.append(a))
     out = tmp_path / "out"
     assert dispatch(["mc", "--config", str(config_path), "--out", str(out), "--figure1"]) == 1
     assert capsys.readouterr().err == (

@@ -5,14 +5,14 @@ import pytest
 
 import exindex as ex
 import exindex.sim as sim_module
+from exindex.clusterproc import _level_sums
 
 
 def test_standardize_known_marginal_hand_values():
     x = np.array([0.1, 0.95, 0.99, 0.4])
-    sb = ex.standardize(x, v=0.1, r=2, marginal_cdf=lambda z: z)
-    assert sb.mode == "known_marginal"
-    assert sb.m == 2 and sb.r == 2
-    np.testing.assert_allclose(sb.blocks, [[0.0, 0.5], [0.9, 0.0]], atol=1e-12)
+    blocks = ex.standardize(x, v=0.1, r=2, marginal_cdf=lambda z: z)
+    assert blocks.shape == (2, 2)
+    np.testing.assert_allclose(blocks, [[0.0, 0.5], [0.9, 0.0]], atol=1e-12)
 
 
 def test_f_max_and_g_count_hand_values():
@@ -28,15 +28,14 @@ def test_standardize_rank_mode_matches_empirical_thresholds():
     rng = np.random.default_rng(14)
     n, r, k = 40, 5, 8
     x = rng.random(n)
-    sb = ex.standardize(x, v=k / n, r=r)
-    assert sb.mode == "rank"
+    blocks = ex.standardize(x, v=k / n, r=r)
     ev = ex.BlocksEvaluator(x, r, k)
     for t in (0.25, 0.5, 0.75, 1.0):
         k_t = ex.count_at(k, t)
         # n divisible by r: every top-k_t rank lands in a block
-        assert int(ex.g_count(sb.blocks, t).sum()) == k_t
+        assert int(ex.g_count(blocks, t).sum()) == k_t
         # hit blocks equal the empirical-threshold numerator
-        assert int(ex.f_max(sb.blocks, t).sum()) == round(ev.at_count(k_t) * k_t)
+        assert int(ex.f_max(blocks, t).sum()) == round(ev.at_count(k_t) * k_t)
 
 
 def test_standardize_validation():
@@ -49,47 +48,39 @@ def test_standardize_validation():
         ex.standardize(x, v=0.1, r=11)
 
 
-def test_process_path_requires_centering_and_family():
-    sb = ex.standardize(np.random.default_rng(0).random(100), v=0.1, r=5)
-    with pytest.raises(ValueError):
-        ex.process_path(sb, "median", [0.5], lambda t: 0.0)
-    with pytest.raises(ValueError):
-        ex.process_path(sb, "max", [0.5], None)
-    with pytest.raises(ValueError):
-        ex.process_path(sb, "max", [0.5, 1.0], [0.1])  # misaligned sequence
-
-
 def test_process_path_mc_mean_centering_is_exact():
+    # Z_n(f_t) = (n v)^(-1/2) (sum_j f_t(Y_j) - m E f_t) from the level sums,
+    # centred by the cross-replicate mean per block, averages to 0
     model = ex.RandomRepetition(psi=0.6, innovation=ex.Uniform01())
     marg = model.marginal
-    grid = [0.5, 1.0]
-    sbs = [
-        ex.standardize(ex.generate(model, 2000, ex.substream(0, rep)).values, v=0.05, r=10,
+    n, v, r = 2000, 0.05, 10
+    grid = np.array([0.5, 1.0])
+    blocks = [
+        ex.standardize(ex.generate(model, n, ex.substream(0, rep)).values, v=v, r=r,
                        marginal_cdf=marg.cdf)
         for rep in range(20)
     ]
-    sums = np.array([[ex.f_max(sb.blocks, t).sum() / sb.m for t in grid] for sb in sbs])
+    m = n // r
+    sums = np.array([[ex.f_max(b, t).sum() / m for t in grid] for b in blocks])
     mean_per_block = sums.mean(axis=0)
-    paths = [ex.process_path(sb, "max", grid, mean_per_block) for sb in sbs]
-    assert paths[0].centering == "mc_mean"
-    zbar = np.mean([p.values for p in paths], axis=0)
-    assert np.abs(zbar).max() < 1e-12
+    paths = [(_level_sums(b, grid)[0] - m * mean_per_block) / np.sqrt(n * v) for b in blocks]
+    assert np.abs(np.mean(paths, axis=0)).max() < 1e-12
 
 
 def test_process_path_model_centering_wn():
-    # exact per-block means keep the fluctuation paths centered across replicates
+    # exact per-block means E f_t = r v t theta_nt and E g_t = r v t keep the
+    # fluctuation paths Z_n(f_t), Z_n(g_t) centered across replicates
     model = ex.RandomRepetition(psi=0.6, innovation=ex.Uniform01())
     marg = model.marginal
-    r, v = 10, 0.01
+    n, r, v, t = 10_000, 10, 0.01, 1.0
+    m = n // r
     zf, zg = [], []
     for rep in range(200):
-        x = ex.generate(model, 10_000, ex.substream(1, rep))
-        sb = ex.standardize(x.values, v=v, r=r, marginal_cdf=marg.cdf)
-        pf = ex.process_path(sb, "max", [1.0], lambda t: r * v * t * ex.theta_nt_wn(0.6, r, v, t))
-        pg = ex.process_path(sb, "count", [1.0], lambda t: ex.expected_g(r, v, t))
-        zf.append(pf.values[0])
-        zg.append(pg.values[0])
-    assert pf.centering == "model_oracle"
+        x = ex.generate(model, n, ex.substream(1, rep))
+        blocks = ex.standardize(x.values, v=v, r=r, marginal_cdf=marg.cdf)
+        (hit,), (count,) = _level_sums(blocks, np.array([t]))
+        zf.append((hit - m * r * v * t * ex.theta_nt_wn(0.6, r, v, t)) / np.sqrt(n * v))
+        zg.append((count - m * r * v * t) / np.sqrt(n * v))
     assert abs(np.mean(zf)) < 0.4
     assert abs(np.mean(zg)) < 0.4
     w = np.array(zf) - 0.4 * np.array(zg)
@@ -103,10 +94,10 @@ def test_expected_count_identity_iid():
     total, blocks_seen = 0.0, 0
     for rep in range(300):
         x = ex.generate(model, 2000, ex.substream(2, rep))
-        sb = ex.standardize(x.values, v=v, r=r, marginal_cdf=lambda z: z)
-        total += ex.g_count(sb.blocks, 1.0).sum()
-        blocks_seen += sb.m
-    assert total / blocks_seen == pytest.approx(ex.expected_g(r, v, 1.0), abs=0.01)
+        blocks = ex.standardize(x.values, v=v, r=r, marginal_cdf=lambda z: z)
+        total += ex.g_count(blocks, 1.0).sum()
+        blocks_seen += len(blocks)
+    assert total / blocks_seen == pytest.approx(r * v * 1.0, abs=0.01)
 
 
 def test_closed_form_iid_kernel():
@@ -128,7 +119,9 @@ def test_tail_chain_iid_degenerate_kernel():
         assert abs(series.c(s, t)) <= 0.15
         assert abs(series.c_g(s, t) - min(s, t)) <= 0.15
     assert series.c_fg(1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert series.truncation_stability() < 0.05
+    # dropping the last 10 window positions barely moves c_g(1, 1)
+    full, short = series.c_g(1.0, 1.0), series.c_g(1.0, 1.0, K=series.K - 10)
+    assert abs(full - short) / abs(full) < 0.05
 
 
 def test_tail_chain_wn_kernel():
@@ -245,15 +238,18 @@ def test_kernel_mc_equals_per_level_loop(case):
 
 
 def test_process_path_equals_per_level_sums():
-    x = ex.generate(ex.AR1Cauchy(phi=0.6), 3000, ex.substream(4, 0)).values
-    sb = ex.standardize(x, v=0.05, r=10)
+    # the rank-mode fluctuation paths from the level sums, against one level at a time
+    n, v = 3000, 0.05
+    x = ex.generate(ex.AR1Cauchy(phi=0.6), n, ex.substream(4, 0)).values
+    blocks = ex.standardize(x, v=v, r=10)
+    m = len(blocks)
     grid = np.linspace(0.05, 1.0, 11)
     expected = 0.4 * grid
-    scale = 1.0 / np.sqrt(sb.n * sb.v)
-    for family, h in (("max", ex.f_max), ("count", ex.g_count)):
-        path = ex.process_path(sb, family, grid, expected)
-        want = [scale * (h(sb.blocks, t).sum() - sb.m * e) for t, e in zip(grid, expected)]
-        assert path.values.tolist() == want
+    scale = 1.0 / np.sqrt(n * v)
+    for sums, h in zip(_level_sums(blocks, grid), (ex.f_max, ex.g_count)):
+        path = scale * (sums - m * expected)
+        want = [scale * (h(blocks, t).sum() - m * e) for t, e in zip(grid, expected)]
+        assert path.tolist() == want
 
 
 def test_standardize_rejects_non_finite_values():
@@ -270,21 +266,43 @@ BAD_GRIDS = ([0.5, 1.5], [1.0, 0.5], [0.5, 0.5], [0.0, 0.5], [-0.2, 1.0], [np.na
              [0.5, np.inf], [])
 
 
+def recording_generate(monkeypatch):
+    """Seeds of the paths drawn through ``sim.generate``, the binding the replicate loop calls."""
+    seeds = []
+    generate = sim_module.generate
+
+    def recorded(model, n, seed, burn_in=0):
+        seeds.append(seed)
+        return generate(model, n, seed, burn_in=burn_in)
+
+    monkeypatch.setattr(sim_module, "generate", recorded)
+    return seeds
+
+
 def test_kernel_mc_rejects_bad_grid_before_simulating(monkeypatch):
-    calls = []
-    monkeypatch.setattr(sim_module, "generate", lambda *a, **kw: calls.append(a))
+    seeds = recording_generate(monkeypatch)
     args = (ex.IID(innovation=ex.Uniform01()), 1000, ex.EstimatorConfig(r=5, k=10))
     for grid in BAD_GRIDS:
         with pytest.raises(ValueError, match="grid"):
             ex.estimate_kernel_mc(*args, grid, replicates=100, seed=0)
-    assert calls == []
+    assert seeds == []
+    ex.estimate_kernel_mc(*args, [1.0], replicates=100, seed=0)
+    assert len(seeds) == 100  # the recorder sees the draws of a good grid
 
 
-def test_process_path_and_mc_grid_reject_bad_grid():
-    sb = ex.standardize(np.random.default_rng(0).random(100), v=0.1, r=5)
+def test_kernel_and_tail_chain_draw_each_replicate_once_in_order(monkeypatch):
+    seeds = recording_generate(monkeypatch)
+    u01 = ex.Uniform01()
+    model = ex.IID(innovation=u01)
+    ex.estimate_kernel_mc(model, 1000, ex.EstimatorConfig(r=5, k=50), [0.5, 1.0],
+                          replicates=100, seed=7, marginal_cdf=u01.cdf)
+    ex.tail_chain_probabilities(model, v=0.1, K=5, replicates=3, seed=8, n=1000)
+    want = [(7, (rep,)) for rep in range(100)] + [(8, (rep,)) for rep in range(3)]
+    assert [(s.entropy, s.spawn_key) for s in seeds] == want
+
+
+def test_mc_grid_rejects_bad_grid():
     for grid in BAD_GRIDS:
-        with pytest.raises(ValueError, match="grid"):
-            ex.process_path(sb, "count", grid, lambda t: 0.0)
         with pytest.raises(ValueError, match="grid"):
             ex.MCGrid(grid, np.eye(len(grid)), np.eye(len(grid)), np.eye(len(grid)), 1.0)
 

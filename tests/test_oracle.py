@@ -49,10 +49,6 @@ def test_theta_nt_iid_formula():
     assert ex.theta_nt_wn(0.0, 1, 0.05, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_expected_g_identity():
-    assert ex.expected_g(10, 0.01, 0.5) == 0.05
-
-
 def test_bias_expansion_wn_values():
     exp = ex.bias_expansion_wn(0.6, 20, 0.02)
     assert exp.theta == pytest.approx(0.4)

@@ -141,7 +141,8 @@ def test_corrected_curve_weight_scale_invariance(sample, mu, grid, lam):
     x, r, k = sample
     cfg = ex.EstimatorConfig(r=r, k=k)
     base = ex.corrected_curve(x, cfg, mu, grid)
-    scaled = ex.corrected_curve(x, cfg, mu.scaled_weights(lam), grid)
+    scaled = ex.SignedMeasureAtoms(tuple((s, t, lam * w) for s, t, w in mu.atoms))
+    scaled = ex.corrected_curve(x, cfg, scaled, grid)
     np.testing.assert_array_equal(scaled.code, base.code)
     np.testing.assert_array_equal(scaled.theta_hat, base.theta_hat)
 
@@ -218,9 +219,8 @@ fractions = st.one_of(
 @given(series(min_size=1), fractions, st.data())
 def test_standardize_rank_mode_matches_full_stable_sort(x, v, data):
     r = data.draw(st.integers(1, len(x)))
-    sb = ex.standardize(x, v=v, r=r)
-    assert sb.mode == "rank"
-    np.testing.assert_array_equal(sb.blocks, rank_blocks_reference(x, v, r))
+    blocks = ex.standardize(x, v=v, r=r)
+    np.testing.assert_array_equal(blocks, rank_blocks_reference(x, v, r))
 
 
 def test_standardize_rank_mode_matches_full_stable_sort_on_long_series():
@@ -231,7 +231,7 @@ def test_standardize_rank_mode_matches_full_stable_sort_on_long_series():
     for x in (ar1, rounded, integers, rounded[:10]):
         for v in (1e-6, 0.01, 0.1, 0.5, 0.999):
             for r in (1, 7, 10):
-                got = ex.standardize(x, v=v, r=r).blocks
+                got = ex.standardize(x, v=v, r=r)
                 np.testing.assert_array_equal(got, rank_blocks_reference(x, v, r))
 
 
@@ -240,13 +240,13 @@ def test_standardize_rank_mode_matches_full_stable_sort_on_long_series():
 def test_level_sums_match_per_level_functionals(x, v, known, grid, data):
     r = data.draw(st.integers(1, len(x)))
     cdf = (lambda z: z / (1.0 + np.max(z))) if known else None
-    sb = ex.standardize(x, v=v, r=r, marginal_cdf=cdf)
+    blocks = ex.standardize(x, v=v, r=r, marginal_cdf=cdf)
     # levels that put 1 - t on or next to a standardized excess test the strict ">"
-    edges = [1.0 - e for e in sb.blocks.ravel().tolist() if 0.0 < 1.0 - e <= 1.0]
+    edges = [1.0 - e for e in blocks.ravel().tolist() if 0.0 < 1.0 - e <= 1.0]
     levels = np.array(sorted(set(grid) | set(edges)))
-    hit, count = _level_sums(sb.blocks, levels)
-    assert hit.tolist() == [ex.f_max(sb.blocks, t).sum() for t in levels]
-    assert count.tolist() == [ex.g_count(sb.blocks, t).sum() for t in levels]
+    hit, count = _level_sums(blocks, levels)
+    assert hit.tolist() == [ex.f_max(blocks, t).sum() for t in levels]
+    assert count.tolist() == [ex.g_count(blocks, t).sum() for t in levels]
 
 
 def _fmt(x) -> str:

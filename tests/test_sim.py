@@ -143,6 +143,19 @@ def test_newton_start_shortens_the_bisection_for_positive_c2_only(monkeypatch):
     assert count_tail_tests(monkeypatch, ex.SecondOrderPareto(2.0, 1.0, 1.0, -0.3), p) == 63
 
 
+def test_wide_bracket_reaches_quantiles_far_below_its_width():
+    # z_min is ~1e-40 and the bracket starts at [z_min, 2]: 100 halvings stop ~1e-30 wide
+    for c2 in (-1e-41, 0.5):
+        law = ex.SecondOrderPareto(1.0, 1.0, 1e-40, c2)
+        z = law.quantile([0.5, 0.9])
+        np.testing.assert_allclose(law.survival(z), [0.5, 0.1], rtol=1e-12)
+
+
+def test_quantile_beyond_the_largest_float_is_inf_without_a_warning():
+    # the upper bracket doubles past the largest float; RuntimeWarnings fail tests here
+    assert ex.SecondOrderPareto(0.01, 1.0, 1.0, 0.5).quantile(1.0 - 2.0**-53) == np.inf
+
+
 def test_generate_deterministic_and_substreams_distinct():
     for model in ALL_MODELS:
         a = ex.generate(model, 200, ex.substream(11, 3))
