@@ -32,7 +32,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, MeasureConditionError
-from .estimate import BlocksEvaluator, ThresholdCurve, check_evaluator, check_grid, count_at
+from .estimate import (
+    CODE_NAMES,
+    DEGENERATE,
+    OK,
+    BlocksEvaluator,
+    ThresholdCurve,
+    _coded_counts,
+    check_evaluator,
+    check_grid,
+    count_at,
+)
 
 __all__ = [
     "SignedMeasureAtoms",
@@ -267,39 +277,90 @@ def corrected_estimate(evaluator, mu: SignedMeasureAtoms) -> float:
     return num / den
 
 
+class CurveKernel:
+    """Raw and corrected curves of one sample on a fixed (k, grid, measure), for many r.
+
+    Built once per configuration: it checks the grid, tabulates the budgets
+    count_at(k, grid) and, under a measure ``mu``, count_at(k, t s) and
+    count_at(k, t s') of every grid level t and atom (s, s', w), as
+    ``scale_measure(mu, t)`` places them, and collects the distinct budgets
+    among them.  A call then evaluates one sample at those budgets only, for
+    every block length at once, through the one threshold rule
+    (``estimate._coded_counts``), and gathers the grid rows and the atom
+    levels from them.
+    """
+
+    def __init__(self, k: int, grid, mu: SignedMeasureAtoms = None):
+        self.grid = check_grid(grid)
+        self.mu = mu
+        levels = self.grid
+        if mu is not None:
+            s, t, self._w = mu.arrays()
+            self._eps_den = 1e-8 * mu.total_variation
+            atom_levels = np.outer(self.grid, np.column_stack([s, t]).ravel())
+            levels = np.concatenate([levels, atom_levels.ravel()])
+        budgets = count_at(k, levels)
+        self.k_t = budgets[: len(self.grid)]
+        self._budgets, where = np.unique(budgets, return_inverse=True)
+        self._raw_at = where[: len(self.grid)]
+        # (2 * atoms, grid): the budget index of each atom level, in the order s1, t1, s2, t2, ...
+        self._levels_at = where[len(self.grid) :].reshape(len(self.grid), -1).T
+
+    def __call__(self, top: np.ndarray, tables) -> tuple:
+        """``(raw_values, raw_codes, corrected_values, corrected_codes)`` of one sample.
+
+        ``top`` and ``tables`` are what ``estimate._coded_counts`` takes; row
+        i of each (rows x grid) array belongs to ``tables[i]``, and codes are
+        the integer skip codes of ``estimate.CODE_NAMES``.  Without a measure
+        the corrected pair is ``(None, None)``.
+        """
+        values, codes = _coded_counts(top, tables, self._budgets)
+        raw = values[:, self._raw_at], codes[:, self._raw_at]
+        if self.mu is None:
+            return (*raw, None, None)
+        at = self._levels_at
+        levels = values[:, at].swapaxes(0, 1), codes[:, at].swapaxes(0, 1)
+        return (*raw, *_corrected_rows(self._w, self._eps_den, *levels))
+
+
+def _corrected_rows(w, eps_den, values, codes) -> tuple:
+    """Corrected values and integer codes from the curve at the atom levels.
+
+    ``values`` and ``codes`` run over the atom levels, in the order s1, t1,
+    s2, t2, ..., along their first axis; the result drops it.  A value is the
+    ``_combine`` ratio; its code is that of its first undefined atom level,
+    else ``DEGENERATE`` when the denominator falls below ``eps_den``, and such
+    values are NaN.
+    """
+    num, den, degenerate = _combine(w, values[0::2], values[1::2], eps_den)
+    # argmax finds the first undefined level; where none is, level 0, whose code is OK
+    first = np.take_along_axis(codes, (codes != OK).argmax(axis=0)[None], axis=0)[0]
+    code = np.where(first != OK, first, np.where(degenerate, DEGENERATE, OK))
+    value = np.full(code.shape, np.nan)
+    np.divide(num, den, out=value, where=code == OK)
+    return value, code
+
+
 def corrected_curve(x, cfg, mu: SignedMeasureAtoms, t_grid) -> ThresholdCurve:
     """Corrected estimate per threshold level, via the measure scaled to each level.
 
-    ``x`` is a series, or an evaluator (anything with ``at_counts``) already
-    built for ``cfg``'s r and k, and ``t_grid`` must pass ``check_grid``.  At
-    grid level t the measure is shrunk to atoms (t s, t s', w), as
-    scale_measure(mu, t) does, so all atom levels sit at or below t; the
-    blocks curve is evaluated at every level of outer(grid, atom levels) in
-    one call.  A level takes the code of its first undefined atom level, in
-    the order s1, t1, s2, t2, ..., else ``DEGENERATE_DENOMINATOR`` when the
+    ``x`` is a series, or a ``BlocksEvaluator`` already built for ``cfg``'s r
+    and k, and ``t_grid`` must pass ``check_grid``.  At grid level t the
+    measure is shrunk to atoms (t s, t s', w), as scale_measure(mu, t) does,
+    so all atom levels sit at or below t.  It is the single-r entry point of
+    ``CurveKernel``: a level takes the code of its first undefined atom level,
+    in the order s1, t1, s2, t2, ..., else ``DEGENERATE_DENOMINATOR`` when the
     denominator falls below 1e-8 times the total variation; such levels are
     NaN, not interpolated.
     """
-    grid = check_grid(t_grid)
+    kernel = CurveKernel(cfg.k, t_grid, mu)
     ev = check_evaluator(x, cfg) if hasattr(x, "at_counts") else BlocksEvaluator(x, cfg.r, cfg.k)
-    s, t, w = mu.arrays()
-    levels = np.outer(grid, np.column_stack([s, t]).ravel())
-    values, codes = ev.at_counts(count_at(cfg.k, levels))
-    num, den, degenerate = _combine(
-        w, values[:, 0::2].T, values[:, 1::2].T, 1e-8 * mu.total_variation
-    )
-    undefined = codes != ""
-    first = codes[np.arange(len(grid)), undefined.argmax(axis=1)]
-    code = np.where(
-        undefined.any(axis=1), first, np.where(degenerate, DegenerateDenominator.code, "")
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.where(code == "", num / den, np.nan)
+    _, _, value, code = kernel(ev._top, [ev._tables])
     return ThresholdCurve(
-        t=grid,
-        k_t=count_at(cfg.k, grid),
-        theta_hat=value,
-        code=code,
+        t=kernel.grid,
+        k_t=kernel.k_t,
+        theta_hat=value[0],
+        code=CODE_NAMES[code[0]],
         variant="corrected",
         config=cfg,
         n=ev.n,

@@ -10,6 +10,15 @@ exceedances in the full sample, t in (0, 1], so one sample yields a whole curve
 t -> theta_hat(t).  When none of those top values falls in the uncovered tail
 segment (m*r, n], the denominator simplifies to ceil(k*t) exactly.
 
+Every threshold a curve with budget k reads lies among the k + 1 largest
+sample values, so one partial sort of the sample (``_top_values``) serves all
+levels and all block lengths; each block length adds its sorted block maxima
+(``_block_tables``).  One threshold rule (``_coded_counts``) turns an array
+of budgets into estimates and integer skip codes for every block length at
+once.  The Monte Carlo driver calls it once per replicate through
+``biascorrect.CurveKernel``; ``sweep`` and ``BlocksEvaluator`` are its
+single-r entry points.
+
 The runs estimator counts an exceedance as a cluster end when the next
 ``run_length`` observations all stay below the threshold:
 
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoExceedances, TiesDetected
+from .errors import DegenerateDenominator, NoExceedances, TiesDetected
 
 __all__ = [
     "EstimatorConfig",
@@ -160,14 +169,80 @@ def runs_estimator(x, run_length: int, u: float) -> float:
     return numer / denom
 
 
+# Integer skip codes of the curve kernels; ``CODE_NAMES[code]`` is the
+# error code a curve reports, "" where the value is defined.
+OK, TIES, NO_EXC, DEGENERATE = 0, 1, 2, 3
+CODE_NAMES = np.array(["", TiesDetected.code, NoExceedances.code, DegenerateDenominator.code])
+
+
+def _top_values(xs: np.ndarray, k: int) -> np.ndarray:
+    """The k + 1 largest values of ``xs`` in ascending order.
+
+    A budget 1 <= k_t <= k reads only the order statistics n - k_t - 1 and
+    n - k_t, so these values are all a threshold needs: one partition of the
+    sample and a sort of its top k + 1 values replace a sort of the sample.
+    """
+    top = np.partition(xs, len(xs) - k - 1)[len(xs) - k - 1 :]
+    top.sort()
+    return top
+
+
+def _block_tables(xs: np.ndarray, r: int) -> tuple:
+    """Sorted block maxima of the first m*r values, and the sorted uncovered tail."""
+    m = len(xs) // r
+    # column j holds the j-th value of every block; max is exact, so r
+    # strided passes give the same maxima as a row-wise reduction, faster
+    block_max = xs[0 : m * r : r].copy()
+    for j in range(1, r):
+        np.maximum(block_max, xs[j : m * r : r], out=block_max)
+    block_max.sort()
+    return block_max, np.sort(xs[m * r :])
+
+
+def _thresholds(top: np.ndarray, k_t) -> tuple:
+    """Threshold and tie flag of each budget k_t, read from ``_top_values``.
+
+    The threshold is the order statistic below the top k_t values; it is tied
+    when it equals the smallest of them.
+    """
+    below = len(top) - 1 - k_t
+    u = top[below]
+    return u, u == top[below + 1]
+
+
+def _coded_counts(top: np.ndarray, tables, k_t: np.ndarray) -> tuple:
+    """Blocks estimates and integer skip codes at the budgets ``k_t``: the one threshold rule.
+
+    ``top`` comes from ``_top_values`` and ``tables`` holds one
+    ``_block_tables`` pair per block length.  The thresholds and tie flags of
+    ``_thresholds`` are read once for all block lengths.  Returns
+    ``(values, codes)`` of shape (len(tables), len(k_t)): a code is ``TIES``
+    where the threshold ties the smallest retained value, else ``NO_EXC``
+    where every retained value lies beyond the block coverage, else ``OK``
+    with the value defined; values are NaN wherever a code is set.
+    """
+    u, tied = _thresholds(top, k_t)
+    hit = np.empty((len(tables), len(k_t)), dtype=np.int64)
+    in_blocks = np.empty_like(hit)
+    for i, (block_max, tail) in enumerate(tables):
+        hit[i] = len(block_max) - np.searchsorted(block_max, u, side="right")
+        # without a tie exactly k_t values exceed u, so the in-block count is
+        # k_t minus those in the tail
+        in_blocks[i] = k_t - (len(tail) - np.searchsorted(tail, u, side="right"))
+    codes = np.where(tied, TIES, np.where(in_blocks == 0, NO_EXC, OK))
+    values = np.where(codes == OK, hit / np.maximum(in_blocks, 1), np.nan)
+    return values, codes
+
+
 class BlocksEvaluator:
     """Reusable k_t -> theta_hat evaluator for one (sample, r, k).
 
-    Precomputes sorted sample values, sorted block maxima, and the sorted
-    uncovered tail once; ``at_counts`` then evaluates any array of exceedance
-    budgets with two binary searches over all of them at once (the estimate
-    depends on t only through k_t).  ``sweep`` and ``corrected_curve`` accept
-    one in place of the series, so both curves can share a single build.
+    Keeps the k + 1 largest sample values, found by one partial sort, and the
+    sorted block maxima and uncovered tail; ``at_counts`` then evaluates any
+    array of exceedance budgets with two binary searches over all of them at
+    once (the estimate depends on t only through k_t).  It is the single-r
+    case of the curve kernel, and ``sweep`` and ``corrected_curve`` accept one
+    in place of the series, so both curves can share a single build.
     """
 
     def __init__(self, x, r: int, k: int):
@@ -179,15 +254,16 @@ class BlocksEvaluator:
         self.r = r
         self.k = k
         self.m = n // r
-        self._sorted = np.sort(xs)
-        # column j holds the j-th value of every block; max is exact, so r
-        # strided passes give the same maxima as a row-wise reduction, faster
-        block_max = xs[0 : self.m * r : r].copy()
-        for j in range(1, r):
-            np.maximum(block_max, xs[j : self.m * r : r], out=block_max)
-        block_max.sort()
-        self._block_max_sorted = block_max
-        self._tail_sorted = np.sort(xs[self.m * r :])
+        self._top = _top_values(xs, k)
+        self._tables = _block_tables(xs, r)
+
+    def _coded(self, k_t) -> tuple:
+        """Values and integer skip codes shaped like ``k_t`` (see ``_coded_counts``)."""
+        k_t = np.asarray(k_t, dtype=np.int64)
+        if np.any((k_t < 1) | (k_t > self.k)):
+            raise ValueError(f"need 1 <= k_t <= k={self.k}, got {k_t}")
+        values, codes = _coded_counts(self._top, [self._tables], k_t.ravel())
+        return values.reshape(k_t.shape), codes.reshape(k_t.shape)
 
     def at_counts(self, k_t):
         """Estimates and skip codes for an array of exceedance budgets.
@@ -199,31 +275,17 @@ class BlocksEvaluator:
         the block coverage, else "" with the value defined; values are NaN
         wherever a code is set.
         """
-        k_t = np.asarray(k_t, dtype=np.int64)
-        if np.any((k_t < 1) | (k_t > self.k)):
-            raise ValueError(f"need 1 <= k_t <= k={self.k}, got {k_t}")
-        u = self._sorted[self.n - k_t - 1]
-        hit = self.m - np.searchsorted(self._block_max_sorted, u, side="right")
-        tail_exceed = len(self._tail_sorted) - np.searchsorted(self._tail_sorted, u, side="right")
-        # without a tie exactly k_t values exceed u, so the in-block count is
-        # k_t minus those in the tail
-        in_blocks = k_t - tail_exceed
-        codes = np.where(
-            u == self._sorted[self.n - k_t],
-            TiesDetected.code,
-            np.where(in_blocks == 0, NoExceedances.code, ""),
-        )
-        values = np.where(codes == "", hit / np.maximum(in_blocks, 1), np.nan)
-        return values, codes
+        values, codes = self._coded(k_t)
+        return values, CODE_NAMES[codes]
 
     def at_count(self, k_t: int) -> float:
         """The estimate for one budget; an undefined one raises its coded error."""
-        values, codes = self.at_counts(k_t)
-        if codes == TiesDetected.code:
+        values, codes = self._coded(k_t)
+        if codes == TIES:
             raise TiesDetected(
                 f"threshold order statistic ties the smallest of the top {k_t} values"
             )
-        if codes == NoExceedances.code:
+        if codes == NO_EXC:
             raise NoExceedances(f"all top {k_t} values lie beyond the block coverage")
         return float(values)
 
@@ -279,9 +341,11 @@ def check_grid(grid, what: str = "grid") -> np.ndarray:
 def sweep(x, cfg: EstimatorConfig, grid=None) -> ThresholdCurve:
     """Evaluate the empirical-threshold blocks estimator on a grid of t values.
 
-    ``x`` is a series, or an evaluator (anything with ``at_counts``) already
-    built for ``cfg``'s r and k.  ``grid`` defaults to ``default_grid(k)``; any
-    other grid must pass ``check_grid``.  Grid points where the estimate is
+    ``x`` is a series, or a ``BlocksEvaluator`` already built for ``cfg``'s r
+    and k.  ``grid`` defaults to ``default_grid(k)``; any other grid must pass
+    ``check_grid``.  It is the single-r entry point of the raw half of the
+    curve kernel: the budgets go through the same threshold rule,
+    ``_coded_counts``.  Grid points where the estimate is
     undefined (no exceedance inside the blocks, or a threshold tie) keep their
     place in the curve with a NaN value and the error code, instead of
     silently disappearing.
@@ -289,12 +353,12 @@ def sweep(x, cfg: EstimatorConfig, grid=None) -> ThresholdCurve:
     grid = default_grid(cfg.k) if grid is None else check_grid(grid)
     ev = check_evaluator(x, cfg) if hasattr(x, "at_counts") else BlocksEvaluator(x, cfg.r, cfg.k)
     k_t = count_at(cfg.k, grid)
-    values, codes = ev.at_counts(k_t)
+    values, codes = ev._coded(k_t)
     return ThresholdCurve(
         t=grid,
         k_t=k_t,
         theta_hat=values,
-        code=codes,
+        code=CODE_NAMES[codes],
         variant="empirical_quantile",
         config=cfg,
         n=ev.n,

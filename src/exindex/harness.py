@@ -11,6 +11,12 @@ package version: per-replicate curves (so every summary row can be recomputed
 exactly), per-(r, t) summaries with bias and RMSE against the closed-form
 curve targets where available, and Figure-style bundles of blocks, runs, and
 corrected curves averaged with standard-deviation bands.
+
+Each replicate is partially sorted once: ``biascorrect.CurveKernel``, built
+once per config, evaluates the blocks and corrected curves of every block
+length from that one slice, and the runs curves read their thresholds from
+it too.  ``sweep`` and ``corrected_curve`` are the single-r entry points of
+the same kernel.
 """
 
 from __future__ import annotations
@@ -21,17 +27,26 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import estimate
 from ._version import __version__
 from .biascorrect import (
+    CurveKernel,
     SignedMeasureAtoms,
-    corrected_curve,
     product_measure,
     read_measure_csv,
     two_atom_measure,
 )
-from .estimate import EstimatorConfig, check_grid, check_run_length, count_at, sweep
-from .estimate import runs_estimator  # noqa: F401  (perfbench/layers.py traces this binding)
+from .estimate import (
+    CODE_NAMES,
+    EstimatorConfig,
+    _block_tables,
+    _thresholds,
+    _top_values,
+    check_grid,
+    check_run_length,
+)
+# perfbench/layers.py traces these bindings
+from .biascorrect import corrected_curve  # noqa: F401
+from .estimate import runs_estimator, sweep  # noqa: F401
 from .oracle import theta_nt_mm_exact, theta_nt_wn
 from .sim import (
     IID,
@@ -457,40 +472,44 @@ def _new_curves(cfg: ExperimentConfig, keys) -> tuple:
     )
 
 
-def _fill_replicate(cfg: ExperimentConfig, x, rep: int, grid, raw, corrected) -> None:
+def _fill_replicate(kernel: CurveKernel, cfg: ExperimentConfig, xs, top, rep, raw, corrected):
     """Row ``rep`` of the blocks curves, and of the corrected ones under a measure.
 
-    One evaluator per r serves both curves, so the sample and its block maxima
-    are sorted once per (replicate, r).
+    ``top`` is the replicate's k + 1 largest values from its one partial
+    sort; only the block maxima of each r are built here, and one kernel call
+    evaluates every r.  The integer skip codes become code names once per row.
     """
-    for r in cfg.r_list:
-        est = EstimatorConfig(r=r, k=cfg.k)
-        # built through the module attribute, where a tracing wrapper sees each build
-        ev = estimate.BlocksEvaluator(x.values, r, cfg.k)
-        curves = [(sweep(ev, est, grid), raw)]
-        if cfg.measure is not None:
-            curves.append((corrected_curve(ev, est, cfg.measure, grid), corrected))
-        for curve, (values, codes) in curves:
-            values[r][rep] = curve.theta_hat
-            codes[r][rep] = curve.code
+    tables = [_block_tables(xs, r) for r in cfg.r_list]
+    raw_values, raw_codes, values, codes = kernel(top, tables)
+    rows = [(raw, raw_values, raw_codes)]
+    if cfg.measure is not None:
+        rows.append((corrected, values, codes))
+    for (curves, names), row_values, row_codes in rows:
+        for i, r in enumerate(cfg.r_list):
+            curves[r][rep] = row_values[i]
+            names[r][rep] = CODE_NAMES[row_codes[i]]
 
 
 def _replicates(cfg: ExperimentConfig, run_lengths=()) -> tuple:
     """Simulate every replicate once: its ``MCResult`` and runs curves for ``run_lengths``.
 
-    ``runs[run_length]`` is a (replicates x grid) value array with NaN where
-    the runs estimate is undefined.
+    The grid and its budgets are checked and tabulated once; each replicate
+    is partially sorted once, and its blocks, corrected and runs curves all
+    read their thresholds from that one slice.  ``runs[run_length]`` is a
+    (replicates x grid) value array with NaN where the runs estimate is
+    undefined.
     """
     for run_length in run_lengths:
         check_run_length(run_length, cfg.n)
-    grid = np.asarray(cfg.t_grid)
+    kernel = CurveKernel(cfg.k, cfg.t_grid, cfg.measure)
     raw = _new_curves(cfg, cfg.r_list)
     corrected = _new_curves(cfg, cfg.r_list if cfg.measure is not None else ())
-    runs = {rl: np.full((cfg.replicates, len(grid)), np.nan) for rl in run_lengths}
+    runs = {rl: np.full((cfg.replicates, len(cfg.t_grid)), np.nan) for rl in run_lengths}
     for rep, x in replicate_paths(cfg.model, cfg.n, cfg.base_seed, cfg.replicates, cfg.burn_in):
-        _fill_replicate(cfg, x, rep, grid, raw, corrected)
+        top = _top_values(x.values, cfg.k)
+        _fill_replicate(kernel, cfg, x.values, top, rep, raw, corrected)
         if run_lengths:
-            thresholds = np.sort(x.values)[x.n - count_at(cfg.k, grid) - 1]
+            thresholds, _ = _thresholds(top, kernel.k_t)
             for rl in run_lengths:
                 runs[rl][rep] = _runs_curve_values(x.values, rl, thresholds)
     result = MCResult(
@@ -527,21 +546,26 @@ def _curves_csv(result: MCResult) -> str:
     """The text of curves.csv: one row per (kind, r, replicate, level).
 
     Cells are formatted as ``_write_csv`` formats them (``repr`` of a float,
-    "" for an undefined value), but from ``tolist()`` rows in one join.
+    "" for an undefined value).  Each (kind, r) block of replicate rows is
+    filled into one template by one ``str.format`` call.
     """
     cfg = result.config
-    lines = ["replicate,kind,r,t,value,flag\n"]
+    blocks = ["replicate,kind,r,t,value,flag\n"]
     for kind, curves, codes in result.kinds():
         for r in cfg.r_list:
             if r not in curves:
                 continue
-            middles = [f"{kind},{r},{t!r}" for t in cfg.t_grid]
-            for rep, (values, flags) in enumerate(zip(curves[r].tolist(), codes[r].tolist())):
-                lines.extend(
-                    f"{rep},{mid},{'' if v != v else repr(v)},{flag}\n"
-                    for mid, v, flag in zip(middles, values, flags)
-                )
-    return "".join(lines)
+            values = curves[r].ravel()
+            defined = values == values
+            cells = np.full(values.size, "", dtype=object)
+            cells[defined] = list(map(repr, values[defined].tolist()))
+            fields = [None] * (3 * values.size)
+            fields[0::3] = np.repeat(np.arange(len(curves[r])), len(cfg.t_grid)).tolist()
+            fields[1::3] = cells.tolist()
+            fields[2::3] = codes[r].ravel().tolist()
+            row = "".join(f"{{}},{kind},{r},{t!r},{{}},{{}}\n" for t in cfg.t_grid)
+            blocks.append((row * len(curves[r])).format(*fields))
+    return "".join(blocks)
 
 
 def _persist(result: MCResult) -> tuple:

@@ -108,12 +108,14 @@ def mm_block_nonexceed(spec: MovingMaxima, r: int, u: float) -> float:
     satisfies psi_j * Z_m <= u for each coefficient j through which it enters,
     i.e. Z_m <= u / psi*_m with psi*_m the largest applicable coefficient.
     Innovations with no applicable coefficient (or only zero ones) contribute
-    factor 1.
+    factor 1.  The innovation cdf is evaluated once per distinct psi*_m; the
+    factors are multiplied in the order of m.
     """
     if r < 1:
         raise ValueError(f"r must be at least 1, got {r}")
     fz = spec.innovation.cdf
     q = spec.q
+    factors = {}
     prob = 1.0
     for m in range(1 - q, r + 1):
         lo = max(0, 1 - m)
@@ -122,7 +124,9 @@ def mm_block_nonexceed(spec: MovingMaxima, r: int, u: float) -> float:
             continue
         best = max(spec.coeffs[lo : hi + 1])
         if best > 0.0:
-            prob *= float(fz(u / best))
+            if best not in factors:
+                factors[best] = float(fz(u / best))
+            prob *= factors[best]
     return prob
 
 

@@ -290,7 +290,11 @@ def _bisect_quantile(p, below_for, lo: float, hi: float, start=None):
     ``below_for(p)`` returns ``below(z, out)``, which writes into the boolean
     array ``out`` where z lies below the p-quantile and returns it; it must
     hold at ``lo`` and turn False once, as z grows.  The upper bracket starts
-    at ``hi`` and doubles until ``below`` fails there.  Bisection stops as
+    at ``hi`` and doubles until ``below`` fails there; from 2**1023 it steps
+    to the largest float instead, and from there to inf, so only a quantile
+    beyond every float is inf.  When an upper end exceeds half the largest
+    float, ``lo + hi`` may overflow, and the midpoint adds the halves
+    wherever it does (``_wide_midpoint``).  Bisection stops as
     soon as every midpoint equals its ``lo`` or ``hi``: from then on each
     later midpoint is that same value.  Each step halves the gap between the
     ends, and every float64 is a multiple of 2**-1074 below 2**1024, so from
@@ -344,12 +348,19 @@ def _bisect_quantile(p, below_for, lo: float, hi: float, start=None):
     bits = np.empty(p.shape, dtype=np.int64)
     lo_bits, hi_bits, mid_bits = lo.view(np.int64), hi.view(np.int64), mid.view(np.int64)
     while np.any(below(hi, left)):
-        # a quantile beyond the largest float doubles hi to inf, the right result
+        # from 2**1023 up, hi steps to the largest float and only then to inf,
+        # the right result for a quantile beyond every float
+        grown = hi[left]
         with np.errstate(over="ignore"):
-            hi[left] *= 2.0
+            past = np.where(grown < _MAX, _MAX, np.inf)
+            hi[left] = np.where(grown < 2.0**1023, 2.0 * grown, past)
+    wide = hi.max() > _MAX / 2  # lo + hi may overflow; hi only falls from here
     for _ in range(2100):
-        np.add(lo, hi, out=mid)
-        np.multiply(0.5, mid, out=mid)
+        if wide:
+            _wide_midpoint(lo, hi, mid)
+        else:
+            np.add(lo, hi, out=mid)
+            np.multiply(0.5, mid, out=mid)
         np.equal(mid, lo, out=same)
         np.logical_or(same, np.equal(mid, hi, out=left), out=same)
         if same.all():
@@ -361,8 +372,25 @@ def _bisect_quantile(p, below_for, lo: float, hi: float, start=None):
         np.bitwise_xor(hi_bits, mid_bits, out=bits)
         np.bitwise_and(bits, mask, out=bits)
         np.bitwise_xor(mid_bits, bits, out=hi_bits)
-    out = 0.5 * (lo + hi)
+    out = _wide_midpoint(lo, hi, mid) if wide else 0.5 * (lo + hi)
     return float(out[0]) if scalar else out
+
+
+_MAX = np.finfo(float).max
+
+
+def _wide_midpoint(lo, hi, out):
+    """``0.5 * (lo + hi)`` into ``out``; where the sum overflows, the halves are added instead.
+
+    Elsewhere ``out`` has the bits of ``0.5 * (lo + hi)``, so a bracket whose
+    sum stays finite takes the same steps as on the plain path.
+    """
+    with np.errstate(over="ignore"):
+        np.add(lo, hi, out=out)
+    over = np.isinf(out) & np.isfinite(hi)
+    np.multiply(0.5, out, out=out)
+    out[over] = 0.5 * lo[over] + 0.5 * hi[over]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -433,8 +433,8 @@ def test_simulate_ignores_innovation_flags_for_models_without_one(capsys):
     assert capsys.readouterr().err == "usage error: --alpha required for pareto innovation\n"
 
 
-def test_mc_builds_one_evaluator_per_replicate_and_r(tmp_path, monkeypatch):
-    from exindex import biascorrect, estimate
+def test_mc_orders_each_sample_once_per_replicate(tmp_path, monkeypatch):
+    from exindex import biascorrect, estimate, harness
 
     cfg = ex.ExperimentConfig(
         model=ex.AR1Cauchy(phi=0.6),
@@ -451,18 +451,32 @@ def test_mc_builds_one_evaluator_per_replicate_and_r(tmp_path, monkeypatch):
     assert dispatch(argv) == 0
     plain = {p.name: p.read_bytes() for p in (tmp_path / "exp").iterdir()}
 
-    # a plain function in place of the class, as a tracing wrapper installs it
-    builds = []
+    # one partial sort per replicate serves every r, and no per-r evaluator
+    # is built; plain functions stand in for both, as a tracing wrapper does
+    sorts, builds, tables = [], [], []
+    top_values, block_tables = harness._top_values, harness._block_tables
     build = estimate.BlocksEvaluator
 
-    def counted(*args, **kwargs):
+    def counted_sort(xs, k):
+        sorts.append((len(xs), k))
+        return top_values(xs, k)
+
+    def counted_tables(xs, r):
+        tables.append(r)
+        return block_tables(xs, r)
+
+    def counted_build(*args, **kwargs):
         builds.append(args[1:])
         return build(*args, **kwargs)
 
+    monkeypatch.setattr(harness, "_top_values", counted_sort)
+    monkeypatch.setattr(harness, "_block_tables", counted_tables)
     for module in (estimate, biascorrect):
-        monkeypatch.setattr(module, "BlocksEvaluator", counted)
+        monkeypatch.setattr(module, "BlocksEvaluator", counted_build)
     assert dispatch(argv) == 0
-    assert sorted(builds) == sorted((r, cfg.k) for r in cfg.r_list for _ in range(cfg.replicates))
+    assert sorts == [(cfg.n, cfg.k)] * cfg.replicates
+    assert tables == list(cfg.r_list) * cfg.replicates
+    assert builds == []
     assert {p.name: p.read_bytes() for p in (tmp_path / "exp").iterdir()} == plain
 
 

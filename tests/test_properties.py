@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import exindex as ex
+from exindex.biascorrect import CurveKernel
 from exindex.clusterproc import _level_sums
+from exindex.estimate import CODE_NAMES, _block_tables, _top_values
 from exindex.harness import MCResult, _curves_csv, _runs_curve_values
 
 TIES = "TIES_DETECTED"
@@ -174,6 +176,42 @@ def test_curves_from_an_evaluator_equal_curves_from_the_series(sample, mu, grid)
         np.testing.assert_array_equal(from_evaluator.code, from_series.code)
         np.testing.assert_array_equal(from_evaluator.theta_hat, from_series.theta_hat)
         assert from_evaluator.n == from_series.n
+
+
+@st.composite
+def kernel_cases(draw):
+    """(x, r_list, k): up to four block lengths, any r <= n, so the tail may be long."""
+    x = draw(series())
+    n = len(x)
+    r_list = draw(st.lists(st.integers(1, n), min_size=1, max_size=4, unique=True))
+    return x, r_list, draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases(), st.one_of(st.none(), measures()), grids)
+# the top value sits in the tail of 7 = 2 * 3 + 1 values: NO_EXCEEDANCES at k_t = 1
+@example((np.arange(7.0), [3, 2], 3), ex.two_atom_measure(0.5, 1.0, 2.0), [1 / 3, 1.0])
+# at t = 1 the first atom level ties (k_t = 5) and the second has its top value in the tail (k_t = 1)
+@example((np.array([0, 1, 1, 2, 3, 5, 9.0]), [3], 6), ex.two_atom_measure(1.0, 1 / 6, 1.2), [1.0])
+# ties at every budget, under a product measure
+@example((np.array([1.0, 2, 2, 2, 2, 1, 2, 2]), [2, 3], 4), ex.product_measure(1, 2, 2, 2), [0.5])
+def test_curve_kernel_matches_the_definitions_for_every_r(case, mu, grid):
+    x, r_list, k = case
+    kernel = CurveKernel(k, grid, mu)
+    raw_values, raw_codes, values, codes = kernel(
+        _top_values(x, k), [_block_tables(x, r) for r in r_list]
+    )
+    assert raw_values.shape == raw_codes.shape == (len(r_list), len(grid))
+    assert values is codes is None if mu is None else values.shape == raw_values.shape
+    for i, r in enumerate(r_list):
+        for j, t in enumerate(grid):
+            value, code = brute_force(x, r, k, t)
+            assert CODE_NAMES[raw_codes[i, j]] == code
+            assert same(raw_values[i, j], value)
+            if mu is not None:
+                value, code = pointwise_corrected(x, r, k, mu, t)
+                assert CODE_NAMES[codes[i, j]] == code
+                assert same(values[i, j], value)  # bit for bit
 
 
 @st.composite

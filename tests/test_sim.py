@@ -156,6 +156,18 @@ def test_quantile_beyond_the_largest_float_is_inf_without_a_warning():
     assert ex.SecondOrderPareto(0.01, 1.0, 1.0, 0.5).quantile(1.0 - 2.0**-53) == np.inf
 
 
+@pytest.mark.parametrize("c2", [-0.001, 0.5])
+def test_quantile_above_two_to_the_1023_is_finite_without_a_warning(c2):
+    # the survival at the largest float, ~8.27e-4, is already below 8.3e-4
+    law = ex.SecondOrderPareto(0.01, 1.0, 1.0, c2)
+    p = 1.0 - 8.3e-4
+    z = law.quantile(p)
+    assert 2.0**1023 < z < np.inf
+    assert law.survival(z * (1.0 - 1e-12)) >= 8.3e-4 >= law.survival(z * (1.0 + 1e-12))
+    # an element whose bracket never nears the largest float keeps its bits
+    assert law.quantile(np.array([p, 0.5])).tolist() == [z, law.quantile(0.5)]
+
+
 def test_generate_deterministic_and_substreams_distinct():
     for model in ALL_MODELS:
         a = ex.generate(model, 200, ex.substream(11, 3))
