@@ -26,15 +26,35 @@ With p_k(s, t) = P{W_1 > 1-s, W_k > 1-t},
 
 For independent data the tail sequence is degenerate (W_k = 0 for k >= 2), so
 c_g = c_fg = min(s, t), theta = 1 and c vanishes identically.
+
+The Monte Carlo kernel never forms the m x r blocks.  Per sample, one partial
+sort (``estimate._top_values``) serves both the level sums and the blocks
+estimate at t = 1: in rank mode its top k + 1 values hold the smallest value
+with a positive excess, so only the values at or above it are ranked, and the
+sums of f_t and g_t over the blocks at every level come from the sparse
+(index, excess) pairs of the positive excesses (``_level_sums``); theta_hat(1)
+is read from the same partial sort through ``estimate._coded_counts``.
+``standardize`` scatters the same pairs into the m x r array.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import sim
-from .estimate import BlocksEvaluator, EstimatorConfig, _values, check_grid
+from .estimate import (
+    EstimatorConfig,
+    _block_tables,
+    _coded_counts,
+    _raise_coded,
+    _top_values,
+    _values,
+    check_grid,
+)
+from .estimate import BlocksEvaluator  # noqa: F401  (perfbench/layers.py traces this binding)
 
 __all__ = [
     "standardize",
@@ -55,6 +75,7 @@ def standardize(x, v: float, r: int, marginal_cdf=None) -> np.ndarray:
     U_i = rank_i / n, which reproduces exactly the exceedance sets of the
     empirical-threshold estimator.  Ranks are those of a stable sort (ties
     ranked in index order); only the values with a positive excess are ranked.
+    The array is the scatter of ``_excess_rule``, the one ranking rule.
     """
     xs = _values(x)
     n = len(xs)
@@ -62,33 +83,70 @@ def standardize(x, v: float, r: int, marginal_cdf=None) -> np.ndarray:
         raise ValueError(f"v must lie in (0, 1), got {v}")
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if marginal_cdf is not None:
-        u = np.asarray(marginal_cdf(xs), dtype=float)
-        excess = np.clip((u - (1.0 - v)) / v, 0.0, None)
-    else:
-        excess = _rank_excess(xs, v)
+    index, excess = _excess_rule(n, v, marginal_cdf)(xs)
+    blocks = np.zeros(n)
+    blocks[index] = excess
     m = n // r
-    return excess[: m * r].reshape(m, r)
+    return blocks[: m * r].reshape(m, r)
 
 
-def _rank_excess(xs: np.ndarray, v: float) -> np.ndarray:
-    """Excess of rank_i / n for every value, ranking only the top of the sample.
+def _excess_rule(n: int, v: float, marginal_cdf=None):
+    """``pairs(xs, top=None)``: flat indices and values of the positive standardized excesses.
 
-    The excess is nondecreasing in the rank, so the q positive ones belong to
-    the q highest stable ranks.  Those values are at least the (n - q)-th order
-    statistic b; stably sorting the candidates xs >= b (kept in index order)
-    ranks them exactly as a stable sort of the whole sample would.
+    It is the one ranking rule for samples of length n.  In rank mode the
+    pairs come in ascending rank order, the ladder of excesses is computed
+    once per rule, and ``top``, the largest values in ascending order from
+    ``_top_values``, saves the partition that finds the smallest ranked
+    value when it holds enough of them.  In known-marginal mode the pairs
+    come in index order.
     """
-    n = len(xs)
-    ladder = np.clip((np.arange(1, n + 1) / n - (1.0 - v)) / v, 0.0, None)
-    q = int(np.count_nonzero(ladder))
-    excess = np.zeros(n)
-    if q:
+    if marginal_cdf is not None:
+        return lambda xs, top=None: _cdf_pairs(xs, v, marginal_cdf)
+    ladder = _rank_ladder(n, v)
+    return lambda xs, top=None: _rank_pairs(xs, ladder, top)
+
+
+def _cdf_pairs(xs: np.ndarray, v: float, marginal_cdf) -> tuple:
+    """Indices and values of the positive excesses of U_i = F(X_i), in index order."""
+    u = np.asarray(marginal_cdf(xs), dtype=float)
+    if not np.isfinite(u).all():
+        raise ValueError("marginal_cdf must return finite values; found NaN or inf")
+    excess = np.clip((u - (1.0 - v)) / v, 0.0, None)
+    index = np.flatnonzero(excess)
+    return index, excess[index]
+
+
+def _rank_ladder(n: int, v: float) -> np.ndarray:
+    """The positive excesses (i / n - (1 - v)) / v of the ranks i <= n, ascending.
+
+    The excess is nondecreasing in i and positive exactly where the float
+    i / n exceeds the float 1 - v, which holds for at most ceil(v * n) + 1
+    ranks (both roundings are within 2^-53 of 1), so only the top
+    ceil(v * n) + 2 entries of the ladder are computed.
+    """
+    width = min(n, math.ceil(v * n) + 2)
+    ladder = np.clip((np.arange(n - width + 1, n + 1) / n - (1.0 - v)) / v, 0.0, None)
+    return ladder[ladder > 0.0]
+
+
+def _rank_pairs(xs: np.ndarray, ladder: np.ndarray, top=None) -> tuple:
+    """Indices of the values with a positive rank excess, by ascending rank, and their excesses.
+
+    The q positive excesses (the ``ladder``) belong to the q highest stable
+    ranks.  Those values are at least the (n - q)-th order statistic b;
+    stably sorting the candidates xs >= b (kept in index order) ranks them
+    exactly as a stable sort of the whole sample would.  With v = k / n, q
+    is k or k + 1, so b is one of the k + 1 values of ``_top_values(xs, k)``.
+    """
+    n, q = len(xs), len(ladder)
+    if q == 0:
+        return np.empty(0, dtype=np.intp), ladder
+    if top is not None and q <= len(top):
+        b = top[len(top) - q]
+    else:
         b = np.partition(xs, n - q)[n - q]
-        candidates = np.flatnonzero(xs >= b)
-        top = candidates[np.argsort(xs[candidates], kind="stable")[-q:]]
-        excess[top] = ladder[n - q :]
-    return excess
+    candidates = np.flatnonzero(xs >= b)
+    return candidates[np.argsort(xs[candidates], kind="stable")[-q:]], ladder
 
 
 def f_max(blocks: np.ndarray, t: float) -> np.ndarray:
@@ -101,19 +159,45 @@ def g_count(blocks: np.ndarray, t: float) -> np.ndarray:
     return np.count_nonzero(np.asarray(blocks) > 1.0 - t, axis=1).astype(float)
 
 
-def _level_sums(blocks: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums over all blocks of f_max and g_count at every grid level at once.
+def _level_sums(index: np.ndarray, excess: np.ndarray, r: int, m: int, grid: np.ndarray) -> tuple:
+    """Sums over the blocks of f_max and g_count at every grid level at once.
 
-    Equal to ``f_max(blocks, t).sum()`` and ``g_count(blocks, t).sum()`` for
-    each t in a grid inside (0, 1]: there 1 - t >= 0, so zero excesses never
-    count, and each sum is a count of sorted values above 1 - t.
+    The blocks are the m x r array that holds the positive ``excess`` at the
+    flat positions ``index`` and 0 elsewhere (``standardize`` scatters
+    ``_excess_rule`` pairs so).  For a grid inside (0, 1], 1 - t >= 0, so zero
+    excesses and empty blocks never count, and each sum is a count of sorted
+    values above 1 - t: of the block maxima for f_max, of the excesses for
+    g_count.  A block's maximum is the last of its excesses once they are
+    sorted by (block, excess).
     """
+    covered = index < m * r
+    block, excess = index[covered] // r, excess[covered]
+    order = np.lexsort((excess, block))
+    block = block[order]
+    last = np.ones(len(block), dtype=bool)
+    last[:-1] = block[1:] != block[:-1]
+    maxima = np.sort(excess[order][last])
+    positive = np.sort(excess)
     levels = 1.0 - grid
-    maxima = np.sort(blocks.max(axis=1))
-    positive = np.sort(blocks[blocks > 0.0])
     hit = maxima.size - np.searchsorted(maxima, levels, side="right")
     count = positive.size - np.searchsorted(positive, levels, side="right")
     return hit.astype(float), count.astype(float)
+
+
+def _replicate_sums(xs: np.ndarray, cfg: EstimatorConfig, pairs, grid) -> tuple:
+    """``(sf, sg, value, code)`` of one sample, from one partial sort.
+
+    ``sf`` and ``sg`` are the level sums of f_max and g_count on the grid
+    over the excesses that ``pairs`` (an ``_excess_rule``) finds; ``value``
+    and ``code`` are the blocks estimate at t = 1 and its skip code, read
+    through the one threshold rule ``_coded_counts`` from the same
+    ``_top_values`` that locates the ranked excesses.
+    """
+    top = _top_values(xs, cfg.k)
+    index, excess = pairs(xs, top)
+    sf, sg = _level_sums(index, excess, cfg.r, len(xs) // cfg.r, grid)
+    values, codes = _coded_counts(top, [_block_tables(xs, cfg.r)], np.array([cfg.k]))
+    return sf, sg, values[0, 0], codes[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +332,12 @@ def estimate_kernel_mc(
     the grid, centers them by cross-replicate means, and returns the empirical
     covariance matrices (combined, count-count, and indicator-count cross) as
     an interpolating kernel.  theta is the Monte Carlo mean of the blocks
-    estimate at t = 1.
+    estimate at t = 1.  One partial sort per path serves its functional sums
+    and its estimate at t = 1 (``_replicate_sums``); no m x r blocks array and
+    no ``BlocksEvaluator`` is built.  A path whose estimate at t = 1 is
+    undefined raises its coded error (``TiesDetected`` or ``NoExceedances``),
+    naming the replicate i and ``seed``, so ``sim.substream(seed, i)``
+    regenerates it.
 
     In rank mode (``marginal_cdf=None``) the thresholds are empirical: the
     count sum over blocks at each level is the number of top-ranked values
@@ -259,14 +348,15 @@ def estimate_kernel_mc(
     if replicates < 100:
         raise ValueError(f"need at least 100 replicates, got {replicates}")
     grid = check_grid(grid)
+    cfg.validate_for(n)
     v = cfg.v(n)
+    pairs = _excess_rule(n, v, marginal_cdf)
     sf = np.zeros((replicates, grid.size))
     sg = np.zeros((replicates, grid.size))
     theta_hats = np.zeros(replicates)
     for rep, x in sim.replicate_paths(model, n, seed, replicates):
-        blocks = standardize(x, v=v, r=cfg.r, marginal_cdf=marginal_cdf)
-        sf[rep], sg[rep] = _level_sums(blocks, grid)
-        theta_hats[rep] = BlocksEvaluator(x, cfg.r, cfg.k)(1.0)
+        sf[rep], sg[rep], theta_hats[rep], code = _replicate_sums(_values(x), cfg, pairs, grid)
+        _raise_coded(code, cfg.k, f"replicate {rep} (base_seed {seed}): ")
     scale = 1.0 / np.sqrt(n * v)
     zf = scale * (sf - sf.mean(axis=0))
     zg = scale * (sg - sg.mean(axis=0))

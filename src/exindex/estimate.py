@@ -16,7 +16,8 @@ levels and all block lengths; each block length adds its sorted block maxima
 (``_block_tables``).  One threshold rule (``_coded_counts``) turns an array
 of budgets into estimates and integer skip codes for every block length at
 once.  The Monte Carlo driver calls it once per replicate through
-``biascorrect.CurveKernel``; ``sweep`` and ``BlocksEvaluator`` are its
+``biascorrect.CurveKernel``, and ``clusterproc.estimate_kernel_mc`` once per
+replicate for the estimate at t = 1; ``sweep`` and ``BlocksEvaluator`` are its
 single-r entry points.
 
 The runs estimator counts an exceedance as a cluster end when the next
@@ -234,6 +235,19 @@ def _coded_counts(top: np.ndarray, tables, k_t: np.ndarray) -> tuple:
     return values, codes
 
 
+def _raise_coded(code, k_t: int, where: str = "") -> None:
+    """Raise the coded error of an estimate at budget ``k_t`` left undefined by ``code``.
+
+    Nothing happens for ``OK``; ``where`` prefixes the message.
+    """
+    if code == TIES:
+        raise TiesDetected(
+            f"{where}threshold order statistic ties the smallest of the top {k_t} values"
+        )
+    if code == NO_EXC:
+        raise NoExceedances(f"{where}all top {k_t} values lie beyond the block coverage")
+
+
 class BlocksEvaluator:
     """Reusable k_t -> theta_hat evaluator for one (sample, r, k).
 
@@ -281,12 +295,7 @@ class BlocksEvaluator:
     def at_count(self, k_t: int) -> float:
         """The estimate for one budget; an undefined one raises its coded error."""
         values, codes = self._coded(k_t)
-        if codes == TIES:
-            raise TiesDetected(
-                f"threshold order statistic ties the smallest of the top {k_t} values"
-            )
-        if codes == NO_EXC:
-            raise NoExceedances(f"all top {k_t} values lie beyond the block coverage")
+        _raise_coded(codes, k_t)
         return float(values)
 
     def __call__(self, t: float) -> float:

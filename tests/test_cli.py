@@ -480,6 +480,29 @@ def test_mc_orders_each_sample_once_per_replicate(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in (tmp_path / "exp").iterdir()} == plain
 
 
+def test_kernel_mc_tie_names_the_replicate(capsys):
+    # random repetition ties by construction; the error names the replicate
+    # and base seed, so substream(seed, i) regenerates the failing path
+    model = ex.RandomRepetition(psi=0.6, innovation=ex.Uniform01())
+    n, r, k, seed = 2000, 10, 40, 3
+    argv = ["kernel", "--model", "wn", "--psi", "0.6", "--innovation", "uniform",
+            "--s", "0.5", "--t", "1", "--method", "mc", "--r", str(r), "--k", str(k),
+            "--n", str(n), "--replicates", "100", "--seed", str(seed)]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    prefix = "TIES_DETECTED: replicate "
+    assert err.startswith(prefix)
+    rep = int(err[len(prefix):].split()[0])
+    assert f"replicate {rep} (base_seed {seed}): threshold order statistic ties" in err
+    for i in range(rep + 1):
+        ev = ex.BlocksEvaluator(ex.generate(model, n, ex.substream(seed, i)), r, k)
+        if i < rep:
+            ev(1.0)
+        else:
+            with pytest.raises(ex.TiesDetected):
+                ev(1.0)
+
+
 MM_FLAGS = ["--coeffs", "1,0.5", "--beta1", "2", "--beta2", "1", "--c1", "1", "--c2", "0.5"]
 SOP_FLAGS = ["--beta1", "2", "--beta2", "1", "--c1", "1", "--c2", "0.5"]
 

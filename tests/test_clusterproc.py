@@ -1,11 +1,19 @@
 """Standardized exceedance blocks, fluctuation paths, and covariance kernels."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import exindex as ex
 import exindex.sim as sim_module
-from exindex.clusterproc import _level_sums
+from exindex.clusterproc import _excess_rule, _level_sums
+
+
+def level_sums(x, v, r, grid, marginal_cdf=None):
+    """The kernel's sums of f_max and g_count over the blocks of one sample, at every level."""
+    index, excess = _excess_rule(len(x), v, marginal_cdf)(x)
+    return _level_sums(index, excess, r, len(x) // r, np.asarray(grid, dtype=float))
 
 
 def test_standardize_known_marginal_hand_values():
@@ -55,15 +63,15 @@ def test_process_path_mc_mean_centering_is_exact():
     marg = model.marginal
     n, v, r = 2000, 0.05, 10
     grid = np.array([0.5, 1.0])
-    blocks = [
-        ex.standardize(ex.generate(model, n, ex.substream(0, rep)).values, v=v, r=r,
-                       marginal_cdf=marg.cdf)
-        for rep in range(20)
-    ]
+    samples = [ex.generate(model, n, ex.substream(0, rep)).values for rep in range(20)]
+    blocks = [ex.standardize(x, v=v, r=r, marginal_cdf=marg.cdf) for x in samples]
     m = n // r
     sums = np.array([[ex.f_max(b, t).sum() / m for t in grid] for b in blocks])
     mean_per_block = sums.mean(axis=0)
-    paths = [(_level_sums(b, grid)[0] - m * mean_per_block) / np.sqrt(n * v) for b in blocks]
+    paths = [
+        (level_sums(x, v, r, grid, marg.cdf)[0] - m * mean_per_block) / np.sqrt(n * v)
+        for x in samples
+    ]
     assert np.abs(np.mean(paths, axis=0)).max() < 1e-12
 
 
@@ -77,8 +85,7 @@ def test_process_path_model_centering_wn():
     zf, zg = [], []
     for rep in range(200):
         x = ex.generate(model, n, ex.substream(1, rep))
-        blocks = ex.standardize(x.values, v=v, r=r, marginal_cdf=marg.cdf)
-        (hit,), (count,) = _level_sums(blocks, np.array([t]))
+        (hit,), (count,) = level_sums(x.values, v, r, [t], marg.cdf)
         zf.append((hit - m * r * v * t * ex.theta_nt_wn(0.6, r, v, t)) / np.sqrt(n * v))
         zg.append((count - m * r * v * t) / np.sqrt(n * v))
     assert abs(np.mean(zf)) < 0.4
@@ -237,6 +244,60 @@ def test_kernel_mc_equals_per_level_loop(case):
     assert got.theta == want.theta
 
 
+def test_kernel_mc_sorts_each_sample_once_per_replicate(monkeypatch):
+    # one partial sort per replicate serves the level sums and theta_hat(1):
+    # no evaluator is built and no m x r blocks array is standardized
+    from exindex import clusterproc, estimate
+
+    args = (ex.AR1Cauchy(phi=0.6), 4000, ex.EstimatorConfig(r=10, k=100), np.linspace(0.1, 1.0, 8))
+    plain = ex.estimate_kernel_mc(*args, replicates=100, seed=2)
+
+    sorts, builds, standardized = [], [], []
+    top_values, build, standardize = (
+        clusterproc._top_values, estimate.BlocksEvaluator, clusterproc.standardize
+    )
+
+    def counted_sort(xs, k):
+        sorts.append((len(xs), k))
+        return top_values(xs, k)
+
+    def counted_build(*args, **kwargs):
+        builds.append(args[1:])
+        return build(*args, **kwargs)
+
+    def counted_standardize(*args, **kwargs):
+        standardized.append(args[1:])
+        return standardize(*args, **kwargs)
+
+    monkeypatch.setattr(clusterproc, "_top_values", counted_sort)
+    monkeypatch.setattr(clusterproc, "standardize", counted_standardize)
+    for module in (estimate, clusterproc):
+        monkeypatch.setattr(module, "BlocksEvaluator", counted_build)
+    counted = ex.estimate_kernel_mc(*args, replicates=100, seed=2)
+    assert sorts == [(4000, 100)] * 100
+    assert builds == []
+    assert standardized == []
+    for name in ("_c", "_cg", "_cfg"):
+        assert np.array_equal(getattr(counted, name), getattr(plain, name)), name
+    assert counted.theta == plain.theta
+
+
+# sha256 of the c, c_g and c_fg matrices (zero-padded, as MCGrid keeps them) and
+# theta of the benchmark's AR(1) kernel config at seed 0: a change to the
+# kernel that moves one bit of them fails here
+AR1_KERNEL_SHA256 = "e9a15761b1305007d8abbf9067c3c63f0190310b2a72efea13cdaad3b6d5fc5a"
+
+
+def test_kernel_mc_equals_recorded_hash():
+    kern = ex.estimate_kernel_mc(ex.AR1Cauchy(phi=0.6), 20_000, ex.EstimatorConfig(r=10, k=200),
+                                 np.linspace(0.05, 1.0, 20), replicates=200, seed=0)
+    digest = hashlib.sha256()
+    for mat in (kern._c, kern._cg, kern._cfg):
+        digest.update(mat.tobytes())
+    digest.update(np.float64(kern.theta).tobytes())
+    assert digest.hexdigest() == AR1_KERNEL_SHA256
+
+
 def test_process_path_equals_per_level_sums():
     # the rank-mode fluctuation paths from the level sums, against one level at a time
     n, v = 3000, 0.05
@@ -246,7 +307,7 @@ def test_process_path_equals_per_level_sums():
     grid = np.linspace(0.05, 1.0, 11)
     expected = 0.4 * grid
     scale = 1.0 / np.sqrt(n * v)
-    for sums, h in zip(_level_sums(blocks, grid), (ex.f_max, ex.g_count)):
+    for sums, h in zip(level_sums(x, v, 10, grid), (ex.f_max, ex.g_count)):
         path = scale * (sums - m * expected)
         want = [scale * (h(blocks, t).sum() - m * e) for t, e in zip(grid, expected)]
         assert path.tolist() == want
@@ -260,6 +321,10 @@ def test_standardize_rejects_non_finite_values():
             ex.standardize(x, v=0.1, r=5)
         with pytest.raises(ValueError, match="finite"):
             ex.standardize(x, v=0.1, r=5, marginal_cdf=lambda z: z / 20.0)
+        # a cdf value of NaN or inf is rejected too, not read as a zero excess
+        with pytest.raises(ValueError, match="marginal_cdf must return finite values"):
+            ex.standardize(np.arange(20.0), v=0.1, r=5,
+                           marginal_cdf=lambda z: np.where(z == 7, bad, z / 20.0))
 
 
 BAD_GRIDS = ([0.5, 1.5], [1.0, 0.5], [0.5, 0.5], [0.0, 0.5], [-0.2, 1.0], [np.nan],

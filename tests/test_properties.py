@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import exindex as ex
 from exindex.biascorrect import CurveKernel
-from exindex.clusterproc import _level_sums
-from exindex.estimate import CODE_NAMES, _block_tables, _top_values
+from exindex.clusterproc import _excess_rule, _level_sums, _replicate_sums
+from exindex.estimate import CODE_NAMES, OK, _block_tables, _raise_coded, _top_values
 from exindex.harness import MCResult, _curves_csv, _runs_curve_values
 
 TIES = "TIES_DETECTED"
@@ -273,18 +273,74 @@ def test_standardize_rank_mode_matches_full_stable_sort_on_long_series():
                 np.testing.assert_array_equal(got, rank_blocks_reference(x, v, r))
 
 
+def scaled_cdf(z):
+    """A known-marginal stand-in: the values scaled into [0, 1)."""
+    return z / (1.0 + np.max(z))
+
+
+def with_edges(grid, blocks):
+    """``grid`` plus the levels that put 1 - t on or next to a standardized excess."""
+    edges = set()
+    for e in blocks.ravel().tolist():
+        t = 1.0 - e
+        edges |= {t, np.nextafter(t, 0.0), np.nextafter(t, 1.0)}
+    return np.array(sorted(set(grid) | {t for t in edges if 0.0 < t <= 1.0}))
+
+
 @settings(max_examples=300, deadline=None)
 @given(series(min_size=1), fractions, st.booleans(), grids, st.data())
 def test_level_sums_match_per_level_functionals(x, v, known, grid, data):
     r = data.draw(st.integers(1, len(x)))
-    cdf = (lambda z: z / (1.0 + np.max(z))) if known else None
+    cdf = scaled_cdf if known else None
     blocks = ex.standardize(x, v=v, r=r, marginal_cdf=cdf)
-    # levels that put 1 - t on or next to a standardized excess test the strict ">"
-    edges = [1.0 - e for e in blocks.ravel().tolist() if 0.0 < 1.0 - e <= 1.0]
-    levels = np.array(sorted(set(grid) | set(edges)))
-    hit, count = _level_sums(blocks, levels)
+    levels = with_edges(grid, blocks)
+    index, excess = _excess_rule(len(x), v, cdf)(x)
+    hit, count = _level_sums(index, excess, r, len(blocks), levels)
     assert hit.tolist() == [ex.f_max(blocks, t).sum() for t in levels]
     assert count.tolist() == [ex.g_count(blocks, t).sum() for t in levels]
+
+
+def dense_level_sums(blocks, grid):
+    """Sums of f_max and g_count over the m x r blocks at every level, from the dense array."""
+    levels = 1.0 - np.asarray(grid)
+    maxima = np.sort(blocks.max(axis=1))
+    positive = np.sort(blocks[blocks > 0.0])
+    hit = maxima.size - np.searchsorted(maxima, levels, side="right")
+    count = positive.size - np.searchsorted(positive, levels, side="right")
+    return hit.astype(float), count.astype(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples(), st.booleans(), grids)
+# v = 2/11 gives k + 1 = 3 positive rank excesses, and 11 % 3 != 0; with_edges
+# puts 1 - t exactly on the excess 0.5000000000000001
+@example((np.arange(11.0)[::-1], 3, 2), False, [0.5, 1.0])
+@example((np.arange(11.0), 3, 2), True, [0.25, 1.0])
+# the threshold ties the smallest retained value
+@example((np.array([1.0, 2, 2, 2, 2, 1, 2, 2]), 3, 4), False, [1.0])
+@example((np.full(9, 4.0), 2, 3), True, [0.5, 1.0])
+# every retained value lies beyond the block coverage
+@example((np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.9, 0.8]), 5, 2), False, [1.0])
+def test_replicate_sums_match_dense_level_sums_and_evaluator(sample, known, grid):
+    x, r, k = sample
+    n, v = len(x), k / len(x)
+    cdf = scaled_cdf if known else None
+    blocks = ex.standardize(x, v=v, r=r, marginal_cdf=cdf)
+    levels = with_edges(grid, blocks)
+    sf, sg, value, code = _replicate_sums(
+        x, ex.EstimatorConfig(r=r, k=k), _excess_rule(n, v, cdf), levels
+    )
+    want_f, want_g = dense_level_sums(blocks, levels)
+    assert sf.tolist() == want_f.tolist()
+    assert sg.tolist() == want_g.tolist()
+    try:
+        want = ex.BlocksEvaluator(x, r, k)(1.0)
+    except (ex.TiesDetected, ex.NoExceedances) as err:
+        assert math.isnan(value)
+        with pytest.raises(type(err), match=str(err)):
+            _raise_coded(code, k)
+    else:
+        assert code == OK and value == want
 
 
 def _fmt(x) -> str:

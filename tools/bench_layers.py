@@ -17,6 +17,11 @@ its wall time in seconds.  Layers, each on n = 20 000 and the 81 levels
   ``ar1_c6`` is the criterion-6 shape (r in {5, 10, 20}, k = 2000, two-atom
   measure), ``ar1_product128`` the same with a 128-atom product measure, and
   ``wn_ties`` random repetition with ties (r in {10, 20}, k = 400).
+* ``kernel_replicate.ar1_kernel``: ``clusterproc.estimate_kernel_mc`` over
+  samples generated beforehand, divided by the replicate count: the level
+  sums of f_max and g_count and theta_hat(1) of one replicate, on the
+  benchmark's kernel config (AR(1) Cauchy, r = 10, k = 200, the 20 levels
+  0.05, 0.1, ..., 1, 200 replicates, rank mode).
 * ``sweep`` and ``corrected_curve``: one call on one AR(1) sample with
   r = 10, k = 2000 and the two-atom measure, evaluator build included.
 * ``runs_curve``: the runs curve of one sample at run length 10 over the
@@ -47,7 +52,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 
 import exindex as ex  # noqa: E402
-from exindex import harness  # noqa: E402
+from exindex import clusterproc, harness, sim  # noqa: E402
 
 N = 20_000
 GRID = tuple(np.linspace(0.2, 1.0, 81))
@@ -69,6 +74,14 @@ KERNEL_CONFIGS = {
     "wn_ties": dict(model=MODELS["wn"], r_list=(10, 20), k=400, measure=TWO_ATOM),
 }
 KERNEL_REPLICATES = 20
+AR1_KERNEL = dict(
+    model=MODELS["ar1_cauchy"],
+    n=N,
+    cfg=ex.EstimatorConfig(r=10, k=200),
+    grid=np.linspace(0.05, 1.0, 20),
+    replicates=200,
+    seed=0,
+)
 REPEATS = 15
 
 
@@ -105,17 +118,14 @@ def timed(call, per: int = 1) -> dict:
 
 
 @contextmanager
-def pregenerated(cfg):
-    """``harness.replicate_paths`` replaced by a replay of paths generated once for ``cfg``."""
-    paths = list(
-        harness.replicate_paths(cfg.model, cfg.n, cfg.base_seed, cfg.replicates, cfg.burn_in)
-    )
-    original = harness.replicate_paths
-    harness.replicate_paths = lambda *args: iter(paths)
+def replayed(owner, paths):
+    """``owner.replicate_paths`` replaced by a replay of ``paths``, generated once beforehand."""
+    original = owner.replicate_paths
+    owner.replicate_paths = lambda *args: iter(paths)
     try:
         yield
     finally:
-        harness.replicate_paths = original
+        owner.replicate_paths = original
 
 
 def layers() -> dict:
@@ -127,10 +137,22 @@ def layers() -> dict:
         cfg = harness.ExperimentConfig(
             n=N, t_grid=GRID, replicates=KERNEL_REPLICATES, **fields
         )
-        with pregenerated(cfg):
+        paths = list(
+            harness.replicate_paths(cfg.model, cfg.n, cfg.base_seed, cfg.replicates, cfg.burn_in)
+        )
+        with replayed(harness, paths):
             out[f"replicate_kernel.{name}"] = timed(
                 lambda: harness._replicates(cfg), per=KERNEL_REPLICATES
             )
+
+    kernel = AR1_KERNEL
+    paths = list(
+        sim.replicate_paths(kernel["model"], kernel["n"], kernel["seed"], kernel["replicates"])
+    )
+    with replayed(sim, paths):
+        out["kernel_replicate.ar1_kernel"] = timed(
+            lambda: clusterproc.estimate_kernel_mc(**kernel), per=kernel["replicates"]
+        )
 
     x = ex.generate(MODELS["ar1_cauchy"], N, 0).values
     est = ex.EstimatorConfig(r=10, k=2000)
