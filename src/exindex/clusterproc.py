@@ -33,7 +33,8 @@ estimate at t = 1: in rank mode its top k + 1 values hold the smallest value
 with a positive excess, so only the values at or above it are ranked, and the
 sums of f_t and g_t over the blocks at every level come from the sparse
 (index, excess) pairs of the positive excesses (``_level_sums``); theta_hat(1)
-is read from the same partial sort through ``estimate._coded_counts``.
+is read from the same partial sort through ``estimate._coded_counts``, with
+the maxima of only the blocks that hold one of the top values.
 ``standardize`` scatters the same pairs into the m x r array.
 """
 
@@ -47,9 +48,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import sim
 from .estimate import (
     EstimatorConfig,
-    _block_tables,
     _coded_counts,
     _raise_coded,
+    _top_tables,
     _top_values,
     _values,
     check_grid,
@@ -91,19 +92,19 @@ def standardize(x, v: float, r: int, marginal_cdf=None) -> np.ndarray:
 
 
 def _excess_rule(n: int, v: float, marginal_cdf=None):
-    """``pairs(xs, top=None)``: flat indices and values of the positive standardized excesses.
+    """``pairs(xs, above=None)``: flat indices and values of the positive standardized excesses.
 
     It is the one ranking rule for samples of length n.  In rank mode the
     pairs come in ascending rank order, the ladder of excesses is computed
-    once per rule, and ``top``, the largest values in ascending order from
-    ``_top_values``, saves the partition that finds the smallest ranked
-    value when it holds enough of them.  In known-marginal mode the pairs
-    come in index order.
+    once per rule, and ``above``, the ascending positions of the values at
+    or above the smallest of ``_top_values``, saves the pass that finds the
+    ranked values when it holds enough of them.  In known-marginal mode the
+    pairs come in index order.
     """
     if marginal_cdf is not None:
-        return lambda xs, top=None: _cdf_pairs(xs, v, marginal_cdf)
+        return lambda xs, above=None: _cdf_pairs(xs, v, marginal_cdf)
     ladder = _rank_ladder(n, v)
-    return lambda xs, top=None: _rank_pairs(xs, ladder, top)
+    return lambda xs, above=None: _rank_pairs(xs, ladder, above)
 
 
 def _cdf_pairs(xs: np.ndarray, v: float, marginal_cdf) -> tuple:
@@ -129,24 +130,25 @@ def _rank_ladder(n: int, v: float) -> np.ndarray:
     return ladder[ladder > 0.0]
 
 
-def _rank_pairs(xs: np.ndarray, ladder: np.ndarray, top=None) -> tuple:
+def _rank_pairs(xs: np.ndarray, ladder: np.ndarray, above=None) -> tuple:
     """Indices of the values with a positive rank excess, by ascending rank, and their excesses.
 
     The q positive excesses (the ``ladder``) belong to the q highest stable
     ranks.  Those values are at least the (n - q)-th order statistic b;
-    stably sorting the candidates xs >= b (kept in index order) ranks them
-    exactly as a stable sort of the whole sample would.  With v = k / n, q
-    is k or k + 1, so b is one of the k + 1 values of ``_top_values(xs, k)``.
+    stably sorting any candidates kept in index order that include every
+    value xs >= b ranks them exactly as a stable sort of the whole sample
+    would.  ``above``, the positions of the values at or above some level,
+    serves as the candidates when it holds at least q of them, since b then
+    lies at or above that level; with v = k / n, q is k or k + 1, so the
+    positions of the values at or above the smallest of ``_top_values(xs,
+    k)`` always serve.
     """
     n, q = len(xs), len(ladder)
     if q == 0:
         return np.empty(0, dtype=np.intp), ladder
-    if top is not None and q <= len(top):
-        b = top[len(top) - q]
-    else:
-        b = np.partition(xs, n - q)[n - q]
-    candidates = np.flatnonzero(xs >= b)
-    return candidates[np.argsort(xs[candidates], kind="stable")[-q:]], ladder
+    if above is None or len(above) < q:
+        above = np.flatnonzero(xs >= np.partition(xs, n - q)[n - q])
+    return above[np.argsort(xs[above], kind="stable")[-q:]], ladder
 
 
 def f_max(blocks: np.ndarray, t: float) -> np.ndarray:
@@ -191,12 +193,16 @@ def _replicate_sums(xs: np.ndarray, cfg: EstimatorConfig, pairs, grid) -> tuple:
     over the excesses that ``pairs`` (an ``_excess_rule``) finds; ``value``
     and ``code`` are the blocks estimate at t = 1 and its skip code, read
     through the one threshold rule ``_coded_counts`` from the same
-    ``_top_values`` that locates the ranked excesses.
+    ``_top_values``.  One pass locates the values at or above the smallest
+    of them: in rank mode the ranked excesses are picked among those
+    positions, and the block maxima are taken only over the blocks that hold
+    one (``_top_tables``).
     """
     top = _top_values(xs, cfg.k)
-    index, excess = pairs(xs, top)
+    above = np.flatnonzero(xs >= top[0])
+    index, excess = pairs(xs, above)
     sf, sg = _level_sums(index, excess, cfg.r, len(xs) // cfg.r, grid)
-    values, codes = _coded_counts(top, [_block_tables(xs, cfg.r)], np.array([cfg.k]))
+    values, codes = _coded_counts(top, [_top_tables(xs, above, cfg.r)], np.array([cfg.k]))
     return sf, sg, values[0, 0], codes[0, 0]
 
 
@@ -351,12 +357,13 @@ def estimate_kernel_mc(
     cfg.validate_for(n)
     v = cfg.v(n)
     pairs = _excess_rule(n, v, marginal_cdf)
-    sf = np.zeros((replicates, grid.size))
-    sg = np.zeros((replicates, grid.size))
-    theta_hats = np.zeros(replicates)
-    for rep, x in sim.replicate_paths(model, n, seed, replicates):
-        sf[rep], sg[rep], theta_hats[rep], code = _replicate_sums(_values(x), cfg, pairs, grid)
+
+    def step(rep, x):
+        sf, sg, theta_hat, code = _replicate_sums(_values(x), cfg, pairs, grid)
         _raise_coded(code, cfg.k, f"replicate {rep} (base_seed {seed}): ")
+        return sf, sg, theta_hat
+
+    sf, sg, theta_hats = map(np.array, zip(*sim.map_replicates(step, model, n, seed, replicates)))
     scale = 1.0 / np.sqrt(n * v)
     zf = scale * (sf - sf.mean(axis=0))
     zg = scale * (sg - sg.mean(axis=0))
@@ -380,13 +387,14 @@ def tail_chain_probabilities(
     if not 2 <= K <= n:
         raise ValueError(f"need 2 <= K <= n, got K={K}, n={n}")
     marginal = model.marginal
-    windows = []
-    for _, x in sim.replicate_paths(model, n, seed, replicates):
+
+    def step(_, x):
         u = np.asarray(marginal.cdf(x.values), dtype=float)
         excess = np.clip((u - (1.0 - v)) / v, 0.0, None)
         starts = np.flatnonzero(excess[: n - K + 1] > 0.0)
-        windows.append(sliding_window_view(excess, K)[starts])
-    rows = np.concatenate(windows)
+        return sliding_window_view(excess, K)[starts]
+
+    rows = np.concatenate(sim.map_replicates(step, model, n, seed, replicates))
     if len(rows) < 50:
         raise ValueError(f"only {len(rows)} windows collected; need at least 50")
     return TailChainSeries(rows, theta=model.theta, v=v)

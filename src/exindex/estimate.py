@@ -17,7 +17,8 @@ levels and all block lengths; each block length adds its sorted block maxima
 of budgets into estimates and integer skip codes for every block length at
 once.  The Monte Carlo driver calls it once per replicate through
 ``biascorrect.CurveKernel``, and ``clusterproc.estimate_kernel_mc`` once per
-replicate for the estimate at t = 1; ``sweep`` and ``BlocksEvaluator`` are its
+replicate for the estimate at t = 1, from the maxima of only the blocks that
+hold a top value (``_top_tables``); ``sweep`` and ``BlocksEvaluator`` are its
 single-r entry points.
 
 The runs estimator counts an exceedance as a cluster end when the next
@@ -198,6 +199,27 @@ def _block_tables(xs: np.ndarray, r: int) -> tuple:
         np.maximum(block_max, xs[j : m * r : r], out=block_max)
     block_max.sort()
     return block_max, np.sort(xs[m * r :])
+
+
+def _top_tables(xs: np.ndarray, index: np.ndarray, r: int) -> tuple:
+    """``_block_tables(xs, r)`` cut to the positions ``index``: the same estimates at budgets <= k.
+
+    ``index`` holds ascending positions that include every value above the
+    smallest of ``_top_values(xs, k)``, top[0].  A budget k_t <= k puts its
+    threshold at or above top[0], so ``_coded_counts`` counts only block
+    maxima and tail values above top[0].  Every block holding such a value
+    keeps its exact maximum, taken over its positions in ``index``; any
+    other kept maximum or tail value lies at or below top[0] and never
+    counts.  No block of the sample is reduced.
+    """
+    m = len(xs) // r
+    covered = index[index < m * r]
+    block = covered // r
+    first = np.ones(len(block), dtype=bool)  # where a block's run of positions starts
+    first[1:] = block[1:] != block[:-1]
+    block_max = np.maximum.reduceat(xs[covered], np.flatnonzero(first))
+    block_max.sort()
+    return block_max, np.sort(xs[index[len(covered):]])
 
 
 def _thresholds(top: np.ndarray, k_t) -> tuple:

@@ -3,8 +3,9 @@
 An experiment is described by a JSON-serializable config: a model, a sample
 size, block lengths, the number k of top order statistics, a threshold grid,
 an optional correcting measure with its bias exponent delta, a replicate
-count, and a base seed.  Paths come from :func:`sim.replicate_paths` with
-the base seed, so reruns are bit-identical.
+count, and a base seed.  Replicates run through :func:`sim.map_replicates`
+with the base seed and are reduced in replicate order, so reruns are
+bit-identical.
 
 Outputs are plot-ready CSVs plus a JSON sidecar carrying the full config and
 package version: per-replicate curves (so every summary row can be recomputed
@@ -59,7 +60,7 @@ from .sim import (
     UnitPareto,
     _config_value,
     config_fields,
-    replicate_paths,
+    map_replicates,
 )
 from .sim import generate  # noqa: F401  (perfbench/layers.py traces this binding)
 
@@ -463,31 +464,17 @@ def _write_sidecar(path, config: ExperimentConfig, extra=None) -> None:
         fh.write("\n")
 
 
-def _new_curves(cfg: ExperimentConfig, keys) -> tuple:
-    """(values, codes) dicts of (replicates x grid) arrays, one pair per key."""
-    shape = (cfg.replicates, len(cfg.t_grid))
-    return (
-        {key: np.full(shape, np.nan) for key in keys},
-        {key: np.full(shape, "", dtype=object) for key in keys},
-    )
+def _curves(cfg: ExperimentConfig, values, codes) -> tuple:
+    """(values, code names) dicts by r of (replicates x grid) arrays.
 
-
-def _fill_replicate(kernel: CurveKernel, cfg: ExperimentConfig, xs, top, rep, raw, corrected):
-    """Row ``rep`` of the blocks curves, and of the corrected ones under a measure.
-
-    ``top`` is the replicate's k + 1 largest values from its one partial
-    sort; only the block maxima of each r are built here, and one kernel call
-    evaluates every r.  The integer skip codes become code names once per row.
+    ``values`` and ``codes`` hold one (r x grid) array per replicate, in
+    replicate order, with rows in the order of ``cfg.r_list``.
     """
-    tables = [_block_tables(xs, r) for r in cfg.r_list]
-    raw_values, raw_codes, values, codes = kernel(top, tables)
-    rows = [(raw, raw_values, raw_codes)]
-    if cfg.measure is not None:
-        rows.append((corrected, values, codes))
-    for (curves, names), row_values, row_codes in rows:
-        for i, r in enumerate(cfg.r_list):
-            curves[r][rep] = row_values[i]
-            names[r][rep] = CODE_NAMES[row_codes[i]]
+    values, names = np.stack(values), CODE_NAMES[np.stack(codes)].astype(object)
+    return (
+        {r: values[:, i].copy() for i, r in enumerate(cfg.r_list)},
+        {r: names[:, i].copy() for i, r in enumerate(cfg.r_list)},
+    )
 
 
 def _replicates(cfg: ExperimentConfig, run_lengths=()) -> tuple:
@@ -495,23 +482,26 @@ def _replicates(cfg: ExperimentConfig, run_lengths=()) -> tuple:
 
     The grid and its budgets are checked and tabulated once; each replicate
     is partially sorted once, and its blocks, corrected and runs curves all
-    read their thresholds from that one slice.  ``runs[run_length]`` is a
-    (replicates x grid) value array with NaN where the runs estimate is
+    read their thresholds from that one slice, with only the block maxima of
+    each r built besides; one kernel call evaluates every r.  ``runs[run_length]``
+    is a (replicates x grid) value array with NaN where the runs estimate is
     undefined.
     """
     for run_length in run_lengths:
         check_run_length(run_length, cfg.n)
     kernel = CurveKernel(cfg.k, cfg.t_grid, cfg.measure)
-    raw = _new_curves(cfg, cfg.r_list)
-    corrected = _new_curves(cfg, cfg.r_list if cfg.measure is not None else ())
-    runs = {rl: np.full((cfg.replicates, len(cfg.t_grid)), np.nan) for rl in run_lengths}
-    for rep, x in replicate_paths(cfg.model, cfg.n, cfg.base_seed, cfg.replicates, cfg.burn_in):
+
+    def step(rep, x):
         top = _top_values(x.values, cfg.k)
-        _fill_replicate(kernel, cfg, x.values, top, rep, raw, corrected)
-        if run_lengths:
-            thresholds, _ = _thresholds(top, kernel.k_t)
-            for rl in run_lengths:
-                runs[rl][rep] = _runs_curve_values(x.values, rl, thresholds)
+        curves = kernel(top, [_block_tables(x.values, r) for r in cfg.r_list])
+        thresholds, _ = _thresholds(top, kernel.k_t)
+        return curves, [_runs_curve_values(x.values, rl, thresholds) for rl in run_lengths]
+
+    rows = map_replicates(step, cfg.model, cfg.n, cfg.base_seed, cfg.replicates, cfg.burn_in)
+    raw_values, raw_codes, values, codes = zip(*(curves for curves, _ in rows))
+    raw = _curves(cfg, raw_values, raw_codes)
+    corrected = _curves(cfg, values, codes) if cfg.measure is not None else ({}, {})
+    runs = {rl: np.array([row[i] for _, row in rows]) for i, rl in enumerate(run_lengths)}
     result = MCResult(
         config=cfg,
         raw=raw[0],

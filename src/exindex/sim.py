@@ -22,11 +22,14 @@ a class's parameters: ``to_dict``, the config parser and the CLI model flags
 all read them.
 
 All generators are deterministic functions of (model, n, seed, burn_in).
-Every Monte Carlo loop draws its paths through :func:`replicate_paths`.
+Every Monte Carlo loop runs its replicates through :func:`map_replicates`.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -44,7 +47,7 @@ __all__ = [
     "config_fields",
     "substream",
     "generate",
-    "replicate_paths",
+    "map_replicates",
 ]
 
 
@@ -577,17 +580,130 @@ def generate(model, n: int, seed, burn_in: int = 0) -> SeriesSample:
                         seed=seed, burn_in=burn_in)
 
 
-def replicate_paths(model, n: int, seed: int, replicates: int, burn_in: int = 0):
-    """Yield ``(rep, path)`` for rep = 0 .. replicates - 1, in that order.
+# A chunk of fewer values than this is not forked.  Forking and reaping a 46 or
+# 110 MB process took 4.3-4.9 ms on a 2 vCPU host (tools/bench_layers.py), the
+# time of ~250 000 values of the cheapest replicates (iid uniform paths, ~15 ns
+# a value); AR(1) paths with the kernel step (~65 ns a value) already break
+# even at ~7 replicates of 20 000 values.
+_MIN_CHUNK_VALUES = 250_000
 
-    Replicate i draws ``generate(model, n, substream(seed, i), burn_in=burn_in)``,
-    so each path depends only on (model, n, seed, i, burn_in).  The loop is
-    serial; callers reduce in replicate order, so reruns are bit-identical.
-    ``generate`` is looked up in this module at each draw, where a wrapper
-    set on ``sim.generate`` sees every path.
+
+def map_replicates(step, model, n: int, seed: int, replicates: int, burn_in: int = 0) -> list:
+    """``[step(i, path_i) for i in range(replicates)]``, in replicate order.
+
+    Replicate i draws ``path_i = generate(model, n, substream(seed, i),
+    burn_in=burn_in)``, so each result depends only on (model, n, seed, i,
+    burn_in) and the list is the same however the replicates are split.
+
+    The replicates run in ``min(usable cores, replicates, n * replicates //
+    _MIN_CHUNK_VALUES)`` contiguous chunks: the calling process runs the first
+    and forks one child per other chunk, which sends its results back pickled
+    through a pipe.  Below that size, with one usable core, without
+    ``os.fork`` or ``os.sched_getaffinity``, or while another thread is alive
+    (a fork copies only the calling thread), every replicate runs here.  A
+    step that fails raises here, the earliest failing replicate's error first;
+    no child outlives the call.  What a step does to the process, such as a
+    wrapper on ``sim.generate`` counting calls, stays in the process that ran
+    it.
     """
-    for rep in range(replicates):
-        yield rep, generate(model, n, substream(seed, rep), burn_in=burn_in)
+    chunks = _chunk_count(n, replicates)
+    bounds = [replicates * c // chunks for c in range(chunks + 1)]
+
+    def run(lo, hi):
+        return [
+            step(i, generate(model, n, substream(seed, i), burn_in=burn_in)) for i in range(lo, hi)
+        ]
+
+    if chunks == 1:
+        return run(0, replicates)
+    return _forked(run, bounds)
+
+
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _chunk_count(n: int, replicates: int) -> int:
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(_usable_cores(), replicates, n * replicates // _MIN_CHUNK_VALUES))
+
+
+def _forked(run, bounds) -> list:
+    """``run(bounds[0], bounds[1])`` here and every later chunk in a forked child, concatenated.
+
+    The children's results are read in chunk order, so the first error read
+    belongs to the earliest failing replicate: each chunk stops at its first
+    failure, and this process's chunk comes first.  On any failure the
+    remaining children are killed; every child is reaped before returning.
+    """
+    children = []  # (pid, read end of its pipe)
+    finished = False
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _child(run, lo, hi, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        results = run(bounds[0], bounds[1])
+        for pid, read_fd in children:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            if not payload:
+                raise RuntimeError(f"replicate worker {pid} exited without sending its results")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results.extend(value)
+        finished = True
+        return results
+    finally:
+        import signal  # loaded here, where it is used, to keep ``import exindex`` short
+
+        for pid, read_fd in children:
+            os.close(read_fd)
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(run, lo: int, hi: int, write_fd: int) -> None:
+    """Send ``(True, run(lo, hi))``, or ``(False, error)``, pickled to ``write_fd``; never returns.
+
+    The forked child leaves through ``os._exit``, so it runs none of the
+    parent's exit handlers and flushes none of its buffers; if even sending
+    fails, the parent finds the pipe empty.
+    """
+    status = 1
+    try:
+        try:
+            payload = pickle.dumps((True, run(lo, hi)), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:  # the parent raises it; this process only reports it
+            import traceback
+
+            if hasattr(exc, "add_note"):  # Python 3.11+: the parent shows where it failed
+                exc.add_note("raised in a replicate worker:\n" + traceback.format_exc())
+            try:
+                payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+                pickle.loads(payload)  # an error the parent could not rebuild fails here
+            except Exception:
+                error = RuntimeError(f"replicate worker failed: {exc!r}")
+                payload = pickle.dumps((False, error), pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # ---------------------------------------------------------------------------

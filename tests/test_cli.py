@@ -271,7 +271,8 @@ def test_mc_figure1_simulates_each_replicate_once(tmp_path, monkeypatch, capsys)
         calls.append(args)
         return generate(*args, **kwargs)
 
-    # the binding that sim.replicate_paths calls
+    # the binding that sim.map_replicates calls; 400 x 4 values run serially,
+    # so every call is counted here
     monkeypatch.setattr(sim, "generate", counted)
     assert dispatch(["mc", "--config", str(config_path), "--figure1"]) == 0
     assert len(calls) == cfg.replicates
@@ -289,6 +290,41 @@ def test_mc_figure1_simulates_each_replicate_once(tmp_path, monkeypatch, capsys)
     ex.run(parsed)
     ex.figure1_bundle(parsed)
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == once
+
+
+def test_mc_above_the_chunk_threshold_writes_the_serial_bytes(tmp_path, monkeypatch, capsys):
+    # 20 000 x 50 values: map_replicates forks, unless pinned to one core
+    cfg = {"model": {"name": "ar1_cauchy", "phi": 0.6}, "n": 20_000, "r_list": [5, 10, 20],
+           "k": 2000, "t_grid": {"lo": 0.2, "hi": 1.0, "count": 81}, "replicates": 50,
+           "measure": {"kind": "two_atom", "p": 0.5, "q": 1.0, "a": 2.0}}
+    assert sim._chunk_count(cfg["n"], cfg["replicates"]) == min(sim._usable_cores(), 4)
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(cfg))
+    files = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
+        out = tmp_path / f"cores{cores}"
+        argv = ["mc", "--config", str(config_path), "--out", str(out), "--figure1"]
+        assert dispatch(argv) == 0
+        files[cores] = {p.name: p.read_bytes().replace(str(out).encode(), b"OUT")
+                        for p in out.iterdir()}
+    capsys.readouterr()
+    assert len(files[1]) == 7
+    assert files[2] == files[1]
+
+
+def test_kernel_mc_above_the_chunk_threshold_prints_the_serial_values(monkeypatch, capsys):
+    # the benchmark's AR(1) kernel config: 20 000 x 200 values
+    argv = ["kernel", "--model", "ar1_cauchy", "--phi", "0.6", "--s", "0.5", "--t", "1",
+            "--method", "mc", "--r", "10", "--k", "200", "--n", "20000",
+            "--replicates", "200", "--seed", "0"]
+    outs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
+        assert dispatch(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0].startswith("c ")
+    assert outs[1] == outs[0]
 
 
 def test_mc_requires_out_dir(tmp_path, capsys):

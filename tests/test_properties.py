@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 import exindex as ex
 from exindex.biascorrect import CurveKernel
 from exindex.clusterproc import _excess_rule, _level_sums, _replicate_sums
-from exindex.estimate import CODE_NAMES, OK, _block_tables, _raise_coded, _top_values
+from exindex.estimate import (
+    CODE_NAMES,
+    OK,
+    _block_tables,
+    _coded_counts,
+    _raise_coded,
+    _top_tables,
+    _top_values,
+)
 from exindex.harness import MCResult, _curves_csv, _runs_curve_values
 
 TIES = "TIES_DETECTED"
@@ -341,6 +349,22 @@ def test_replicate_sums_match_dense_level_sums_and_evaluator(sample, known, grid
             _raise_coded(code, k)
     else:
         assert code == OK and value == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples())
+# a block whose only value at the smallest threshold equals it, and a tied tail
+@example((np.array([3.0, 1, 1, 2, 0, 2, 2]), 3, 2))
+def test_top_tables_give_the_block_tables_estimates_at_every_budget(sample):
+    # from the positions at or above the smallest threshold, every budget <= k
+    # reads the same values and codes as from every block of the sample
+    x, r, k = sample
+    top = _top_values(x, k)
+    budgets = np.arange(1, k + 1)
+    want = _coded_counts(top, [_block_tables(x, r)], budgets)
+    got = _coded_counts(top, [_top_tables(x, np.flatnonzero(x >= top[0]), r)], budgets)
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[0], want[0], equal_nan=True)
 
 
 def _fmt(x) -> str:

@@ -1,12 +1,19 @@
 """Marginal laws, stationary model simulators, and seed management."""
 
 import hashlib
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import exindex as ex
+from exindex import sim
+from exindex.errors import DegenerateDenominator, MeasureConditionError, TiesDetected
 
 MARGINALS = [
     ex.Uniform01(),
@@ -360,3 +367,109 @@ def test_generate_streams_equal_recorded_hashes(name, burn_in):
 def test_non_finite_parameters_are_rejected(build):
     with pytest.raises(ValueError, match="must be .*finite"):
         build()
+
+
+# ---------------------------------------------------------------------------
+# Replicate driver
+# ---------------------------------------------------------------------------
+
+
+def chunked(monkeypatch, chunks: int) -> None:
+    """Make ``map_replicates`` split any input into ``chunks`` chunks, at most one a replicate."""
+    monkeypatch.setattr(sim, "_MIN_CHUNK_VALUES", 1)
+    monkeypatch.setattr(sim, "_usable_cores", lambda: chunks)
+
+
+def path_and_pid(rep, x):
+    return rep, x.values, os.getpid()
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_map_replicates_equals_the_serial_driver_in_order(n, replicates, chunks, seed):
+    model = ex.AR1Cauchy(phi=0.6)
+    with pytest.MonkeyPatch.context() as mp:
+        chunked(mp, 1)
+        serial = sim.map_replicates(path_and_pid, model, n, seed, replicates)
+        chunked(mp, chunks)
+        split = sim.map_replicates(path_and_pid, model, n, seed, replicates)
+    assert [rep for rep, _, _ in split] == list(range(replicates))
+    for (_, want, _), (_, got, _) in zip(serial, split):
+        assert np.array_equal(want, got)
+    # the first chunk runs here and each later one in its own child
+    pids = [pid for _, _, pid in split]
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == min(chunks, replicates)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("first", [
+    DegenerateDenominator("replicate 5: flat curve", fallback=0.25),
+    MeasureConditionError("replicate 5: weights sum to 0", code="M3_VIOLATION"),
+])
+def test_map_replicates_raises_the_earliest_failing_replicate(monkeypatch, first):
+    # replicates 4-7 run in the second chunk and 8-11 in the third; both fail
+    def step(rep, x):
+        if rep == 5:
+            raise first
+        if rep == 9:
+            raise TiesDetected("replicate 9: tie")
+        return rep
+
+    model = ex.IID(innovation=ex.Uniform01())
+    for chunks in (1, 3):
+        chunked(monkeypatch, chunks)
+        with pytest.raises(type(first)) as caught:
+            sim.map_replicates(step, model, 10, 0, 12)
+        err = caught.value
+        assert str(err) == str(first)
+        assert err.code == first.code
+        assert getattr(err, "fallback", None) == getattr(first, "fallback", None)
+        assert_no_children()
+
+
+def test_map_replicates_kills_and_reaps_children_when_its_own_chunk_fails(monkeypatch):
+    parent = os.getpid()
+
+    def step(rep, x):
+        if os.getpid() != parent:
+            time.sleep(60)  # children outlive the test unless they are killed
+        raise ValueError(f"replicate {rep}")
+
+    chunked(monkeypatch, 3)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="replicate 0"):
+        sim.map_replicates(step, ex.IID(innovation=ex.Uniform01()), 10, 0, 6)
+    assert time.perf_counter() - started < 30
+    assert_no_children()
+
+
+def test_map_replicates_stays_serial_while_another_thread_is_alive(monkeypatch):
+    chunked(monkeypatch, 3)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        results = sim.map_replicates(path_and_pid, ex.AR1Cauchy(phi=0.6), 50, 1, 6)
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert {pid for _, _, pid in results} == {os.getpid()}
+    # with the thread gone, the same call forks
+    assert len({pid for _, _, pid in sim.map_replicates(
+        path_and_pid, ex.AR1Cauchy(phi=0.6), 50, 1, 6)}) == 3
+
+
+def test_map_replicates_chunks_only_large_inputs(monkeypatch):
+    monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
+    assert sim._chunk_count(20_000, 10) == 1  # mm_figure's size stays serial
+    assert sim._chunk_count(20_000, 25) == 2
+    assert sim._chunk_count(10**6, 1) == 1
+    monkeypatch.setattr(sim, "_usable_cores", lambda: 1)
+    assert sim._chunk_count(20_000, 200) == 1

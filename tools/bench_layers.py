@@ -5,30 +5,51 @@
 Run from anywhere; the package is imported from the ``src/`` directory of
 the checkout that holds this script, so a copy of the script in another
 checkout measures that checkout.  Each layer runs 15 times after one warm-up
-call, in this one process, and the record holds the median and quartiles of
-its wall time in seconds.  Layers, each on n = 20 000 and the 81 levels
+call, in this one process.  The host's speed drifts by tens of percent over
+seconds, so every repeat is bracketed by timings of one of the benchmark's
+reference kernels (``perfbench/refkernel.py``, named per layer below) and
+scaled as the benchmark scales its calls: ``measured / kernel * REF_S``.
+The record holds the median and quartiles of the scaled times in seconds,
+and the median raw time.  Layers, each on n = 20 000 and the 81 levels
 0.2, 0.21, ..., 1 of the benchmark workloads:
 
-* ``generate.<model>``: one ``generate`` call per model (AR(1) Cauchy, random
-  repetition, moving maxima, iid uniform).
-* ``replicate_kernel.<config>``: ``harness._replicates`` over samples
-  generated beforehand, so generation is excluded, divided by the replicate
-  count: the blocks and corrected curves of every r of one replicate.
-  ``ar1_c6`` is the criterion-6 shape (r in {5, 10, 20}, k = 2000, two-atom
-  measure), ``ar1_product128`` the same with a 128-atom product measure, and
-  ``wn_ties`` random repetition with ties (r in {10, 20}, k = 400).
-* ``kernel_replicate.ar1_kernel``: ``clusterproc.estimate_kernel_mc`` over
-  samples generated beforehand, divided by the replicate count: the level
-  sums of f_max and g_count and theta_hat(1) of one replicate, on the
+* ``fork_round_trip.rss<M>`` (interpreted kernel): fork this process once
+  it holds at least M MB (40 and 110; the imports alone take ~46), have the
+  child send an empty result through a pipe as a replicate worker does, and
+  reap it.  These run first, before scipy or any layer raises the resident
+  size; the record gives the resident size each was taken at.
+* ``generate.<model>`` (array): one ``generate`` call per model (AR(1)
+  Cauchy, random repetition, moving maxima, iid uniform).
+* ``replicate_kernel.<config>`` (interpreted): ``harness._replicates`` over
+  samples generated beforehand, so generation is excluded, divided by the
+  replicate count: the blocks and corrected curves of every r of one
+  replicate.  ``ar1_c6`` is the criterion-6 shape (r in {5, 10, 20},
+  k = 2000, two-atom measure), ``ar1_product128`` the same with a 128-atom
+  product measure, and ``wn_ties`` random repetition with ties (r in
+  {10, 20}, k = 400).
+* ``kernel_replicate.ar1_kernel`` (array): ``clusterproc.estimate_kernel_mc``
+  over samples generated beforehand, divided by the replicate count: the
+  level sums of f_max and g_count and theta_hat(1) of one replicate, on the
   benchmark's kernel config (AR(1) Cauchy, r = 10, k = 200, the 20 levels
   0.05, 0.1, ..., 1, 200 replicates, rank mode).
-* ``sweep`` and ``corrected_curve``: one call on one AR(1) sample with
-  r = 10, k = 2000 and the two-atom measure, evaluator build included.
-* ``runs_curve``: the runs curve of one sample at run length 10 over the
-  grid thresholds.
-* ``summarize_persist``: ``summarize`` plus writing curves.csv, summary.csv
-  and meta.json of a 50-replicate ``ar1_c6`` result into a temporary
-  directory.
+* ``kernel_mc.ar1_kernel`` (array): the same call with generation, as a
+  user runs it, so across every core the replicate driver uses, divided by
+  the replicate count.
+* ``sweep`` and ``corrected_curve`` (interpreted): one call on one AR(1)
+  sample with r = 10, k = 2000 and the two-atom measure, evaluator build
+  included.
+* ``runs_curve`` (interpreted): the runs curve of one sample at run length
+  10 over the grid thresholds.
+* ``summarize_persist`` (interpreted): ``summarize`` plus writing
+  curves.csv, summary.csv and meta.json of a 50-replicate ``ar1_c6`` result
+  into a temporary directory.
+
+The replayed layers pin the replicate driver to this process, so they time
+one replicate's work on one core.  ``break_even_replicates`` is the
+replicate count of the kernel config at which a second chunk pays for its
+fork: 2 * ``fork_round_trip.rss110`` / (``generate.ar1_cauchy`` +
+``kernel_replicate.ar1_kernel``), from the scaled medians.  It leaves out
+the copy-on-write faults that a fork adds to both processes' later writes.
 
 The output file goes to the current directory.
 """
@@ -39,6 +60,7 @@ import argparse
 import dataclasses
 import json
 import os
+import pickle
 import platform
 import statistics
 import sys
@@ -48,8 +70,10 @@ from contextlib import contextmanager
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import numpy as np  # noqa: E402
+from refkernel import REF_S, Reference  # noqa: E402
 
 import exindex as ex  # noqa: E402
 from exindex import clusterproc, harness, sim  # noqa: E402
@@ -83,6 +107,7 @@ AR1_KERNEL = dict(
     seed=0,
 )
 REPEATS = 15
+FORK_RSS_MB = (40, 110)
 
 
 def environment() -> dict:
@@ -105,61 +130,124 @@ def environment() -> dict:
     }
 
 
-def timed(call, per: int = 1) -> dict:
-    """Median and quartiles of ``call()``'s wall time over ``REPEATS`` runs, divided by ``per``."""
-    call()
-    times = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
+class Timer:
+    """Times layers, each repeat scaled by the reference kernel timed before and after it."""
+
+    def __init__(self):
+        self.references = {}  # built on first use: the array kernel imports scipy
+
+    def __call__(self, kind: str, call, per: int = 1) -> dict:
+        """Median and quartiles of ``call()``'s scaled wall time over ``REPEATS`` runs, / per."""
+        if kind not in self.references:
+            self.references[kind] = Reference(kind)
+        reference = self.references[kind]
         call()
-        times.append((time.perf_counter() - start) / per)
-    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-    return {"median_s": median, "q1_s": q1, "q3_s": q3, "repeats": REPEATS}
+        raw, scaled = [], []
+        before = reference.seconds()
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            call()
+            elapsed = (time.perf_counter() - start) / per
+            after = reference.seconds()
+            raw.append(elapsed)
+            scaled.append(elapsed / (before + after) * 2.0 * REF_S[kind])
+            before = after
+        q1, median, q3 = statistics.quantiles(scaled, n=4, method="inclusive")
+        return {"median_s": median, "q1_s": q1, "q3_s": q3, "raw_median_s": statistics.median(raw),
+                "reference": kind, "repeats": REPEATS}
 
 
 @contextmanager
-def replayed(owner, paths):
-    """``owner.replicate_paths`` replaced by a replay of ``paths``, generated once beforehand."""
-    original = owner.replicate_paths
-    owner.replicate_paths = lambda *args: iter(paths)
+def replayed(paths):
+    """``sim.generate`` replaced by a replay of ``paths``, generated once beforehand.
+
+    Path i answers the draw from ``substream(seed, i)``.  The replicate
+    driver is pinned to this process, where it has one.
+    """
+    names = ("generate", "_usable_cores")
+    saved = {name: getattr(sim, name) for name in names if hasattr(sim, name)}
+    sim.generate = lambda model, n, seed, burn_in=0: paths[seed.spawn_key[0]]
+    if "_usable_cores" in saved:
+        sim._usable_cores = lambda: 1
     try:
         yield
     finally:
-        owner.replicate_paths = original
+        for name, value in saved.items():
+            setattr(sim, name, value)
+
+
+def generated(model, n, seed, replicates):
+    return [ex.generate(model, n, ex.substream(seed, i)) for i in range(replicates)]
+
+
+def resident_mb() -> float:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+def fork_round_trip() -> None:
+    """Fork, have the child pickle an empty result into a pipe and exit, read it, reap the child."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps((True, [])))
+        os._exit(0)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        pickle.loads(pipe.read())
+    os.waitpid(pid, 0)
+
+
+def fork_layers(timed) -> dict:
+    out = {}
+    ballast = []
+    for target in FORK_RSS_MB:
+        missing = int((target - resident_mb()) * 2**20) // 8
+        if missing > 0:
+            ballast.append(np.ones(missing))  # np.ones writes, so every page is resident
+        out[f"fork_round_trip.rss{target}"] = dict(
+            timed("interpreted", fork_round_trip), rss_mb=round(resident_mb(), 1)
+        )
+    return out
 
 
 def layers() -> dict:
-    out = {}
+    timed = Timer()
+    out = fork_layers(timed)
     for name, model in MODELS.items():
-        out[f"generate.{name}"] = timed(lambda: ex.generate(model, N, 0))
+        out[f"generate.{name}"] = timed("array", lambda: ex.generate(model, N, 0))
 
     for name, fields in KERNEL_CONFIGS.items():
         cfg = harness.ExperimentConfig(
             n=N, t_grid=GRID, replicates=KERNEL_REPLICATES, **fields
         )
-        paths = list(
-            harness.replicate_paths(cfg.model, cfg.n, cfg.base_seed, cfg.replicates, cfg.burn_in)
-        )
-        with replayed(harness, paths):
+        paths = generated(cfg.model, cfg.n, cfg.base_seed, cfg.replicates)
+        with replayed(paths):
             out[f"replicate_kernel.{name}"] = timed(
-                lambda: harness._replicates(cfg), per=KERNEL_REPLICATES
+                "interpreted", lambda: harness._replicates(cfg), per=KERNEL_REPLICATES
             )
 
     kernel = AR1_KERNEL
-    paths = list(
-        sim.replicate_paths(kernel["model"], kernel["n"], kernel["seed"], kernel["replicates"])
-    )
-    with replayed(sim, paths):
+    paths = generated(kernel["model"], kernel["n"], kernel["seed"], kernel["replicates"])
+    with replayed(paths):
         out["kernel_replicate.ar1_kernel"] = timed(
-            lambda: clusterproc.estimate_kernel_mc(**kernel), per=kernel["replicates"]
+            "array", lambda: clusterproc.estimate_kernel_mc(**kernel), per=kernel["replicates"]
         )
+    del paths
+    out["kernel_mc.ar1_kernel"] = timed(
+        "array", lambda: clusterproc.estimate_kernel_mc(**kernel), per=kernel["replicates"]
+    )
 
     x = ex.generate(MODELS["ar1_cauchy"], N, 0).values
     est = ex.EstimatorConfig(r=10, k=2000)
-    out["sweep"] = timed(lambda: ex.sweep(x, est, GRID))
-    out["corrected_curve"] = timed(lambda: ex.corrected_curve(x, est, TWO_ATOM, GRID))
+    out["sweep"] = timed("interpreted", lambda: ex.sweep(x, est, GRID))
+    out["corrected_curve"] = timed(
+        "interpreted", lambda: ex.corrected_curve(x, est, TWO_ATOM, GRID)
+    )
     thresholds = np.sort(x)[N - ex.count_at(est.k, np.asarray(GRID)) - 1]
-    out["runs_curve"] = timed(lambda: harness._runs_curve_values(x, 10, thresholds))
+    out["runs_curve"] = timed("interpreted", lambda: harness._runs_curve_values(x, 10, thresholds))
 
     cfg = harness.ExperimentConfig(
         n=N, t_grid=GRID, replicates=50, **KERNEL_CONFIGS["ar1_c6"]
@@ -169,8 +257,15 @@ def layers() -> dict:
         result = dataclasses.replace(
             result, config=dataclasses.replace(cfg, out_dir=os.path.join(tmp, "out"))
         )
-        out["summarize_persist"] = timed(lambda: harness._persist(result))
+        out["summarize_persist"] = timed("interpreted", lambda: harness._persist(result))
     return out
+
+
+def break_even_replicates(out: dict) -> float:
+    per_replicate = (
+        out["generate.ar1_cauchy"]["median_s"] + out["kernel_replicate.ar1_kernel"]["median_s"]
+    )
+    return 2.0 * out[f"fork_round_trip.rss{FORK_RSS_MB[-1]}"]["median_s"] / per_replicate
 
 
 def main(argv=None) -> int:
@@ -185,12 +280,14 @@ def main(argv=None) -> int:
         "levels": len(GRID),
         "layers": layers(),
     }
+    record["break_even_replicates"] = break_even_replicates(record["layers"])
     path = f"BENCH_{args.label}.json"
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for name, stats in record["layers"].items():
         print(f"{name:32s} {1e3 * stats['median_s']:9.3f} ms")
+    print(f"{'break_even_replicates':32s} {record['break_even_replicates']:9.1f}")
     print(f"wrote {path}")
     return 0
 
