@@ -338,18 +338,22 @@ _CONFIG_KEYS = tuple(key for key in config_fields(ExperimentConfig) if key != "d
 def oracle_theta_nt(model, r: int, v: float, t):
     """Closed-form mean curve of the blocks estimator at ``t``, or None if unavailable.
 
-    ``t`` is a level or an array of levels.  Moving maxima invert the marginal
-    once for all levels; random repetition, and independent data as its
-    psi = 0 case, take one ``theta_nt_wn`` call per level.
+    ``t`` is a level or an array of levels, and ``r`` a block length or a
+    sequence of them, which gives one row per block length.  Moving maxima
+    invert the marginal once for all levels and block lengths; random
+    repetition, and independent data as its psi = 0 case, take one
+    ``theta_nt_wn`` call per level and block length.
     """
     if isinstance(model, MovingMaxima):
         return theta_nt_mm_exact(model, r, v, t)
     if not isinstance(model, (IID, RandomRepetition)):
         return None
     psi = getattr(model, "psi", 0.0)
-    if np.ndim(t) == 0:
+    if np.ndim(r) == 0 and np.ndim(t) == 0:
         return theta_nt_wn(psi, r, v, t)
-    return np.array([theta_nt_wn(psi, r, v, float(level)) for level in t])
+    levels, lengths = np.ravel(t).tolist(), np.ravel(r).tolist()
+    out = [[theta_nt_wn(psi, length, v, level) for level in levels] for length in lengths]
+    return np.reshape(out, np.shape(r) + np.shape(t))
 
 
 # ---------------------------------------------------------------------------
@@ -390,52 +394,64 @@ class MCResult:
         model's extremal index.
         """
         cfg = self.config
-        v = cfg.k / cfg.n
+        # every r's curve target from one call: moving maxima invert the marginal once
+        targets = oracle_theta_nt(cfg.model, cfg.r_list, cfg.k / cfg.n, cfg.t_grid)
         rows = []
         for kind, curves, _ in self.kinds():
-            for r in cfg.r_list:
+            for i, r in enumerate(cfg.r_list):
                 if r not in curves:
                     continue
-                arr = curves[r]
-                refs = (
-                    oracle_theta_nt(cfg.model, r, v, cfg.t_grid)
-                    if kind == "raw"
-                    else cfg.model.theta
-                )
-                refs = np.broadcast_to(np.nan if refs is None else refs, len(cfg.t_grid))
-                for t, ref, (used, mean, sd) in zip(cfg.t_grid, refs.tolist(), _column_stats(arr)):
+                if kind == "corrected":
+                    refs = cfg.model.theta
+                else:
+                    refs = np.nan if targets is None else targets[i]
+                refs = np.broadcast_to(refs, len(cfg.t_grid)).tolist()
+                stats = zip(cfg.t_grid, refs, *_column_stats(curves[r], refs))
+                for t, ref, used, mean, sd, rmse in stats:
                     rows.append(
                         {
                             "kind": kind,
                             "r": r,
                             "t": t,
-                            "n_used": int(used.size),
-                            "n_skipped": len(arr) - int(used.size),
+                            "n_used": used,
+                            "n_skipped": len(curves[r]) - used,
                             "mean": mean,
                             "sd": sd,
                             "reference": ref,
-                            "bias": mean - ref if used.size else np.nan,
-                            "rmse": float(np.sqrt(((used - ref) ** 2).mean()))
-                            if used.size and not np.isnan(ref)
-                            else np.nan,
+                            "bias": mean - ref if used else np.nan,
+                            "rmse": rmse,
                         }
                     )
         return rows
 
 
-def _column_stats(arr: np.ndarray) -> list:
-    """(used, mean, sd) of the non-NaN values in each column of ``arr``.
+def _column_stats(arr: np.ndarray, refs=np.nan) -> tuple:
+    """Lists of (n_used, mean, sd, rmse) of the non-NaN values ``used`` of each column of ``arr``.
 
-    ``mean`` is ``used.mean()`` (NaN if none), ``sd`` ``used.std(ddof=1)`` (NaN if
-    fewer than two); summary.csv and the figure bands both read them.
+    ``used.mean()``, ``used.std(ddof=1)`` and ``sqrt(((used - ref) ** 2).mean())``
+    with ``ref`` the column's entry of ``refs``; NaN where undefined.  NaN-free
+    columns are reduced together along the rows of the C-contiguous transpose,
+    which numpy sums as it sums one column alone, so the bits are the same.
     """
-    out = []
-    for col in arr.T:
-        used = col[~np.isnan(col)]
-        mean = float(used.mean()) if used.size else np.nan
-        sd = float(used.std(ddof=1)) if used.size > 1 else np.nan
-        out.append((used, mean, sd))
-    return out
+    cols = np.ascontiguousarray(arr.T)
+    refs = np.broadcast_to(refs, len(cols))
+    n_used = np.full(len(cols), len(arr))
+    mean, sd, rmse = np.full((3, len(cols)), np.nan)
+    full = ~np.isnan(cols).any(axis=1)
+    block = cols[full]
+    mean[full] = block.mean(axis=1)
+    rmse[full] = np.sqrt(((block - refs[full, None]) ** 2).mean(axis=1))
+    if len(arr) > 1:
+        sd[full] = block.std(axis=1, ddof=1)
+    for j in np.flatnonzero(~full).tolist():
+        used = cols[j][~np.isnan(cols[j])]
+        n_used[j] = used.size
+        if used.size:
+            mean[j] = used.mean()
+            rmse[j] = np.sqrt(((used - refs[j]) ** 2).mean())
+        if used.size > 1:
+            sd[j] = used.std(ddof=1)
+    return n_used.tolist(), mean.tolist(), sd.tolist(), rmse.tolist()
 
 
 def _fmt(x) -> str:
@@ -464,59 +480,63 @@ def _write_sidecar(path, config: ExperimentConfig, extra=None) -> None:
         fh.write("\n")
 
 
-def _curves(cfg: ExperimentConfig, values, codes) -> tuple:
-    """(values, code names) dicts by r of (replicates x grid) arrays.
-
-    ``values`` and ``codes`` hold one (r x grid) array per replicate, in
-    replicate order, with rows in the order of ``cfg.r_list``.
-    """
-    values, names = np.stack(values), CODE_NAMES[np.stack(codes)].astype(object)
-    return (
-        {r: values[:, i].copy() for i, r in enumerate(cfg.r_list)},
-        {r: names[:, i].copy() for i, r in enumerate(cfg.r_list)},
-    )
+# ``CODE_NAMES`` as objects: indexing it shares its four strings, where
+# ``CODE_NAMES[codes].astype(object)`` would build one string per cell
+_CODE_OBJECTS = CODE_NAMES.astype(object)
 
 
-def _replicates(cfg: ExperimentConfig, run_lengths=()) -> tuple:
-    """Simulate every replicate once: its ``MCResult`` and runs curves for ``run_lengths``.
+def _replicates(cfg: ExperimentConfig, run_lengths=(), formatted=False) -> tuple:
+    """Simulate every replicate once: ``(MCResult, runs, rows)``.
 
     The grid and its budgets are checked and tabulated once; each replicate
     is partially sorted once, and its blocks, corrected and runs curves all
     read their thresholds from that one slice, with only the block maxima of
     each r built besides; one kernel call evaluates every r.  ``runs[run_length]``
     is a (replicates x grid) value array with NaN where the runs estimate is
-    undefined.
+    undefined.  ``rows`` is None, or if ``formatted`` each replicate's
+    curves.csv rows, formatted where it ran (``_format_rows``).
     """
     for run_length in run_lengths:
         check_run_length(run_length, cfg.n)
     kernel = CurveKernel(cfg.k, cfg.t_grid, cfg.measure)
+    templates = _row_templates(cfg)
 
     def step(rep, x):
         top = _top_values(x.values, cfg.k)
-        curves = kernel(top, [_block_tables(x.values, r) for r in cfg.r_list])
+        values, codes, corrected, corrected_codes = kernel(
+            top, [_block_tables(x.values, r) for r in cfg.r_list]
+        )
+        if corrected is not None:
+            values = np.concatenate([values, corrected])
+            codes = np.concatenate([codes, corrected_codes])
         thresholds, _ = _thresholds(top, kernel.k_t)
-        return curves, [_runs_curve_values(x.values, rl, thresholds) for rl in run_lengths]
+        runs = [_runs_curve_values(x.values, rl, thresholds) for rl in run_lengths]
+        rows = _format_rows(templates, rep, values, codes) if formatted else None
+        return values, codes, runs, rows
 
-    rows = map_replicates(step, cfg.model, cfg.n, cfg.base_seed, cfg.replicates, cfg.burn_in)
-    raw_values, raw_codes, values, codes = zip(*(curves for curves, _ in rows))
-    raw = _curves(cfg, raw_values, raw_codes)
-    corrected = _curves(cfg, values, codes) if cfg.measure is not None else ({}, {})
-    runs = {rl: np.array([row[i] for _, row in rows]) for i, rl in enumerate(run_lengths)}
-    result = MCResult(
-        config=cfg,
-        raw=raw[0],
-        corrected=corrected[0],
-        raw_code=raw[1],
-        corrected_code=corrected[1],
-    )
-    return result, runs
+    results = map_replicates(step, cfg.model, cfg.n, cfg.base_seed, cfg.replicates, cfg.burn_in)
+    # (kind and r, replicate, level), so each (kind, r) is one contiguous array
+    shape = (len(templates), cfg.replicates, len(cfg.t_grid))
+    values, codes = np.empty(shape), np.empty(shape, dtype=np.int8)
+    runs = np.empty((len(run_lengths),) + shape[1:])
+    for rep, (rep_values, rep_codes, rep_runs, _) in enumerate(results):
+        values[:, rep], codes[:, rep] = rep_values, rep_codes
+        if run_lengths:
+            runs[:, rep] = rep_runs
+    rows = [rep_rows for *_, rep_rows in results] if formatted else None
+    del results
+    count, names = len(cfg.r_list), _CODE_OBJECTS[codes]
+    # raw, corrected, raw_code, corrected_code: the raw rows come first
+    parts = values[:count], values[count:], names[:count], names[count:]
+    result = MCResult(cfg, *(dict(zip(cfg.r_list, part)) for part in parts))
+    return result, dict(zip(run_lengths, runs)), rows
 
 
 def run(config: ExperimentConfig) -> MCResult:
     """Execute the experiment; write curves.csv, summary.csv, meta.json if out_dir set."""
-    result, _ = _replicates(config)
-    if config.out_dir is not None:
-        result = replace(result, files=_persist(result))
+    result, _, rows = _replicates(config, formatted=config.out_dir is not None)
+    if rows is not None:
+        result = replace(result, files=_persist(result, rows))
     return result
 
 
@@ -527,38 +547,47 @@ def _run_with_figure1(config: ExperimentConfig) -> tuple:
     figure-bundle paths; every file is byte-identical to the one the two
     separate calls write.
     """
-    result, runs = _replicates(config, config.run_lengths)
-    result = replace(result, files=_persist(result))
+    result, runs, rows = _replicates(config, config.run_lengths, formatted=True)
+    result = replace(result, files=_persist(result, rows))
     return result, _write_figure1(result, runs)
 
 
-def _curves_csv(result: MCResult) -> str:
-    """The text of curves.csv: one row per (kind, r, replicate, level).
+_CURVES_HEADER = "replicate,kind,r,t,value,flag\n"
 
-    Cells are formatted as ``_write_csv`` formats them (``repr`` of a float,
-    "" for an undefined value).  Each (kind, r) block of replicate rows is
-    filled into one template by one ``str.format`` call.
+
+def _row_templates(cfg: ExperimentConfig) -> list:
+    """One ``str.format`` template per (kind, r), in curves.csv order: one replicate's rows.
+
+    Field 0 is the replicate; fields 2j + 1 and 2j + 2 are the value and
+    the flag at grid level j.  Without a measure there is no corrected kind.
     """
-    cfg = result.config
-    blocks = ["replicate,kind,r,t,value,flag\n"]
-    for kind, curves, codes in result.kinds():
-        for r in cfg.r_list:
-            if r not in curves:
-                continue
-            values = curves[r].ravel()
-            defined = values == values
-            cells = np.full(values.size, "", dtype=object)
-            cells[defined] = list(map(repr, values[defined].tolist()))
-            fields = [None] * (3 * values.size)
-            fields[0::3] = np.repeat(np.arange(len(curves[r])), len(cfg.t_grid)).tolist()
-            fields[1::3] = cells.tolist()
-            fields[2::3] = codes[r].ravel().tolist()
-            row = "".join(f"{{}},{kind},{r},{t!r},{{}},{{}}\n" for t in cfg.t_grid)
-            blocks.append((row * len(curves[r])).format(*fields))
-    return "".join(blocks)
+    kinds = ("raw", "corrected") if cfg.measure is not None else ("raw",)
+    return [
+        "".join(
+            f"{{0}},{kind},{r},{t!r},{{{2 * j + 1}}},{{{2 * j + 2}}}\n"
+            for j, t in enumerate(cfg.t_grid)
+        )
+        for kind in kinds
+        for r in cfg.r_list
+    ]
 
 
-def _persist(result: MCResult) -> tuple:
+def _format_rows(templates, rep: int, values, codes) -> list:
+    """The curves.csv rows of replicate ``rep``: ``templates[i]`` filled from row i.
+
+    ``values`` and the integer skip ``codes`` are (templates x grid) arrays.
+    Cells are formatted as ``_write_csv`` formats them: ``repr`` of a float,
+    "" for an undefined value, and the code's name as the flag.
+    """
+    defined = values == values
+    fields = np.full((len(values), 2 * values.shape[1]), "", dtype=object)
+    fields[:, 0::2][defined] = list(map(repr, values[defined].tolist()))
+    fields[:, 1::2] = _CODE_OBJECTS[codes]
+    return [template.format(rep, *row) for template, row in zip(templates, fields.tolist())]
+
+
+def _persist(result: MCResult, rows) -> tuple:
+    """Write curves.csv, summary.csv and meta.json; ``rows`` as ``_replicates`` returns them."""
     cfg = result.config
     os.makedirs(cfg.out_dir, exist_ok=True)
     flag_count = sum(
@@ -568,7 +597,10 @@ def _persist(result: MCResult) -> tuple:
     )
     curves_path = os.path.join(cfg.out_dir, "curves.csv")
     with open(curves_path, "w") as fh:
-        fh.write(_curves_csv(result))
+        fh.write(_CURVES_HEADER)
+        # each (kind, r) block, its replicates in order
+        for block in zip(*rows):
+            fh.writelines(block)
     summary_path = os.path.join(cfg.out_dir, "summary.csv")
     cols = [
         "kind",
@@ -630,7 +662,7 @@ def figure1_bundle(config: ExperimentConfig) -> tuple:
     """
     if config.out_dir is None:
         raise ValueError("figure1_bundle requires out_dir")
-    result, runs = _replicates(config, config.run_lengths)
+    result, runs, _ = _replicates(config, config.run_lengths)
     return _write_figure1(result, runs)
 
 
@@ -640,15 +672,9 @@ def _write_figure1(result: MCResult, runs: dict) -> tuple:
 
     def band_rows(curves):
         return [
-            (
-                key,
-                t,
-                _fmt(mean) if used.size else "",
-                _fmt(sd) if used.size > 1 else "",
-                int(used.size),
-            )
+            (key, t, _fmt(mean) if used else "", _fmt(sd) if used > 1 else "", used)
             for key in sorted(curves)
-            for t, (used, mean, sd) in zip(cfg.t_grid, _column_stats(curves[key]))
+            for t, used, mean, sd, _ in zip(cfg.t_grid, *_column_stats(curves[key]))
         ]
 
     paths = []

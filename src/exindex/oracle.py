@@ -134,17 +134,22 @@ def theta_nt_mm_exact(spec: MovingMaxima, r: int, v: float, t):
     """Exact mean curve of the blocks estimator for the moving-maxima model.
 
     Inverts the stationary marginal at 1 - v t numerically, then evaluates the
-    exact block-maximum probability product.  ``t`` may be an array of levels:
-    the marginal is then inverted at all of them in one call, and each value
-    equals the one for its level alone, bit for bit.
+    exact block-maximum probability product.  ``t`` may be an array of levels
+    and ``r`` a sequence of block lengths: the marginal is then inverted at
+    all levels in one call, the result has one row per block length, and
+    each value equals the one for its level and block length alone, bit for
+    bit.
     """
     vt = v * np.asarray(t, dtype=float)
     if not np.all((0.0 < vt) & (vt < 1.0)):
         raise ValueError(f"v*t must lie in (0, 1), got {vt}")
-    u = spec.marginal.quantile(1.0 - vt)
-    # scalar products, so that each level's value equals a call for that level alone
-    nonexceed = np.array([mm_block_nonexceed(spec, r, float(ui)) for ui in np.ravel(u)])
-    out = (1.0 - nonexceed.reshape(vt.shape)) / (r * vt)
+    u = np.ravel(spec.marginal.quantile(1.0 - vt)).tolist()
+    rows = []
+    for length in np.ravel(r).tolist():
+        # scalar products, so that each level's value equals a call for that level alone
+        nonexceed = np.array([mm_block_nonexceed(spec, length, ui) for ui in u])
+        rows.append((1.0 - nonexceed.reshape(vt.shape)) / (length * vt))
+    out = np.array(rows).reshape(np.shape(r) + vt.shape)
     return float(out) if out.ndim == 0 else out
 
 

@@ -11,6 +11,7 @@ import pytest
 import exindex as ex
 from exindex import sim
 from exindex.cli import dispatch
+from test_sim import chunked
 
 SERIES = [5.0, 1.0, 4.0, 2.0, 3.0, 6.0]
 
@@ -311,6 +312,46 @@ def test_mc_above_the_chunk_threshold_writes_the_serial_bytes(tmp_path, monkeypa
     capsys.readouterr()
     assert len(files[1]) == 7
     assert files[2] == files[1]
+
+
+CHUNKED_CONFIGS = {
+    # ties on most levels: NaN cells and skip codes in every file
+    "wn_ties_two_atom": {
+        "model": {"name": "wn", "psi": 0.6, "innovation": "uniform"}, "n": 300,
+        "r_list": [4, 10], "k": 40, "t_grid": {"lo": 0.1, "hi": 1.0, "count": 10},
+        "replicates": 7, "measure": {"kind": "two_atom", "p": 0.5, "q": 1.0, "a": 2.0},
+    },
+    "mm_no_measure": {
+        "model": {"name": "mm", "coeffs": [1.0, 0.5], "beta1": 2.0, "beta2": 1.0, "c1": 1.0,
+                  "c2": 0.5},
+        "n": 300, "r_list": [3, 5], "run_lengths": [2, 5], "k": 30,
+        "t_grid": {"lo": 0.1, "hi": 1.0, "count": 10}, "replicates": 5,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKED_CONFIGS))
+def test_mc_writes_the_serial_bytes_at_every_chunk_count(tmp_path, monkeypatch, capsys, name):
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(CHUNKED_CONFIGS[name]))
+    files = {}
+    for chunks in (1, 2, 3):
+        chunked(monkeypatch, chunks)
+        out = tmp_path / f"chunks{chunks}"
+        argv = ["mc", "--config", str(config_path), "--out", str(out), "--figure1"]
+        assert dispatch(argv) == 0
+        files[chunks] = {p.name: p.read_bytes().replace(str(out).encode(), b"OUT")
+                         for p in out.iterdir()}
+    capsys.readouterr()
+    assert len(files[1]) == 7
+    assert files[2] == files[1]
+    assert files[3] == files[1]
+    curves = files[1]["curves.csv"].decode()
+    if name == "wn_ties_two_atom":
+        assert ",,TIES_DETECTED\n" in curves
+        assert ",corrected," in curves
+    else:
+        assert ",corrected," not in curves
 
 
 def test_kernel_mc_above_the_chunk_threshold_prints_the_serial_values(monkeypatch, capsys):

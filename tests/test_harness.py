@@ -350,6 +350,43 @@ def test_mm_summary_reference_equals_scalar_oracle_calls():
     assert curve.tolist() == [ex.theta_nt_mm_exact(mm, 5, v, t) for t in cfg.t_grid]
 
 
+def test_summary_inverts_the_mm_marginal_once_for_every_r(monkeypatch):
+    mm = ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5)
+    grid = np.linspace(0.2, 1.0, 81)
+    cfg = small_config(
+        model=mm, r_list=(5, 10, 20), k=300, t_grid=grid, measure=None, replicates=2
+    )
+    v = cfg.k / cfg.n
+    result = ex.run(cfg)
+    inverted = []
+    quantile = type(mm.marginal).quantile
+
+    def counted(self, p):
+        inverted.append(p)
+        return quantile(self, p)
+
+    monkeypatch.setattr(type(mm.marginal), "quantile", counted)
+    rows = result.summarize()
+    assert len(inverted) == 1
+    by_r = ex.theta_nt_mm_exact(mm, cfg.r_list, v, grid)
+    assert by_r.shape == (len(cfg.r_list), len(grid))
+    for i, r in enumerate(cfg.r_list):
+        per_r = ex.theta_nt_mm_exact(mm, r, v, grid)  # bit for bit: one call per r
+        assert [x.hex() for x in by_r[i].tolist()] == [x.hex() for x in per_r.tolist()]
+        got = [row["reference"] for row in rows if row["kind"] == "raw" and row["r"] == r]
+        assert [x.hex() for x in got] == [x.hex() for x in per_r.tolist()]
+    assert ex.theta_nt_mm_exact(mm, [5], v, 0.5).tolist() == [ex.theta_nt_mm_exact(mm, 5, v, 0.5)]
+
+
+def test_oracle_theta_nt_gives_one_row_per_block_length():
+    v, grid = 0.01, (0.25, 0.5, 1.0)
+    for model in (WN, ex.IID(innovation=ex.Uniform01())):
+        rows = ex.oracle_theta_nt(model, (5, 10), v, grid)
+        assert rows.tolist() == [ex.oracle_theta_nt(model, r, v, grid).tolist() for r in (5, 10)]
+        assert rows[1, 2] == ex.oracle_theta_nt(model, 10, v, 1.0)
+    assert ex.oracle_theta_nt(ex.AR1Cauchy(phi=0.6), (5, 10), v, grid) is None
+
+
 def test_run_deterministic_and_flag_accounted():
     cfg = small_config()
     res1 = ex.run(cfg)

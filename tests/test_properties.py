@@ -1,6 +1,7 @@
 """Property tests: the array kernels against their definitions and the scalar path."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,15 @@ from exindex.estimate import (
     _top_tables,
     _top_values,
 )
-from exindex.harness import MCResult, _curves_csv, _runs_curve_values
+from exindex.harness import (
+    _CURVES_HEADER,
+    MCResult,
+    _column_stats,
+    _format_rows,
+    _row_templates,
+    _runs_curve_values,
+    _write_figure1,
+)
 
 TIES = "TIES_DETECTED"
 NO_EXC = "NO_EXCEEDANCES"
@@ -398,13 +407,13 @@ flags = st.sampled_from(["", TIES, NO_EXC, "DEGENERATE_DENOMINATOR"])
 
 
 @st.composite
-def mc_results(draw):
-    """An ``MCResult`` with arbitrary values and codes, with or without corrected curves."""
+def mc_results(draw, values=cells, measured=st.booleans()):
+    """An ``MCResult`` with ``values`` and arbitrary codes, with or without corrected curves."""
     r_list = tuple(draw(st.lists(st.integers(1, 50), min_size=1, max_size=3, unique=True)))
     level = st.one_of(st.floats(1e-9, 1.0), st.sampled_from([0.1, 0.2, 1 / 3, 0.7, 1.0]))
     t_grid = sorted(draw(st.lists(level, min_size=1, max_size=5, unique=True)))
     replicates = draw(st.integers(1, 4))
-    measured = draw(st.booleans())
+    measured = draw(measured)
     cfg = ex.ExperimentConfig(
         model=ex.AR1Cauchy(phi=0.6),
         n=1000,
@@ -422,17 +431,131 @@ def mc_results(draw):
         return np.array(drawn, dtype=dtype).reshape(shape)
 
     def curves(keys):
-        return {r: array(cells) for r in keys}, {r: array(flags, object) for r in keys}
+        return {r: array(values) for r in keys}, {r: array(flags, object) for r in keys}
 
     raw, raw_code = curves(r_list)
     corrected, corrected_code = curves(r_list if measured else ())
     return MCResult(cfg, raw, corrected, raw_code, corrected_code)
 
 
+CODE_OF = {name: code for code, name in enumerate(CODE_NAMES.tolist())}
+
+
+def curves_csv_from_replicate_rows(result):
+    """curves.csv as ``_persist`` writes it: every replicate's ``_format_rows`` per (kind, r)."""
+    cfg = result.config
+    blocks = [(curves[r], codes[r]) for _, curves, codes in result.kinds() for r in cfg.r_list
+              if r in curves]
+    templates = _row_templates(cfg)
+    assert len(templates) == len(blocks)
+    rows = [
+        _format_rows(
+            templates,
+            rep,
+            np.array([values[rep] for values, _ in blocks]),
+            np.array([[CODE_OF[name] for name in names[rep]] for _, names in blocks]),
+        )
+        for rep in range(cfg.replicates)
+    ]
+    return _CURVES_HEADER + "".join("".join(block) for block in zip(*rows))
+
+
 @settings(max_examples=200, deadline=None)
 @given(mc_results())
 def test_curves_csv_equals_the_row_by_row_writer(result):
-    assert _curves_csv(result) == curves_csv_row_by_row(result)
+    assert curves_csv_from_replicate_rows(result) == curves_csv_row_by_row(result)
+
+
+def column_stats_one_by_one(arr, refs):
+    """(n_used, mean, sd, rmse) of each column from its own non-NaN values: the per-column path."""
+    out = []
+    for col, ref in zip(arr.T, refs):
+        used = col[~np.isnan(col)]
+        mean = float(used.mean()) if used.size else math.nan
+        sd = float(used.std(ddof=1)) if used.size > 1 else math.nan
+        rmse = float(np.sqrt(((used - ref) ** 2).mean())) if used.size else math.nan
+        out.append((used.size, mean, sd, rmse))
+    return out
+
+
+def bits(rows):
+    return [(used, *(float(x).hex() for x in stats)) for used, *stats in rows]
+
+
+@st.composite
+def stat_columns(draw):
+    """(replicates x columns) arrays whose columns hold no NaN, some NaN or only NaN, and refs.
+
+    Replicate counts run from 1 and 2 to past numpy's pairwise-summation
+    block of 128 values.
+    """
+    replicates = draw(st.one_of(st.sampled_from([1, 2, 3, 127, 128, 129, 257]),
+                                st.integers(1, 600)))
+    columns = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    arr = rng.standard_normal((replicates, columns)) * scale + draw(st.floats(-10.0, 10.0))
+    for j, pattern in enumerate(draw(st.lists(st.sampled_from(["none", "some", "all"]),
+                                              min_size=columns, max_size=columns))):
+        if pattern == "all":
+            arr[:, j] = np.nan
+        elif pattern == "some":
+            arr[rng.random(replicates) < draw(st.floats(0.0, 1.0)), j] = np.nan
+    refs = [draw(st.one_of(st.just(math.nan), st.floats(-10.0, 10.0))) for _ in range(columns)]
+    return arr, refs
+
+
+@settings(max_examples=300, deadline=None)
+@given(stat_columns())
+@example((np.array([[0.1, np.nan, np.nan]]), [0.4, 0.4, math.nan]))
+@example((np.array([[0.1, 0.2, np.nan], [0.3, np.nan, np.nan]]), [math.nan, 0.4, 0.4]))
+def test_column_stats_have_the_bits_of_the_per_column_path(case):
+    arr, refs = case
+    got = list(zip(*_column_stats(arr, refs)))
+    assert bits(got) == bits(column_stats_one_by_one(arr, refs))
+    assert all(isinstance(used, int) for used, *_ in got)
+    # without refs every rmse is NaN, and the rest is unchanged
+    plain = list(zip(*_column_stats(arr)))
+    assert bits(plain) == bits(column_stats_one_by_one(arr, [math.nan] * len(refs)))
+
+
+def figure_bands_one_by_one(curves, t_grid):
+    """The rows of a figure band file from the per-column path, as ``_write_csv`` writes them."""
+    rows = []
+    for key in sorted(curves):
+        for t, (used, mean, sd, _) in zip(
+            t_grid, column_stats_one_by_one(curves[key], [math.nan] * len(t_grid))
+        ):
+            rows.append((key, t, _fmt(mean) if used else "", _fmt(sd) if used > 1 else "", used))
+    return "".join(",".join(_fmt(x) for x in row) + "\n" for row in rows)
+
+
+# finite values, so that neither path meets numpy's overflow or inf - inf warnings
+bounded = st.one_of(st.just(math.nan), st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mc_results(values=bounded, measured=st.just(True)))
+def test_figure_bands_and_summary_have_the_bits_of_the_per_column_path(tmp_path_factory, result):
+    cfg = result.config
+    out_dir = tmp_path_factory.mktemp("bands")
+    result = MCResult(replace(cfg, out_dir=str(out_dir)), result.raw, result.corrected,
+                      result.raw_code, result.corrected_code)
+    runs = {2: result.raw[cfg.r_list[0]]}
+    _write_figure1(result, runs)
+    for name, curves, param in (("blocks_curves.csv", result.raw, "r"),
+                                ("runs_curves.csv", runs, "run_length"),
+                                ("corrected_curves.csv", result.corrected, "r")):
+        want = f"{param},t,mean,sd,n_used\n" + figure_bands_one_by_one(curves, cfg.t_grid)
+        assert (out_dir / name).read_text() == want
+    # AR(1) has no curve target, so only the corrected rows have a reference: theta
+    summary = result.summarize()
+    for kind, curves, _ in result.kinds():
+        refs = [math.nan if kind == "raw" else cfg.model.theta] * len(cfg.t_grid)
+        want = [stats for r in cfg.r_list for stats in column_stats_one_by_one(curves[r], refs)]
+        got = [(row["n_used"], row["mean"], row["sd"], row["rmse"]) for row in summary
+               if row["kind"] == kind]
+        assert bits(got) == bits(want)
 
 
 def where_bisection(p, below, lo, hi):

@@ -40,9 +40,18 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
   included.
 * ``runs_curve`` (interpreted): the runs curve of one sample at run length
   10 over the grid thresholds.
-* ``summarize_persist`` (interpreted): ``summarize`` plus writing
-  curves.csv, summary.csv and meta.json of a 50-replicate ``ar1_c6`` result
-  into a temporary directory.
+* ``persist.format_rows`` (interpreted): formatting the curves.csv rows of
+  a 50-replicate ``ar1_c6`` result, divided by the replicate count.  Where
+  each replicate formats its own rows (``harness._format_rows``) this is
+  that call per replicate; in a tree without it, it is ``_curves_csv`` on
+  the whole result.  ``variant`` says which ran.
+* ``summarize_persist`` (interpreted): what the parent process still does
+  with that result: ``summarize`` plus writing curves.csv, summary.csv and
+  meta.json into a temporary directory, the rows already formatted where
+  the replicates format them.
+* ``mc_persist.ar1_c6`` (interpreted): ``exindex mc --out`` on the
+  ``ar1_c6`` config with 50 replicates, as a user runs it, so across every
+  core the replicate driver uses, divided by the replicate count.
 
 The replayed layers pin the replicate driver to this process, so they time
 one replicate's work on one core.  ``break_even_replicates`` is the
@@ -57,7 +66,8 @@ The output file goes to the current directory.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
+import io
 import json
 import os
 import pickle
@@ -76,7 +86,7 @@ import numpy as np  # noqa: E402
 from refkernel import REF_S, Reference  # noqa: E402
 
 import exindex as ex  # noqa: E402
-from exindex import clusterproc, harness, sim  # noqa: E402
+from exindex import cli, clusterproc, harness, sim  # noqa: E402
 
 N = 20_000
 GRID = tuple(np.linspace(0.2, 1.0, 81))
@@ -98,6 +108,7 @@ KERNEL_CONFIGS = {
     "wn_ties": dict(model=MODELS["wn"], r_list=(10, 20), k=400, measure=TWO_ATOM),
 }
 KERNEL_REPLICATES = 20
+PERSIST_REPLICATES = 50
 AR1_KERNEL = dict(
     model=MODELS["ar1_cauchy"],
     n=N,
@@ -249,15 +260,58 @@ def layers() -> dict:
     thresholds = np.sort(x)[N - ex.count_at(est.k, np.asarray(GRID)) - 1]
     out["runs_curve"] = timed("interpreted", lambda: harness._runs_curve_values(x, 10, thresholds))
 
-    cfg = harness.ExperimentConfig(
-        n=N, t_grid=GRID, replicates=50, **KERNEL_CONFIGS["ar1_c6"]
-    )
-    result, _ = harness._replicates(cfg)
+    out.update(persist_layers(timed))
+    return out
+
+
+def persist_layers(timed) -> dict:
+    """``persist.format_rows``, ``summarize_persist`` and ``mc_persist.ar1_c6``."""
+    out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        result = dataclasses.replace(
-            result, config=dataclasses.replace(cfg, out_dir=os.path.join(tmp, "out"))
+        cfg = harness.ExperimentConfig(
+            n=N, t_grid=GRID, replicates=PERSIST_REPLICATES, out_dir=os.path.join(tmp, "out"),
+            **KERNEL_CONFIGS["ar1_c6"],
         )
-        out["summarize_persist"] = timed("interpreted", lambda: harness._persist(result))
+        if hasattr(harness, "_format_rows"):
+            result, _, rows = harness._replicates(cfg, formatted=True)
+            templates = harness._row_templates(cfg)
+            code_of = {name: code for code, name in enumerate(harness.CODE_NAMES.tolist())}
+            curves = [(values[r], codes[r]) for _, values, codes in result.kinds() for r in values]
+            inputs = [
+                (
+                    np.array([values[rep] for values, _ in curves]),
+                    np.array([[code_of[name] for name in codes[rep]] for _, codes in curves]),
+                )
+                for rep in range(cfg.replicates)
+            ]
+
+            def format_rows():
+                for rep, (values, codes) in enumerate(inputs):
+                    harness._format_rows(templates, rep, values, codes)
+
+            out["persist.format_rows"] = dict(
+                timed("interpreted", format_rows, per=cfg.replicates), variant="per_replicate"
+            )
+            out["summarize_persist"] = timed("interpreted", lambda: harness._persist(result, rows))
+        else:
+            result, _ = harness._replicates(cfg)
+            out["persist.format_rows"] = dict(
+                timed("interpreted", lambda: harness._curves_csv(result), per=cfg.replicates),
+                variant="whole_file",
+            )
+            out["summarize_persist"] = timed("interpreted", lambda: harness._persist(result))
+
+        config_path = os.path.join(tmp, "ar1_c6.json")
+        with open(config_path, "w") as fh:
+            json.dump(dict(cfg.to_dict(), out_dir=None), fh)
+        argv = ["mc", "--config", config_path, "--out", os.path.join(tmp, "mc")]
+
+        def mc():
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.dispatch(argv) != 0:
+                    raise RuntimeError("exindex mc failed")
+
+        out["mc_persist.ar1_c6"] = timed("interpreted", mc, per=cfg.replicates)
     return out
 
 
