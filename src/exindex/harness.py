@@ -461,10 +461,10 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows``, each cell as ``_fmt`` formats it."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _write_sidecar(path, config: ExperimentConfig, extra=None) -> None:
@@ -638,17 +638,23 @@ def _runs_curve_values(values, run_length: int, thresholds) -> np.ndarray:
 
     With M_i the maximum of the ``run_length`` values after X_i, a run ends at
     exceedance i iff M_i <= u.  Over i < n - run_length, the denominator is
-    #{X_i > u} and the numerator that minus #{min(X_i, M_i) > u}; both counts
-    come from one binary search per threshold on a sorted array.  ``_replicates``
-    checks ``run_length`` once, before it simulates any replicate.
+    #{X_i > u} and the numerator that minus #{min(X_i, M_i) > u}.  Only the
+    positions i with X_i above the lowest threshold can count in either, so
+    M_i is built there alone, and both counts come from one binary search
+    per threshold on a sorted array of those few values: the same integers
+    as over every position.  ``_replicates`` checks ``run_length`` once,
+    before it simulates any replicate.
     """
     stop = len(values) - run_length
-    starts = values[:stop]
-    after = values[1 : stop + 1].copy()
+    index = np.flatnonzero(values[:stop] > thresholds.min())
+    starts = values[index]
+    after = values[index + 1]
     for j in range(2, run_length + 1):
-        np.maximum(after, values[j : j + stop], out=after)
-    denom = stop - np.searchsorted(np.sort(starts), thresholds, side="right")
-    both = stop - np.searchsorted(np.sort(np.minimum(starts, after)), thresholds, side="right")
+        np.maximum(after, values[index + j], out=after)
+    denom = len(index) - np.searchsorted(np.sort(starts), thresholds, side="right")
+    both = len(index) - np.searchsorted(
+        np.sort(np.minimum(starts, after)), thresholds, side="right"
+    )
     out = np.full(len(thresholds), np.nan)
     np.divide(denom - both, denom, out=out, where=denom > 0)
     return out

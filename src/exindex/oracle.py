@@ -101,6 +101,35 @@ def bias_expansion_wn(psi: float, r: int, v: float) -> BiasExpansion:
 # ---------------------------------------------------------------------------
 
 
+def _block_coefficients(spec: MovingMaxima, r: int) -> list:
+    """psi*_m of every innovation Z_m that can reach an r-block, in the order of m.
+
+    psi*_m is the largest coefficient through which Z_m enters the block;
+    innovations with no applicable coefficient, or only zero ones, are left
+    out, since they contribute factor 1.
+    """
+    if r < 1:
+        raise ValueError(f"r must be at least 1, got {r}")
+    q = spec.q
+    out = []
+    for m in range(1 - q, r + 1):
+        lo = max(0, 1 - m)
+        hi = min(q, r - m)
+        if lo <= hi:
+            best = max(spec.coeffs[lo : hi + 1])
+            if best > 0.0:
+                out.append(best)
+    return out
+
+
+def _product(coefficients, factors: dict) -> float:
+    """The product of ``factors[psi]`` over ``coefficients``, in their order."""
+    prob = 1.0
+    for best in coefficients:
+        prob *= factors[best]
+    return prob
+
+
 def mm_block_nonexceed(spec: MovingMaxima, r: int, u: float) -> float:
     """Exact P{max of an r-block <= u} for the moving-maxima model.
 
@@ -111,23 +140,10 @@ def mm_block_nonexceed(spec: MovingMaxima, r: int, u: float) -> float:
     factor 1.  The innovation cdf is evaluated once per distinct psi*_m; the
     factors are multiplied in the order of m.
     """
-    if r < 1:
-        raise ValueError(f"r must be at least 1, got {r}")
+    coefficients = _block_coefficients(spec, r)
     fz = spec.innovation.cdf
-    q = spec.q
-    factors = {}
-    prob = 1.0
-    for m in range(1 - q, r + 1):
-        lo = max(0, 1 - m)
-        hi = min(q, r - m)
-        if lo > hi:
-            continue
-        best = max(spec.coeffs[lo : hi + 1])
-        if best > 0.0:
-            if best not in factors:
-                factors[best] = float(fz(u / best))
-            prob *= factors[best]
-    return prob
+    factors = {best: float(fz(u / best)) for best in dict.fromkeys(coefficients)}
+    return _product(coefficients, factors)
 
 
 def theta_nt_mm_exact(spec: MovingMaxima, r: int, v: float, t):
@@ -136,18 +152,24 @@ def theta_nt_mm_exact(spec: MovingMaxima, r: int, v: float, t):
     Inverts the stationary marginal at 1 - v t numerically, then evaluates the
     exact block-maximum probability product.  ``t`` may be an array of levels
     and ``r`` a sequence of block lengths: the marginal is then inverted at
-    all levels in one call, the result has one row per block length, and
-    each value equals the one for its level and block length alone, bit for
-    bit.
+    all levels in one call, the innovation cdf is evaluated once per level
+    and distinct psi*_m for all block lengths, the result has one row per
+    block length, and each value equals the one for its level and block
+    length alone, bit for bit.
     """
     vt = v * np.asarray(t, dtype=float)
     if not np.all((0.0 < vt) & (vt < 1.0)):
         raise ValueError(f"v*t must lie in (0, 1), got {vt}")
+    lengths = np.ravel(r).tolist()
+    blocks = [_block_coefficients(spec, length) for length in lengths]
     u = np.ravel(spec.marginal.quantile(1.0 - vt)).tolist()
+    # scalar cdf calls: the array cdf can differ from the scalar one in the last bit
+    fz = spec.innovation.cdf
+    distinct = dict.fromkeys(best for block in blocks for best in block)
+    factors = [{best: float(fz(ui / best)) for best in distinct} for ui in u]
     rows = []
-    for length in np.ravel(r).tolist():
-        # scalar products, so that each level's value equals a call for that level alone
-        nonexceed = np.array([mm_block_nonexceed(spec, length, ui) for ui in u])
+    for length, coefficients in zip(lengths, blocks):
+        nonexceed = np.array([_product(coefficients, level) for level in factors])
         rows.append((1.0 - nonexceed.reshape(vt.shape)) / (length * vt))
     out = np.array(rows).reshape(np.shape(r) + vt.shape)
     return float(out) if out.ndim == 0 else out

@@ -156,7 +156,7 @@ class SecondOrderPareto(_ConfigForm):
 
     ``quantile`` bisects the survival test of ``_tail_test``.  For c2 > 0 it
     starts each element's bracket at a Newton estimate of the quantile
-    (``_newton_start``), which ends the bisection after ~15 steps instead of
+    (``_newton_start``), which ends the bisection after ~5 steps instead of
     ~60 with the same bits: every operation of the test is then monotone in
     z, so the test flips at one pair of adjacent floats, which any confirmed
     bracket finds.  For c2 < 0 the float survival is not monotone just above
@@ -283,7 +283,7 @@ class SecondOrderPareto(_ConfigForm):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
-        u = np.where(u == 0.0, 0.5 ** 53, u)  # keep p strictly inside (0, 1)
+        u[u == 0.0] = 0.5**53  # keep p strictly inside (0, 1)
         return self.quantile(u)
 
 
@@ -306,19 +306,25 @@ def _bisect_quantile(p, below_for, lo: float, hi: float, start=None):
     fixed point, however far the quantile lies below the bracket's width.
 
     ``start(p)``, if given, returns a guess z of each quantile.  Each
-    element's bracket then narrows to [max(z * (1 - 1e-12), lo),
-    z * (1 + 1e-12)], but an end is kept only where ``below`` confirms it
-    (True at the lower end, False at the upper one); elsewhere that element
-    keeps ``lo`` or ``hi``.  Where ``below`` flips at a single pair of
-    adjacent floats, every confirmed bracket ends on that pair, so the result
-    has the bits of the wide bracket whenever the wide bisection reaches its
-    fixed point; a guess within 1e-12 only shortens the bisection to ~15
+    element's bracket then narrows to the floats ``_ULPS`` steps below and
+    above z (stepped through the int64 view, the lower one raised to ``lo``),
+    but an end is kept only where ``below`` confirms it (True at the lower
+    end, False at the upper one).  An element whose end is not confirmed
+    tries max(z * (1 - 1e-12), lo) or z * (1 + 1e-12) instead, and only where
+    that fails too keeps ``lo`` or ``hi``; the upper ends double only if one
+    of them is ``hi``.  So a stray guess costs its element a wider bracket,
+    not the whole array.  Where ``below`` flips at a single pair of adjacent
+    floats, every confirmed bracket ends on that pair, so the result has the
+    bits of the wide bracket whenever the wide bisection reaches its fixed
+    point; a guess within ``_ULPS`` floats only shortens the bisection to ~5
     steps.  An end that is not finite is never confirmed.
 
     A step allocates nothing: the midpoint, the stop test and the test result
-    live in buffers made once per call.  The guess becomes the midpoint
+    live in buffers made once per call, and the result is the last midpoint,
+    written into its buffer.  The guess becomes the midpoint
     buffer, and the start frees its scratch before the brackets are made, so
-    it does not raise the call's peak memory.  The brackets are updated
+    it does not raise the call's peak memory; only a fallback end takes
+    temporaries, sized by its unconfirmed elements.  The brackets are updated
     through their int64 views with a branch-free select, ``lo ^= (lo ^ mid) & mask``
     and ``hi = mid ^ ((hi ^ mid) & mask)`` with ``mask`` all ones where
     ``below`` holds.  That copies whole bit patterns, so every bracket and the
@@ -331,26 +337,41 @@ def _bisect_quantile(p, below_for, lo: float, hi: float, start=None):
     below = below_for(p)
     left = np.empty(p.shape, dtype=bool)
     same = np.empty(p.shape, dtype=bool)
-    if start is None:
+    grow = start is None
+    if grow:
         mid = np.empty_like(p)
         lo = np.full_like(p, lo)
         hi = np.full_like(p, hi)
     else:
         lo_end, hi_end = lo, hi
+
+        def unconfirmed(end, upper):
+            """Writes into ``left`` where ``end`` is not confirmed; True if anywhere."""
+            if upper:
+                np.logical_not(np.isfinite(end, out=same), out=same)
+                np.logical_or(below(end, left), same, out=left)
+            else:
+                np.maximum(end, lo_end, out=end)
+                np.logical_not(below(end, left), out=left)
+            return left.any()
+
         with np.errstate(all="ignore"):  # a guess that overflows is just not confirmed
             mid = start(p)
-            lo = np.multiply(mid, 1.0 - 1e-12)
-            np.maximum(lo, lo_end, out=lo)
-            np.logical_not(below(lo, left), out=left)
-            np.copyto(lo, lo_end, where=left)
-            hi = np.multiply(mid, 1.0 + 1e-12)
-            np.logical_not(np.isfinite(hi, out=same), out=same)
-            np.logical_or(below(hi, left), same, out=left)
-            np.copyto(hi, hi_end, where=left)
+            lo, hi = np.empty_like(p), np.empty_like(p)
+            for end, upper, ulps, factor, wide_end in (
+                (lo, False, -_ULPS, 1.0 - 1e-12, lo_end),
+                (hi, True, _ULPS, 1.0 + 1e-12, hi_end),
+            ):
+                np.add(mid.view(np.int64), ulps, out=end.view(np.int64))
+                if unconfirmed(end, upper):
+                    end[left] = mid[left] * factor
+                    if unconfirmed(end, upper):
+                        end[left] = wide_end
+                        grow |= upper
     mask = np.empty(p.shape, dtype=np.int64)
     bits = np.empty(p.shape, dtype=np.int64)
     lo_bits, hi_bits, mid_bits = lo.view(np.int64), hi.view(np.int64), mid.view(np.int64)
-    while np.any(below(hi, left)):
+    while grow and np.any(below(hi, left)):
         # from 2**1023 up, hi steps to the largest float and only then to inf,
         # the right result for a quantile beyond every float
         grown = hi[left]
@@ -358,12 +379,15 @@ def _bisect_quantile(p, below_for, lo: float, hi: float, start=None):
             past = np.where(grown < _MAX, _MAX, np.inf)
             hi[left] = np.where(grown < 2.0**1023, 2.0 * grown, past)
     wide = hi.max() > _MAX / 2  # lo + hi may overflow; hi only falls from here
-    for _ in range(2100):
+
+    def midpoint():
         if wide:
-            _wide_midpoint(lo, hi, mid)
-        else:
-            np.add(lo, hi, out=mid)
-            np.multiply(0.5, mid, out=mid)
+            return _wide_midpoint(lo, hi, mid)
+        np.add(lo, hi, out=mid)
+        return np.multiply(0.5, mid, out=mid)
+
+    for _ in range(2100):
+        midpoint()
         np.equal(mid, lo, out=same)
         np.logical_or(same, np.equal(mid, hi, out=left), out=same)
         if same.all():
@@ -375,11 +399,14 @@ def _bisect_quantile(p, below_for, lo: float, hi: float, start=None):
         np.bitwise_xor(hi_bits, mid_bits, out=bits)
         np.bitwise_and(bits, mask, out=bits)
         np.bitwise_xor(mid_bits, bits, out=hi_bits)
-    out = _wide_midpoint(lo, hi, mid) if wide else 0.5 * (lo + hi)
+    out = midpoint()
     return float(out[0]) if scalar else out
 
 
 _MAX = np.finfo(float).max
+# half-width in floats of a bracket around a ``start`` guess: the c2 > 0 Newton
+# start lies within 8 floats of the quantile on the benchmark law
+_ULPS = 16
 
 
 def _wide_midpoint(lo, hi, out):

@@ -11,6 +11,7 @@ from scipy import stats
 import exindex as ex
 from exindex import harness
 from exindex.sim import config_fields
+from test_properties import per_cell_csv
 
 WN = ex.RandomRepetition(psi=0.6, innovation=ex.Uniform01())
 
@@ -385,6 +386,29 @@ def test_oracle_theta_nt_gives_one_row_per_block_length():
         assert rows.tolist() == [ex.oracle_theta_nt(model, r, v, grid).tolist() for r in (5, 10)]
         assert rows[1, 2] == ex.oracle_theta_nt(model, 10, v, 1.0)
     assert ex.oracle_theta_nt(ex.AR1Cauchy(phi=0.6), (5, 10), v, grid) is None
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},  # random repetition: ties, skipped cells and a corrected kind
+        {"model": ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5),
+         "measure": None, "r_list": (5, 10), "run_lengths": (2, 5)},
+    ],
+)
+def test_summary_and_band_files_have_the_bytes_of_the_per_cell_writer(tmp_path, monkeypatch, overrides):
+    files = {}
+    for writer in ("columns", "cells"):
+        if writer == "cells":
+            monkeypatch.setattr(harness, "_write_csv", per_cell_csv)
+        cfg = small_config(out_dir=str(tmp_path / writer), **overrides)
+        harness._run_with_figure1(cfg)
+        files[writer] = {
+            name: (tmp_path / writer / name).read_bytes()
+            for name in ("summary.csv", "blocks_curves.csv", "runs_curves.csv",
+                         "corrected_curves.csv")
+        }
+    assert files["columns"] == files["cells"]
 
 
 def test_run_deterministic_and_flag_accounted():

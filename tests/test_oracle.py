@@ -86,6 +86,46 @@ def test_mm_block_nonexceed_product_structure():
         assert ex.mm_block_nonexceed(MM_SPEC, 3, u) == pytest.approx(expect, rel=1e-12)
 
 
+def distinct_coefficients(spec, r_list):
+    """The distinct positive psi*_m over the r-blocks: max psi_j over 0 <= j <= q with 1 <= m + j <= r."""
+    q = spec.q
+    return {
+        best
+        for r in r_list
+        for m in range(1 - q, r + 1)
+        if (best := max((spec.coeffs[j] for j in range(q + 1) if 1 <= m + j <= r), default=0.0))
+        > 0.0
+    }
+
+
+@pytest.mark.parametrize(
+    "coeffs, r_list, calls",
+    [((1.0, 0.5), (5, 10, 20), 162), ((0.3, 1.0, 0.0, 0.8), (1, 2, 7), None)],
+)
+def test_mm_oracle_calls_the_innovation_cdf_once_per_level_and_coefficient(
+    monkeypatch, coeffs, r_list, calls
+):
+    # the first case is the benchmark's moving-maxima figure: 81 levels, 2 coefficients
+    spec = ex.MovingMaxima(coeffs=coeffs, beta1=2, beta2=1, c1=1, c2=0.5)
+    v, grid = 0.1, np.linspace(0.2, 1.0, 81)
+    want = [ex.theta_nt_mm_exact(spec, r, v, grid) for r in r_list]
+    expected = len(grid) * len(distinct_coefficients(spec, r_list))
+    assert calls in (None, expected)
+    cdf = ex.SecondOrderPareto.cdf
+    scalar = []  # the marginal's inversion calls the cdf on arrays
+
+    def counted(self, x):
+        if np.ndim(x) == 0:
+            scalar.append(x)
+        return cdf(self, x)
+
+    monkeypatch.setattr(ex.SecondOrderPareto, "cdf", counted)
+    got = ex.theta_nt_mm_exact(spec, r_list, v, grid)
+    assert len(scalar) == expected
+    for row, per_r in zip(got, want):
+        assert [x.hex() for x in row.tolist()] == [x.hex() for x in per_r.tolist()]
+
+
 def test_theta_nt_mm_consistency():
     val = ex.theta_nt_mm_exact(MM_SPEC, 50, 0.005, 1.0)
     u = MM_SPEC.marginal.quantile(1.0 - 0.005)

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 import exindex as ex
 from exindex.biascorrect import CurveKernel
 from exindex.clusterproc import _excess_rule, _level_sums, _replicate_sums
+from exindex import sim
 from exindex.estimate import (
     CODE_NAMES,
     OK,
     _block_tables,
     _coded_counts,
     _raise_coded,
+    _thresholds,
     _top_tables,
     _top_values,
 )
@@ -24,9 +26,11 @@ from exindex.harness import (
     _CURVES_HEADER,
     MCResult,
     _column_stats,
+    _fmt,
     _format_rows,
     _row_templates,
     _runs_curve_values,
+    _write_csv,
     _write_figure1,
 )
 
@@ -253,6 +257,34 @@ def test_runs_curve_matches_runs_estimator(case):
             assert math.isnan(got)
         else:
             assert got == want
+
+
+def full_sort_runs_curve(values, run_length, thresholds):
+    """Reference: both runs counts over every position, from two sorts of the whole sample."""
+    stop = len(values) - run_length
+    starts = values[:stop]
+    after = values[1 : stop + 1].copy()
+    for j in range(2, run_length + 1):
+        np.maximum(after, values[j : j + stop], out=after)
+    denom = stop - np.searchsorted(np.sort(starts), thresholds, side="right")
+    both = stop - np.searchsorted(np.sort(np.minimum(starts, after)), thresholds, side="right")
+    out = np.full(len(thresholds), np.nan)
+    np.divide(denom - both, denom, out=out, where=denom > 0)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_runs_curve_on_a_moving_maxima_path_has_the_bits_of_the_full_sort(seed):
+    mm = ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5)
+    x = ex.generate(mm, 20_000, seed).values
+    grid = np.linspace(0.2, 1.0, 81)
+    for k in (2000, 400):
+        thresholds, _ = _thresholds(_top_values(x, k), ex.count_at(k, grid))
+        for run_length in (1, 5, 10, 20):
+            got = _runs_curve_values(x, run_length, thresholds)
+            want = full_sort_runs_curve(x, run_length, thresholds)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+            assert not np.isnan(got).any()
 
 
 def rank_blocks_reference(x, v, r):
@@ -645,3 +677,69 @@ def test_tail_quantile_keeps_the_bits_where_the_newton_start_is_nan():
         assert np.isnan(law._newton_start(p)).tolist() == [True, True, False, False]
     got = law.quantile(p)
     np.testing.assert_array_equal(got.view(np.int64), where_quantile(law, p).view(np.int64))
+
+
+GUESSES = ("near", "far", "relative", "nan", "inf", "zero")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.2, 4.0), st.floats(0.2, 4.0), st.floats(0.5, 20.0), st.floats(1e-3, 2.0),
+       st.lists(st.floats(0.5**53, 1.0 - 2.0**-53), max_size=20), st.data())
+def test_every_fallback_of_the_narrow_bracket_has_the_bits_of_the_where_bisection(
+    beta1, beta2, c1, c2, ps, data
+):
+    # each element's Newton guess is replaced by the quantile moved within the
+    # narrow bracket, beyond it but within 1e-12, beyond 1e-12, or by NaN, inf or 0
+    law = ex.SecondOrderPareto(beta1, beta2, c1, c2)
+    p = np.array([0.5**53, 1.0 - 2.0**-53, 0.5, 0.1, 0.9, 0.99, *ps])
+    kinds = data.draw(st.permutations(GUESSES)) + data.draw(
+        st.lists(st.sampled_from(GUESSES), min_size=len(ps), max_size=len(ps))
+    )
+    want = where_quantile(law, p)
+    guess = want.copy()
+    for i, kind in enumerate(kinds):
+        if kind == "near":
+            guess.view(np.int64)[i] += data.draw(st.integers(-sim._ULPS, sim._ULPS))
+        elif kind == "far":  # 2000 floats are below 1e-12 relative
+            steps = data.draw(st.integers(sim._ULPS + 1, 2000))
+            guess.view(np.int64)[i] += steps * data.draw(st.sampled_from([-1, 1]))
+        elif kind == "relative":
+            guess[i] *= 1.0 + data.draw(st.floats(1e-11, 0.5)) * data.draw(st.sampled_from([-1, 1]))
+        else:
+            guess[i] = {"nan": math.nan, "inf": math.inf, "zero": 0.0}[kind]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ex.SecondOrderPareto, "_newton_start", lambda self, q: guess.copy())
+        got = law.quantile(p)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def per_cell_csv(path, header, rows):
+    """Reference: the writer summary.csv and the band files had, one ``_fmt`` call per cell."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(x) for x in row) + "\n")
+
+
+cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats().map(np.float64),
+    st.integers(-10**20, 10**20),
+    st.booleans(),
+    st.text("ab_ TIES", max_size=5),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda width: st.lists(st.lists(cells, min_size=width, max_size=width).map(tuple),
+                           max_size=8)
+))
+# a bool is an int but formats as "True"; a numpy float formats as a float
+@example([(1, 0.5), (True, np.float64(0.25)), (-3, math.nan)])
+def test_csv_writer_has_the_bytes_of_the_per_cell_writer(tmp_path_factory, rows):
+    out = tmp_path_factory.mktemp("csv")
+    header = [f"c{j}" for j in range(len(rows[0]) if rows else 1)]
+    _write_csv(out / "columns.csv", header, rows)
+    per_cell_csv(out / "cells.csv", header, rows)
+    assert (out / "columns.csv").read_bytes() == (out / "cells.csv").read_bytes()

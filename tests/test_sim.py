@@ -145,9 +145,28 @@ def count_tail_tests(monkeypatch, law, p):
 
 def test_newton_start_shortens_the_bisection_for_positive_c2_only(monkeypatch):
     p = np.random.Generator(np.random.Philox(0)).random(20001)
-    # the wide bracket takes 63 evaluations on these draws, for either sign of c2
-    assert count_tail_tests(monkeypatch, ex.SecondOrderPareto(2.0, 1.0, 1.0, 0.5), p) < 25
+    # the wide bracket takes 63 evaluations on these draws, for either sign of c2;
+    # the narrow one takes 2 to confirm its ends and 5 to halve 2 * 16 floats
+    assert sim._ULPS == 16
+    assert count_tail_tests(monkeypatch, ex.SecondOrderPareto(2.0, 1.0, 1.0, 0.5), p) <= 7
     assert count_tail_tests(monkeypatch, ex.SecondOrderPareto(2.0, 1.0, 1.0, -0.3), p) == 63
+
+
+def test_a_stray_newton_guess_falls_back_to_the_relative_bracket_alone(monkeypatch):
+    law = ex.SecondOrderPareto(2.0, 1.0, 1.0, 0.5)
+    p = np.random.Generator(np.random.Philox(0)).random(20001)
+    want = law.quantile(p)
+    newton = ex.SecondOrderPareto._newton_start
+
+    def stray(self, q):
+        guess = newton(self, q)
+        guess.view(np.int64)[0] += 100  # 100 floats off: outside 16 floats, inside 1e-12
+        return guess
+
+    monkeypatch.setattr(ex.SecondOrderPareto, "_newton_start", stray)
+    # one element's 1e-12 bracket: 2 more confirmations and ~10 more steps, not 63 in all
+    assert count_tail_tests(monkeypatch, law, p) <= 16
+    np.testing.assert_array_equal(law.quantile(p).view(np.int64), want.view(np.int64))
 
 
 def test_wide_bracket_reaches_quantiles_far_below_its_width():

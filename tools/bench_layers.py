@@ -40,6 +40,15 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
   included.
 * ``runs_curve`` (interpreted): the runs curve of one sample at run length
   10 over the grid thresholds.
+* ``quantile.second_order_pareto`` (array): one ``quantile`` call of the
+  moving-maxima innovation law (2, 1, 1, 0.5) on 20 001 uniform draws, as
+  ``generate.mm`` makes it.
+* ``oracle.mm_figure`` (interpreted): ``theta_nt_mm_exact`` of that model at
+  every r of the ``mm_figure`` workload (5, 10, 20) and v = 2000 / 20 000,
+  as one ``summarize`` of that workload calls it.
+* ``mc_figure.mm_figure`` (interpreted): ``exindex mc --out --figure1`` on the
+  ``mm_figure`` config (run lengths 5, 10, 20, no measure, 10 replicates), as
+  a user runs it, divided by the replicate count.
 * ``persist.format_rows`` (interpreted): formatting the curves.csv rows of
   a 50-replicate ``ar1_c6`` result, divided by the replicate count.  Where
   each replicate formats its own rows (``harness._format_rows``) this is
@@ -109,6 +118,7 @@ KERNEL_CONFIGS = {
 }
 KERNEL_REPLICATES = 20
 PERSIST_REPLICATES = 50
+MM_FIGURE_REPLICATES = 10
 AR1_KERNEL = dict(
     model=MODELS["ar1_cauchy"],
     n=N,
@@ -260,8 +270,39 @@ def layers() -> dict:
     thresholds = np.sort(x)[N - ex.count_at(est.k, np.asarray(GRID)) - 1]
     out["runs_curve"] = timed("interpreted", lambda: harness._runs_curve_values(x, 10, thresholds))
 
+    out.update(mm_figure_layers(timed))
     out.update(persist_layers(timed))
     return out
+
+
+def mm_figure_layers(timed) -> dict:
+    """``quantile.second_order_pareto``, ``oracle.mm_figure`` and ``mc_figure.mm_figure``."""
+    mm = MODELS["mm"]
+    draws = np.random.Generator(np.random.Philox(0)).random(N + mm.q)  # no zero among them
+    out = {"quantile.second_order_pareto": timed("array", lambda: mm.innovation.quantile(draws))}
+    cfg = harness.ExperimentConfig(
+        model=mm, n=N, r_list=(5, 10, 20), k=2000, t_grid=GRID, measure=None,
+        replicates=MM_FIGURE_REPLICATES, run_lengths=(5, 10, 20),
+    )
+    out["oracle.mm_figure"] = timed(
+        "interpreted", lambda: ex.theta_nt_mm_exact(mm, cfg.r_list, cfg.k / cfg.n, GRID)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = os.path.join(tmp, "mm_figure.json")
+        with open(config_path, "w") as fh:
+            json.dump(cfg.to_dict(), fh)
+        argv = ["mc", "--config", config_path, "--out", os.path.join(tmp, "mc"), "--figure1"]
+        out["mc_figure.mm_figure"] = timed(
+            "interpreted", lambda: run_mc(argv), per=cfg.replicates
+        )
+    return out
+
+
+def run_mc(argv) -> None:
+    """``exindex mc`` through ``cli.dispatch``, its stdout discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.dispatch(argv) != 0:
+            raise RuntimeError("exindex mc failed")
 
 
 def persist_layers(timed) -> dict:
@@ -305,13 +346,9 @@ def persist_layers(timed) -> dict:
         with open(config_path, "w") as fh:
             json.dump(dict(cfg.to_dict(), out_dir=None), fh)
         argv = ["mc", "--config", config_path, "--out", os.path.join(tmp, "mc")]
-
-        def mc():
-            with contextlib.redirect_stdout(io.StringIO()):
-                if cli.dispatch(argv) != 0:
-                    raise RuntimeError("exindex mc failed")
-
-        out["mc_persist.ar1_c6"] = timed("interpreted", mc, per=cfg.replicates)
+        out["mc_persist.ar1_c6"] = timed(
+            "interpreted", lambda: run_mc(argv), per=cfg.replicates
+        )
     return out
 
 
