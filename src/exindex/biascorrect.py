@@ -27,6 +27,7 @@ estimator process.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,18 +354,28 @@ def corrected_curve(x, cfg, mu: SignedMeasureAtoms, t_grid) -> ThresholdCurve:
     denominator falls below 1e-8 times the total variation; such levels are
     NaN, not interpolated.
     """
-    kernel = CurveKernel(cfg.k, t_grid, mu)
+    kernel = _curve_kernel(cfg.k, tuple(check_grid(t_grid).tolist()), mu)
     ev = check_evaluator(x, cfg) if hasattr(x, "at_counts") else BlocksEvaluator(x, cfg.r, cfg.k)
     _, _, value, code = kernel(ev._top, [ev._tables])
     return ThresholdCurve(
-        t=kernel.grid,
-        k_t=kernel.k_t,
+        t=kernel.grid.copy(),
+        k_t=kernel.k_t.copy(),
         theta_hat=value[0],
         code=CODE_NAMES[code[0]],
         variant="corrected",
         config=cfg,
         n=ev.n,
     )
+
+
+@functools.lru_cache(maxsize=32)
+def _curve_kernel(k: int, grid: tuple, mu: SignedMeasureAtoms) -> CurveKernel:
+    """``CurveKernel(k, grid, mu)``, built once per key and shared, so its arrays are read-only."""
+    kernel = CurveKernel(k, grid, mu)
+    for value in vars(kernel).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return kernel
 
 
 def sigma2_mu(mu: SignedMeasureAtoms, delta: float, kernel) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -315,7 +316,9 @@ def _cmd_mc(args) -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``exindex`` parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="exindex",
         description="Extremal index estimation with signed-measure bias removal.",

@@ -27,8 +27,12 @@ Every Monte Carlo loop runs its replicates through :func:`map_replicates`.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import os
 import pickle
+import sys
 import threading
 from dataclasses import dataclass, field, fields
 
@@ -467,12 +471,51 @@ class AR1Cauchy(_ConfigForm):
         return 1.0 - self.phi
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        from scipy.signal import lfilter  # loaded here, so other models never import scipy
-
         eps = rng.standard_cauchy(size)
         x0 = rng.standard_cauchy() / (1.0 - self.phi)
-        values, _ = lfilter([1.0], [1.0, -self.phi], eps, zi=[self.phi * x0])
+        # the arrays lfilter([1], [1, -phi], eps, zi=[phi * x0]) hands its compiled filter
+        values, _ = _linear_filter()(
+            np.array([1.0]), np.array([1.0, -self.phi]), eps, -1, np.array([self.phi * x0])
+        )
         return values
+
+
+@functools.cache
+def _linear_filter():
+    """The compiled filter under ``scipy.signal.lfilter``, loaded without ``scipy.signal``.
+
+    ``lfilter`` passes a denominator of two or more taps and its arrays
+    unchanged to ``scipy.signal._sigtools._linear_filter(b, a, x, axis, zi)``,
+    so calling it directly gives the same bits.  Importing ``scipy.signal``
+    instead loads some 800 modules, about 75 MB and 1-2 s on a fresh
+    interpreter.  The extension file is found without running any scipy
+    ``__init__``, and its entry in ``sys.modules`` is taken out again, so a
+    later ``import scipy.signal`` imports it as usual.  Where the file cannot
+    be found or loaded, ``lfilter`` itself stands in: it takes the same
+    positional arguments.
+    """
+    name = "scipy.signal._sigtools"
+    try:
+        if name in sys.modules:  # scipy.signal is imported already
+            return sys.modules[name]._linear_filter
+        roots = importlib.util.find_spec("scipy").submodule_search_locations
+        paths = [
+            os.path.join(root, "signal", "_sigtools" + suffix)
+            for root in roots
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        ]
+        path = next(filter(os.path.isfile, paths), None)
+        if path is None:
+            raise ImportError(f"no {name} extension among {paths}")
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(module)
+        sys.modules.pop(name, None)  # the extension put itself there, with no parent package
+        return module._linear_filter
+    except (ImportError, OSError, AttributeError):
+        from scipy.signal import lfilter
+
+        return lfilter
 
 
 @dataclass(frozen=True)
@@ -611,7 +654,8 @@ def generate(model, n: int, seed, burn_in: int = 0) -> SeriesSample:
 # 110 MB process took 4.3-4.9 ms on a 2 vCPU host (tools/bench_layers.py), the
 # time of ~250 000 values of the cheapest replicates (iid uniform paths, ~15 ns
 # a value); AR(1) paths with the kernel step (~65 ns a value) already break
-# even at ~7 replicates of 20 000 values.
+# even at ~7 replicates of 20 000 values.  A run of any model, AR(1) included,
+# forks at 36-42 MB; 110 MB is a process that has imported scipy.signal.
 _MIN_CHUNK_VALUES = 250_000
 
 

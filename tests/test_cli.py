@@ -1,9 +1,6 @@
 """Subcommand behavior: output formats, exit codes, and error reporting."""
 
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -11,7 +8,7 @@ import pytest
 import exindex as ex
 from exindex import sim
 from exindex.cli import dispatch
-from test_sim import chunked
+from test_sim import chunked, fresh_python
 
 SERIES = [5.0, 1.0, 4.0, 2.0, 3.0, 6.0]
 
@@ -747,6 +744,44 @@ def test_mc_bad_run_length_exits_1_before_simulating(tmp_path, run_length, monke
     assert not out.exists()
 
 
+_DISPATCH_ONE = """
+import sys
+from exindex.cli import dispatch
+sys.exit(dispatch(sys.argv[1:]))
+"""
+
+_DISPATCH_MANY = """
+import contextlib, io, json, sys
+from exindex.cli import dispatch
+seen = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    seen.append([out.getvalue(), err.getvalue(), code])
+print(json.dumps(seen))
+"""
+
+
+def test_one_parser_per_process_answers_as_fresh_runs_do():
+    argvs = [
+        ["blocks", "--series", "x.txt", "--r", "two", "--u", "1"],  # a failing parse
+        ["check-measure", "--two-atom", "0.5,1,2"],
+        ["check-measure", "--two-atom", "0.5,0.5,2"],  # a failing measure
+        ["--help"],
+        ["check-measure", "--help"],
+        ["oracle", "--model", "wn", "--psi", "0.6", "--r", "1", "--v", "0.01", "--t", "1"],
+        ["blocks", "--series", "x.txt", "--r", "two", "--u", "1"],
+    ]
+    proc = fresh_python("-c", _DISPATCH_MANY, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    in_one = json.loads(proc.stdout)
+    fresh = [fresh_python("-c", _DISPATCH_ONE, *argv) for argv in argvs]
+    assert in_one == [[run.stdout, run.stderr, run.returncode] for run in fresh]
+    assert [code for _, _, code in in_one] == [2, 0, 1, 0, 0, 0, 2]
+    assert in_one[3][0].startswith("usage: exindex")
+
+
 _IMPORT_PROBE = """
 import json, sys
 import exindex as ex
@@ -755,6 +790,7 @@ from exindex.cli import dispatch
 seen = [["import", 0, "scipy" in sys.modules]]
 for name, argv in json.loads(sys.argv[1]):
     seen.append([name, dispatch(argv), "scipy" in sys.modules])
+seen.append(["scipy.signal or a submodule", 0, any(m.startswith("scipy.") for m in sys.modules)])
 cfg = ex.ExperimentConfig.from_json(sys.argv[2])
 report = ex.normality_check(cfg)
 seen.append(["normality_check", 0 <= report.pvalue <= 1, "scipy.stats" in sys.modules])
@@ -762,7 +798,7 @@ print(json.dumps(seen))
 """
 
 
-def test_scipy_loads_only_for_ar1_generation_and_normality_check(tmp_path):
+def test_scipy_loads_only_for_normality_check(tmp_path):
     configs = {
         "wn": ex.ExperimentConfig(model=ex.RandomRepetition(psi=0.6, innovation=ex.Uniform01()),
                                   n=400, r_list=(5,), k=40, t_grid=(0.5, 1.0), replicates=20),
@@ -781,20 +817,14 @@ def test_scipy_loads_only_for_ar1_generation_and_normality_check(tmp_path):
                              str(tmp_path / "mm"), "--figure1"]],
         ["ar1 mc", ["mc", "--config", str(tmp_path / "ar1.json"), "--out", str(tmp_path / "ar1")]],
     ]
-    # a fresh interpreter: this one has loaded scipy through other tests
-    src = os.path.dirname(os.path.dirname(ex.__file__))
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs), str(tmp_path / "wn.json")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = fresh_python("-c", _IMPORT_PROBE, json.dumps(runs), str(tmp_path / "wn.json"))
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == [
         ["import", 0, False],
         ["wn mc", 0, False],
         ["mm mc --figure1", 0, False],
-        ["ar1 mc", 0, True],  # lfilter runs the AR(1) recursion
+        ["ar1 mc", 0, False],  # the AR(1) recursion runs scipy's compiled filter only
+        ["scipy.signal or a submodule", 0, False],
         ["normality_check", True, True],
     ]

@@ -1,9 +1,13 @@
 """Marginal laws, stationary model simulators, and seed management."""
 
 import hashlib
+import json
 import os
+import subprocess
+import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -370,6 +374,104 @@ GOLDEN_STREAMS = {
 def test_generate_streams_equal_recorded_hashes(name, burn_in):
     x = ex.generate(GOLDEN_MODELS[name], 2000, ex.substream(7, 3), burn_in=burn_in)
     assert hashlib.sha256(x.values.tobytes()).hexdigest() == GOLDEN_STREAMS[name, burn_in]
+
+
+class _Draws:
+    """Stands in for the generator: ``standard_cauchy`` gives ``eps``, then ``z0``."""
+
+    def __init__(self, eps, z0):
+        self.eps, self.z0 = eps, z0
+
+    def standard_cauchy(self, size=None):
+        return self.z0 if size is None else self.eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.integers(1, 5000),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300]), st.floats(-1e6, 1e6)),
+)
+def test_ar1_recursion_equals_lfilter_bit_for_bit(phi, size, seed, z0):
+    from scipy.signal import lfilter
+
+    assert sim._linear_filter() is not lfilter  # the compiled filter, called directly
+    eps = np.random.default_rng(seed).standard_cauchy(size)
+    x0 = z0 / (1.0 - phi)
+    want, _ = lfilter([1.0], [1.0, -phi], eps, zi=[phi * x0])
+    assert np.array_equal(ex.AR1Cauchy(phi=phi).sample(_Draws(eps, z0), size), want,
+                          equal_nan=True)
+
+
+@pytest.fixture
+def fresh_filter_lookup():
+    sim._linear_filter.cache_clear()
+    yield
+    sim._linear_filter.cache_clear()
+
+
+@pytest.mark.parametrize("layout", ["no_spec", "no_extension_file", "unloadable_file"])
+def test_ar1_falls_back_to_lfilter_where_the_extension_cannot_load(
+    layout, tmp_path, monkeypatch, fresh_filter_lookup
+):
+    import importlib.machinery
+    import importlib.util
+
+    from scipy.signal import lfilter
+
+    if layout == "unloadable_file":
+        (tmp_path / "signal").mkdir()
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            (tmp_path / "signal" / f"_sigtools{suffix}").write_bytes(b"not a shared object")
+    spec = None if layout == "no_spec" else SimpleNamespace(submodule_search_locations=[tmp_path])
+    monkeypatch.delitem(sys.modules, "scipy.signal._sigtools", raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    assert sim._linear_filter() is lfilter
+    for burn_in in (0, 5):
+        x = ex.generate(GOLDEN_MODELS["ar1"], 2000, ex.substream(7, 3), burn_in=burn_in)
+        assert hashlib.sha256(x.values.tobytes()).hexdigest() == GOLDEN_STREAMS["ar1", burn_in]
+
+
+_LOAD_ORDER_PROBE = """
+import hashlib, json, sys
+import numpy as np
+import exindex as ex
+from exindex import sim
+
+x = ex.generate(ex.AR1Cauchy(phi=0.6), 2000, ex.substream(7, 3)).values
+before = [name in sys.modules for name in ("scipy", "scipy.signal", "scipy.signal._sigtools")]
+import scipy.signal
+from scipy.signal import lfilter
+
+draws = sim._rng(ex.substream(7, 3))
+eps = draws.standard_cauchy(2000)
+x0 = draws.standard_cauchy() / 0.4
+y, _ = lfilter([1.0], [1.0, -0.6], eps, zi=[0.6 * x0])
+print(json.dumps([before, hashlib.sha256(x.tobytes()).hexdigest(), bool(np.array_equal(x, y)),
+                  scipy.signal._sigtools is sys.modules["scipy.signal._sigtools"]]))
+"""
+
+
+def fresh_python(*args) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this checkout's exindex.
+
+    The test process has loaded scipy and built the parser through other tests.
+    """
+    src = os.path.dirname(os.path.dirname(ex.__file__))
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_scipy_signal_imports_after_the_ar1_filter_loaded_alone():
+    proc = fresh_python("-c", _LOAD_ORDER_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    before, digest, same, registered = json.loads(proc.stdout)
+    assert before == [False, False, False]
+    assert digest == GOLDEN_STREAMS["ar1", 0]
+    assert same and registered
 
 
 @pytest.mark.parametrize(

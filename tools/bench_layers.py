@@ -16,8 +16,11 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
 * ``fork_round_trip.rss<M>`` (interpreted kernel): fork this process once
   it holds at least M MB (40 and 110; the imports alone take ~46), have the
   child send an empty result through a pipe as a replicate worker does, and
-  reap it.  These run first, before scipy or any layer raises the resident
-  size; the record gives the resident size each was taken at.
+  reap it.  A run of any model, AR(1) included, holds 36-42 MB; 110 MB is a
+  process that has imported ``scipy.signal`` (~104 MB), as every AR(1) run
+  did while it generated through ``lfilter``.  These run first, before scipy
+  or any layer raises the resident size; the record gives the resident size
+  each was taken at.
 * ``generate.<model>`` (array): one ``generate`` call per model (AR(1)
   Cauchy, random repetition, moving maxima, iid uniform).
 * ``replicate_kernel.<config>`` (interpreted): ``harness._replicates`` over
@@ -61,11 +64,14 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
 * ``mc_persist.ar1_c6`` (interpreted): ``exindex mc --out`` on the
   ``ar1_c6`` config with 50 replicates, as a user runs it, so across every
   core the replicate driver uses, divided by the replicate count.
+* ``cold_mc.ar1_c6`` (interpreted): the same command in a fresh interpreter
+  of this checkout, start to exit, per call: what one run costs a user
+  beyond the warm layers, imports included.
 
 The replayed layers pin the replicate driver to this process, so they time
 one replicate's work on one core.  ``break_even_replicates`` is the
 replicate count of the kernel config at which a second chunk pays for its
-fork: 2 * ``fork_round_trip.rss110`` / (``generate.ar1_cauchy`` +
+fork: 2 * ``fork_round_trip.rss40`` / (``generate.ar1_cauchy`` +
 ``kernel_replicate.ar1_kernel``), from the scaled medians.  It leaves out
 the copy-on-write faults that a fork adds to both processes' later writes.
 
@@ -82,6 +88,7 @@ import os
 import pickle
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -128,6 +135,7 @@ AR1_KERNEL = dict(
     seed=0,
 )
 REPEATS = 15
+COLD_MC = "import sys; from exindex.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))"
 FORK_RSS_MB = (40, 110)
 
 
@@ -349,14 +357,23 @@ def persist_layers(timed) -> dict:
         out["mc_persist.ar1_c6"] = timed(
             "interpreted", lambda: run_mc(argv), per=cfg.replicates
         )
+        out["cold_mc.ar1_c6"] = timed("interpreted", lambda: run_cold_mc(argv))
     return out
+
+
+def run_cold_mc(argv) -> None:
+    """``exindex mc`` in a fresh interpreter that imports this checkout's package."""
+    paths = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    subprocess.run([sys.executable, "-c", COLD_MC, *argv], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
 
 
 def break_even_replicates(out: dict) -> float:
     per_replicate = (
         out["generate.ar1_cauchy"]["median_s"] + out["kernel_replicate.ar1_kernel"]["median_s"]
     )
-    return 2.0 * out[f"fork_round_trip.rss{FORK_RSS_MB[-1]}"]["median_s"] / per_replicate
+    return 2.0 * out[f"fork_round_trip.rss{FORK_RSS_MB[0]}"]["median_s"] / per_replicate
 
 
 def main(argv=None) -> int:
