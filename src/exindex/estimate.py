@@ -349,12 +349,14 @@ def default_grid(k: int) -> np.ndarray:
 
 
 def check_grid(grid, what: str = "grid") -> np.ndarray:
-    """``grid`` as a float array, once it passes the one rule for threshold grids.
+    """``grid`` as a new float array, once it passes the one rule for threshold grids.
 
     A grid is 1-D, nonempty, finite, strictly increasing and inside (0, 1];
-    ``what`` names it in the ``ValueError`` that a bad one raises.
+    ``what`` names it in the ``ValueError`` that a bad one raises.  The
+    array is a copy, so a curve or kernel that keeps it never shares the
+    caller's array.
     """
-    levels = np.asarray(grid, dtype=float)
+    levels = np.array(grid, dtype=float)
     if levels.size == 0:
         raise ValueError(f"{what} must be nonempty")
     if (

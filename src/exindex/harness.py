@@ -495,6 +495,12 @@ def _replicates(cfg: ExperimentConfig, run_lengths=(), formatted=False) -> tuple
     is a (replicates x grid) value array with NaN where the runs estimate is
     undefined.  ``rows`` is None, or if ``formatted`` each replicate's
     curves.csv rows, formatted where it ran (``_format_rows``).
+
+    Every curve reads only the values at or above the (k + 1)-th largest:
+    the thresholds lie there, and a block maximum, tail value or run
+    maximum counts only when it exceeds one.  So the paths are drawn with
+    ``top=k + 1``, and a model that can draw only those values exactly
+    (moving maxima) gives the same bytes as its full path.
     """
     for run_length in run_lengths:
         check_run_length(run_length, cfg.n)
@@ -514,7 +520,9 @@ def _replicates(cfg: ExperimentConfig, run_lengths=(), formatted=False) -> tuple
         rows = _format_rows(templates, rep, values, codes) if formatted else None
         return values, codes, runs, rows
 
-    results = map_replicates(step, cfg.model, cfg.n, cfg.base_seed, cfg.replicates, cfg.burn_in)
+    results = map_replicates(
+        step, cfg.model, cfg.n, cfg.base_seed, cfg.replicates, cfg.burn_in, top=cfg.k + 1
+    )
     # (kind and r, replicate, level), so each (kind, r) is one contiguous array
     shape = (len(templates), cfg.replicates, len(cfg.t_grid))
     values, codes = np.empty(shape), np.empty(shape, dtype=np.int8)

@@ -21,7 +21,7 @@ constructor fields, as :func:`config_fields` lists them, are the only list of
 a class's parameters: ``to_dict``, the config parser and the CLI model flags
 all read them.
 
-All generators are deterministic functions of (model, n, seed, burn_in).
+All generators are deterministic functions of (model, n, seed, burn_in, top).
 Every Monte Carlo loop runs its replicates through :func:`map_replicates`.
 """
 
@@ -286,9 +286,14 @@ class SecondOrderPareto(_ConfigForm):
         return below
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.quantile(self._uniforms(rng, size))
+
+    @staticmethod
+    def _uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
+        """The levels ``sample`` inverts: ``size`` uniform draws, 0 raised to 2**-53."""
         u = rng.random(size)
         u[u == 0.0] = 0.5**53  # keep p strictly inside (0, 1)
-        return self.quantile(u)
+        return u
 
 
 def _bisect_quantile(p, below_for, lo: float, hi: float, start=None):
@@ -592,12 +597,47 @@ class MovingMaxima(_ConfigForm):
         return 1.0 / sum(c ** self.beta1 for c in self.coeffs)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self._combine(self.innovation.sample(rng, size + self.q), size)
+
+    def sample_top(self, rng: np.random.Generator, size: int, top: int) -> np.ndarray:
+        """``sample(rng, size)`` at and above its ``top``-th largest value, and below it elsewhere.
+
+        The same uniforms are drawn, but only the innovations at the
+        ``top + q + 1`` largest of them are inverted; the others are set to
+        0.0, below ``z_min``.  The quantile is nondecreasing in the level and
+        inverts each element alone, so the inverted innovations have their
+        bits in ``sample`` and the others lie at or below the smallest of
+        them, c.  In both paths, then, a value above c comes from inverted
+        innovations alone and is the same, and every other value is at most
+        c.  Where at least ``top`` values exceed c, so does the ``top``-th
+        largest, which proves the claim.  The coefficient 1 puts all but q
+        of the inverted innovations onto the path unscaled, so that fails
+        only where innovations tie at c; the rest are then inverted too, and
+        the result is ``sample``'s.
+        """
+        u = self.innovation._uniforms(rng, size + self.q)
+        skip = len(u) - (top + self.q + 1)  # innovations left at 0.0
+        if skip <= 0:
+            return self._combine(self.innovation.quantile(u), size)
+        inverted = np.argpartition(u, skip)[skip:]
+        z = np.zeros_like(u)
+        z[inverted] = exact = self.innovation.quantile(u[inverted])
+        values = self._combine(z, size)
+        if np.count_nonzero(values > exact.min()) < top:
+            rest = np.ones(len(u), dtype=bool)
+            rest[inverted] = False
+            z[rest] = self.innovation.quantile(u[rest])
+            values = self._combine(z, size)
+        return values
+
+    def _combine(self, z: np.ndarray, size: int) -> np.ndarray:
+        """X_t = max_j psi_j * Z_{t-j} for t = 1..size, from z = (Z_{1-q}, ..., Z_size)."""
         q = self.q
-        z = self.innovation.sample(rng, size + q)  # Z_{1-q} .. Z_size
-        values = np.full(size, -np.inf)
+        values, scaled = np.full(size, -np.inf), np.empty(size)
         for j, coeff in enumerate(self.coeffs):
             if coeff > 0:
-                np.maximum(values, coeff * z[q - j : q - j + size], out=values)
+                np.maximum(values, np.multiply(coeff, z[q - j : q - j + size], out=scaled),
+                           out=values)
         return values
 
 
@@ -609,6 +649,7 @@ class SeriesSample:
     model: object
     seed: object
     burn_in: int = 0
+    top: object = None  # set where only the ``top`` largest values are exact (``generate``)
 
     @property
     def n(self) -> int:
@@ -629,25 +670,39 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def generate(model, n: int, seed, burn_in: int = 0) -> SeriesSample:
+def generate(model, n: int, seed, burn_in: int = 0, top=None) -> SeriesSample:
     """Simulate a stationary path of length ``n`` from ``model``.
 
     ``seed`` may be an integer or a numpy ``SeedSequence`` (e.g. from
-    :func:`substream`).  Identical (model, n, seed, burn_in) inputs yield
+    :func:`substream`).  Identical (model, n, seed, burn_in, top) inputs yield
     bit-identical output.  ``burn_in`` leading values are generated and
     discarded; it may be 0 for every model here because each one starts from
     an exactly stationary state.
+
+    ``top``, if given with no burn-in, lets a model with ``sample_top(rng,
+    size, top)`` draw a cheaper path: one that equals the full path at every
+    position at or above its ``top``-th largest value and lies below that
+    value everywhere else.  A consumer that reads only those values (every
+    estimate at budgets below ``top``) gets the same bits from either path.
+    Other models, and every call without ``top``, draw the full path; the
+    result's ``top`` says which was drawn.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
+    if top is not None and top < 1:
+        raise ValueError(f"top must be at least 1, got {top}")
     sample = getattr(model, "sample", None)
     if sample is None:
         raise ValueError(f"unknown model spec: {model!r}")
-    values = sample(_rng(seed), n + burn_in)
+    sample_top = getattr(model, "sample_top", None) if burn_in == 0 else None
+    if top is None or sample_top is None:
+        values, top = sample(_rng(seed), n + burn_in), None
+    else:
+        values = sample_top(_rng(seed), n, top)
     return SeriesSample(values=np.asarray(values[burn_in:], dtype=float), model=model,
-                        seed=seed, burn_in=burn_in)
+                        seed=seed, burn_in=burn_in, top=top)
 
 
 # A chunk of fewer values than this is not forked.  Forking and reaping a 46 or
@@ -659,12 +714,15 @@ def generate(model, n: int, seed, burn_in: int = 0) -> SeriesSample:
 _MIN_CHUNK_VALUES = 250_000
 
 
-def map_replicates(step, model, n: int, seed: int, replicates: int, burn_in: int = 0) -> list:
+def map_replicates(
+    step, model, n: int, seed: int, replicates: int, burn_in: int = 0, top=None
+) -> list:
     """``[step(i, path_i) for i in range(replicates)]``, in replicate order.
 
     Replicate i draws ``path_i = generate(model, n, substream(seed, i),
-    burn_in=burn_in)``, so each result depends only on (model, n, seed, i,
-    burn_in) and the list is the same however the replicates are split.
+    burn_in=burn_in)``, with ``top=top`` passed on only when given, so each
+    result depends only on (model, n, seed, i, burn_in, top) and the list is
+    the same however the replicates are split.
 
     The replicates run in ``min(usable cores, replicates, n * replicates //
     _MIN_CHUNK_VALUES)`` contiguous chunks: the calling process runs the first
@@ -679,10 +737,12 @@ def map_replicates(step, model, n: int, seed: int, replicates: int, burn_in: int
     """
     chunks = _chunk_count(n, replicates)
     bounds = [replicates * c // chunks for c in range(chunks + 1)]
+    extra = {} if top is None else {"top": top}
 
     def run(lo, hi):
         return [
-            step(i, generate(model, n, substream(seed, i), burn_in=burn_in)) for i in range(lo, hi)
+            step(i, generate(model, n, substream(seed, i), burn_in=burn_in, **extra))
+            for i in range(lo, hi)
         ]
 
     if chunks == 1:
@@ -806,11 +866,48 @@ class _MovingMaximaMarginal:
         return 1.0 - self.cdf(x)
 
     def quantile(self, p):
-        # support starts at z_min because max_j psi_j = 1
+        """Bisects ``cdf(x) <= p`` from [z_min, 2 * z_min]: z_min starts the support.
+
+        For c2 > 0 every operation of the cdf is monotone in x, so the test
+        flips at one pair of adjacent floats and a Newton start
+        (``_newton_start``) keeps the bits of the wide bracket.  c2 < 0 keeps
+        the wide bracket, as the innovation law does.
+        """
         z_min = self.innovation.z_min
-        return _bisect_quantile(
-            p, lambda q: lambda z, out: np.less_equal(self.cdf(z), q, out=out), z_min, 2.0 * z_min
-        )
+        start = self._newton_start if self.innovation.c2 > 0 else None
+        return _bisect_quantile(p, self._below, z_min, 2.0 * z_min, start)
+
+    def _below(self, p):
+        """``below`` for :func:`_bisect_quantile`: writes ``cdf(x) <= p``."""
+        return lambda x, out: np.less_equal(self.cdf(x), p, out=out)
+
+    def _newton_start(self, p):
+        """``start`` for :func:`_bisect_quantile` when c2 > 0: the quantile after 4 Newton steps.
+
+        With w = log x and z_j = x / psi_j, the quantile solves h(w) = 0 for
+        h(w) = sum_j log(1 - S(z_j)) - log p.  The innovation survival is
+        S = P + Q with P = c1 * z^(-b1) and Q = c2 * P * z^(-b2).  For c2 > 0
+        both parts decrease exponentially in w, so h is increasing and
+        concave, and Newton steps from below the root stay below it.  They
+        start at the larger of two lower bounds: the innovation's own start
+        (F <= F_Z, the factor of the coefficient 1), and the x where
+        -sum_j c1 * psi_j^b1 * x^(-b1) = log p, since log(1 - S) <= -S <= -P.
+        """
+        law = self.innovation
+        b1, b2 = law.beta1, law.beta2
+        coeffs = np.array([c for c in self.model.coeffs if c > 0])
+        shift = -np.log(coeffs)  # log z_j - w
+        level = np.log(p)
+        pareto = (np.log(law.c1 * np.sum(coeffs**b1)) - np.log(-level)) / b1
+        w = np.maximum(np.log(law._newton_start(p)), pareto)
+        for _ in range(4):
+            z = np.exp(w[..., None] + shift)
+            pareto_part = law.c1 * z**-b1
+            second = law.c2 * pareto_part * z**-b2
+            h = np.log1p(-(pareto_part + second)).sum(axis=-1) - level
+            slope = (b1 * pareto_part + (b1 + b2) * second) / (1.0 - pareto_part - second)
+            w = w - h / slope.sum(axis=-1)
+        return np.exp(w)
 
 
 @dataclass(frozen=True)

@@ -331,12 +331,16 @@ CHUNKED_CONFIGS = {
 def test_mc_writes_the_serial_bytes_at_every_chunk_count(tmp_path, monkeypatch, capsys, name):
     config_path = tmp_path / "exp.json"
     config_path.write_text(json.dumps(CHUNKED_CONFIGS[name]))
+    top_only = counted_sample_top(monkeypatch)
     files = {}
     for chunks in (1, 2, 3):
         chunked(monkeypatch, chunks)
         out = tmp_path / f"chunks{chunks}"
         argv = ["mc", "--config", str(config_path), "--out", str(out), "--figure1"]
+        top_only.clear()
         assert dispatch(argv) == 0
+        # moving maxima draw top-only paths in every chunk; this process runs the first
+        assert bool(top_only) == (name == "mm_no_measure")
         files[chunks] = {p.name: p.read_bytes().replace(str(out).encode(), b"OUT")
                          for p in out.iterdir()}
     capsys.readouterr()
@@ -349,6 +353,54 @@ def test_mc_writes_the_serial_bytes_at_every_chunk_count(tmp_path, monkeypatch, 
         assert ",corrected," in curves
     else:
         assert ",corrected," not in curves
+
+
+def counted_sample_top(monkeypatch) -> list:
+    """The ``top`` of every ``MovingMaxima.sample_top`` call in this process."""
+    calls = []
+    sample_top = ex.MovingMaxima.sample_top
+
+    def counted(self, rng, size, top):
+        calls.append(top)
+        return sample_top(self, rng, size, top)
+
+    monkeypatch.setattr(ex.MovingMaxima, "sample_top", counted)
+    return calls
+
+
+MM_CONFIGS = {
+    "two_coeffs": CHUNKED_CONFIGS["mm_no_measure"],
+    "c2_negative_three_coeffs": dict(
+        CHUNKED_CONFIGS["mm_no_measure"],
+        model={"name": "mm", "coeffs": [0.3, 1.0, 0.7], "beta1": 2.0, "beta2": 1.0, "c1": 1.0,
+               "c2": -0.3},
+    ),
+    "measure": dict(CHUNKED_CONFIGS["mm_no_measure"], n=500, k=60,
+                    measure={"kind": "two_atom", "p": 0.5, "q": 1.0, "a": 2.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MM_CONFIGS))
+def test_mc_on_top_only_moving_maxima_paths_writes_the_bytes_of_the_full_paths(
+    tmp_path, monkeypatch, capsys, name
+):
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(MM_CONFIGS[name]))
+    top_only = counted_sample_top(monkeypatch)
+    files = {}
+    for path in ("top", "full"):
+        if path == "full":
+            monkeypatch.delattr(ex.MovingMaxima, "sample_top")
+        out = tmp_path / path
+        argv = ["mc", "--config", str(config_path), "--out", str(out), "--figure1"]
+        assert dispatch(argv) == 0
+        files[path] = {p.name: p.read_bytes().replace(str(out).encode(), b"OUT")
+                       for p in out.iterdir()}
+    capsys.readouterr()
+    cfg = MM_CONFIGS[name]
+    assert top_only == [cfg["k"] + 1] * cfg["replicates"]
+    assert len(files["top"]) == 7
+    assert files["full"] == files["top"]
 
 
 def test_kernel_mc_above_the_chunk_threshold_prints_the_serial_values(monkeypatch, capsys):

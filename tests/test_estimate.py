@@ -65,6 +65,16 @@ def test_sweep_hand_curve():
     assert list(curve.theta_hat) == [1.0, 1.0, 2.0 / 3.0, 0.5]
 
 
+def test_curves_do_not_share_the_callers_grid():
+    cfg = ex.EstimatorConfig(r=3, k=4)
+    grid = np.array([0.25, 0.5, 0.75, 1.0])
+    for curve in (ex.sweep(X6, cfg, grid),
+                  ex.corrected_curve(X6, cfg, ex.two_atom_measure(0.5, 1.0, 2.0), grid)):
+        curve.t[0] = 0.125
+        assert grid.tolist() == [0.25, 0.5, 0.75, 1.0]
+    assert ex.sweep(X6, cfg, grid).t.tolist() == [0.25, 0.5, 0.75, 1.0]
+
+
 def test_sweep_singleton_matches_blocks_empirical():
     rng = np.random.default_rng(3)
     x = rng.random(60)

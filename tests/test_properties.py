@@ -713,6 +713,58 @@ def test_every_fallback_of_the_narrow_bracket_has_the_bits_of_the_where_bisectio
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@st.composite
+def mm_models(draw, c2_signs=(-1.0, 1.0)):
+    """A valid moving-maxima model: up to four coefficients, the largest 1, zeros allowed."""
+    beta1, beta2 = draw(st.floats(0.2, 4.0)), draw(st.floats(0.2, 4.0))
+    c1 = draw(st.floats(0.5, 20.0))
+    c2 = draw(st.floats(1e-3, 2.0)) * draw(st.sampled_from(c2_signs))
+    others = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0), max_size=3))
+    at = draw(st.integers(0, len(others)))
+    try:
+        return ex.MovingMaxima(coeffs=(*others[:at], 1.0, *others[at:]), beta1=beta1,
+                               beta2=beta2, c1=c1, c2=c2)
+    except ValueError:  # c2 < 0 whose survival never reaches 1
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mm_models(), st.integers(1, 400), st.integers(1, 420), st.integers(0, 2**32 - 1))
+def test_top_only_path_equals_the_full_path_at_its_top_values(model, n, top, seed):
+    full = ex.generate(model, n, ex.substream(seed, 0)).values
+    part = ex.generate(model, n, ex.substream(seed, 0), top=top)
+    assert part.top == top
+    kth = np.sort(full)[-min(top, n)]
+    at_top = full >= kth
+    np.testing.assert_array_equal(part.values[at_top].view(np.int64),
+                                  full[at_top].view(np.int64))
+    assert np.all(part.values[~at_top] < kth) and np.all(full[~at_top] < kth)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mm_models(), st.lists(st.floats(0.5**53, 1.0 - 2.0**-53), min_size=1, max_size=40),
+       st.data())
+def test_tail_quantile_of_a_subset_has_the_bits_of_the_whole_array(model, ps, data):
+    # what lets the top-only path invert only some of the uniforms
+    law = model.innovation
+    u = np.array(ps)
+    idx = np.array(data.draw(st.lists(st.integers(0, len(u) - 1), min_size=1, unique=True)))
+    np.testing.assert_array_equal(law.quantile(u[idx]).view(np.int64),
+                                  law.quantile(u)[idx].view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mm_models(c2_signs=(1.0,)), st.lists(st.floats(0.5**53, 1.0 - 2.0**-53), max_size=20),
+       st.floats(1e-4, 0.5))
+def test_moving_maxima_marginal_newton_start_keeps_the_wide_bracket_bits(model, ps, v):
+    # the benchmark's levels 1 - v t, t in (0, 1], plus any others
+    marginal = model.marginal
+    p = np.array([*(1.0 - v * np.linspace(0.2, 1.0, 9)), 0.5**53, 0.5, 1.0 - 2.0**-53, *ps])
+    z_min = marginal.innovation.z_min
+    wide = sim._bisect_quantile(p, marginal._below, z_min, 2.0 * z_min)
+    np.testing.assert_array_equal(marginal.quantile(p).view(np.int64), wide.view(np.int64))
+
+
 def per_cell_csv(path, header, rows):
     """Reference: the writer summary.csv and the band files had, one ``_fmt`` call per cell."""
     with open(path, "w") as fh:

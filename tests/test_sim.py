@@ -300,12 +300,83 @@ def test_moving_maxima_marginal_product_formula():
     assert marg.cdf(marg.quantile(0.97)) == pytest.approx(0.97, abs=1e-9)
 
 
+def test_moving_maxima_marginal_newton_start_shortens_the_bisection(monkeypatch):
+    # the benchmark's 81 levels 1 - 0.1 t: the wide bracket takes 57 or 58
+    # evaluations of the cdf; from the Newton start some levels confirm a
+    # 16-float bracket and the rest a 1e-12 one
+    p = 1.0 - 0.1 * np.linspace(0.2, 1.0, 81)
+    below = sim._MovingMaximaMarginal._below
+    calls = []
+
+    def counting(self, q):
+        test = below(self, q)
+
+        def counted(z, out):
+            calls.append(1)
+            return test(z, out)
+
+        return counted
+
+    monkeypatch.setattr(sim._MovingMaximaMarginal, "_below", counting)
+    for c2, most in ((0.5, 16), (-0.3, 58)):
+        calls.clear()
+        ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=c2).marginal.quantile(p)
+        assert len(calls) <= most
+
+
 def test_moving_maxima_marginal_matches_empirical():
     model = ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5)
     marg = model.marginal
     x = ex.generate(model, 200_000, ex.substream(3, 0))
     for p in (0.5, 0.9, 0.99):
         assert np.mean(x.values <= marg.quantile(p)) == pytest.approx(p, abs=0.012)
+
+
+def test_top_only_moving_maxima_path_is_exact_at_its_top_values():
+    model = ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5)
+    full = ex.generate(model, 20_000, ex.substream(0, 3))
+    part = ex.generate(model, 20_000, ex.substream(0, 3), top=2001)
+    kth = np.sort(full.values)[-2001]
+    at_top = full.values >= kth
+    assert np.array_equal(part.values[at_top], full.values[at_top])
+    assert np.all(part.values[~at_top] < kth)
+    assert not np.array_equal(part.values, full.values)  # the rest are not inverted
+    assert (part.top, full.top) == (2001, None)
+    # a top beyond the path inverts every innovation
+    whole = ex.generate(model, 50, 1, top=60)
+    assert np.array_equal(whole.values, ex.generate(model, 50, 1).values)
+
+
+def test_generate_draws_the_full_path_where_no_top_only_path_applies():
+    model = ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5)
+    burned = ex.generate(model, 100, 4, burn_in=10, top=5)
+    assert np.array_equal(burned.values, ex.generate(model, 110, 4).values[10:])
+    assert burned.top is None
+    for other in ALL_MODELS[:3]:  # no sample_top
+        x = ex.generate(other, 100, 4, top=5)
+        assert np.array_equal(x.values, ex.generate(other, 100, 4).values)
+        assert x.top is None
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="top must be at least 1"):
+            ex.generate(model, 100, 4, top=bad)
+
+
+def test_top_only_path_inverts_the_rest_where_innovations_tie_at_the_cut(monkeypatch):
+    # beta1 = 1e15 rounds the quantile of most uniforms to a few floats just
+    # above 1: the innovations tie at the smallest inverted one, fewer than
+    # top values exceed it, and the rest of the uniforms are inverted too
+    model = ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=1e15, beta2=1, c1=1, c2=0.5)
+    sizes = []
+    quantile = ex.SecondOrderPareto.quantile
+
+    def counted(self, p):
+        sizes.append(np.size(p))
+        return quantile(self, p)
+
+    monkeypatch.setattr(ex.SecondOrderPareto, "quantile", counted)
+    x = ex.generate(model, 300, 0, top=100)
+    assert sizes == [102, 199]
+    assert np.array_equal(x.values, ex.generate(model, 300, 0).values)
 
 
 def test_ar1_marginal_scale():

@@ -23,6 +23,10 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
   each was taken at.
 * ``generate.<model>`` (array): one ``generate`` call per model (AR(1)
   Cauchy, random repetition, moving maxima, iid uniform).
+* ``generate_top.mm`` (array): one moving-maxima replicate as ``exindex mc``
+  draws it at k = 2000, ``generate(..., top=2001)``: only the innovations
+  that can reach the top k + 1 values are inverted.  In a tree without
+  top-only paths this is the full path; ``variant`` says which ran.
 * ``replicate_kernel.<config>`` (interpreted): ``harness._replicates`` over
   samples generated beforehand, so generation is excluded, divided by the
   replicate count: the blocks and corrected curves of every r of one
@@ -195,7 +199,7 @@ def replayed(paths):
     """
     names = ("generate", "_usable_cores")
     saved = {name: getattr(sim, name) for name in names if hasattr(sim, name)}
-    sim.generate = lambda model, n, seed, burn_in=0: paths[seed.spawn_key[0]]
+    sim.generate = lambda model, n, seed, burn_in=0, top=None: paths[seed.spawn_key[0]]
     if "_usable_cores" in saved:
         sim._usable_cores = lambda: 1
     try:
@@ -247,6 +251,12 @@ def layers() -> dict:
     out = fork_layers(timed)
     for name, model in MODELS.items():
         out[f"generate.{name}"] = timed("array", lambda: ex.generate(model, N, 0))
+    top_only = hasattr(MODELS["mm"], "sample_top")
+    top = {"top": 2001} if top_only else {}
+    out["generate_top.mm"] = dict(
+        timed("array", lambda: ex.generate(MODELS["mm"], N, 0, **top)),
+        variant="top_only" if top_only else "full",
+    )
 
     for name, fields in KERNEL_CONFIGS.items():
         cfg = harness.ExperimentConfig(
