@@ -429,28 +429,25 @@ def _column_stats(arr: np.ndarray, refs=np.nan) -> tuple:
     """Lists of (n_used, mean, sd, rmse) of the non-NaN values ``used`` of each column of ``arr``.
 
     ``used.mean()``, ``used.std(ddof=1)`` and ``sqrt(((used - ref) ** 2).mean())``
-    with ``ref`` the column's entry of ``refs``; NaN where undefined.  NaN-free
-    columns are reduced together along the rows of the C-contiguous transpose,
-    which numpy sums as it sums one column alone, so the bits are the same.
+    with ``ref`` the column's entry of ``refs``; NaN where undefined.  Columns
+    with the same count of used values are reduced together: boolean
+    indexing keeps each column's used values in order, so they form the rows
+    of one C-contiguous block, which numpy reduces row by row as it reduces
+    one column alone, with the same bits.  The distinct counts come from a
+    set, since ``np.unique`` would import ``numpy.ma``.
     """
     cols = np.ascontiguousarray(arr.T)
     refs = np.broadcast_to(refs, len(cols))
-    n_used = np.full(len(cols), len(arr))
+    keep = cols == cols
+    n_used = np.count_nonzero(keep, axis=1)
     mean, sd, rmse = np.full((3, len(cols)), np.nan)
-    full = ~np.isnan(cols).any(axis=1)
-    block = cols[full]
-    mean[full] = block.mean(axis=1)
-    rmse[full] = np.sqrt(((block - refs[full, None]) ** 2).mean(axis=1))
-    if len(arr) > 1:
-        sd[full] = block.std(axis=1, ddof=1)
-    for j in np.flatnonzero(~full).tolist():
-        used = cols[j][~np.isnan(cols[j])]
-        n_used[j] = used.size
-        if used.size:
-            mean[j] = used.mean()
-            rmse[j] = np.sqrt(((used - refs[j]) ** 2).mean())
-        if used.size > 1:
-            sd[j] = used.std(ddof=1)
+    for used in set(n_used.tolist()) - {0}:
+        js = np.flatnonzero(n_used == used)
+        block = cols[js][keep[js]].reshape(len(js), used)
+        mean[js] = block.mean(axis=1)
+        rmse[js] = np.sqrt(((block - refs[js, None]) ** 2).mean(axis=1))
+        if used > 1:
+            sd[js] = block.std(axis=1, ddof=1)
     return n_used.tolist(), mean.tolist(), sd.tolist(), rmse.tolist()
 
 
@@ -483,6 +480,8 @@ def _write_sidecar(path, config: ExperimentConfig, extra=None) -> None:
 # ``CODE_NAMES`` as objects: indexing it shares its four strings, where
 # ``CODE_NAMES[codes].astype(object)`` would build one string per cell
 _CODE_OBJECTS = CODE_NAMES.astype(object)
+# a row's text after its value, per code: the flag and the line end
+_CODE_TAILS = [f",{name}\n" for name in CODE_NAMES.tolist()]
 
 
 def _replicates(cfg: ExperimentConfig, run_lengths=(), formatted=False) -> tuple:
@@ -564,34 +563,42 @@ _CURVES_HEADER = "replicate,kind,r,t,value,flag\n"
 
 
 def _row_templates(cfg: ExperimentConfig) -> list:
-    """One ``str.format`` template per (kind, r), in curves.csv order: one replicate's rows.
+    """``(heads, skipped)`` per (kind, r), in curves.csv order: the text of one replicate's rows.
 
-    Field 0 is the replicate; fields 2j + 1 and 2j + 2 are the value and
-    the flag at grid level j.  Without a measure there is no corrected kind.
+    ``heads[j]`` is the row at grid level j from the comma after the
+    replicate to the comma before the value, and ``skipped[code][j]`` that
+    row's text after the replicate when its value is undefined and its flag
+    is ``CODE_NAMES[code]``: ``heads[j]`` and the code's tail.  Without a
+    measure there is no corrected kind.
     """
     kinds = ("raw", "corrected") if cfg.measure is not None else ("raw",)
-    return [
-        "".join(
-            f"{{0}},{kind},{r},{t!r},{{{2 * j + 1}}},{{{2 * j + 2}}}\n"
-            for j, t in enumerate(cfg.t_grid)
-        )
-        for kind in kinds
-        for r in cfg.r_list
-    ]
+    templates = []
+    for kind in kinds:
+        for r in cfg.r_list:
+            heads = [f",{kind},{r},{t!r}," for t in cfg.t_grid]
+            skipped = [[head + tail for head in heads] for tail in _CODE_TAILS]
+            templates.append((heads, skipped))
+    return templates
 
 
 def _format_rows(templates, rep: int, values, codes) -> list:
-    """The curves.csv rows of replicate ``rep``: ``templates[i]`` filled from row i.
+    """The curves.csv rows of replicate ``rep``, one string per ``templates`` entry.
 
     ``values`` and the integer skip ``codes`` are (templates x grid) arrays.
     Cells are formatted as ``_write_csv`` formats them: ``repr`` of a float,
-    "" for an undefined value, and the code's name as the flag.
+    "" for an undefined value, and the code's name as the flag.  A row with
+    an undefined value is copied from ``skipped``; the others are formatted.
     """
-    defined = values == values
-    fields = np.full((len(values), 2 * values.shape[1]), "", dtype=object)
-    fields[:, 0::2][defined] = list(map(repr, values[defined].tolist()))
-    fields[:, 1::2] = _CODE_OBJECTS[codes]
-    return [template.format(rep, *row) for template, row in zip(templates, fields.tolist())]
+    rep_text = str(rep)
+    rows = []
+    for (heads, skipped), row_values, row_codes in zip(templates, values.tolist(),
+                                                      codes.tolist()):
+        pieces = [
+            skipped[code][j] if value != value else f"{heads[j]}{value!r}{_CODE_TAILS[code]}"
+            for j, (value, code) in enumerate(zip(row_values, row_codes))
+        ]
+        rows.append(rep_text + rep_text.join(pieces))
+    return rows
 
 
 def _persist(result: MCResult, rows) -> tuple:

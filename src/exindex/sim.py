@@ -343,6 +343,8 @@ def _bisect_quantile(p, below_for, lo: float, hi: float, start=None):
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if not np.all((p > 0.0) & (p < 1.0)):  # also rejects NaN
         raise ValueError("p must lie strictly between 0 and 1")
+    if p.size == 0:
+        return np.empty(p.shape)
     below = below_for(p)
     left = np.empty(p.shape, dtype=bool)
     same = np.empty(p.shape, dtype=bool)
@@ -545,10 +547,14 @@ class RandomRepetition(_ConfigForm):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         z = self.innovation.sample(rng, size + 1)  # Z_0 .. Z_size
-        renew = rng.random(size) >= self.psi  # xi_t = 1 events, t = 1..size
-        pos = np.where(renew, np.arange(1, size + 1), 0)
-        last = np.maximum.accumulate(pos)  # index of the innovation in force
-        return z[last]
+        # Z_0 starts in force; Z_t takes over at X_t where xi_t = 1, t = 1..size
+        renew = np.empty(size + 1, dtype=bool)
+        renew[0] = True
+        np.greater_equal(rng.random(size), self.psi, out=renew[1:])
+        starts = np.flatnonzero(renew)
+        lengths = np.diff(starts, append=size + 1)  # Z_t holds from X_t on; Z_0 from X_1
+        lengths[0] -= 1
+        return np.repeat(z[starts], lengths)
 
 
 @dataclass(frozen=True)
@@ -603,24 +609,28 @@ class MovingMaxima(_ConfigForm):
         """``sample(rng, size)`` at and above its ``top``-th largest value, and below it elsewhere.
 
         The same uniforms are drawn, but only the innovations at the
-        ``top + q + 1`` largest of them are inverted; the others are set to
-        0.0, below ``z_min``.  The quantile is nondecreasing in the level and
-        inverts each element alone, so the inverted innovations have their
-        bits in ``sample`` and the others lie at or below the smallest of
-        them, c.  In both paths, then, a value above c comes from inverted
-        innovations alone and is the same, and every other value is at most
-        c.  Where at least ``top`` values exceed c, so does the ``top``-th
-        largest, which proves the claim.  The coefficient 1 puts all but q
+        ``top + q + 1`` largest of them are inverted; each other one is set
+        to minus its uniform, in (-1, 0) and so below ``z_min`` > 0.  Those
+        stand-ins are as distinct as the uniforms, so the partition that
+        reads the top values meets no run of ties (a constant such as 0.0
+        makes it several times slower).  The quantile is nondecreasing in
+        the level and inverts each element alone, so the inverted
+        innovations have their bits in ``sample``, and the others lie at or
+        below the smallest of them, c, in ``sample`` and below 0 here.  In
+        both paths, then, a value above c comes from inverted innovations
+        alone and is the same, and every other value is at most c.  Where at
+        least ``top`` values exceed c, so does the ``top``-th largest, which
+        proves the claim.  The coefficient 1 puts all but q
         of the inverted innovations onto the path unscaled, so that fails
         only where innovations tie at c; the rest are then inverted too, and
         the result is ``sample``'s.
         """
         u = self.innovation._uniforms(rng, size + self.q)
-        skip = len(u) - (top + self.q + 1)  # innovations left at 0.0
+        skip = len(u) - (top + self.q + 1)  # innovations left at -u
         if skip <= 0:
             return self._combine(self.innovation.quantile(u), size)
         inverted = np.argpartition(u, skip)[skip:]
-        z = np.zeros_like(u)
+        z = np.negative(u)
         z[inverted] = exact = self.innovation.quantile(u[inverted])
         values = self._combine(z, size)
         if np.count_nonzero(values > exact.min()) < top:

@@ -479,7 +479,11 @@ def curves_csv_from_replicate_rows(result):
     blocks = [(curves[r], codes[r]) for _, curves, codes in result.kinds() for r in cfg.r_list
               if r in curves]
     templates = _row_templates(cfg)
+    # (heads, skipped) per (kind, r): one head per level, one skipped row per level and code
     assert len(templates) == len(blocks)
+    for heads, skipped in templates:
+        assert len(heads) == len(cfg.t_grid)
+        assert [len(rows) for rows in skipped] == [len(cfg.t_grid)] * len(CODE_NAMES)
     rows = [
         _format_rows(
             templates,
@@ -492,8 +496,19 @@ def curves_csv_from_replicate_rows(result):
     return _CURVES_HEADER + "".join("".join(block) for block in zip(*rows))
 
 
+def one_replicate_result(values, flags):
+    """A one-replicate ``MCResult`` at r = 10 over len(values) levels, raw curves only."""
+    cfg = ex.ExperimentConfig(model=ex.AR1Cauchy(phi=0.6), n=1000, r_list=(10,), k=100,
+                              t_grid=[0.1 * (j + 1) for j in range(len(values))], measure=None,
+                              replicates=1)
+    return MCResult(cfg, {10: np.array([values])}, {}, {10: np.array([flags], dtype=object)}, {})
+
+
 @settings(max_examples=200, deadline=None)
 @given(mc_results())
+# value and flag are independent: a NaN value under code OK, defined values under set codes
+@example(one_replicate_result([math.nan, 0.25, -0.0, math.nan],
+                              ["", TIES, "DEGENERATE_DENOMINATOR", NO_EXC]))
 def test_curves_csv_equals_the_row_by_row_writer(result):
     assert curves_csv_from_replicate_rows(result) == curves_csv_row_by_row(result)
 
@@ -549,6 +564,53 @@ def test_column_stats_have_the_bits_of_the_per_column_path(case):
     # without refs every rmse is NaN, and the rest is unchanged
     plain = list(zip(*_column_stats(arr)))
     assert bits(plain) == bits(column_stats_one_by_one(arr, [math.nan] * len(refs)))
+
+
+SHARED_COUNTS = [0, 1, 2, 7, 8, 9, 127, 128, 129]
+
+
+@st.composite
+def shared_count_columns(draw):
+    """(replicates x columns) arrays in which several columns share a used count, and refs.
+
+    Each count is kept by two to four columns, each on its own random rows,
+    so a group of equal count holds its NaN in different rows.
+    """
+    counts = draw(st.lists(st.sampled_from(SHARED_COUNTS) | st.integers(0, 140), min_size=1,
+                           max_size=4, unique=True))
+    replicates = max(counts) + draw(st.integers(0, 3)) or 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for used in counts:
+        for _ in range(draw(st.integers(2, 4))):
+            col = np.full(replicates, np.nan)
+            col[rng.choice(replicates, used, replace=False)] = rng.standard_normal(used)
+            columns.append(col)
+    arr = np.stack(columns, axis=1)[:, rng.permutation(len(columns))]
+    refs = [draw(st.one_of(st.just(math.nan), st.floats(-10.0, 10.0))) for _ in columns]
+    return arr, refs
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_count_columns())
+def test_column_stats_of_columns_that_share_a_used_count_have_the_per_column_bits(case):
+    arr, refs = case
+    got = list(zip(*_column_stats(arr, refs)))
+    assert bits(got) == bits(column_stats_one_by_one(arr, refs))
+
+
+@pytest.mark.parametrize("used", SHARED_COUNTS)
+def test_column_stats_at_a_listed_shared_count_have_the_per_column_bits(used):
+    # three columns of this count, each on its own rows, two rows of NaN at least
+    rng = np.random.default_rng(used)
+    replicates = used + 2
+    arr = np.full((replicates, 3), np.nan)
+    for j in range(3):
+        arr[rng.choice(replicates, used, replace=False), j] = rng.standard_normal(used)
+    refs = [0.5, math.nan, -1.0]
+    got = list(zip(*_column_stats(arr, refs)))
+    assert [n_used for n_used, *_ in got] == [used] * 3
+    assert bits(got) == bits(column_stats_one_by_one(arr, refs))
 
 
 def figure_bands_one_by_one(curves, t_grid):
@@ -763,6 +825,25 @@ def test_moving_maxima_marginal_newton_start_keeps_the_wide_bracket_bits(model, 
     z_min = marginal.innovation.z_min
     wide = sim._bisect_quantile(p, marginal._below, z_min, 2.0 * z_min)
     np.testing.assert_array_equal(marginal.quantile(p).view(np.int64), wide.view(np.int64))
+
+
+def accumulated_repetition(model, rng, size):
+    """Reference: the random-repetition path through ``np.where`` and ``maximum.accumulate``."""
+    z = model.innovation.sample(rng, size + 1)
+    renew = rng.random(size) >= model.psi
+    pos = np.where(renew, np.arange(1, size + 1), 0)
+    return z[np.maximum.accumulate(pos)]  # index of the innovation in force
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([0.0, 0.6, 0.99]), st.sampled_from([ex.Uniform01(), ex.StandardCauchy()]),
+       st.one_of(st.integers(1, 5), st.integers(1, 3000)), st.integers(0, 2**32 - 1))
+def test_random_repetition_repeat_path_equals_the_accumulated_index_path(psi, law, size, seed):
+    model = ex.RandomRepetition(psi=psi, innovation=law)
+    got = model.sample(np.random.Generator(np.random.Philox(seed)), size)
+    want = accumulated_repetition(model, np.random.Generator(np.random.Philox(seed)), size)
+    assert got.shape == (size,)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def per_cell_csv(path, header, rows):

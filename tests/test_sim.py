@@ -173,6 +173,15 @@ def test_a_stray_newton_guess_falls_back_to_the_relative_bracket_alone(monkeypat
     np.testing.assert_array_equal(law.quantile(p).view(np.int64), want.view(np.int64))
 
 
+def test_quantiles_of_no_levels_are_empty():
+    for law in MARGINALS[3:]:
+        assert law.quantile(np.array([])).shape == (0,)
+        assert ex.IID(innovation=law).sample(np.random.default_rng(0), 0).shape == (0,)
+    marginal = ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5).marginal
+    assert marginal.quantile(np.array([])).shape == (0,)
+    assert sim._bisect_quantile(np.empty((0, 3)), None, 1.0, 2.0).shape == (0, 3)
+
+
 def test_wide_bracket_reaches_quantiles_far_below_its_width():
     # z_min is ~1e-40 and the bracket starts at [z_min, 2]: 100 halvings stop ~1e-30 wide
     for c2 in (-1e-41, 0.5):

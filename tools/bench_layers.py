@@ -27,6 +27,10 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
   draws it at k = 2000, ``generate(..., top=2001)``: only the innovations
   that can reach the top k + 1 values are inverted.  In a tree without
   top-only paths this is the full path; ``variant`` says which ran.
+* ``top_values.mm_top`` (array): ``estimate._top_values`` at k = 2000 of
+  that path, the partition and sort that every curve of the replicate reads
+  its thresholds from.  How the path fills the values it does not invert
+  (ties or distinct stand-ins) sets the partition's speed.
 * ``replicate_kernel.<config>`` (interpreted): ``harness._replicates`` over
   samples generated beforehand, so generation is excluded, divided by the
   replicate count: the blocks and corrected curves of every r of one
@@ -56,15 +60,16 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
 * ``mc_figure.mm_figure`` (interpreted): ``exindex mc --out --figure1`` on the
   ``mm_figure`` config (run lengths 5, 10, 20, no measure, 10 replicates), as
   a user runs it, divided by the replicate count.
-* ``persist.format_rows`` (interpreted): formatting the curves.csv rows of
-  a 50-replicate ``ar1_c6`` result, divided by the replicate count.  Where
-  each replicate formats its own rows (``harness._format_rows``) this is
-  that call per replicate; in a tree without it, it is ``_curves_csv`` on
-  the whole result.  ``variant`` says which ran.
-* ``summarize_persist`` (interpreted): what the parent process still does
-  with that result: ``summarize`` plus writing curves.csv, summary.csv and
-  meta.json into a temporary directory, the rows already formatted where
-  the replicates format them.
+* ``persist.format_rows.<config>`` (interpreted): formatting the curves.csv
+  rows of a 50-replicate ``ar1_c6`` or ``wn_ties`` result, divided by the
+  replicate count.  Where each replicate formats its own rows
+  (``harness._format_rows``) this is that call per replicate; in a tree
+  without it, it is ``_curves_csv`` on the whole result.  ``variant`` says
+  which ran.  ``wn_ties`` leaves most values undefined, ``ar1_c6`` few.
+* ``summarize_persist.<config>`` (interpreted): what the parent process
+  still does with that result: ``summarize`` plus writing curves.csv,
+  summary.csv and meta.json into a temporary directory, the rows already
+  formatted where the replicates format them.
 * ``mc_persist.ar1_c6`` (interpreted): ``exindex mc --out`` on the
   ``ar1_c6`` config with 50 replicates, as a user runs it, so across every
   core the replicate driver uses, divided by the replicate count.
@@ -106,7 +111,7 @@ import numpy as np  # noqa: E402
 from refkernel import REF_S, Reference  # noqa: E402
 
 import exindex as ex  # noqa: E402
-from exindex import cli, clusterproc, harness, sim  # noqa: E402
+from exindex import cli, clusterproc, estimate, harness, sim  # noqa: E402
 
 N = 20_000
 GRID = tuple(np.linspace(0.2, 1.0, 81))
@@ -257,6 +262,11 @@ def layers() -> dict:
         timed("array", lambda: ex.generate(MODELS["mm"], N, 0, **top)),
         variant="top_only" if top_only else "full",
     )
+    x = ex.generate(MODELS["mm"], N, 0, **top).values
+    out["top_values.mm_top"] = dict(
+        timed("array", lambda: estimate._top_values(x, 2000)),
+        variant="top_only" if top_only else "full",
+    )
 
     for name, fields in KERNEL_CONFIGS.items():
         cfg = harness.ExperimentConfig(
@@ -324,51 +334,65 @@ def run_mc(argv) -> None:
 
 
 def persist_layers(timed) -> dict:
-    """``persist.format_rows``, ``summarize_persist`` and ``mc_persist.ar1_c6``."""
+    """``persist.format_rows.*``, ``summarize_persist.*`` and ``mc_persist.ar1_c6``."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
+        for name in ("ar1_c6", "wn_ties"):
+            cfg = harness.ExperimentConfig(
+                n=N, t_grid=GRID, replicates=PERSIST_REPLICATES,
+                out_dir=os.path.join(tmp, name), **KERNEL_CONFIGS[name],
+            )
+            out.update(
+                {f"{layer}.{name}": stats for layer, stats in persist_result_layers(timed, cfg)}
+            )
+
         cfg = harness.ExperimentConfig(
-            n=N, t_grid=GRID, replicates=PERSIST_REPLICATES, out_dir=os.path.join(tmp, "out"),
-            **KERNEL_CONFIGS["ar1_c6"],
+            n=N, t_grid=GRID, replicates=PERSIST_REPLICATES, **KERNEL_CONFIGS["ar1_c6"]
         )
-        if hasattr(harness, "_format_rows"):
-            result, _, rows = harness._replicates(cfg, formatted=True)
-            templates = harness._row_templates(cfg)
-            code_of = {name: code for code, name in enumerate(harness.CODE_NAMES.tolist())}
-            curves = [(values[r], codes[r]) for _, values, codes in result.kinds() for r in values]
-            inputs = [
-                (
-                    np.array([values[rep] for values, _ in curves]),
-                    np.array([[code_of[name] for name in codes[rep]] for _, codes in curves]),
-                )
-                for rep in range(cfg.replicates)
-            ]
-
-            def format_rows():
-                for rep, (values, codes) in enumerate(inputs):
-                    harness._format_rows(templates, rep, values, codes)
-
-            out["persist.format_rows"] = dict(
-                timed("interpreted", format_rows, per=cfg.replicates), variant="per_replicate"
-            )
-            out["summarize_persist"] = timed("interpreted", lambda: harness._persist(result, rows))
-        else:
-            result, _ = harness._replicates(cfg)
-            out["persist.format_rows"] = dict(
-                timed("interpreted", lambda: harness._curves_csv(result), per=cfg.replicates),
-                variant="whole_file",
-            )
-            out["summarize_persist"] = timed("interpreted", lambda: harness._persist(result))
-
         config_path = os.path.join(tmp, "ar1_c6.json")
         with open(config_path, "w") as fh:
-            json.dump(dict(cfg.to_dict(), out_dir=None), fh)
+            json.dump(cfg.to_dict(), fh)
         argv = ["mc", "--config", config_path, "--out", os.path.join(tmp, "mc")]
         out["mc_persist.ar1_c6"] = timed(
             "interpreted", lambda: run_mc(argv), per=cfg.replicates
         )
         out["cold_mc.ar1_c6"] = timed("interpreted", lambda: run_cold_mc(argv))
     return out
+
+
+def persist_result_layers(timed, cfg) -> list:
+    """``[("persist.format_rows", stats), ("summarize_persist", stats)]`` of ``cfg``'s result."""
+    if not hasattr(harness, "_format_rows"):
+        result, _ = harness._replicates(cfg)
+        return [
+            ("persist.format_rows", dict(
+                timed("interpreted", lambda: harness._curves_csv(result), per=cfg.replicates),
+                variant="whole_file",
+            )),
+            ("summarize_persist", timed("interpreted", lambda: harness._persist(result))),
+        ]
+    result, _, rows = harness._replicates(cfg, formatted=True)
+    templates = harness._row_templates(cfg)
+    code_of = {name: code for code, name in enumerate(harness.CODE_NAMES.tolist())}
+    curves = [(values[r], codes[r]) for _, values, codes in result.kinds() for r in values]
+    inputs = [
+        (
+            np.array([values[rep] for values, _ in curves]),
+            np.array([[code_of[name] for name in codes[rep]] for _, codes in curves]),
+        )
+        for rep in range(cfg.replicates)
+    ]
+
+    def format_rows():
+        for rep, (values, codes) in enumerate(inputs):
+            harness._format_rows(templates, rep, values, codes)
+
+    return [
+        ("persist.format_rows", dict(
+            timed("interpreted", format_rows, per=cfg.replicates), variant="per_replicate"
+        )),
+        ("summarize_persist", timed("interpreted", lambda: harness._persist(result, rows))),
+    ]
 
 
 def run_cold_mc(argv) -> None:
