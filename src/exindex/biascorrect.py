@@ -27,7 +27,6 @@ estimator process.
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,6 @@ from .estimate import (
     BlocksEvaluator,
     ThresholdCurve,
     _coded_counts,
-    check_evaluator,
     check_grid,
     count_at,
 )
@@ -345,8 +343,7 @@ def _corrected_rows(w, eps_den, values, codes) -> tuple:
 def corrected_curve(x, cfg, mu: SignedMeasureAtoms, t_grid) -> ThresholdCurve:
     """Corrected estimate per threshold level, via the measure scaled to each level.
 
-    ``x`` is a series, or a ``BlocksEvaluator`` already built for ``cfg``'s r
-    and k, and ``t_grid`` must pass ``check_grid``.  At grid level t the
+    ``t_grid`` must pass ``check_grid``.  At grid level t the
     measure is shrunk to atoms (t s, t s', w), as scale_measure(mu, t) does,
     so all atom levels sit at or below t.  It is the single-r entry point of
     ``CurveKernel``: a level takes the code of its first undefined atom level,
@@ -354,28 +351,18 @@ def corrected_curve(x, cfg, mu: SignedMeasureAtoms, t_grid) -> ThresholdCurve:
     denominator falls below 1e-8 times the total variation; such levels are
     NaN, not interpolated.
     """
-    kernel = _curve_kernel(cfg.k, tuple(check_grid(t_grid).tolist()), mu)
-    ev = check_evaluator(x, cfg) if hasattr(x, "at_counts") else BlocksEvaluator(x, cfg.r, cfg.k)
+    kernel = CurveKernel(cfg.k, t_grid, mu)
+    ev = BlocksEvaluator(x, cfg.r, cfg.k)
     _, _, value, code = kernel(ev._top, [ev._tables])
     return ThresholdCurve(
-        t=kernel.grid.copy(),
-        k_t=kernel.k_t.copy(),
+        t=kernel.grid,
+        k_t=kernel.k_t,
         theta_hat=value[0],
         code=CODE_NAMES[code[0]],
         variant="corrected",
         config=cfg,
         n=ev.n,
     )
-
-
-@functools.lru_cache(maxsize=32)
-def _curve_kernel(k: int, grid: tuple, mu: SignedMeasureAtoms) -> CurveKernel:
-    """``CurveKernel(k, grid, mu)``, built once per key and shared, so its arrays are read-only."""
-    kernel = CurveKernel(k, grid, mu)
-    for value in vars(kernel).values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    return kernel
 
 
 def sigma2_mu(mu: SignedMeasureAtoms, delta: float, kernel) -> float:

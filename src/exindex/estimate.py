@@ -41,7 +41,6 @@ __all__ = [
     "SkippedPoint",
     "ThresholdCurve",
     "BlocksEvaluator",
-    "check_evaluator",
     "count_at",
     "blocks_fixed",
     "blocks_true_quantile",
@@ -274,11 +273,10 @@ class BlocksEvaluator:
     """Reusable k_t -> theta_hat evaluator for one (sample, r, k).
 
     Keeps the k + 1 largest sample values, found by one partial sort, and the
-    sorted block maxima and uncovered tail; ``at_counts`` then evaluates any
+    sorted block maxima and uncovered tail; ``_coded`` then evaluates any
     array of exceedance budgets with two binary searches over all of them at
     once (the estimate depends on t only through k_t).  It is the single-r
-    case of the curve kernel, and ``sweep`` and ``corrected_curve`` accept one
-    in place of the series, so both curves can share a single build.
+    case of the curve kernel.
     """
 
     def __init__(self, x, r: int, k: int):
@@ -289,7 +287,6 @@ class BlocksEvaluator:
         self.n = n
         self.r = r
         self.k = k
-        self.m = n // r
         self._top = _top_values(xs, k)
         self._tables = _block_tables(xs, r)
 
@@ -301,19 +298,6 @@ class BlocksEvaluator:
         values, codes = _coded_counts(self._top, [self._tables], k_t.ravel())
         return values.reshape(k_t.shape), codes.reshape(k_t.shape)
 
-    def at_counts(self, k_t):
-        """Estimates and skip codes for an array of exceedance budgets.
-
-        The threshold for budget k_t is the order statistic below the top k_t
-        sample values.  Returns ``(values, codes)`` shaped like ``k_t``: a code
-        is ``TIES_DETECTED`` when that threshold ties the smallest retained
-        value, else ``NO_EXCEEDANCES`` when every retained value lies beyond
-        the block coverage, else "" with the value defined; values are NaN
-        wherever a code is set.
-        """
-        values, codes = self._coded(k_t)
-        return values, CODE_NAMES[codes]
-
     def at_count(self, k_t: int) -> float:
         """The estimate for one budget; an undefined one raises its coded error."""
         values, codes = self._coded(k_t)
@@ -322,15 +306,6 @@ class BlocksEvaluator:
 
     def __call__(self, t: float) -> float:
         return self.at_count(count_at(self.k, t))
-
-
-def check_evaluator(ev, cfg: EstimatorConfig):
-    """``ev`` itself, once its block length and budget are checked against ``cfg``."""
-    if (ev.r, ev.k) != (cfg.r, cfg.k):
-        raise ValueError(
-            f"evaluator built for r={ev.r}, k={ev.k}, but the config has r={cfg.r}, k={cfg.k}"
-        )
-    return ev
 
 
 def blocks_true_quantile(x, cfg: EstimatorConfig, t: float, marginal_quantile) -> float:
@@ -372,10 +347,9 @@ def check_grid(grid, what: str = "grid") -> np.ndarray:
 
 
 def sweep(x, cfg: EstimatorConfig, grid=None) -> ThresholdCurve:
-    """Evaluate the empirical-threshold blocks estimator on a grid of t values.
+    """Evaluate the empirical-threshold blocks estimator of series ``x`` on a grid of t values.
 
-    ``x`` is a series, or a ``BlocksEvaluator`` already built for ``cfg``'s r
-    and k.  ``grid`` defaults to ``default_grid(k)``; any other grid must pass
+    ``grid`` defaults to ``default_grid(k)``; any other grid must pass
     ``check_grid``.  It is the single-r entry point of the raw half of the
     curve kernel: the budgets go through the same threshold rule,
     ``_coded_counts``.  Grid points where the estimate is
@@ -384,7 +358,7 @@ def sweep(x, cfg: EstimatorConfig, grid=None) -> ThresholdCurve:
     silently disappearing.
     """
     grid = default_grid(cfg.k) if grid is None else check_grid(grid)
-    ev = check_evaluator(x, cfg) if hasattr(x, "at_counts") else BlocksEvaluator(x, cfg.r, cfg.k)
+    ev = BlocksEvaluator(x, cfg.r, cfg.k)
     k_t = count_at(cfg.k, grid)
     values, codes = ev._coded(k_t)
     return ThresholdCurve(

@@ -286,6 +286,8 @@ class ExperimentConfig:
             )
         if self.replicates < 1:
             raise ValueError(f"replicates must be at least 1, got {self.replicates}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be nonnegative, got {self.base_seed}")
         if not self.r_list:
             raise ValueError("r_list must be nonempty")
         for r in self.r_list:
@@ -300,6 +302,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         measure, delta = _measure_from_dict(d.get("measure"))
         k = _number(d, "k", "config", _int)
+        out_dir = d.get("out_dir")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise ValueError(f"config key 'out_dir' must be a string, got {out_dir!r}")
         run_lengths = None
         if d.get("run_lengths") is not None:
             # an empty list means the default, r_list
@@ -314,7 +319,7 @@ class ExperimentConfig:
             delta=delta,
             replicates=_number(d, "replicates", "config", _int, 100),
             base_seed=_number(d, "base_seed", "config", _int, 0),
-            out_dir=d.get("out_dir"),
+            out_dir=out_dir,
             run_lengths=run_lengths,
             burn_in=_number(d, "burn_in", "config", _int, 0),
         )

@@ -204,31 +204,24 @@ def test_corrected_curve_accounting():
     assert all(p.reason in allowed for p in curve.skipped)
 
 
-def test_corrected_curve_builds_one_kernel_per_key_and_repeats_its_curve():
-    from exindex.biascorrect import _curve_kernel
-
+def test_corrected_curve_repeats_its_curve_and_owns_its_grid():
     x = ex.generate(ex.AR1Cauchy(phi=0.6), 5000, ex.substream(0, 1))
     cfg = ex.EstimatorConfig(r=10, k=100)
     mu = ex.product_measure(1.0, 2.0, 1.5, 3)
     grid = np.linspace(0.2, 1.0, 9)
-    _curve_kernel.cache_clear()
     first = ex.corrected_curve(x, cfg, mu, grid)
-    first.t[:] = 0.5  # the caller's copy; the shared kernel keeps its own
+    assert not np.shares_memory(first.t, grid)
+    first.t[:] = 0.5  # the returned arrays are the caller's own
     first.k_t[:] = 0
     again = [ex.corrected_curve(x, cfg, mu, list(grid)) for _ in range(3)]
     again.append(ex.corrected_curve(x, cfg, ex.product_measure(1.0, 2.0, 1.5, 3), tuple(grid)))
-    assert _curve_kernel.cache_info().misses == 1
     for curve in again:
         assert np.array_equal(curve.theta_hat, again[0].theta_hat, equal_nan=True)
         assert np.array_equal(curve.code, again[0].code)
         assert np.array_equal(curve.t, grid)
         assert np.array_equal(curve.k_t, ex.count_at(cfg.k, grid))
     assert np.array_equal(first.theta_hat, again[0].theta_hat, equal_nan=True)
-    kernel = _curve_kernel(cfg.k, tuple(grid.tolist()), mu)
-    arrays = [value for value in vars(kernel).values() if isinstance(value, np.ndarray)]
-    assert arrays and not any(array.flags.writeable for array in arrays)
     other_k = ex.corrected_curve(x, ex.EstimatorConfig(r=10, k=50), mu, grid)
-    assert _curve_kernel.cache_info().misses == 2
     assert np.array_equal(other_k.k_t, ex.count_at(50, grid))
 
 

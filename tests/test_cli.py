@@ -532,8 +532,11 @@ MM_MODEL = {"name": "mm", "coeffs": [1.0, 0.5], "beta1": 2.0, "beta2": 1.0, "c1"
         ({"r_list": 5}, "config key 'r_list' must be a list, got 5"),
         ({"model": {**MM_MODEL, "coeffs": 1.0}}, "model key 'coeffs' must be a list, got 1.0"),
         ({"run_lengths": 5}, "config key 'run_lengths' must be a list, got 5"),
+        ({"out_dir": 5}, "config key 'out_dir' must be a string, got 5"),
+        ({"base_seed": -1}, "base_seed must be nonnegative, got -1"),
     ],
-    ids=["model_string", "r_list_scalar", "coeffs_scalar", "run_lengths_scalar"],
+    ids=["model_string", "r_list_scalar", "coeffs_scalar", "run_lengths_scalar", "out_dir_number",
+         "base_seed_negative"],
 )
 def test_mc_wrongly_typed_config_value_exits_1(tmp_path, capsys, overrides, err):
     config = {"model": {"name": "iid"}, "n": 200, "r_list": [5], "k": 20, "t_grid": [0.5, 1.0],

@@ -247,18 +247,6 @@ def test_estimator_config_validation():
     assert ex.EstimatorConfig(r=2, k=5).v(50) == 0.1
 
 
-def test_sweep_and_corrected_curve_reject_an_evaluator_for_another_r_or_k():
-    x = ex.generate(ex.AR1Cauchy(phi=0.6), 400, ex.substream(0, 0)).values
-    mu = ex.two_atom_measure(0.5, 1.0, 2.0)
-    ev = ex.BlocksEvaluator(x, 5, 40)
-    for cfg in (ex.EstimatorConfig(r=10, k=40), ex.EstimatorConfig(r=5, k=20)):
-        message = f"^evaluator built for r=5, k=40, but the config has r={cfg.r}, k={cfg.k}$"
-        with pytest.raises(ValueError, match=message):
-            ex.sweep(ev, cfg, [0.5, 1.0])
-        with pytest.raises(ValueError, match=message):
-            ex.corrected_curve(ev, cfg, mu, [0.5, 1.0])
-
-
 def test_evaluator_accepts_series_sample():
     x = ex.generate(ex.IID(innovation=ex.Uniform01()), 100, ex.substream(1, 0))
     assert ex.BlocksEvaluator(x, 5, 10)(1.0) == ex.BlocksEvaluator(x.values, 5, 10)(1.0)

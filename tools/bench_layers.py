@@ -76,6 +76,14 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
 * ``cold_mc.ar1_c6`` (interpreted): the same command in a fresh interpreter
   of this checkout, start to exit, per call: what one run costs a user
   beyond the warm layers, imports included.
+* ``cold_import.nocache`` and ``cold_import.cached`` (interpreted): a fresh
+  interpreter imports numpy untimed, then times ``from exindex import cli``
+  and prints that time, which is the layer's measurement.  Bytecode goes to
+  a temporary ``PYTHONPYCACHEPREFIX`` that one untimed run warms, so no
+  ``__pycache__`` lands under ``src/``.  ``cached`` reads the package's
+  bytecode from it; ``nocache`` runs with ``PYTHONDONTWRITEBYTECODE=1``
+  after the package's entries are removed from it, so every start compiles
+  ``src/`` while the standard library and numpy stay cached.
 
 The replayed layers pin the replicate driver to this process, so they time
 one replicate's work on one core.  ``break_even_replicates`` is the
@@ -96,6 +104,7 @@ import json
 import os
 import pickle
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -145,6 +154,10 @@ AR1_KERNEL = dict(
 )
 REPEATS = 15
 COLD_MC = "import sys; from exindex.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))"
+COLD_IMPORT = (
+    "import time, numpy; start = time.perf_counter(); "
+    "from exindex import cli; print(time.perf_counter() - start)"
+)
 FORK_RSS_MB = (40, 110)
 
 
@@ -176,16 +189,24 @@ class Timer:
 
     def __call__(self, kind: str, call, per: int = 1) -> dict:
         """Median and quartiles of ``call()``'s scaled wall time over ``REPEATS`` runs, / per."""
+
+        def measure():
+            start = time.perf_counter()
+            call()
+            return (time.perf_counter() - start) / per
+
+        return self.measured(kind, measure)
+
+    def measured(self, kind: str, measure) -> dict:
+        """As a call, for a ``measure()`` that returns the seconds it timed itself."""
         if kind not in self.references:
             self.references[kind] = Reference(kind)
         reference = self.references[kind]
-        call()
+        measure()
         raw, scaled = [], []
         before = reference.seconds()
         for _ in range(REPEATS):
-            start = time.perf_counter()
-            call()
-            elapsed = (time.perf_counter() - start) / per
+            elapsed = measure()
             after = reference.seconds()
             raw.append(elapsed)
             scaled.append(elapsed / (before + after) * 2.0 * REF_S[kind])
@@ -300,6 +321,7 @@ def layers() -> dict:
 
     out.update(mm_figure_layers(timed))
     out.update(persist_layers(timed))
+    out.update(cold_import_layers(timed))
     return out
 
 
@@ -395,12 +417,35 @@ def persist_result_layers(timed, cfg) -> list:
     ]
 
 
+def checkout_env(**overrides) -> dict:
+    """This process's environment with ``src/`` first on ``PYTHONPATH``, then ``overrides``."""
+    paths = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), **overrides)
+
+
 def run_cold_mc(argv) -> None:
     """``exindex mc`` in a fresh interpreter that imports this checkout's package."""
-    paths = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    subprocess.run([sys.executable, "-c", COLD_MC, *argv], env=env, check=True,
+    subprocess.run([sys.executable, "-c", COLD_MC, *argv], env=checkout_env(), check=True,
                    stdout=subprocess.DEVNULL)
+
+
+def cold_import_layers(timed) -> dict:
+    """``cold_import.cached`` and ``cold_import.nocache`` (see the module docstring)."""
+    with tempfile.TemporaryDirectory() as prefix:
+        env = {k: v for k, v in checkout_env(PYTHONPYCACHEPREFIX=prefix).items()
+               if k != "PYTHONDONTWRITEBYTECODE"}
+
+        def cold_import():
+            done = subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, check=True,
+                                  stdout=subprocess.PIPE, text=True)
+            return float(done.stdout)
+
+        out = {"cold_import.cached": timed.measured("interpreted", cold_import)}
+        # the prefix mirrors each source directory's absolute path
+        shutil.rmtree(os.path.join(prefix, os.path.join(ROOT, "src").lstrip(os.sep)))
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+        out["cold_import.nocache"] = timed.measured("interpreted", cold_import)
+    return out
 
 
 def break_even_replicates(out: dict) -> float:
