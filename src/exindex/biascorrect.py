@@ -26,7 +26,6 @@ estimator process.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,7 +298,7 @@ class CurveKernel:
             atom_levels = np.outer(self.grid, np.column_stack([s, t]).ravel())
             levels = np.concatenate([levels, atom_levels.ravel()])
         budgets = count_at(k, levels)
-        self.k_t = budgets[: len(self.grid)]
+        self.k_t = budgets[: len(self.grid)].copy()  # a view keeps all atom levels' budgets alive
         self._budgets, where = np.unique(budgets, return_inverse=True)
         self._raw_at = where[: len(self.grid)]
         # (2 * atoms, grid): the budget index of each atom level, in the order s1, t1, s2, t2, ...
@@ -397,6 +396,8 @@ def sigma2_mu(mu: SignedMeasureAtoms, delta: float, kernel) -> float:
 
 def write_measure_csv(mu: SignedMeasureAtoms, path) -> None:
     """Write atoms as CSV with header s,t,w."""
+    import csv  # loaded here, so the kernel path does not import it
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s", "t", "w"])
@@ -406,6 +407,8 @@ def write_measure_csv(mu: SignedMeasureAtoms, path) -> None:
 
 def read_measure_csv(path) -> SignedMeasureAtoms:
     """Read atoms from CSV with header s,t,w."""
+    import csv
+
     atoms = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -26,7 +26,6 @@ from .biascorrect import (
     two_atom_measure,
     write_measure_csv,
 )
-from .clusterproc import ClosedFormIID, estimate_kernel_mc, tail_chain_probabilities
 from .errors import DegenerateDenominator, ExindexError, MeasureConditionError
 from .estimate import (
     BlocksEvaluator,
@@ -249,6 +248,8 @@ def _cmd_oracle(args) -> None:
 
 
 def _cmd_kernel(args) -> None:
+    from .clusterproc import ClosedFormIID, estimate_kernel_mc, tail_chain_probabilities
+
     model = model_from_dict(_model_dict(args))
     independent = isinstance(model, IID)
     method = args.method

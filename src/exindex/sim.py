@@ -296,7 +296,14 @@ class SecondOrderPareto(_ConfigForm):
         return u
 
 
-def _bisect_quantile(p, below_for, lo: float, hi: float, start=None):
+# half-width in floats of a bracket around a ``start`` guess: the c2 > 0 Newton
+# start of the innovation lies within 8 floats of the quantile on the benchmark
+# law; that of the moving-maxima marginal lies up to 18 floats off there
+_ULPS = 16
+_MM_ULPS = 32
+
+
+def _bisect_quantile(p, below_for, lo: float, hi: float, start=None, ulps: int = _ULPS):
     """Invert a distribution at ``p`` (scalar or array) by bracketed bisection.
 
     ``below_for(p)`` returns ``below(z, out)``, which writes into the boolean
@@ -315,7 +322,7 @@ def _bisect_quantile(p, below_for, lo: float, hi: float, start=None):
     fixed point, however far the quantile lies below the bracket's width.
 
     ``start(p)``, if given, returns a guess z of each quantile.  Each
-    element's bracket then narrows to the floats ``_ULPS`` steps below and
+    element's bracket then narrows to the floats ``ulps`` steps below and
     above z (stepped through the int64 view, the lower one raised to ``lo``),
     but an end is kept only where ``below`` confirms it (True at the lower
     end, False at the upper one).  An element whose end is not confirmed
@@ -325,8 +332,8 @@ def _bisect_quantile(p, below_for, lo: float, hi: float, start=None):
     not the whole array.  Where ``below`` flips at a single pair of adjacent
     floats, every confirmed bracket ends on that pair, so the result has the
     bits of the wide bracket whenever the wide bisection reaches its fixed
-    point; a guess within ``_ULPS`` floats only shortens the bisection to ~5
-    steps.  An end that is not finite is never confirmed.
+    point; a guess within ``ulps`` floats only shortens the bisection to
+    about log2(2 * ulps) steps.  An end that is not finite is never confirmed.
 
     A step allocates nothing: the midpoint, the stop test and the test result
     live in buffers made once per call, and the result is the last midpoint,
@@ -369,11 +376,11 @@ def _bisect_quantile(p, below_for, lo: float, hi: float, start=None):
         with np.errstate(all="ignore"):  # a guess that overflows is just not confirmed
             mid = start(p)
             lo, hi = np.empty_like(p), np.empty_like(p)
-            for end, upper, ulps, factor, wide_end in (
-                (lo, False, -_ULPS, 1.0 - 1e-12, lo_end),
-                (hi, True, _ULPS, 1.0 + 1e-12, hi_end),
+            for end, upper, step, factor, wide_end in (
+                (lo, False, -ulps, 1.0 - 1e-12, lo_end),
+                (hi, True, ulps, 1.0 + 1e-12, hi_end),
             ):
-                np.add(mid.view(np.int64), ulps, out=end.view(np.int64))
+                np.add(mid.view(np.int64), step, out=end.view(np.int64))
                 if unconfirmed(end, upper):
                     end[left] = mid[left] * factor
                     if unconfirmed(end, upper):
@@ -415,9 +422,6 @@ def _bisect_quantile(p, below_for, lo: float, hi: float, start=None):
 
 
 _MAX = np.finfo(float).max
-# half-width in floats of a bracket around a ``start`` guess: the c2 > 0 Newton
-# start lies within 8 floats of the quantile on the benchmark law
-_ULPS = 16
 
 
 def _wide_midpoint(lo, hi, out):
@@ -880,12 +884,14 @@ class _MovingMaximaMarginal:
 
         For c2 > 0 every operation of the cdf is monotone in x, so the test
         flips at one pair of adjacent floats and a Newton start
-        (``_newton_start``) keeps the bits of the wide bracket.  c2 < 0 keeps
+        (``_newton_start``) keeps the bits of the wide bracket.  The start
+        lands up to 18 floats off the flip point, so its bracket spans
+        ``_MM_ULPS`` floats either side, twice the innovation's.  c2 < 0 keeps
         the wide bracket, as the innovation law does.
         """
         z_min = self.innovation.z_min
         start = self._newton_start if self.innovation.c2 > 0 else None
-        return _bisect_quantile(p, self._below, z_min, 2.0 * z_min, start)
+        return _bisect_quantile(p, self._below, z_min, 2.0 * z_min, start, _MM_ULPS)
 
     def _below(self, p):
         """``below`` for :func:`_bisect_quantile`: writes ``cdf(x) <= p``."""

@@ -222,6 +222,41 @@ def test_criterion_06_figure_qualitative_reproduction():
     assert ok, line
 
 
+def test_criterion_06_fails_because_each_r_targets_its_own_intercept():
+    # Why criterion 6 (ii) fails, on its own config: each r's mean raw curve is
+    # close to a_r + b_r t with a_r = theta + (1 - theta) / r, not theta.  The
+    # correction removes the t-term only, so even an exact one leaves the
+    # constant a_r, whose distance from 0.4 is not 30% below the raw curve's
+    # mean distance for r = 5 and r = 10.
+    theta = 0.4
+    grid = tuple(np.round(np.linspace(0.2, 1.0, 81), 10))
+    cfg = ex.ExperimentConfig(
+        model=ex.AR1Cauchy(phi=0.6),
+        n=20_000,
+        r_list=(5, 10, 20),
+        k=2000,
+        t_grid=grid,
+        measure=ex.two_atom_measure(0.5, 1.0, 2.0),
+        replicates=100,
+        base_seed=0,
+    )
+    res = ex.run(cfg)
+    fits, reductions = {}, {}
+    for r in cfg.r_list:
+        raw_mean = res.raw[r].mean(axis=0)  # AR(1) Cauchy has no ties: every cell is defined
+        assert not np.isnan(raw_mean).any()
+        fits[r] = np.polynomial.polynomial.polyfit(np.asarray(grid), raw_mean, 1)
+        exact = abs(fits[r][0] - theta)  # MAD of the constant curve a_r against theta
+        reductions[r] = 1.0 - exact / float(np.mean(np.abs(raw_mean - theta)))
+    a = {r: fits[r][0] for r in cfg.r_list}
+    b = {r: fits[r][1] for r in cfg.r_list}
+    assert a[5] > a[10] > a[20]
+    for r in cfg.r_list:
+        assert abs(a[r] - (theta + (1.0 - theta) / r)) <= 0.03, (r, a[r])
+    assert 0.0 > b[5] > b[10] > b[20]  # the t-term grows with r: -theta^2 r v t / 2
+    assert reductions[5] < 0.30 and reductions[10] < 0.30, reductions
+
+
 def test_criterion_07_measure_validator():
     start = time.perf_counter()
     good_two = ex.check_conditions(ex.two_atom_measure(0.5, 1.0, 2.0)).ok

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import exindex as ex
+from exindex.biascorrect import CurveKernel
 
 
 def level_integral(mu, delta):
@@ -223,6 +224,19 @@ def test_corrected_curve_repeats_its_curve_and_owns_its_grid():
     assert np.array_equal(first.theta_hat, again[0].theta_hat, equal_nan=True)
     other_k = ex.corrected_curve(x, ex.EstimatorConfig(r=10, k=50), mu, grid)
     assert np.array_equal(other_k.k_t, ex.count_at(50, grid))
+
+
+def test_curve_budgets_do_not_keep_the_atom_level_budgets_alive():
+    # 81 grid levels and 128 atoms: the budgets of all 81 * 257 levels
+    mu = ex.product_measure(1.0, 2.0, 1.5, 8)
+    grid = np.linspace(0.2, 1.0, 81)
+    x = ex.generate(ex.AR1Cauchy(phi=0.6), 20_000, ex.substream(0, 1))
+    curve = ex.corrected_curve(x, ex.EstimatorConfig(r=10, k=2000), mu, grid)
+    kernel = CurveKernel(2000, grid, mu)
+    for k_t in (curve.k_t, kernel.k_t):
+        assert k_t.shape == (81,) and k_t.base is None
+        assert not np.shares_memory(k_t, kernel._budgets)
+    assert np.array_equal(curve.k_t, ex.count_at(2000, grid))
 
 
 def test_corrected_curve_takes_first_failing_atom_code():

@@ -311,8 +311,8 @@ def test_moving_maxima_marginal_product_formula():
 
 def test_moving_maxima_marginal_newton_start_shortens_the_bisection(monkeypatch):
     # the benchmark's 81 levels 1 - 0.1 t: the wide bracket takes 57 or 58
-    # evaluations of the cdf; from the Newton start some levels confirm a
-    # 16-float bracket and the rest a 1e-12 one
+    # evaluations of the cdf; from the Newton start, which lands up to 18 floats
+    # off, every level confirms a 32-float bracket: 2 confirmations and 6 halvings
     p = 1.0 - 0.1 * np.linspace(0.2, 1.0, 81)
     below = sim._MovingMaximaMarginal._below
     calls = []
@@ -327,7 +327,8 @@ def test_moving_maxima_marginal_newton_start_shortens_the_bisection(monkeypatch)
         return counted
 
     monkeypatch.setattr(sim._MovingMaximaMarginal, "_below", counting)
-    for c2, most in ((0.5, 16), (-0.3, 58)):
+    assert sim._MM_ULPS == 32 and sim._ULPS == 16
+    for c2, most in ((0.5, 8), (-0.3, 58)):
         calls.clear()
         ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=c2).marginal.quantile(p)
         assert len(calls) <= most

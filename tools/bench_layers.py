@@ -84,6 +84,10 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
   bytecode from it; ``nocache`` runs with ``PYTHONDONTWRITEBYTECODE=1``
   after the package's entries are removed from it, so every start compiles
   ``src/`` while the standard library and numpy stay cached.
+* ``cold_import_kernel.nocache`` (interpreted): as ``cold_import.nocache``,
+  but the fresh interpreter times ``from exindex import biascorrect,
+  clusterproc, estimate, sim``, the imports of the benchmark's kernel
+  workload.
 
 The replayed layers pin the replicate driver to this process, so they time
 one replicate's work on one core.  ``break_even_replicates`` is the
@@ -158,6 +162,7 @@ COLD_IMPORT = (
     "import time, numpy; start = time.perf_counter(); "
     "from exindex import cli; print(time.perf_counter() - start)"
 )
+COLD_IMPORT_KERNEL = COLD_IMPORT.replace("cli", "biascorrect, clusterproc, estimate, sim")
 FORK_RSS_MB = (40, 110)
 
 
@@ -430,13 +435,13 @@ def run_cold_mc(argv) -> None:
 
 
 def cold_import_layers(timed) -> dict:
-    """``cold_import.cached`` and ``cold_import.nocache`` (see the module docstring)."""
+    """The ``cold_import`` and ``cold_import_kernel`` layers (see the module docstring)."""
     with tempfile.TemporaryDirectory() as prefix:
         env = {k: v for k, v in checkout_env(PYTHONPYCACHEPREFIX=prefix).items()
                if k != "PYTHONDONTWRITEBYTECODE"}
 
-        def cold_import():
-            done = subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, check=True,
+        def cold_import(script=COLD_IMPORT):
+            done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                   stdout=subprocess.PIPE, text=True)
             return float(done.stdout)
 
@@ -445,6 +450,9 @@ def cold_import_layers(timed) -> dict:
         shutil.rmtree(os.path.join(prefix, os.path.join(ROOT, "src").lstrip(os.sep)))
         env["PYTHONDONTWRITEBYTECODE"] = "1"
         out["cold_import.nocache"] = timed.measured("interpreted", cold_import)
+        out["cold_import_kernel.nocache"] = timed.measured(
+            "interpreted", lambda: cold_import(COLD_IMPORT_KERNEL)
+        )
     return out
 
 
