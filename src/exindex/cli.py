@@ -31,6 +31,7 @@ from .estimate import (
     BlocksEvaluator,
     EstimatorConfig,
     blocks_fixed,
+    check_grid,
     default_grid,
     runs_estimator,
     sweep,
@@ -250,6 +251,7 @@ def _cmd_oracle(args) -> None:
 def _cmd_kernel(args) -> None:
     from .clusterproc import ClosedFormIID, estimate_kernel_mc, tail_chain_probabilities
 
+    grid = check_grid(sorted({args.s, args.t}))  # every method reads the kernel at s and t
     model = model_from_dict(_model_dict(args))
     independent = isinstance(model, IID)
     method = args.method
@@ -269,7 +271,6 @@ def _cmd_kernel(args) -> None:
         if args.r is None or args.k is None:
             raise _Usage("--r and --k required for the mc method")
         cfg = EstimatorConfig(r=args.r, k=args.k)
-        grid = sorted({args.s, args.t})
         kern = estimate_kernel_mc(
             model, args.n, cfg, grid, replicates=args.replicates, seed=args.seed
         )

@@ -28,7 +28,7 @@ For independent data the tail sequence is degenerate (W_k = 0 for k >= 2), so
 c_g = c_fg = min(s, t), theta = 1 and c vanishes identically.
 
 The Monte Carlo kernel never forms the m x r blocks.  Per sample, one partial
-sort (``estimate._top_values``) serves both the level sums and the blocks
+sort (``estimate._top_slice``) serves both the level sums and the blocks
 estimate at t = 1: in rank mode its top k + 1 values hold the smallest value
 with a positive excess, so only the values at or above it are ranked, and the
 sums of f_t and g_t over the blocks at every level come from the sparse
@@ -48,10 +48,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import sim
 from .estimate import (
     EstimatorConfig,
+    _block_maxima,
     _coded_counts,
     _raise_coded,
+    _top_slice,
     _top_tables,
-    _top_values,
     _values,
     check_grid,
 )
@@ -96,10 +97,10 @@ def _excess_rule(n: int, v: float, marginal_cdf=None):
 
     It is the one ranking rule for samples of length n.  In rank mode the
     pairs come in ascending rank order, the ladder of excesses is computed
-    once per rule, and ``above``, the ascending positions of the values at
-    or above the smallest of ``_top_values``, saves the pass that finds the
-    ranked values when it holds enough of them.  In known-marginal mode the
-    pairs come in index order.
+    once per rule, and ``above``, the ascending positions that
+    ``_top_slice`` returns, saves the pass that finds the ranked values when
+    it holds enough of them.  In known-marginal mode the pairs come in index
+    order.
     """
     if marginal_cdf is not None:
         return lambda xs, above=None: _cdf_pairs(xs, v, marginal_cdf)
@@ -140,8 +141,7 @@ def _rank_pairs(xs: np.ndarray, ladder: np.ndarray, above=None) -> tuple:
     would.  ``above``, the positions of the values at or above some level,
     serves as the candidates when it holds at least q of them, since b then
     lies at or above that level; with v = k / n, q is k or k + 1, so the
-    positions of the values at or above the smallest of ``_top_values(xs,
-    k)`` always serve.
+    positions that ``_top_slice(xs, k)`` returns always serve.
     """
     n, q = len(xs), len(ladder)
     if q == 0:
@@ -168,17 +168,12 @@ def _level_sums(index: np.ndarray, excess: np.ndarray, r: int, m: int, grid: np.
     flat positions ``index`` and 0 elsewhere (``standardize`` scatters
     ``_excess_rule`` pairs so).  For a grid inside (0, 1], 1 - t >= 0, so zero
     excesses and empty blocks never count, and each sum is a count of sorted
-    values above 1 - t: of the block maxima for f_max, of the excesses for
-    g_count.  A block's maximum is the last of its excesses once they are
-    sorted by (block, excess).
+    values above 1 - t: of the block maxima (``estimate._block_maxima``) for
+    f_max, of the excesses for g_count.
     """
     covered = index < m * r
-    block, excess = index[covered] // r, excess[covered]
-    order = np.lexsort((excess, block))
-    block = block[order]
-    last = np.ones(len(block), dtype=bool)
-    last[:-1] = block[1:] != block[:-1]
-    maxima = np.sort(excess[order][last])
+    excess = excess[covered]
+    maxima = _block_maxima(index[covered] // r, excess, m)
     positive = np.sort(excess)
     levels = 1.0 - grid
     hit = maxima.size - np.searchsorted(maxima, levels, side="right")
@@ -193,13 +188,11 @@ def _replicate_sums(xs: np.ndarray, cfg: EstimatorConfig, pairs, grid) -> tuple:
     over the excesses that ``pairs`` (an ``_excess_rule``) finds; ``value``
     and ``code`` are the blocks estimate at t = 1 and its skip code, read
     through the one threshold rule ``_coded_counts`` from the same
-    ``_top_values``.  One pass locates the values at or above the smallest
-    of them: in rank mode the ranked excesses are picked among those
-    positions, and the block maxima are taken only over the blocks that hold
-    one (``_top_tables``).
+    ``_top_slice``.  In rank mode the ranked excesses are picked among the
+    positions it locates, and the block maxima are taken only over the
+    blocks that hold one (``_top_tables``).
     """
-    top = _top_values(xs, cfg.k)
-    above = np.flatnonzero(xs >= top[0])
+    top, above = _top_slice(xs, cfg.k)
     index, excess = pairs(xs, above)
     sf, sg = _level_sums(index, excess, cfg.r, len(xs) // cfg.r, grid)
     values, codes = _coded_counts(top, [_top_tables(xs, above, cfg.r)], np.array([cfg.k]))
@@ -384,6 +377,10 @@ def tail_chain_probabilities(
     Windows are collected over ``replicates`` simulated paths using the exact
     model marginal; windows running past a path's end are discarded.
     """
+    if not 0.0 < v < 1.0:
+        raise ValueError(f"v must lie in (0, 1), got {v}")
+    if replicates < 1:
+        raise ValueError(f"need at least 1 replicate, got {replicates}")
     if not 2 <= K <= n:
         raise ValueError(f"need 2 <= K <= n, got K={K}, n={n}")
     marginal = model.marginal

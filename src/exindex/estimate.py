@@ -11,15 +11,15 @@ t -> theta_hat(t).  When none of those top values falls in the uncovered tail
 segment (m*r, n], the denominator simplifies to ceil(k*t) exactly.
 
 Every threshold a curve with budget k reads lies among the k + 1 largest
-sample values, so one partial sort of the sample (``_top_values``) serves all
-levels and all block lengths; each block length adds its sorted block maxima
-(``_block_tables``).  One threshold rule (``_coded_counts``) turns an array
-of budgets into estimates and integer skip codes for every block length at
-once.  The Monte Carlo driver calls it once per replicate through
-``biascorrect.CurveKernel``, and ``clusterproc.estimate_kernel_mc`` once per
-replicate for the estimate at t = 1, from the maxima of only the blocks that
-hold a top value (``_top_tables``); ``sweep`` and ``BlocksEvaluator`` are its
-single-r entry points.
+sample values, so one partial sort of the sample (``_top_slice``) serves all
+levels and all block lengths.  It also locates the values at or above the
+smallest of them, and each block length takes its sorted block maxima over
+those positions only (``_top_tables``).  One threshold rule
+(``_coded_counts``) turns an array of budgets into estimates and integer skip
+codes for every block length at once.  The Monte Carlo driver calls it once
+per replicate through ``biascorrect.CurveKernel``, and
+``clusterproc.estimate_kernel_mc`` once per replicate for the estimate at
+t = 1; ``sweep`` and ``BlocksEvaluator`` are its single-r entry points.
 
 The runs estimator counts an exceedance as a cluster end when the next
 ``run_length`` observations all stay below the threshold:
@@ -176,53 +176,47 @@ OK, TIES, NO_EXC, DEGENERATE = 0, 1, 2, 3
 CODE_NAMES = np.array(["", TiesDetected.code, NoExceedances.code, DegenerateDenominator.code])
 
 
-def _top_values(xs: np.ndarray, k: int) -> np.ndarray:
-    """The k + 1 largest values of ``xs`` in ascending order.
+def _top_slice(xs: np.ndarray, k: int) -> tuple:
+    """``(top, above)``: the k + 1 largest values, ascending, and the positions of those >= top[0].
 
     A budget 1 <= k_t <= k reads only the order statistics n - k_t - 1 and
-    n - k_t, so these values are all a threshold needs: one partition of the
-    sample and a sort of its top k + 1 values replace a sort of the sample.
+    n - k_t, so ``top`` is all a threshold needs: one partition of the sample
+    and a sort of its top k + 1 values replace a sort of the sample.  Every
+    value that can exceed such a threshold sits at a position in ``above``,
+    which lists them in ascending order.
     """
     top = np.partition(xs, len(xs) - k - 1)[len(xs) - k - 1 :]
     top.sort()
-    return top
+    return top, np.flatnonzero(xs >= top[0])
 
 
-def _block_tables(xs: np.ndarray, r: int) -> tuple:
-    """Sorted block maxima of the first m*r values, and the sorted uncovered tail."""
-    m = len(xs) // r
-    # column j holds the j-th value of every block; max is exact, so r
-    # strided passes give the same maxima as a row-wise reduction, faster
-    block_max = xs[0 : m * r : r].copy()
-    for j in range(1, r):
-        np.maximum(block_max, xs[j : m * r : r], out=block_max)
-    block_max.sort()
-    return block_max, np.sort(xs[m * r :])
+def _block_maxima(block: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
+    """Sorted maxima of the nonempty blocks among m, block[i] holding values[i].
+
+    Series values are finite, so the -inf fill marks only the empty blocks.
+    """
+    maxima = np.full(m, -np.inf)
+    np.maximum.at(maxima, block, values)
+    maxima = maxima[maxima > -np.inf]
+    maxima.sort()
+    return maxima
 
 
-def _top_tables(xs: np.ndarray, index: np.ndarray, r: int) -> tuple:
-    """``_block_tables(xs, r)`` cut to the positions ``index``: the same estimates at budgets <= k.
+def _top_tables(xs: np.ndarray, above: np.ndarray, r: int) -> tuple:
+    """Sorted block maxima and uncovered tail of block length r, over ``above`` of ``_top_slice``.
 
-    ``index`` holds ascending positions that include every value above the
-    smallest of ``_top_values(xs, k)``, top[0].  A budget k_t <= k puts its
-    threshold at or above top[0], so ``_coded_counts`` counts only block
-    maxima and tail values above top[0].  Every block holding such a value
-    keeps its exact maximum, taken over its positions in ``index``; any
-    other kept maximum or tail value lies at or below top[0] and never
-    counts.  No block of the sample is reduced.
+    A budget k_t <= k puts its threshold at or above top[0], so
+    ``_coded_counts`` counts only block maxima and tail values above top[0].
+    Every block holding such a value keeps its exact maximum, taken over its
+    positions in ``above``; no other block of the sample is reduced.
     """
     m = len(xs) // r
-    covered = index[index < m * r]
-    block = covered // r
-    first = np.ones(len(block), dtype=bool)  # where a block's run of positions starts
-    first[1:] = block[1:] != block[:-1]
-    block_max = np.maximum.reduceat(xs[covered], np.flatnonzero(first))
-    block_max.sort()
-    return block_max, np.sort(xs[index[len(covered):]])
+    covered = above[: np.searchsorted(above, m * r)]
+    return _block_maxima(covered // r, xs[covered], m), np.sort(xs[above[len(covered) :]])
 
 
 def _thresholds(top: np.ndarray, k_t) -> tuple:
-    """Threshold and tie flag of each budget k_t, read from ``_top_values``.
+    """Threshold and tie flag of each budget k_t, read from the ``top`` of ``_top_slice``.
 
     The threshold is the order statistic below the top k_t values; it is tied
     when it equals the smallest of them.
@@ -235,8 +229,8 @@ def _thresholds(top: np.ndarray, k_t) -> tuple:
 def _coded_counts(top: np.ndarray, tables, k_t: np.ndarray) -> tuple:
     """Blocks estimates and integer skip codes at the budgets ``k_t``: the one threshold rule.
 
-    ``top`` comes from ``_top_values`` and ``tables`` holds one
-    ``_block_tables`` pair per block length.  The thresholds and tie flags of
+    ``top`` comes from ``_top_slice`` and ``tables`` holds one
+    ``_top_tables`` pair per block length.  The thresholds and tie flags of
     ``_thresholds`` are read once for all block lengths.  Returns
     ``(values, codes)`` of shape (len(tables), len(k_t)): a code is ``TIES``
     where the threshold ties the smallest retained value, else ``NO_EXC``
@@ -273,7 +267,8 @@ class BlocksEvaluator:
     """Reusable k_t -> theta_hat evaluator for one (sample, r, k).
 
     Keeps the k + 1 largest sample values, found by one partial sort, and the
-    sorted block maxima and uncovered tail; ``_coded`` then evaluates any
+    sorted block maxima and uncovered tail values at or above the smallest of
+    them (``_top_slice``, ``_top_tables``); ``_coded`` then evaluates any
     array of exceedance budgets with two binary searches over all of them at
     once (the estimate depends on t only through k_t).  It is the single-r
     case of the curve kernel.
@@ -287,8 +282,8 @@ class BlocksEvaluator:
         self.n = n
         self.r = r
         self.k = k
-        self._top = _top_values(xs, k)
-        self._tables = _block_tables(xs, r)
+        self._top, above = _top_slice(xs, k)
+        self._tables = _top_tables(xs, above, r)
 
     def _coded(self, k_t) -> tuple:
         """Values and integer skip codes shaped like ``k_t`` (see ``_coded_counts``)."""

@@ -39,9 +39,9 @@ from .biascorrect import (
 from .estimate import (
     CODE_NAMES,
     EstimatorConfig,
-    _block_tables,
     _thresholds,
-    _top_values,
+    _top_slice,
+    _top_tables,
     check_grid,
     check_run_length,
 )
@@ -493,10 +493,11 @@ def _replicates(cfg: ExperimentConfig, run_lengths=(), formatted=False) -> tuple
     """Simulate every replicate once: ``(MCResult, runs, rows)``.
 
     The grid and its budgets are checked and tabulated once; each replicate
-    is partially sorted once, and its blocks, corrected and runs curves all
-    read their thresholds from that one slice, with only the block maxima of
-    each r built besides; one kernel call evaluates every r.  ``runs[run_length]``
-    is a (replicates x grid) value array with NaN where the runs estimate is
+    is partially sorted once (``_top_slice``), and its blocks, corrected and
+    runs curves all read their thresholds from that one slice; every r takes
+    its block maxima over the slice's positions only (``_top_tables``), and
+    one kernel call evaluates every r.  ``runs[run_length]`` is a
+    (replicates x grid) value array with NaN where the runs estimate is
     undefined.  ``rows`` is None, or if ``formatted`` each replicate's
     curves.csv rows, formatted where it ran (``_format_rows``).
 
@@ -512,9 +513,9 @@ def _replicates(cfg: ExperimentConfig, run_lengths=(), formatted=False) -> tuple
     templates = _row_templates(cfg)
 
     def step(rep, x):
-        top = _top_values(x.values, cfg.k)
+        top, above = _top_slice(x.values, cfg.k)
         values, codes, corrected, corrected_codes = kernel(
-            top, [_block_tables(x.values, r) for r in cfg.r_list]
+            top, [_top_tables(x.values, above, r) for r in cfg.r_list]
         )
         if corrected is not None:
             values = np.concatenate([values, corrected])

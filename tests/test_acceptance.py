@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 import exindex as ex
+from exindex.biascorrect import _combine
+from exindex.sim import map_replicates
 
 
 def _report(num: int, ok: bool, detail: str) -> str:
@@ -222,6 +224,20 @@ def test_criterion_06_figure_qualitative_reproduction():
     assert ok, line
 
 
+def _criterion_06_config() -> ex.ExperimentConfig:
+    """Criterion 6's config and seed, for the tests that explain its failure."""
+    return ex.ExperimentConfig(
+        model=ex.AR1Cauchy(phi=0.6),
+        n=20_000,
+        r_list=(5, 10, 20),
+        k=2000,
+        t_grid=tuple(np.round(np.linspace(0.2, 1.0, 81), 10)),
+        measure=ex.two_atom_measure(0.5, 1.0, 2.0),
+        replicates=100,
+        base_seed=0,
+    )
+
+
 def test_criterion_06_fails_because_each_r_targets_its_own_intercept():
     # Why criterion 6 (ii) fails, on its own config: each r's mean raw curve is
     # close to a_r + b_r t with a_r = theta + (1 - theta) / r, not theta.  The
@@ -229,17 +245,8 @@ def test_criterion_06_fails_because_each_r_targets_its_own_intercept():
     # constant a_r, whose distance from 0.4 is not 30% below the raw curve's
     # mean distance for r = 5 and r = 10.
     theta = 0.4
-    grid = tuple(np.round(np.linspace(0.2, 1.0, 81), 10))
-    cfg = ex.ExperimentConfig(
-        model=ex.AR1Cauchy(phi=0.6),
-        n=20_000,
-        r_list=(5, 10, 20),
-        k=2000,
-        t_grid=grid,
-        measure=ex.two_atom_measure(0.5, 1.0, 2.0),
-        replicates=100,
-        base_seed=0,
-    )
+    cfg = _criterion_06_config()
+    grid = cfg.t_grid
     res = ex.run(cfg)
     fits, reductions = {}, {}
     for r in cfg.r_list:
@@ -255,6 +262,34 @@ def test_criterion_06_fails_because_each_r_targets_its_own_intercept():
         assert abs(a[r] - (theta + (1.0 - theta) / r)) <= 0.03, (r, a[r])
     assert 0.0 > b[5] > b[10] > b[20]  # the t-term grows with r: -theta^2 r v t / 2
     assert reductions[5] < 0.30 and reductions[10] < 0.30, reductions
+
+
+def test_criterion_06_correction_denominator_is_mostly_noise():
+    # Why the corrected mean curves of criterion 6 scatter: per replicate the
+    # correction divides by sum_a w_a (theta_hat(t s_a) + theta_hat(t s'_a)),
+    # and on criterion 6's config that denominator's mean across replicates is
+    # smaller than its spread at every level t <= 0.5, for every r.
+    cfg = _criterion_06_config()
+    grid = np.asarray(cfg.t_grid)
+    scaled = [ex.scale_measure(cfg.measure, t).arrays() for t in grid]
+    w = scaled[0][2]
+    at_s, at_t = (np.array([atoms[i] for atoms in scaled]).T for i in (0, 1))  # (atoms, grid)
+    levels = np.unique(np.concatenate([at_s.ravel(), at_t.ravel()]))
+    at_s, at_t = np.searchsorted(levels, at_s), np.searchsorted(levels, at_t)
+
+    def step(_, x):
+        dens = []
+        for r in cfg.r_list:
+            curve = ex.sweep(x, ex.EstimatorConfig(r=r, k=cfg.k), levels).theta_hat
+            assert not np.isnan(curve).any()  # no ties, and r divides n
+            dens.append(_combine(w, curve[at_s], curve[at_t], 0.0)[1])
+        return dens
+
+    den = np.array(map_replicates(step, cfg.model, cfg.n, cfg.base_seed, cfg.replicates))
+    snr = np.abs(den.mean(axis=0)) / den.std(axis=0, ddof=1)  # (r, grid)
+    low = grid <= 0.5
+    for r, ratio in zip(cfg.r_list, snr):
+        assert ratio[low].max() < 1.0, (r, ratio[low].max())
 
 
 def test_criterion_07_measure_validator():

@@ -491,6 +491,36 @@ def test_kernel_mc_level_above_one_exit_1(capsys):
     assert capsys.readouterr().err.startswith("INVALID_ARGUMENT: grid must be finite")
 
 
+def test_kernel_tail_v_outside_unit_interval_exit_1(capsys):
+    for v in ("0", "1", "1.5", "-0.1", "nan"):
+        rc = dispatch(["kernel", "--model", "ar1_cauchy", "--phi", "0.6", "--s", "0.5",
+                       "--t", "1", "--method", "tail", "--v", v, "--n", "1000"])
+        assert rc == 1, v
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("INVALID_ARGUMENT: v must lie in (0, 1), got"), v
+
+
+def test_kernel_levels_outside_unit_interval_exit_1_for_every_method(monkeypatch, capsys):
+    # the iid and tail methods once printed kernels at s <= 0 or s > 1 (c_g -0.5 at s = -0.5)
+    calls = []
+    monkeypatch.setattr(sim, "generate", lambda *args, **kwargs: calls.append(args))
+    methods = {
+        "iid": ["--model", "iid"],
+        "tail": ["--model", "ar1_cauchy", "--phi", "0.6", "--v", "0.02", "--n", "1000"],
+    }
+    for method, flags in methods.items():
+        for s in ("0", "-0.5", "1.5", "nan"):
+            rc = dispatch(["kernel", *flags, "--method", method, "--s", s, "--t", "1"])
+            assert rc == 1, (method, s)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(
+                "INVALID_ARGUMENT: grid must be finite, strictly increasing and inside (0, 1]"
+            ), (method, s)
+    assert calls == []
+
+
 def test_kernel_method_iid_needs_the_iid_model(capsys):
     # the independent-data kernel (c = 0) would be a wrong answer for dependent models
     for model in (["--model", "ar1_cauchy", "--phi", "0.6"], ["--model", "wn", "--psi", "0.6"]):
@@ -580,26 +610,27 @@ def test_mc_orders_each_sample_once_per_replicate(tmp_path, monkeypatch):
     assert dispatch(argv) == 0
     plain = {p.name: p.read_bytes() for p in (tmp_path / "exp").iterdir()}
 
-    # one partial sort per replicate serves every r, and no per-r evaluator
-    # is built; plain functions stand in for both, as a tracing wrapper does
+    # one partial sort per replicate serves every r, each r builds its tables
+    # from that slice, and no per-r evaluator is built; plain functions stand
+    # in for all three, as a tracing wrapper does
     sorts, builds, tables = [], [], []
-    top_values, block_tables = harness._top_values, harness._block_tables
+    top_slice, top_tables = harness._top_slice, harness._top_tables
     build = estimate.BlocksEvaluator
 
     def counted_sort(xs, k):
         sorts.append((len(xs), k))
-        return top_values(xs, k)
+        return top_slice(xs, k)
 
-    def counted_tables(xs, r):
+    def counted_tables(xs, above, r):
         tables.append(r)
-        return block_tables(xs, r)
+        return top_tables(xs, above, r)
 
     def counted_build(*args, **kwargs):
         builds.append(args[1:])
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "_top_values", counted_sort)
-    monkeypatch.setattr(harness, "_block_tables", counted_tables)
+    monkeypatch.setattr(harness, "_top_slice", counted_sort)
+    monkeypatch.setattr(harness, "_top_tables", counted_tables)
     for module in (estimate, biascorrect):
         monkeypatch.setattr(module, "BlocksEvaluator", counted_build)
     assert dispatch(argv) == 0

@@ -154,6 +154,19 @@ def test_tail_chain_needs_enough_windows():
                                     replicates=100, seed=0)
 
 
+def test_tail_chain_rejects_bad_v_and_replicates_before_simulating(monkeypatch):
+    # a v outside (0, 1) once printed a kernel (v = 1.5, -0.1) or divided by zero (v = 0)
+    seeds = recording_generate(monkeypatch)
+    model = ex.AR1Cauchy(phi=0.6)
+    for v in (0.0, 1.0, 1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"v must lie in \(0, 1\), got"):
+            ex.tail_chain_probabilities(model, v=v, replicates=2, n=1000)
+    for replicates in (0, -1):
+        with pytest.raises(ValueError, match="need at least 1 replicate"):
+            ex.tail_chain_probabilities(model, v=0.1, replicates=replicates, n=1000)
+    assert seeds == []
+
+
 def test_kernel_mc_iid_known_marginal():
     u01 = ex.Uniform01()
     kern = ex.estimate_kernel_mc(
@@ -253,13 +266,13 @@ def test_kernel_mc_sorts_each_sample_once_per_replicate(monkeypatch):
     plain = ex.estimate_kernel_mc(*args, replicates=100, seed=2)
 
     sorts, builds, standardized = [], [], []
-    top_values, build, standardize = (
-        clusterproc._top_values, estimate.BlocksEvaluator, clusterproc.standardize
+    top_slice, build, standardize = (
+        clusterproc._top_slice, estimate.BlocksEvaluator, clusterproc.standardize
     )
 
     def counted_sort(xs, k):
         sorts.append((len(xs), k))
-        return top_values(xs, k)
+        return top_slice(xs, k)
 
     def counted_build(*args, **kwargs):
         builds.append(args[1:])
@@ -269,7 +282,7 @@ def test_kernel_mc_sorts_each_sample_once_per_replicate(monkeypatch):
         standardized.append(args[1:])
         return standardize(*args, **kwargs)
 
-    monkeypatch.setattr(clusterproc, "_top_values", counted_sort)
+    monkeypatch.setattr(clusterproc, "_top_slice", counted_sort)
     monkeypatch.setattr(clusterproc, "standardize", counted_standardize)
     for module in (estimate, clusterproc):
         monkeypatch.setattr(module, "BlocksEvaluator", counted_build)

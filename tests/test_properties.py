@@ -15,12 +15,11 @@ from exindex import sim
 from exindex.estimate import (
     CODE_NAMES,
     OK,
-    _block_tables,
     _coded_counts,
     _raise_coded,
     _thresholds,
+    _top_slice,
     _top_tables,
-    _top_values,
 )
 from exindex.harness import (
     _CURVES_HEADER,
@@ -232,9 +231,8 @@ def kernel_cases(draw):
 def test_curve_kernel_matches_the_definitions_for_every_r(case, mu, grid):
     x, r_list, k = case
     kernel = CurveKernel(k, grid, mu)
-    raw_values, raw_codes, values, codes = kernel(
-        _top_values(x, k), [_block_tables(x, r) for r in r_list]
-    )
+    top, above = _top_slice(x, k)
+    raw_values, raw_codes, values, codes = kernel(top, [_top_tables(x, above, r) for r in r_list])
     assert raw_values.shape == raw_codes.shape == (len(r_list), len(grid))
     assert values is codes is None if mu is None else values.shape == raw_values.shape
     for i, r in enumerate(r_list):
@@ -292,7 +290,7 @@ def test_runs_curve_on_a_moving_maxima_path_has_the_bits_of_the_full_sort(seed):
     x = ex.generate(mm, 20_000, seed).values
     grid = np.linspace(0.2, 1.0, 81)
     for k in (2000, 400):
-        thresholds, _ = _thresholds(_top_values(x, k), ex.count_at(k, grid))
+        thresholds, _ = _thresholds(_top_slice(x, k)[0], ex.count_at(k, grid))
         for run_length in (1, 5, 10, 20):
             got = _runs_curve_values(x, run_length, thresholds)
             want = full_sort_runs_curve(x, run_length, thresholds)
@@ -411,14 +409,17 @@ def test_replicate_sums_match_dense_level_sums_and_evaluator(sample, known, grid
 @example((np.array([3.0, 1, 1, 2, 0, 2, 2]), 3, 2))
 def test_top_tables_give_the_block_tables_estimates_at_every_budget(sample):
     # from the positions at or above the smallest threshold, every budget <= k
-    # reads the same values and codes as from every block of the sample
+    # reads the value and code that the definition counts on every block; the
+    # shifted copy is all negative, where an empty block filled with 0 would count
     x, r, k = sample
-    top = _top_values(x, k)
-    budgets = np.arange(1, k + 1)
-    want = _coded_counts(top, [_block_tables(x, r)], budgets)
-    got = _coded_counts(top, [_top_tables(x, np.flatnonzero(x >= top[0]), r)], budgets)
-    assert np.array_equal(got[1], want[1])
-    assert np.array_equal(got[0], want[0], equal_nan=True)
+    for xs in (x, x - 10.0):
+        top, above = _top_slice(xs, k)
+        assert above.tolist() == np.flatnonzero(xs >= top[0]).tolist()
+        values, codes = _coded_counts(top, [_top_tables(xs, above, r)], np.arange(1, k + 1))
+        for budget in range(1, k + 1):
+            value, code = brute_force(xs, r, k, budget / k)
+            assert CODE_NAMES[codes[0, budget - 1]] == code
+            assert same(values[0, budget - 1], value)
 
 
 def _fmt(x) -> str:

@@ -27,10 +27,12 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
   draws it at k = 2000, ``generate(..., top=2001)``: only the innovations
   that can reach the top k + 1 values are inverted.  In a tree without
   top-only paths this is the full path; ``variant`` says which ran.
-* ``top_values.mm_top`` (array): ``estimate._top_values`` at k = 2000 of
+* ``top_values.mm_top`` (array): ``estimate._top_slice`` at k = 2000 of
   that path, the partition and sort that every curve of the replicate reads
-  its thresholds from.  How the path fills the values it does not invert
-  (ties or distinct stand-ins) sets the partition's speed.
+  its thresholds from, plus the pass that locates the values at or above
+  them (in a tree without ``_top_slice``, ``_top_values``: the partition and
+  sort alone; ``slice`` says which ran).  How the path fills the values it
+  does not invert (ties or distinct stand-ins) sets the partition's speed.
 * ``replicate_kernel.<config>`` (interpreted): ``harness._replicates`` over
   samples generated beforehand, so generation is excluded, divided by the
   replicate count: the blocks and corrected curves of every r of one
@@ -289,9 +291,11 @@ def layers() -> dict:
         variant="top_only" if top_only else "full",
     )
     x = ex.generate(MODELS["mm"], N, 0, **top).values
+    top_slice = getattr(estimate, "_top_slice", None)
     out["top_values.mm_top"] = dict(
-        timed("array", lambda: estimate._top_values(x, 2000)),
+        timed("array", lambda: (top_slice or estimate._top_values)(x, 2000)),
         variant="top_only" if top_only else "full",
+        slice="top_slice" if top_slice else "top_values",
     )
 
     for name, fields in KERNEL_CONFIGS.items():
