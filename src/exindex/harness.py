@@ -106,18 +106,25 @@ def _int(value) -> int:
     return int(value)
 
 
+def _cast(cast, value):
+    """``cast(value)``, with a JSON boolean rejected: ``int`` and ``float`` read it as 1 or 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return cast(value)
+
+
 def _number(d: dict, key: str, where: str, cast=float, default=_REQUIRED):
     """``cast(d[key])``, or ``default`` when the key is absent and one is given.
 
     ``cast`` is ``float`` or ``_int``.  A missing required key, or a value
-    ``cast`` rejects (a list, an object, a non-numeric string, a fraction for
-    an integer), raises ``ValueError`` naming the key.
+    ``cast`` rejects (a boolean, a list, an object, a non-numeric string, a
+    fraction for an integer), raises ``ValueError`` naming the key.
     """
     if default is not _REQUIRED and key not in d:
         return default
     value = _key(d, key, where)
     try:
-        return cast(value)
+        return _cast(cast, value)
     except (TypeError, ValueError):
         what = "an integer" if cast is _int else "a number"
         raise ValueError(f"{where} key {key!r} must be {what}, got {value!r}") from None
@@ -128,7 +135,7 @@ def _numbers(values, key: str, where: str, cast=float) -> tuple:
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{where} key {key!r} must be a list, got {values!r}")
     try:
-        return tuple(cast(v) for v in values)
+        return tuple(_cast(cast, v) for v in values)
     except (TypeError, ValueError):
         what = "integers" if cast is _int else "numbers"
         raise ValueError(
@@ -284,6 +291,11 @@ class ExperimentConfig:
             object.__setattr__(
                 self, "run_lengths", tuple(int(r) for r in self.run_lengths)
             )
+        # a repeat would write its rows twice, or once where meta.json lists it twice
+        for key in ("r_list", "run_lengths"):
+            lengths = getattr(self, key)
+            if len(set(lengths)) < len(lengths):
+                raise ValueError(f"{key} must not repeat a value, got {lengths}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be at least 1, got {self.replicates}")
         if self.base_seed < 0:
@@ -490,16 +502,18 @@ _CODE_TAILS = [f",{name}\n" for name in CODE_NAMES.tolist()]
 
 
 def _replicates(cfg: ExperimentConfig, run_lengths=(), formatted=False) -> tuple:
-    """Simulate every replicate once: ``(MCResult, runs, rows)``.
+    """Simulate every replicate once: ``(MCResult, runs, rows, flags)``.
 
     The grid and its budgets are checked and tabulated once; each replicate
     is partially sorted once (``_top_slice``), and its blocks, corrected and
     runs curves all read their thresholds from that one slice; every r takes
     its block maxima over the slice's positions only (``_top_tables``), and
-    one kernel call evaluates every r.  ``runs[run_length]`` is a
-    (replicates x grid) value array with NaN where the runs estimate is
-    undefined.  ``rows`` is None, or if ``formatted`` each replicate's
-    curves.csv rows, formatted where it ran (``_format_rows``).
+    one kernel call evaluates every r, and one ``_runs_curves`` call every
+    run length.  ``runs[run_length]`` is a (replicates x grid) value array
+    with NaN where the runs estimate is undefined.  ``rows`` is None, or if
+    ``formatted`` each replicate's curves.csv rows, formatted where it ran
+    (``_format_rows``).  ``flags`` counts the blocks and corrected values
+    with a skip code, read from the integer codes.
 
     Every curve reads only the values at or above the (k + 1)-th largest:
     the thresholds lie there, and a block maximum, tail value or run
@@ -520,8 +534,9 @@ def _replicates(cfg: ExperimentConfig, run_lengths=(), formatted=False) -> tuple
         if corrected is not None:
             values = np.concatenate([values, corrected])
             codes = np.concatenate([codes, corrected_codes])
-        thresholds, _ = _thresholds(top, kernel.k_t)
-        runs = [_runs_curve_values(x.values, rl, thresholds) for rl in run_lengths]
+        runs = None
+        if run_lengths:
+            runs = _runs_curves(x.values, run_lengths, _thresholds(top, kernel.k_t)[0])
         rows = _format_rows(templates, rep, values, codes) if formatted else None
         return values, codes, runs, rows
 
@@ -542,14 +557,14 @@ def _replicates(cfg: ExperimentConfig, run_lengths=(), formatted=False) -> tuple
     # raw, corrected, raw_code, corrected_code: the raw rows come first
     parts = values[:count], values[count:], names[:count], names[count:]
     result = MCResult(cfg, *(dict(zip(cfg.r_list, part)) for part in parts))
-    return result, dict(zip(run_lengths, runs)), rows
+    return result, dict(zip(run_lengths, runs)), rows, int(np.count_nonzero(codes))
 
 
 def run(config: ExperimentConfig) -> MCResult:
     """Execute the experiment; write curves.csv, summary.csv, meta.json if out_dir set."""
-    result, _, rows = _replicates(config, formatted=config.out_dir is not None)
+    result, _, rows, flags = _replicates(config, formatted=config.out_dir is not None)
     if rows is not None:
-        result = replace(result, files=_persist(result, rows))
+        result = replace(result, files=_persist(result, rows, flags))
     return result
 
 
@@ -560,8 +575,8 @@ def _run_with_figure1(config: ExperimentConfig) -> tuple:
     figure-bundle paths; every file is byte-identical to the one the two
     separate calls write.
     """
-    result, runs, rows = _replicates(config, config.run_lengths, formatted=True)
-    result = replace(result, files=_persist(result, rows))
+    result, runs, rows, flags = _replicates(config, config.run_lengths, formatted=True)
+    result = replace(result, files=_persist(result, rows, flags))
     return result, _write_figure1(result, runs)
 
 
@@ -607,15 +622,10 @@ def _format_rows(templates, rep: int, values, codes) -> list:
     return rows
 
 
-def _persist(result: MCResult, rows) -> tuple:
-    """Write curves.csv, summary.csv and meta.json; ``rows`` as ``_replicates`` returns them."""
+def _persist(result: MCResult, rows, flags: int) -> tuple:
+    """Write curves.csv, summary.csv and meta.json; ``rows``, ``flags`` from ``_replicates``."""
     cfg = result.config
     os.makedirs(cfg.out_dir, exist_ok=True)
-    flag_count = sum(
-        int(np.count_nonzero(code != ""))
-        for _, _, codes in result.kinds()
-        for code in codes.values()
-    )
     curves_path = os.path.join(cfg.out_dir, "curves.csv")
     with open(curves_path, "w") as fh:
         fh.write(_CURVES_HEADER)
@@ -644,7 +654,7 @@ def _persist(result: MCResult, rows) -> tuple:
     _write_sidecar(
         meta_path,
         cfg,
-        extra={"flag_count": flag_count, "outputs": ["curves.csv", "summary.csv"]},
+        extra={"flag_count": flags, "outputs": ["curves.csv", "summary.csv"]},
     )
     return (curves_path, summary_path, meta_path)
 
@@ -654,31 +664,39 @@ def _persist(result: MCResult, rows) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _runs_curve_values(values, run_length: int, thresholds) -> np.ndarray:
-    """``runs_estimator(values, run_length, u)`` at every threshold u, NaN where undefined.
+def _runs_curves(values, run_lengths, thresholds) -> np.ndarray:
+    """``runs_estimator(values, L, u)`` at every run length L and threshold u, NaN where undefined.
 
-    With M_i the maximum of the ``run_length`` values after X_i, a run ends at
-    exceedance i iff M_i <= u.  Over i < n - run_length, the denominator is
-    #{X_i > u} and the numerator that minus #{min(X_i, M_i) > u}.  Only the
-    positions i with X_i above the lowest threshold can count in either, so
-    M_i is built there alone, and both counts come from one binary search
-    per threshold on a sorted array of those few values: the same integers
-    as over every position.  ``_replicates`` checks ``run_length`` once,
+    One row per entry of ``run_lengths``.  With M_i the maximum of the L
+    values after X_i, a run ends at exceedance i iff M_i <= u.  Over
+    i < n - L, the denominator is #{X_i > u} and the numerator that minus
+    #{min(X_i, M_i) > u}.  Only the positions i with X_i above the lowest
+    threshold can count in either, so M_i is built there alone, for every L
+    from one running maximum: each offset j = 1..max L is gathered once, at
+    the positions with i + j < n, and each L takes its minima as the maximum
+    passes it.  Both counts of an L come from one binary search per
+    threshold on a sorted array of its positions' values: the same integers
+    as over every position.  ``_replicates`` checks each run length once,
     before it simulates any replicate.
     """
-    stop = len(values) - run_length
-    index = np.flatnonzero(values[:stop] > thresholds.min())
+    n = len(values)
+    index = np.flatnonzero(values[: n - min(run_lengths)] > thresholds.min())
     starts = values[index]
-    after = values[index + 1]
-    for j in range(2, run_length + 1):
-        np.maximum(after, values[index + j], out=after)
-    denom = len(index) - np.searchsorted(np.sort(starts), thresholds, side="right")
-    both = len(index) - np.searchsorted(
-        np.sort(np.minimum(starts, after)), thresholds, side="right"
-    )
-    out = np.full(len(thresholds), np.nan)
-    np.divide(denom - both, denom, out=out, where=denom > 0)
-    return out
+    # ends[j]: the count of positions i < n - j, a prefix of ``index``
+    ends = np.searchsorted(index, n - np.arange(max(run_lengths) + 1))
+    after = values[index + 1]  # i < n - 1 throughout
+    curves, done = {}, 1
+    for length in sorted(set(run_lengths)):
+        for j in range(done + 1, length + 1):
+            head = after[: ends[j]]
+            np.maximum(head, values[index[: ends[j]] + j], out=head)
+        done, stop = length, ends[length]
+        both = np.minimum(starts[:stop], after[:stop])
+        denom = stop - np.searchsorted(np.sort(starts[:stop]), thresholds, side="right")
+        kept = stop - np.searchsorted(np.sort(both), thresholds, side="right")
+        curves[length] = np.full(len(thresholds), np.nan)
+        np.divide(denom - kept, denom, out=curves[length], where=denom > 0)
+    return np.array([curves[length] for length in run_lengths])
 
 
 def figure1_bundle(config: ExperimentConfig) -> tuple:
@@ -689,7 +707,7 @@ def figure1_bundle(config: ExperimentConfig) -> tuple:
     """
     if config.out_dir is None:
         raise ValueError("figure1_bundle requires out_dir")
-    result, runs, _ = _replicates(config, config.run_lengths)
+    result, runs, *_ = _replicates(config, config.run_lengths)
     return _write_figure1(result, runs)
 
 

@@ -156,6 +156,10 @@ def theta_nt_mm_exact(spec: MovingMaxima, r: int, v: float, t):
     and distinct psi*_m for all block lengths, the result has one row per
     block length, and each value equals the one for its level and block
     length alone, bit for bit.
+
+    Each distinct psi*_m gives one column of factors over the levels, and a
+    block length multiplies its columns into a ones array in the order of m:
+    the IEEE products of ``_product``, element by element.
     """
     vt = v * np.asarray(t, dtype=float)
     if not np.all((0.0 < vt) & (vt < 1.0)):
@@ -163,13 +167,16 @@ def theta_nt_mm_exact(spec: MovingMaxima, r: int, v: float, t):
     lengths = np.ravel(r).tolist()
     blocks = [_block_coefficients(spec, length) for length in lengths]
     u = np.ravel(spec.marginal.quantile(1.0 - vt)).tolist()
-    # scalar cdf calls: the array cdf can differ from the scalar one in the last bit
+    # cdf calls on Python floats, which take its float path: the array cdf can
+    # differ from the scalar one in the last bit
     fz = spec.innovation.cdf
     distinct = dict.fromkeys(best for block in blocks for best in block)
-    factors = [{best: float(fz(ui / best)) for best in distinct} for ui in u]
+    factors = {best: np.array([fz(ui / best) for ui in u]) for best in distinct}
     rows = []
     for length, coefficients in zip(lengths, blocks):
-        nonexceed = np.array([_product(coefficients, level) for level in factors])
+        nonexceed = np.ones(len(u))
+        for best in coefficients:
+            np.multiply(nonexceed, factors[best], out=nonexceed)
         rows.append((1.0 - nonexceed.reshape(vt.shape)) / (length * vt))
     out = np.array(rows).reshape(np.shape(r) + vt.shape)
     return float(out) if out.ndim == 0 else out

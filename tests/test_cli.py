@@ -564,9 +564,18 @@ MM_MODEL = {"name": "mm", "coeffs": [1.0, 0.5], "beta1": 2.0, "beta2": 1.0, "c1"
         ({"run_lengths": 5}, "config key 'run_lengths' must be a list, got 5"),
         ({"out_dir": 5}, "config key 'out_dir' must be a string, got 5"),
         ({"base_seed": -1}, "base_seed must be nonnegative, got -1"),
+        # a repeat would write its summary and curves rows twice
+        ({"r_list": [5, 5]}, "r_list must not repeat a value, got (5, 5)"),
+        ({"run_lengths": [5, 5]}, "run_lengths must not repeat a value, got (5, 5)"),
+        # int() and float() read a JSON boolean as 1 or 0
+        ({"replicates": True}, "config key 'replicates' must be an integer, got True"),
+        ({"model": {"name": "wn", "psi": False}}, "model key 'psi' must be a number, got False"),
+        ({"run_lengths": [True]},
+         "config key 'run_lengths' must be a list of integers, got [True]"),
     ],
     ids=["model_string", "r_list_scalar", "coeffs_scalar", "run_lengths_scalar", "out_dir_number",
-         "base_seed_negative"],
+         "base_seed_negative", "r_list_repeat", "run_lengths_repeat", "replicates_bool",
+         "psi_bool", "run_lengths_bool"],
 )
 def test_mc_wrongly_typed_config_value_exits_1(tmp_path, capsys, overrides, err):
     config = {"model": {"name": "iid"}, "n": 200, "r_list": [5], "k": 20, "t_grid": [0.5, 1.0],

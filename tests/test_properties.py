@@ -28,7 +28,7 @@ from exindex.harness import (
     _fmt,
     _format_rows,
     _row_templates,
-    _runs_curve_values,
+    _runs_curves,
     _write_csv,
     _write_figure1,
 )
@@ -248,26 +248,33 @@ def test_curve_kernel_matches_the_definitions_for_every_r(case, mu, grid):
 
 @st.composite
 def runs_cases(draw):
-    """(x, run_length, thresholds): thresholds are sample values or levels around them."""
+    """(x, run_lengths, thresholds): 1 to 4 run lengths, in any order, repeats allowed.
+
+    The thresholds are sample values or levels around them.
+    """
     x = draw(series(min_size=2))
-    run_length = draw(st.integers(1, len(x) - 1))
+    run_lengths = draw(st.lists(st.integers(1, len(x) - 1), min_size=1, max_size=4))
     level = st.one_of(st.sampled_from(x.tolist()), st.floats(-1.0, 10.0))
-    return x, run_length, np.asarray(draw(st.lists(level, min_size=1, max_size=12)))
+    return x, run_lengths, np.asarray(draw(st.lists(level, min_size=1, max_size=12)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(runs_cases())
+@example((np.array([0.0, 3.0, 1.0, 2.0, 0.5, 4.0, 0.2]), [4, 1, 2],
+          np.array([0.0, 0.5, 1.0, 2.0])))
 def test_runs_curve_matches_runs_estimator(case):
-    x, run_length, thresholds = case
-    curve = _runs_curve_values(x, run_length, thresholds)
-    assert curve.shape == thresholds.shape
-    for u, got in zip(thresholds, curve):
-        try:
-            want = ex.runs_estimator(x, run_length, u)
-        except ex.NoExceedances:
-            assert math.isnan(got)
-        else:
-            assert got == want
+    # one running maximum serves every run length: each row must match its L alone
+    x, run_lengths, thresholds = case
+    curves = _runs_curves(x, run_lengths, thresholds)
+    assert curves.shape == (len(run_lengths), len(thresholds))
+    for run_length, curve in zip(run_lengths, curves):
+        for u, got in zip(thresholds, curve):
+            try:
+                want = ex.runs_estimator(x, run_length, u)
+            except ex.NoExceedances:
+                assert math.isnan(got)
+            else:
+                assert got == want
 
 
 def full_sort_runs_curve(values, run_length, thresholds):
@@ -291,8 +298,9 @@ def test_runs_curve_on_a_moving_maxima_path_has_the_bits_of_the_full_sort(seed):
     grid = np.linspace(0.2, 1.0, 81)
     for k in (2000, 400):
         thresholds, _ = _thresholds(_top_slice(x, k)[0], ex.count_at(k, grid))
-        for run_length in (1, 5, 10, 20):
-            got = _runs_curve_values(x, run_length, thresholds)
+        run_lengths = (1, 5, 10, 20)
+        curves = _runs_curves(x, run_lengths, thresholds)  # every run length from one call
+        for run_length, got in zip(run_lengths, curves):
             want = full_sort_runs_curve(x, run_length, thresholds)
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
             assert not np.isnan(got).any()
@@ -815,6 +823,53 @@ def test_top_only_path_equals_the_full_path_at_its_top_values(model, n, top, see
     np.testing.assert_array_equal(part.values[at_top].view(np.int64),
                                   full[at_top].view(np.int64))
     assert np.all(part.values[~at_top] < kth) and np.all(full[~at_top] < kth)
+
+
+def floats_above(x: float, k: int) -> float:
+    """The float ``k`` steps above the positive float ``x``."""
+    return float((np.array([x]).view(np.int64) + k).view(np.float64)[0])
+
+
+@st.composite
+def pareto_points(draw):
+    """(law, xs): a moving-maxima innovation law and points at, below and above its z_min."""
+    law = draw(mm_models()).innovation
+    z_min = law.z_min
+    points = st.one_of(
+        st.floats(0.0, 1.0).map(lambda f: z_min * f),  # at or below z_min
+        st.integers(1, 64).map(lambda k: floats_above(z_min, k)),
+        st.floats(-15.0, 8.0).map(lambda e: z_min * (1.0 + 10.0**e)),
+        st.floats(1e300, 1.7e308),
+    )
+    return law, draw(st.lists(points, max_size=30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pareto_points())
+# a c2 < 0 law whose float survival one step above z_min is 1 + 2**-52: only the clip makes it 1
+@example((ex.SecondOrderPareto(2.48239924123048, 0.5413606642402438, 12.323892784328223,
+                               -0.9709788147714458), []))
+def test_second_order_pareto_cdf_of_a_float_has_the_bits_of_the_array_path(case):
+    # the oracle's factors: a Python float takes the float path, a 0-d array numpy's
+    law, xs = case
+    for x in [law.z_min, floats_above(law.z_min, 1), *xs]:
+        got = law.cdf(x)
+        assert type(got) is float
+        assert got.hex() == float(law.cdf(np.array(x))).hex()
+        assert float(law.cdf(np.float64(x))).hex() == got.hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(mm_models(), st.lists(st.integers(1, 30), min_size=1, max_size=3),
+       st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6), st.floats(1e-3, 0.2))
+def test_mm_oracle_has_the_bits_of_the_scalar_block_product(model, r_list, grid, v):
+    # each block length's columns multiply in the order of m, as ``_product`` does
+    got = ex.theta_nt_mm_exact(model, r_list, v, grid)
+    u = np.ravel(model.marginal.quantile(1.0 - v * np.asarray(grid))).tolist()
+    for row, r in zip(got, r_list):
+        want = [(1.0 - ex.mm_block_nonexceed(model, r, ui)) / (r * (v * t))
+                for ui, t in zip(u, grid)]
+        assert [x.hex() for x in row.tolist()] == [x.hex() for x in want]
 
 
 @settings(max_examples=100, deadline=None)

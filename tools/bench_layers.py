@@ -51,8 +51,11 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
 * ``sweep`` and ``corrected_curve`` (interpreted): one call on one AR(1)
   sample with r = 10, k = 2000 and the two-atom measure, evaluator build
   included.
-* ``runs_curve`` (interpreted): the runs curve of one sample at run length
-  10 over the grid thresholds.
+* ``runs_curve`` (interpreted): the runs curves of one sample at the run
+  lengths 5, 10 and 20 of the ``mm_figure`` workload over the grid
+  thresholds: one ``harness._runs_curves`` call for all three where the tree
+  has it, else one ``_runs_curve_values`` call per run length; ``kernel``
+  says which ran.
 * ``quantile.second_order_pareto`` (array): one ``quantile`` call of the
   moving-maxima innovation law (2, 1, 1, 0.5) on 20 001 uniform draws, as
   ``generate.mm`` makes it.
@@ -150,6 +153,7 @@ KERNEL_CONFIGS = {
 KERNEL_REPLICATES = 20
 PERSIST_REPLICATES = 50
 MM_FIGURE_REPLICATES = 10
+RUN_LENGTHS = (5, 10, 20)
 AR1_KERNEL = dict(
     model=MODELS["ar1_cauchy"],
     n=N,
@@ -326,7 +330,15 @@ def layers() -> dict:
         "interpreted", lambda: ex.corrected_curve(x, est, TWO_ATOM, GRID)
     )
     thresholds = np.sort(x)[N - ex.count_at(est.k, np.asarray(GRID)) - 1]
-    out["runs_curve"] = timed("interpreted", lambda: harness._runs_curve_values(x, 10, thresholds))
+    if hasattr(harness, "_runs_curves"):
+        kernel, runs = "all_lengths", lambda: harness._runs_curves(x, RUN_LENGTHS, thresholds)
+    else:
+        kernel = "per_length"
+
+        def runs():
+            return [harness._runs_curve_values(x, rl, thresholds) for rl in RUN_LENGTHS]
+
+    out["runs_curve"] = dict(timed("interpreted", runs), kernel=kernel)
 
     out.update(mm_figure_layers(timed))
     out.update(persist_layers(timed))
@@ -341,7 +353,7 @@ def mm_figure_layers(timed) -> dict:
     out = {"quantile.second_order_pareto": timed("array", lambda: mm.innovation.quantile(draws))}
     cfg = harness.ExperimentConfig(
         model=mm, n=N, r_list=(5, 10, 20), k=2000, t_grid=GRID, measure=None,
-        replicates=MM_FIGURE_REPLICATES, run_lengths=(5, 10, 20),
+        replicates=MM_FIGURE_REPLICATES, run_lengths=RUN_LENGTHS,
     )
     out["oracle.mm_figure"] = timed(
         "interpreted", lambda: ex.theta_nt_mm_exact(mm, cfg.r_list, cfg.k / cfg.n, GRID)
@@ -402,7 +414,8 @@ def persist_result_layers(timed, cfg) -> list:
             )),
             ("summarize_persist", timed("interpreted", lambda: harness._persist(result))),
         ]
-    result, _, rows = harness._replicates(cfg, formatted=True)
+    # a tree that counts the flags as it simulates also returns and persists that count
+    result, _, rows, *flags = harness._replicates(cfg, formatted=True)
     templates = harness._row_templates(cfg)
     code_of = {name: code for code, name in enumerate(harness.CODE_NAMES.tolist())}
     curves = [(values[r], codes[r]) for _, values, codes in result.kinds() for r in values]
@@ -422,7 +435,7 @@ def persist_result_layers(timed, cfg) -> list:
         ("persist.format_rows", dict(
             timed("interpreted", format_rows, per=cfg.replicates), variant="per_replicate"
         )),
-        ("summarize_persist", timed("interpreted", lambda: harness._persist(result, rows))),
+        ("summarize_persist", timed("interpreted", lambda: harness._persist(result, rows, *flags))),
     ]
 
 
