@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import sys
+import warnings
 
 import numpy as np
 
@@ -62,7 +63,13 @@ def _fmt(x) -> str:
 
 
 def _read_series(path) -> np.ndarray:
-    return np.loadtxt(path, ndmin=1, dtype=float)
+    """A file's values, one per line; several columns stay 2-D, which the estimators reject."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        values = np.loadtxt(path, ndmin=2, dtype=float)
+    if values.size == 0:
+        raise ValueError(f"series file {path} holds no values")
+    return values[:, 0] if values.shape[1] == 1 else values
 
 
 def _emit(lines, out) -> None:

@@ -127,6 +127,8 @@ def count_at(k: int, t):
 
 def _values(x) -> np.ndarray:
     xs = np.asarray(getattr(x, "values", x), dtype=float)
+    if xs.ndim != 1:
+        raise ValueError(f"series must be one-dimensional, got shape {xs.shape}")
     if not np.isfinite(xs).all():
         raise ValueError("series values must be finite; found NaN or inf")
     return xs

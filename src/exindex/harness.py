@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -468,30 +469,26 @@ def _column_stats(arr: np.ndarray, refs=np.nan) -> tuple:
     return n_used.tolist(), mean.tolist(), sd.tolist(), rmse.tolist()
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(x)
+def _write_sidecar(path, config: ExperimentConfig, extra: dict) -> None:
+    payload = {"package": "exindex", "version": __version__, "config": config.to_dict(), **extra}
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write ``header`` and ``rows``, each cell as ``_fmt`` formats it."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+def _band_line(key, t: str, used: int, mean: str, sd: str) -> str:
+    """A figure band file's row at level text ``t``: ``mean`` and ``sd`` blank unless defined."""
+    return f"{key},{t},{mean if used else ''},{sd if used > 1 else ''},{used}\n"
 
 
-def _write_sidecar(path, config: ExperimentConfig, extra=None) -> None:
-    payload = {
-        "package": "exindex",
-        "version": __version__,
-        "config": config.to_dict(),
+def _band_lines(curves: dict, t_grid) -> dict:
+    """The band file rows of each (replicates x grid) array of ``curves``, by its key."""
+    levels = [repr(t) for t in t_grid]
+    return {
+        key: [
+            _band_line(key, t, used, repr(mean), repr(sd))
+            for t, used, mean, sd, _ in zip(levels, *_column_stats(arr))
+        ]
+        for key, arr in curves.items()
     }
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ``CODE_NAMES`` as objects: indexing it shares its four strings, where
@@ -536,7 +533,7 @@ def _replicates(cfg: ExperimentConfig, run_lengths=(), formatted=False) -> tuple
             codes = np.concatenate([codes, corrected_codes])
         runs = None
         if run_lengths:
-            runs = _runs_curves(x.values, run_lengths, _thresholds(top, kernel.k_t)[0])
+            runs = _runs_curves(x.values, above, run_lengths, _thresholds(top, kernel.k_t)[0])
         rows = _format_rows(templates, rep, values, codes) if formatted else None
         return values, codes, runs, rows
 
@@ -564,7 +561,7 @@ def run(config: ExperimentConfig) -> MCResult:
     """Execute the experiment; write curves.csv, summary.csv, meta.json if out_dir set."""
     result, _, rows, flags = _replicates(config, formatted=config.out_dir is not None)
     if rows is not None:
-        result = replace(result, files=_persist(result, rows, flags))
+        result = replace(result, files=_persist(result, rows, flags)[0])
     return result
 
 
@@ -573,11 +570,13 @@ def _run_with_figure1(config: ExperimentConfig) -> tuple:
 
     ``config.out_dir`` must be set.  Returns the persisted ``MCResult`` and the
     figure-bundle paths; every file is byte-identical to the one the two
-    separate calls write.
+    separate calls write.  The blocks and corrected bands reuse the mean and
+    sd text of summary.csv.
     """
     result, runs, rows, flags = _replicates(config, config.run_lengths, formatted=True)
-    result = replace(result, files=_persist(result, rows, flags))
-    return result, _write_figure1(result, runs)
+    files, bands = _persist(result, rows, flags)
+    result = replace(result, files=files)
+    return result, _write_figure1(result, runs, bands)
 
 
 _CURVES_HEADER = "replicate,kind,r,t,value,flag\n"
@@ -606,7 +605,7 @@ def _format_rows(templates, rep: int, values, codes) -> list:
     """The curves.csv rows of replicate ``rep``, one string per ``templates`` entry.
 
     ``values`` and the integer skip ``codes`` are (templates x grid) arrays.
-    Cells are formatted as ``_write_csv`` formats them: ``repr`` of a float,
+    Cells are formatted as summary.csv formats them: ``repr`` of a float,
     "" for an undefined value, and the code's name as the flag.  A row with
     an undefined value is copied from ``skipped``; the others are formatted.
     """
@@ -623,7 +622,12 @@ def _format_rows(templates, rep: int, values, codes) -> list:
 
 
 def _persist(result: MCResult, rows, flags: int) -> tuple:
-    """Write curves.csv, summary.csv and meta.json; ``rows``, ``flags`` from ``_replicates``."""
+    """Write curves.csv, summary.csv and meta.json: ``(paths, bands)``.
+
+    ``rows`` and ``flags`` come from ``_replicates``.  A ``summarize`` row is
+    one f-string of Python scalars, ``repr`` of each float; its mean and sd
+    text also make its band line in ``bands[kind][r]``, for ``_write_figure1``.
+    """
     cfg = result.config
     os.makedirs(cfg.out_dir, exist_ok=True)
     curves_path = os.path.join(cfg.out_dir, "curves.csv")
@@ -632,31 +636,22 @@ def _persist(result: MCResult, rows, flags: int) -> tuple:
         # each (kind, r) block, its replicates in order
         for block in zip(*rows):
             fh.writelines(block)
+    levels = {t: repr(t) for t in cfg.t_grid}
+    lines = ["kind,r,t,n_used,n_skipped,mean,sd,reference,bias,rmse\n"]
+    bands = {"raw": {}, "corrected": {}}
+    for row in result.summarize():
+        r, t, used = row["r"], levels[row["t"]], row["n_used"]
+        mean, sd = repr(row["mean"]), repr(row["sd"])
+        lines.append(
+            f"{row['kind']},{r},{t},{used},{row['n_skipped']},{mean},{sd},"
+            f"{row['reference']!r},{row['bias']!r},{row['rmse']!r}\n"
+        )
+        bands[row["kind"]].setdefault(r, []).append(_band_line(r, t, used, mean, sd))
     summary_path = os.path.join(cfg.out_dir, "summary.csv")
-    cols = [
-        "kind",
-        "r",
-        "t",
-        "n_used",
-        "n_skipped",
-        "mean",
-        "sd",
-        "reference",
-        "bias",
-        "rmse",
-    ]
-    _write_csv(
-        summary_path,
-        cols,
-        [tuple(row[c] for c in cols) for row in result.summarize()],
-    )
+    Path(summary_path).write_text("".join(lines))
     meta_path = os.path.join(cfg.out_dir, "meta.json")
-    _write_sidecar(
-        meta_path,
-        cfg,
-        extra={"flag_count": flags, "outputs": ["curves.csv", "summary.csv"]},
-    )
-    return (curves_path, summary_path, meta_path)
+    _write_sidecar(meta_path, cfg, {"flag_count": flags, "outputs": ["curves.csv", "summary.csv"]})
+    return (curves_path, summary_path, meta_path), bands
 
 
 # ---------------------------------------------------------------------------
@@ -664,14 +659,16 @@ def _persist(result: MCResult, rows, flags: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _runs_curves(values, run_lengths, thresholds) -> np.ndarray:
+def _runs_curves(values, above, run_lengths, thresholds) -> np.ndarray:
     """``runs_estimator(values, L, u)`` at every run length L and threshold u, NaN where undefined.
 
     One row per entry of ``run_lengths``.  With M_i the maximum of the L
     values after X_i, a run ends at exceedance i iff M_i <= u.  Over
     i < n - L, the denominator is #{X_i > u} and the numerator that minus
     #{min(X_i, M_i) > u}.  Only the positions i with X_i above the lowest
-    threshold can count in either, so M_i is built there alone, for every L
+    threshold can count in either; ``above`` lists, ascending, a superset
+    of them (the ``above`` of ``_top_slice``, whose top[0] no threshold
+    lies below), and M_i is built at those positions alone, for every L
     from one running maximum: each offset j = 1..max L is gathered once, at
     the positions with i + j < n, and each L takes its minima as the maximum
     passes it.  Both counts of an L come from one binary search per
@@ -680,7 +677,8 @@ def _runs_curves(values, run_lengths, thresholds) -> np.ndarray:
     before it simulates any replicate.
     """
     n = len(values)
-    index = np.flatnonzero(values[: n - min(run_lengths)] > thresholds.min())
+    index = above[: np.searchsorted(above, n - min(run_lengths))]
+    index = index[values[index] > thresholds.min()]
     starts = values[index]
     # ends[j]: the count of positions i < n - j, a prefix of ``index``
     ends = np.searchsorted(index, n - np.arange(max(run_lengths) + 1))
@@ -711,31 +709,24 @@ def figure1_bundle(config: ExperimentConfig) -> tuple:
     return _write_figure1(result, runs)
 
 
-def _write_figure1(result: MCResult, runs: dict) -> tuple:
+def _write_figure1(result: MCResult, runs: dict, bands=None) -> tuple:
+    """Write the band files and figure1_meta.json; ``bands`` as ``_persist`` returns it, or None."""
     cfg = result.config
     os.makedirs(cfg.out_dir, exist_ok=True)
-
-    def band_rows(curves):
-        return [
-            (key, t, _fmt(mean) if used else "", _fmt(sd) if used > 1 else "", used)
-            for key in sorted(curves)
-            for t, used, mean, sd, _ in zip(cfg.t_grid, *_column_stats(curves[key]))
-        ]
-
+    if bands is None:
+        bands = {kind: _band_lines(curves, cfg.t_grid) for kind, curves, _ in result.kinds()}
     paths = []
-    for fname, curves, param in (
-        ("blocks_curves.csv", result.raw, "r"),
-        ("runs_curves.csv", runs, "run_length"),
-        ("corrected_curves.csv", result.corrected, "r"),
+    for fname, lines, param in (
+        ("blocks_curves.csv", bands["raw"], "r"),
+        ("runs_curves.csv", _band_lines(runs, cfg.t_grid), "run_length"),
+        ("corrected_curves.csv", bands["corrected"], "r"),
     ):
         path = os.path.join(cfg.out_dir, fname)
-        _write_csv(path, [param, "t", "mean", "sd", "n_used"], band_rows(curves))
+        body = "".join(line for key in sorted(lines) for line in lines[key])
+        Path(path).write_text(f"{param},t,mean,sd,n_used\n{body}")
         paths.append(path)
-    _write_sidecar(
-        os.path.join(cfg.out_dir, "figure1_meta.json"),
-        cfg,
-        extra={"outputs": [os.path.basename(p) for p in paths]},
-    )
+    outputs = [os.path.basename(p) for p in paths]
+    _write_sidecar(os.path.join(cfg.out_dir, "figure1_meta.json"), cfg, {"outputs": outputs})
     return tuple(paths)
 
 

@@ -1,6 +1,7 @@
 """Subcommand behavior: output formats, exit codes, and error reporting."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -446,6 +447,35 @@ def test_usage_and_io_errors(tmp_path, capsys):
     rc = dispatch(["blocks", "--series", str(bad), "--r", "3", "--u", "1"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("INVALID_ARGUMENT:")
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# no values\n"])
+@pytest.mark.parametrize("command", [["sweep", "--r", "10", "--k", "5"],
+                                     ["runs", "--run-length", "2", "--u", "0.5"],
+                                     ["blocks", "--r", "3", "--u", "0.5"]])
+def test_series_file_without_values_exits_1_without_a_warning(tmp_path, capsys, command, text):
+    path = tmp_path / "x.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" would raise here
+        assert dispatch([*command, "--series", str(path)]) == 1
+    assert capsys.readouterr().err == f"INVALID_ARGUMENT: series file {path} holds no values\n"
+
+
+@pytest.mark.parametrize("rows", [[(0.5, 0.25)] * 1000, [(0.5, 0.25, 1.0)]])
+@pytest.mark.parametrize("command", [["sweep", "--r", "10", "--k", "5"],
+                                     ["runs", "--run-length", "2", "--u", "0.5"],
+                                     ["blocks", "--r", "3", "--u", "0.5"],
+                                     ["correct", "--r", "10", "--k", "5", "--two-atom",
+                                      "0.5,1,2"]])
+def test_series_file_with_columns_exits_1(tmp_path, capsys, command, rows):
+    # one line of several values is not a series of them either
+    path = tmp_path / "x.txt"
+    path.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
+    assert dispatch([*command, "--series", str(path)]) == 1
+    shape = (len(rows), len(rows[0]))
+    message = f"INVALID_ARGUMENT: series must be one-dimensional, got shape {shape}\n"
+    assert capsys.readouterr().err == message
 
 
 def test_version_flag(capsys):

@@ -1,5 +1,7 @@
 """Blocks and runs estimators, threshold sweeps, and their counting rules."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -277,3 +279,21 @@ def test_runs_estimator_rejects_non_finite_values(bad):
     x[2] = bad
     with pytest.raises(ValueError, match="finite"):
         ex.runs_estimator(x, 2, 3.5)
+
+
+@pytest.mark.parametrize("shape", [(1000, 2), (1, 1000), (), (10, 10, 10)])
+def test_a_series_that_is_not_one_dimensional_is_rejected(shape):
+    # a column pair or a scalar would reach numpy's reshape, partition or broadcast errors
+    x = np.random.default_rng(2).random(shape)
+    message = re.escape(f"series must be one-dimensional, got shape {shape}")
+    calls = [
+        lambda: ex.sweep(x, ex.EstimatorConfig(r=10, k=50), [0.5, 1.0]),
+        lambda: ex.BlocksEvaluator(x, 10, 50),
+        lambda: ex.blocks_fixed(x, 10, 0.5),
+        lambda: ex.runs_estimator(x, 2, 0.5),
+        lambda: ex.corrected_curve(x, ex.EstimatorConfig(r=10, k=50),
+                                   ex.two_atom_measure(0.5, 1.0, 2.0), [0.5, 1.0]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -11,7 +11,7 @@ from scipy import stats
 import exindex as ex
 from exindex import harness
 from exindex.sim import config_fields
-from test_properties import per_cell_csv
+from test_properties import per_cell_files
 
 WN = ex.RandomRepetition(psi=0.6, innovation=ex.Uniform01())
 
@@ -396,19 +396,14 @@ def test_oracle_theta_nt_gives_one_row_per_block_length():
          "measure": None, "r_list": (5, 10), "run_lengths": (2, 5)},
     ],
 )
-def test_summary_and_band_files_have_the_bytes_of_the_per_cell_writer(tmp_path, monkeypatch, overrides):
-    files = {}
-    for writer in ("columns", "cells"):
-        if writer == "cells":
-            monkeypatch.setattr(harness, "_write_csv", per_cell_csv)
-        cfg = small_config(out_dir=str(tmp_path / writer), **overrides)
-        harness._run_with_figure1(cfg)
-        files[writer] = {
-            name: (tmp_path / writer / name).read_bytes()
-            for name in ("summary.csv", "blocks_curves.csv", "runs_curves.csv",
-                         "corrected_curves.csv")
-        }
-    assert files["columns"] == files["cells"]
+def test_summary_and_band_files_have_the_bytes_of_the_per_cell_writer(tmp_path, overrides):
+    cfg = small_config(out_dir=str(tmp_path / "text"), **overrides)
+    result, _ = harness._run_with_figure1(cfg)
+    runs = harness._replicates(cfg, cfg.run_lengths)[1]  # the same seeds give the same curves
+    (tmp_path / "cells").mkdir()
+    per_cell_files(result, runs, tmp_path / "cells")
+    for name in ("summary.csv", "blocks_curves.csv", "runs_curves.csv", "corrected_curves.csv"):
+        assert (tmp_path / "text" / name).read_bytes() == (tmp_path / "cells" / name).read_bytes()
 
 
 def test_run_deterministic_and_flag_accounted():

@@ -1,6 +1,7 @@
 """Property tests: the array kernels against their definitions and the scalar path."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -25,11 +26,10 @@ from exindex.harness import (
     _CURVES_HEADER,
     MCResult,
     _column_stats,
-    _fmt,
     _format_rows,
+    _persist,
     _row_templates,
     _runs_curves,
-    _write_csv,
     _write_figure1,
 )
 
@@ -265,8 +265,12 @@ def runs_cases(draw):
 def test_runs_curve_matches_runs_estimator(case):
     # one running maximum serves every run length: each row must match its L alone
     x, run_lengths, thresholds = case
-    curves = _runs_curves(x, run_lengths, thresholds)
+    # the positions at or above the lowest threshold, as ``_top_slice`` lists them
+    curves = _runs_curves(x, np.flatnonzero(x >= thresholds.min()), run_lengths, thresholds)
     assert curves.shape == (len(run_lengths), len(thresholds))
+    # a wider superset of the candidates, every position, counts the same
+    wide = _runs_curves(x, np.arange(len(x)), run_lengths, thresholds)
+    assert wide.view(np.int64).tolist() == curves.view(np.int64).tolist()
     for run_length, curve in zip(run_lengths, curves):
         for u, got in zip(thresholds, curve):
             try:
@@ -297,9 +301,11 @@ def test_runs_curve_on_a_moving_maxima_path_has_the_bits_of_the_full_sort(seed):
     x = ex.generate(mm, 20_000, seed).values
     grid = np.linspace(0.2, 1.0, 81)
     for k in (2000, 400):
-        thresholds, _ = _thresholds(_top_slice(x, k)[0], ex.count_at(k, grid))
+        top, above = _top_slice(x, k)
+        thresholds, _ = _thresholds(top, ex.count_at(k, grid))
         run_lengths = (1, 5, 10, 20)
-        curves = _runs_curves(x, run_lengths, thresholds)  # every run length from one call
+        # every run length from one call, over the positions of the slice
+        curves = _runs_curves(x, above, run_lengths, thresholds)
         for run_length, got in zip(run_lengths, curves):
             want = full_sort_runs_curve(x, run_length, thresholds)
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
@@ -495,8 +501,8 @@ def mc_results(draw, values=cells, measured=st.booleans()):
 CODE_OF = {name: code for code, name in enumerate(CODE_NAMES.tolist())}
 
 
-def curves_csv_from_replicate_rows(result):
-    """curves.csv as ``_persist`` writes it: every replicate's ``_format_rows`` per (kind, r)."""
+def replicate_rows(result):
+    """Every replicate's ``_format_rows``, as ``_replicates`` hands them to ``_persist``."""
     cfg = result.config
     blocks = [(curves[r], codes[r]) for _, curves, codes in result.kinds() for r in cfg.r_list
               if r in curves]
@@ -506,7 +512,7 @@ def curves_csv_from_replicate_rows(result):
     for heads, skipped in templates:
         assert len(heads) == len(cfg.t_grid)
         assert [len(rows) for rows in skipped] == [len(cfg.t_grid)] * len(CODE_NAMES)
-    rows = [
+    return [
         _format_rows(
             templates,
             rep,
@@ -515,7 +521,11 @@ def curves_csv_from_replicate_rows(result):
         )
         for rep in range(cfg.replicates)
     ]
-    return _CURVES_HEADER + "".join("".join(block) for block in zip(*rows))
+
+
+def curves_csv_from_replicate_rows(result):
+    """curves.csv as ``_persist`` writes it: every replicate's ``_format_rows`` per (kind, r)."""
+    return _CURVES_HEADER + "".join("".join(block) for block in zip(*replicate_rows(result)))
 
 
 def one_replicate_result(values, flags):
@@ -636,7 +646,7 @@ def test_column_stats_at_a_listed_shared_count_have_the_per_column_bits(used):
 
 
 def figure_bands_one_by_one(curves, t_grid):
-    """The rows of a figure band file from the per-column path, as ``_write_csv`` writes them."""
+    """A figure band file's rows from the per-column path, as the per-cell writer wrote them."""
     rows = []
     for key in sorted(curves):
         for t, (used, mean, sd, _) in zip(
@@ -923,25 +933,50 @@ def per_cell_csv(path, header, rows):
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-cells = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.floats().map(np.float64),
-    st.integers(-10**20, 10**20),
-    st.booleans(),
-    st.text("ab_ TIES", max_size=5),
-)
+SUMMARY_COLUMNS = ["kind", "r", "t", "n_used", "n_skipped", "mean", "sd", "reference", "bias",
+                   "rmse"]
+WRITTEN_FILES = ("curves.csv", "summary.csv", "blocks_curves.csv", "runs_curves.csv",
+                 "corrected_curves.csv")
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 5).flatmap(
-    lambda width: st.lists(st.lists(cells, min_size=width, max_size=width).map(tuple),
-                           max_size=8)
-))
-# a bool is an int but formats as "True"; a numpy float formats as a float
-@example([(1, 0.5), (True, np.float64(0.25)), (-3, math.nan)])
-def test_csv_writer_has_the_bytes_of_the_per_cell_writer(tmp_path_factory, rows):
-    out = tmp_path_factory.mktemp("csv")
-    header = [f"c{j}" for j in range(len(rows[0]) if rows else 1)]
-    _write_csv(out / "columns.csv", header, rows)
-    per_cell_csv(out / "cells.csv", header, rows)
-    assert (out / "columns.csv").read_bytes() == (out / "cells.csv").read_bytes()
+def per_cell_files(result, runs, out_dir):
+    """Reference: summary.csv and the band files of ``result`` from the per-cell writer.
+
+    summary.csv holds the ``summarize`` rows (``per_cell_csv``), a band file
+    the rows of ``figure_bands_one_by_one``.
+    """
+    rows = [tuple(row[c] for c in SUMMARY_COLUMNS) for row in result.summarize()]
+    per_cell_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, rows)
+    for name, curves, param in (("blocks_curves.csv", result.raw, "r"),
+                                ("runs_curves.csv", runs, "run_length"),
+                                ("corrected_curves.csv", result.corrected, "r")):
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.write(f"{param},t,mean,sd,n_used\n"
+                     + figure_bands_one_by_one(curves, result.config.t_grid))
+
+
+# finite values, so that summarize meets no overflow warning; NaN columns and negative zeros
+written = st.one_of(st.sampled_from([math.nan, -0.0, 0.0, 5e-324, 1 / 3]), st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mc_results(values=written))
+# one replicate, so every sd is blank: a NaN column, a negative zero mean
+@example(one_replicate_result([math.nan, -0.0, 0.25], [NO_EXC, "", ""]))
+def test_csv_writer_has_the_bytes_of_the_per_cell_writer(tmp_path_factory, result):
+    # every file of ``_persist`` and ``_write_figure1``, each written in one text pass
+    out = tmp_path_factory.mktemp("files")
+    cfg = replace(result.config, out_dir=str(out / "text"))
+    result = MCResult(cfg, result.raw, result.corrected, result.raw_code, result.corrected_code)
+    runs = {7: result.raw[cfg.r_list[0]], 2: result.raw[cfg.r_list[-1]][::-1]}
+    _, bands = _persist(result, replicate_rows(result), 0)
+    _write_figure1(result, runs, bands)
+    os.mkdir(out / "cells")
+    per_cell_files(result, runs, out / "cells")
+    (out / "cells" / "curves.csv").write_text(curves_csv_row_by_row(result))
+    for name in WRITTEN_FILES:
+        assert (out / "text" / name).read_bytes() == (out / "cells" / name).read_bytes(), name
+    # figure1_bundle's path formats the blocks and corrected bands itself, with the same bytes
+    _write_figure1(replace(result, config=replace(cfg, out_dir=str(out / "bundle"))), runs)
+    for name in WRITTEN_FILES[2:]:
+        assert (out / "bundle" / name).read_bytes() == (out / "cells" / name).read_bytes(), name

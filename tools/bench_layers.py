@@ -55,7 +55,9 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
   lengths 5, 10 and 20 of the ``mm_figure`` workload over the grid
   thresholds: one ``harness._runs_curves`` call for all three where the tree
   has it, else one ``_runs_curve_values`` call per run length; ``kernel``
-  says which ran.
+  says which ran.  Where ``_runs_curves`` takes the ``above`` positions of
+  ``estimate._top_slice`` (k = 2000), they are found beforehand, as the
+  replicate step has them (``kernel`` is ``above_slice``).
 * ``quantile.second_order_pareto`` (array): one ``quantile`` call of the
   moving-maxima innovation law (2, 1, 1, 0.5) on 20 001 uniform draws, as
   ``generate.mm`` makes it.
@@ -65,6 +67,12 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
 * ``mc_figure.mm_figure`` (interpreted): ``exindex mc --out --figure1`` on the
   ``mm_figure`` config (run lengths 5, 10, 20, no measure, 10 replicates), as
   a user runs it, divided by the replicate count.
+* ``summarize_persist.mm_figure`` (interpreted): what the parent process of
+  that command does with its result once the replicates have run:
+  ``harness._persist`` (``summarize``, curves.csv, summary.csv, meta.json)
+  plus ``harness._write_figure1`` (the three band files and
+  figure1_meta.json), into a temporary directory, per call.  Where
+  ``_persist`` also returns the blocks band rows, they are passed on.
 * ``persist.format_rows.<config>`` (interpreted): formatting the curves.csv
   rows of a 50-replicate ``ar1_c6`` or ``wn_ties`` result, divided by the
   replicate count.  Where each replicate formats its own rows
@@ -108,6 +116,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import inspect
 import io
 import json
 import os
@@ -330,7 +340,13 @@ def layers() -> dict:
         "interpreted", lambda: ex.corrected_curve(x, est, TWO_ATOM, GRID)
     )
     thresholds = np.sort(x)[N - ex.count_at(est.k, np.asarray(GRID)) - 1]
-    if hasattr(harness, "_runs_curves"):
+    if "above" in inspect.signature(getattr(harness, "_runs_curves", len)).parameters:
+        above = estimate._top_slice(x, est.k)[1]
+        kernel = "above_slice"
+
+        def runs():
+            return harness._runs_curves(x, above, RUN_LENGTHS, thresholds)
+    elif hasattr(harness, "_runs_curves"):
         kernel, runs = "all_lengths", lambda: harness._runs_curves(x, RUN_LENGTHS, thresholds)
     else:
         kernel = "per_length"
@@ -366,7 +382,24 @@ def mm_figure_layers(timed) -> dict:
         out["mc_figure.mm_figure"] = timed(
             "interpreted", lambda: run_mc(argv), per=cfg.replicates
         )
+        persist_cfg = dataclasses.replace(cfg, out_dir=os.path.join(tmp, "persist"))
+        out["summarize_persist.mm_figure"] = figure_persist_layer(timed, persist_cfg)
     return out
+
+
+def figure_persist_layer(timed, cfg) -> dict:
+    """``summarize_persist.mm_figure``: ``_persist`` plus ``_write_figure1`` of ``cfg``'s result."""
+    result, runs, rows, *flags = harness._replicates(cfg, cfg.run_lengths, formatted=True)
+
+    def persist():
+        persisted = harness._persist(result, rows, *flags)
+        # a tree whose _persist returns (paths, bands) hands the band rows on
+        if isinstance(persisted[0], tuple):
+            harness._write_figure1(result, runs, persisted[1])
+        else:
+            harness._write_figure1(result, runs)
+
+    return timed("interpreted", persist)
 
 
 def run_mc(argv) -> None:
