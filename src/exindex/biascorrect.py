@@ -367,9 +367,10 @@ def corrected_curve(x, cfg, mu: SignedMeasureAtoms, t_grid) -> ThresholdCurve:
 def sigma2_mu(mu: SignedMeasureAtoms, delta: float, kernel) -> float:
     """Asymptotic variance of the corrected estimator under covariance kernel c.
 
-    Symmetrizes mu, then returns
-    [sum over atom pairs of w w~ (s s~)^delta (t t~)^(-1) c(t, t~)] divided by
-    [sum of w s^delta]^2.  The kernel must expose c(t, t~) and be symmetric.
+    Symmetrizes mu, then returns the quadratic form a C a over the atoms,
+    a = w s^delta / t and C the matrix c(t, t~) at every pair of their second
+    coordinates, divided by [sum of w s^delta]^2.  The kernel must expose
+    ``matrices(s, t)``, whose first matrix holds c(s_i, t_j) at entry (i, j).
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -381,17 +382,8 @@ def sigma2_mu(mu: SignedMeasureAtoms, delta: float, kernel) -> float:
             f"normalizer sum w*s^delta = {norm:.3e} vanishes at delta={delta}",
             code="M2_VIOLATION",
         )
-    v = w * s**delta / t
-    # Collapse equal second coordinates so the kernel is evaluated once per pair.
-    uniq, inv = np.unique(t, return_inverse=True)
-    coef = np.zeros(len(uniq))
-    np.add.at(coef, inv, v)
-    total = 0.0
-    for i in range(len(uniq)):
-        for j in range(i, len(uniq)):
-            term = coef[i] * coef[j] * float(kernel.c(uniq[i], uniq[j]))
-            total += term if i == j else 2.0 * term
-    return total / norm**2
+    a = w * s**delta / t
+    return float(a @ kernel.matrices(t, t)[0] @ a) / norm**2
 
 
 def write_measure_csv(mu: SignedMeasureAtoms, path) -> None:

@@ -27,6 +27,10 @@ With p_k(s, t) = P{W_1 > 1-s, W_k > 1-t},
 For independent data the tail sequence is degenerate (W_k = 0 for k >= 2), so
 c_g = c_fg = min(s, t), theta = 1 and c vanishes identically.
 
+Every kernel is read as matrices: ``matrices(s, t)`` of two 1-D sequences of
+levels returns c, c_g and c_fg with entry (i, j) at the levels (s_i, t_j), and
+the per-point ``c(s, t)``, ``c_g`` and ``c_fg`` read its one entry.
+
 The Monte Carlo kernel never forms the m x r blocks.  Per sample, one partial
 sort (``estimate._top_slice``) serves both the level sums and the blocks
 estimate at t = 1: in rank mode its top k + 1 values hold the smallest value
@@ -204,28 +208,41 @@ def _replicate_sums(xs: np.ndarray, cfg: EstimatorConfig, pairs, grid) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class ClosedFormIID:
+class _Kernel:
+    """The per-point reads of a kernel's ``matrices``."""
+
+    def c(self, s: float, t: float) -> float:
+        return self._entry(0, s, t)
+
+    def c_g(self, s: float, t: float) -> float:
+        return self._entry(1, s, t)
+
+    def c_fg(self, s: float, t: float) -> float:
+        return self._entry(2, s, t)
+
+    def _entry(self, which: int, s: float, t: float) -> float:
+        return float(self.matrices([s], [t])[which][0, 0])
+
+
+class ClosedFormIID(_Kernel):
     """Exact kernel for independent data: c_g = c_fg = min(s, t), c = 0."""
 
     theta = 1.0
 
-    def c_g(self, s: float, t: float) -> float:
-        return min(s, t)
-
-    def c_fg(self, s: float, t: float) -> float:
-        return min(s, t)
-
-    def c(self, s: float, t: float) -> float:
-        return 0.0
+    def matrices(self, s, t) -> tuple:
+        low = np.minimum.outer(s, t)
+        return np.zeros_like(low), low, low
 
 
-class TailChainSeries:
+class TailChainSeries(_Kernel):
     """Kernel assembled from standardized windows started at an exceedance.
 
     ``windows`` has one row per collected exceedance; row entries are the
     standardized excesses of the K observations starting there (the first
     entry is the starting excess itself).  Probabilities over the tail
     sequence are estimated by counting rows; series over k are truncated at K.
+    Each count is a product of two tables over levels u and windows: is the
+    first entry above 1 - u, is the later maximum, how many later entries are.
     """
 
     def __init__(self, windows: np.ndarray, theta: float, v: float):
@@ -234,45 +251,36 @@ class TailChainSeries:
             raise ValueError("need at least 50 collected windows")
         self.theta = theta
         self.v = v
-        self.K = self.windows.shape[1]
 
-    def c_g(self, s: float, t: float, K: int | None = None) -> float:
-        K = self.K if K is None else min(K, self.K)
-        w = self.windows
-        first_s = w[:, 0] > 1.0 - s
-        first_t = w[:, 0] > 1.0 - t
-        later_t = w[:, 1:K] > 1.0 - t
-        later_s = w[:, 1:K] > 1.0 - s
-        series = np.mean(first_s[:, None] & later_t, axis=0).sum()
-        series += np.mean(first_t[:, None] & later_s, axis=0).sum()
-        return min(s, t) + float(series)
-
-    def c_fg(self, s: float, t: float, K: int | None = None) -> float:
-        if s >= t:
-            return t
-        K = self.K if K is None else min(K, self.K)
-        w = self.windows[:, :K]
-        first = w[:, 0]
-        rest = w[:, 1:]
-        whole_max = w.max(axis=1)
-        rest_max = rest.max(axis=1) if rest.shape[1] else np.zeros(len(w))
-        lead = np.mean((first > 1.0 - t) & (whole_max > 1.0 - s))
-        hit_t = rest > 1.0 - t
-        series = np.mean(
-            (first > 1.0 - s)[:, None] & hit_t & (rest_max <= 1.0 - s)[:, None], axis=0
-        ).sum()
-        return float(lead + series)
-
-    def c(self, s: float, t: float) -> float:
+    def matrices(self, s, t) -> tuple:
+        levels, index = np.unique(np.concatenate([s, t]), return_inverse=True)
+        cut = 1.0 - levels[:, None]
+        w, count = self.windows, len(self.windows)
+        # float tables, levels x windows: ``@`` on boolean arrays is a logical OR, not a count
+        first = (w[:, 0] > cut).astype(float)
+        later_max = (w[:, 1:].max(axis=1, initial=0.0) > cut).astype(float)
+        later = np.count_nonzero(w[:, 1:] > cut[:, :, None], axis=2).astype(float)
+        low = np.minimum.outer(levels, levels)
+        # entry (a, b): sum over k >= 2 of P{W_1 > 1-a, W_k > 1-b}
+        pairs = first @ later.T
+        c_g = low + (pairs + pairs.T) / count
+        # a < b: P{W_1 > 1-b, max_j W_j > 1-a} plus the windows whose later
+        # entries stay at or below 1 - a, counted at every later W_k > 1-b
+        whole = np.maximum(first, later_max)
+        series = whole @ first.T + (first * (1.0 - later_max)) @ later.T
+        c_fg = np.where(levels[:, None] >= levels, levels, series / count)
         th = self.theta
-        return th * (min(s, t) - self.c_fg(s, t) - self.c_fg(t, s)) + th * th * self.c_g(s, t)
+        c = th * (low - c_fg - c_fg.T) + th * th * c_g
+        rows, cols = np.ix_(index[: len(s)], index[len(s):])
+        return c[rows, cols], c_g[rows, cols], c_fg[rows, cols]
 
 
-class MCGrid:
+class MCGrid(_Kernel):
     """Empirical covariance kernel on a grid, bilinearly interpolated off-grid.
 
     The grid is implicitly extended by t = 0 where every path (and hence every
-    covariance) vanishes, so evaluation is defined on [0, max(grid)]^2.
+    covariance) vanishes, so evaluation is defined on [0, max(grid)]^2.  A read
+    is W_s M W_t^T with bilinear weights W, exactly M's entry at grid points.
 
     From :func:`estimate_kernel_mc` in rank mode, ``c_g`` and ``c_fg`` are
     exactly 0 whenever r divides n; only ``c`` is meaningful there.
@@ -282,43 +290,37 @@ class MCGrid:
         self.grid = check_grid(grid)
         self.theta = theta
         self._ext = np.concatenate([[0.0], self.grid])
-        self._c = self._pad(c_mat)
-        self._cg = self._pad(cg_mat)
-        self._cfg = self._pad(cfg_mat)
+        self._c, self._cg, self._cfg = map(self._pad, (c_mat, cg_mat, cfg_mat))
 
-    @staticmethod
-    def _pad(mat) -> np.ndarray:
+    def _pad(self, mat) -> np.ndarray:
         # np.cov of a single variable is 0-d; promote to a 1x1 matrix
         mat = np.atleast_2d(np.asarray(mat, dtype=float))
-        g = mat.shape[0]
+        g = len(self.grid)
+        if mat.shape != (g, g):
+            raise ValueError(f"need a {g} x {g} matrix for {g} grid levels, got shape {mat.shape}")
         out = np.zeros((g + 1, g + 1))
         out[1:, 1:] = mat
         return out
 
-    def _bilinear(self, mat: np.ndarray, s: float, t: float) -> float:
+    def _weights(self, levels) -> np.ndarray:
+        """Bilinear weights on the extended grid, one row per level."""
         g = self._ext
-        if not (0.0 <= s <= g[-1] and 0.0 <= t <= g[-1]):
-            raise ValueError(f"point ({s}, {t}) outside kernel grid range")
-        i = min(int(np.searchsorted(g, s, side="right")), len(g) - 1)
-        j = min(int(np.searchsorted(g, t, side="right")), len(g) - 1)
-        i0, j0 = i - 1, j - 1
-        ds = (s - g[i0]) / (g[i] - g[i0])
-        dt = (t - g[j0]) / (g[j] - g[j0])
-        return float(
-            mat[i0, j0] * (1 - ds) * (1 - dt)
-            + mat[i, j0] * ds * (1 - dt)
-            + mat[i0, j] * (1 - ds) * dt
-            + mat[i, j] * ds * dt
-        )
+        x = np.asarray(levels, dtype=float)
+        inside = (x >= 0.0) & (x <= g[-1])  # NaN is outside
+        if not inside.all():
+            raise ValueError(f"levels {x[~inside].tolist()} outside kernel grid range")
+        hi = np.minimum(np.searchsorted(g, x, side="right"), len(g) - 1)
+        lo = hi - 1
+        d = (x - g[lo]) / (g[hi] - g[lo])
+        out = np.zeros((len(x), len(g)))
+        rows = np.arange(len(x))
+        out[rows, lo] = 1.0 - d
+        out[rows, hi] = d
+        return out
 
-    def c(self, s: float, t: float) -> float:
-        return self._bilinear(self._c, s, t)
-
-    def c_g(self, s: float, t: float) -> float:
-        return self._bilinear(self._cg, s, t)
-
-    def c_fg(self, s: float, t: float) -> float:
-        return self._bilinear(self._cfg, s, t)
+    def matrices(self, s, t) -> tuple:
+        ws, wt = self._weights(s), self._weights(t)
+        return tuple(ws @ mat @ wt.T for mat in (self._c, self._cg, self._cfg))
 
 
 def estimate_kernel_mc(

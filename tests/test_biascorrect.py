@@ -1,5 +1,7 @@
 """Signed measures, structural condition checks, and bias-removing combination."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -275,31 +277,43 @@ def test_corrected_curve_iid_is_flat_or_degenerate():
 def test_sigma2_hand_oracle():
     mu = ex.two_atom_measure(0.5, 1.0, 2.0)
 
+    # the test kernels hold only the c matrix, the one sigma2_mu reads
     class MinKernel:
         def c(self, s, t):
             return min(s, t)
+
+        def matrices(self, s, t):
+            return (np.minimum.outer(s, t),)
 
     assert ex.sigma2_mu(mu, 1.0, MinKernel()) == pytest.approx(33.0, abs=1e-9)
 
 
 def test_sigma2_matches_brute_force():
-    rng = np.random.default_rng(23)
-
     class Kern:
         def c(self, s, t):
             return min(s, t) + 0.25 * s * t
 
-    kern = Kern()
-    for mu in (
-        ex.two_atom_measure(0.3, 0.8, 2.5),
-        ex.product_measure(1.5, 2.0, 2.0, 3),
-        ex.scale_measure(ex.two_atom_measure(0.5, 1.0, 2.0), 0.7),
-    ):
+        def matrices(self, s, t):
+            return (np.minimum.outer(s, t) + 0.25 * np.multiply.outer(s, t),)
+
+    # the benchmark's AR(1) kernel config, and tail-chain windows of the same model
+    mc = ex.estimate_kernel_mc(ex.AR1Cauchy(phi=0.6), 20_000, ex.EstimatorConfig(r=10, k=200),
+                               np.linspace(0.05, 1.0, 20), replicates=200, seed=0)
+    tail = ex.tail_chain_probabilities(ex.AR1Cauchy(phi=0.6), v=1e-3, K=50, replicates=20,
+                                       seed=0, n=100_000)
+    cases = [
+        (Kern(), ex.two_atom_measure(0.3, 0.8, 2.5)),
+        (Kern(), ex.product_measure(1.5, 2.0, 2.0, 3)),
+        (Kern(), ex.scale_measure(ex.two_atom_measure(0.5, 1.0, 2.0), 0.7)),
+        (mc, ex.two_atom_measure(0.5, 1.0, 2.0)),
+        (tail, ex.product_measure(1.0, 2.0, 1.5, 8)),
+    ]
+    for kern, mu in cases:
+        c = functools.cache(kern.c)  # 256 atoms on 29 levels: read each pair once
         for delta in (0.5, 1.0):
-            sym = mu.symmetrized()
-            s, t, w = sym.arrays()
+            s, t, w = mu.symmetrized().arrays()
             num = sum(
-                w[i] * w[j] * (s[i] * s[j]) ** delta / (t[i] * t[j]) * kern.c(t[i], t[j])
+                w[i] * w[j] * (s[i] * s[j]) ** delta / (t[i] * t[j]) * c(t[i], t[j])
                 for i in range(len(w))
                 for j in range(len(w))
             )
@@ -317,9 +331,15 @@ def test_sigma2_bilinearity_and_zero_kernel():
         def c(self, s, t):
             return self.fac * min(s, t)
 
+        def matrices(self, s, t):
+            return (self.fac * np.minimum.outer(s, t),)
+
     class Zero:
         def c(self, s, t):
             return 0.0
+
+        def matrices(self, s, t):
+            return (np.zeros((len(s), len(t))),)
 
     assert ex.sigma2_mu(mu, 1.0, Zero()) == 0.0
     assert ex.sigma2_mu(mu, 1.0, Scaled(4.0)) == pytest.approx(

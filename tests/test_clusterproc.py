@@ -127,7 +127,8 @@ def test_tail_chain_iid_degenerate_kernel():
         assert abs(series.c_g(s, t) - min(s, t)) <= 0.15
     assert series.c_fg(1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
     # dropping the last 10 window positions barely moves c_g(1, 1)
-    full, short = series.c_g(1.0, 1.0), series.c_g(1.0, 1.0, K=series.K - 10)
+    full = series.c_g(1.0, 1.0)
+    short = ex.TailChainSeries(series.windows[:, :-10], series.theta, series.v).c_g(1.0, 1.0)
     assert abs(full - short) / abs(full) < 0.05
 
 
@@ -383,6 +384,12 @@ def test_mc_grid_rejects_bad_grid():
     for grid in BAD_GRIDS:
         with pytest.raises(ValueError, match="grid"):
             ex.MCGrid(grid, np.eye(len(grid)), np.eye(len(grid)), np.eye(len(grid)), 1.0)
+    # a matrix of another size once read an entry of a level the grid does not hold
+    for bad in (np.eye(3), np.eye(1), np.ones((2, 3)), np.ones(2)):
+        for mats in ((bad, np.eye(2), np.eye(2)), (np.eye(2), bad, np.eye(2)),
+                     (np.eye(2), np.eye(2), bad)):
+            with pytest.raises(ValueError, match="2 x 2 matrix for 2 grid levels"):
+                ex.MCGrid([0.5, 1.0], *mats, 1.0)
 
 
 def test_tail_chain_windows_equal_per_exceedance_loop():

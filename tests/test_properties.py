@@ -980,3 +980,116 @@ def test_csv_writer_has_the_bytes_of_the_per_cell_writer(tmp_path_factory, resul
     _write_figure1(replace(result, config=replace(cfg, out_dir=str(out / "bundle"))), runs)
     for name in WRITTEN_FILES[2:]:
         assert (out / "bundle" / name).read_bytes() == (out / "cells" / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# Covariance kernels: one matrix read against the per-point definitions
+# ---------------------------------------------------------------------------
+
+
+def tail_chain_point(kern, s, t):
+    """(c, c_g, c_fg) of a ``TailChainSeries`` at one pair, as per-lag means over its windows."""
+    w = kern.windows
+
+    def c_g(s, t):
+        first_s, first_t = w[:, 0] > 1.0 - s, w[:, 0] > 1.0 - t
+        series = np.mean(first_s[:, None] & (w[:, 1:] > 1.0 - t), axis=0).sum()
+        series += np.mean(first_t[:, None] & (w[:, 1:] > 1.0 - s), axis=0).sum()
+        return min(s, t) + float(series)
+
+    def c_fg(s, t):
+        if s >= t:
+            return t
+        first, rest = w[:, 0], w[:, 1:]
+        rest_max = rest.max(axis=1) if rest.shape[1] else np.zeros(len(w))
+        lead = np.mean((first > 1.0 - t) & (w.max(axis=1) > 1.0 - s))
+        hit_t = rest > 1.0 - t
+        series = np.mean(
+            (first > 1.0 - s)[:, None] & hit_t & (rest_max <= 1.0 - s)[:, None], axis=0
+        ).sum()
+        return float(lead + series)
+
+    th = kern.theta
+    return th * (min(s, t) - c_fg(s, t) - c_fg(t, s)) + th * th * c_g(s, t), c_g(s, t), c_fg(s, t)
+
+
+def eighths_windows():
+    """80 windows of length 12 on the eighths, so that levels in eighths meet entries at 1 - t."""
+    rng = np.random.default_rng(5)
+    w = rng.integers(0, 9, size=(80, 12)) / 8.0 * (rng.random((80, 12)) < 0.3)
+    w[:, 0] = rng.integers(1, 9, size=80) / 8.0
+    return w
+
+
+TAIL_WINDOWS = {
+    "eighths": eighths_windows(),
+    "wn": ex.tail_chain_probabilities(ex.RandomRepetition(psi=0.6, innovation=ex.Uniform01()),
+                                      v=2e-3, K=12, replicates=10, seed=2, n=20_000).windows,
+}
+# levels in (0, 1], the eighths among them
+kernel_levels = st.lists(
+    st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.sampled_from(np.arange(1, 9) / 8.0)),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(TAIL_WINDOWS)), st.integers(1, 12), kernel_levels, kernel_levels)
+@example("eighths", 1, [0.25, 0.5, 1.0], [1.0, 0.375])  # K = 1: no later entries
+def test_tail_chain_matrices_equal_the_per_lag_means(windows, K, s, t):
+    # the counts are exact sums of table products, the per-lag means are not: a relative
+    # error of 1e-12 of the terms, which are of order 1
+    kern = ex.TailChainSeries(TAIL_WINDOWS[windows][:, :K], theta=0.4, v=1e-3)
+    got = kern.matrices(s, t)
+    want = np.array([[tail_chain_point(kern, a, b) for b in t] for a in s])
+    for which in range(3):
+        assert got[which].shape == (len(s), len(t))
+        np.testing.assert_allclose(got[which], want[:, :, which], rtol=1e-12, atol=1e-12)
+
+
+def bilinear_point(mat, ext, s, t):
+    """The scalar bilinear read at one pair of a matrix padded on the grid extended by 0."""
+    i = min(int(np.searchsorted(ext, s, side="right")), len(ext) - 1)
+    j = min(int(np.searchsorted(ext, t, side="right")), len(ext) - 1)
+    ds = (s - ext[i - 1]) / (ext[i] - ext[i - 1])
+    dt = (t - ext[j - 1]) / (ext[j] - ext[j - 1])
+    return (mat[i - 1, j - 1] * (1 - ds) * (1 - dt) + mat[i, j - 1] * ds * (1 - dt)
+            + mat[i - 1, j] * (1 - ds) * dt + mat[i, j] * ds * dt)
+
+
+def random_mc_grid():
+    """An ``MCGrid`` on an uneven grid, with symmetric c and c_g and a non-symmetric c_fg."""
+    rng = np.random.default_rng(9)
+    a, b, cross = (rng.normal(size=(5, 5)) for _ in range(3))
+    return ex.MCGrid([0.1, 0.25, 0.5, 0.8, 0.9], a @ a.T, b @ b.T, cross, 0.4)
+
+
+MC_GRID = random_mc_grid()
+grid_levels = st.lists(
+    st.one_of(st.floats(0.0, 0.9), st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.8, 0.9])),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_levels, grid_levels)
+def test_mc_grid_matrices_equal_the_scalar_bilinear_read(s, t):
+    # entries of order 1, so an absolute 1e-12 covers the weights that round near 0
+    got = MC_GRID.matrices(s, t)
+    for which, mat in enumerate((MC_GRID._c, MC_GRID._cg, MC_GRID._cfg)):
+        want = [[bilinear_point(mat, MC_GRID._ext, a, b) for b in t] for a in s]
+        np.testing.assert_allclose(got[which], want, rtol=1e-12, atol=1e-12)
+
+
+def test_mc_grid_reads_its_stored_entries_at_grid_points():
+    levels = np.concatenate([[0.0], MC_GRID.grid])[::-1]
+    got = MC_GRID.matrices(levels, levels)
+    for which, mat in enumerate((MC_GRID._c, MC_GRID._cg, MC_GRID._cfg)):
+        assert np.array_equal(got[which], mat[::-1, ::-1])
+    assert MC_GRID.c(0.25, 0.8) == MC_GRID._c[2, 4]
+    for bad in (math.nan, -0.1, 0.9 + 1e-12, math.inf):
+        for s, t in (([bad], [0.5]), ([0.5], [0.25, bad])):
+            with pytest.raises(ValueError, match="outside kernel grid range"):
+                MC_GRID.matrices(s, t)
+        with pytest.raises(ValueError, match="outside kernel grid range"):
+            MC_GRID.c(0.5, bad)

@@ -48,6 +48,14 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
 * ``kernel_mc.ar1_kernel`` (array): the same call with generation, as a
   user runs it, so across every core the replicate driver uses, divided by
   the replicate count.
+* ``sigma2_mu.tail_product8`` (array): ``biascorrect.sigma2_mu`` at
+  delta = 1 of the 128-atom ``product_measure(1, 2, 1.5, 8)`` (256 atoms
+  once symmetrized, on 29 distinct levels) under the tail-chain kernel of
+  AR(1) Cauchy from ``tail_chain_probabilities`` (v = 0.001, K = 50, 100
+  paths of n = 100 000, seed 0); ``windows`` gives its window count.
+* ``sigma2_mu.ar1_kernel`` (interpreted): ``sigma2_mu`` of the two-atom
+  measure under the ``MCGrid`` of the kernel config above, as the
+  benchmark's ``ar1_kernel`` workload calls it after ``estimate_kernel_mc``.
 * ``sweep`` and ``corrected_curve`` (interpreted): one call on one AR(1)
   sample with r = 10, k = 2000 and the two-atom measure, evaluator build
   included.
@@ -172,6 +180,7 @@ AR1_KERNEL = dict(
     replicates=200,
     seed=0,
 )
+TAIL_CHAIN = dict(v=1e-3, K=50, replicates=100, seed=0, n=100_000)
 REPEATS = 15
 COLD_MC = "import sys; from exindex.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))"
 COLD_IMPORT = (
@@ -333,6 +342,8 @@ def layers() -> dict:
         "array", lambda: clusterproc.estimate_kernel_mc(**kernel), per=kernel["replicates"]
     )
 
+    out.update(sigma2_layers(timed))
+
     x = ex.generate(MODELS["ar1_cauchy"], N, 0).values
     est = ex.EstimatorConfig(r=10, k=2000)
     out["sweep"] = timed("interpreted", lambda: ex.sweep(x, est, GRID))
@@ -360,6 +371,21 @@ def layers() -> dict:
     out.update(persist_layers(timed))
     out.update(cold_import_layers(timed))
     return out
+
+
+def sigma2_layers(timed) -> dict:
+    """``sigma2_mu.tail_product8`` and ``sigma2_mu.ar1_kernel``."""
+    tail = clusterproc.tail_chain_probabilities(MODELS["ar1_cauchy"], **TAIL_CHAIN)
+    product8 = ex.product_measure(1.0, 2.0, 1.5, 8)
+    grid_kernel = clusterproc.estimate_kernel_mc(**AR1_KERNEL)
+    return {
+        "sigma2_mu.tail_product8": dict(
+            timed("array", lambda: ex.sigma2_mu(product8, 1.0, tail)), windows=len(tail.windows)
+        ),
+        "sigma2_mu.ar1_kernel": timed(
+            "interpreted", lambda: ex.sigma2_mu(TWO_ATOM, 1.0, grid_kernel)
+        ),
+    }
 
 
 def mm_figure_layers(timed) -> dict:
