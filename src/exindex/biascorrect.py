@@ -26,6 +26,7 @@ estimator process.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +72,11 @@ class SignedMeasureAtoms:
         if len(self.atoms) == 0:
             raise ValueError("measure must have at least one atom")
         object.__setattr__(self, "atoms", tuple((float(s), float(t), float(w)) for s, t, w in self.atoms))
-        for s, t, _ in self.atoms:
+        for s, t, w in self.atoms:
             if not (0.0 < s <= 1.0 and 0.0 < t <= 1.0):
                 raise ValueError(f"atom coordinates must lie in (0, 1], got ({s}, {t})")
+            if not math.isfinite(w):
+                raise ValueError(f"atom weights must be finite, got atom ({s}, {t}, {w})")
         if self.total_variation == 0.0:
             raise ValueError("measure must have a nonzero weight")
         # Total weight 0 is implied by the cancellation condition and is
@@ -135,6 +138,8 @@ def product_measure(kappa: float, a: float, b: float, m: int) -> SignedMeasureAt
         raise ValueError(f"discretization size must be at least 1, got {m}")
     mid = (np.arange(m) + 0.5) / m
     mass = mid**kappa
+    if not mass.sum() > 0:  # 0/0 below: every weight would be NaN
+        raise ValueError(f"kappa={kappa} underflows every midpoint mass t^kappa to 0 (m={m})")
     mass /= mass.sum()
     atoms = []
     for i in range(m):
@@ -410,5 +415,7 @@ def read_measure_csv(path) -> SignedMeasureAtoms:
         for row in reader:
             if not row:
                 continue
+            if len(row) < 3:
+                raise ValueError(f"{path} line {reader.line_num}: expected s,t,w, got {row}")
             atoms.append((float(row[0]), float(row[1]), float(row[2])))
     return SignedMeasureAtoms(tuple(atoms), provenance="custom")

@@ -170,7 +170,7 @@ def _load_measure(args, flag="--measure"):
 
 def _cmd_simulate(args) -> None:
     model = model_from_dict(_model_dict(args))
-    x = generate(model, args.n, args.seed, burn_in=args.burn_in)
+    x = generate(model, args.n, args.seed)
     _emit([_fmt(v) for v in x.values], args.out)
 
 
@@ -339,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--burn-in", type=int, default=0, dest="burn_in")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 

@@ -33,10 +33,12 @@ from ._version import __version__
 from .biascorrect import (
     CurveKernel,
     SignedMeasureAtoms,
+    check_conditions,
     product_measure,
     read_measure_csv,
     two_atom_measure,
 )
+from .errors import MeasureConditionError
 from .estimate import (
     CODE_NAMES,
     EstimatorConfig,
@@ -281,7 +283,6 @@ class ExperimentConfig:
     base_seed: int = 0
     out_dir: str = None
     run_lengths: tuple = None
-    burn_in: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "r_list", tuple(int(r) for r in self.r_list))
@@ -307,6 +308,10 @@ class ExperimentConfig:
             EstimatorConfig(r=r, k=self.k).validate_for(self.n)
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
+        failed = self.measure and check_conditions(self.measure, (self.delta,)).violations()
+        if failed:
+            code = failed[0]
+            raise MeasureConditionError(f"measure fails {code} at delta={self.delta}", code)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -334,7 +339,6 @@ class ExperimentConfig:
             base_seed=_number(d, "base_seed", "config", _int, 0),
             out_dir=out_dir,
             run_lengths=run_lengths,
-            burn_in=_number(d, "burn_in", "config", _int, 0),
         )
 
     @classmethod
@@ -537,9 +541,7 @@ def _replicates(cfg: ExperimentConfig, run_lengths=(), formatted=False) -> tuple
         rows = _format_rows(templates, rep, values, codes) if formatted else None
         return values, codes, runs, rows
 
-    results = map_replicates(
-        step, cfg.model, cfg.n, cfg.base_seed, cfg.replicates, cfg.burn_in, top=cfg.k + 1
-    )
+    results = map_replicates(step, cfg.model, cfg.n, cfg.base_seed, cfg.replicates, top=cfg.k + 1)
     # (kind and r, replicate, level), so each (kind, r) is one contiguous array
     shape = (len(templates), cfg.replicates, len(cfg.t_grid))
     values, codes = np.empty(shape), np.empty(shape, dtype=np.int8)

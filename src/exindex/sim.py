@@ -21,7 +21,7 @@ constructor fields, as :func:`config_fields` lists them, are the only list of
 a class's parameters: ``to_dict``, the config parser and the CLI model flags
 all read them.
 
-All generators are deterministic functions of (model, n, seed, burn_in, top).
+All generators are deterministic functions of (model, n, seed, top).
 Every Monte Carlo loop runs its replicates through :func:`map_replicates`.
 """
 
@@ -679,7 +679,6 @@ class SeriesSample:
     values: np.ndarray
     model: object
     seed: object
-    burn_in: int = 0
     top: object = None  # set where only the ``top`` largest values are exact (``generate``)
 
     @property
@@ -701,39 +700,35 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def generate(model, n: int, seed, burn_in: int = 0, top=None) -> SeriesSample:
+def generate(model, n: int, seed, top=None) -> SeriesSample:
     """Simulate a stationary path of length ``n`` from ``model``.
 
     ``seed`` may be an integer or a numpy ``SeedSequence`` (e.g. from
-    :func:`substream`).  Identical (model, n, seed, burn_in, top) inputs yield
-    bit-identical output.  ``burn_in`` leading values are generated and
-    discarded; it may be 0 for every model here because each one starts from
-    an exactly stationary state.
+    :func:`substream`).  Identical (model, n, seed, top) inputs yield
+    bit-identical output.  Every model here starts from an exactly stationary
+    state, so the path is ``model.sample(rng, n)`` with nothing discarded.
 
-    ``top``, if given with no burn-in, lets a model with ``sample_top(rng,
-    size, top)`` draw a cheaper path: one that equals the full path at every
-    position at or above its ``top``-th largest value and lies below that
-    value everywhere else.  A consumer that reads only those values (every
-    estimate at budgets below ``top``) gets the same bits from either path.
-    Other models, and every call without ``top``, draw the full path; the
-    result's ``top`` says which was drawn.
+    ``top``, if given, lets a model with ``sample_top(rng, size, top)`` draw
+    a cheaper path: one that equals the full path at every position at or
+    above its ``top``-th largest value and lies below that value everywhere
+    else.  A consumer that reads only those values (every estimate at budgets
+    below ``top``) gets the same bits from either path.  Other models, and
+    every call without ``top``, draw the full path; the result's ``top`` says
+    which was drawn.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
     if top is not None and top < 1:
         raise ValueError(f"top must be at least 1, got {top}")
     sample = getattr(model, "sample", None)
     if sample is None:
         raise ValueError(f"unknown model spec: {model!r}")
-    sample_top = getattr(model, "sample_top", None) if burn_in == 0 else None
+    sample_top = getattr(model, "sample_top", None)
     if top is None or sample_top is None:
-        values, top = sample(_rng(seed), n + burn_in), None
+        values, top = sample(_rng(seed), n), None
     else:
         values = sample_top(_rng(seed), n, top)
-    return SeriesSample(values=np.asarray(values[burn_in:], dtype=float), model=model,
-                        seed=seed, burn_in=burn_in, top=top)
+    return SeriesSample(values=np.asarray(values, dtype=float), model=model, seed=seed, top=top)
 
 
 # A chunk of fewer values than this is not forked.  Forking and reaping a 46 or
@@ -745,15 +740,12 @@ def generate(model, n: int, seed, burn_in: int = 0, top=None) -> SeriesSample:
 _MIN_CHUNK_VALUES = 250_000
 
 
-def map_replicates(
-    step, model, n: int, seed: int, replicates: int, burn_in: int = 0, top=None
-) -> list:
+def map_replicates(step, model, n: int, seed: int, replicates: int, top=None) -> list:
     """``[step(i, path_i) for i in range(replicates)]``, in replicate order.
 
     Replicate i draws ``path_i = generate(model, n, substream(seed, i),
-    burn_in=burn_in)``, with ``top=top`` passed on only when given, so each
-    result depends only on (model, n, seed, i, burn_in, top) and the list is
-    the same however the replicates are split.
+    top=top)``, so each result depends only on (model, n, seed, i, top) and
+    the list is the same however the replicates are split.
 
     The replicates run in ``min(usable cores, replicates, n * replicates //
     _MIN_CHUNK_VALUES)`` contiguous chunks: the calling process runs the first
@@ -768,13 +760,9 @@ def map_replicates(
     """
     chunks = _chunk_count(n, replicates)
     bounds = [replicates * c // chunks for c in range(chunks + 1)]
-    extra = {} if top is None else {"top": top}
 
     def run(lo, hi):
-        return [
-            step(i, generate(model, n, substream(seed, i), burn_in=burn_in, **extra))
-            for i in range(lo, hi)
-        ]
+        return [step(i, generate(model, n, substream(seed, i), top=top)) for i in range(lo, hi)]
 
     if chunks == 1:
         return run(0, replicates)

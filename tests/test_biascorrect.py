@@ -79,6 +79,20 @@ def test_measure_atom_validation():
     assert mu.max_coordinate == 0.5
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+def test_measure_rejects_a_non_finite_weight_naming_its_atom(weight):
+    message = rf"weights must be finite, got atom \(0.5, 0.25, {weight}\)"
+    with pytest.raises(ValueError, match=message):
+        ex.SignedMeasureAtoms(((0.25, 0.5, 1.0), (0.5, 0.25, weight)))
+
+
+@pytest.mark.parametrize("kappa", [np.inf, 1e4])
+def test_product_measure_rejects_a_kappa_that_leaves_no_mass(kappa):
+    # t^kappa underflows to 0 at every midpoint, so the normalized masses would be 0/0
+    with pytest.raises(ValueError, match=f"kappa={kappa} underflows every midpoint mass"):
+        ex.product_measure(kappa, 2.0, 1.5, 2)
+
+
 def test_check_conditions_two_atom_passes():
     report = ex.check_conditions(ex.two_atom_measure(0.5, 1.0, 2.0))
     assert report.ok
@@ -367,6 +381,10 @@ def test_measure_csv_roundtrip(tmp_path):
     bad.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         ex.read_measure_csv(bad)
+    short = tmp_path / "short.csv"
+    short.write_text("s,t,w\n0.25,1,1\n0.5,1\n")
+    with pytest.raises(ValueError, match=rf"{short} line 3: expected s,t,w, got \['0.5', '1'\]"):
+        ex.read_measure_csv(short)
 
 
 def test_bias_model_curve():

@@ -953,3 +953,84 @@ def test_scipy_loads_only_for_normality_check(tmp_path):
         ["scipy.signal or a submodule", 0, False],
         ["normality_check", True, True],
     ]
+
+
+def test_burn_in_is_neither_a_config_key_nor_a_simulate_flag(tmp_path, capsys):
+    cfg = ex.ExperimentConfig(
+        model=ex.IID(innovation=ex.Uniform01()), n=200, r_list=(5,), k=20, t_grid=(0.5, 1.0),
+        replicates=2,
+    )
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({**cfg.to_dict(), "burn_in": 0}))
+    rc = dispatch(["mc", "--config", str(config_path), "--out", str(tmp_path / "exp")])
+    assert rc == 1
+    assert capsys.readouterr().err == "INVALID_ARGUMENT: unknown config keys: burn_in\n"
+    assert not (tmp_path / "exp").exists()
+    assert dispatch(["simulate", "--model", "iid", "--n", "5", "--burn-in", "3"]) == 2
+    assert "unrecognized arguments: --burn-in 3" in capsys.readouterr().err
+
+
+def _measure_commands(series_file, path):
+    correct = ["correct", "--series", series_file, "--r", "3", "--k", "4", "--measure", path]
+    return [correct, [*correct, "--grid", "0.5,1"], ["check-measure", "--in", path]]
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_measure_csv_with_a_non_finite_weight_exits_1(series_file, tmp_path, weight, capsys):
+    path = tmp_path / "mu.csv"
+    path.write_text(f"s,t,w\n0.25,1,1\n0.5,0.5,{weight}\n")
+    for argv in _measure_commands(series_file, str(path)):
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"INVALID_ARGUMENT: atom weights must be finite, got atom (0.5, 0.5, {weight})\n"
+        )
+
+
+def test_measure_csv_with_a_short_row_exits_1(series_file, tmp_path, capsys):
+    path = tmp_path / "mu.csv"
+    path.write_text("s,t,w\n0.25,1,1\n0.5,1\n")
+    for argv in _measure_commands(series_file, str(path)):
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == (
+            f"INVALID_ARGUMENT: {path} line 3: expected s,t,w, got ['0.5', '1']\n"
+        )
+    proc = fresh_python("-m", "exindex.cli", *_measure_commands(series_file, str(path))[0])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("INVALID_ARGUMENT:") and "Traceback" not in proc.stderr
+
+
+def test_product_flag_that_leaves_no_mass_exits_1(series_file, capsys):
+    argv = ["correct", "--series", series_file, "--r", "3", "--k", "4", "--product", "inf,2,1.5,2"]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == (
+        "INVALID_ARGUMENT: kappa=inf underflows every midpoint mass t^kappa to 0 (m=2)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "measure, err",
+    [
+        ({"atoms": [[0.25, 1.0, float("nan")], [0.5, 0.5, -1.0]]},
+         "INVALID_ARGUMENT: atom weights must be finite, got atom (0.25, 1.0, nan)\n"),
+        ({"atoms": [[0.25, 1.0, 1.0], [0.5, 0.5, float("-inf")]]},
+         "INVALID_ARGUMENT: atom weights must be finite, got atom (0.5, 0.5, -inf)\n"),
+        ({"kind": "product", "kappa": float("inf"), "a": 2.0, "b": 1.5, "m": 2},
+         "INVALID_ARGUMENT: kappa=inf underflows every midpoint mass t^kappa to 0 (m=2)\n"),
+        ({"atoms": [[0.25, 1.0, 1.0], [0.5, 1.0, -1.0]]},
+         "M1_VIOLATION: measure fails M1_VIOLATION at delta=1.0\n"),
+        ({"atoms": [[0.5, 1.0, 1.0], [1.0, 0.5, -1.0]], "delta": 2.0},
+         "M2_VIOLATION: measure fails M2_VIOLATION at delta=2.0\n"),
+    ],
+    ids=["nan_weight", "infinite_weight", "infinite_kappa", "m1", "m2"],
+)
+def test_mc_rejects_a_bad_measure_before_simulating(tmp_path, measure, err, capsys):
+    config = {"model": {"name": "iid"}, "n": 200, "r_list": [5], "k": 20, "t_grid": [0.5, 1.0],
+              "replicates": 2, "measure": measure}
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(config))  # NaN and Infinity are written as bare tokens
+    rc = dispatch(["mc", "--config", str(config_path), "--out", str(tmp_path / "exp")])
+    assert rc == 1
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "exp").exists()

@@ -350,9 +350,9 @@ def recording_generate(monkeypatch):
     seeds = []
     generate = sim_module.generate
 
-    def recorded(model, n, seed, burn_in=0):
+    def recorded(model, n, seed, top=None):
         seeds.append(seed)
-        return generate(model, n, seed, burn_in=burn_in)
+        return generate(model, n, seed, top=top)
 
     monkeypatch.setattr(sim_module, "generate", recorded)
     return seeds

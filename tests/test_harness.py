@@ -106,7 +106,7 @@ def test_config_fields_are_the_constructor_fields():
     assert config_fields(ex.RandomRepetition) == ("psi", "innovation")
     assert harness._CONFIG_KEYS == (
         "model", "n", "r_list", "k", "t_grid", "measure", "replicates", "base_seed",
-        "out_dir", "run_lengths", "burn_in",
+        "out_dir", "run_lengths",
     )
 
 
@@ -184,8 +184,30 @@ def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys: replicate, seed$"):
         ex.ExperimentConfig.from_dict({**base, "seed": 1, "replicate": 3})
     # every key that to_dict writes is accepted back
-    full = small_config(out_dir="exp", run_lengths=(3,), burn_in=2).to_dict()
+    full = small_config(out_dir="exp", run_lengths=(3,)).to_dict()
     assert ex.ExperimentConfig.from_dict(full).to_dict() == full
+    # every model starts stationary, so there is no burn-in to configure
+    with pytest.raises(ValueError, match="unknown config keys: burn_in$"):
+        ex.ExperimentConfig.from_dict({**full, "burn_in": 0})
+
+
+def test_config_checks_its_measure_at_its_own_delta():
+    with pytest.raises(ex.MeasureConditionError, match="fails M1_VIOLATION at delta=1.0") as err:
+        small_config(measure=ex.SignedMeasureAtoms(((0.25, 1.0, 1.0), (0.5, 1.0, -1.0))))
+    assert err.value.code == "M1_VIOLATION"
+    # two cancelling pairs whose level integrals cancel at delta = 3 and nowhere probed by default
+    pair, other = ex.two_atom_measure(0.5, 1.0, 2.0), ex.two_atom_measure(0.8, 0.4, 2.0)
+    integral = lambda mu: ex.check_conditions(mu, (3.0,)).m2_integrals[3.0]
+    w = -integral(pair) / integral(other)
+    mu = ex.SignedMeasureAtoms(pair.atoms + tuple((s, t, w * x) for s, t, x in other.atoms))
+    assert ex.check_conditions(mu).ok
+    assert small_config(measure=mu, delta=1.0).measure == mu
+    with pytest.raises(ex.MeasureConditionError, match="fails M2_VIOLATION at delta=3.0") as err:
+        small_config(measure=mu, delta=3.0)
+    assert err.value.code == "M2_VIOLATION"
+    for mu in (ex.product_measure(1.0, 2.0, 1.5, 4), ex.product_measure(0.5, 3.0, 2.0, 8)):
+        for delta in (0.5, 1.0, 2.0):
+            assert small_config(measure=mu, delta=delta).delta == delta
 
 
 def test_config_rejects_grid_that_is_not_strictly_increasing():
@@ -526,14 +548,14 @@ def test_normality_check_draws_the_replicates_a_direct_loop_draws():
     """Each field equals the one computed from generate and sweep, replicate by replicate."""
     cfg = ex.ExperimentConfig(
         model=WN, n=2000, r_list=(10, 5), k=100, t_grid=(0.5, 1.0), replicates=40,
-        base_seed=3, burn_in=7, measure=ex.two_atom_measure(0.5, 1.0, 2.0),
+        base_seed=3, measure=ex.two_atom_measure(0.5, 1.0, 2.0),
     )
 
     def standardized(n, k, seed):
         v = k / n
         est = ex.EstimatorConfig(r=10, k=k)
         vals = np.array([
-            ex.sweep(ex.generate(WN, n, ex.substream(seed, rep), burn_in=7).values, est, [1.0])
+            ex.sweep(ex.generate(WN, n, ex.substream(seed, rep)).values, est, [1.0])
             .theta_hat[0]
             for rep in range(40)
         ])

@@ -218,20 +218,10 @@ def test_generate_deterministic_and_substreams_distinct():
         assert a.model is model
 
 
-def test_generate_burn_in_is_a_shifted_window():
-    for model in ALL_MODELS:
-        burned = ex.generate(model, 100, ex.substream(0, 0), burn_in=50)
-        full = ex.generate(model, 150, ex.substream(0, 0))
-        assert np.array_equal(burned.values, full.values[50:])
-        assert burned.burn_in == 50
-
-
 def test_generate_rejects_bad_args():
     model = ex.IID(innovation=ex.Uniform01())
     with pytest.raises(ValueError):
         ex.generate(model, 0, 1)
-    with pytest.raises(ValueError):
-        ex.generate(model, 10, 1, burn_in=-1)
     with pytest.raises(ValueError):
         ex.generate(object(), 10, 1)
 
@@ -359,9 +349,6 @@ def test_top_only_moving_maxima_path_is_exact_at_its_top_values():
 
 def test_generate_draws_the_full_path_where_no_top_only_path_applies():
     model = ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5)
-    burned = ex.generate(model, 100, 4, burn_in=10, top=5)
-    assert np.array_equal(burned.values, ex.generate(model, 110, 4).values[10:])
-    assert burned.top is None
     for other in ALL_MODELS[:3]:  # no sample_top
         x = ex.generate(other, 100, 4, top=5)
         assert np.array_equal(x.values, ex.generate(other, 100, 4).values)
@@ -416,7 +403,7 @@ def test_model_theta_values():
     assert mm.theta == pytest.approx(1.0 / 1.25)
 
 
-# sha256 of generate(model, 2000, substream(7, 3), burn_in=b).values.tobytes():
+# sha256 of generate(model, 2000 + offset, substream(7, 3)).values[offset:].tobytes():
 # a change to any model's ``sample`` that moves one bit of its stream fails here
 GOLDEN_MODELS = {
     "iid_uniform": ex.IID(innovation=ex.Uniform01()),
@@ -451,10 +438,14 @@ GOLDEN_STREAMS = {
 }
 
 
-@pytest.mark.parametrize("name, burn_in", sorted(GOLDEN_STREAMS))
-def test_generate_streams_equal_recorded_hashes(name, burn_in):
-    x = ex.generate(GOLDEN_MODELS[name], 2000, ex.substream(7, 3), burn_in=burn_in)
-    assert hashlib.sha256(x.values.tobytes()).hexdigest() == GOLDEN_STREAMS[name, burn_in]
+def _golden_hash(name, offset):
+    x = ex.generate(GOLDEN_MODELS[name], 2000 + offset, ex.substream(7, 3))
+    return hashlib.sha256(x.values[offset:].tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name, offset", sorted(GOLDEN_STREAMS))
+def test_generate_streams_equal_recorded_hashes(name, offset):
+    assert _golden_hash(name, offset) == GOLDEN_STREAMS[name, offset]
 
 
 class _Draws:
@@ -509,9 +500,8 @@ def test_ar1_falls_back_to_lfilter_where_the_extension_cannot_load(
     monkeypatch.delitem(sys.modules, "scipy.signal._sigtools", raising=False)
     monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
     assert sim._linear_filter() is lfilter
-    for burn_in in (0, 5):
-        x = ex.generate(GOLDEN_MODELS["ar1"], 2000, ex.substream(7, 3), burn_in=burn_in)
-        assert hashlib.sha256(x.values.tobytes()).hexdigest() == GOLDEN_STREAMS["ar1", burn_in]
+    for offset in (0, 5):
+        assert _golden_hash("ar1", offset) == GOLDEN_STREAMS["ar1", offset]
 
 
 _LOAD_ORDER_PROBE = """

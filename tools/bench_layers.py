@@ -25,14 +25,12 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
   Cauchy, random repetition, moving maxima, iid uniform).
 * ``generate_top.mm`` (array): one moving-maxima replicate as ``exindex mc``
   draws it at k = 2000, ``generate(..., top=2001)``: only the innovations
-  that can reach the top k + 1 values are inverted.  In a tree without
-  top-only paths this is the full path; ``variant`` says which ran.
+  that can reach the top k + 1 values are inverted.
 * ``top_values.mm_top`` (array): ``estimate._top_slice`` at k = 2000 of
   that path, the partition and sort that every curve of the replicate reads
   its thresholds from, plus the pass that locates the values at or above
-  them (in a tree without ``_top_slice``, ``_top_values``: the partition and
-  sort alone; ``slice`` says which ran).  How the path fills the values it
-  does not invert (ties or distinct stand-ins) sets the partition's speed.
+  them.  How the path fills the values it does not invert (ties or
+  distinct stand-ins) sets the partition's speed.
 * ``replicate_kernel.<config>`` (interpreted): ``harness._replicates`` over
   samples generated beforehand, so generation is excluded, divided by the
   replicate count: the blocks and corrected curves of every r of one
@@ -61,11 +59,9 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
   included.
 * ``runs_curve`` (interpreted): the runs curves of one sample at the run
   lengths 5, 10 and 20 of the ``mm_figure`` workload over the grid
-  thresholds: one ``harness._runs_curves`` call for all three where the tree
-  has it, else one ``_runs_curve_values`` call per run length; ``kernel``
-  says which ran.  Where ``_runs_curves`` takes the ``above`` positions of
-  ``estimate._top_slice`` (k = 2000), they are found beforehand, as the
-  replicate step has them (``kernel`` is ``above_slice``).
+  thresholds, one ``harness._runs_curves`` call for all three.  The
+  ``above`` positions of ``estimate._top_slice`` (k = 2000) that it takes
+  are found beforehand, as the replicate step has them.
 * ``quantile.second_order_pareto`` (array): one ``quantile`` call of the
   moving-maxima innovation law (2, 1, 1, 0.5) on 20 001 uniform draws, as
   ``generate.mm`` makes it.
@@ -79,18 +75,17 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
   that command does with its result once the replicates have run:
   ``harness._persist`` (``summarize``, curves.csv, summary.csv, meta.json)
   plus ``harness._write_figure1`` (the three band files and
-  figure1_meta.json), into a temporary directory, per call.  Where
-  ``_persist`` also returns the blocks band rows, they are passed on.
+  figure1_meta.json, from the band rows ``_persist`` returns), into a
+  temporary directory, per call.
 * ``persist.format_rows.<config>`` (interpreted): formatting the curves.csv
   rows of a 50-replicate ``ar1_c6`` or ``wn_ties`` result, divided by the
-  replicate count.  Where each replicate formats its own rows
-  (``harness._format_rows``) this is that call per replicate; in a tree
-  without it, it is ``_curves_csv`` on the whole result.  ``variant`` says
-  which ran.  ``wn_ties`` leaves most values undefined, ``ar1_c6`` few.
+  replicate count: one ``harness._format_rows`` call per replicate, as each
+  replicate formats its own rows.  ``wn_ties`` leaves most values
+  undefined, ``ar1_c6`` few.
 * ``summarize_persist.<config>`` (interpreted): what the parent process
   still does with that result: ``summarize`` plus writing curves.csv,
   summary.csv and meta.json into a temporary directory, the rows already
-  formatted where the replicates format them.
+  formatted by the replicates.
 * ``mc_persist.ar1_c6`` (interpreted): ``exindex mc --out`` on the
   ``ar1_c6`` config with 50 replicates, as a user runs it, so across every
   core the replicate driver uses, divided by the replicate count.
@@ -125,7 +120,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import inspect
 import io
 import json
 import os
@@ -251,18 +245,15 @@ def replayed(paths):
     """``sim.generate`` replaced by a replay of ``paths``, generated once beforehand.
 
     Path i answers the draw from ``substream(seed, i)``.  The replicate
-    driver is pinned to this process, where it has one.
+    driver is pinned to this process.
     """
-    names = ("generate", "_usable_cores")
-    saved = {name: getattr(sim, name) for name in names if hasattr(sim, name)}
-    sim.generate = lambda model, n, seed, burn_in=0, top=None: paths[seed.spawn_key[0]]
-    if "_usable_cores" in saved:
-        sim._usable_cores = lambda: 1
+    saved = sim.generate, sim._usable_cores
+    sim.generate = lambda model, n, seed, **_: paths[seed.spawn_key[0]]
+    sim._usable_cores = lambda: 1
     try:
         yield
     finally:
-        for name, value in saved.items():
-            setattr(sim, name, value)
+        sim.generate, sim._usable_cores = saved
 
 
 def generated(model, n, seed, replicates):
@@ -307,19 +298,9 @@ def layers() -> dict:
     out = fork_layers(timed)
     for name, model in MODELS.items():
         out[f"generate.{name}"] = timed("array", lambda: ex.generate(model, N, 0))
-    top_only = hasattr(MODELS["mm"], "sample_top")
-    top = {"top": 2001} if top_only else {}
-    out["generate_top.mm"] = dict(
-        timed("array", lambda: ex.generate(MODELS["mm"], N, 0, **top)),
-        variant="top_only" if top_only else "full",
-    )
-    x = ex.generate(MODELS["mm"], N, 0, **top).values
-    top_slice = getattr(estimate, "_top_slice", None)
-    out["top_values.mm_top"] = dict(
-        timed("array", lambda: (top_slice or estimate._top_values)(x, 2000)),
-        variant="top_only" if top_only else "full",
-        slice="top_slice" if top_slice else "top_values",
-    )
+    out["generate_top.mm"] = timed("array", lambda: ex.generate(MODELS["mm"], N, 0, top=2001))
+    x = ex.generate(MODELS["mm"], N, 0, top=2001).values
+    out["top_values.mm_top"] = timed("array", lambda: estimate._top_slice(x, 2000))
 
     for name, fields in KERNEL_CONFIGS.items():
         cfg = harness.ExperimentConfig(
@@ -351,21 +332,10 @@ def layers() -> dict:
         "interpreted", lambda: ex.corrected_curve(x, est, TWO_ATOM, GRID)
     )
     thresholds = np.sort(x)[N - ex.count_at(est.k, np.asarray(GRID)) - 1]
-    if "above" in inspect.signature(getattr(harness, "_runs_curves", len)).parameters:
-        above = estimate._top_slice(x, est.k)[1]
-        kernel = "above_slice"
-
-        def runs():
-            return harness._runs_curves(x, above, RUN_LENGTHS, thresholds)
-    elif hasattr(harness, "_runs_curves"):
-        kernel, runs = "all_lengths", lambda: harness._runs_curves(x, RUN_LENGTHS, thresholds)
-    else:
-        kernel = "per_length"
-
-        def runs():
-            return [harness._runs_curve_values(x, rl, thresholds) for rl in RUN_LENGTHS]
-
-    out["runs_curve"] = dict(timed("interpreted", runs), kernel=kernel)
+    above = estimate._top_slice(x, est.k)[1]
+    out["runs_curve"] = timed(
+        "interpreted", lambda: harness._runs_curves(x, above, RUN_LENGTHS, thresholds)
+    )
 
     out.update(mm_figure_layers(timed))
     out.update(persist_layers(timed))
@@ -415,15 +385,10 @@ def mm_figure_layers(timed) -> dict:
 
 def figure_persist_layer(timed, cfg) -> dict:
     """``summarize_persist.mm_figure``: ``_persist`` plus ``_write_figure1`` of ``cfg``'s result."""
-    result, runs, rows, *flags = harness._replicates(cfg, cfg.run_lengths, formatted=True)
+    result, runs, rows, flags = harness._replicates(cfg, cfg.run_lengths, formatted=True)
 
     def persist():
-        persisted = harness._persist(result, rows, *flags)
-        # a tree whose _persist returns (paths, bands) hands the band rows on
-        if isinstance(persisted[0], tuple):
-            harness._write_figure1(result, runs, persisted[1])
-        else:
-            harness._write_figure1(result, runs)
+        harness._write_figure1(result, runs, harness._persist(result, rows, flags)[1])
 
     return timed("interpreted", persist)
 
@@ -464,17 +429,7 @@ def persist_layers(timed) -> dict:
 
 def persist_result_layers(timed, cfg) -> list:
     """``[("persist.format_rows", stats), ("summarize_persist", stats)]`` of ``cfg``'s result."""
-    if not hasattr(harness, "_format_rows"):
-        result, _ = harness._replicates(cfg)
-        return [
-            ("persist.format_rows", dict(
-                timed("interpreted", lambda: harness._curves_csv(result), per=cfg.replicates),
-                variant="whole_file",
-            )),
-            ("summarize_persist", timed("interpreted", lambda: harness._persist(result))),
-        ]
-    # a tree that counts the flags as it simulates also returns and persists that count
-    result, _, rows, *flags = harness._replicates(cfg, formatted=True)
+    result, _, rows, flags = harness._replicates(cfg, formatted=True)
     templates = harness._row_templates(cfg)
     code_of = {name: code for code, name in enumerate(harness.CODE_NAMES.tolist())}
     curves = [(values[r], codes[r]) for _, values, codes in result.kinds() for r in values]
@@ -491,10 +446,8 @@ def persist_result_layers(timed, cfg) -> list:
             harness._format_rows(templates, rep, values, codes)
 
     return [
-        ("persist.format_rows", dict(
-            timed("interpreted", format_rows, per=cfg.replicates), variant="per_replicate"
-        )),
-        ("summarize_persist", timed("interpreted", lambda: harness._persist(result, rows, *flags))),
+        ("persist.format_rows", timed("interpreted", format_rows, per=cfg.replicates)),
+        ("summarize_persist", timed("interpreted", lambda: harness._persist(result, rows, flags))),
     ]
 
 
