@@ -185,9 +185,13 @@ def check_conditions(
     s^delta + t^delta must exceed 1e-10 in magnitude for every probed delta
     (unverifiable for all delta > 0, so a finite probe set is used; callers
     should include the delta actually in use).  (M3): the integral of 1/(s t)
-    under |mu| is finite for atomic measures and is reported.
+    under |mu| is finite for atomic measures and is reported.  A probe that
+    is not positive and finite raises ``ValueError``.
     """
     probes = DEFAULT_DELTA_PROBE if delta_probe is None else tuple(delta_probe)
+    for d in probes:
+        if not 0 < d < math.inf:
+            raise ValueError(f"delta probes must be positive and finite, got {d}")
     s, t, w = mu.arrays()
     tv = mu.total_variation
 

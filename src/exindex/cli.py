@@ -41,13 +41,12 @@ from .harness import (
     _INNOVATIONS,
     _MODELS,
     ExperimentConfig,
-    _run_with_figure1,
+    figure1_bundle,
     model_from_dict,
     normality_check,
     oracle_theta_nt,
     run,
 )
-from .harness import figure1_bundle  # noqa: F401  (perfbench/layers.py traces this binding)
 from .oracle import bias_expansion_mm, bias_expansion_wn
 from .sim import IID, MovingMaxima, config_fields, generate
 
@@ -299,11 +298,8 @@ def _cmd_mc(args) -> None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
     if cfg.out_dir is None:
         raise _Usage("set out_dir in the config or pass --out")
-    if args.figure1:
-        result, figure_files = _run_with_figure1(cfg)
-    else:
-        result, figure_files = run(cfg), ()
-    lines = [f"wrote {p}" for p in result.files + figure_files]
+    files = figure1_bundle(cfg) if args.figure1 else run(cfg).files
+    lines = [f"wrote {p}" for p in files]
     if args.normality:
         rep = normality_check(cfg)
         lines += [

@@ -306,8 +306,8 @@ class ExperimentConfig:
             raise ValueError("r_list must be nonempty")
         for r in self.r_list:
             EstimatorConfig(r=r, k=self.k).validate_for(self.n)
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < np.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         failed = self.measure and check_conditions(self.measure, (self.delta,)).violations()
         if failed:
             code = failed[0]
@@ -473,11 +473,6 @@ def _column_stats(arr: np.ndarray, refs=np.nan) -> tuple:
     return n_used.tolist(), mean.tolist(), sd.tolist(), rmse.tolist()
 
 
-def _write_sidecar(path, config: ExperimentConfig, extra: dict) -> None:
-    payload = {"package": "exindex", "version": __version__, "config": config.to_dict(), **extra}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _band_line(key, t: str, used: int, mean: str, sd: str) -> str:
     """A figure band file's row at level text ``t``: ``mean`` and ``sd`` blank unless defined."""
     return f"{key},{t},{mean if used else ''},{sd if used > 1 else ''},{used}\n"
@@ -502,7 +497,7 @@ _CODE_OBJECTS = CODE_NAMES.astype(object)
 _CODE_TAILS = [f",{name}\n" for name in CODE_NAMES.tolist()]
 
 
-def _replicates(cfg: ExperimentConfig, run_lengths=(), formatted=False) -> tuple:
+def _replicates(cfg: ExperimentConfig, run_lengths=()) -> tuple:
     """Simulate every replicate once: ``(MCResult, runs, rows, flags)``.
 
     The grid and its budgets are checked and tabulated once; each replicate
@@ -512,8 +507,8 @@ def _replicates(cfg: ExperimentConfig, run_lengths=(), formatted=False) -> tuple
     one kernel call evaluates every r, and one ``_runs_curves`` call every
     run length.  ``runs[run_length]`` is a (replicates x grid) value array
     with NaN where the runs estimate is undefined.  ``rows`` is None, or if
-    ``formatted`` each replicate's curves.csv rows, formatted where it ran
-    (``_format_rows``).  ``flags`` counts the blocks and corrected values
+    ``cfg.out_dir`` is set each replicate's curves.csv rows, formatted where
+    it ran (``_format_rows``).  ``flags`` counts the blocks and corrected values
     with a skip code, read from the integer codes.
 
     Every curve reads only the values at or above the (k + 1)-th largest:
@@ -526,6 +521,7 @@ def _replicates(cfg: ExperimentConfig, run_lengths=(), formatted=False) -> tuple
         check_run_length(run_length, cfg.n)
     kernel = CurveKernel(cfg.k, cfg.t_grid, cfg.measure)
     templates = _row_templates(cfg)
+    formatted = cfg.out_dir is not None
 
     def step(rep, x):
         top, above = _top_slice(x.values, cfg.k)
@@ -561,24 +557,10 @@ def _replicates(cfg: ExperimentConfig, run_lengths=(), formatted=False) -> tuple
 
 def run(config: ExperimentConfig) -> MCResult:
     """Execute the experiment; write curves.csv, summary.csv, meta.json if out_dir set."""
-    result, _, rows, flags = _replicates(config, formatted=config.out_dir is not None)
+    result, _, rows, flags = _replicates(config)
     if rows is not None:
-        result = replace(result, files=_persist(result, rows, flags)[0])
+        result = replace(result, files=_persist(result, rows, flags))
     return result
-
-
-def _run_with_figure1(config: ExperimentConfig) -> tuple:
-    """``run`` and ``figure1_bundle`` from one simulation of each replicate.
-
-    ``config.out_dir`` must be set.  Returns the persisted ``MCResult`` and the
-    figure-bundle paths; every file is byte-identical to the one the two
-    separate calls write.  The blocks and corrected bands reuse the mean and
-    sd text of summary.csv.
-    """
-    result, runs, rows, flags = _replicates(config, config.run_lengths, formatted=True)
-    files, bands = _persist(result, rows, flags)
-    result = replace(result, files=files)
-    return result, _write_figure1(result, runs, bands)
 
 
 _CURVES_HEADER = "replicate,kind,r,t,value,flag\n"
@@ -623,12 +605,15 @@ def _format_rows(templates, rep: int, values, codes) -> list:
     return rows
 
 
-def _persist(result: MCResult, rows, flags: int) -> tuple:
-    """Write curves.csv, summary.csv and meta.json: ``(paths, bands)``.
+def _persist(result: MCResult, rows, flags: int, runs=None) -> tuple:
+    """Write curves.csv, summary.csv and meta.json, and with ``runs`` the figure bundle.
 
-    ``rows`` and ``flags`` come from ``_replicates``.  A ``summarize`` row is
-    one f-string of Python scalars, ``repr`` of each float; its mean and sd
-    text also make its band line in ``bands[kind][r]``, for ``_write_figure1``.
+    ``rows``, ``flags`` and ``runs`` come from ``_replicates``.  A
+    ``summarize`` row is one f-string of Python scalars, ``repr`` of each
+    float; with ``runs``, its mean and sd text also make its row of
+    blocks_curves.csv or corrected_curves.csv, and runs_curves.csv and
+    figure1_meta.json are written too.  Returns the paths of the CSVs and
+    meta.json, the band files last.
     """
     cfg = result.config
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -648,12 +633,37 @@ def _persist(result: MCResult, rows, flags: int) -> tuple:
             f"{row['kind']},{r},{t},{used},{row['n_skipped']},{mean},{sd},"
             f"{row['reference']!r},{row['bias']!r},{row['rmse']!r}\n"
         )
-        bands[row["kind"]].setdefault(r, []).append(_band_line(r, t, used, mean, sd))
+        if runs is not None:
+            bands[row["kind"]].setdefault(r, []).append(_band_line(r, t, used, mean, sd))
     summary_path = os.path.join(cfg.out_dir, "summary.csv")
     Path(summary_path).write_text("".join(lines))
-    meta_path = os.path.join(cfg.out_dir, "meta.json")
-    _write_sidecar(meta_path, cfg, {"flag_count": flags, "outputs": ["curves.csv", "summary.csv"]})
-    return (curves_path, summary_path, meta_path), bands
+    paths = [curves_path, summary_path, os.path.join(cfg.out_dir, "meta.json")]
+    config = cfg.to_dict()
+    _write_json(paths[-1], config, flag_count=flags, outputs=["curves.csv", "summary.csv"])
+    if runs is None:
+        return tuple(paths)
+    for fname, band_lines, param in (
+        ("blocks_curves.csv", bands["raw"], "r"),
+        ("runs_curves.csv", _band_lines(runs, cfg.t_grid), "run_length"),
+        ("corrected_curves.csv", bands["corrected"], "r"),
+    ):
+        path = os.path.join(cfg.out_dir, fname)
+        body = "".join(line for key in sorted(band_lines) for line in band_lines[key])
+        Path(path).write_text(f"{param},t,mean,sd,n_used\n{body}")
+        paths.append(path)
+    outputs = [os.path.basename(p) for p in paths[3:]]
+    _write_json(os.path.join(cfg.out_dir, "figure1_meta.json"), config, outputs=outputs)
+    return tuple(paths)
+
+
+def _write_json(path, config: dict, **extra) -> None:
+    """A JSON sidecar: the package, its version, the config dict and ``extra``.
+
+    A non-finite number raises ``ValueError`` rather than being written as a
+    bare ``NaN`` or ``Infinity`` token, which is not JSON.
+    """
+    payload = {"package": "exindex", "version": __version__, "config": config, **extra}
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -700,36 +710,16 @@ def _runs_curves(values, above, run_lengths, thresholds) -> np.ndarray:
 
 
 def figure1_bundle(config: ExperimentConfig) -> tuple:
-    """Write blocks_curves.csv, runs_curves.csv, corrected_curves.csv.
+    """``run``'s three files plus blocks_curves.csv, runs_curves.csv, corrected_curves.csv.
 
-    Each file holds per-(parameter, t) replicate means with standard-deviation
-    bands; the same simulated paths drive all three panels.
+    The band files hold per-(parameter, t) replicate means with
+    standard-deviation bands; one simulation of each replicate drives every
+    file, and figure1_meta.json lists the band files.  Returns the six paths.
     """
     if config.out_dir is None:
         raise ValueError("figure1_bundle requires out_dir")
-    result, runs, *_ = _replicates(config, config.run_lengths)
-    return _write_figure1(result, runs)
-
-
-def _write_figure1(result: MCResult, runs: dict, bands=None) -> tuple:
-    """Write the band files and figure1_meta.json; ``bands`` as ``_persist`` returns it, or None."""
-    cfg = result.config
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    if bands is None:
-        bands = {kind: _band_lines(curves, cfg.t_grid) for kind, curves, _ in result.kinds()}
-    paths = []
-    for fname, lines, param in (
-        ("blocks_curves.csv", bands["raw"], "r"),
-        ("runs_curves.csv", _band_lines(runs, cfg.t_grid), "run_length"),
-        ("corrected_curves.csv", bands["corrected"], "r"),
-    ):
-        path = os.path.join(cfg.out_dir, fname)
-        body = "".join(line for key in sorted(lines) for line in lines[key])
-        Path(path).write_text(f"{param},t,mean,sd,n_used\n{body}")
-        paths.append(path)
-    outputs = [os.path.basename(p) for p in paths]
-    _write_sidecar(os.path.join(cfg.out_dir, "figure1_meta.json"), cfg, {"outputs": outputs})
-    return tuple(paths)
+    result, runs, rows, flags = _replicates(config, config.run_lengths)
+    return _persist(result, rows, flags, runs)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,17 @@ def test_check_measure_two_atom_report(capsys):
     assert "total_weight 0" in out
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "0", "-1"])
+def test_check_measure_rejects_a_bad_probe_delta(delta, capsys):
+    rc = dispatch(["check-measure", "--two-atom", "0.5,1,2", "--delta", delta])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"INVALID_ARGUMENT: delta probes must be positive and finite, got {float(delta)}\n"
+    )
+
+
 def test_check_measure_single_atom_fails_m1(tmp_path, capsys):
     path = tmp_path / "mu.csv"
     path.write_text("s,t,w\n0.5,0.5,1.0\n")
@@ -289,6 +300,32 @@ def test_mc_figure1_simulates_each_replicate_once(tmp_path, monkeypatch, capsys)
     ex.run(parsed)
     ex.figure1_bundle(parsed)
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == once
+
+
+def test_figure1_bundle_alone_writes_the_files_of_mc_figure1(tmp_path, capsys):
+    out_dir = tmp_path / "exp"
+    cfg = ex.ExperimentConfig(
+        model=ex.AR1Cauchy(phi=0.6),
+        n=400,
+        r_list=(5, 10),
+        k=40,
+        t_grid=(0.5, 0.75, 1.0),
+        measure=ex.two_atom_measure(0.5, 1.0, 2.0),
+        replicates=4,
+        run_lengths=(2,),
+        out_dir=str(out_dir),
+    )
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(cfg.to_dict()))
+    assert dispatch(["mc", "--config", str(config_path), "--figure1"]) == 0
+    printed = capsys.readouterr().out
+    files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    for p in out_dir.iterdir():
+        p.unlink()
+    paths = ex.figure1_bundle(ex.ExperimentConfig.from_json(config_path))
+    assert printed == "".join(f"wrote {p}\n" for p in paths)
+    assert len(files) == 7
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == files
 
 
 def test_mc_above_the_chunk_threshold_writes_the_serial_bytes(tmp_path, monkeypatch, capsys):
@@ -1022,8 +1059,10 @@ def test_product_flag_that_leaves_no_mass_exits_1(series_file, capsys):
          "M1_VIOLATION: measure fails M1_VIOLATION at delta=1.0\n"),
         ({"atoms": [[0.5, 1.0, 1.0], [1.0, 0.5, -1.0]], "delta": 2.0},
          "M2_VIOLATION: measure fails M2_VIOLATION at delta=2.0\n"),
+        ({"kind": "two_atom", "p": 0.5, "q": 1.0, "a": 2.0, "delta": float("inf")},
+         "INVALID_ARGUMENT: delta must be positive and finite, got inf\n"),
     ],
-    ids=["nan_weight", "infinite_weight", "infinite_kappa", "m1", "m2"],
+    ids=["nan_weight", "infinite_weight", "infinite_kappa", "m1", "m2", "infinite_delta"],
 )
 def test_mc_rejects_a_bad_measure_before_simulating(tmp_path, measure, err, capsys):
     config = {"model": {"name": "iid"}, "n": 200, "r_list": [5], "k": 20, "t_grid": [0.5, 1.0],

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -171,6 +172,11 @@ def test_config_validation():
         small_config(t_grid=(0.0, 1.0))
     with pytest.raises(ValueError):
         small_config(delta=0.0)
+    for delta in (math.inf, math.nan):
+        # rejected with or without a measure, not only by its condition check
+        for measure in (None, ex.two_atom_measure(0.5, 1.0, 2.0)):
+            with pytest.raises(ValueError, match="delta must be positive and finite"):
+                small_config(delta=delta, measure=measure)
     with pytest.raises(ValueError):
         small_config(k=400)  # k must stay below n
     assert small_config(run_lengths=None).run_lengths == (5,)
@@ -420,8 +426,9 @@ def test_oracle_theta_nt_gives_one_row_per_block_length():
 )
 def test_summary_and_band_files_have_the_bytes_of_the_per_cell_writer(tmp_path, overrides):
     cfg = small_config(out_dir=str(tmp_path / "text"), **overrides)
-    result, _ = harness._run_with_figure1(cfg)
-    runs = harness._replicates(cfg, cfg.run_lengths)[1]  # the same seeds give the same curves
+    harness.figure1_bundle(cfg)
+    # the same seeds give the same curves
+    result, runs, *_ = harness._replicates(cfg, cfg.run_lengths)
     (tmp_path / "cells").mkdir()
     per_cell_files(result, runs, tmp_path / "cells")
     for name in ("summary.csv", "blocks_curves.csv", "runs_curves.csv", "corrected_curves.csv"):
@@ -485,6 +492,23 @@ def test_summary_file_recomputable_from_curves(tmp_path):
     assert meta["config"]["n"] == cfg.n
 
 
+def test_run_writes_its_files_without_building_a_band_line(tmp_path, monkeypatch):
+    def no_band_line(*args):
+        raise AssertionError("run builds no band line")
+
+    monkeypatch.setattr(harness, "_band_line", no_band_line)
+    res = ex.run(small_config(out_dir=str(tmp_path / "exp"), replicates=4))
+    assert sorted(os.listdir(tmp_path / "exp")) == ["curves.csv", "meta.json", "summary.csv"]
+    assert all(os.path.getsize(p) > 0 for p in res.files)
+
+
+def test_sidecar_rejects_a_non_finite_number(tmp_path):
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            harness._write_json(tmp_path / "meta.json", {"delta": value})
+    assert not (tmp_path / "meta.json").exists()
+
+
 def test_rerun_writes_identical_bytes(tmp_path):
     cfg = small_config(out_dir=str(tmp_path / "exp"), replicates=8)
     res = ex.run(cfg)
@@ -503,15 +527,18 @@ def test_figure1_bundle_outputs(tmp_path):
     )
     paths = ex.figure1_bundle(cfg)
     assert [os.path.basename(p) for p in paths] == [
+        "curves.csv",
+        "summary.csv",
+        "meta.json",
         "blocks_curves.csv",
         "runs_curves.csv",
         "corrected_curves.csv",
     ]
-    with open(paths[0]) as fh:
+    with open(paths[3]) as fh:
         rows = list(csv.DictReader(fh))
     assert set(rows[0]) == {"r", "t", "mean", "sd", "n_used"}
     assert len(rows) == len(cfg.r_list) * len(cfg.t_grid)
-    with open(paths[1]) as fh:
+    with open(paths[4]) as fh:
         assert fh.readline().startswith("run_length,")
     assert os.path.exists(os.path.join(cfg.out_dir, "figure1_meta.json"))
     with pytest.raises(ValueError):

@@ -30,7 +30,6 @@ from exindex.harness import (
     _persist,
     _row_templates,
     _runs_curves,
-    _write_figure1,
 )
 
 TIES = "TIES_DETECTED"
@@ -668,7 +667,7 @@ def test_figure_bands_and_summary_have_the_bits_of_the_per_column_path(tmp_path_
     result = MCResult(replace(cfg, out_dir=str(out_dir)), result.raw, result.corrected,
                       result.raw_code, result.corrected_code)
     runs = {2: result.raw[cfg.r_list[0]]}
-    _write_figure1(result, runs)
+    _persist(result, replicate_rows(result), 0, runs)
     for name, curves, param in (("blocks_curves.csv", result.raw, "r"),
                                 ("runs_curves.csv", runs, "run_length"),
                                 ("corrected_curves.csv", result.corrected, "r")):
@@ -964,22 +963,19 @@ written = st.one_of(st.sampled_from([math.nan, -0.0, 0.0, 5e-324, 1 / 3]), st.fl
 # one replicate, so every sd is blank: a NaN column, a negative zero mean
 @example(one_replicate_result([math.nan, -0.0, 0.25], [NO_EXC, "", ""]))
 def test_csv_writer_has_the_bytes_of_the_per_cell_writer(tmp_path_factory, result):
-    # every file of ``_persist`` and ``_write_figure1``, each written in one text pass
+    # every CSV of ``_persist`` given runs, each written in one text pass
     out = tmp_path_factory.mktemp("files")
     cfg = replace(result.config, out_dir=str(out / "text"))
     result = MCResult(cfg, result.raw, result.corrected, result.raw_code, result.corrected_code)
     runs = {7: result.raw[cfg.r_list[0]], 2: result.raw[cfg.r_list[-1]][::-1]}
-    _, bands = _persist(result, replicate_rows(result), 0)
-    _write_figure1(result, runs, bands)
+    paths = _persist(result, replicate_rows(result), 0, runs)
+    assert [os.path.basename(p) for p in paths] == ["curves.csv", "summary.csv", "meta.json",
+                                                    *WRITTEN_FILES[2:]]
     os.mkdir(out / "cells")
     per_cell_files(result, runs, out / "cells")
     (out / "cells" / "curves.csv").write_text(curves_csv_row_by_row(result))
     for name in WRITTEN_FILES:
         assert (out / "text" / name).read_bytes() == (out / "cells" / name).read_bytes(), name
-    # figure1_bundle's path formats the blocks and corrected bands itself, with the same bytes
-    _write_figure1(replace(result, config=replace(cfg, out_dir=str(out / "bundle"))), runs)
-    for name in WRITTEN_FILES[2:]:
-        assert (out / "bundle" / name).read_bytes() == (out / "cells" / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -73,10 +73,11 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
   a user runs it, divided by the replicate count.
 * ``summarize_persist.mm_figure`` (interpreted): what the parent process of
   that command does with its result once the replicates have run:
-  ``harness._persist`` (``summarize``, curves.csv, summary.csv, meta.json)
-  plus ``harness._write_figure1`` (the three band files and
-  figure1_meta.json, from the band rows ``_persist`` returns), into a
-  temporary directory, per call.
+  ``harness._persist`` given the runs curves (``summarize``, curves.csv,
+  summary.csv, meta.json, the three band files and figure1_meta.json), into
+  a temporary directory, per call.  On a tree from before the one writer
+  it times the same files from its ``_persist`` and ``_write_figure1``
+  pair, so the layer compares across the change.
 * ``persist.format_rows.<config>`` (interpreted): formatting the curves.csv
   rows of a 50-replicate ``ar1_c6`` or ``wn_ties`` result, divided by the
   replicate count: one ``harness._format_rows`` call per replicate, as each
@@ -183,6 +184,9 @@ COLD_IMPORT = (
 )
 COLD_IMPORT_KERNEL = COLD_IMPORT.replace("cli", "biascorrect, clusterproc, estimate, sim")
 FORK_RSS_MB = (40, 110)
+# a tree from before the one writer: ``_replicates`` formats rows when asked, and
+# ``_write_figure1`` writes the band files from the band rows ``_persist`` returns
+TWO_WRITERS = hasattr(harness, "_write_figure1")
 
 
 def environment() -> dict:
@@ -384,13 +388,24 @@ def mm_figure_layers(timed) -> dict:
 
 
 def figure_persist_layer(timed, cfg) -> dict:
-    """``summarize_persist.mm_figure``: ``_persist`` plus ``_write_figure1`` of ``cfg``'s result."""
-    result, runs, rows, flags = harness._replicates(cfg, cfg.run_lengths, formatted=True)
+    """``summarize_persist.mm_figure``: every file ``_persist`` writes of ``cfg``'s replicates."""
+    result, runs, rows, flags = replicates(cfg, cfg.run_lengths)
 
-    def persist():
-        harness._write_figure1(result, runs, harness._persist(result, rows, flags)[1])
+    if TWO_WRITERS:
+        def persist():
+            harness._write_figure1(result, runs, harness._persist(result, rows, flags)[1])
+    else:
+        def persist():
+            harness._persist(result, rows, flags, runs)
 
     return timed("interpreted", persist)
+
+
+def replicates(cfg, run_lengths=()) -> tuple:
+    """``harness._replicates`` of ``cfg`` (``out_dir`` set), each replicate's rows formatted."""
+    if TWO_WRITERS:
+        return harness._replicates(cfg, run_lengths, formatted=True)
+    return harness._replicates(cfg, run_lengths)
 
 
 def run_mc(argv) -> None:
@@ -429,7 +444,7 @@ def persist_layers(timed) -> dict:
 
 def persist_result_layers(timed, cfg) -> list:
     """``[("persist.format_rows", stats), ("summarize_persist", stats)]`` of ``cfg``'s result."""
-    result, _, rows, flags = harness._replicates(cfg, formatted=True)
+    result, _, rows, flags = replicates(cfg)
     templates = harness._row_templates(cfg)
     code_of = {name: code for code, name in enumerate(harness.CODE_NAMES.tolist())}
     curves = [(values[r], codes[r]) for _, values, codes in result.kinds() for r in values]
