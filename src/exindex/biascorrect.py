@@ -381,8 +381,8 @@ def sigma2_mu(mu: SignedMeasureAtoms, delta: float, kernel) -> float:
     coordinates, divided by [sum of w s^delta]^2.  The kernel must expose
     ``matrices(s, t)``, whose first matrix holds c(s_i, t_j) at entry (i, j).
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     sym = mu.symmetrized()
     s, t, w = sym.arrays()
     norm = float((w * s**delta).sum())

@@ -280,13 +280,14 @@ def _cmd_kernel(args) -> None:
         kern = estimate_kernel_mc(
             model, args.n, cfg, grid, replicates=args.replicates, seed=args.seed
         )
-    s, t = args.s, args.t
+    # entry (0, 1) is the pair (s, t) and entry (1, 0) the pair (t, s)
+    c, c_g, c_fg = kern.matrices([args.s, args.t], [args.s, args.t])
     _emit(
         [
-            f"c {_fmt(kern.c(s, t))}",
-            f"c_g {_fmt(kern.c_g(s, t))}",
-            f"c_fg_st {_fmt(kern.c_fg(s, t))}",
-            f"c_fg_ts {_fmt(kern.c_fg(t, s))}",
+            f"c {_fmt(c[0, 1])}",
+            f"c_g {_fmt(c_g[0, 1])}",
+            f"c_fg_st {_fmt(c_fg[0, 1])}",
+            f"c_fg_ts {_fmt(c_fg[1, 0])}",
         ],
         args.out,
     )

@@ -245,12 +245,11 @@ class TailChainSeries(_Kernel):
     first entry above 1 - u, is the later maximum, how many later entries are.
     """
 
-    def __init__(self, windows: np.ndarray, theta: float, v: float):
+    def __init__(self, windows: np.ndarray, theta: float):
         self.windows = np.asarray(windows, dtype=float)
         if self.windows.ndim != 2 or self.windows.shape[0] < 50:
             raise ValueError("need at least 50 collected windows")
         self.theta = theta
-        self.v = v
 
     def matrices(self, s, t) -> tuple:
         levels, index = np.unique(np.concatenate([s, t]), return_inverse=True)
@@ -377,7 +376,8 @@ def tail_chain_probabilities(
     """Kernel from standardized windows of length K started at each exceedance.
 
     Windows are collected over ``replicates`` simulated paths using the exact
-    model marginal; windows running past a path's end are discarded.
+    model marginal, through ``_excess_rule`` in known-marginal mode; windows
+    running past a path's end are discarded.
     """
     if not 0.0 < v < 1.0:
         raise ValueError(f"v must lie in (0, 1), got {v}")
@@ -385,15 +385,16 @@ def tail_chain_probabilities(
         raise ValueError(f"need at least 1 replicate, got {replicates}")
     if not 2 <= K <= n:
         raise ValueError(f"need 2 <= K <= n, got K={K}, n={n}")
-    marginal = model.marginal
+    pairs = _excess_rule(n, v, model.marginal.cdf)
 
     def step(_, x):
-        u = np.asarray(marginal.cdf(x.values), dtype=float)
-        excess = np.clip((u - (1.0 - v)) / v, 0.0, None)
-        starts = np.flatnonzero(excess[: n - K + 1] > 0.0)
+        index, positive = pairs(x.values)
+        excess = np.zeros(n)
+        excess[index] = positive
+        starts = index[index <= n - K]
         return sliding_window_view(excess, K)[starts]
 
     rows = np.concatenate(sim.map_replicates(step, model, n, seed, replicates))
     if len(rows) < 50:
         raise ValueError(f"only {len(rows)} windows collected; need at least 50")
-    return TailChainSeries(rows, theta=model.theta, v=v)
+    return TailChainSeries(rows, theta=model.theta)

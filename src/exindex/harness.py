@@ -361,21 +361,20 @@ def oracle_theta_nt(model, r: int, v: float, t):
     """Closed-form mean curve of the blocks estimator at ``t``, or None if unavailable.
 
     ``t`` is a level or an array of levels, and ``r`` a block length or a
-    sequence of them, which gives one row per block length.  Moving maxima
-    invert the marginal once for all levels and block lengths; random
-    repetition, and independent data as its psi = 0 case, take one
-    ``theta_nt_wn`` call per level and block length.
+    sequence of them, which gives one row per block length; a scalar ``r``
+    and ``t`` give a float.  Moving maxima invert the marginal once for all
+    levels and block lengths; random repetition, and independent data as its
+    psi = 0 case, take one ``theta_nt_wn`` call per level and block length.
     """
     if isinstance(model, MovingMaxima):
         return theta_nt_mm_exact(model, r, v, t)
     if not isinstance(model, (IID, RandomRepetition)):
         return None
     psi = getattr(model, "psi", 0.0)
-    if np.ndim(r) == 0 and np.ndim(t) == 0:
-        return theta_nt_wn(psi, r, v, t)
     levels, lengths = np.ravel(t).tolist(), np.ravel(r).tolist()
     out = [[theta_nt_wn(psi, length, v, level) for level in levels] for length in lengths]
-    return np.reshape(out, np.shape(r) + np.shape(t))
+    out = np.reshape(out, np.shape(r) + np.shape(t))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -757,23 +756,21 @@ def _standardized_estimates(cfg: ExperimentConfig):
     return np.sqrt(cfg.n * v) * t * (vals - target)
 
 
-def normality_check(config: ExperimentConfig, t: float = None) -> NormalityReport:
+def normality_check(config: ExperimentConfig) -> NormalityReport:
     """Check approximate normality and variance stability of the blocks estimator.
 
-    Standardizes replicate estimates at one grid level against the closed-form
-    curve target, reports skewness, excess kurtosis, and an omnibus normality
-    statistic, and compares the standardized variance against a doubled sample
-    size (k doubled too, keeping the exceedance fraction fixed).  Independent
-    data drive the limit variance to 0, so near-zero variance is reported as
-    degenerate rather than failed.
+    Standardizes replicate estimates of the first block length at the largest
+    grid level against the closed-form curve target, reports skewness, excess
+    kurtosis, and an omnibus normality statistic, and compares the
+    standardized variance against a doubled sample size (k doubled too,
+    keeping the exceedance fraction fixed).  Independent data drive the limit
+    variance to 0, so near-zero variance is reported as degenerate rather than
+    failed.
     """
     from scipy import stats  # loaded here, so no other run imports scipy
 
-    if t is None:
-        t = max(config.t_grid)
-    cfg = replace(
-        config, r_list=config.r_list[:1], t_grid=(t,), measure=None, out_dir=None
-    )
+    level = (max(config.t_grid),)
+    cfg = replace(config, r_list=config.r_list[:1], t_grid=level, measure=None, out_dir=None)
     z1 = _standardized_estimates(cfg)
     z2 = _standardized_estimates(
         replace(cfg, n=2 * cfg.n, k=2 * cfg.k, base_seed=cfg.base_seed + 1)

@@ -122,14 +122,6 @@ def _block_coefficients(spec: MovingMaxima, r: int) -> list:
     return out
 
 
-def _product(coefficients, factors: dict) -> float:
-    """The product of ``factors[psi]`` over ``coefficients``, in their order."""
-    prob = 1.0
-    for best in coefficients:
-        prob *= factors[best]
-    return prob
-
-
 def mm_block_nonexceed(spec: MovingMaxima, r: int, u: float) -> float:
     """Exact P{max of an r-block <= u} for the moving-maxima model.
 
@@ -137,13 +129,13 @@ def mm_block_nonexceed(spec: MovingMaxima, r: int, u: float) -> float:
     satisfies psi_j * Z_m <= u for each coefficient j through which it enters,
     i.e. Z_m <= u / psi*_m with psi*_m the largest applicable coefficient.
     Innovations with no applicable coefficient (or only zero ones) contribute
-    factor 1.  The innovation cdf is evaluated once per distinct psi*_m; the
-    factors are multiplied in the order of m.
+    factor 1.  The factors F_Z(u / psi*_m) are multiplied in the order of m.
     """
-    coefficients = _block_coefficients(spec, r)
     fz = spec.innovation.cdf
-    factors = {best: float(fz(u / best)) for best in dict.fromkeys(coefficients)}
-    return _product(coefficients, factors)
+    prob = 1.0
+    for best in _block_coefficients(spec, r):
+        prob *= float(fz(u / best))
+    return prob
 
 
 def theta_nt_mm_exact(spec: MovingMaxima, r: int, v: float, t):
@@ -159,7 +151,7 @@ def theta_nt_mm_exact(spec: MovingMaxima, r: int, v: float, t):
 
     Each distinct psi*_m gives one column of factors over the levels, and a
     block length multiplies its columns into a ones array in the order of m:
-    the IEEE products of ``_product``, element by element.
+    the IEEE products of ``mm_block_nonexceed``, element by element.
     """
     vt = v * np.asarray(t, dtype=float)
     if not np.all((0.0 < vt) & (vt < 1.0)):

@@ -367,8 +367,10 @@ def test_sigma2_zero_normalizer_raises():
     with pytest.raises(ex.MeasureConditionError) as err:
         ex.sigma2_mu(mu, 1.0, ex.ClosedFormIID())
     assert err.value.code == "M2_VIOLATION"
-    with pytest.raises(ValueError):
-        ex.sigma2_mu(ex.two_atom_measure(0.5, 1.0, 2.0), 0.0, ex.ClosedFormIID())
+    # delta = inf once returned a number (0.8505 on an AR(1) Monte Carlo kernel)
+    for delta in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"delta must be positive and finite, got {delta}"):
+            ex.sigma2_mu(ex.two_atom_measure(0.5, 1.0, 2.0), delta, ex.ClosedFormIID())
 
 
 def test_measure_csv_roundtrip(tmp_path):

@@ -233,6 +233,27 @@ def test_kernel_tail_method_runs(capsys):
     assert [line.split(" ")[0] for line in lines] == ["c", "c_g", "c_fg_st", "c_fg_ts"]
 
 
+@pytest.mark.parametrize("method", ["iid", "tail", "mc"])
+@pytest.mark.parametrize("s, t", [(0.3, 0.8), (0.9, 0.2), (0.6, 0.6)])
+def test_kernel_prints_the_bytes_of_the_per_point_reads(method, s, t, capsys):
+    # the four numbers come from one ``matrices`` read; each equals its per-point read
+    ar1 = ["--model", "ar1_cauchy", "--phi", "0.6", "--n", "2000"]
+    if method == "iid":
+        flags, kern = ["--model", "iid"], ex.ClosedFormIID()
+    elif method == "tail":
+        flags = [*ar1, "--v", "0.05"]
+        kern = ex.tail_chain_probabilities(ex.AR1Cauchy(phi=0.6), 0.05, n=2000)
+    else:
+        flags = [*ar1, "--r", "10", "--k", "100"]
+        kern = ex.estimate_kernel_mc(ex.AR1Cauchy(phi=0.6), 2000, ex.EstimatorConfig(r=10, k=100),
+                                     sorted({s, t}), replicates=100, seed=0)
+    rc = dispatch(["kernel", *flags, "--method", method, "--s", str(s), "--t", str(t)])
+    assert rc == 0
+    reads = [("c", kern.c(s, t)), ("c_g", kern.c_g(s, t)), ("c_fg_st", kern.c_fg(s, t)),
+             ("c_fg_ts", kern.c_fg(t, s))]
+    assert capsys.readouterr().out == "".join(f"{name} {x:.12g}\n" for name, x in reads)
+
+
 def test_mc_runs_config(tmp_path, capsys):
     out_dir = tmp_path / "exp"
     cfg = ex.ExperimentConfig(

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import exindex as ex
 import exindex.sim as sim_module
@@ -128,7 +129,7 @@ def test_tail_chain_iid_degenerate_kernel():
     assert series.c_fg(1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
     # dropping the last 10 window positions barely moves c_g(1, 1)
     full = series.c_g(1.0, 1.0)
-    short = ex.TailChainSeries(series.windows[:, :-10], series.theta, series.v).c_g(1.0, 1.0)
+    short = ex.TailChainSeries(series.windows[:, :-10], series.theta).c_g(1.0, 1.0)
     assert abs(full - short) / abs(full) < 0.05
 
 
@@ -390,6 +391,54 @@ def test_mc_grid_rejects_bad_grid():
                      (np.eye(2), np.eye(2), bad)):
             with pytest.raises(ValueError, match="2 x 2 matrix for 2 grid levels"):
                 ex.MCGrid([0.5, 1.0], *mats, 1.0)
+
+
+TAIL_MODELS = {
+    "ar1": ex.AR1Cauchy(phi=0.6),
+    "mm": ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2.0, beta2=1.0, c1=1.0, c2=0.5),
+    "wn": ex.RandomRepetition(psi=0.6, innovation=ex.Uniform01()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_MODELS))
+def test_tail_chain_windows_equal_the_inline_excess_formula(name):
+    # the reference writes the known-marginal excess formula out inline; the kernel
+    # takes its excesses from ``_excess_rule``
+    model, v, K, n = TAIL_MODELS[name], 0.02, 20, 5000
+    series = ex.tail_chain_probabilities(model, v=v, K=K, replicates=10, seed=3, n=n)
+    rows = []
+    for rep in range(10):
+        x = ex.generate(model, n, ex.substream(3, rep))
+        u = np.asarray(model.marginal.cdf(x.values), dtype=float)
+        excess = np.clip((u - (1.0 - v)) / v, 0.0, None)
+        starts = np.flatnonzero(excess[: n - K + 1] > 0.0)
+        rows.append(sliding_window_view(excess, K)[starts])
+    want = np.concatenate(rows)
+    assert series.windows.shape == want.shape
+    assert series.windows.tobytes() == want.tobytes()
+
+
+class _NanAbove:
+    """A marginal whose cdf is NaN above ``cut``."""
+
+    def __init__(self, base, cut):
+        self.base, self.cut = base, cut
+
+    def cdf(self, x):
+        return np.where(np.asarray(x) > self.cut, np.nan, self.base.cdf(x))
+
+
+class _NanMarginalAR1(ex.AR1Cauchy):
+    @property
+    def marginal(self):
+        return _NanAbove(super().marginal, 50.0)
+
+
+def test_tail_chain_rejects_a_marginal_cdf_that_returns_nan():
+    # the windows starting at a NaN were once dropped without a word
+    with pytest.raises(ValueError, match="marginal_cdf must return finite values"):
+        ex.tail_chain_probabilities(_NanMarginalAR1(phi=0.6), v=0.1, K=5, replicates=2,
+                                    seed=0, n=2000)
 
 
 def test_tail_chain_windows_equal_per_exceedance_loop():

@@ -356,6 +356,10 @@ def test_oracle_theta_nt_dispatch():
         ex.theta_nt_mm_exact(mm, 10, 0.01, 1.0)
     )
     assert ex.oracle_theta_nt(ex.AR1Cauchy(phi=0.6), 10, 0.01, 1.0) is None
+    # scalars, numpy ones included, give a Python float on every closed form
+    for model in (WN, ex.IID(innovation=ex.Uniform01()), mm):
+        for r, t in ((10, 0.5), (np.int64(5), np.float64(1.0))):
+            assert type(ex.oracle_theta_nt(model, r, 0.01, t)) is float
 
 
 def test_mm_summary_reference_equals_scalar_oracle_calls():

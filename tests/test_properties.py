@@ -872,7 +872,7 @@ def test_second_order_pareto_cdf_of_a_float_has_the_bits_of_the_array_path(case)
 @given(mm_models(), st.lists(st.integers(1, 30), min_size=1, max_size=3),
        st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6), st.floats(1e-3, 0.2))
 def test_mm_oracle_has_the_bits_of_the_scalar_block_product(model, r_list, grid, v):
-    # each block length's columns multiply in the order of m, as ``_product`` does
+    # each block length's columns multiply in the order of m, as ``mm_block_nonexceed`` does
     got = ex.theta_nt_mm_exact(model, r_list, v, grid)
     u = np.ravel(model.marginal.quantile(1.0 - v * np.asarray(grid))).tolist()
     for row, r in zip(got, r_list):
@@ -1035,7 +1035,7 @@ kernel_levels = st.lists(
 def test_tail_chain_matrices_equal_the_per_lag_means(windows, K, s, t):
     # the counts are exact sums of table products, the per-lag means are not: a relative
     # error of 1e-12 of the terms, which are of order 1
-    kern = ex.TailChainSeries(TAIL_WINDOWS[windows][:, :K], theta=0.4, v=1e-3)
+    kern = ex.TailChainSeries(TAIL_WINDOWS[windows][:, :K], theta=0.4)
     got = kern.matrices(s, t)
     want = np.array([[tail_chain_point(kern, a, b) for b in t] for a in s])
     for which in range(3):

@@ -54,6 +54,10 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
 * ``sigma2_mu.ar1_kernel`` (interpreted): ``sigma2_mu`` of the two-atom
   measure under the ``MCGrid`` of the kernel config above, as the
   benchmark's ``ar1_kernel`` workload calls it after ``estimate_kernel_mc``.
+* ``kernel_cli.tail`` (array): ``exindex kernel --model ar1_cauchy --phi 0.6
+  --v 0.05 --s 0.5 --t 1`` through ``cli.dispatch``, its stdout discarded:
+  the tail-chain kernel of 100 paths of n = 10 000 (K = 50, seed 0, the
+  command's defaults) and the four numbers it prints.
 * ``sweep`` and ``corrected_curve`` (interpreted): one call on one AR(1)
   sample with r = 10, k = 2000 and the two-atom measure, evaluator build
   included.
@@ -75,9 +79,7 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
   that command does with its result once the replicates have run:
   ``harness._persist`` given the runs curves (``summarize``, curves.csv,
   summary.csv, meta.json, the three band files and figure1_meta.json), into
-  a temporary directory, per call.  On a tree from before the one writer
-  it times the same files from its ``_persist`` and ``_write_figure1``
-  pair, so the layer compares across the change.
+  a temporary directory, per call.
 * ``persist.format_rows.<config>`` (interpreted): formatting the curves.csv
   rows of a 50-replicate ``ar1_c6`` or ``wn_ties`` result, divided by the
   replicate count: one ``harness._format_rows`` call per replicate, as each
@@ -176,6 +178,7 @@ AR1_KERNEL = dict(
     seed=0,
 )
 TAIL_CHAIN = dict(v=1e-3, K=50, replicates=100, seed=0, n=100_000)
+KERNEL_CLI_TAIL = "kernel --model ar1_cauchy --phi 0.6 --v 0.05 --s 0.5 --t 1".split()
 REPEATS = 15
 COLD_MC = "import sys; from exindex.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))"
 COLD_IMPORT = (
@@ -184,9 +187,6 @@ COLD_IMPORT = (
 )
 COLD_IMPORT_KERNEL = COLD_IMPORT.replace("cli", "biascorrect, clusterproc, estimate, sim")
 FORK_RSS_MB = (40, 110)
-# a tree from before the one writer: ``_replicates`` formats rows when asked, and
-# ``_write_figure1`` writes the band files from the band rows ``_persist`` returns
-TWO_WRITERS = hasattr(harness, "_write_figure1")
 
 
 def environment() -> dict:
@@ -328,6 +328,7 @@ def layers() -> dict:
     )
 
     out.update(sigma2_layers(timed))
+    out["kernel_cli.tail"] = timed("array", lambda: run_cli(KERNEL_CLI_TAIL))
 
     x = ex.generate(MODELS["ar1_cauchy"], N, 0).values
     est = ex.EstimatorConfig(r=10, k=2000)
@@ -380,7 +381,7 @@ def mm_figure_layers(timed) -> dict:
             json.dump(cfg.to_dict(), fh)
         argv = ["mc", "--config", config_path, "--out", os.path.join(tmp, "mc"), "--figure1"]
         out["mc_figure.mm_figure"] = timed(
-            "interpreted", lambda: run_mc(argv), per=cfg.replicates
+            "interpreted", lambda: run_cli(argv), per=cfg.replicates
         )
         persist_cfg = dataclasses.replace(cfg, out_dir=os.path.join(tmp, "persist"))
         out["summarize_persist.mm_figure"] = figure_persist_layer(timed, persist_cfg)
@@ -389,30 +390,15 @@ def mm_figure_layers(timed) -> dict:
 
 def figure_persist_layer(timed, cfg) -> dict:
     """``summarize_persist.mm_figure``: every file ``_persist`` writes of ``cfg``'s replicates."""
-    result, runs, rows, flags = replicates(cfg, cfg.run_lengths)
-
-    if TWO_WRITERS:
-        def persist():
-            harness._write_figure1(result, runs, harness._persist(result, rows, flags)[1])
-    else:
-        def persist():
-            harness._persist(result, rows, flags, runs)
-
-    return timed("interpreted", persist)
+    result, runs, rows, flags = harness._replicates(cfg, cfg.run_lengths)
+    return timed("interpreted", lambda: harness._persist(result, rows, flags, runs))
 
 
-def replicates(cfg, run_lengths=()) -> tuple:
-    """``harness._replicates`` of ``cfg`` (``out_dir`` set), each replicate's rows formatted."""
-    if TWO_WRITERS:
-        return harness._replicates(cfg, run_lengths, formatted=True)
-    return harness._replicates(cfg, run_lengths)
-
-
-def run_mc(argv) -> None:
-    """``exindex mc`` through ``cli.dispatch``, its stdout discarded."""
+def run_cli(argv) -> None:
+    """An ``exindex`` command through ``cli.dispatch``, its stdout discarded."""
     with contextlib.redirect_stdout(io.StringIO()):
         if cli.dispatch(argv) != 0:
-            raise RuntimeError("exindex mc failed")
+            raise RuntimeError(f"exindex {argv[0]} failed")
 
 
 def persist_layers(timed) -> dict:
@@ -436,7 +422,7 @@ def persist_layers(timed) -> dict:
             json.dump(cfg.to_dict(), fh)
         argv = ["mc", "--config", config_path, "--out", os.path.join(tmp, "mc")]
         out["mc_persist.ar1_c6"] = timed(
-            "interpreted", lambda: run_mc(argv), per=cfg.replicates
+            "interpreted", lambda: run_cli(argv), per=cfg.replicates
         )
         out["cold_mc.ar1_c6"] = timed("interpreted", lambda: run_cold_mc(argv))
     return out
@@ -444,7 +430,7 @@ def persist_layers(timed) -> dict:
 
 def persist_result_layers(timed, cfg) -> list:
     """``[("persist.format_rows", stats), ("summarize_persist", stats)]`` of ``cfg``'s result."""
-    result, _, rows, flags = replicates(cfg)
+    result, _, rows, flags = harness._replicates(cfg)
     templates = harness._row_templates(cfg)
     code_of = {name: code for code, name in enumerate(harness.CODE_NAMES.tolist())}
     curves = [(values[r], codes[r]) for _, values, codes in result.kinds() for r in values]
