@@ -71,6 +71,9 @@ class SignedMeasureAtoms:
     def __post_init__(self):
         if len(self.atoms) == 0:
             raise ValueError("measure must have at least one atom")
+        for atom in self.atoms:
+            if not hasattr(atom, "__len__") or len(atom) != 3:
+                raise ValueError(f"each atom must be (s, t, w), got {atom!r}")
         object.__setattr__(self, "atoms", tuple((float(s), float(t), float(w)) for s, t, w in self.atoms))
         for s, t, w in self.atoms:
             if not (0.0 < s <= 1.0 and 0.0 < t <= 1.0):

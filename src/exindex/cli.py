@@ -22,9 +22,6 @@ from .biascorrect import (
     check_conditions,
     corrected_curve,
     corrected_estimate,
-    product_measure,
-    read_measure_csv,
-    two_atom_measure,
     write_measure_csv,
 )
 from .errors import DegenerateDenominator, ExindexError, MeasureConditionError
@@ -39,8 +36,10 @@ from .estimate import (
 )
 from .harness import (
     _INNOVATIONS,
+    _MEASURES,
     _MODELS,
     ExperimentConfig,
+    _measure_from_dict,
     figure1_bundle,
     model_from_dict,
     normality_check,
@@ -137,29 +136,37 @@ def _model_dict(args, innovation=False) -> dict:
     return d
 
 
-def _flag_numbers(value: str, flag: str, fields: str) -> list:
-    """The comma-separated numbers given to ``flag``, one for each of ``fields``."""
+# the measure kinds of ``harness._MEASURES`` that have a flag of their own
+_MEASURE_FLAGS = {"--two-atom": "two_atom", "--product": "product"}
+
+
+def _add_measure_args(p: argparse.ArgumentParser, file_flag: str) -> None:
+    p.add_argument(file_flag, dest="measure", help="measure CSV (s,t,w)")
+    for flag, kind in _MEASURE_FLAGS.items():
+        p.add_argument(flag, dest=kind, help=",".join(_MEASURES[kind][1]))
+
+
+def _flag_numbers(value: str, flag: str, keys: tuple) -> dict:
+    """The comma-separated numbers given to ``flag``, one for each of ``keys``, by key."""
     try:
         numbers = [float(p) for p in value.split(",")]
     except ValueError:
         numbers = []
-    if len(numbers) != len(fields.split(",")):
-        raise ValueError(f"{flag} takes the numbers {fields}, got {value!r}")
-    return numbers
+    if len(numbers) != len(keys):
+        raise ValueError(f"{flag} takes the numbers {','.join(keys)}, got {value!r}")
+    return dict(zip(keys, numbers))
 
 
-def _load_measure(args, flag="--measure"):
-    given = [val for val in (args.measure, args.two_atom, args.product) if val]
+def _load_measure(args, file_flag="--measure"):
+    """The measure of the one measure flag given, parsed as the config form of its kind."""
+    flags = {file_flag: args.measure, **{f: getattr(args, k) for f, k in _MEASURE_FLAGS.items()}}
+    given = [(flag, value) for flag, value in flags.items() if value]
     if len(given) != 1:
-        raise _Usage(f"exactly one of {flag}, --two-atom, --product is required")
-    if args.measure:
-        return read_measure_csv(args.measure)
-    if args.two_atom:
-        return two_atom_measure(*_flag_numbers(args.two_atom, "--two-atom", "p,q,a"))
-    kappa, a, b, m = _flag_numbers(args.product, "--product", "kappa,a,b,m")
-    if not m.is_integer():
-        raise ValueError(f"--product m must be a whole number, got {m}")
-    return product_measure(kappa, a, b, int(m))
+        raise _Usage(f"exactly one of {', '.join(flags)} is required")
+    [(flag, value)] = given
+    kind = _MEASURE_FLAGS.get(flag, "file")
+    keys = {"path": value} if kind == "file" else _flag_numbers(value, flag, _MEASURES[kind][1])
+    return _measure_from_dict({"kind": kind, **keys}, where=flag)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +218,7 @@ def _cmd_correct(args) -> None:
 
 
 def _cmd_check_measure(args) -> None:
-    mu = _load_measure(args, flag="--in")
+    mu = _load_measure(args, file_flag="--in")
     probes = list(DEFAULT_DELTA_PROBE)
     if args.delta is not None and args.delta not in probes:
         probes.append(args.delta)
@@ -365,17 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--measure", help="measure CSV (s,t,w)")
-    p.add_argument("--two-atom", dest="two_atom", help="p,q,a")
-    p.add_argument("--product", help="kappa,a,b,m")
+    _add_measure_args(p, "--measure")
     p.add_argument("--grid", help="comma list of levels, or an integer count")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_correct)
 
     p = sub.add_parser("check-measure", help="validate a signed measure")
-    p.add_argument("--in", dest="measure", help="measure CSV (s,t,w)")
-    p.add_argument("--two-atom", dest="two_atom", help="p,q,a")
-    p.add_argument("--product", help="kappa,a,b,m")
+    _add_measure_args(p, "--in")
     p.add_argument("--delta", type=float, help="extra exponent to probe")
     p.add_argument("--out", help="write the measure CSV here")
     p.set_defaults(func=_cmd_check_measure)

@@ -195,53 +195,50 @@ def model_from_dict(d: dict):
     return _from_dict(d, _MODELS, "model")
 
 
-# measure kind -> the keys that build it, besides "kind" and "delta"
-_MEASURE_KEYS = {
-    "two_atom": ("p", "q", "a"),
-    "product": ("kappa", "a", "b", "m"),
-    "product_construction": ("kappa", "a", "b", "m"),
-    "file": ("path",),
+# measure kind -> its builder and the keys it takes, in order, besides "kind" and "delta"
+_MEASURES = {
+    "two_atom": (two_atom_measure, ("p", "q", "a")),
+    "product": (product_measure, ("kappa", "a", "b", "m")),
+    "file": (read_measure_csv, ("path",)),
 }
+_MEASURES.update(product_construction=_MEASURES["product"])
 # what ``_measure_to_dict`` writes to meta.json: any kind, with its atoms embedded
 _EMBEDDED_MEASURE_KEYS = frozenset(("kind", "delta", "atom_count", "total_variation", "atoms"))
 
 
-def _measure_from_dict(d):
+def _measure_arg(d: dict, key: str, where: str):
+    """Builder argument ``key``: ``m`` a whole number, ``path`` a string, any other a number."""
+    if key != "path":
+        return _number(d, key, where, _int if key == "m" else float)
+    path = _key(d, key, where)
+    if not isinstance(path, str):  # open() would take an integer for a file descriptor
+        raise ValueError(f"{where} key 'path' must be a string, got {path!r}")
+    return path
+
+
+def _measure_from_dict(d, where="measure"):
+    """``(measure, delta)`` from a measure object, which ``where`` names in errors."""
     if d is None:
         return None, 1.0
-    kind = str(_object(d, "measure").get("kind", "two_atom")).lower()
+    kind = str(_object(d, where).get("kind", "two_atom")).lower()
     embedded = "atoms" in d or "atom_count" in d
-    if embedded:
-        allowed = _EMBEDDED_MEASURE_KEYS
-    elif kind in _MEASURE_KEYS:
-        allowed = {"kind", "delta", *_MEASURE_KEYS[kind]}
-    else:
-        raise ValueError(f"unknown measure kind {kind!r}")
+    if not embedded and kind not in _MEASURES:
+        raise ValueError(f"unknown {where} kind {kind!r}")
+    allowed = _EMBEDDED_MEASURE_KEYS if embedded else {"kind", "delta", *_MEASURES[kind][1]}
     unknown = sorted(set(d) - allowed)
     if unknown:
-        raise ValueError(f"unknown measure keys: {', '.join(unknown)}")
-    delta = _number(d, "delta", "measure", default=1.0)
-    if embedded:
-        atoms = _key(d, "atoms", "measure")
-        if not isinstance(atoms, list):
-            raise ValueError(f"measure key 'atoms' must be a list, got {atoms!r}")
-        mu = SignedMeasureAtoms(
-            tuple(_numbers(atom, "atoms", "measure") for atom in atoms), provenance=kind
-        )
-    elif kind == "two_atom":
-        mu = two_atom_measure(*(_number(d, key, "measure") for key in ("p", "q", "a")))
-    elif kind == "file":
-        path = _key(d, "path", "measure")
-        if not isinstance(path, str):  # open() would take an integer for a file descriptor
-            raise ValueError(f"measure key 'path' must be a string, got {path!r}")
-        mu = read_measure_csv(path)
-    else:
-        mu = product_measure(
-            kappa=_number(d, "kappa", "measure"),
-            a=_number(d, "a", "measure"),
-            b=_number(d, "b", "measure"),
-            m=_number(d, "m", "measure", _int),
-        )
+        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+    delta = _number(d, "delta", where, default=1.0)
+    if not embedded:
+        build, keys = _MEASURES[kind]
+        return build(*(_measure_arg(d, key, where) for key in keys)), delta
+    atoms = _key(d, "atoms", where)
+    if not isinstance(atoms, list):
+        raise ValueError(f"{where} key 'atoms' must be a list, got {atoms!r}")
+    mu = SignedMeasureAtoms(tuple(_numbers(atom, "atoms", where) for atom in atoms), kind)
+    for key, value in (("atom_count", len(mu.atoms)), ("total_variation", mu.total_variation)):
+        if d.get(key, value) != value:
+            raise ValueError(f"{where} key {key!r} is {d[key]!r}, but the atoms give {value}")
     return mu, delta
 
 
@@ -775,6 +772,9 @@ def normality_check(config: ExperimentConfig) -> NormalityReport:
     z2 = _standardized_estimates(
         replace(cfg, n=2 * cfg.n, k=2 * cfg.k, base_seed=cfg.base_seed + 1)
     )
+    if len(z1) < 8 or len(z2) < 2:  # scipy's normaltest takes 8, a sample variance 2
+        raise ValueError(f"normality check needs 8 usable estimates at n and 2 at 2n, "
+                         f"got {len(z1)} and {len(z2)}")
     var1 = float(z1.var(ddof=1))
     var2 = float(z2.var(ddof=1))
     stat, pvalue = stats.normaltest(z1)

@@ -101,19 +101,27 @@ class Uniform01(_ConfigForm):
 
 
 @dataclass(frozen=True)
-class StandardCauchy(_ConfigForm):
-    """Standard Cauchy distribution (location 0, scale 1)."""
+class _CauchyScale:
+    """Cauchy distribution with location 0 and the given scale."""
 
-    name = "cauchy"
+    scale: float
 
     def cdf(self, x):
-        return 0.5 + np.arctan(x) / np.pi
+        return 0.5 + np.arctan(np.asarray(x, dtype=float) / self.scale) / np.pi
 
     def survival(self, x):
-        return 0.5 - np.arctan(x) / np.pi
+        return 0.5 - np.arctan(np.asarray(x, dtype=float) / self.scale) / np.pi
 
     def quantile(self, p):
-        return np.tan(np.pi * (np.asarray(p, dtype=float) - 0.5))
+        return self.scale * np.tan(np.pi * (np.asarray(p, dtype=float) - 0.5))
+
+
+@dataclass(frozen=True)
+class StandardCauchy(_ConfigForm, _CauchyScale):
+    """Standard Cauchy distribution: the Cauchy law at scale 1, where the scaling is exact."""
+
+    scale: float = field(default=1.0, init=False, repr=False)
+    name = "cauchy"
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.standard_cauchy(size)
@@ -930,19 +938,3 @@ class _MovingMaximaMarginal:
             w = w - h / slope.sum(axis=-1)
         return np.exp(w)
 
-
-@dataclass(frozen=True)
-class _CauchyScale:
-    """Cauchy distribution with location 0 and the given scale."""
-
-    scale: float
-    name = "cauchy_scaled"
-
-    def cdf(self, x):
-        return 0.5 + np.arctan(np.asarray(x, dtype=float) / self.scale) / np.pi
-
-    def survival(self, x):
-        return 0.5 - np.arctan(np.asarray(x, dtype=float) / self.scale) / np.pi
-
-    def quantile(self, p):
-        return self.scale * np.tan(np.pi * (np.asarray(p, dtype=float) - 0.5))

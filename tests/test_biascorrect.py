@@ -1,6 +1,7 @@
 """Signed measures, structural condition checks, and bias-removing combination."""
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,12 @@ def test_measure_atom_validation():
     mu = ex.SignedMeasureAtoms(((0.5, 0.5, 1.0),))
     assert mu.total_variation == 1.0
     assert mu.max_coordinate == 0.5
+
+
+@pytest.mark.parametrize("atom", [(0.5, 0.5), (0.5, 0.5, 1.0, 0.0), [0.5], 0.5])
+def test_measure_names_an_atom_that_is_not_three_numbers(atom):
+    with pytest.raises(ValueError, match=rf"^each atom must be \(s, t, w\), got {re.escape(repr(atom))}$"):
+        ex.SignedMeasureAtoms(((0.25, 1.0, 1.0), atom))
 
 
 @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])

@@ -1,5 +1,6 @@
 """Subcommand behavior: output formats, exit codes, and error reporting."""
 
+import argparse
 import json
 import warnings
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 import exindex as ex
-from exindex import sim
-from exindex.cli import dispatch
+from exindex import cli, harness, sim
+from exindex.cli import build_parser, dispatch
+from exindex.sim import config_fields
 from test_sim import chunked, fresh_python
 
 SERIES = [5.0, 1.0, 4.0, 2.0, 3.0, 6.0]
@@ -823,9 +825,9 @@ def test_check_measure_in_conflicts_with_other_measure_flags(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, flags, err",
     [
-        ("correct", ["--product", "1,2,2,2.5"], "--product m must be a whole number, got 2.5"),
+        ("correct", ["--product", "1,2,2,2.5"], "--product key 'm' must be an integer, got 2.5"),
         ("check-measure", ["--product", "1,2,2,0.5"],
-         "--product m must be a whole number, got 0.5"),
+         "--product key 'm' must be an integer, got 0.5"),
         ("check-measure", ["--product", "1,2,2"],
          "--product takes the numbers kappa,a,b,m, got '1,2,2'"),
         ("correct", ["--two-atom", "0.5,1"], "--two-atom takes the numbers p,q,a, got '0.5,1'"),
@@ -1082,8 +1084,17 @@ def test_product_flag_that_leaves_no_mass_exits_1(series_file, capsys):
          "M2_VIOLATION: measure fails M2_VIOLATION at delta=2.0\n"),
         ({"kind": "two_atom", "p": 0.5, "q": 1.0, "a": 2.0, "delta": float("inf")},
          "INVALID_ARGUMENT: delta must be positive and finite, got inf\n"),
+        ({"kind": "two_atom", "atoms": [[0.25, 1, 1], [0.5, 0.5, -1]], "atom_count": 7},
+         "INVALID_ARGUMENT: measure key 'atom_count' is 7, but the atoms give 2\n"),
+        ({"atoms": [[0.25, 1, 1], [0.5, 0.5, -1]], "total_variation": -3},
+         "INVALID_ARGUMENT: measure key 'total_variation' is -3, but the atoms give 2.0\n"),
+        ({"atoms": [[0.25, 1, 1], [0.5, 0.5]]},
+         "INVALID_ARGUMENT: each atom must be (s, t, w), got (0.5, 0.5)\n"),
+        ({"atoms": [[0.25, 1, 1, 0], [0.5, 0.5, -1]]},
+         "INVALID_ARGUMENT: each atom must be (s, t, w), got (0.25, 1.0, 1.0, 0.0)\n"),
     ],
-    ids=["nan_weight", "infinite_weight", "infinite_kappa", "m1", "m2", "infinite_delta"],
+    ids=["nan_weight", "infinite_weight", "infinite_kappa", "m1", "m2", "infinite_delta",
+         "atom_count", "total_variation", "short_atom", "long_atom"],
 )
 def test_mc_rejects_a_bad_measure_before_simulating(tmp_path, measure, err, capsys):
     config = {"model": {"name": "iid"}, "n": 200, "r_list": [5], "k": 20, "t_grid": [0.5, 1.0],
@@ -1094,3 +1105,52 @@ def test_mc_rejects_a_bad_measure_before_simulating(tmp_path, measure, err, caps
     assert rc == 1
     assert capsys.readouterr().err == err
     assert not (tmp_path / "exp").exists()
+
+
+def test_mc_normality_with_too_few_estimates_exits_1(tmp_path, capsys):
+    # 5 tied random-repetition replicates leave 2 estimates at n and none at 2n
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(
+        {"model": {"name": "wn", "psi": 0.6}, "n": 2000, "r_list": [10], "k": 100,
+         "t_grid": [0.5, 1], "replicates": 5}
+    ))
+    argv = ["mc", "--config", str(config_path), "--out", str(tmp_path / "out"), "--normality"]
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "INVALID_ARGUMENT: normality check needs 8 usable estimates at n and 2 at 2n, got 2 and 0\n"
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(harness._MEASURES))
+def test_each_measure_kind_builds_alike_from_its_config_form_and_its_flag(tmp_path, kind):
+    """The config form and the CLI flag of a kind give the same atoms and provenance."""
+    path = tmp_path / "mu.csv"
+    ex.write_measure_csv(ex.two_atom_measure(0.4, 0.9, 2.0), path)
+    values = {"p": 0.5, "q": 1.0, "a": 2.0, "kappa": 1.0, "b": 1.5, "m": 3, "path": str(path)}
+    keys = harness._MEASURES[kind][1]
+    mu, _ = harness._measure_from_dict({"kind": kind, **{key: values[key] for key in keys}})
+    if kind == "file":
+        flag, value = "--in", str(path)
+    else:
+        # product_construction is the config alias of product
+        flag = {"two_atom": "--two-atom"}.get(kind, "--product")
+        value = ",".join(str(values[key]) for key in keys)
+    out = tmp_path / "out.csv"
+    assert dispatch(["check-measure", flag, value, "--out", str(out)]) == 0
+    assert ex.read_measure_csv(out).atoms == mu.atoms
+    args = build_parser().parse_args(["check-measure", flag, value])
+    assert cli._load_measure(args, "--in").provenance == mu.provenance
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle", "kernel"])
+def test_model_flags_are_the_constructor_fields_of_every_model_and_law(command):
+    parser = argparse.ArgumentParser()
+    cli._add_model_args(parser)
+    flags = {opt for action in parser._actions for opt in action.option_strings}
+    classes = {*harness._MODELS.values(), *harness._INNOVATIONS.values()}
+    fields = {f"--{key}" for cls in classes for key in config_fields(cls)}
+    assert flags - {"-h", "--help"} == {"--model", "--innovation"} | fields
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    assert flags <= {opt for action in sub._actions for opt in action.option_strings}

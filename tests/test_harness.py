@@ -275,6 +275,9 @@ def test_measure_rejects_unknown_and_names_missing_keys():
         ({**prod, "kind": "product_construction", "q": 1.0}, "^unknown measure keys: q$"),
         ({"kind": "file", "path": "mu.csv", "m": 2}, "^unknown measure keys: m$"),
         ({**embedded, "p": 0.5}, "^unknown measure keys: p$"),
+        ({**embedded, "atom_count": 7}, "^measure key 'atom_count' is 7, but the atoms give 2$"),
+        ({**embedded, "total_variation": -3},
+         r"^measure key 'total_variation' is -3, but the atoms give 2.0$"),
         ({key: val for key, val in two.items() if key != "p"}, "^missing key 'p' in measure$"),
         ({"q": 1.0, "a": 2.0}, "^missing key 'p' in measure$"),  # two_atom is the default kind
         ({key: val for key, val in prod.items() if key != "kappa"},

@@ -43,6 +43,28 @@ def test_marginal_quantile_cdf_roundtrip():
             assert marg.survival(z) == pytest.approx(1.0 - p, abs=1e-9)
 
 
+def test_standard_cauchy_keeps_the_bits_of_its_scale_free_formulas():
+    law = ex.StandardCauchy()
+    x = np.concatenate([np.linspace(-50.0, 50.0, 2001), [-np.inf, np.inf, -0.0, 1e300, 5e-324]])
+    p = np.concatenate([np.linspace(0.0, 1.0, 2001), [5e-324, 1.0 - 2.0**-53]])
+    # the formulas StandardCauchy stated before it became the scale-1 Cauchy law
+    reference = {
+        "cdf": lambda v: 0.5 + np.arctan(v) / np.pi,
+        "survival": lambda v: 0.5 - np.arctan(v) / np.pi,
+        "quantile": lambda u: np.tan(np.pi * (np.asarray(u, dtype=float) - 0.5)),
+    }
+    for name, formula in reference.items():
+        points = p if name == "quantile" else x
+        assert getattr(law, name)(points).tobytes() == formula(points).tobytes()
+        for v in (0.3, -2, 0.5, 7.25):
+            got, want = getattr(law, name)(v), formula(v)
+            assert type(got) is type(want) and got.tobytes() == want.tobytes()
+    rng, again = np.random.default_rng(0), np.random.default_rng(0)
+    assert law.sample(rng, 100).tobytes() == again.standard_cauchy(100).tobytes()
+    assert sim.config_fields(ex.StandardCauchy) == ()
+    assert law.to_dict() == {"name": "cauchy"} and repr(law) == "StandardCauchy()"
+
+
 def test_second_order_pareto_quantile_solves_survival():
     sop = ex.SecondOrderPareto(2.0, 1.0, 1.0, 0.5)
     z = sop.quantile(0.5)

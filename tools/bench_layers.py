@@ -67,8 +67,12 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
   ``above`` positions of ``estimate._top_slice`` (k = 2000) that it takes
   are found beforehand, as the replicate step has them.
 * ``quantile.second_order_pareto`` (array): one ``quantile`` call of the
-  moving-maxima innovation law (2, 1, 1, 0.5) on 20 001 uniform draws, as
-  ``generate.mm`` makes it.
+  moving-maxima innovation law (2, 1, 1, 0.5) on 20 001 uniform draws, as a
+  full path makes it: ``exindex simulate --model mm``, or IID and random
+  repetition paths with that innovation.
+* ``quantile.second_order_pareto_top`` (array): the same call on the 2 003
+  largest of those draws (top + q + 1), the innovations that
+  ``generate(..., top=2001)`` inverts for each ``exindex mc`` replicate.
 * ``oracle.mm_figure`` (interpreted): ``theta_nt_mm_exact`` of that model at
   every r of the ``mm_figure`` workload (5, 10, 20) and v = 2000 / 20 000,
   as one ``summarize`` of that workload calls it.
@@ -364,10 +368,15 @@ def sigma2_layers(timed) -> dict:
 
 
 def mm_figure_layers(timed) -> dict:
-    """``quantile.second_order_pareto``, ``oracle.mm_figure`` and ``mc_figure.mm_figure``."""
+    """``quantile.second_order_pareto[_top]``, ``oracle.mm_figure`` and ``mc_figure.mm_figure``."""
     mm = MODELS["mm"]
     draws = np.random.Generator(np.random.Philox(0)).random(N + mm.q)  # no zero among them
-    out = {"quantile.second_order_pareto": timed("array", lambda: mm.innovation.quantile(draws))}
+    skip = len(draws) - (2001 + mm.q + 1)  # the draws MovingMaxima.sample_top leaves uninverted
+    top = draws[np.argpartition(draws, skip)[skip:]]
+    out = {
+        "quantile.second_order_pareto": timed("array", lambda: mm.innovation.quantile(draws)),
+        "quantile.second_order_pareto_top": timed("array", lambda: mm.innovation.quantile(top)),
+    }
     cfg = harness.ExperimentConfig(
         model=mm, n=N, r_list=(5, 10, 20), k=2000, t_grid=GRID, measure=None,
         replicates=MM_FIGURE_REPLICATES, run_lengths=RUN_LENGTHS,
