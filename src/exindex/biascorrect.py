@@ -317,20 +317,21 @@ class CurveKernel:
         self._levels_at = where[len(self.grid) :].reshape(len(self.grid), -1).T
 
     def __call__(self, top: np.ndarray, tables) -> tuple:
-        """``(raw_values, raw_codes, corrected_values, corrected_codes)`` of one sample.
+        """``(values, codes)`` of one sample: (rows x grid) arrays, raw rows first.
 
         ``top`` and ``tables`` are what ``estimate._coded_counts`` takes; row
-        i of each (rows x grid) array belongs to ``tables[i]``, and codes are
-        the integer skip codes of ``estimate.CODE_NAMES``.  Without a measure
-        the corrected pair is ``(None, None)``.
+        i holds the raw curve of ``tables[i]`` and, under a measure, row
+        ``len(tables) + i`` its corrected curve.  Codes are the integer skip
+        codes of ``estimate.CODE_NAMES``.
         """
         values, codes = _coded_counts(top, tables, self._budgets)
         raw = values[:, self._raw_at], codes[:, self._raw_at]
         if self.mu is None:
-            return (*raw, None, None)
+            return raw
         at = self._levels_at
         levels = values[:, at].swapaxes(0, 1), codes[:, at].swapaxes(0, 1)
-        return (*raw, *_corrected_rows(self._w, self._eps_den, *levels))
+        corrected = _corrected_rows(self._w, self._eps_den, *levels)
+        return tuple(np.concatenate(pair) for pair in zip(raw, corrected))
 
 
 def _corrected_rows(w, eps_den, values, codes) -> tuple:
@@ -364,12 +365,12 @@ def corrected_curve(x, cfg, mu: SignedMeasureAtoms, t_grid) -> ThresholdCurve:
     """
     kernel = CurveKernel(cfg.k, t_grid, mu)
     ev = BlocksEvaluator(x, cfg.r, cfg.k)
-    _, _, value, code = kernel(ev._top, [ev._tables])
+    value, code = kernel(ev._top, [ev._tables])  # one raw row, then one corrected row
     return ThresholdCurve(
         t=kernel.grid,
         k_t=kernel.k_t,
-        theta_hat=value[0],
-        code=CODE_NAMES[code[0]],
+        theta_hat=value[1],
+        code=CODE_NAMES[code[1]],
         variant="corrected",
         config=cfg,
         n=ev.n,

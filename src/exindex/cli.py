@@ -306,10 +306,11 @@ def _cmd_mc(args) -> None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
     if cfg.out_dir is None:
         raise _Usage("set out_dir in the config or pass --out")
+    # a config the normality check rejects writes nothing
+    rep = normality_check(cfg) if args.normality else None
     files = figure1_bundle(cfg) if args.figure1 else run(cfg).files
     lines = [f"wrote {p}" for p in files]
-    if args.normality:
-        rep = normality_check(cfg)
+    if rep is not None:
         lines += [
             f"normality_t {_fmt(rep.t)}",
             f"skewness {_fmt(rep.skewness)}",

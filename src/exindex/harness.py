@@ -26,6 +26,7 @@ import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,8 +203,9 @@ _MEASURES = {
     "file": (read_measure_csv, ("path",)),
 }
 _MEASURES.update(product_construction=_MEASURES["product"])
-# what ``_measure_to_dict`` writes to meta.json: any kind, with its atoms embedded
+# what ``_measure_to_dict`` writes to meta.json: a provenance, with the atoms embedded
 _EMBEDDED_MEASURE_KEYS = frozenset(("kind", "delta", "atom_count", "total_variation", "atoms"))
+_PROVENANCES = ("two_atom", "product_construction", "custom")
 
 
 def _measure_arg(d: dict, key: str, where: str):
@@ -220,8 +222,11 @@ def _measure_from_dict(d, where="measure"):
     """``(measure, delta)`` from a measure object, which ``where`` names in errors."""
     if d is None:
         return None, 1.0
-    kind = str(_object(d, where).get("kind", "two_atom")).lower()
-    embedded = "atoms" in d or "atom_count" in d
+    embedded = "atoms" in _object(d, where) or "atom_count" in d
+    kind = str(d.get("kind", "custom" if embedded else "two_atom")).lower()
+    if embedded and kind not in _PROVENANCES:
+        raise ValueError(f"{where} key 'kind' of embedded atoms must be one of "
+                         f"{', '.join(_PROVENANCES)}, got {d['kind']!r}")
     if not embedded and kind not in _MEASURES:
         raise ValueError(f"unknown {where} kind {kind!r}")
     allowed = _EMBEDDED_MEASURE_KEYS if embedded else {"kind", "delta", *_MEASURES[kind][1]}
@@ -284,12 +289,8 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "r_list", tuple(int(r) for r in self.r_list))
         object.__setattr__(self, "t_grid", tuple(check_grid(self.t_grid, "t_grid").tolist()))
-        if self.run_lengths is None:
-            object.__setattr__(self, "run_lengths", self.r_list)
-        else:
-            object.__setattr__(
-                self, "run_lengths", tuple(int(r) for r in self.run_lengths)
-            )
+        lengths = self.r_list if self.run_lengths is None else self.run_lengths
+        object.__setattr__(self, "run_lengths", tuple(int(r) for r in lengths))
         # a repeat would write its rows twice, or once where meta.json lists it twice
         for key in ("r_list", "run_lengths"):
             lengths = getattr(self, key)
@@ -303,6 +304,8 @@ class ExperimentConfig:
             raise ValueError("r_list must be nonempty")
         for r in self.r_list:
             EstimatorConfig(r=r, k=self.k).validate_for(self.n)
+        for run_length in self.run_lengths:
+            check_run_length(run_length, self.n)
         if not 0 < self.delta < np.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         failed = self.measure and check_conditions(self.measure, (self.delta,)).violations()
@@ -379,33 +382,47 @@ def oracle_theta_nt(model, r: int, v: float, t):
 # ---------------------------------------------------------------------------
 
 
+class Curves(NamedTuple):
+    """One curve kind of an ``MCResult``: ``values[i]`` and ``codes[i]`` belong to ``keys[i]``.
+
+    Both are (replicates x grid): values NaN where undefined, codes the
+    integer skip codes of ``CODE_NAMES``, and ``codes`` None for a kind
+    without them (runs).  A kind has curves.csv and summary.csv rows if and
+    only if it has codes, and a band file in a figure bundle.
+    """
+
+    kind: str
+    param: str
+    keys: tuple
+    values: np.ndarray
+    codes: np.ndarray
+    band_file: str
+
+
 @dataclass(frozen=True, eq=False)
 class MCResult:
-    """Per-replicate curves plus per-(r, t) summaries.
+    """Per-replicate curves plus per-(kind, r, t) summaries.
 
-    ``raw[r]`` and ``corrected[r]`` are (replicates x grid) value arrays with
-    NaN at undefined points; ``raw_code[r]`` and ``corrected_code[r]`` are the
-    matching code arrays, "" where a value exists and the error code where it
-    is NaN.  So n_used + n_skipped always equals the replicate count and the
-    summary is exactly recomputable from the arrays via ``summarize``.
+    ``curves`` is the table of curve kinds in file order, one ``Curves``
+    each: ``raw`` (blocks) by r, ``runs`` by the run lengths a figure bundle
+    asks for, and ``corrected`` by r, empty without a measure.  A coded
+    value is NaN exactly where its code is not OK, so n_used + n_skipped
+    always equals the replicate count, and ``summarize`` recomputes the
+    summary from the arrays.  ``raw[r]`` and ``corrected[r]`` read values.
     """
 
     config: ExperimentConfig
-    raw: dict
-    corrected: dict
-    raw_code: dict
-    corrected_code: dict
+    curves: tuple
     files: tuple = ()
+    raw = property(lambda self: self._by_key("raw"))
+    corrected = property(lambda self: self._by_key("corrected"))
 
-    def kinds(self) -> tuple:
-        """(kind, values by r, codes by r) for the raw and corrected curves."""
-        return (
-            ("raw", self.raw, self.raw_code),
-            ("corrected", self.corrected, self.corrected_code),
-        )
+    def _by_key(self, kind: str) -> dict:
+        (entry,) = (entry for entry in self.curves if entry.kind == kind)
+        return dict(zip(entry.keys, entry.values))
 
     def summarize(self) -> list:
-        """Per-(kind, r, t) rows: mean, sd, bias and RMSE against references.
+        """Per-(kind, r, t) rows of each coded kind: mean, sd, bias and RMSE against references.
 
         Raw curves are compared with the model's finite-sample curve target
         when a closed form exists; corrected curves are compared with the
@@ -414,29 +431,26 @@ class MCResult:
         cfg = self.config
         # every r's curve target from one call: moving maxima invert the marginal once
         targets = oracle_theta_nt(cfg.model, cfg.r_list, cfg.k / cfg.n, cfg.t_grid)
+        references = {"raw": np.nan if targets is None else targets, "corrected": cfg.model.theta}
         rows = []
-        for kind, curves, _ in self.kinds():
-            for i, r in enumerate(cfg.r_list):
-                if r not in curves:
-                    continue
-                if kind == "corrected":
-                    refs = cfg.model.theta
-                else:
-                    refs = np.nan if targets is None else targets[i]
-                refs = np.broadcast_to(refs, len(cfg.t_grid)).tolist()
-                stats = zip(cfg.t_grid, refs, *_column_stats(curves[r], refs))
-                for t, ref, used, mean, sd, rmse in stats:
+        for entry in self.curves:
+            if entry.codes is None:
+                continue
+            refs = np.broadcast_to(references[entry.kind], (len(cfg.r_list), len(cfg.t_grid)))
+            for r, values, ref in zip(entry.keys, entry.values, refs.tolist()):
+                stats = zip(cfg.t_grid, ref, *_column_stats(values, ref))
+                for t, ref_t, used, mean, sd, rmse in stats:
                     rows.append(
                         {
-                            "kind": kind,
+                            "kind": entry.kind,
                             "r": r,
                             "t": t,
                             "n_used": used,
-                            "n_skipped": len(curves[r]) - used,
+                            "n_skipped": len(values) - used,
                             "mean": mean,
                             "sd": sd,
-                            "reference": ref,
-                            "bias": mean - ref if used else np.nan,
+                            "reference": ref_t,
+                            "bias": mean - ref_t if used else np.nan,
                             "rmse": rmse,
                         }
                     )
@@ -474,38 +488,23 @@ def _band_line(key, t: str, used: int, mean: str, sd: str) -> str:
     return f"{key},{t},{mean if used else ''},{sd if used > 1 else ''},{used}\n"
 
 
-def _band_lines(curves: dict, t_grid) -> dict:
-    """The band file rows of each (replicates x grid) array of ``curves``, by its key."""
-    levels = [repr(t) for t in t_grid]
-    return {
-        key: [
-            _band_line(key, t, used, repr(mean), repr(sd))
-            for t, used, mean, sd, _ in zip(levels, *_column_stats(arr))
-        ]
-        for key, arr in curves.items()
-    }
-
-
-# ``CODE_NAMES`` as objects: indexing it shares its four strings, where
-# ``CODE_NAMES[codes].astype(object)`` would build one string per cell
-_CODE_OBJECTS = CODE_NAMES.astype(object)
 # a row's text after its value, per code: the flag and the line end
 _CODE_TAILS = [f",{name}\n" for name in CODE_NAMES.tolist()]
 
 
 def _replicates(cfg: ExperimentConfig, run_lengths=()) -> tuple:
-    """Simulate every replicate once: ``(MCResult, runs, rows, flags)``.
+    """Simulate every replicate once: ``(MCResult, rows, flags)``.
 
     The grid and its budgets are checked and tabulated once; each replicate
     is partially sorted once (``_top_slice``), and its blocks, corrected and
     runs curves all read their thresholds from that one slice; every r takes
     its block maxima over the slice's positions only (``_top_tables``), and
     one kernel call evaluates every r, and one ``_runs_curves`` call every
-    run length.  ``runs[run_length]`` is a (replicates x grid) value array
-    with NaN where the runs estimate is undefined.  ``rows`` is None, or if
-    ``cfg.out_dir`` is set each replicate's curves.csv rows, formatted where
-    it ran (``_format_rows``).  ``flags`` counts the blocks and corrected values
-    with a skip code, read from the integer codes.
+    run length.  The result's table holds the raw and corrected curves of
+    every r, the kernel's rows in that order, and the runs curves of
+    ``run_lengths``.  ``rows`` is None, or if ``cfg.out_dir`` is set each
+    replicate's curves.csv rows, formatted where it ran (``_format_rows``).
+    ``flags`` counts the values with a skip code.
 
     Every curve reads only the values at or above the (k + 1)-th largest:
     the thresholds lie there, and a block maximum, tail value or run
@@ -513,20 +512,15 @@ def _replicates(cfg: ExperimentConfig, run_lengths=()) -> tuple:
     ``top=k + 1``, and a model that can draw only those values exactly
     (moving maxima) gives the same bytes as its full path.
     """
-    for run_length in run_lengths:
-        check_run_length(run_length, cfg.n)
     kernel = CurveKernel(cfg.k, cfg.t_grid, cfg.measure)
-    templates = _row_templates(cfg)
+    corrected = cfg.r_list if cfg.measure is not None else ()
+    # the coded kinds in table order: the kernel's rows are every raw, then every corrected key
+    templates = _row_templates((("raw", cfg.r_list), ("corrected", corrected)), cfg.t_grid)
     formatted = cfg.out_dir is not None
 
     def step(rep, x):
         top, above = _top_slice(x.values, cfg.k)
-        values, codes, corrected, corrected_codes = kernel(
-            top, [_top_tables(x.values, above, r) for r in cfg.r_list]
-        )
-        if corrected is not None:
-            values = np.concatenate([values, corrected])
-            codes = np.concatenate([codes, corrected_codes])
+        values, codes = kernel(top, [_top_tables(x.values, above, r) for r in cfg.r_list])
         runs = None
         if run_lengths:
             runs = _runs_curves(x.values, above, run_lengths, _thresholds(top, kernel.k_t)[0])
@@ -543,17 +537,18 @@ def _replicates(cfg: ExperimentConfig, run_lengths=()) -> tuple:
         if run_lengths:
             runs[:, rep] = rep_runs
     rows = [rep_rows for *_, rep_rows in results] if formatted else None
-    del results
-    count, names = len(cfg.r_list), _CODE_OBJECTS[codes]
-    # raw, corrected, raw_code, corrected_code: the raw rows come first
-    parts = values[:count], values[count:], names[:count], names[count:]
-    result = MCResult(cfg, *(dict(zip(cfg.r_list, part)) for part in parts))
-    return result, dict(zip(run_lengths, runs)), rows, int(np.count_nonzero(codes))
+    count = len(cfg.r_list)
+    curves = (
+        Curves("raw", "r", cfg.r_list, values[:count], codes[:count], "blocks_curves.csv"),
+        Curves("runs", "run_length", tuple(run_lengths), runs, None, "runs_curves.csv"),
+        Curves("corrected", "r", corrected, values[count:], codes[count:], "corrected_curves.csv"),
+    )
+    return MCResult(cfg, curves), rows, int(np.count_nonzero(codes))
 
 
 def run(config: ExperimentConfig) -> MCResult:
     """Execute the experiment; write curves.csv, summary.csv, meta.json if out_dir set."""
-    result, _, rows, flags = _replicates(config)
+    result, rows, flags = _replicates(config)
     if rows is not None:
         result = replace(result, files=_persist(result, rows, flags))
     return result
@@ -562,20 +557,19 @@ def run(config: ExperimentConfig) -> MCResult:
 _CURVES_HEADER = "replicate,kind,r,t,value,flag\n"
 
 
-def _row_templates(cfg: ExperimentConfig) -> list:
-    """``(heads, skipped)`` per (kind, r), in curves.csv order: the text of one replicate's rows.
+def _row_templates(kinds, t_grid) -> list:
+    """``(heads, skipped)`` per (kind, key), in curves.csv order: the text of one replicate's rows.
 
-    ``heads[j]`` is the row at grid level j from the comma after the
+    ``kinds`` holds the (kind, keys) pairs of the coded kinds, in table
+    order.  ``heads[j]`` is the row at grid level j from the comma after the
     replicate to the comma before the value, and ``skipped[code][j]`` that
     row's text after the replicate when its value is undefined and its flag
-    is ``CODE_NAMES[code]``: ``heads[j]`` and the code's tail.  Without a
-    measure there is no corrected kind.
+    is ``CODE_NAMES[code]``: ``heads[j]`` and the code's tail.
     """
-    kinds = ("raw", "corrected") if cfg.measure is not None else ("raw",)
     templates = []
-    for kind in kinds:
-        for r in cfg.r_list:
-            heads = [f",{kind},{r},{t!r}," for t in cfg.t_grid]
+    for kind, keys in kinds:
+        for key in keys:
+            heads = [f",{kind},{key},{t!r}," for t in t_grid]
             skipped = [[head + tail for head in heads] for tail in _CODE_TAILS]
             templates.append((heads, skipped))
     return templates
@@ -601,15 +595,16 @@ def _format_rows(templates, rep: int, values, codes) -> list:
     return rows
 
 
-def _persist(result: MCResult, rows, flags: int, runs=None) -> tuple:
-    """Write curves.csv, summary.csv and meta.json, and with ``runs`` the figure bundle.
+def _persist(result: MCResult, rows, flags: int, bands=False) -> tuple:
+    """Write curves.csv, summary.csv and meta.json, and with ``bands`` the figure bundle.
 
-    ``rows``, ``flags`` and ``runs`` come from ``_replicates``.  A
-    ``summarize`` row is one f-string of Python scalars, ``repr`` of each
-    float; with ``runs``, its mean and sd text also make its row of
-    blocks_curves.csv or corrected_curves.csv, and runs_curves.csv and
-    figure1_meta.json are written too.  Returns the paths of the CSVs and
-    meta.json, the band files last.
+    ``rows`` and ``flags`` come from ``_replicates``.  A ``summarize`` row
+    is one f-string of Python scalars, ``repr`` of each float; with
+    ``bands``, its mean and sd text also make its row of its kind's band
+    file, and a kind without codes takes its band rows from
+    ``_column_stats``.  The band files are written in table order, then
+    figure1_meta.json.  Returns the paths of the CSVs and meta.json, the
+    band files last.
     """
     cfg = result.config
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -621,7 +616,7 @@ def _persist(result: MCResult, rows, flags: int, runs=None) -> tuple:
             fh.writelines(block)
     levels = {t: repr(t) for t in cfg.t_grid}
     lines = ["kind,r,t,n_used,n_skipped,mean,sd,reference,bias,rmse\n"]
-    bands = {"raw": {}, "corrected": {}}
+    band_lines = {}  # (kind, key) -> rows
     for row in result.summarize():
         r, t, used = row["r"], levels[row["t"]], row["n_used"]
         mean, sd = repr(row["mean"]), repr(row["sd"])
@@ -629,23 +624,25 @@ def _persist(result: MCResult, rows, flags: int, runs=None) -> tuple:
             f"{row['kind']},{r},{t},{used},{row['n_skipped']},{mean},{sd},"
             f"{row['reference']!r},{row['bias']!r},{row['rmse']!r}\n"
         )
-        if runs is not None:
-            bands[row["kind"]].setdefault(r, []).append(_band_line(r, t, used, mean, sd))
+        if bands:
+            band_lines.setdefault((row["kind"], r), []).append(_band_line(r, t, used, mean, sd))
     summary_path = os.path.join(cfg.out_dir, "summary.csv")
     Path(summary_path).write_text("".join(lines))
     paths = [curves_path, summary_path, os.path.join(cfg.out_dir, "meta.json")]
     config = cfg.to_dict()
     _write_json(paths[-1], config, flag_count=flags, outputs=["curves.csv", "summary.csv"])
-    if runs is None:
+    if not bands:
         return tuple(paths)
-    for fname, band_lines, param in (
-        ("blocks_curves.csv", bands["raw"], "r"),
-        ("runs_curves.csv", _band_lines(runs, cfg.t_grid), "run_length"),
-        ("corrected_curves.csv", bands["corrected"], "r"),
-    ):
-        path = os.path.join(cfg.out_dir, fname)
-        body = "".join(line for key in sorted(band_lines) for line in band_lines[key])
-        Path(path).write_text(f"{param},t,mean,sd,n_used\n{body}")
+    for entry in result.curves:
+        if entry.codes is None:  # no summary rows to take the band text from
+            for key, arr in zip(entry.keys, entry.values):
+                band_lines[entry.kind, key] = [
+                    _band_line(key, levels[t], used, repr(mean), repr(sd))
+                    for t, used, mean, sd, _ in zip(cfg.t_grid, *_column_stats(arr))
+                ]
+        path = os.path.join(cfg.out_dir, entry.band_file)
+        body = "".join(line for key in sorted(entry.keys) for line in band_lines[entry.kind, key])
+        Path(path).write_text(f"{entry.param},t,mean,sd,n_used\n{body}")
         paths.append(path)
     outputs = [os.path.basename(p) for p in paths[3:]]
     _write_json(os.path.join(cfg.out_dir, "figure1_meta.json"), config, outputs=outputs)
@@ -714,8 +711,7 @@ def figure1_bundle(config: ExperimentConfig) -> tuple:
     """
     if config.out_dir is None:
         raise ValueError("figure1_bundle requires out_dir")
-    result, runs, rows, flags = _replicates(config, config.run_lengths)
-    return _persist(result, rows, flags, runs)
+    return _persist(*_replicates(config, config.run_lengths), bands=True)
 
 
 # ---------------------------------------------------------------------------

@@ -913,6 +913,7 @@ def test_every_entry_point_rejects_a_bad_grid_alike(series_file, grid, flag, cap
 
 @pytest.mark.parametrize("run_length", [0, -3, 400])
 def test_mc_bad_run_length_exits_1_before_simulating(tmp_path, run_length, monkeypatch, capsys):
+    # the config checks its run lengths, so a run without --figure1 rejects them too
     config_path = tmp_path / "exp.json"
     config_path.write_text(json.dumps(
         {"model": {"name": "wn", "psi": 0.6}, "n": 400, "r_list": [5], "k": 40,
@@ -921,10 +922,11 @@ def test_mc_bad_run_length_exits_1_before_simulating(tmp_path, run_length, monke
     calls = []
     monkeypatch.setattr(sim, "generate", lambda *a, **kw: calls.append(a))
     out = tmp_path / "out"
-    assert dispatch(["mc", "--config", str(config_path), "--out", str(out), "--figure1"]) == 1
-    assert capsys.readouterr().err == (
-        f"INVALID_ARGUMENT: need 1 <= run_length < n, got run_length={run_length}, n=400\n"
-    )
+    for extra in ([], ["--figure1"]):
+        assert dispatch(["mc", "--config", str(config_path), "--out", str(out), *extra]) == 1
+        assert capsys.readouterr().err == (
+            f"INVALID_ARGUMENT: need 1 <= run_length < n, got run_length={run_length}, n=400\n"
+        )
     assert calls == []
     assert not out.exists()
 
@@ -1109,18 +1111,33 @@ def test_mc_rejects_a_bad_measure_before_simulating(tmp_path, measure, err, caps
 
 def test_mc_normality_with_too_few_estimates_exits_1(tmp_path, capsys):
     # 5 tied random-repetition replicates leave 2 estimates at n and none at 2n
+    check_normality_rejection_before_writing(
+        tmp_path, capsys, {"name": "wn", "psi": 0.6},
+        "normality check needs 8 usable estimates at n and 2 at 2n, got 2 and 0",
+    )
+
+
+def test_mc_normality_without_a_curve_target_exits_1_before_writing(tmp_path, capsys):
+    check_normality_rejection_before_writing(
+        tmp_path, capsys, {"name": "ar1_cauchy", "phi": 0.6},
+        "normality check needs a model with a closed-form curve target",
+    )
+
+
+def check_normality_rejection_before_writing(tmp_path, capsys, model, err):
+    """``exindex mc --normality``, with and without --figure1, exits 1 and writes nothing."""
     config_path = tmp_path / "exp.json"
     config_path.write_text(json.dumps(
-        {"model": {"name": "wn", "psi": 0.6}, "n": 2000, "r_list": [10], "k": 100,
-         "t_grid": [0.5, 1], "replicates": 5}
+        {"model": model, "n": 2000, "r_list": [10], "k": 100, "t_grid": [0.5, 1], "replicates": 5}
     ))
-    argv = ["mc", "--config", str(config_path), "--out", str(tmp_path / "out"), "--normality"]
-    assert dispatch(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "INVALID_ARGUMENT: normality check needs 8 usable estimates at n and 2 at 2n, got 2 and 0\n"
-    )
+    out = tmp_path / "out"
+    for extra in ([], ["--figure1"]):
+        argv = ["mc", "--config", str(config_path), "--out", str(out), "--normality", *extra]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"INVALID_ARGUMENT: {err}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", sorted(harness._MEASURES))

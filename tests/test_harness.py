@@ -11,6 +11,7 @@ from scipy import stats
 
 import exindex as ex
 from exindex import harness
+from exindex.estimate import OK
 from exindex.sim import config_fields
 from test_properties import per_cell_files
 
@@ -286,6 +287,10 @@ def test_measure_rejects_unknown_and_names_missing_keys():
         ({key: val for key, val in embedded.items() if key != "atoms"},
          "^missing key 'atoms' in measure$"),
         ({"kind": "normal", "p": 0.5}, "^unknown measure kind 'normal'$"),
+        ({**embedded, "kind": "banana"}, "^measure key 'kind' of embedded atoms must be one of "
+         "two_atom, product_construction, custom, got 'banana'$"),
+        ({**embedded, "kind": "product"}, "^measure key 'kind' of embedded atoms must be one of "
+         "two_atom, product_construction, custom, got 'product'$"),
         ({**two, "p": "half"}, "^measure key 'p' must be a number, got 'half'$"),
         ({**prod, "m": 2.5}, "^measure key 'm' must be an integer, got 2.5$"),
         ({"kind": "file", "path": 0}, "^measure key 'path' must be a string, got 0$"),
@@ -309,6 +314,39 @@ def test_measure_meta_json_form_roundtrips(tmp_path):
         again = ex.ExperimentConfig.from_dict(written)
         assert again.measure == mu and again.delta == 0.5
         assert again.to_dict() == written
+
+
+def test_embedded_atoms_are_labelled_with_a_provenance_the_package_writes(tmp_path):
+    # atoms without a kind are custom, whatever built them
+    product = ex.product_measure(1, 2, 1.5, 2)
+    atoms = [list(atom) for atom in product.atoms]
+    assert len(atoms) == 8
+    mu, _ = harness._measure_from_dict({"atoms": atoms})
+    assert mu.provenance == "custom" and mu.atoms == product.atoms
+    ex.write_measure_csv(ex.two_atom_measure(0.5, 1.0, 2.0), tmp_path / "mu.csv")
+    from_file = ex.read_measure_csv(tmp_path / "mu.csv")
+    for mu, kind in ((product, "product_construction"), (from_file, "custom"),
+                     (ex.two_atom_measure(0.5, 1.0, 2.0), "two_atom")):
+        written = small_config(measure=mu).to_dict()
+        assert written["measure"]["kind"] == kind
+        again = ex.ExperimentConfig.from_dict(written)
+        assert again.measure == mu and again.to_dict() == written
+        bare = {key: value for key, value in written["measure"].items() if key != "kind"}
+        unlabelled = ex.ExperimentConfig.from_dict({**written, "measure": bare})
+        assert unlabelled.measure.provenance == "custom"
+        assert unlabelled.measure.atoms == mu.atoms
+
+
+@pytest.mark.parametrize("run_lengths", [[0], [5000], [5, 2000], [-3]])
+def test_config_rejects_a_run_length_the_runs_estimator_cannot_use(run_lengths):
+    base = dict(model={"name": "wn", "psi": 0.6}, n=2000, r_list=[5], k=100)
+    bad = next(length for length in run_lengths if not 1 <= length < 2000)
+    with pytest.raises(ValueError, match=f"^need 1 <= run_length < n, got run_length={bad}, "
+                                         "n=2000$"):
+        ex.ExperimentConfig.from_dict({**base, "run_lengths": run_lengths})
+    # the default, r_list, is checked too
+    with pytest.raises(ValueError, match="^need 1 <= run_length < n, got run_length=2000"):
+        ex.ExperimentConfig.from_dict({**base, "r_list": [2000]})
 
 
 def test_wrongly_typed_config_values_name_their_key():
@@ -435,9 +473,9 @@ def test_summary_and_band_files_have_the_bytes_of_the_per_cell_writer(tmp_path, 
     cfg = small_config(out_dir=str(tmp_path / "text"), **overrides)
     harness.figure1_bundle(cfg)
     # the same seeds give the same curves
-    result, runs, *_ = harness._replicates(cfg, cfg.run_lengths)
+    result, *_ = harness._replicates(cfg, cfg.run_lengths)
     (tmp_path / "cells").mkdir()
-    per_cell_files(result, runs, tmp_path / "cells")
+    per_cell_files(result, tmp_path / "cells")
     for name in ("summary.csv", "blocks_curves.csv", "runs_curves.csv", "corrected_curves.csv"):
         assert (tmp_path / "text" / name).read_bytes() == (tmp_path / "cells" / name).read_bytes()
 
@@ -446,32 +484,33 @@ def test_run_deterministic_and_flag_accounted():
     cfg = small_config()
     res1 = ex.run(cfg)
     res2 = ex.run(cfg)
-    for r in cfg.r_list:
-        np.testing.assert_array_equal(res1.raw[r], res2.raw[r])
-        np.testing.assert_array_equal(res1.corrected[r], res2.corrected[r])
-        np.testing.assert_array_equal(res1.raw_code[r], res2.raw_code[r])
-        np.testing.assert_array_equal(res1.corrected_code[r], res2.corrected_code[r])
+    assert [entry.kind for entry in res1.curves] == ["raw", "runs", "corrected"]
+    for entry1, entry2 in zip(res1.curves, res2.curves):
+        assert entry1.kind == entry2.kind and entry1.keys == entry2.keys
+        np.testing.assert_array_equal(entry1.values, entry2.values)
+        np.testing.assert_array_equal(entry1.codes, entry2.codes)
+    coded = [entry for entry in res1.curves if entry.codes is not None]
+    assert [entry.kind for entry in coded] == ["raw", "corrected"]
+    for entry in coded:
+        assert entry.keys == cfg.r_list
     # every NaN cell is matched by exactly one flag code
-    nan_cells = sum(
-        int(np.isnan(res1.raw[r]).sum() + np.isnan(res1.corrected[r]).sum())
-        for r in cfg.r_list
-    )
-    flag_cells = sum(
-        int((res1.raw_code[r] != "").sum() + (res1.corrected_code[r] != "").sum())
-        for r in cfg.r_list
-    )
+    nan_cells = sum(int(np.isnan(entry.values).sum()) for entry in coded)
+    flag_cells = sum(int((entry.codes != OK).sum()) for entry in coded)
     assert flag_cells == nan_cells
-    for r in cfg.r_list:
-        assert (np.isnan(res1.raw[r]) == (res1.raw_code[r] != "")).all()
-        assert (np.isnan(res1.corrected[r]) == (res1.corrected_code[r] != "")).all()
+    for entry in coded:
+        assert (np.isnan(entry.values) == (entry.codes != OK)).all()
     for row in res1.summarize():
         assert row["n_used"] + row["n_skipped"] == cfg.replicates
 
 
 def test_run_without_measure_has_no_corrected_curves():
-    res = ex.run(small_config(measure=None))
+    cfg = small_config(measure=None)
+    res = ex.run(cfg)
     assert res.corrected == {}
-    assert res.corrected_code == {}
+    raw, runs, corrected = res.curves
+    assert corrected.kind == "corrected" and corrected.keys == ()
+    assert corrected.values.shape == corrected.codes.shape == (0, cfg.replicates, len(cfg.t_grid))
+    assert runs.keys == () and runs.codes is None
 
 
 def test_summary_file_recomputable_from_curves(tmp_path):

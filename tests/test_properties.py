@@ -1,5 +1,7 @@
 """Property tests: the array kernels against their definitions and the scalar path."""
 
+import csv
+import itertools
 import math
 import os
 from dataclasses import replace
@@ -24,6 +26,7 @@ from exindex.estimate import (
 )
 from exindex.harness import (
     _CURVES_HEADER,
+    Curves,
     MCResult,
     _column_stats,
     _format_rows,
@@ -231,9 +234,12 @@ def test_curve_kernel_matches_the_definitions_for_every_r(case, mu, grid):
     x, r_list, k = case
     kernel = CurveKernel(k, grid, mu)
     top, above = _top_slice(x, k)
-    raw_values, raw_codes, values, codes = kernel(top, [_top_tables(x, above, r) for r in r_list])
-    assert raw_values.shape == raw_codes.shape == (len(r_list), len(grid))
-    assert values is codes is None if mu is None else values.shape == raw_values.shape
+    values, codes = kernel(top, [_top_tables(x, above, r) for r in r_list])
+    # every r's raw row, then under a measure every r's corrected row
+    rows = len(r_list) * (1 if mu is None else 2)
+    assert values.shape == codes.shape == (rows, len(grid))
+    raw_values, raw_codes = values[: len(r_list)], codes[: len(r_list)]
+    values, codes = values[len(r_list) :], codes[len(r_list) :]
     for i, r in enumerate(r_list):
         for j, t in enumerate(grid):
             value, code = brute_force(x, r, k, t)
@@ -441,11 +447,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def by_key(result, kind):
+    """``({key: values}, {key: codes})`` of the table entry ``kind`` of ``result``."""
+    (entry,) = [entry for entry in result.curves if entry.kind == kind]
+    codes = {} if entry.codes is None else dict(zip(entry.keys, entry.codes))
+    return dict(zip(entry.keys, entry.values)), codes
+
+
 def curves_csv_row_by_row(result):
     """The reference curves.csv writer: one row tuple per point, each cell through ``_fmt``."""
     cfg = result.config
     rows = []
-    for kind, curves, codes in result.kinds():
+    for kind in ("raw", "corrected"):
+        curves, codes = by_key(result, kind)
         for r in cfg.r_list:
             if r not in curves:
                 continue
@@ -453,7 +467,7 @@ def curves_csv_row_by_row(result):
                 for j, t in enumerate(cfg.t_grid):
                     val = curves[r][rep, j]
                     shown = "" if np.isnan(val) else _fmt(float(val))
-                    rows.append((rep, kind, r, t, shown, codes[r][rep, j]))
+                    rows.append((rep, kind, r, t, shown, CODE_NAMES[codes[r][rep, j]]))
     header = ["replicate", "kind", "r", "t", "value", "flag"]
     return "".join(",".join(_fmt(x) for x in row) + "\n" for row in [header] + rows)
 
@@ -462,7 +476,34 @@ cells = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([math.nan, -0.0, 0.0, 0.1, 1 / 3, 5e-324, -2.2250738585072014e-308, 1e300]),
 )
-flags = st.sampled_from(["", TIES, NO_EXC, "DEGENERATE_DENOMINATOR"])
+skip_codes = st.integers(0, len(CODE_NAMES) - 1)
+CODE_OF = {name: code for code, name in enumerate(CODE_NAMES.tolist())}
+# each kind's parameter and band file
+KINDS = {"raw": ("r", "blocks_curves.csv"), "runs": ("run_length", "runs_curves.csv"),
+         "corrected": ("r", "corrected_curves.csv")}
+
+
+def table_result(cfg, raw, raw_codes, corrected=None, corrected_codes=None, runs=None):
+    """An ``MCResult`` of ``cfg`` whose table holds these ``{key: array}`` curves and codes."""
+    shape = (cfg.replicates, len(cfg.t_grid))
+
+    def entry(kind, values, codes):
+        param, band_file = KINDS[kind]
+
+        def stack(arrays, dtype):
+            return np.array(list(arrays), dtype=dtype).reshape(len(values), *shape)
+
+        codes = None if codes is None else stack(codes.values(), np.int8)
+        return Curves(kind, param, tuple(values), stack(values.values(), float), codes, band_file)
+
+    return MCResult(cfg, (entry("raw", raw, raw_codes), entry("runs", runs or {}, None),
+                          entry("corrected", corrected or {}, corrected_codes or {})))
+
+
+def with_runs(result, runs, out_dir):
+    """``result`` persisting to ``out_dir``, with ``runs`` ({run length: array}) as its runs."""
+    raw, corrected = (by_key(result, kind) for kind in ("raw", "corrected"))
+    return table_result(replace(result.config, out_dir=str(out_dir)), *raw, *corrected, runs)
 
 
 @st.composite
@@ -490,22 +531,17 @@ def mc_results(draw, values=cells, measured=st.booleans()):
         return np.array(drawn, dtype=dtype).reshape(shape)
 
     def curves(keys):
-        return {r: array(values) for r in keys}, {r: array(flags, object) for r in keys}
+        return {r: array(values) for r in keys}, {r: array(skip_codes, np.int8) for r in keys}
 
-    raw, raw_code = curves(r_list)
-    corrected, corrected_code = curves(r_list if measured else ())
-    return MCResult(cfg, raw, corrected, raw_code, corrected_code)
-
-
-CODE_OF = {name: code for code, name in enumerate(CODE_NAMES.tolist())}
+    return table_result(cfg, *curves(r_list), *curves(r_list if measured else ()))
 
 
 def replicate_rows(result):
     """Every replicate's ``_format_rows``, as ``_replicates`` hands them to ``_persist``."""
     cfg = result.config
-    blocks = [(curves[r], codes[r]) for _, curves, codes in result.kinds() for r in cfg.r_list
-              if r in curves]
-    templates = _row_templates(cfg)
+    coded = [entry for entry in result.curves if entry.codes is not None]
+    blocks = [pair for entry in coded for pair in zip(entry.values, entry.codes)]
+    templates = _row_templates([(entry.kind, entry.keys) for entry in coded], cfg.t_grid)
     # (heads, skipped) per (kind, r): one head per level, one skipped row per level and code
     assert len(templates) == len(blocks)
     for heads, skipped in templates:
@@ -516,7 +552,7 @@ def replicate_rows(result):
             templates,
             rep,
             np.array([values[rep] for values, _ in blocks]),
-            np.array([[CODE_OF[name] for name in names[rep]] for _, names in blocks]),
+            np.array([codes[rep] for _, codes in blocks]),
         )
         for rep in range(cfg.replicates)
     ]
@@ -532,7 +568,7 @@ def one_replicate_result(values, flags):
     cfg = ex.ExperimentConfig(model=ex.AR1Cauchy(phi=0.6), n=1000, r_list=(10,), k=100,
                               t_grid=[0.1 * (j + 1) for j in range(len(values))], measure=None,
                               replicates=1)
-    return MCResult(cfg, {10: np.array([values])}, {}, {10: np.array([flags], dtype=object)}, {})
+    return table_result(cfg, {10: np.array([values])}, {10: [[CODE_OF[name] for name in flags]]})
 
 
 @settings(max_examples=200, deadline=None)
@@ -664,10 +700,9 @@ bounded = st.one_of(st.just(math.nan), st.floats(-1e6, 1e6))
 def test_figure_bands_and_summary_have_the_bits_of_the_per_column_path(tmp_path_factory, result):
     cfg = result.config
     out_dir = tmp_path_factory.mktemp("bands")
-    result = MCResult(replace(cfg, out_dir=str(out_dir)), result.raw, result.corrected,
-                      result.raw_code, result.corrected_code)
     runs = {2: result.raw[cfg.r_list[0]]}
-    _persist(result, replicate_rows(result), 0, runs)
+    result = with_runs(result, runs, out_dir)
+    _persist(result, replicate_rows(result), 0, bands=True)
     for name, curves, param in (("blocks_curves.csv", result.raw, "r"),
                                 ("runs_curves.csv", runs, "run_length"),
                                 ("corrected_curves.csv", result.corrected, "r")):
@@ -675,7 +710,8 @@ def test_figure_bands_and_summary_have_the_bits_of_the_per_column_path(tmp_path_
         assert (out_dir / name).read_text() == want
     # AR(1) has no curve target, so only the corrected rows have a reference: theta
     summary = result.summarize()
-    for kind, curves, _ in result.kinds():
+    for kind in ("raw", "corrected"):
+        curves, _ = by_key(result, kind)
         refs = [math.nan if kind == "raw" else cfg.model.theta] * len(cfg.t_grid)
         want = [stats for r in cfg.r_list for stats in column_stats_one_by_one(curves[r], refs)]
         got = [(row["n_used"], row["mean"], row["sd"], row["rmse"]) for row in summary
@@ -938,7 +974,7 @@ WRITTEN_FILES = ("curves.csv", "summary.csv", "blocks_curves.csv", "runs_curves.
                  "corrected_curves.csv")
 
 
-def per_cell_files(result, runs, out_dir):
+def per_cell_files(result, out_dir):
     """Reference: summary.csv and the band files of ``result`` from the per-cell writer.
 
     summary.csv holds the ``summarize`` rows (``per_cell_csv``), a band file
@@ -947,7 +983,7 @@ def per_cell_files(result, runs, out_dir):
     rows = [tuple(row[c] for c in SUMMARY_COLUMNS) for row in result.summarize()]
     per_cell_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, rows)
     for name, curves, param in (("blocks_curves.csv", result.raw, "r"),
-                                ("runs_curves.csv", runs, "run_length"),
+                                ("runs_curves.csv", by_key(result, "runs")[0], "run_length"),
                                 ("corrected_curves.csv", result.corrected, "r")):
         with open(os.path.join(out_dir, name), "w") as fh:
             fh.write(f"{param},t,mean,sd,n_used\n"
@@ -965,17 +1001,52 @@ written = st.one_of(st.sampled_from([math.nan, -0.0, 0.0, 5e-324, 1 / 3]), st.fl
 def test_csv_writer_has_the_bytes_of_the_per_cell_writer(tmp_path_factory, result):
     # every CSV of ``_persist`` given runs, each written in one text pass
     out = tmp_path_factory.mktemp("files")
-    cfg = replace(result.config, out_dir=str(out / "text"))
-    result = MCResult(cfg, result.raw, result.corrected, result.raw_code, result.corrected_code)
-    runs = {7: result.raw[cfg.r_list[0]], 2: result.raw[cfg.r_list[-1]][::-1]}
-    paths = _persist(result, replicate_rows(result), 0, runs)
+    r_list = result.config.r_list
+    runs = {7: result.raw[r_list[0]], 2: result.raw[r_list[-1]][::-1]}
+    result = with_runs(result, runs, out / "text")
+    paths = _persist(result, replicate_rows(result), 0, bands=True)
     assert [os.path.basename(p) for p in paths] == ["curves.csv", "summary.csv", "meta.json",
                                                     *WRITTEN_FILES[2:]]
     os.mkdir(out / "cells")
-    per_cell_files(result, runs, out / "cells")
+    per_cell_files(result, out / "cells")
     (out / "cells" / "curves.csv").write_text(curves_csv_row_by_row(result))
     for name in WRITTEN_FILES:
         assert (out / "text" / name).read_bytes() == (out / "cells" / name).read_bytes(), name
+
+
+def key_blocks(path, columns):
+    """The runs of consecutive rows of the CSV at ``path`` with equal ``columns``: (key, length)."""
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    return [(key, len(list(group)))
+            for key, group in itertools.groupby(tuple(row[c] for c in columns) for row in rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mc_results(values=bounded), st.lists(st.integers(1, 50), max_size=3, unique=True))
+def test_every_writer_follows_the_table_order(tmp_path_factory, result, run_lengths):
+    # curves.csv blocks and summary rows follow the coded kinds in table order, each r in
+    # r_list order; the band files follow the table order, each with its rows sorted by key
+    cfg = result.config
+    levels, replicates = len(cfg.t_grid), cfg.replicates
+    runs = {length: result.raw[cfg.r_list[i % len(cfg.r_list)]]
+            for i, length in enumerate(run_lengths)}
+    result = with_runs(result, runs, tmp_path_factory.mktemp("order"))
+    paths = _persist(result, replicate_rows(result), 0, bands=True)
+    assert [entry.kind for entry in result.curves] == ["raw", "runs", "corrected"]
+    coded = [(entry.kind, str(r)) for entry in result.curves if entry.codes is not None
+             for r in entry.keys]
+    kinds = ["raw", "corrected"] if cfg.measure is not None else ["raw"]
+    assert coded == [(kind, str(r)) for kind in kinds for r in cfg.r_list]
+    assert key_blocks(paths[0], ("kind", "r")) == [(key, replicates * levels) for key in coded]
+    assert key_blocks(paths[1], ("kind", "r")) == [(key, levels) for key in coded]
+    assert [os.path.basename(p) for p in paths[3:]] == [entry.band_file
+                                                        for entry in result.curves]
+    for path, entry in zip(paths[3:], result.curves):
+        with open(path) as fh:
+            assert fh.readline().startswith(f"{entry.param},t,")
+        assert key_blocks(path, (entry.param,)) == [((str(key),), levels)
+                                                   for key in sorted(entry.keys)]
 
 
 # ---------------------------------------------------------------------------

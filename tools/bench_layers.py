@@ -81,13 +81,13 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
   a user runs it, divided by the replicate count.
 * ``summarize_persist.mm_figure`` (interpreted): what the parent process of
   that command does with its result once the replicates have run:
-  ``harness._persist`` given the runs curves (``summarize``, curves.csv,
+  ``harness._persist`` with the band files (``summarize``, curves.csv,
   summary.csv, meta.json, the three band files and figure1_meta.json), into
   a temporary directory, per call.
 * ``persist.format_rows.<config>`` (interpreted): formatting the curves.csv
   rows of a 50-replicate ``ar1_c6`` or ``wn_ties`` result, divided by the
-  replicate count: one ``harness._format_rows`` call per replicate, as each
-  replicate formats its own rows.  ``wn_ties`` leaves most values
+  replicate count: one ``harness._format_rows`` call per replicate on its
+  integer codes, as each replicate formats its own rows.  ``wn_ties`` leaves most values
   undefined, ``ar1_c6`` few.
 * ``summarize_persist.<config>`` (interpreted): what the parent process
   still does with that result: ``summarize`` plus writing curves.csv,
@@ -399,8 +399,8 @@ def mm_figure_layers(timed) -> dict:
 
 def figure_persist_layer(timed, cfg) -> dict:
     """``summarize_persist.mm_figure``: every file ``_persist`` writes of ``cfg``'s replicates."""
-    result, runs, rows, flags = harness._replicates(cfg, cfg.run_lengths)
-    return timed("interpreted", lambda: harness._persist(result, rows, flags, runs))
+    result, rows, flags = harness._replicates(cfg, cfg.run_lengths)
+    return timed("interpreted", lambda: harness._persist(result, rows, flags, bands=True))
 
 
 def run_cli(argv) -> None:
@@ -439,17 +439,16 @@ def persist_layers(timed) -> dict:
 
 def persist_result_layers(timed, cfg) -> list:
     """``[("persist.format_rows", stats), ("summarize_persist", stats)]`` of ``cfg``'s result."""
-    result, _, rows, flags = harness._replicates(cfg)
-    templates = harness._row_templates(cfg)
-    code_of = {name: code for code, name in enumerate(harness.CODE_NAMES.tolist())}
-    curves = [(values[r], codes[r]) for _, values, codes in result.kinds() for r in values]
-    inputs = [
-        (
-            np.array([values[rep] for values, _ in curves]),
-            np.array([[code_of[name] for name in codes[rep]] for _, codes in curves]),
-        )
-        for rep in range(cfg.replicates)
-    ]
+    result, rows, flags = harness._replicates(cfg)
+    coded = [entry for entry in result.curves if entry.codes is not None]
+    templates = harness._row_templates([(entry.kind, entry.keys) for entry in coded], cfg.t_grid)
+    # each replicate's (rows x grid) values and codes, the rows in table order, as its kernel
+    # returns them
+    values, codes = (
+        np.concatenate(arrays, axis=0).swapaxes(0, 1).copy()
+        for arrays in zip(*((entry.values, entry.codes) for entry in coded))
+    )
+    inputs = list(zip(values, codes))
 
     def format_rows():
         for rep, (values, codes) in enumerate(inputs):
