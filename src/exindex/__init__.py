@@ -33,7 +33,7 @@ _EXPORTS = {
     "oracle": ("BiasExpansion", "MMExpansionReport", "bias_expansion_mm", "bias_expansion_wn",
         "mm_block_nonexceed", "theta_nt_mm_exact", "theta_nt_wn"),
     "harness": ("ExperimentConfig", "MCResult", "NormalityReport", "figure1_bundle",
-        "model_from_dict", "normality_check", "oracle_theta_nt", "run"),
+        "model_from_dict", "normality_check", "run"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

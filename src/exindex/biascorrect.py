@@ -363,6 +363,8 @@ def corrected_curve(x, cfg, mu: SignedMeasureAtoms, t_grid) -> ThresholdCurve:
     denominator falls below 1e-8 times the total variation; such levels are
     NaN, not interpolated.
     """
+    if mu is None:  # the kernel would return the raw row alone
+        raise ValueError("corrected_curve needs a measure, got None")
     kernel = CurveKernel(cfg.k, t_grid, mu)
     ev = BlocksEvaluator(x, cfg.r, cfg.k)
     value, code = kernel(ev._top, [ev._tables])  # one raw row, then one corrected row

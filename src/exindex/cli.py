@@ -43,11 +43,10 @@ from .harness import (
     figure1_bundle,
     model_from_dict,
     normality_check,
-    oracle_theta_nt,
     run,
 )
-from .oracle import bias_expansion_mm, bias_expansion_wn
-from .sim import IID, MovingMaxima, config_fields, generate
+from .oracle import MMExpansionReport
+from .sim import config_fields, generate
 
 __all__ = ["dispatch", "main"]
 
@@ -243,15 +242,12 @@ def _cmd_check_measure(args) -> None:
 
 def _cmd_oracle(args) -> None:
     model = model_from_dict(_model_dict(args))
-    theta_nt = oracle_theta_nt(model, args.r, args.v, args.t)
+    theta_nt = model.theta_nt(args.r, args.v, args.t)
     if theta_nt is None:
         raise _Usage("no closed-form curve target for this model")
-    if isinstance(model, MovingMaxima):
-        rep = bias_expansion_mm(model, args.r, args.v)
-        exp, extra = rep.expansion, [f"branch {rep.selected}", f"d {_fmt(rep.diagnostics['d'])}"]
-    else:
-        # random repetition, with independent data as its psi = 0 case
-        exp, extra = bias_expansion_wn(getattr(model, "psi", 0.0), args.r, args.v), []
+    exp, extra = model.bias_expansion(args.r, args.v), []
+    if isinstance(exp, MMExpansionReport):
+        exp, extra = exp.expansion, [f"branch {exp.selected}", f"d {_fmt(exp.diagnostics['d'])}"]
     lines = [
         f"theta_nt {_fmt(theta_nt)}",
         f"theta_n {_fmt(exp.theta_n)}",
@@ -266,7 +262,7 @@ def _cmd_kernel(args) -> None:
 
     grid = check_grid(sorted({args.s, args.t}))  # every method reads the kernel at s and t
     model = model_from_dict(_model_dict(args))
-    independent = isinstance(model, IID)
+    independent = args.model == "iid"
     method = args.method
     if method == "auto":
         method = "iid" if independent else "tail"

@@ -52,7 +52,7 @@ from .estimate import (
 # perfbench/layers.py traces these bindings
 from .biascorrect import corrected_curve  # noqa: F401
 from .estimate import runs_estimator, sweep  # noqa: F401
-from .oracle import theta_nt_mm_exact, theta_nt_wn
+from .oracle import theta_nt_mm_exact, theta_nt_wn  # noqa: F401
 from .sim import (
     IID,
     AR1Cauchy,
@@ -75,7 +75,6 @@ __all__ = [
     "run",
     "figure1_bundle",
     "normality_check",
-    "oracle_theta_nt",
     "model_from_dict",
 ]
 
@@ -289,7 +288,9 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "r_list", tuple(int(r) for r in self.r_list))
         object.__setattr__(self, "t_grid", tuple(check_grid(self.t_grid, "t_grid").tolist()))
-        lengths = self.r_list if self.run_lengths is None else self.run_lengths
+        lengths = self.run_lengths
+        if lengths is None:  # every block length a run can take: a run stays below n
+            lengths = [r for r in self.r_list if r < self.n]
         object.__setattr__(self, "run_lengths", tuple(int(r) for r in lengths))
         # a repeat would write its rows twice, or once where meta.json lists it twice
         for key in ("r_list", "run_lengths"):
@@ -325,7 +326,7 @@ class ExperimentConfig:
             raise ValueError(f"config key 'out_dir' must be a string, got {out_dir!r}")
         run_lengths = None
         if d.get("run_lengths") is not None:
-            # an empty list means the default, r_list
+            # an empty list means the default
             run_lengths = _numbers(d["run_lengths"], "run_lengths", "config", _int) or None
         return cls(
             model=model_from_dict(_key(d, "model", "config")),
@@ -355,26 +356,6 @@ class ExperimentConfig:
 
 # the top-level keys that to_dict writes and from_dict accepts
 _CONFIG_KEYS = tuple(key for key in config_fields(ExperimentConfig) if key != "delta")
-
-
-def oracle_theta_nt(model, r: int, v: float, t):
-    """Closed-form mean curve of the blocks estimator at ``t``, or None if unavailable.
-
-    ``t`` is a level or an array of levels, and ``r`` a block length or a
-    sequence of them, which gives one row per block length; a scalar ``r``
-    and ``t`` give a float.  Moving maxima invert the marginal once for all
-    levels and block lengths; random repetition, and independent data as its
-    psi = 0 case, take one ``theta_nt_wn`` call per level and block length.
-    """
-    if isinstance(model, MovingMaxima):
-        return theta_nt_mm_exact(model, r, v, t)
-    if not isinstance(model, (IID, RandomRepetition)):
-        return None
-    psi = getattr(model, "psi", 0.0)
-    levels, lengths = np.ravel(t).tolist(), np.ravel(r).tolist()
-    out = [[theta_nt_wn(psi, length, v, level) for level in levels] for length in lengths]
-    out = np.reshape(out, np.shape(r) + np.shape(t))
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +411,7 @@ class MCResult:
         """
         cfg = self.config
         # every r's curve target from one call: moving maxima invert the marginal once
-        targets = oracle_theta_nt(cfg.model, cfg.r_list, cfg.k / cfg.n, cfg.t_grid)
+        targets = cfg.model.theta_nt(cfg.r_list, cfg.k / cfg.n, cfg.t_grid)
         references = {"raw": np.nan if targets is None else targets, "corrected": cfg.model.theta}
         rows = []
         for entry in self.curves:
@@ -741,7 +722,7 @@ def _standardized_estimates(cfg: ExperimentConfig):
     """
     (r,), (t,) = cfg.r_list, cfg.t_grid
     v = cfg.k / cfg.n
-    target = oracle_theta_nt(cfg.model, r, v, t)
+    target = cfg.model.theta_nt(r, v, t)
     if target is None:
         raise ValueError("normality check needs a model with a closed-form curve target")
     vals = _replicates(cfg)[0].raw[r][:, 0]

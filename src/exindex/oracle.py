@@ -32,8 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import MovingMaxima
-
 __all__ = [
     "BiasExpansion",
     "MMExpansionReport",
@@ -101,7 +99,7 @@ def bias_expansion_wn(psi: float, r: int, v: float) -> BiasExpansion:
 # ---------------------------------------------------------------------------
 
 
-def _block_coefficients(spec: MovingMaxima, r: int) -> list:
+def _block_coefficients(spec, r: int) -> list:
     """psi*_m of every innovation Z_m that can reach an r-block, in the order of m.
 
     psi*_m is the largest coefficient through which Z_m enters the block;
@@ -122,7 +120,7 @@ def _block_coefficients(spec: MovingMaxima, r: int) -> list:
     return out
 
 
-def mm_block_nonexceed(spec: MovingMaxima, r: int, u: float) -> float:
+def mm_block_nonexceed(spec, r: int, u: float) -> float:
     """Exact P{max of an r-block <= u} for the moving-maxima model.
 
     The block maximum is below u iff every innovation Z_m feeding the block
@@ -138,7 +136,7 @@ def mm_block_nonexceed(spec: MovingMaxima, r: int, u: float) -> float:
     return prob
 
 
-def theta_nt_mm_exact(spec: MovingMaxima, r: int, v: float, t):
+def theta_nt_mm_exact(spec, r: int, v: float, t):
     """Exact mean curve of the blocks estimator for the moving-maxima model.
 
     Inverts the stationary marginal at 1 - v t numerically, then evaluates the
@@ -196,7 +194,7 @@ class MMExpansionReport:
         return self.power if self.selected == "power" else self.linear
 
 
-def bias_expansion_mm(spec: MovingMaxima, r: int, v: float) -> MMExpansionReport:
+def bias_expansion_mm(spec, r: int, v: float) -> MMExpansionReport:
     """Leading curve models for the moving-maxima blocks estimator."""
     if r < 1:
         raise ValueError(f"r must be at least 1, got {r}")

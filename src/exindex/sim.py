@@ -16,10 +16,15 @@ models:
 Every model and every innovation law answers the same questions:
 ``sample(rng, size)`` draws values and ``to_dict()`` writes its config form
 under its config ``name``.  Each model also has ``marginal`` (its exact
-stationary law) and ``theta`` (its extremal index) properties.  The
-constructor fields, as :func:`config_fields` lists them, are the only list of
-a class's parameters: ``to_dict``, the config parser and the CLI model flags
-all read them.
+stationary law) and ``theta`` (its extremal index) properties, and two
+oracle methods from :mod:`exindex.oracle`: ``theta_nt(r, v, t)``, the exact
+mean curve of the blocks estimator (a float for a scalar ``r`` and ``t``,
+one row per block length for a sequence ``r``), and ``bias_expansion(r, v)``,
+its leading bias model.  Both return None where no exact form is known
+(AR(1)).  ``IID`` is the psi = 0 case of ``RandomRepetition`` and shares its
+oracles.  The constructor fields, as :func:`config_fields` lists them, are
+the only list of a class's parameters: ``to_dict``, the config parser and
+the CLI model flags all read them.
 
 All generators are deterministic functions of (model, n, seed, top).
 Every Monte Carlo loop runs its replicates through :func:`map_replicates`.
@@ -468,12 +473,8 @@ def _wide_midpoint(lo, hi, out):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IID(_ConfigForm):
-    """Independent draws from ``innovation``."""
-
-    innovation: object
-    name = "iid"
+class _Repetition(_ConfigForm):
+    """Random repetition with repeat probability ``psi`` and its oracles; iid is psi = 0."""
 
     @property
     def marginal(self):
@@ -481,7 +482,30 @@ class IID(_ConfigForm):
 
     @property
     def theta(self) -> float:
-        return 1.0
+        return 1.0 - self.psi
+
+    def theta_nt(self, r, v: float, t):
+        """``theta_nt_wn`` at each block length of ``r`` (one row each) and level of ``t``."""
+        from .oracle import theta_nt_wn
+
+        levels, lengths = np.ravel(t).tolist(), np.ravel(r).tolist()
+        out = [[theta_nt_wn(self.psi, length, v, level) for level in levels] for length in lengths]
+        out = np.reshape(out, np.shape(r) + np.shape(t))
+        return float(out) if out.ndim == 0 else out
+
+    def bias_expansion(self, r: int, v: float):
+        from .oracle import bias_expansion_wn
+
+        return bias_expansion_wn(self.psi, r, v)
+
+
+@dataclass(frozen=True)
+class IID(_Repetition):
+    """Independent draws from ``innovation``."""
+
+    innovation: object
+    name = "iid"
+    psi = 0.0
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.innovation.sample(rng, size)
@@ -505,6 +529,12 @@ class AR1Cauchy(_ConfigForm):
     @property
     def theta(self) -> float:
         return 1.0 - self.phi
+
+    def theta_nt(self, r, v: float, t):
+        return None
+
+    def bias_expansion(self, r: int, v: float):
+        return None
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         eps = rng.standard_cauchy(size)
@@ -555,7 +585,7 @@ def _linear_filter():
 
 
 @dataclass(frozen=True)
-class RandomRepetition(_ConfigForm):
+class RandomRepetition(_Repetition):
     """Each innovation is repeated a geometric number of times; extremal index 1 - psi."""
 
     psi: float
@@ -565,14 +595,6 @@ class RandomRepetition(_ConfigForm):
     def __post_init__(self):
         if not 0.0 <= self.psi < 1.0:
             raise ValueError(f"psi must lie in [0, 1), got {self.psi}")
-
-    @property
-    def marginal(self):
-        return self.innovation
-
-    @property
-    def theta(self) -> float:
-        return 1.0 - self.psi
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         z = self.innovation.sample(rng, size + 1)  # Z_0 .. Z_size
@@ -630,6 +652,16 @@ class MovingMaxima(_ConfigForm):
     @property
     def theta(self) -> float:
         return 1.0 / sum(c ** self.beta1 for c in self.coeffs)
+
+    def theta_nt(self, r, v: float, t):
+        from .oracle import theta_nt_mm_exact
+
+        return theta_nt_mm_exact(self, r, v, t)
+
+    def bias_expansion(self, r: int, v: float):
+        from .oracle import bias_expansion_mm
+
+        return bias_expansion_mm(self, r, v)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self._combine(self.innovation.sample(rng, size + self.q), size)

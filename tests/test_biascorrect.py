@@ -228,6 +228,14 @@ def test_corrected_curve_accounting():
     assert all(p.reason in allowed for p in curve.skipped)
 
 
+def test_corrected_curve_without_a_measure_names_it_before_any_work():
+    x = ex.generate(ex.AR1Cauchy(phi=0.6), 500, ex.substream(0, 0)).values
+    cfg = ex.EstimatorConfig(r=5, k=50)
+    for sample in (x, x.reshape(50, 10)):  # the series is not read: a 2-D one is not rejected
+        with pytest.raises(ValueError, match="^corrected_curve needs a measure, got None$"):
+            ex.corrected_curve(sample, cfg, None, [0.5, 1.0])
+
+
 def test_corrected_curve_repeats_its_curve_and_owns_its_grid():
     x = ex.generate(ex.AR1Cauchy(phi=0.6), 5000, ex.substream(0, 1))
     cfg = ex.EstimatorConfig(r=10, k=100)

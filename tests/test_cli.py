@@ -161,6 +161,12 @@ def test_oracle_wn_r1_identity(capsys):
     assert float(lines["delta"]) == 1.0
 
 
+def test_oracle_iid_is_random_repetition_at_psi_0(capsys):
+    rc = dispatch(["oracle", "--model", "iid", "--r", "10", "--v", "0.01", "--t", "0.5"])
+    assert rc == 0
+    assert capsys.readouterr().out == "theta_nt 0.977797390685\ntheta_n 1\nc_n -0.05\ndelta 1\n"
+
+
 def test_oracle_mm_reports_branch(capsys):
     rc = dispatch(
         ["oracle", "--model", "mm", "--coeffs", "1,0.5", "--beta1", "2", "--beta2", "1",

@@ -344,9 +344,28 @@ def test_config_rejects_a_run_length_the_runs_estimator_cannot_use(run_lengths):
     with pytest.raises(ValueError, match=f"^need 1 <= run_length < n, got run_length={bad}, "
                                          "n=2000$"):
         ex.ExperimentConfig.from_dict({**base, "run_lengths": run_lengths})
-    # the default, r_list, is checked too
+
+
+def test_default_run_lengths_are_the_block_lengths_below_n(tmp_path):
+    base = dict(model={"name": "wn", "psi": 0.6}, n=2000, k=100)
+    # a block length may equal n, a run length may not: the default leaves it out
+    assert ex.ExperimentConfig.from_dict({**base, "r_list": [2000]}).run_lengths == ()
+    for r_list, run_lengths in (([5, 2000], [5]), ([2000], [])):
+        out_dir = str(tmp_path / f"exp{len(r_list)}")
+        cfg = ex.ExperimentConfig.from_dict(
+            {**base, "r_list": r_list, "t_grid": [0.5, 1.0], "replicates": 2, "out_dir": out_dir}
+        )
+        assert list(cfg.run_lengths) == run_lengths
+        ex.figure1_bundle(cfg)
+        with open(os.path.join(out_dir, "runs_curves.csv")) as fh:
+            assert {row["run_length"] for row in csv.DictReader(fh)} == set(map(str, run_lengths))
+        with open(os.path.join(out_dir, "meta.json")) as fh:
+            written = json.load(fh)["config"]
+        assert written["run_lengths"] == run_lengths
+        assert ex.ExperimentConfig.from_dict(written) == cfg
+    # a run length the config names keeps the strict check
     with pytest.raises(ValueError, match="^need 1 <= run_length < n, got run_length=2000"):
-        ex.ExperimentConfig.from_dict({**base, "r_list": [2000]})
+        ex.ExperimentConfig.from_dict({**base, "r_list": [2000], "run_lengths": [2000]})
 
 
 def test_wrongly_typed_config_values_name_their_key():
@@ -370,7 +389,7 @@ def test_wrongly_typed_config_values_name_their_key():
             ex.ExperimentConfig.from_dict(d)
     with pytest.raises(ValueError, match=r"^config must be an object, got \[1, 2\]$"):
         ex.ExperimentConfig.from_dict([1, 2])
-    # an empty run_lengths list keeps meaning the default, r_list; whole floats are integers
+    # an empty run_lengths list keeps meaning the default, here r_list; whole floats are integers
     assert ex.ExperimentConfig.from_dict({**base, "run_lengths": []}).run_lengths == (5,)
     assert ex.ExperimentConfig.from_dict({**base, "k": 50.0}).k == 50
 
@@ -387,20 +406,52 @@ def test_model_aliases_and_innovation_string_form():
     assert iid.to_dict() == {"name": "iid", "innovation": {"name": "uniform"}}
 
 
-def test_oracle_theta_nt_dispatch():
-    assert ex.oracle_theta_nt(ex.IID(innovation=ex.Uniform01()), 10, 0.01, 1.0) == (
+def test_model_theta_nt_dispatch():
+    assert ex.IID(innovation=ex.Uniform01()).theta_nt(10, 0.01, 1.0) == (
         ex.theta_nt_wn(0.0, 10, 0.01, 1.0)
     )
-    assert ex.oracle_theta_nt(WN, 10, 0.01, 0.5) == ex.theta_nt_wn(0.6, 10, 0.01, 0.5)
+    assert WN.theta_nt(10, 0.01, 0.5) == ex.theta_nt_wn(0.6, 10, 0.01, 0.5)
     mm = ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5)
-    assert ex.oracle_theta_nt(mm, 10, 0.01, 1.0) == pytest.approx(
-        ex.theta_nt_mm_exact(mm, 10, 0.01, 1.0)
-    )
-    assert ex.oracle_theta_nt(ex.AR1Cauchy(phi=0.6), 10, 0.01, 1.0) is None
+    assert mm.theta_nt(10, 0.01, 1.0) == pytest.approx(ex.theta_nt_mm_exact(mm, 10, 0.01, 1.0))
+    assert ex.AR1Cauchy(phi=0.6).theta_nt(10, 0.01, 1.0) is None
     # scalars, numpy ones included, give a Python float on every closed form
     for model in (WN, ex.IID(innovation=ex.Uniform01()), mm):
         for r, t in ((10, 0.5), (np.int64(5), np.float64(1.0))):
-            assert type(ex.oracle_theta_nt(model, r, 0.01, t)) is float
+            assert type(model.theta_nt(r, 0.01, t)) is float
+
+
+_EXAMPLE_MODELS = {
+    "iid": ex.IID(innovation=ex.Uniform01()),
+    "wn": WN,
+    "ar1_cauchy": ex.AR1Cauchy(phi=0.6),
+    "mm": ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(harness._MODELS))
+def test_every_model_answers_its_own_curve_target_and_bias_expansion(name):
+    cls = harness._MODELS[name]
+    model = _EXAMPLE_MODELS[cls.name]
+    assert type(model) is cls
+    v, grid = 0.01, (0.25, 0.5, 1.0)
+    target, expansion = model.theta_nt((5, 10), v, grid), model.bias_expansion(10, v)
+    if cls is ex.AR1Cauchy:
+        assert target is None and expansion is None
+        assert model.theta_nt(10, v, 1.0) is None
+        return
+    assert target.shape == (2, len(grid))
+    if cls is ex.MovingMaxima:
+        assert target.tolist() == ex.theta_nt_mm_exact(model, (5, 10), v, grid).tolist()
+        assert model.theta_nt(10, v, 0.5) == ex.theta_nt_mm_exact(model, 10, v, 0.5)
+        assert expansion == ex.bias_expansion_mm(model, 10, v)
+        return
+    # independent data are random repetition at psi = 0, bit for bit
+    assert model.psi == (0.0 if cls is ex.IID else 0.6)
+    rows = [[ex.theta_nt_wn(model.psi, r, v, t).hex() for t in grid] for r in (5, 10)]
+    assert [[x.hex() for x in row] for row in target.tolist()] == rows
+    assert model.theta_nt(10, v, 0.5).hex() == ex.theta_nt_wn(model.psi, 10, v, 0.5).hex()
+    assert expansion == ex.bias_expansion_wn(model.psi, 10, v)
+    assert model.theta == 1.0 - model.psi
 
 
 def test_mm_summary_reference_equals_scalar_oracle_calls():
@@ -452,13 +503,13 @@ def test_summary_inverts_the_mm_marginal_once_for_every_r(monkeypatch):
     assert ex.theta_nt_mm_exact(mm, [5], v, 0.5).tolist() == [ex.theta_nt_mm_exact(mm, 5, v, 0.5)]
 
 
-def test_oracle_theta_nt_gives_one_row_per_block_length():
+def test_model_theta_nt_gives_one_row_per_block_length():
     v, grid = 0.01, (0.25, 0.5, 1.0)
     for model in (WN, ex.IID(innovation=ex.Uniform01())):
-        rows = ex.oracle_theta_nt(model, (5, 10), v, grid)
-        assert rows.tolist() == [ex.oracle_theta_nt(model, r, v, grid).tolist() for r in (5, 10)]
-        assert rows[1, 2] == ex.oracle_theta_nt(model, 10, v, 1.0)
-    assert ex.oracle_theta_nt(ex.AR1Cauchy(phi=0.6), (5, 10), v, grid) is None
+        rows = model.theta_nt((5, 10), v, grid)
+        assert rows.tolist() == [model.theta_nt(r, v, grid).tolist() for r in (5, 10)]
+        assert rows[1, 2] == model.theta_nt(10, v, 1.0)
+    assert ex.AR1Cauchy(phi=0.6).theta_nt((5, 10), v, grid) is None
 
 
 @pytest.mark.parametrize(
@@ -633,7 +684,7 @@ def test_normality_check_draws_the_replicates_a_direct_loop_draws():
             for rep in range(40)
         ])
         vals = vals[~np.isnan(vals)]
-        return np.sqrt(n * v) * 1.0 * (vals - ex.oracle_theta_nt(WN, 10, v, 1.0))
+        return np.sqrt(n * v) * 1.0 * (vals - WN.theta_nt(10, v, 1.0))
 
     z1, z2 = standardized(2000, 100, 3), standardized(4000, 200, 4)
     report = ex.normality_check(cfg)

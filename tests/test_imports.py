@@ -5,11 +5,14 @@ imported from its defining module on first access.  These probes run in
 fresh interpreters, since the test process has loaded every module.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
 import exindex as ex
+from exindex import harness
 from test_sim import fresh_python
 
 # every public name of the package, by defining module
@@ -27,7 +30,7 @@ PUBLIC = {
     "oracle": "BiasExpansion MMExpansionReport bias_expansion_mm bias_expansion_wn "
     "mm_block_nonexceed theta_nt_mm_exact theta_nt_wn",
     "harness": "ExperimentConfig MCResult NormalityReport figure1_bundle model_from_dict "
-    "normality_check oracle_theta_nt run",
+    "normality_check run",
 }
 HOME = {name: module for module, names in PUBLIC.items() for name in names.split()}
 
@@ -93,7 +96,7 @@ def test_every_public_name_resolves_on_first_use_to_its_defining_module():
     proc = fresh_python("-c", _NAMES_PROBE, json.dumps(HOME))
     assert proc.returncode == 0, proc.stderr
     seen, names, listed, star = json.loads(proc.stdout)
-    assert len(HOME) == 61
+    assert len(HOME) == 60
     for name, module in HOME.items():
         # unbound before first use, the defining module's own object, then cached
         assert seen[name] == [False, True, f"exindex.{module}", True], name
@@ -107,3 +110,36 @@ def test_unknown_name_raises_attribute_error():
         ex.no_such_name  # noqa: B018
     assert not hasattr(ex, "no_such_name")
     assert ex.harness.run is ex.run  # a submodule resolves by its name as before
+
+
+def _tree(module):
+    return ast.parse(Path(module.__file__).read_text(), module.__file__)
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_harness_and_cli_leave_the_oracle_choice_to_the_models():
+    from exindex import cli, oracle
+
+    model_classes = {cls.__name__ for cls in harness._MODELS.values()}
+    assert model_classes == {"IID", "RandomRepetition", "AR1Cauchy", "MovingMaxima"}
+    for module in (harness, cli):
+        for node in ast.walk(_tree(module)):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            if node.func.id == "isinstance" and len(node.args) == 2:
+                assert not _names(node.args[1]) & model_classes, (module.__name__, node.lineno)
+            if node.func.id == "getattr" and len(node.args) >= 2:
+                key = node.args[1]
+                assert not (isinstance(key, ast.Constant) and key.value == "psi"), (
+                    module.__name__, node.lineno)
+    for node in ast.walk(_tree(oracle)):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module not in ("sim", "exindex.sim"), node.lineno
+            assert not (node.module in (None, "exindex") and "sim" in {a.name for a in node.names})
+        elif isinstance(node, ast.Import):
+            assert "exindex.sim" not in {a.name for a in node.names}
