@@ -38,7 +38,8 @@ from .estimate import (
     OK,
     BlocksEvaluator,
     ThresholdCurve,
-    _coded_counts,
+    _coded_values,
+    _counts,
     check_grid,
     count_at,
 )
@@ -288,16 +289,18 @@ def corrected_estimate(evaluator, mu: SignedMeasureAtoms) -> float:
 
 
 class CurveKernel:
-    """Raw and corrected curves of one sample on a fixed (k, grid, measure), for many r.
+    """Raw and corrected curves on a fixed (k, grid, measure), for many r and many samples.
 
     Built once per configuration: it checks the grid, tabulates the budgets
     count_at(k, grid) and, under a measure ``mu``, count_at(k, t s) and
     count_at(k, t s') of every grid level t and atom (s, s', w), as
     ``scale_measure(mu, t)`` places them, and collects the distinct budgets
-    among them.  A call then evaluates one sample at those budgets only, for
-    every block length at once, through the one threshold rule
-    (``estimate._coded_counts``), and gathers the grid rows and the atom
-    levels from them.
+    among them.  It runs the one threshold rule in its two stages:
+    ``counts`` evaluates one sample at those budgets only, for every block
+    length at once (``estimate._counts``), and a call turns the stacked
+    counts of a group of samples into values and codes
+    (``estimate._coded_values``), then gathers the grid rows and the atom
+    levels from them, for the whole group at once.
     """
 
     def __init__(self, k: int, grid, mu: SignedMeasureAtoms = None):
@@ -316,40 +319,58 @@ class CurveKernel:
         # (2 * atoms, grid): the budget index of each atom level, in the order s1, t1, s2, t2, ...
         self._levels_at = where[len(self.grid) :].reshape(len(self.grid), -1).T
 
-    def __call__(self, top: np.ndarray, tables) -> tuple:
-        """``(values, codes)`` of one sample: (rows x grid) arrays, raw rows first.
+    def counts(self, top: np.ndarray, tables) -> tuple:
+        """``(tied, hit, in_blocks)`` of one sample at the distinct budgets (``estimate._counts``).
 
-        ``top`` and ``tables`` are what ``estimate._coded_counts`` takes; row
-        i holds the raw curve of ``tables[i]`` and, under a measure, row
-        ``len(tables) + i`` its corrected curve.  Codes are the integer skip
+        ``top`` and ``tables`` come from ``estimate._top_slice`` and
+        ``_top_tables``, one table per block length.  The counts keep no
+        reference to the sample.
+        """
+        return _counts(top, tables, self._budgets)
+
+    def __call__(self, tied, hit, in_blocks) -> tuple:
+        """``(values, codes)`` of B samples: (B, rows, grid) arrays, raw rows first.
+
+        The arguments are B samples' ``counts`` stacked along a new first
+        axis, so ``hit`` and ``in_blocks`` are (B, r, budgets) for r block
+        lengths.  Row i holds the raw curve of ``tables[i]`` and, under a
+        measure, row r + i its corrected curve.  Codes are the integer skip
         codes of ``estimate.CODE_NAMES``.
         """
-        values, codes = _coded_counts(top, tables, self._budgets)
-        raw = values[:, self._raw_at], codes[:, self._raw_at]
+        values, codes = _coded_values(tied, hit, in_blocks)
+        raw = values[..., self._raw_at], codes[..., self._raw_at]
         if self.mu is None:
             return raw
-        at = self._levels_at
-        levels = values[:, at].swapaxes(0, 1), codes[:, at].swapaxes(0, 1)
-        corrected = _corrected_rows(self._w, self._eps_den, *levels)
-        return tuple(np.concatenate(pair) for pair in zip(raw, corrected))
+        corrected = _corrected_rows(self._w, self._eps_den, self._levels_at, values, codes)
+        return tuple(np.concatenate(pair, axis=-2) for pair in zip(raw, corrected))
 
 
-def _corrected_rows(w, eps_den, values, codes) -> tuple:
-    """Corrected values and integer codes from the curve at the atom levels.
+def _corrected_rows(w, eps_den, at, values, codes) -> tuple:
+    """Corrected values and integer codes from the curve at the distinct budgets.
 
-    ``values`` and ``codes`` run over the atom levels, in the order s1, t1,
-    s2, t2, ..., along their first axis; the result drops it.  A value is the
-    ``_combine`` ratio; its code is that of its first undefined atom level,
-    else ``DEGENERATE`` when the denominator falls below ``eps_den``, and such
-    values are NaN.
+    ``values`` and ``codes`` run over the budgets along their last axis, and
+    the result has the grid there instead.  ``at[j]`` holds the budget index
+    of atom level j at every grid level, in the order s1, t1, s2, t2, ....
+    A value is the ``_combine`` ratio; its code is that of its first
+    undefined atom level, else ``DEGENERATE`` when the denominator falls
+    below ``eps_den``, and such values are NaN.  The budget axis is moved to
+    the front once, so that a gather copies whole blocks of the other axes,
+    and each atom level is gathered inside the loop over the levels: besides
+    that one copy of the input, every array made here has the size of the
+    result, however many atoms the measure has.
     """
-    num, den, degenerate = _combine(w, values[0::2], values[1::2], eps_den)
-    # argmax finds the first undefined level; where none is, level 0, whose code is OK
-    first = np.take_along_axis(codes, (codes != OK).argmax(axis=0)[None], axis=0)[0]
+    values, codes = (np.moveaxis(a, -1, 0).copy() for a in (values, codes))
+    num, den, degenerate = _combine(
+        w, (values.take(i, axis=0) for i in at[0::2]),
+        (values.take(i, axis=0) for i in at[1::2]), eps_den,
+    )
+    first = codes.take(at[0], axis=0)
+    for i in at[1:]:  # a level's code stands only where every earlier level is defined
+        np.copyto(first, codes.take(i, axis=0), where=first == OK)
     code = np.where(first != OK, first, np.where(degenerate, DEGENERATE, OK))
     value = np.full(code.shape, np.nan)
     np.divide(num, den, out=value, where=code == OK)
-    return value, code
+    return np.moveaxis(value, 0, -1), np.moveaxis(code, 0, -1)
 
 
 def corrected_curve(x, cfg, mu: SignedMeasureAtoms, t_grid) -> ThresholdCurve:
@@ -358,21 +379,23 @@ def corrected_curve(x, cfg, mu: SignedMeasureAtoms, t_grid) -> ThresholdCurve:
     ``t_grid`` must pass ``check_grid``.  At grid level t the
     measure is shrunk to atoms (t s, t s', w), as scale_measure(mu, t) does,
     so all atom levels sit at or below t.  It is the single-r entry point of
-    ``CurveKernel``: a level takes the code of its first undefined atom level,
-    in the order s1, t1, s2, t2, ..., else ``DEGENERATE_DENOMINATOR`` when the
-    denominator falls below 1e-8 times the total variation; such levels are
-    NaN, not interpolated.
+    ``CurveKernel``, a group of B = 1 samples: a level takes the code of its
+    first undefined atom level, in the order s1, t1, s2, t2, ..., else
+    ``DEGENERATE_DENOMINATOR`` when the denominator falls below 1e-8 times
+    the total variation; such levels are NaN, not interpolated.
     """
     if mu is None:  # the kernel would return the raw row alone
         raise ValueError("corrected_curve needs a measure, got None")
     kernel = CurveKernel(cfg.k, t_grid, mu)
     ev = BlocksEvaluator(x, cfg.r, cfg.k)
-    value, code = kernel(ev._top, [ev._tables])  # one raw row, then one corrected row
+    counts = kernel.counts(ev._top, [ev._tables])
+    # a group of one sample: one raw row, then one corrected row
+    value, code = (rows[0, 1] for rows in kernel(*(part[None] for part in counts)))
     return ThresholdCurve(
         t=kernel.grid,
         k_t=kernel.k_t,
-        theta_hat=value[1],
-        code=CODE_NAMES[code[1]],
+        theta_hat=value,
+        code=CODE_NAMES[code],
         variant="corrected",
         config=cfg,
         n=ev.n,

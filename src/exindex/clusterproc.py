@@ -37,13 +37,15 @@ estimate at t = 1: in rank mode its top k + 1 values hold the smallest value
 with a positive excess, so only the values at or above it are ranked, and the
 sums of f_t and g_t over the blocks at every level come from the sparse
 (index, excess) pairs of the positive excesses (``_level_sums``); theta_hat(1)
-is read from the same partial sort through ``estimate._coded_counts``, with
+is read from the same partial sort through ``estimate._coded_counts`` (the
+threshold rule's count and value stages, for one sample), with
 the maxima of only the blocks that hold one of the top values.
 ``standardize`` scatters the same pairs into the m x r array.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -352,12 +354,16 @@ def estimate_kernel_mc(
     v = cfg.v(n)
     pairs = _excess_rule(n, v, marginal_cdf)
 
-    def step(rep, x):
+    def sums(rep, x):
         sf, sg, theta_hat, code = _replicate_sums(_values(x), cfg, pairs, grid)
         _raise_coded(code, cfg.k, f"replicate {rep} (base_seed {seed}): ")
         return sf, sg, theta_hat
 
-    sf, sg, theta_hats = map(np.array, zip(*sim.map_replicates(step, model, n, seed, replicates)))
+    def step(first, paths):
+        return list(map(sums, itertools.count(first), paths))
+
+    groups = sim.map_replicates(step, model, n, seed, replicates)
+    sf, sg, theta_hats = map(np.array, zip(*itertools.chain.from_iterable(groups)))
     scale = 1.0 / np.sqrt(n * v)
     zf = scale * (sf - sf.mean(axis=0))
     zg = scale * (sg - sg.mean(axis=0))
@@ -387,14 +393,18 @@ def tail_chain_probabilities(
         raise ValueError(f"need 2 <= K <= n, got K={K}, n={n}")
     pairs = _excess_rule(n, v, model.marginal.cdf)
 
-    def step(_, x):
+    def windows(x):
         index, positive = pairs(x.values)
         excess = np.zeros(n)
         excess[index] = positive
         starts = index[index <= n - K]
         return sliding_window_view(excess, K)[starts]
 
-    rows = np.concatenate(sim.map_replicates(step, model, n, seed, replicates))
+    def step(_, paths):
+        return list(map(windows, paths))
+
+    groups = sim.map_replicates(step, model, n, seed, replicates)
+    rows = np.concatenate(list(itertools.chain.from_iterable(groups)))
     if len(rows) < 50:
         raise ValueError(f"only {len(rows)} windows collected; need at least 50")
     return TailChainSeries(rows, theta=model.theta)

@@ -16,10 +16,13 @@ levels and all block lengths.  It also locates the values at or above the
 smallest of them, and each block length takes its sorted block maxima over
 those positions only (``_top_tables``).  One threshold rule
 (``_coded_counts``) turns an array of budgets into estimates and integer skip
-codes for every block length at once.  The Monte Carlo driver calls it once
-per replicate through ``biascorrect.CurveKernel``, and
-``clusterproc.estimate_kernel_mc`` once per replicate for the estimate at
-t = 1; ``sweep`` and ``BlocksEvaluator`` are its single-r entry points.
+codes for every block length at once, in two stages: ``_counts`` takes the
+integer counts of one sample, and ``_coded_values`` turns counts into values
+and codes over any leading axes.  The Monte Carlo driver runs the first per
+replicate and the second once per group of replicates, through
+``biascorrect.CurveKernel``; ``clusterproc.estimate_kernel_mc`` runs both
+per replicate for the estimate at t = 1, and ``sweep`` and
+``BlocksEvaluator`` are its single-r entry points.
 
 The runs estimator counts an exceedance as a cluster end when the next
 ``run_length`` observations all stay below the threshold:
@@ -172,9 +175,10 @@ def runs_estimator(x, run_length: int, u: float) -> float:
     return numer / denom
 
 
-# Integer skip codes of the curve kernels; ``CODE_NAMES[code]`` is the
-# error code a curve reports, "" where the value is defined.
-OK, TIES, NO_EXC, DEGENERATE = 0, 1, 2, 3
+# Integer skip codes of the curve kernels, int8 as the Monte Carlo tables
+# store them; ``CODE_NAMES[code]`` is the error code a curve reports, "" where
+# the value is defined.
+OK, TIES, NO_EXC, DEGENERATE = (np.int8(code) for code in range(4))
 CODE_NAMES = np.array(["", TiesDetected.code, NoExceedances.code, DegenerateDenominator.code])
 
 
@@ -208,7 +212,7 @@ def _top_tables(xs: np.ndarray, above: np.ndarray, r: int) -> tuple:
     """Sorted block maxima and uncovered tail of block length r, over ``above`` of ``_top_slice``.
 
     A budget k_t <= k puts its threshold at or above top[0], so
-    ``_coded_counts`` counts only block maxima and tail values above top[0].
+    ``_counts`` counts only block maxima and tail values above top[0].
     Every block holding such a value keeps its exact maximum, taken over its
     positions in ``above``; no other block of the sample is reduced.
     """
@@ -228,16 +232,16 @@ def _thresholds(top: np.ndarray, k_t) -> tuple:
     return u, u == top[below + 1]
 
 
-def _coded_counts(top: np.ndarray, tables, k_t: np.ndarray) -> tuple:
-    """Blocks estimates and integer skip codes at the budgets ``k_t``: the one threshold rule.
+def _counts(top: np.ndarray, tables, k_t: np.ndarray) -> tuple:
+    """``(tied, hit, in_blocks)`` of one sample at the budgets ``k_t``: the count stage.
 
     ``top`` comes from ``_top_slice`` and ``tables`` holds one
     ``_top_tables`` pair per block length.  The thresholds and tie flags of
-    ``_thresholds`` are read once for all block lengths.  Returns
-    ``(values, codes)`` of shape (len(tables), len(k_t)): a code is ``TIES``
-    where the threshold ties the smallest retained value, else ``NO_EXC``
-    where every retained value lies beyond the block coverage, else ``OK``
-    with the value defined; values are NaN wherever a code is set.
+    ``_thresholds`` are read once for all block lengths: ``tied`` has one
+    entry per budget.  ``hit`` and ``in_blocks`` are (len(tables), len(k_t))
+    integer arrays: the block maxima above each threshold and the
+    exceedances inside the blocks, each from one binary search per block
+    length.  Nothing returned refers to the sample.
     """
     u, tied = _thresholds(top, k_t)
     hit = np.empty((len(tables), len(k_t)), dtype=np.int64)
@@ -247,9 +251,32 @@ def _coded_counts(top: np.ndarray, tables, k_t: np.ndarray) -> tuple:
         # without a tie exactly k_t values exceed u, so the in-block count is
         # k_t minus those in the tail
         in_blocks[i] = k_t - (len(tail) - np.searchsorted(tail, u, side="right"))
-    codes = np.where(tied, TIES, np.where(in_blocks == 0, NO_EXC, OK))
+    return tied, hit, in_blocks
+
+
+def _coded_values(tied, hit, in_blocks) -> tuple:
+    """Blocks estimates and integer skip codes from ``_counts``: the value stage.
+
+    Works over any leading axes: ``tied`` is (..., budgets) and ``hit`` and
+    ``in_blocks`` (..., rows, budgets), so a stack of samples' counts is
+    evaluated at once.  Returns ``(values, codes)`` shaped like ``hit``: a
+    code is ``TIES`` where the threshold ties the smallest retained value,
+    else ``NO_EXC`` where every retained value lies beyond the block
+    coverage, else ``OK`` with the value hit / in_blocks; values are NaN
+    wherever a code is set.
+    """
+    codes = np.where(tied[..., None, :], TIES, np.where(in_blocks == 0, NO_EXC, OK))
     values = np.where(codes == OK, hit / np.maximum(in_blocks, 1), np.nan)
     return values, codes
+
+
+def _coded_counts(top: np.ndarray, tables, k_t: np.ndarray) -> tuple:
+    """``(values, codes)`` of one sample at the budgets ``k_t``: the one threshold rule.
+
+    Its two stages, ``_counts`` then ``_coded_values``; values and codes are
+    (len(tables), len(k_t)) arrays.
+    """
+    return _coded_values(*_counts(top, tables, k_t))
 
 
 def _raise_coded(code, k_t: int, where: str = "") -> None:

@@ -14,10 +14,11 @@ curve targets where available, and Figure-style bundles of blocks, runs, and
 corrected curves averaged with standard-deviation bands.
 
 Each replicate is partially sorted once: ``biascorrect.CurveKernel``, built
-once per config, evaluates the blocks and corrected curves of every block
-length from that one slice, and the runs curves read their thresholds from
-it too.  ``sweep`` and ``corrected_curve`` are the single-r entry points of
-the same kernel.
+once per config, takes the integer counts of every block length from that one
+slice, and the runs curves read their thresholds from it too.  The kernel then
+turns the counts of a whole group of replicates into blocks and corrected
+curves in one call.  ``sweep`` and ``corrected_curve`` are the single-r,
+single-sample entry points of the same kernel.
 """
 
 from __future__ import annotations
@@ -324,10 +325,9 @@ class ExperimentConfig:
         out_dir = d.get("out_dir")
         if out_dir is not None and not isinstance(out_dir, str):
             raise ValueError(f"config key 'out_dir' must be a string, got {out_dir!r}")
-        run_lengths = None
-        if d.get("run_lengths") is not None:
-            # an empty list means the default
-            run_lengths = _numbers(d["run_lengths"], "run_lengths", "config", _int) or None
+        run_lengths = d.get("run_lengths")
+        if run_lengths is not None:  # absent or null means the default, [] no run lengths
+            run_lengths = _numbers(run_lengths, "run_lengths", "config", _int)
         return cls(
             model=model_from_dict(_key(d, "model", "config")),
             n=_number(d, "n", "config", _int),
@@ -476,16 +476,20 @@ _CODE_TAILS = [f",{name}\n" for name in CODE_NAMES.tolist()]
 def _replicates(cfg: ExperimentConfig, run_lengths=()) -> tuple:
     """Simulate every replicate once: ``(MCResult, rows, flags)``.
 
-    The grid and its budgets are checked and tabulated once; each replicate
-    is partially sorted once (``_top_slice``), and its blocks, corrected and
-    runs curves all read their thresholds from that one slice; every r takes
-    its block maxima over the slice's positions only (``_top_tables``), and
-    one kernel call evaluates every r, and one ``_runs_curves`` call every
-    run length.  The result's table holds the raw and corrected curves of
-    every r, the kernel's rows in that order, and the runs curves of
-    ``run_lengths``.  ``rows`` is None, or if ``cfg.out_dir`` is set each
-    replicate's curves.csv rows, formatted where it ran (``_format_rows``).
-    ``flags`` counts the values with a skip code.
+    The grid and its budgets are checked and tabulated once.  Each path is
+    partially sorted once (``_top_slice``), every r takes its block maxima
+    over the slice's positions only (``_top_tables``), and one
+    ``kernel.counts`` call takes the integer counts of every r at the
+    kernel's budgets; one ``_runs_curves`` call gives its runs curves at
+    every run length from the same slice.  Only those are kept, so the path
+    and its partitioned copy are dropped before the next path is drawn.  One
+    kernel call per group of replicates (``sim.map_replicates``) then turns
+    the group's stacked counts into its blocks and corrected curves.  The
+    result's table holds the raw and corrected curves of every r, the
+    kernel's rows in that order, and the runs curves of ``run_lengths``.
+    ``rows`` is None, or if ``cfg.out_dir`` is set each replicate's
+    curves.csv rows, formatted where it ran (``_format_rows``).  ``flags``
+    counts the values with a skip code.
 
     Every curve reads only the values at or above the (k + 1)-th largest:
     the thresholds lie there, and a block maximum, tail value or run
@@ -499,25 +503,38 @@ def _replicates(cfg: ExperimentConfig, run_lengths=()) -> tuple:
     templates = _row_templates((("raw", cfg.r_list), ("corrected", corrected)), cfg.t_grid)
     formatted = cfg.out_dir is not None
 
-    def step(rep, x):
+    def counted(x):
         top, above = _top_slice(x.values, cfg.k)
-        values, codes = kernel(top, [_top_tables(x.values, above, r) for r in cfg.r_list])
+        counts = kernel.counts(top, [_top_tables(x.values, above, r) for r in cfg.r_list])
         runs = None
         if run_lengths:
             runs = _runs_curves(x.values, above, run_lengths, _thresholds(top, kernel.k_t)[0])
-        rows = _format_rows(templates, rep, values, codes) if formatted else None
-        return values, codes, runs, rows
+        return counts, runs
 
-    results = map_replicates(step, cfg.model, cfg.n, cfg.base_seed, cfg.replicates, top=cfg.k + 1)
+    def step(first, paths):
+        # map drops each path once it is counted, before it draws the next
+        counts, runs = zip(*map(counted, paths))
+        values, codes = kernel(*map(np.stack, zip(*counts)))
+        rows = None
+        if formatted:
+            rows = [_format_rows(templates, rep, *curves)
+                    for rep, curves in enumerate(zip(values, codes), first)]
+        return values, codes, np.stack(runs, axis=1) if run_lengths else None, rows
+
+    groups = map_replicates(step, cfg.model, cfg.n, cfg.base_seed, cfg.replicates, top=cfg.k + 1)
     # (kind and r, replicate, level), so each (kind, r) is one contiguous array
     shape = (len(templates), cfg.replicates, len(cfg.t_grid))
     values, codes = np.empty(shape), np.empty(shape, dtype=np.int8)
     runs = np.empty((len(run_lengths),) + shape[1:])
-    for rep, (rep_values, rep_codes, rep_runs, _) in enumerate(results):
-        values[:, rep], codes[:, rep] = rep_values, rep_codes
+    first = 0
+    for group_values, group_codes, group_runs, _ in groups:
+        group = slice(first, first + len(group_values))
+        values[:, group] = group_values.swapaxes(0, 1)
+        codes[:, group] = group_codes.swapaxes(0, 1)
         if run_lengths:
-            runs[:, rep] = rep_runs
-    rows = [rep_rows for *_, rep_rows in results] if formatted else None
+            runs[:, group] = group_runs
+        first = group.stop
+    rows = [text for *_, group_rows in groups for text in group_rows] if formatted else None
     count = len(cfg.r_list)
     curves = (
         Curves("raw", "r", cfg.r_list, values[:count], codes[:count], "blocks_curves.csv"),

@@ -27,7 +27,9 @@ the only list of a class's parameters: ``to_dict``, the config parser and
 the CLI model flags all read them.
 
 All generators are deterministic functions of (model, n, seed, top).
-Every Monte Carlo loop runs its replicates through :func:`map_replicates`.
+Every Monte Carlo loop runs its replicates through :func:`map_replicates`,
+which hands each step a group of consecutive replicates' paths, drawn one
+at a time as the step reads them.
 """
 
 from __future__ import annotations
@@ -780,29 +782,51 @@ def generate(model, n: int, seed, top=None) -> SeriesSample:
 _MIN_CHUNK_VALUES = 250_000
 
 
+# Replicates per step call.  ``harness._replicates`` runs a group's float stage
+# in one ``CurveKernel`` call, so a larger group spreads that call's fixed numpy
+# overhead wider but holds more arrays at once.  On 2 vCPU, groups of 32 and 64
+# ran the kernel stage 1-9% faster per replicate than 16, yet all three were
+# within 2% end to end, and only 16 kept the peak resident size of the wn_ties
+# benchmark (41.4 MB) below that of groups of one (41.7-41.8 MB); 32 and 64
+# raised it to 42.4-42.7 MB.
+_GROUP = 16
+
+
 def map_replicates(step, model, n: int, seed: int, replicates: int, top=None) -> list:
-    """``[step(i, path_i) for i in range(replicates)]``, in replicate order.
+    """``[step(first, paths) for each group]``: groups of consecutive replicates, in order.
 
     Replicate i draws ``path_i = generate(model, n, substream(seed, i),
-    top=top)``, so each result depends only on (model, n, seed, i, top) and
-    the list is the same however the replicates are split.
+    top=top)``, so each path depends only on (model, n, seed, i, top), and a
+    step whose result depends only on its paths and their indices gives the
+    same results however the replicates are split and grouped.
 
     The replicates run in ``min(usable cores, replicates, n * replicates //
     _MIN_CHUNK_VALUES)`` contiguous chunks: the calling process runs the first
     and forks one child per other chunk, which sends its results back pickled
     through a pipe.  Below that size, with one usable core, without
     ``os.fork`` or ``os.sched_getaffinity``, or while another thread is alive
-    (a fork copies only the calling thread), every replicate runs here.  A
-    step that fails raises here, the earliest failing replicate's error first;
-    no child outlives the call.  What a step does to the process, such as a
-    wrapper on ``sim.generate`` counting calls, stays in the process that ran
-    it.
+    (a fork copies only the calling thread), every replicate runs here.
+    Each chunk calls ``step(first, paths)`` once per group of at most
+    ``_GROUP`` consecutive replicates, first to last: ``paths`` is a lazy
+    iterator over the group's paths from replicate ``first`` on, and a path
+    is drawn only when the step asks for the next one, through the module's
+    ``generate``.  A step that drops each path before it asks for the next
+    holds at most one path at a time.  A step that fails raises here, the
+    earliest failing group's error first (so the earliest failing
+    replicate's, for a step that works through its paths in order); no
+    child outlives the call.  What a step does to the process, such as a
+    wrapper on ``sim.generate`` counting calls, stays in the process that
+    ran it.
     """
     chunks = _chunk_count(n, replicates)
     bounds = [replicates * c // chunks for c in range(chunks + 1)]
 
+    def paths(lo, hi):
+        return (generate(model, n, substream(seed, i), top=top) for i in range(lo, hi))
+
     def run(lo, hi):
-        return [step(i, generate(model, n, substream(seed, i), top=top)) for i in range(lo, hi)]
+        groups = range(lo, hi, _GROUP)
+        return [step(first, paths(first, min(first + _GROUP, hi))) for first in groups]
 
     if chunks == 1:
         return run(0, replicates)
@@ -825,7 +849,7 @@ def _forked(run, bounds) -> list:
     """``run(bounds[0], bounds[1])`` here and every later chunk in a forked child, concatenated.
 
     The children's results are read in chunk order, so the first error read
-    belongs to the earliest failing replicate: each chunk stops at its first
+    belongs to the earliest failing group: each chunk stops at its first
     failure, and this process's chunk comes first.  On any failure the
     remaining children are killed; every child is reaped before returning.
     """

@@ -277,15 +277,19 @@ def test_criterion_06_correction_denominator_is_mostly_noise():
     levels = np.unique(np.concatenate([at_s.ravel(), at_t.ravel()]))
     at_s, at_t = np.searchsorted(levels, at_s), np.searchsorted(levels, at_t)
 
-    def step(_, x):
-        dens = []
+    def dens(x):
+        out = []
         for r in cfg.r_list:
             curve = ex.sweep(x, ex.EstimatorConfig(r=r, k=cfg.k), levels).theta_hat
             assert not np.isnan(curve).any()  # no ties, and r divides n
-            dens.append(_combine(w, curve[at_s], curve[at_t], 0.0)[1])
-        return dens
+            out.append(_combine(w, curve[at_s], curve[at_t], 0.0)[1])
+        return out
 
-    den = np.array(map_replicates(step, cfg.model, cfg.n, cfg.base_seed, cfg.replicates))
+    def step(_, paths):
+        return list(map(dens, paths))
+
+    groups = map_replicates(step, cfg.model, cfg.n, cfg.base_seed, cfg.replicates)
+    den = np.array([d for group in groups for d in group])
     snr = np.abs(den.mean(axis=0)) / den.std(axis=0, ddof=1)  # (r, grid)
     low = grid <= 0.5
     for r, ratio in zip(cfg.r_list, snr):

@@ -368,6 +368,19 @@ def test_default_run_lengths_are_the_block_lengths_below_n(tmp_path):
         ex.ExperimentConfig.from_dict({**base, "r_list": [2000], "run_lengths": [2000]})
 
 
+def test_a_config_without_run_lengths_round_trips_through_its_json():
+    cfg = small_config(r_list=(5,), run_lengths=())
+    written = json.loads(json.dumps(cfg.to_dict()))
+    assert written["run_lengths"] == []
+    back = ex.ExperimentConfig.from_dict(written)
+    assert back.run_lengths == ()
+    assert back == cfg
+    # an absent or null run_lengths means the default: the block lengths below n
+    for d in ({k: v for k, v in written.items() if k != "run_lengths"},
+              {**written, "run_lengths": None}):
+        assert ex.ExperimentConfig.from_dict(d).run_lengths == (5,)
+
+
 def test_wrongly_typed_config_values_name_their_key():
     base = dict(model={"name": "iid"}, n=1000, r_list=[5], k=50)
     cases = [
@@ -389,8 +402,8 @@ def test_wrongly_typed_config_values_name_their_key():
             ex.ExperimentConfig.from_dict(d)
     with pytest.raises(ValueError, match=r"^config must be an object, got \[1, 2\]$"):
         ex.ExperimentConfig.from_dict([1, 2])
-    # an empty run_lengths list keeps meaning the default, here r_list; whole floats are integers
-    assert ex.ExperimentConfig.from_dict({**base, "run_lengths": []}).run_lengths == (5,)
+    # an empty run_lengths list means no run lengths; whole floats are integers
+    assert ex.ExperimentConfig.from_dict({**base, "run_lengths": []}).run_lengths == ()
     assert ex.ExperimentConfig.from_dict({**base, "k": 50.0}).k == 50
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import exindex as ex
 from exindex.biascorrect import CurveKernel
 from exindex.clusterproc import _excess_rule, _level_sums, _replicate_sums
-from exindex import sim
+from exindex import harness, sim
 from exindex.estimate import (
     CODE_NAMES,
     OK,
@@ -234,7 +234,8 @@ def test_curve_kernel_matches_the_definitions_for_every_r(case, mu, grid):
     x, r_list, k = case
     kernel = CurveKernel(k, grid, mu)
     top, above = _top_slice(x, k)
-    values, codes = kernel(top, [_top_tables(x, above, r) for r in r_list])
+    counts = kernel.counts(top, [_top_tables(x, above, r) for r in r_list])
+    values, codes = (rows[0] for rows in kernel(*(part[None] for part in counts)))
     # every r's raw row, then under a measure every r's corrected row
     rows = len(r_list) * (1 if mu is None else 2)
     assert values.shape == codes.shape == (rows, len(grid))
@@ -1047,6 +1048,76 @@ def test_every_writer_follows_the_table_order(tmp_path_factory, result, run_leng
             assert fh.readline().startswith(f"{entry.param},t,")
         assert key_blocks(path, (entry.param,)) == [((str(key),), levels)
                                                    for key in sorted(entry.keys)]
+
+
+# ---------------------------------------------------------------------------
+# Replicate groups: the same curves and rows however the replicates are grouped
+# ---------------------------------------------------------------------------
+
+UNIFORM = ex.Uniform01()
+TWO_ATOM = ex.two_atom_measure(0.5, 1.0, 2.0)
+TEN_LEVELS = tuple(np.linspace(0.1, 1.0, 10))
+# config fields, and the skip code each case's example seed shows
+GROUP_CASES = {
+    "wn_ties": (dict(model=ex.RandomRepetition(psi=0.6, innovation=UNIFORM), n=300,
+                     r_list=(4, 10), k=40, measure=TWO_ATOM), TIES),
+    # 150 % 100 = 50 and 150 % 7 = 3 values lie beyond the blocks
+    "uncovered_tail": (dict(model=ex.IID(innovation=UNIFORM), n=150, r_list=(100, 7), k=20,
+                            measure=TWO_ATOM, t_grid=(0.05, 0.1, 0.5, 1.0)), NO_EXC),
+    # iid blocks of 2 rarely hold two exceedances: a flat curve at the atom levels
+    "flat_curve": (dict(model=ex.IID(innovation=UNIFORM), n=1000, r_list=(2, 3), k=10,
+                        measure=TWO_ATOM), "DEGENERATE_DENOMINATOR"),
+    "product32": (dict(model=ex.AR1Cauchy(phi=0.6), n=400, r_list=(5, 8), k=40,
+                       measure=ex.product_measure(1.0, 2.0, 1.5, 4)), "DEGENERATE_DENOMINATOR"),
+    "no_measure": (dict(model=ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2.0, beta2=1.0, c1=1.0,
+                                             c2=0.5),
+                        n=300, r_list=(3, 5), k=30, run_lengths=(2, 5)), ""),
+}
+GROUP_EXAMPLE_SEEDS = {"wn_ties": 1, "uncovered_tail": 2, "flat_curve": 0, "product32": 1,
+                       "no_measure": 0}
+
+
+def group_case_config(name, seed, replicates):
+    fields = {"t_grid": TEN_LEVELS, **GROUP_CASES[name][0]}
+    return ex.ExperimentConfig(replicates=replicates, base_seed=seed, out_dir="unused", **fields)
+
+
+def grouped_replicates(cfg, group, chunks):
+    """``harness._replicates`` with groups of ``group`` replicates over ``chunks`` chunks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_GROUP", group)
+        mp.setattr(sim, "_MIN_CHUNK_VALUES", 1)
+        mp.setattr(sim, "_usable_cores", lambda: chunks)
+        return harness._replicates(cfg, cfg.run_lengths)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(sorted(GROUP_CASES)), st.integers(0, 2**32 - 1), st.integers(1, 9))
+@example("wn_ties", GROUP_EXAMPLE_SEEDS["wn_ties"], 5)
+@example("uncovered_tail", GROUP_EXAMPLE_SEEDS["uncovered_tail"], 5)
+@example("flat_curve", GROUP_EXAMPLE_SEEDS["flat_curve"], 5)
+@example("product32", GROUP_EXAMPLE_SEEDS["product32"], 5)
+@example("no_measure", GROUP_EXAMPLE_SEEDS["no_measure"], 5)
+def test_replicates_are_the_same_in_any_groups_and_chunks(name, seed, replicates):
+    cfg = group_case_config(name, seed, replicates)
+    want, want_rows, want_flags = grouped_replicates(cfg, replicates, 1)
+    # groups of one, two, seven and a whole chunk, on one to three chunks
+    for group, chunks in itertools.product((1, 2, 7, replicates), (1, 2, 3)):
+        got, rows, flags = grouped_replicates(cfg, group, chunks)
+        assert rows == want_rows and flags == want_flags
+        for a, b in zip(got.curves, want.curves):  # bit for bit
+            assert a.keys == b.keys and a.values.tobytes() == b.values.tobytes()
+            assert np.array_equal(a.codes, b.codes)  # also where both are None (runs)
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_CASES))
+def test_group_case_examples_show_their_skip_code(name):
+    cfg = group_case_config(name, GROUP_EXAMPLE_SEEDS[name], 5)
+    result, rows, _ = harness._replicates(cfg, cfg.run_lengths)
+    assert len(rows) == 5
+    codes = {str(code) for entry in result.curves if entry.codes is not None
+             for code in CODE_NAMES[entry.codes.ravel()]}
+    assert GROUP_CASES[name][1] in codes
 
 
 # ---------------------------------------------------------------------------

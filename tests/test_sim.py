@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import exindex as ex
-from exindex import sim
+from exindex import harness, sim
 from exindex.errors import DegenerateDenominator, MeasureConditionError, TiesDetected
 
 MARGINALS = [
@@ -530,7 +531,7 @@ _LOAD_ORDER_PROBE = """
 import hashlib, json, sys
 import numpy as np
 import exindex as ex
-from exindex import sim
+from exindex import harness, sim
 
 x = ex.generate(ex.AR1Cauchy(phi=0.6), 2000, ex.substream(7, 3)).values
 before = [name in sys.modules for name in ("scipy", "scipy.signal", "scipy.signal._sigtools")]
@@ -594,8 +595,13 @@ def chunked(monkeypatch, chunks: int) -> None:
     monkeypatch.setattr(sim, "_usable_cores", lambda: chunks)
 
 
-def path_and_pid(rep, x):
-    return rep, x.values, os.getpid()
+def path_and_pid(first, paths):
+    return [(rep, x.values, os.getpid()) for rep, x in enumerate(paths, first)]
+
+
+def flat(groups) -> list:
+    """The per-replicate results of a step that returns one list per group, in order."""
+    return [result for group in groups for result in group]
 
 
 def assert_no_children():
@@ -609,9 +615,9 @@ def test_map_replicates_equals_the_serial_driver_in_order(n, replicates, chunks,
     model = ex.AR1Cauchy(phi=0.6)
     with pytest.MonkeyPatch.context() as mp:
         chunked(mp, 1)
-        serial = sim.map_replicates(path_and_pid, model, n, seed, replicates)
+        serial = flat(sim.map_replicates(path_and_pid, model, n, seed, replicates))
         chunked(mp, chunks)
-        split = sim.map_replicates(path_and_pid, model, n, seed, replicates)
+        split = flat(sim.map_replicates(path_and_pid, model, n, seed, replicates))
     assert [rep for rep, _, _ in split] == list(range(replicates))
     for (_, want, _), (_, got, _) in zip(serial, split):
         assert np.array_equal(want, got)
@@ -628,12 +634,15 @@ def test_map_replicates_equals_the_serial_driver_in_order(n, replicates, chunks,
 ])
 def test_map_replicates_raises_the_earliest_failing_replicate(monkeypatch, first):
     # replicates 4-7 run in the second chunk and 8-11 in the third; both fail
-    def step(rep, x):
-        if rep == 5:
-            raise first
-        if rep == 9:
-            raise TiesDetected("replicate 9: tie")
-        return rep
+    def step(start, paths):
+        done = []
+        for rep, _ in enumerate(paths, start):
+            if rep == 5:
+                raise first
+            if rep == 9:
+                raise TiesDetected("replicate 9: tie")
+            done.append(rep)
+        return done
 
     model = ex.IID(innovation=ex.Uniform01())
     for chunks in (1, 3):
@@ -650,10 +659,10 @@ def test_map_replicates_raises_the_earliest_failing_replicate(monkeypatch, first
 def test_map_replicates_kills_and_reaps_children_when_its_own_chunk_fails(monkeypatch):
     parent = os.getpid()
 
-    def step(rep, x):
+    def step(first, paths):
         if os.getpid() != parent:
             time.sleep(60)  # children outlive the test unless they are killed
-        raise ValueError(f"replicate {rep}")
+        raise ValueError(f"replicate {first}")
 
     chunked(monkeypatch, 3)
     started = time.perf_counter()
@@ -669,15 +678,69 @@ def test_map_replicates_stays_serial_while_another_thread_is_alive(monkeypatch):
     thread = threading.Thread(target=release.wait, args=(30,))
     thread.start()
     try:
-        results = sim.map_replicates(path_and_pid, ex.AR1Cauchy(phi=0.6), 50, 1, 6)
+        results = flat(sim.map_replicates(path_and_pid, ex.AR1Cauchy(phi=0.6), 50, 1, 6))
     finally:
         release.set()
         thread.join(timeout=30)
     assert not thread.is_alive()
     assert {pid for _, _, pid in results} == {os.getpid()}
     # with the thread gone, the same call forks
-    assert len({pid for _, _, pid in sim.map_replicates(
-        path_and_pid, ex.AR1Cauchy(phi=0.6), 50, 1, 6)}) == 3
+    assert len({pid for _, _, pid in flat(sim.map_replicates(
+        path_and_pid, ex.AR1Cauchy(phi=0.6), 50, 1, 6))}) == 3
+
+
+class TrackedPaths:
+    """iid uniform paths that record, as each is drawn, how many earlier ones are alive."""
+
+    name = "tracked"
+
+    def __init__(self):
+        self.drawn = []  # a weak reference to each path's values
+        self.alive = []  # per draw, the earlier paths still alive
+
+    def sample(self, rng, size):
+        self.alive.append(sum(ref() is not None for ref in self.drawn))
+        values = rng.random(size)
+        self.drawn.append(weakref.ref(values))
+        return values
+
+
+@pytest.mark.parametrize("chunks", [1, 3])
+def test_map_replicates_holds_one_path_at_a_time_in_each_process(monkeypatch, chunks):
+    chunked(monkeypatch, chunks)
+    monkeypatch.setattr(sim, "_GROUP", 4)
+    model = TrackedPaths()
+
+    def step(first, paths):
+        # map drops each path once it is summed, before it draws the next
+        sums = list(map(lambda x: float(x.values.sum()), paths))
+        return sums, os.getpid(), list(model.alive)
+
+    groups = sim.map_replicates(step, model, 50, 0, 24)
+    assert [len(sums) for sums, _, _ in groups] == [4, 4] * 3
+    assert len({pid for _, pid, _ in groups}) == chunks
+    # every process drew all of its replicates with no earlier path alive
+    final = {pid: alive for _, pid, alive in groups}  # each process's last group
+    assert sorted(len(alive) for alive in final.values()) == [24 // chunks] * chunks
+    assert all(alive == [0] * len(alive) for alive in final.values())
+    assert_no_children()
+    # a step that keeps its group's paths holds up to a whole group at once
+    chunked(monkeypatch, 1)
+    model.alive.clear()
+    sim.map_replicates(lambda first, paths: len(list(paths)), model, 50, 0, 8)
+    assert model.alive == [0, 1, 2, 3] * 2
+
+
+def test_replicates_step_holds_one_path_at_a_time(monkeypatch):
+    monkeypatch.setattr(sim, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(sim, "_GROUP", 4)
+    model = TrackedPaths()
+    cfg = ex.ExperimentConfig(model=model, n=500, r_list=(5, 7), k=40, t_grid=(0.5, 1.0),
+                              measure=ex.two_atom_measure(0.5, 1.0, 2.0), replicates=10,
+                              out_dir="unused", run_lengths=(3,))
+    result, rows, _ = harness._replicates(cfg, cfg.run_lengths)
+    assert len(rows) == cfg.replicates and result.raw[5].shape == (10, 2)
+    assert model.alive == [0] * cfg.replicates
 
 
 def test_map_replicates_chunks_only_large_inputs(monkeypatch):

@@ -34,10 +34,15 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
 * ``replicate_kernel.<config>`` (interpreted): ``harness._replicates`` over
   samples generated beforehand, so generation is excluded, divided by the
   replicate count: the blocks and corrected curves of every r of one
-  replicate.  ``ar1_c6`` is the criterion-6 shape (r in {5, 10, 20},
-  k = 2000, two-atom measure), ``ar1_product128`` the same with a 128-atom
-  product measure, and ``wn_ties`` random repetition with ties (r in
-  {10, 20}, k = 400).
+  replicate, its counts taken per path and its float stage run with the
+  other replicates of its group (``sim._GROUP``).  ``ar1_c6`` is the
+  criterion-6 shape (r in {5, 10, 20}, k = 2000, two-atom measure),
+  ``ar1_product128`` the same with a 128-atom product measure, and
+  ``wn_ties`` random repetition with ties (r in {10, 20}, k = 400).
+* ``group_kernel.<config>`` (interpreted): the float stage alone, one
+  ``CurveKernel`` call on the stacked counts of a full group of
+  ``sim._GROUP`` replicates (the counts of those samples, repeated),
+  divided by the group size.
 * ``kernel_replicate.ar1_kernel`` (array): ``clusterproc.estimate_kernel_mc``
   over samples generated beforehand, divided by the replicate count: the
   level sums of f_max and g_count and theta_hat(1) of one replicate, on the
@@ -149,6 +154,7 @@ from refkernel import REF_S, Reference  # noqa: E402
 
 import exindex as ex  # noqa: E402
 from exindex import cli, clusterproc, estimate, harness, sim  # noqa: E402
+from exindex.biascorrect import CurveKernel  # noqa: E402
 
 N = 20_000
 GRID = tuple(np.linspace(0.2, 1.0, 81))
@@ -264,6 +270,18 @@ def replayed(paths):
         sim.generate, sim._usable_cores = saved
 
 
+def group_counts(cfg, paths) -> tuple:
+    """``cfg``'s ``CurveKernel`` and the stacked counts of a full group, ``paths`` repeated."""
+    kernel = CurveKernel(cfg.k, cfg.t_grid, cfg.measure)
+    counts = []
+    for x in paths:
+        top, above = estimate._top_slice(x.values, cfg.k)
+        counts.append(kernel.counts(top, [estimate._top_tables(x.values, above, r)
+                                          for r in cfg.r_list]))
+    group = [counts[i % len(counts)] for i in range(sim._GROUP)]
+    return kernel, [np.stack(part) for part in zip(*group)]
+
+
 def generated(model, n, seed, replicates):
     return [ex.generate(model, n, ex.substream(seed, i)) for i in range(replicates)]
 
@@ -319,6 +337,10 @@ def layers() -> dict:
             out[f"replicate_kernel.{name}"] = timed(
                 "interpreted", lambda: harness._replicates(cfg), per=KERNEL_REPLICATES
             )
+        kernel, counts = group_counts(cfg, paths)
+        out[f"group_kernel.{name}"] = timed(
+            "interpreted", lambda: kernel(*counts), per=sim._GROUP
+        )
 
     kernel = AR1_KERNEL
     paths = generated(kernel["model"], kernel["n"], kernel["seed"], kernel["replicates"])
@@ -442,8 +464,8 @@ def persist_result_layers(timed, cfg) -> list:
     result, rows, flags = harness._replicates(cfg)
     coded = [entry for entry in result.curves if entry.codes is not None]
     templates = harness._row_templates([(entry.kind, entry.keys) for entry in coded], cfg.t_grid)
-    # each replicate's (rows x grid) values and codes, the rows in table order, as its kernel
-    # returns them
+    # each replicate's (rows x grid) values and codes, the rows in table order, as its group's
+    # kernel call returns them
     values, codes = (
         np.concatenate(arrays, axis=0).swapaxes(0, 1).copy()
         for arrays in zip(*((entry.values, entry.codes) for entry in coded))
