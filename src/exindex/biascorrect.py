@@ -17,6 +17,10 @@ cancels regardless of c.  (M1) makes the theta^2 and c^2 cross terms vanish,
 which is why the discretized product construction below pairs its atoms so
 that products cancel exactly rather than approximately.
 
+Corrected curves come from ``estimate.CurveKernel``, next to the threshold
+rule it runs; ``corrected_estimate`` combines a pointwise evaluator's values
+through the kernel's sums (``estimate._combine``), so the two agree bit for bit.
+
 ``sigma2_mu`` evaluates the asymptotic variance of the corrected estimator:
 after symmetrizing mu, it is the double sum of w * w~ * (s * s~)^delta
 / (t * t~) * c(t, t~) over atom pairs, divided by the squared normalizer
@@ -32,17 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, MeasureConditionError
-from .estimate import (
-    CODE_NAMES,
-    DEGENERATE,
-    OK,
-    BlocksEvaluator,
-    ThresholdCurve,
-    _coded_values,
-    _counts,
-    check_grid,
-    count_at,
-)
+from .estimate import CurveKernel, ThresholdCurve, _combine, _sample_curve
+from .estimate import BlocksEvaluator  # noqa: F401  (perfbench/layers.py traces this binding)
 
 __all__ = [
     "SignedMeasureAtoms",
@@ -189,10 +184,12 @@ def check_conditions(
     s^delta + t^delta must exceed 1e-10 in magnitude for every probed delta
     (unverifiable for all delta > 0, so a finite probe set is used; callers
     should include the delta actually in use).  (M3): the integral of 1/(s t)
-    under |mu| is finite for atomic measures and is reported.  A probe that
-    is not positive and finite raises ``ValueError``.
+    under |mu| is finite for atomic measures and is reported.  An empty probe
+    set, or a probe that is not positive and finite, raises ``ValueError``.
     """
     probes = DEFAULT_DELTA_PROBE if delta_probe is None else tuple(delta_probe)
+    if not probes:
+        raise ValueError("delta probes must name at least one delta")
     for d in probes:
         if not 0 < d < math.inf:
             raise ValueError(f"delta probes must be positive and finite, got {d}")
@@ -246,20 +243,6 @@ def scale_measure(mu: SignedMeasureAtoms, t0: float) -> SignedMeasureAtoms:
     )
 
 
-def _combine(w, hs, ht, eps_den):
-    """Numerator, denominator and degeneracy flag of the mu-combination.
-
-    ``hs[a]`` and ``ht[a]`` are the curve at the two levels of atom ``a`` (a
-    number or a row of grid values); both sums run over the atoms in atom
-    order, so the curve and the point estimate agree bit for bit.
-    """
-    num = den = 0.0
-    for wa, a, b in zip(w, hs, ht):
-        num = num + wa * a * b
-        den = den + wa * (a + b)
-    return num, den, np.abs(den) < eps_den
-
-
 def corrected_estimate(evaluator, mu: SignedMeasureAtoms) -> float:
     """Combine curve evaluations under mu into a bias-reduced point estimate.
 
@@ -288,118 +271,20 @@ def corrected_estimate(evaluator, mu: SignedMeasureAtoms) -> float:
     return num / den
 
 
-class CurveKernel:
-    """Raw and corrected curves on a fixed (k, grid, measure), for many r and many samples.
-
-    Built once per configuration: it checks the grid, tabulates the budgets
-    count_at(k, grid) and, under a measure ``mu``, count_at(k, t s) and
-    count_at(k, t s') of every grid level t and atom (s, s', w), as
-    ``scale_measure(mu, t)`` places them, and collects the distinct budgets
-    among them.  It runs the one threshold rule in its two stages:
-    ``counts`` evaluates one sample at those budgets only, for every block
-    length at once (``estimate._counts``), and a call turns the stacked
-    counts of a group of samples into values and codes
-    (``estimate._coded_values``), then gathers the grid rows and the atom
-    levels from them, for the whole group at once.
-    """
-
-    def __init__(self, k: int, grid, mu: SignedMeasureAtoms = None):
-        self.grid = check_grid(grid)
-        self.mu = mu
-        levels = self.grid
-        if mu is not None:
-            s, t, self._w = mu.arrays()
-            self._eps_den = 1e-8 * mu.total_variation
-            atom_levels = np.outer(self.grid, np.column_stack([s, t]).ravel())
-            levels = np.concatenate([levels, atom_levels.ravel()])
-        budgets = count_at(k, levels)
-        self.k_t = budgets[: len(self.grid)].copy()  # a view keeps all atom levels' budgets alive
-        self._budgets, where = np.unique(budgets, return_inverse=True)
-        self._raw_at = where[: len(self.grid)]
-        # (2 * atoms, grid): the budget index of each atom level, in the order s1, t1, s2, t2, ...
-        self._levels_at = where[len(self.grid) :].reshape(len(self.grid), -1).T
-
-    def counts(self, top: np.ndarray, tables) -> tuple:
-        """``(tied, hit, in_blocks)`` of one sample at the distinct budgets (``estimate._counts``).
-
-        ``top`` and ``tables`` come from ``estimate._top_slice`` and
-        ``_top_tables``, one table per block length.  The counts keep no
-        reference to the sample.
-        """
-        return _counts(top, tables, self._budgets)
-
-    def __call__(self, tied, hit, in_blocks) -> tuple:
-        """``(values, codes)`` of B samples: (B, rows, grid) arrays, raw rows first.
-
-        The arguments are B samples' ``counts`` stacked along a new first
-        axis, so ``hit`` and ``in_blocks`` are (B, r, budgets) for r block
-        lengths.  Row i holds the raw curve of ``tables[i]`` and, under a
-        measure, row r + i its corrected curve.  Codes are the integer skip
-        codes of ``estimate.CODE_NAMES``.
-        """
-        values, codes = _coded_values(tied, hit, in_blocks)
-        raw = values[..., self._raw_at], codes[..., self._raw_at]
-        if self.mu is None:
-            return raw
-        corrected = _corrected_rows(self._w, self._eps_den, self._levels_at, values, codes)
-        return tuple(np.concatenate(pair, axis=-2) for pair in zip(raw, corrected))
-
-
-def _corrected_rows(w, eps_den, at, values, codes) -> tuple:
-    """Corrected values and integer codes from the curve at the distinct budgets.
-
-    ``values`` and ``codes`` run over the budgets along their last axis, and
-    the result has the grid there instead.  ``at[j]`` holds the budget index
-    of atom level j at every grid level, in the order s1, t1, s2, t2, ....
-    A value is the ``_combine`` ratio; its code is that of its first
-    undefined atom level, else ``DEGENERATE`` when the denominator falls
-    below ``eps_den``, and such values are NaN.  The budget axis is moved to
-    the front once, so that a gather copies whole blocks of the other axes,
-    and each atom level is gathered inside the loop over the levels: besides
-    that one copy of the input, every array made here has the size of the
-    result, however many atoms the measure has.
-    """
-    values, codes = (np.moveaxis(a, -1, 0).copy() for a in (values, codes))
-    num, den, degenerate = _combine(
-        w, (values.take(i, axis=0) for i in at[0::2]),
-        (values.take(i, axis=0) for i in at[1::2]), eps_den,
-    )
-    first = codes.take(at[0], axis=0)
-    for i in at[1:]:  # a level's code stands only where every earlier level is defined
-        np.copyto(first, codes.take(i, axis=0), where=first == OK)
-    code = np.where(first != OK, first, np.where(degenerate, DEGENERATE, OK))
-    value = np.full(code.shape, np.nan)
-    np.divide(num, den, out=value, where=code == OK)
-    return np.moveaxis(value, 0, -1), np.moveaxis(code, 0, -1)
-
-
 def corrected_curve(x, cfg, mu: SignedMeasureAtoms, t_grid) -> ThresholdCurve:
     """Corrected estimate per threshold level, via the measure scaled to each level.
 
     ``t_grid`` must pass ``check_grid``.  At grid level t the
     measure is shrunk to atoms (t s, t s', w), as scale_measure(mu, t) does,
-    so all atom levels sit at or below t.  It is the single-r entry point of
-    ``CurveKernel``, a group of B = 1 samples: a level takes the code of its
+    so all atom levels sit at or below t.  It is the corrected curve of
+    ``estimate.CurveKernel`` on one sample: a level takes the code of its
     first undefined atom level, in the order s1, t1, s2, t2, ..., else
     ``DEGENERATE_DENOMINATOR`` when the denominator falls below 1e-8 times
     the total variation; such levels are NaN, not interpolated.
     """
     if mu is None:  # the kernel would return the raw row alone
         raise ValueError("corrected_curve needs a measure, got None")
-    kernel = CurveKernel(cfg.k, t_grid, mu)
-    ev = BlocksEvaluator(x, cfg.r, cfg.k)
-    counts = kernel.counts(ev._top, [ev._tables])
-    # a group of one sample: one raw row, then one corrected row
-    value, code = (rows[0, 1] for rows in kernel(*(part[None] for part in counts)))
-    return ThresholdCurve(
-        t=kernel.grid,
-        k_t=kernel.k_t,
-        theta_hat=value,
-        code=CODE_NAMES[code],
-        variant="corrected",
-        config=cfg,
-        n=ev.n,
-    )
+    return _sample_curve(x, cfg, CurveKernel(cfg.k, t_grid, mu), "corrected")
 
 
 def sigma2_mu(mu: SignedMeasureAtoms, delta: float, kernel) -> float:

@@ -37,8 +37,8 @@ estimate at t = 1: in rank mode its top k + 1 values hold the smallest value
 with a positive excess, so only the values at or above it are ranked, and the
 sums of f_t and g_t over the blocks at every level come from the sparse
 (index, excess) pairs of the positive excesses (``_level_sums``); theta_hat(1)
-is read from the same partial sort through ``estimate._coded_counts`` (the
-threshold rule's count and value stages, for one sample), with
+is read from the same partial sort through ``estimate._counts`` and
+``_coded_values`` (the threshold rule's two stages, for one sample), with
 the maxima of only the blocks that hold one of the top values.
 ``standardize`` scatters the same pairs into the m x r array.
 """
@@ -55,7 +55,8 @@ from . import sim
 from .estimate import (
     EstimatorConfig,
     _block_maxima,
-    _coded_counts,
+    _coded_values,
+    _counts,
     _raise_coded,
     _top_slice,
     _top_tables,
@@ -193,15 +194,16 @@ def _replicate_sums(xs: np.ndarray, cfg: EstimatorConfig, pairs, grid) -> tuple:
     ``sf`` and ``sg`` are the level sums of f_max and g_count on the grid
     over the excesses that ``pairs`` (an ``_excess_rule``) finds; ``value``
     and ``code`` are the blocks estimate at t = 1 and its skip code, read
-    through the one threshold rule ``_coded_counts`` from the same
-    ``_top_slice``.  In rank mode the ranked excesses are picked among the
-    positions it locates, and the block maxima are taken only over the
-    blocks that hold one (``_top_tables``).
+    through the threshold rule's stages ``_counts`` and ``_coded_values``
+    from the same ``_top_slice``.  In rank mode the ranked excesses are
+    picked among the positions it locates, and the block maxima are taken
+    only over the blocks that hold one (``_top_tables``).
     """
     top, above = _top_slice(xs, cfg.k)
     index, excess = pairs(xs, above)
     sf, sg = _level_sums(index, excess, cfg.r, len(xs) // cfg.r, grid)
-    values, codes = _coded_counts(top, [_top_tables(xs, above, cfg.r)], np.array([cfg.k]))
+    tables = [_top_tables(xs, above, cfg.r)]
+    values, codes = _coded_values(*_counts(top, tables, np.array([cfg.k])))
     return sf, sg, values[0, 0], codes[0, 0]
 
 

@@ -14,15 +14,16 @@ Every threshold a curve with budget k reads lies among the k + 1 largest
 sample values, so one partial sort of the sample (``_top_slice``) serves all
 levels and all block lengths.  It also locates the values at or above the
 smallest of them, and each block length takes its sorted block maxima over
-those positions only (``_top_tables``).  One threshold rule
-(``_coded_counts``) turns an array of budgets into estimates and integer skip
-codes for every block length at once, in two stages: ``_counts`` takes the
-integer counts of one sample, and ``_coded_values`` turns counts into values
-and codes over any leading axes.  The Monte Carlo driver runs the first per
-replicate and the second once per group of replicates, through
-``biascorrect.CurveKernel``; ``clusterproc.estimate_kernel_mc`` runs both
-per replicate for the estimate at t = 1, and ``sweep`` and
-``BlocksEvaluator`` are its single-r entry points.
+those positions only (``_top_tables``).  One threshold rule turns an array of
+budgets into estimates and integer skip codes for every block length at once,
+in two stages: ``_counts`` takes the integer counts of one sample, and
+``_coded_values`` turns counts into values and codes over any leading axes.
+``CurveKernel`` runs both stages into raw curves and, under a signed measure,
+corrected ones: the Monte Carlo driver takes counts per replicate and calls
+it once per group of replicates, and ``sweep`` and
+``biascorrect.corrected_curve`` call it on a group of one sample
+(``_sample_curve``).  ``clusterproc.estimate_kernel_mc`` runs both stages
+per replicate for the estimate at t = 1.
 
 The runs estimator counts an exceedance as a cluster end when the next
 ``run_length`` observations all stay below the threshold:
@@ -119,8 +120,8 @@ def count_at(k: int, t):
     scalar ``t`` gives an int, an array of levels an integer array.
     """
     ts = np.asarray(t, dtype=float)
-    if not np.all(ts > 0.0):
-        raise ValueError(f"t must be positive, got {t}")
+    if not np.all((ts > 0.0) & np.isfinite(ts)):
+        raise ValueError(f"t must be positive and finite, got {t}")
     prod = k * ts
     nearest = np.rint(prod)
     exact = np.abs(prod - nearest) <= 1e-12 * np.maximum(1.0, np.abs(prod))
@@ -270,13 +271,103 @@ def _coded_values(tied, hit, in_blocks) -> tuple:
     return values, codes
 
 
-def _coded_counts(top: np.ndarray, tables, k_t: np.ndarray) -> tuple:
-    """``(values, codes)`` of one sample at the budgets ``k_t``: the one threshold rule.
+class CurveKernel:
+    """Raw and corrected curves on a fixed (k, grid, measure), for many r and many samples.
 
-    Its two stages, ``_counts`` then ``_coded_values``; values and codes are
-    (len(tables), len(k_t)) arrays.
+    Built once per configuration: it checks the grid, tabulates the budgets
+    count_at(k, grid) and, under a ``biascorrect.SignedMeasureAtoms`` ``mu``,
+    count_at(k, t s) and count_at(k, t s') of every grid level t and atom
+    (s, s', w), as ``scale_measure(mu, t)`` places them, and collects the
+    distinct budgets among them.  It runs the one threshold rule in its two
+    stages: ``counts`` evaluates one sample at those budgets only, for every
+    block length at once (``_counts``), and a call turns the stacked counts
+    of a group of samples into values and codes (``_coded_values``), then
+    gathers the grid rows and the atom levels from them, for the whole group
+    at once.
     """
-    return _coded_values(*_counts(top, tables, k_t))
+
+    def __init__(self, k: int, grid, mu=None):
+        self.grid = check_grid(grid)
+        self.mu = mu
+        levels = self.grid
+        if mu is not None:
+            s, t, self._w = mu.arrays()
+            self._eps_den = 1e-8 * mu.total_variation
+            atom_levels = np.outer(self.grid, np.column_stack([s, t]).ravel())
+            levels = np.concatenate([levels, atom_levels.ravel()])
+        budgets = count_at(k, levels)
+        self.k_t = budgets[: len(self.grid)].copy()  # a view keeps all atom levels' budgets alive
+        self._budgets, where = np.unique(budgets, return_inverse=True)
+        self._raw_at = where[: len(self.grid)]
+        # (2 * atoms, grid): the budget index of each atom level, in the order s1, t1, s2, t2, ...
+        self._levels_at = where[len(self.grid) :].reshape(len(self.grid), -1).T
+
+    def counts(self, top: np.ndarray, tables) -> tuple:
+        """``(tied, hit, in_blocks)`` of one sample at the distinct budgets (``_counts``).
+
+        ``top`` and ``tables`` come from ``_top_slice`` and ``_top_tables``,
+        one table per block length.  The counts keep no reference to the
+        sample.
+        """
+        return _counts(top, tables, self._budgets)
+
+    def __call__(self, tied, hit, in_blocks) -> tuple:
+        """``(values, codes)`` of B samples: (B, rows, grid) arrays, raw rows first.
+
+        The arguments are B samples' ``counts`` stacked along a new first
+        axis, so ``hit`` and ``in_blocks`` are (B, r, budgets) for r block
+        lengths.  Row i holds the raw curve of ``tables[i]`` and, under a
+        measure, row r + i its corrected curve.  Codes are the integer skip
+        codes of ``CODE_NAMES``.
+        """
+        values, codes = _coded_values(tied, hit, in_blocks)
+        raw = values[..., self._raw_at], codes[..., self._raw_at]
+        if self.mu is None:
+            return raw
+        corrected = _corrected_rows(self._w, self._eps_den, self._levels_at, values, codes)
+        return tuple(np.concatenate(pair, axis=-2) for pair in zip(raw, corrected))
+
+
+def _corrected_rows(w, eps_den, at, values, codes) -> tuple:
+    """Corrected values and integer codes from the curve at the distinct budgets.
+
+    ``values`` and ``codes`` run over the budgets along their last axis, and
+    the result has the grid there instead.  ``at[j]`` holds the budget index
+    of atom level j at every grid level, in the order s1, t1, s2, t2, ....
+    A value is the ``_combine`` ratio; its code is that of its first
+    undefined atom level, else ``DEGENERATE`` when the denominator falls
+    below ``eps_den``, and such values are NaN.  The budget axis is moved to
+    the front once, so that a gather copies whole blocks of the other axes,
+    and each atom level is gathered inside the loop over the levels: besides
+    that one copy of the input, every array made here has the size of the
+    result, however many atoms the measure has.
+    """
+    values, codes = (np.moveaxis(a, -1, 0).copy() for a in (values, codes))
+    num, den, degenerate = _combine(
+        w, (values.take(i, axis=0) for i in at[0::2]),
+        (values.take(i, axis=0) for i in at[1::2]), eps_den,
+    )
+    first = codes.take(at[0], axis=0)
+    for i in at[1:]:  # a level's code stands only where every earlier level is defined
+        np.copyto(first, codes.take(i, axis=0), where=first == OK)
+    code = np.where(first != OK, first, np.where(degenerate, DEGENERATE, OK))
+    value = np.full(code.shape, np.nan)
+    np.divide(num, den, out=value, where=code == OK)
+    return np.moveaxis(value, 0, -1), np.moveaxis(code, 0, -1)
+
+
+def _combine(w, hs, ht, eps_den):
+    """Numerator, denominator and degeneracy flag of the mu-combination.
+
+    ``hs[a]`` and ``ht[a]`` are the curve at the two levels of atom ``a`` (a
+    number or a row of grid values); both sums run over the atoms in atom
+    order, so the curve and the point estimate agree bit for bit.
+    """
+    num = den = 0.0
+    for wa, a, b in zip(w, hs, ht):
+        num = num + wa * a * b
+        den = den + wa * (a + b)
+    return num, den, np.abs(den) < eps_den
 
 
 def _raise_coded(code, k_t: int, where: str = "") -> None:
@@ -297,10 +388,10 @@ class BlocksEvaluator:
 
     Keeps the k + 1 largest sample values, found by one partial sort, and the
     sorted block maxima and uncovered tail values at or above the smallest of
-    them (``_top_slice``, ``_top_tables``); ``_coded`` then evaluates any
-    array of exceedance budgets with two binary searches over all of them at
-    once (the estimate depends on t only through k_t).  It is the single-r
-    case of the curve kernel.
+    them (``_top_slice``, ``_top_tables``); ``counts`` then counts any array
+    of exceedance budgets with two binary searches over all of them at once
+    (the estimate depends on t only through k_t), for ``at_count`` and for
+    every single-sample curve (``_sample_curve``).
     """
 
     def __init__(self, x, r: int, k: int):
@@ -314,19 +405,18 @@ class BlocksEvaluator:
         self._top, above = _top_slice(xs, k)
         self._tables = _top_tables(xs, above, r)
 
-    def _coded(self, k_t) -> tuple:
-        """Values and integer skip codes shaped like ``k_t`` (see ``_coded_counts``)."""
+    def counts(self, k_t) -> tuple:
+        """``_counts`` of this sample at the budgets ``k_t``: ``hit`` is (1, k_t.size)."""
         k_t = np.asarray(k_t, dtype=np.int64)
         if np.any((k_t < 1) | (k_t > self.k)):
             raise ValueError(f"need 1 <= k_t <= k={self.k}, got {k_t}")
-        values, codes = _coded_counts(self._top, [self._tables], k_t.ravel())
-        return values.reshape(k_t.shape), codes.reshape(k_t.shape)
+        return _counts(self._top, [self._tables], k_t.ravel())
 
     def at_count(self, k_t: int) -> float:
         """The estimate for one budget; an undefined one raises its coded error."""
-        values, codes = self._coded(k_t)
-        _raise_coded(codes, k_t)
-        return float(values)
+        values, codes = _coded_values(*self.counts(k_t))
+        _raise_coded(codes[0, 0], k_t)
+        return float(values[0, 0])
 
     def __call__(self, t: float) -> float:
         return self.at_count(count_at(self.k, t))
@@ -370,27 +460,34 @@ def check_grid(grid, what: str = "grid") -> np.ndarray:
     return levels
 
 
+def _sample_curve(x, cfg: EstimatorConfig, kernel: CurveKernel, variant: str) -> ThresholdCurve:
+    """The last row of ``kernel`` on the one sample ``x`` at block length ``cfg.r``.
+
+    A group of B = 1 samples with one block length: the last row is the raw
+    curve without a measure and the corrected curve under one.
+    """
+    ev = BlocksEvaluator(x, cfg.r, cfg.k)
+    counts = ev.counts(kernel._budgets)
+    value, code = (rows[0, -1] for rows in kernel(*(part[None] for part in counts)))
+    return ThresholdCurve(
+        t=kernel.grid,
+        k_t=kernel.k_t,
+        theta_hat=value,
+        code=CODE_NAMES[code],
+        variant=variant,
+        config=cfg,
+        n=ev.n,
+    )
+
+
 def sweep(x, cfg: EstimatorConfig, grid=None) -> ThresholdCurve:
     """Evaluate the empirical-threshold blocks estimator of series ``x`` on a grid of t values.
 
     ``grid`` defaults to ``default_grid(k)``; any other grid must pass
-    ``check_grid``.  It is the single-r entry point of the raw half of the
-    curve kernel: the budgets go through the same threshold rule,
-    ``_coded_counts``.  Grid points where the estimate is
-    undefined (no exceedance inside the blocks, or a threshold tie) keep their
-    place in the curve with a NaN value and the error code, instead of
-    silently disappearing.
+    ``check_grid``.  It is the raw curve of ``CurveKernel`` on one sample.
+    Grid points where the estimate is undefined (no exceedance inside the
+    blocks, or a threshold tie) keep their place in the curve with a NaN
+    value and the error code, instead of silently disappearing.
     """
-    grid = default_grid(cfg.k) if grid is None else check_grid(grid)
-    ev = BlocksEvaluator(x, cfg.r, cfg.k)
-    k_t = count_at(cfg.k, grid)
-    values, codes = ev._coded(k_t)
-    return ThresholdCurve(
-        t=grid,
-        k_t=k_t,
-        theta_hat=values,
-        code=CODE_NAMES[codes],
-        variant="empirical_quantile",
-        config=cfg,
-        n=ev.n,
-    )
+    grid = default_grid(cfg.k) if grid is None else grid
+    return _sample_curve(x, cfg, CurveKernel(cfg.k, grid), "empirical_quantile")

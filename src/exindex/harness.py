@@ -13,12 +13,12 @@ exactly), per-(r, t) summaries with bias and RMSE against the closed-form
 curve targets where available, and Figure-style bundles of blocks, runs, and
 corrected curves averaged with standard-deviation bands.
 
-Each replicate is partially sorted once: ``biascorrect.CurveKernel``, built
+Each replicate is partially sorted once: ``estimate.CurveKernel``, built
 once per config, takes the integer counts of every block length from that one
 slice, and the runs curves read their thresholds from it too.  The kernel then
 turns the counts of a whole group of replicates into blocks and corrected
-curves in one call.  ``sweep`` and ``corrected_curve`` are the single-r,
-single-sample entry points of the same kernel.
+curves in one call.  ``sweep`` and ``corrected_curve`` run the same kernel on
+one sample and one block length.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 
 from ._version import __version__
 from .biascorrect import (
-    CurveKernel,
     SignedMeasureAtoms,
     check_conditions,
     product_measure,
@@ -43,6 +42,7 @@ from .biascorrect import (
 from .errors import MeasureConditionError
 from .estimate import (
     CODE_NAMES,
+    CurveKernel,
     EstimatorConfig,
     _thresholds,
     _top_slice,
@@ -263,6 +263,9 @@ def _grid_from_spec(spec, k: int):
     if spec is None:
         return tuple(np.linspace(0.05, 1.0, 20))
     if isinstance(spec, dict):
+        unknown = sorted(set(spec) - {"lo", "hi", "count"})
+        if unknown:
+            raise ValueError(f"unknown t_grid keys: {', '.join(unknown)}")
         lo = _number(spec, "lo", "t_grid", default=1.0 / k)
         hi = _number(spec, "hi", "t_grid", default=1.0)
         count = _number(spec, "count", "t_grid", _int)
@@ -287,17 +290,19 @@ class ExperimentConfig:
     run_lengths: tuple = None
 
     def __post_init__(self):
-        object.__setattr__(self, "r_list", tuple(int(r) for r in self.r_list))
         object.__setattr__(self, "t_grid", tuple(check_grid(self.t_grid, "t_grid").tolist()))
-        lengths = self.run_lengths
-        if lengths is None:  # every block length a run can take: a run stays below n
-            lengths = [r for r in self.r_list if r < self.n]
-        object.__setattr__(self, "run_lengths", tuple(int(r) for r in lengths))
-        # a repeat would write its rows twice, or once where meta.json lists it twice
         for key in ("r_list", "run_lengths"):
             lengths = getattr(self, key)
-            if len(set(lengths)) < len(lengths):
-                raise ValueError(f"{key} must not repeat a value, got {lengths}")
+            if lengths is None:  # every block length a run can take: a run stays below n
+                lengths = [r for r in self.r_list if r < self.n]
+            try:
+                whole = tuple(_int(r) for r in lengths)
+            except ValueError:
+                raise ValueError(f"{key} must hold whole numbers, got {lengths}") from None
+            # a repeat would write its rows twice, or once where meta.json lists it twice
+            if len(set(whole)) < len(whole):
+                raise ValueError(f"{key} must not repeat a value, got {whole}")
+            object.__setattr__(self, key, whole)
         if self.replicates < 1:
             raise ValueError(f"replicates must be at least 1, got {self.replicates}")
         if self.base_seed < 0:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import exindex as ex
-from exindex.biascorrect import _combine
+from exindex.estimate import _combine
 from exindex.sim import map_replicates
 
 

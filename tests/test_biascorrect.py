@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import exindex as ex
-from exindex.biascorrect import CurveKernel
+from exindex.estimate import CurveKernel
 
 
 def level_integral(mu, delta):
@@ -115,6 +115,14 @@ def test_check_conditions_single_atom_fails_m1():
     report = ex.check_conditions(ex.SignedMeasureAtoms(((0.5, 0.5, 1.0),)))
     assert not report.m1_ok
     assert "M1_VIOLATION" in report.violations()
+
+
+def test_check_conditions_rejects_an_empty_probe_set():
+    # the level integral is 0 at every delta: no probe set that checks anything passes M2
+    mu = ex.SignedMeasureAtoms(((0.5, 0.5, 1.0), (0.5, 0.5, -1.0)))
+    assert not ex.check_conditions(mu).m2_ok
+    with pytest.raises(ValueError, match="^delta probes must name at least one delta$"):
+        ex.check_conditions(mu, delta_probe=[])
 
 
 def test_check_conditions_four_atom_product_cancellation():

@@ -108,6 +108,12 @@ def test_count_at_interior_points():
     assert ex.count_at(10, 1e-9) == 1  # clamped to at least one order statistic
     with pytest.raises(ValueError):
         ex.count_at(3, 0.0)
+    # an infinite level has no budget: it is rejected, not cast to -2**63
+    for t in (np.inf, [0.5, np.inf], np.nan):
+        with pytest.raises(ValueError, match="^t must be positive and finite"):
+            ex.count_at(10, t)
+    with pytest.raises(ValueError, match="^t must be positive and finite, got inf$"):
+        ex.BlocksEvaluator(np.arange(100.0), 5, 50)(np.inf)
 
 
 def test_default_grid_anchored_at_order_statistics():

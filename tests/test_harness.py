@@ -162,6 +162,11 @@ def test_grid_specs():
     np.testing.assert_allclose(cfg.t_grid, np.linspace(0.2, 1.0, 5))
     cfg = ex.ExperimentConfig.from_dict({**base, "t_grid": [0.5, 1.0]})
     assert cfg.t_grid == (0.5, 1.0)
+    # a misspelt bound is rejected, not replaced by its default
+    for spec, unknown in (({"count": 5, "high": 0.5}, "high"),
+                          ({"count": 5, "lo": 0.2, "to": 1, "from": 0}, "from, to")):
+        with pytest.raises(ValueError, match=f"^unknown t_grid keys: {unknown}$"):
+            ex.ExperimentConfig.from_dict({**base, "t_grid": spec})
 
 
 def test_config_validation():
@@ -182,6 +187,11 @@ def test_config_validation():
         small_config(k=400)  # k must stay below n
     assert small_config(run_lengths=None).run_lengths == (5,)
     assert small_config(run_lengths=(3, 7)).run_lengths == (3, 7)
+    # a fractional length is rejected, as from_dict rejects it, not truncated
+    for key, lengths in (("r_list", (5.7,)), ("run_lengths", (3, 7.5))):
+        with pytest.raises(ValueError, match=rf"^{key} must hold whole numbers, got \({lengths[0]}"):
+            small_config(**{key: lengths})
+    assert small_config(r_list=(5.0,), run_lengths=(3.0,)).r_list == (5,)
 
 
 def test_config_rejects_unknown_keys():

@@ -12,13 +12,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import exindex as ex
-from exindex.biascorrect import CurveKernel
 from exindex.clusterproc import _excess_rule, _level_sums, _replicate_sums
 from exindex import harness, sim
 from exindex.estimate import (
     CODE_NAMES,
     OK,
-    _coded_counts,
+    CurveKernel,
+    _coded_values,
+    _counts,
     _raise_coded,
     _thresholds,
     _top_slice,
@@ -435,7 +436,8 @@ def test_top_tables_give_the_block_tables_estimates_at_every_budget(sample):
     for xs in (x, x - 10.0):
         top, above = _top_slice(xs, k)
         assert above.tolist() == np.flatnonzero(xs >= top[0]).tolist()
-        values, codes = _coded_counts(top, [_top_tables(xs, above, r)], np.arange(1, k + 1))
+        counts = _counts(top, [_top_tables(xs, above, r)], np.arange(1, k + 1))
+        values, codes = _coded_values(*counts)
         for budget in range(1, k + 1):
             value, code = brute_force(xs, r, k, budget / k)
             assert CODE_NAMES[codes[0, budget - 1]] == code

@@ -154,7 +154,7 @@ from refkernel import REF_S, Reference  # noqa: E402
 
 import exindex as ex  # noqa: E402
 from exindex import cli, clusterproc, estimate, harness, sim  # noqa: E402
-from exindex.biascorrect import CurveKernel  # noqa: E402
+from exindex.estimate import CurveKernel  # noqa: E402
 
 N = 20_000
 GRID = tuple(np.linspace(0.2, 1.0, 81))
