@@ -251,13 +251,17 @@ def corrected_estimate(evaluator, mu: SignedMeasureAtoms) -> float:
     ``corrected_curve``) signals a constant or already bias-free curve, for
     which the combination is 0/0; DegenerateDenominator is raised carrying the
     plug-in evaluation at the largest atom coordinate as a usable fallback.
+    A NaN or infinite evaluation raises ``ValueError`` naming its level.
     """
     eps_den = 1e-8 * mu.total_variation
     cache = {}
 
     def ev(t):
         if t not in cache:
-            cache[t] = float(evaluator(t))
+            value = float(evaluator(t))
+            if not math.isfinite(value):
+                raise ValueError(f"evaluator gave {value} at level t={t}, not a finite estimate")
+            cache[t] = value
         return cache[t]
 
     hs, ht = zip(*[(ev(s), ev(t)) for s, t, _ in mu.atoms])  # order s1, t1, s2, t2, ...
@@ -284,7 +288,7 @@ def corrected_curve(x, cfg, mu: SignedMeasureAtoms, t_grid) -> ThresholdCurve:
     """
     if mu is None:  # the kernel would return the raw row alone
         raise ValueError("corrected_curve needs a measure, got None")
-    return _sample_curve(x, cfg, CurveKernel(cfg.k, t_grid, mu), "corrected")
+    return _sample_curve(x, cfg, CurveKernel(cfg.k, t_grid, mu, (cfg.r,)), "corrected")
 
 
 def sigma2_mu(mu: SignedMeasureAtoms, delta: float, kernel) -> float:

@@ -17,10 +17,12 @@ smallest of them, and each block length takes its sorted block maxima over
 those positions only (``_top_tables``).  One threshold rule turns an array of
 budgets into estimates and integer skip codes for every block length at once,
 in two stages: ``_counts`` takes the integer counts of one sample, and
-``_coded_values`` turns counts into values and codes over any leading axes.
-``CurveKernel`` runs both stages into raw curves and, under a signed measure,
-corrected ones: the Monte Carlo driver takes counts per replicate and calls
-it once per group of replicates, and ``sweep`` and
+``_coded_values`` turns the stacked counts of many samples into values and codes.
+``CurveKernel`` runs a group of samples through both stages into raw curves
+and, under a signed measure, corrected ones: it counts each sample from its
+one slice, takes its runs curves (``_runs_curves``) from the same slice,
+drops it, and runs the value stage once for the group.  The Monte Carlo
+driver calls it once per group of replicates, and ``sweep`` and
 ``biascorrect.corrected_curve`` call it on a group of one sample
 (``_sample_curve``).  ``clusterproc.estimate_kernel_mc`` runs both stages
 per replicate for the estimate at t = 1.
@@ -34,6 +36,7 @@ The runs estimator counts an exceedance as a cluster end when the next
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +179,44 @@ def runs_estimator(x, run_length: int, u: float) -> float:
     return numer / denom
 
 
+def _runs_curves(values, above, run_lengths, thresholds) -> np.ndarray:
+    """``runs_estimator(values, L, u)`` at every run length L and threshold u, NaN where undefined.
+
+    One row per entry of ``run_lengths``.  With M_i the maximum of the L
+    values after X_i, a run ends at exceedance i iff M_i <= u.  Over
+    i < n - L, the denominator is #{X_i > u} and the numerator that minus
+    #{min(X_i, M_i) > u}.  Only the positions i with X_i above the lowest
+    threshold can count in either; ``above`` lists, ascending, a superset
+    of them (the ``above`` of ``_top_slice``, whose top[0] no threshold
+    lies below), and M_i is built at those positions alone, for every L
+    from one running maximum: each offset j = 1..max L is gathered once, at
+    the positions with i + j < n, and each L takes its minima as the maximum
+    passes it.  Both counts of an L come from one binary search per
+    threshold on a sorted array of its positions' values: the same integers
+    as over every position.  The caller checks each run length
+    (``check_run_length``).
+    """
+    n = len(values)
+    index = above[: np.searchsorted(above, n - min(run_lengths))]
+    index = index[values[index] > thresholds.min()]
+    starts = values[index]
+    # ends[j]: the count of positions i < n - j, a prefix of ``index``
+    ends = np.searchsorted(index, n - np.arange(max(run_lengths) + 1))
+    after = values[index + 1]  # i < n - 1 throughout
+    curves, done = {}, 1
+    for length in sorted(set(run_lengths)):
+        for j in range(done + 1, length + 1):
+            head = after[: ends[j]]
+            np.maximum(head, values[index[: ends[j]] + j], out=head)
+        done, stop = length, ends[length]
+        both = np.minimum(starts[:stop], after[:stop])
+        denom = stop - np.searchsorted(np.sort(starts[:stop]), thresholds, side="right")
+        kept = stop - np.searchsorted(np.sort(both), thresholds, side="right")
+        curves[length] = np.full(len(thresholds), np.nan)
+        np.divide(denom - kept, denom, out=curves[length], where=denom > 0)
+    return np.array([curves[length] for length in run_lengths])
+
+
 # Integer skip codes of the curve kernels, int8 as the Monte Carlo tables
 # store them; ``CODE_NAMES[code]`` is the error code a curve reports, "" where
 # the value is defined.
@@ -258,37 +299,41 @@ def _counts(top: np.ndarray, tables, k_t: np.ndarray) -> tuple:
 def _coded_values(tied, hit, in_blocks) -> tuple:
     """Blocks estimates and integer skip codes from ``_counts``: the value stage.
 
-    Works over any leading axes: ``tied`` is (..., budgets) and ``hit`` and
-    ``in_blocks`` (..., rows, budgets), so a stack of samples' counts is
-    evaluated at once.  Returns ``(values, codes)`` shaped like ``hit``: a
-    code is ``TIES`` where the threshold ties the smallest retained value,
-    else ``NO_EXC`` where every retained value lies beyond the block
-    coverage, else ``OK`` with the value hit / in_blocks; values are NaN
-    wherever a code is set.
+    ``tied`` is (..., budgets) and ``hit`` and ``in_blocks`` are
+    (rows, ..., budgets), so the counts of many samples, stacked along an
+    axis after the rows, are evaluated at once.  Returns ``(values, codes)``
+    shaped like ``hit``: a code is ``TIES`` where the threshold ties the
+    smallest retained value, else ``NO_EXC`` where every retained value lies
+    beyond the block coverage, else ``OK`` with the value hit / in_blocks;
+    values are NaN wherever a code is set.
     """
-    codes = np.where(tied[..., None, :], TIES, np.where(in_blocks == 0, NO_EXC, OK))
+    codes = np.where(tied, TIES, np.where(in_blocks == 0, NO_EXC, OK))
     values = np.where(codes == OK, hit / np.maximum(in_blocks, 1), np.nan)
     return values, codes
 
 
 class CurveKernel:
-    """Raw and corrected curves on a fixed (k, grid, measure), for many r and many samples.
+    """Raw, corrected and runs curves on a fixed (k, grid, measure), for many samples.
 
     Built once per configuration: it checks the grid, tabulates the budgets
     count_at(k, grid) and, under a ``biascorrect.SignedMeasureAtoms`` ``mu``,
     count_at(k, t s) and count_at(k, t s') of every grid level t and atom
     (s, s', w), as ``scale_measure(mu, t)`` places them, and collects the
-    distinct budgets among them.  It runs the one threshold rule in its two
-    stages: ``counts`` evaluates one sample at those budgets only, for every
-    block length at once (``_counts``), and a call turns the stacked counts
-    of a group of samples into values and codes (``_coded_values``), then
-    gathers the grid rows and the atom levels from them, for the whole group
-    at once.
+    distinct budgets among them.  A call takes a group of samples: each is
+    partially sorted once (``_top_slice``), counted at the distinct budgets
+    for every block length of ``lengths`` (``_counts``) and, for the run
+    lengths ``run_lengths``, read into runs curves at the grid thresholds
+    (``_runs_curves``), all from that one slice, and then dropped.  The
+    value stage (``_coded_values``) then runs once on the group's stacked
+    counts, and the grid rows and atom levels are gathered from it.
     """
 
-    def __init__(self, k: int, grid, mu=None):
+    def __init__(self, k: int, grid, mu=None, lengths=(), run_lengths=()):
         self.grid = check_grid(grid)
+        self.k = k
         self.mu = mu
+        self.lengths = tuple(lengths)
+        self.run_lengths = tuple(run_lengths)
         levels = self.grid
         if mu is not None:
             s, t, self._w = mu.arrays()
@@ -302,30 +347,37 @@ class CurveKernel:
         # (2 * atoms, grid): the budget index of each atom level, in the order s1, t1, s2, t2, ...
         self._levels_at = where[len(self.grid) :].reshape(len(self.grid), -1).T
 
-    def counts(self, top: np.ndarray, tables) -> tuple:
-        """``(tied, hit, in_blocks)`` of one sample at the distinct budgets (``_counts``).
+    def _sample(self, xs: np.ndarray) -> tuple:
+        """``((tied, hit, in_blocks), runs)`` of one sample: nothing returned refers to it."""
+        top, above = _top_slice(xs, self.k)
+        counts = _counts(top, [_top_tables(xs, above, r) for r in self.lengths], self._budgets)
+        if not self.run_lengths:
+            return counts, np.empty((0, len(self.grid)))
+        return counts, _runs_curves(xs, above, self.run_lengths, _thresholds(top, self.k_t)[0])
 
-        ``top`` and ``tables`` come from ``_top_slice`` and ``_top_tables``,
-        one table per block length.  The counts keep no reference to the
-        sample.
+    def __call__(self, samples) -> tuple:
+        """``(values, codes, runs)`` of the B one-dimensional arrays of ``samples``.
+
+        ``values`` and ``codes`` are (rows, B, grid) arrays, raw rows first:
+        row i holds the raw curves of ``lengths[i]`` and, under a measure,
+        row len(lengths) + i their corrected curves; codes are the integer
+        skip codes of ``CODE_NAMES``.  ``runs`` is (run lengths, B, grid),
+        NaN where undefined.  ``samples`` may be lazy: each sample is
+        dropped once it is counted, before the next is drawn.
         """
-        return _counts(top, tables, self._budgets)
+        counts, runs = zip(*map(self._sample, samples))
+        tied, hit, in_blocks = zip(*counts)
+        hit, in_blocks = (np.stack(part, axis=1) for part in (hit, in_blocks))
+        return (*self._rows(np.stack(tied), hit, in_blocks), np.stack(runs, axis=1))
 
-    def __call__(self, tied, hit, in_blocks) -> tuple:
-        """``(values, codes)`` of B samples: (B, rows, grid) arrays, raw rows first.
-
-        The arguments are B samples' ``counts`` stacked along a new first
-        axis, so ``hit`` and ``in_blocks`` are (B, r, budgets) for r block
-        lengths.  Row i holds the raw curve of ``tables[i]`` and, under a
-        measure, row r + i its corrected curve.  Codes are the integer skip
-        codes of ``CODE_NAMES``.
-        """
+    def _rows(self, tied, hit, in_blocks) -> tuple:
+        """The value stage of a call: ``(values, codes)`` of stacked counts."""
         values, codes = _coded_values(tied, hit, in_blocks)
         raw = values[..., self._raw_at], codes[..., self._raw_at]
         if self.mu is None:
             return raw
         corrected = _corrected_rows(self._w, self._eps_den, self._levels_at, values, codes)
-        return tuple(np.concatenate(pair, axis=-2) for pair in zip(raw, corrected))
+        return tuple(np.concatenate(pair) for pair in zip(raw, corrected))
 
 
 def _corrected_rows(w, eps_den, at, values, codes) -> tuple:
@@ -388,10 +440,8 @@ class BlocksEvaluator:
 
     Keeps the k + 1 largest sample values, found by one partial sort, and the
     sorted block maxima and uncovered tail values at or above the smallest of
-    them (``_top_slice``, ``_top_tables``); ``counts`` then counts any array
-    of exceedance budgets with two binary searches over all of them at once
-    (the estimate depends on t only through k_t), for ``at_count`` and for
-    every single-sample curve (``_sample_curve``).
+    them (``_top_slice``, ``_top_tables``); ``at_count`` then counts a budget
+    with two binary searches (the estimate depends on t only through k_t).
     """
 
     def __init__(self, x, r: int, k: int):
@@ -405,21 +455,25 @@ class BlocksEvaluator:
         self._top, above = _top_slice(xs, k)
         self._tables = _top_tables(xs, above, r)
 
-    def counts(self, k_t) -> tuple:
-        """``_counts`` of this sample at the budgets ``k_t``: ``hit`` is (1, k_t.size)."""
-        k_t = np.asarray(k_t, dtype=np.int64)
-        if np.any((k_t < 1) | (k_t > self.k)):
-            raise ValueError(f"need 1 <= k_t <= k={self.k}, got {k_t}")
-        return _counts(self._top, [self._tables], k_t.ravel())
-
     def at_count(self, k_t: int) -> float:
-        """The estimate for one budget; an undefined one raises its coded error."""
-        values, codes = _coded_values(*self.counts(k_t))
+        """The estimate for one whole-number budget; an undefined one raises its coded error."""
+        whole = isinstance(k_t, numbers.Integral) or (
+            isinstance(k_t, numbers.Real) and float(k_t).is_integer()
+        )
+        if isinstance(k_t, (bool, np.bool_)) or not whole:
+            raise ValueError(f"k_t must be a whole number, got {k_t}")
+        k_t = int(k_t)
+        if not 1 <= k_t <= self.k:
+            raise ValueError(f"need 1 <= k_t <= k={self.k}, got {k_t}")
+        values, codes = _coded_values(*_counts(self._top, [self._tables], np.array([k_t])))
         _raise_coded(codes[0, 0], k_t)
         return float(values[0, 0])
 
     def __call__(self, t: float) -> float:
-        return self.at_count(count_at(self.k, t))
+        k_t = count_at(self.k, t)
+        if t > 1.0:
+            raise ValueError(f"t must lie in (0, 1], got {t}")
+        return self.at_count(k_t)
 
 
 def blocks_true_quantile(x, cfg: EstimatorConfig, t: float, marginal_quantile) -> float:
@@ -461,22 +515,22 @@ def check_grid(grid, what: str = "grid") -> np.ndarray:
 
 
 def _sample_curve(x, cfg: EstimatorConfig, kernel: CurveKernel, variant: str) -> ThresholdCurve:
-    """The last row of ``kernel`` on the one sample ``x`` at block length ``cfg.r``.
+    """The last row of ``kernel``, built with the one block length ``cfg.r``, on the sample ``x``.
 
-    A group of B = 1 samples with one block length: the last row is the raw
-    curve without a measure and the corrected curve under one.
+    A group of B = 1 samples: the last row is the raw curve without a
+    measure and the corrected curve under one.
     """
-    ev = BlocksEvaluator(x, cfg.r, cfg.k)
-    counts = ev.counts(kernel._budgets)
-    value, code = (rows[0, -1] for rows in kernel(*(part[None] for part in counts)))
+    xs = _values(x)
+    cfg.validate_for(len(xs))
+    values, codes, _ = kernel([xs])
     return ThresholdCurve(
         t=kernel.grid,
         k_t=kernel.k_t,
-        theta_hat=value,
-        code=CODE_NAMES[code],
+        theta_hat=values[-1, 0],
+        code=CODE_NAMES[codes[-1, 0]],
         variant=variant,
         config=cfg,
-        n=ev.n,
+        n=len(xs),
     )
 
 
@@ -490,4 +544,4 @@ def sweep(x, cfg: EstimatorConfig, grid=None) -> ThresholdCurve:
     value and the error code, instead of silently disappearing.
     """
     grid = default_grid(cfg.k) if grid is None else grid
-    return _sample_curve(x, cfg, CurveKernel(cfg.k, grid), "empirical_quantile")
+    return _sample_curve(x, cfg, CurveKernel(cfg.k, grid, lengths=(cfg.r,)), "empirical_quantile")

@@ -13,12 +13,11 @@ exactly), per-(r, t) summaries with bias and RMSE against the closed-form
 curve targets where available, and Figure-style bundles of blocks, runs, and
 corrected curves averaged with standard-deviation bands.
 
-Each replicate is partially sorted once: ``estimate.CurveKernel``, built
-once per config, takes the integer counts of every block length from that one
-slice, and the runs curves read their thresholds from it too.  The kernel then
-turns the counts of a whole group of replicates into blocks and corrected
-curves in one call.  ``sweep`` and ``corrected_curve`` run the same kernel on
-one sample and one block length.
+One ``estimate.CurveKernel``, built once per config, is called once per
+group of replicates: it partially sorts each replicate once, takes the
+integer counts of every block length and the runs curves from that one slice,
+and turns the group's counts into blocks and corrected curves.  ``sweep`` and
+``corrected_curve`` call the same kernel on one sample and one block length.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,16 +40,7 @@ from .biascorrect import (
     two_atom_measure,
 )
 from .errors import MeasureConditionError
-from .estimate import (
-    CODE_NAMES,
-    CurveKernel,
-    EstimatorConfig,
-    _thresholds,
-    _top_slice,
-    _top_tables,
-    check_grid,
-    check_run_length,
-)
+from .estimate import CODE_NAMES, CurveKernel, EstimatorConfig, check_grid, check_run_length
 # perfbench/layers.py traces these bindings
 from .biascorrect import corrected_curve  # noqa: F401
 from .estimate import runs_estimator, sweep  # noqa: F401
@@ -481,20 +472,17 @@ _CODE_TAILS = [f",{name}\n" for name in CODE_NAMES.tolist()]
 def _replicates(cfg: ExperimentConfig, run_lengths=()) -> tuple:
     """Simulate every replicate once: ``(MCResult, rows, flags)``.
 
-    The grid and its budgets are checked and tabulated once.  Each path is
-    partially sorted once (``_top_slice``), every r takes its block maxima
-    over the slice's positions only (``_top_tables``), and one
-    ``kernel.counts`` call takes the integer counts of every r at the
-    kernel's budgets; one ``_runs_curves`` call gives its runs curves at
-    every run length from the same slice.  Only those are kept, so the path
-    and its partitioned copy are dropped before the next path is drawn.  One
-    kernel call per group of replicates (``sim.map_replicates``) then turns
-    the group's stacked counts into its blocks and corrected curves.  The
-    result's table holds the raw and corrected curves of every r, the
-    kernel's rows in that order, and the runs curves of ``run_lengths``.
-    ``rows`` is None, or if ``cfg.out_dir`` is set each replicate's
-    curves.csv rows, formatted where it ran (``_format_rows``).  ``flags``
-    counts the values with a skip code.
+    The grid and its budgets are checked and tabulated once, in one
+    ``estimate.CurveKernel`` for every r and run length.  One kernel call
+    per group of replicates (``sim.map_replicates``) sorts each path
+    partially once, keeps only its integer counts and runs curves, so the
+    path is dropped before the next is drawn, and turns the group's counts
+    into its blocks and corrected curves.  The result's table holds the raw
+    and corrected curves of every r, the kernel's rows in that order, and
+    the runs curves of ``run_lengths``.  ``rows`` is None, or if
+    ``cfg.out_dir`` is set each replicate's curves.csv rows, formatted where
+    it ran (``_format_rows``).  ``flags`` counts the values with a skip
+    code.
 
     Every curve reads only the values at or above the (k + 1)-th largest:
     the thresholds lie there, and a block maximum, tail value or run
@@ -502,44 +490,25 @@ def _replicates(cfg: ExperimentConfig, run_lengths=()) -> tuple:
     ``top=k + 1``, and a model that can draw only those values exactly
     (moving maxima) gives the same bytes as its full path.
     """
-    kernel = CurveKernel(cfg.k, cfg.t_grid, cfg.measure)
+    kernel = CurveKernel(cfg.k, cfg.t_grid, cfg.measure, cfg.r_list, run_lengths)
     corrected = cfg.r_list if cfg.measure is not None else ()
     # the coded kinds in table order: the kernel's rows are every raw, then every corrected key
     templates = _row_templates((("raw", cfg.r_list), ("corrected", corrected)), cfg.t_grid)
     formatted = cfg.out_dir is not None
 
-    def counted(x):
-        top, above = _top_slice(x.values, cfg.k)
-        counts = kernel.counts(top, [_top_tables(x.values, above, r) for r in cfg.r_list])
-        runs = None
-        if run_lengths:
-            runs = _runs_curves(x.values, above, run_lengths, _thresholds(top, kernel.k_t)[0])
-        return counts, runs
-
     def step(first, paths):
-        # map drops each path once it is counted, before it draws the next
-        counts, runs = zip(*map(counted, paths))
-        values, codes = kernel(*map(np.stack, zip(*counts)))
+        values, codes, runs = kernel(map(attrgetter("values"), paths))
         rows = None
         if formatted:
-            rows = [_format_rows(templates, rep, *curves)
-                    for rep, curves in enumerate(zip(values, codes), first)]
-        return values, codes, np.stack(runs, axis=1) if run_lengths else None, rows
+            rows = [_format_rows(templates, rep, *curves) for rep, curves in
+                    enumerate(zip(values.swapaxes(0, 1), codes.swapaxes(0, 1)), first)]
+        return values, codes, runs, rows
 
     groups = map_replicates(step, cfg.model, cfg.n, cfg.base_seed, cfg.replicates, top=cfg.k + 1)
+    *tables, group_rows = zip(*groups)
     # (kind and r, replicate, level), so each (kind, r) is one contiguous array
-    shape = (len(templates), cfg.replicates, len(cfg.t_grid))
-    values, codes = np.empty(shape), np.empty(shape, dtype=np.int8)
-    runs = np.empty((len(run_lengths),) + shape[1:])
-    first = 0
-    for group_values, group_codes, group_runs, _ in groups:
-        group = slice(first, first + len(group_values))
-        values[:, group] = group_values.swapaxes(0, 1)
-        codes[:, group] = group_codes.swapaxes(0, 1)
-        if run_lengths:
-            runs[:, group] = group_runs
-        first = group.stop
-    rows = [text for *_, group_rows in groups for text in group_rows] if formatted else None
+    values, codes, runs = (np.concatenate(parts, axis=1) for parts in tables)
+    rows = [text for texts in group_rows for text in texts] if formatted else None
     count = len(cfg.r_list)
     curves = (
         Curves("raw", "r", cfg.r_list, values[:count], codes[:count], "blocks_curves.csv"),
@@ -665,44 +634,6 @@ def _write_json(path, config: dict, **extra) -> None:
 # ---------------------------------------------------------------------------
 # Figure bundle: blocks / runs / corrected curve panels
 # ---------------------------------------------------------------------------
-
-
-def _runs_curves(values, above, run_lengths, thresholds) -> np.ndarray:
-    """``runs_estimator(values, L, u)`` at every run length L and threshold u, NaN where undefined.
-
-    One row per entry of ``run_lengths``.  With M_i the maximum of the L
-    values after X_i, a run ends at exceedance i iff M_i <= u.  Over
-    i < n - L, the denominator is #{X_i > u} and the numerator that minus
-    #{min(X_i, M_i) > u}.  Only the positions i with X_i above the lowest
-    threshold can count in either; ``above`` lists, ascending, a superset
-    of them (the ``above`` of ``_top_slice``, whose top[0] no threshold
-    lies below), and M_i is built at those positions alone, for every L
-    from one running maximum: each offset j = 1..max L is gathered once, at
-    the positions with i + j < n, and each L takes its minima as the maximum
-    passes it.  Both counts of an L come from one binary search per
-    threshold on a sorted array of its positions' values: the same integers
-    as over every position.  ``_replicates`` checks each run length once,
-    before it simulates any replicate.
-    """
-    n = len(values)
-    index = above[: np.searchsorted(above, n - min(run_lengths))]
-    index = index[values[index] > thresholds.min()]
-    starts = values[index]
-    # ends[j]: the count of positions i < n - j, a prefix of ``index``
-    ends = np.searchsorted(index, n - np.arange(max(run_lengths) + 1))
-    after = values[index + 1]  # i < n - 1 throughout
-    curves, done = {}, 1
-    for length in sorted(set(run_lengths)):
-        for j in range(done + 1, length + 1):
-            head = after[: ends[j]]
-            np.maximum(head, values[index[: ends[j]] + j], out=head)
-        done, stop = length, ends[length]
-        both = np.minimum(starts[:stop], after[:stop])
-        denom = stop - np.searchsorted(np.sort(starts[:stop]), thresholds, side="right")
-        kept = stop - np.searchsorted(np.sort(both), thresholds, side="right")
-        curves[length] = np.full(len(thresholds), np.nan)
-        np.divide(denom - kept, denom, out=curves[length], where=denom > 0)
-    return np.array([curves[length] for length in run_lengths])
 
 
 def figure1_bundle(config: ExperimentConfig) -> tuple:

@@ -173,6 +173,15 @@ def test_corrected_estimate_near_constant_curve_degenerates():
         ex.corrected_estimate(evaluator, mu)  # threshold 1e-8 * total variation = 2e-8
 
 
+def test_corrected_estimate_rejects_a_non_finite_evaluation():
+    # a NaN or an infinity at any atom level made the estimate a silent nan
+    mu = ex.two_atom_measure(0.5, 1.0, 2.0)  # levels 0.25, 1, 0.5, 0.5, in atom order
+    with pytest.raises(ValueError, match=r"^evaluator gave nan at level t=0\.25, "):
+        ex.corrected_estimate(lambda t: float("nan"), mu)
+    with pytest.raises(ValueError, match=r"^evaluator gave inf at level t=0\.5, "):
+        ex.corrected_estimate(lambda t: np.inf if t == 0.5 else 0.4 + 0.3 * t, mu)
+
+
 def test_corrected_estimate_product_measure_fractional_delta():
     mu = ex.product_measure(1.0, 2.0, 3.0, 200)
     val = ex.corrected_estimate(lambda t: 0.4 + 0.3 * t**0.5, mu)

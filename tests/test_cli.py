@@ -698,8 +698,6 @@ def test_simulate_ignores_innovation_flags_for_models_without_one(capsys):
 
 
 def test_mc_orders_each_sample_once_per_replicate(tmp_path, monkeypatch):
-    from exindex import biascorrect, estimate, harness
-
     cfg = ex.ExperimentConfig(
         model=ex.AR1Cauchy(phi=0.6),
         n=400,
@@ -718,8 +716,24 @@ def test_mc_orders_each_sample_once_per_replicate(tmp_path, monkeypatch):
     # one partial sort per replicate serves every r, each r builds its tables
     # from that slice, and no per-r evaluator is built; plain functions stand
     # in for all three, as a tracing wrapper does
+    sorts, builds, tables = counted_slices(monkeypatch)
+    assert dispatch(argv) == 0
+    assert sorts == [(cfg.n, cfg.k)] * cfg.replicates
+    assert tables == list(cfg.r_list) * cfg.replicates
+    assert builds == []
+    assert {p.name: p.read_bytes() for p in (tmp_path / "exp").iterdir()} == plain
+
+
+def counted_slices(monkeypatch) -> tuple:
+    """``(sorts, builds, tables)``: lists that record each partial sort, evaluator build and table.
+
+    Plain functions stand in for ``estimate._top_slice``, ``_top_tables`` and
+    ``BlocksEvaluator``, as a tracing wrapper does.
+    """
+    from exindex import biascorrect, estimate
+
     sorts, builds, tables = [], [], []
-    top_slice, top_tables = harness._top_slice, harness._top_tables
+    top_slice, top_tables = estimate._top_slice, estimate._top_tables
     build = estimate.BlocksEvaluator
 
     def counted_sort(xs, k):
@@ -734,15 +748,28 @@ def test_mc_orders_each_sample_once_per_replicate(tmp_path, monkeypatch):
         builds.append(args[1:])
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "_top_slice", counted_sort)
-    monkeypatch.setattr(harness, "_top_tables", counted_tables)
+    monkeypatch.setattr(estimate, "_top_slice", counted_sort)
+    monkeypatch.setattr(estimate, "_top_tables", counted_tables)
     for module in (estimate, biascorrect):
         monkeypatch.setattr(module, "BlocksEvaluator", counted_build)
-    assert dispatch(argv) == 0
-    assert sorts == [(cfg.n, cfg.k)] * cfg.replicates
-    assert tables == list(cfg.r_list) * cfg.replicates
+    return sorts, builds, tables
+
+
+def test_single_sample_curves_order_their_sample_once(monkeypatch):
+    x = ex.generate(ex.AR1Cauchy(phi=0.6), 400, 0)
+    cfg = ex.EstimatorConfig(r=5, k=40)
+    grid = (0.25, 0.5, 1.0)
+    mu = ex.two_atom_measure(0.5, 1.0, 2.0)
+    plain = ex.sweep(x, cfg, grid), ex.corrected_curve(x, cfg, mu, grid)
+    sorts, builds, tables = counted_slices(monkeypatch)
+    counted = ex.sweep(x, cfg, grid), ex.corrected_curve(x, cfg, mu, grid)
+    # one partial sort and one table per curve, and no evaluator
+    assert sorts == [(400, 40)] * 2
+    assert tables == [5] * 2
     assert builds == []
-    assert {p.name: p.read_bytes() for p in (tmp_path / "exp").iterdir()} == plain
+    for a, b in zip(plain, counted):
+        assert a.theta_hat.tobytes() == b.theta_hat.tobytes()
+        assert a.code.tolist() == b.code.tolist()
 
 
 def test_kernel_mc_tie_names_the_replicate(capsys):

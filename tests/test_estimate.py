@@ -158,6 +158,22 @@ def test_boundary_tie_detected():
     assert ev.at_count(2) == 0.5
 
 
+def test_evaluator_takes_whole_budgets_and_levels_up_to_one():
+    x = ex.generate(ex.AR1Cauchy(phi=0.6), 1000, 0)
+    ev = ex.BlocksEvaluator(x, 10, 100)
+    assert ev.at_count(2.0) == ev.at_count(2) == ev.at_count(np.int64(2))
+    # a fraction was truncated, True read as 1 and NaN failed in numpy's cast
+    for k_t in (2.5, 0.5, True, np.bool_(True), np.nan, np.inf, "2"):
+        with pytest.raises(ValueError, match=f"^k_t must be a whole number, got {k_t}$"):
+            ev.at_count(k_t)
+    with pytest.raises(ValueError, match=r"^need 1 <= k_t <= k=100, got 0$"):
+        ev.at_count(0)
+    # a level above 1 is named as the level, not as its budget 150
+    with pytest.raises(ValueError, match=r"^t must lie in \(0, 1\], got 1.5$"):
+        ev(1.5)
+    assert ev(1.0) == ev.at_count(100)
+
+
 def test_interior_tie_is_not_ambiguous():
     # duplicate inside the top group but not at the threshold boundary
     x = np.array([1.0, 2.0, 3.0, 4.0, 7.0, 7.0, 8.0, 9.0])

@@ -21,6 +21,7 @@ from exindex.estimate import (
     _coded_values,
     _counts,
     _raise_coded,
+    _runs_curves,
     _thresholds,
     _top_slice,
     _top_tables,
@@ -33,7 +34,6 @@ from exindex.harness import (
     _format_rows,
     _persist,
     _row_templates,
-    _runs_curves,
 )
 
 TIES = "TIES_DETECTED"
@@ -233,13 +233,28 @@ def kernel_cases(draw):
 @example((np.array([1.0, 2, 2, 2, 2, 1, 2, 2]), [2, 3], 4), ex.product_measure(1, 2, 2, 2), [0.5])
 def test_curve_kernel_matches_the_definitions_for_every_r(case, mu, grid):
     x, r_list, k = case
-    kernel = CurveKernel(k, grid, mu)
-    top, above = _top_slice(x, k)
-    counts = kernel.counts(top, [_top_tables(x, above, r) for r in r_list])
-    values, codes = (rows[0] for rows in kernel(*(part[None] for part in counts)))
+    n = len(x)
+    run_lengths = (n - 1, 1, 2)  # any order, every one below n
+    kernel = CurveKernel(k, grid, mu, r_list, run_lengths)
+    # a group of samples: each one's rows have the bits of a call on that sample alone
+    group = [x, x[::-1], x - 10.0]
+    together = kernel(iter(group))
+    for b, xs in enumerate(group):
+        for got, alone in zip(together, kernel([xs])):
+            assert got[:, b].tobytes() == alone[:, 0].tobytes()
+    values, codes, runs = (rows[:, 0] for rows in together)
     # every r's raw row, then under a measure every r's corrected row
     rows = len(r_list) * (1 if mu is None else 2)
     assert values.shape == codes.shape == (rows, len(grid))
+    assert runs.shape == (len(run_lengths), len(grid))
+    for run_length, curve in zip(run_lengths, runs):
+        for t, got in zip(grid, curve):
+            try:
+                want = ex.runs_estimator(x, run_length, np.sort(x)[n - 1 - ex.count_at(k, t)])
+            except ex.NoExceedances:
+                assert math.isnan(got)
+            else:
+                assert got == want
     raw_values, raw_codes = values[: len(r_list)], codes[: len(r_list)]
     values, codes = values[len(r_list) :], codes[len(r_list) :]
     for i, r in enumerate(r_list):

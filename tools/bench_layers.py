@@ -34,13 +34,14 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
 * ``replicate_kernel.<config>`` (interpreted): ``harness._replicates`` over
   samples generated beforehand, so generation is excluded, divided by the
   replicate count: the blocks and corrected curves of every r of one
-  replicate, its counts taken per path and its float stage run with the
-  other replicates of its group (``sim._GROUP``).  ``ar1_c6`` is the
-  criterion-6 shape (r in {5, 10, 20}, k = 2000, two-atom measure),
-  ``ar1_product128`` the same with a 128-atom product measure, and
-  ``wn_ties`` random repetition with ties (r in {10, 20}, k = 400).
-* ``group_kernel.<config>`` (interpreted): the float stage alone, one
-  ``CurveKernel`` call on the stacked counts of a full group of
+  replicate, from one ``CurveKernel`` call per group of replicates
+  (``sim._GROUP``), which counts each path and runs the float stage once
+  for the group.  ``ar1_c6`` is the criterion-6 shape (r in {5, 10, 20},
+  k = 2000, two-atom measure), ``ar1_product128`` the same with a 128-atom
+  product measure, and ``wn_ties`` random repetition with ties
+  (r in {10, 20}, k = 400).
+* ``group_kernel.<config>`` (interpreted): the float stage alone, the
+  ``CurveKernel`` value stage on the stacked counts of a full group of
   ``sim._GROUP`` replicates (the counts of those samples, repeated),
   divided by the group size.
 * ``kernel_replicate.ar1_kernel`` (array): ``clusterproc.estimate_kernel_mc``
@@ -64,11 +65,11 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
   the tail-chain kernel of 100 paths of n = 10 000 (K = 50, seed 0, the
   command's defaults) and the four numbers it prints.
 * ``sweep`` and ``corrected_curve`` (interpreted): one call on one AR(1)
-  sample with r = 10, k = 2000 and the two-atom measure, evaluator build
-  included.
+  sample with r = 10, k = 2000 and the two-atom measure, the kernel build
+  and the partial sort included.
 * ``runs_curve`` (interpreted): the runs curves of one sample at the run
   lengths 5, 10 and 20 of the ``mm_figure`` workload over the grid
-  thresholds, one ``harness._runs_curves`` call for all three.  The
+  thresholds, one ``estimate._runs_curves`` call for all three.  The
   ``above`` positions of ``estimate._top_slice`` (k = 2000) that it takes
   are found beforehand, as the replicate step has them.
 * ``quantile.second_order_pareto`` (array): one ``quantile`` call of the
@@ -272,14 +273,10 @@ def replayed(paths):
 
 def group_counts(cfg, paths) -> tuple:
     """``cfg``'s ``CurveKernel`` and the stacked counts of a full group, ``paths`` repeated."""
-    kernel = CurveKernel(cfg.k, cfg.t_grid, cfg.measure)
-    counts = []
-    for x in paths:
-        top, above = estimate._top_slice(x.values, cfg.k)
-        counts.append(kernel.counts(top, [estimate._top_tables(x.values, above, r)
-                                          for r in cfg.r_list]))
-    group = [counts[i % len(counts)] for i in range(sim._GROUP)]
-    return kernel, [np.stack(part) for part in zip(*group)]
+    kernel = CurveKernel(cfg.k, cfg.t_grid, cfg.measure, cfg.r_list)
+    counts = [kernel._sample(x.values)[0] for x in paths]
+    tied, hit, in_blocks = zip(*(counts[i % len(counts)] for i in range(sim._GROUP)))
+    return kernel, (np.stack(tied), np.stack(hit, axis=1), np.stack(in_blocks, axis=1))
 
 
 def generated(model, n, seed, replicates):
@@ -339,7 +336,7 @@ def layers() -> dict:
             )
         kernel, counts = group_counts(cfg, paths)
         out[f"group_kernel.{name}"] = timed(
-            "interpreted", lambda: kernel(*counts), per=sim._GROUP
+            "interpreted", lambda: kernel._rows(*counts), per=sim._GROUP
         )
 
     kernel = AR1_KERNEL
@@ -365,7 +362,7 @@ def layers() -> dict:
     thresholds = np.sort(x)[N - ex.count_at(est.k, np.asarray(GRID)) - 1]
     above = estimate._top_slice(x, est.k)[1]
     out["runs_curve"] = timed(
-        "interpreted", lambda: harness._runs_curves(x, above, RUN_LENGTHS, thresholds)
+        "interpreted", lambda: estimate._runs_curves(x, above, RUN_LENGTHS, thresholds)
     )
 
     out.update(mm_figure_layers(timed))
@@ -464,10 +461,10 @@ def persist_result_layers(timed, cfg) -> list:
     result, rows, flags = harness._replicates(cfg)
     coded = [entry for entry in result.curves if entry.codes is not None]
     templates = harness._row_templates([(entry.kind, entry.keys) for entry in coded], cfg.t_grid)
-    # each replicate's (rows x grid) values and codes, the rows in table order, as its group's
-    # kernel call returns them
+    # each replicate's (rows x grid) values and codes, the rows in table order, as views of
+    # its group's (rows x replicates x grid) kernel arrays
     values, codes = (
-        np.concatenate(arrays, axis=0).swapaxes(0, 1).copy()
+        np.concatenate(arrays).swapaxes(0, 1)
         for arrays in zip(*((entry.values, entry.codes) for entry in coded))
     )
     inputs = list(zip(values, codes))
