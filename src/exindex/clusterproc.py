@@ -31,16 +31,17 @@ Every kernel is read as matrices: ``matrices(s, t)`` of two 1-D sequences of
 levels returns c, c_g and c_fg with entry (i, j) at the levels (s_i, t_j), and
 the per-point ``c(s, t)``, ``c_g`` and ``c_fg`` read its one entry.
 
-The Monte Carlo kernel never forms the m x r blocks.  Per sample, one partial
-sort (``estimate._top_slice``) serves both the level sums and the blocks
-estimate at t = 1: in rank mode its top k + 1 values hold the smallest value
-with a positive excess, so only the values at or above it are ranked, and the
-sums of f_t and g_t over the blocks at every level come from the sparse
-(index, excess) pairs of the positive excesses (``_level_sums``); theta_hat(1)
-is read from the same partial sort through ``estimate._counts`` and
-``_coded_values`` (the threshold rule's two stages, for one sample), with
-the maxima of only the blocks that hold one of the top values.
-``standardize`` scatters the same pairs into the m x r array.
+The Monte Carlo kernel never forms the m x r blocks.  In rank mode the
+excesses above 1 - t belong to the q(t) highest ranks (``_rank_budgets``), so
+the sums of f_t and g_t over the blocks are the blocks estimator's counts at
+the budget q(t), the block maxima above its threshold and the exceedances
+inside the blocks, wherever no tie straddles that threshold; the count stage
+flags one that does.  Per sample, one partial sort serves every q(t) and the
+budget k of theta_hat(1) through ``estimate._counts``, and the value stage
+runs once per group of samples.  In known-marginal mode the levels are fixed
+on the cdf scale, and the sums come from the sparse (index, excess) pairs of
+the positive excesses (``_level_sums``).  ``standardize`` scatters the pairs
+of ``_excess_rule`` into the m x r array.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import sim
 from .estimate import (
+    OK,
+    TIES,
     EstimatorConfig,
     _block_maxima,
     _coded_values,
@@ -81,10 +84,14 @@ def standardize(x, v: float, r: int, marginal_cdf=None) -> np.ndarray:
     """m x r array of standardized excesses ((U_i - (1 - v))+ ) / v, m = n // r.
 
     With ``marginal_cdf`` given, U_i = F(X_i) (known-marginal mode); otherwise
-    U_i = rank_i / n, which reproduces exactly the exceedance sets of the
-    empirical-threshold estimator.  Ranks are those of a stable sort (ties
-    ranked in index order); only the values with a positive excess are ranked.
-    The array is the scatter of ``_excess_rule``, the one ranking rule.
+    U_i = rank_i / n.  Ranks are those of a stable sort (ties ranked in index
+    order); only the values with a positive excess are ranked.  In rank mode
+    the excesses above 1 - t belong to the q(t) highest ranks
+    (``_rank_budgets``), which are the exceedances of the empirical-threshold
+    estimator at the budget q(t) when no tie straddles its threshold.  That
+    budget is not always ``count_at(k, t)``: the float excess of rank
+    n - count_at(k, t) can land just above 1 - t, so q(t) can exceed it by
+    one.  The array is the scatter of ``_excess_rule``, the one ranking rule.
     """
     xs = _values(x)
     n = len(xs)
@@ -100,19 +107,17 @@ def standardize(x, v: float, r: int, marginal_cdf=None) -> np.ndarray:
 
 
 def _excess_rule(n: int, v: float, marginal_cdf=None):
-    """``pairs(xs, above=None)``: flat indices and values of the positive standardized excesses.
+    """``pairs(xs)``: flat indices and values of the positive standardized excesses.
 
     It is the one ranking rule for samples of length n.  In rank mode the
-    pairs come in ascending rank order, the ladder of excesses is computed
-    once per rule, and ``above``, the ascending positions that
-    ``_top_slice`` returns, saves the pass that finds the ranked values when
-    it holds enough of them.  In known-marginal mode the pairs come in index
+    pairs come in ascending rank order, and the ladder of excesses is
+    computed once per rule.  In known-marginal mode the pairs come in index
     order.
     """
     if marginal_cdf is not None:
-        return lambda xs, above=None: _cdf_pairs(xs, v, marginal_cdf)
+        return lambda xs: _cdf_pairs(xs, v, marginal_cdf)
     ladder = _rank_ladder(n, v)
-    return lambda xs, above=None: _rank_pairs(xs, ladder, above)
+    return lambda xs: _rank_pairs(xs, ladder)
 
 
 def _cdf_pairs(xs: np.ndarray, v: float, marginal_cdf) -> tuple:
@@ -138,23 +143,29 @@ def _rank_ladder(n: int, v: float) -> np.ndarray:
     return ladder[ladder > 0.0]
 
 
-def _rank_pairs(xs: np.ndarray, ladder: np.ndarray, above=None) -> tuple:
+def _rank_budgets(n: int, v: float, grid: np.ndarray) -> np.ndarray:
+    """q(t) at every grid level: the number of ranks whose excess exceeds 1 - t.
+
+    Those are the q(t) highest ranks, the count of ``_rank_ladder`` entries
+    above 1 - t; q(1) is the ladder's length, k or k + 1 with v = k / n, and
+    n when every rank has a positive excess.
+    """
+    ladder = _rank_ladder(n, v)
+    return len(ladder) - np.searchsorted(ladder, 1.0 - grid, side="right")
+
+
+def _rank_pairs(xs: np.ndarray, ladder: np.ndarray) -> tuple:
     """Indices of the values with a positive rank excess, by ascending rank, and their excesses.
 
     The q positive excesses (the ``ladder``) belong to the q highest stable
     ranks.  Those values are at least the (n - q)-th order statistic b;
-    stably sorting any candidates kept in index order that include every
-    value xs >= b ranks them exactly as a stable sort of the whole sample
-    would.  ``above``, the positions of the values at or above some level,
-    serves as the candidates when it holds at least q of them, since b then
-    lies at or above that level; with v = k / n, q is k or k + 1, so the
-    positions that ``_top_slice(xs, k)`` returns always serve.
+    stably sorting the values xs >= b, kept in index order, ranks them
+    exactly as a stable sort of the whole sample would.
     """
     n, q = len(xs), len(ladder)
     if q == 0:
         return np.empty(0, dtype=np.intp), ladder
-    if above is None or len(above) < q:
-        above = np.flatnonzero(xs >= np.partition(xs, n - q)[n - q])
+    above = np.flatnonzero(xs >= np.partition(xs, n - q)[n - q])
     return above[np.argsort(xs[above], kind="stable")[-q:]], ladder
 
 
@@ -188,23 +199,15 @@ def _level_sums(index: np.ndarray, excess: np.ndarray, r: int, m: int, grid: np.
     return hit.astype(float), count.astype(float)
 
 
-def _replicate_sums(xs: np.ndarray, cfg: EstimatorConfig, pairs, grid) -> tuple:
-    """``(sf, sg, value, code)`` of one sample, from one partial sort.
+def _sample_counts(xs: np.ndarray, r: int, budgets: np.ndarray) -> tuple:
+    """``(tied, hit, in_blocks)`` of one sample at the ascending ``budgets``, block length r.
 
-    ``sf`` and ``sg`` are the level sums of f_max and g_count on the grid
-    over the excesses that ``pairs`` (an ``_excess_rule``) finds; ``value``
-    and ``code`` are the blocks estimate at t = 1 and its skip code, read
-    through the threshold rule's stages ``_counts`` and ``_coded_values``
-    from the same ``_top_slice``.  In rank mode the ranked excesses are
-    picked among the positions it locates, and the block maxima are taken
-    only over the blocks that hold one (``_top_tables``).
+    The count stage ``estimate._counts`` on one ``_top_slice`` as wide as the
+    largest budget, which may exceed the k of the estimator's own curves.
     """
-    top, above = _top_slice(xs, cfg.k)
-    index, excess = pairs(xs, above)
-    sf, sg = _level_sums(index, excess, cfg.r, len(xs) // cfg.r, grid)
-    tables = [_top_tables(xs, above, cfg.r)]
-    values, codes = _coded_values(*_counts(top, tables, np.array([cfg.k])))
-    return sf, sg, values[0, 0], codes[0, 0]
+    top, above = _top_slice(xs, budgets[-1])
+    tied, (hit,), (in_blocks,) = _counts(top, [_top_tables(xs, above, r)], budgets)
+    return tied, hit, in_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -336,36 +339,60 @@ def estimate_kernel_mc(
     the grid, centers them by cross-replicate means, and returns the empirical
     covariance matrices (combined, count-count, and indicator-count cross) as
     an interpolating kernel.  theta is the Monte Carlo mean of the blocks
-    estimate at t = 1.  One partial sort per path serves its functional sums
-    and its estimate at t = 1 (``_replicate_sums``); no m x r blocks array and
-    no ``BlocksEvaluator`` is built.  A path whose estimate at t = 1 is
-    undefined raises its coded error (``TiesDetected`` or ``NoExceedances``),
-    naming the replicate i and ``seed``, so ``sim.substream(seed, i)``
-    regenerates it.
+    estimate at t = 1.  Each path is counted once (``_sample_counts``) at the
+    budget k and, in rank mode, at the budgets q(t) of the level sums
+    (``_rank_budgets``); no m x r blocks array and no ``BlocksEvaluator`` is
+    built.
 
-    In rank mode (``marginal_cdf=None``) the thresholds are empirical: the
-    count sum over blocks at each level is the number of top-ranked values
-    among the covered ones, which is fixed when r divides n.  Z_g then has no
-    variance, so ``c_g`` and ``c_fg`` are exactly 0 at every level and only
-    ``c`` is meaningful; pass ``marginal_cdf`` for the count kernels.
+    In rank mode (``marginal_cdf=None``) the count sum at each level is the
+    number of top-ranked values among the covered ones, which is fixed when r
+    divides n.  Z_g then has no variance, so ``c_g`` and ``c_fg`` are exactly
+    0 at every level and only ``c`` is meaningful; pass ``marginal_cdf`` for
+    the count kernels.
+
+    A path whose estimate at t = 1 is undefined raises its coded error
+    (``TiesDetected`` or ``NoExceedances``); in rank mode, so does a path
+    whose threshold at some q(t) ties the smallest value above it, since its
+    stable ranks would then split equal values.  The error names the
+    replicate i, ``seed`` and, for a tie at a grid level, the level t, so
+    ``sim.substream(seed, i)`` regenerates the path; within a group of paths
+    the earliest failing replicate's error is raised.
     """
     if replicates < 100:
         raise ValueError(f"need at least 100 replicates, got {replicates}")
     grid = check_grid(grid)
     cfg.validate_for(n)
     v = cfg.v(n)
-    pairs = _excess_rule(n, v, marginal_cdf)
+    m = n // cfg.r
+    q = _rank_budgets(n, v, grid) if marginal_cdf is None else np.empty(0, dtype=np.int64)
+    budgets, at = np.unique(np.append(q, cfg.k), return_inverse=True)
+    at_grid, at_k = at[:-1], at[-1]
 
-    def sums(rep, x):
-        sf, sg, theta_hat, code = _replicate_sums(_values(x), cfg, pairs, grid)
-        _raise_coded(code, cfg.k, f"replicate {rep} (base_seed {seed}): ")
-        return sf, sg, theta_hat
+    def counted(x):
+        xs = _values(x)
+        tied, hit, in_blocks = _sample_counts(xs, cfg.r, budgets)
+        if marginal_cdf is None:
+            sums = hit[at_grid], in_blocks[at_grid]
+        else:
+            sums = _level_sums(*_cdf_pairs(xs, v, marginal_cdf), cfg.r, m, grid)
+        return tied, hit, in_blocks, *sums
 
     def step(first, paths):
-        return list(map(sums, itertools.count(first), paths))
+        tied, hit, in_blocks, sf, sg = map(np.array, zip(*map(counted, paths)))
+        values, codes = _coded_values(tied[:, at_k], hit[:, at_k], in_blocks[:, at_k])
+        failed = np.column_stack([codes, np.where(tied[:, at_grid], TIES, OK)])
+        if failed.any():
+            i, j = np.argwhere(failed)[0]  # the earliest failing replicate, its first failure
+            where = f"replicate {first + i} (base_seed {seed})"
+            if j == 0:
+                _raise_coded(failed[i, 0], cfg.k, f"{where}: ")
+            _raise_coded(TIES, q[j - 1], f"{where} at level t={grid[j - 1]}: ")
+        return sf, sg, values
 
-    groups = sim.map_replicates(step, model, n, seed, replicates)
-    sf, sg, theta_hats = map(np.array, zip(*itertools.chain.from_iterable(groups)))
+    sf, sg, theta_hats = (
+        np.concatenate(parts).astype(float)
+        for parts in zip(*sim.map_replicates(step, model, n, seed, replicates))
+    )
     scale = 1.0 / np.sqrt(n * v)
     zf = scale * (sf - sf.mean(axis=0))
     zg = scale * (sg - sg.mean(axis=0))

@@ -24,8 +24,9 @@ one slice, takes its runs curves (``_runs_curves``) from the same slice,
 drops it, and runs the value stage once for the group.  The Monte Carlo
 driver calls it once per group of replicates, and ``sweep`` and
 ``biascorrect.corrected_curve`` call it on a group of one sample
-(``_sample_curve``).  ``clusterproc.estimate_kernel_mc`` runs both stages
-per replicate for the estimate at t = 1.
+(``_sample_curve``).  ``clusterproc.estimate_kernel_mc`` counts each
+replicate through ``_counts`` at its own budgets, which may be 0 or run
+past k up to n, and runs the value stage once per group of replicates.
 
 The runs estimator counts an exceedance as a cluster end when the next
 ``run_length`` observations all stay below the threshold:
@@ -120,8 +121,10 @@ def count_at(k: int, t):
     Products within 1e-12 (relative) of an integer are treated as exactly that
     integer before the ceiling is taken, so grid values like j/k never flip to
     the next count; everything else is nudged up by 1e-12 and ceiled.  A
-    scalar ``t`` gives an int, an array of levels an integer array.
+    scalar ``t`` gives an int, an array of levels an integer array.  A
+    boolean level is an error, not the level 1.
     """
+    _reject_booleans(t, "t")
     ts = np.asarray(t, dtype=float)
     if not np.all((ts > 0.0) & np.isfinite(ts)):
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -130,6 +133,15 @@ def count_at(k: int, t):
     exact = np.abs(prod - nearest) <= 1e-12 * np.maximum(1.0, np.abs(prod))
     kt = np.maximum(np.where(exact, nearest, np.ceil(prod + 1e-12)), 1).astype(np.int64)
     return int(kt) if kt.ndim == 0 else kt
+
+
+def _reject_booleans(levels, what: str) -> None:
+    """Raise a ``ValueError`` if ``levels`` (a level or a sequence of them) holds a boolean."""
+    items = levels if isinstance(levels, np.ndarray) else np.asarray(levels, dtype=object)
+    if items.dtype == bool or (
+        items.dtype == object and not {bool, np.bool_}.isdisjoint(map(type, items.ravel().tolist()))
+    ):
+        raise ValueError(f"{what} must not be boolean, got {levels}")
 
 
 def _values(x) -> np.ndarray:
@@ -227,13 +239,17 @@ CODE_NAMES = np.array(["", TiesDetected.code, NoExceedances.code, DegenerateDeno
 def _top_slice(xs: np.ndarray, k: int) -> tuple:
     """``(top, above)``: the k + 1 largest values, ascending, and the positions of those >= top[0].
 
-    A budget 1 <= k_t <= k reads only the order statistics n - k_t - 1 and
+    A budget 0 <= k_t <= k reads only the order statistics n - k_t - 1 and
     n - k_t, so ``top`` is all a threshold needs: one partition of the sample
     and a sort of its top k + 1 values replace a sort of the sample.  Every
     value that can exceed such a threshold sits at a position in ``above``,
-    which lists them in ascending order.
+    which lists them in ascending order.  With k = n the order statistic
+    below every value is -inf, so ``top`` is the sorted sample after -inf.
     """
-    top = np.partition(xs, len(xs) - k - 1)[len(xs) - k - 1 :]
+    cut = len(xs) - k - 1
+    if cut < 0:
+        return np.concatenate([[-np.inf], np.sort(xs)]), np.arange(len(xs))
+    top = np.partition(xs, cut)[cut:]
     top.sort()
     return top, np.flatnonzero(xs >= top[0])
 
@@ -267,11 +283,13 @@ def _thresholds(top: np.ndarray, k_t) -> tuple:
     """Threshold and tie flag of each budget k_t, read from the ``top`` of ``_top_slice``.
 
     The threshold is the order statistic below the top k_t values; it is tied
-    when it equals the smallest of them.
+    when it equals the smallest of them.  Budget 0 puts the threshold at the
+    largest value, which nothing exceeds, and is never tied.
     """
     below = len(top) - 1 - k_t
+    upper = np.minimum(below + 1, len(top) - 1)
     u = top[below]
-    return u, u == top[below + 1]
+    return u, (u == top[upper]) & (below < upper)
 
 
 def _counts(top: np.ndarray, tables, k_t: np.ndarray) -> tuple:
@@ -494,11 +512,12 @@ def default_grid(k: int) -> np.ndarray:
 def check_grid(grid, what: str = "grid") -> np.ndarray:
     """``grid`` as a new float array, once it passes the one rule for threshold grids.
 
-    A grid is 1-D, nonempty, finite, strictly increasing and inside (0, 1];
-    ``what`` names it in the ``ValueError`` that a bad one raises.  The
-    array is a copy, so a curve or kernel that keeps it never shares the
-    caller's array.
+    A grid is 1-D, nonempty, finite, strictly increasing and inside (0, 1],
+    and holds no boolean; ``what`` names it in the ``ValueError`` that a bad
+    one raises.  The array is a copy, so a curve or kernel that keeps it
+    never shares the caller's array.
     """
+    _reject_booleans(grid, what)
     levels = np.array(grid, dtype=float)
     if levels.size == 0:
         raise ValueError(f"{what} must be nonempty")

@@ -774,7 +774,11 @@ def test_single_sample_curves_order_their_sample_once(monkeypatch):
 
 def test_kernel_mc_tie_names_the_replicate(capsys):
     # random repetition ties by construction; the error names the replicate
-    # and base seed, so substream(seed, i) regenerates the failing path
+    # and base seed, so substream(seed, i) regenerates the failing path, and
+    # for a tie across the budget q(t) of a grid level t (but not across
+    # budget k) the level too
+    from exindex.clusterproc import _rank_budgets
+
     model = ex.RandomRepetition(psi=0.6, innovation=ex.Uniform01())
     n, r, k, seed = 2000, 10, 40, 3
     argv = ["kernel", "--model", "wn", "--psi", "0.6", "--innovation", "uniform",
@@ -785,14 +789,26 @@ def test_kernel_mc_tie_names_the_replicate(capsys):
     prefix = "TIES_DETECTED: replicate "
     assert err.startswith(prefix)
     rep = int(err[len(prefix):].split()[0])
-    assert f"replicate {rep} (base_seed {seed}): threshold order statistic ties" in err
+    budgets = dict(zip((0.5, 1.0), _rank_budgets(n, k / n, np.array([0.5, 1.0])).tolist()))
     for i in range(rep + 1):
-        ev = ex.BlocksEvaluator(ex.generate(model, n, ex.substream(seed, i)), r, k)
+        x = ex.generate(model, n, ex.substream(seed, i)).values
+        desc = np.sort(x)[::-1]
+        tied_levels = [t for t, q in budgets.items() if desc[q - 1] == desc[q]]
+        ev = ex.BlocksEvaluator(x, r, k)
         if i < rep:
             ev(1.0)
-        else:
-            with pytest.raises(ex.TiesDetected):
+            assert tied_levels == []
+        else:  # a tie across budget k is named first
+            try:
                 ev(1.0)
+            except ex.TiesDetected:
+                assert f"replicate {rep} (base_seed {seed}): threshold order statistic ties" in err
+            else:
+                t = tied_levels[0]
+                assert err == (
+                    f"{prefix}{rep} (base_seed {seed}) at level t={t}: threshold order statistic"
+                    f" ties the smallest of the top {budgets[t]} values\n"
+                )
 
 
 MM_FLAGS = ["--coeffs", "1,0.5", "--beta1", "2", "--beta2", "1", "--c1", "1", "--c2", "0.5"]

@@ -8,13 +8,21 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import exindex as ex
 import exindex.sim as sim_module
-from exindex.clusterproc import _excess_rule, _level_sums
+from exindex.clusterproc import _cdf_pairs, _level_sums, _rank_budgets, _sample_counts
 
 
 def level_sums(x, v, r, grid, marginal_cdf=None):
-    """The kernel's sums of f_max and g_count over the blocks of one sample, at every level."""
-    index, excess = _excess_rule(len(x), v, marginal_cdf)(x)
-    return _level_sums(index, excess, r, len(x) // r, np.asarray(grid, dtype=float))
+    """The kernel's sums of f_max and g_count over the blocks of one sample, at every level.
+
+    In rank mode they are the count stage's block maxima and in-block
+    exceedances at the budgets q(t); the sample must not tie at any of them.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if marginal_cdf is not None:
+        return _level_sums(*_cdf_pairs(x, v, marginal_cdf), r, len(x) // r, grid)
+    tied, hit, in_blocks = _sample_counts(x, r, _rank_budgets(len(x), v, grid))
+    assert not tied.any()
+    return hit, in_blocks
 
 
 def test_standardize_known_marginal_hand_values():
@@ -261,11 +269,15 @@ def test_kernel_mc_equals_per_level_loop(case):
 
 def test_kernel_mc_sorts_each_sample_once_per_replicate(monkeypatch):
     # one partial sort per replicate serves the level sums and theta_hat(1):
-    # no evaluator is built and no m x r blocks array is standardized
+    # no evaluator is built and no m x r blocks array is standardized.  The
+    # slice is as wide as the largest budget q(1), the count of positive rank
+    # excesses: k = 100 at n = 4000, and k + 1 = 101 at n = 1014
     from exindex import clusterproc, estimate
 
-    args = (ex.AR1Cauchy(phi=0.6), 4000, ex.EstimatorConfig(r=10, k=100), np.linspace(0.1, 1.0, 8))
-    plain = ex.estimate_kernel_mc(*args, replicates=100, seed=2)
+    model, cfg = ex.AR1Cauchy(phi=0.6), ex.EstimatorConfig(r=10, k=100)
+    grid = np.linspace(0.1, 1.0, 8)
+    widths = {4000: 100, 1014: 101}
+    plain = {n: ex.estimate_kernel_mc(model, n, cfg, grid, replicates=100, seed=2) for n in widths}
 
     sorts, builds, standardized = [], [], []
     top_slice, build, standardize = (
@@ -288,13 +300,16 @@ def test_kernel_mc_sorts_each_sample_once_per_replicate(monkeypatch):
     monkeypatch.setattr(clusterproc, "standardize", counted_standardize)
     for module in (estimate, clusterproc):
         monkeypatch.setattr(module, "BlocksEvaluator", counted_build)
-    counted = ex.estimate_kernel_mc(*args, replicates=100, seed=2)
-    assert sorts == [(4000, 100)] * 100
-    assert builds == []
-    assert standardized == []
-    for name in ("_c", "_cg", "_cfg"):
-        assert np.array_equal(getattr(counted, name), getattr(plain, name)), name
-    assert counted.theta == plain.theta
+    for n, width in widths.items():
+        assert clusterproc._rank_budgets(n, cfg.k / n, grid)[-1] == width
+        sorts.clear()
+        counted = ex.estimate_kernel_mc(model, n, cfg, grid, replicates=100, seed=2)
+        assert sorts == [(n, width)] * 100
+        assert builds == []
+        assert standardized == []
+        for name in ("_c", "_cg", "_cfg"):
+            assert np.array_equal(getattr(counted, name), getattr(plain[n], name)), name
+        assert counted.theta == plain[n].theta
 
 
 # sha256 of the c, c_g and c_fg matrices (zero-padded, as MCGrid keeps them) and
@@ -311,6 +326,52 @@ def test_kernel_mc_equals_recorded_hash():
         digest.update(mat.tobytes())
     digest.update(np.float64(kern.theta).tobytes())
     assert digest.hexdigest() == AR1_KERNEL_SHA256
+
+
+class TiedAt:
+    """A stub model of uniform paths, some of them tied across a budget.
+
+    ``ties`` maps a draw index to a budget q: that draw's (q + 1)-th largest
+    value is set equal to its q-th.  Draws are counted in this process, so
+    the kernel must not fork.
+    """
+
+    def __init__(self, ties):
+        self.ties = ties  # {draw index: budget}
+        self.drawn = 0
+
+    def sample(self, rng, n):
+        x = rng.random(n)
+        budget = self.ties.get(self.drawn)
+        self.drawn += 1
+        if budget is not None:
+            order = np.argsort(x)
+            x[order[n - budget - 1]] = x[order[n - budget]]
+        return x
+
+
+def test_kernel_mc_raises_a_tie_at_a_grid_level_naming_replicate_seed_and_level():
+    # a tie straddling the cut at q(0.5) but not at budget k = 20 once counted
+    # stable ranks silently; now the earliest failing replicate of its group
+    # raises, ahead of a later one that ties at budget k
+    from exindex import clusterproc
+
+    n, cfg, grid = 1000, ex.EstimatorConfig(r=10, k=20), [0.5, 1.0]
+    q = clusterproc._rank_budgets(n, cfg.k / n, np.array(grid))
+    # q(0.5) is one more than count_at(20, 0.5) = 10: the float excess of rank 990 exceeds 0.5
+    assert q.tolist() == [11, 20]
+    model = TiedAt({37: 11, 41: 20})
+    x = ex.generate(TiedAt({0: 11}), n, ex.substream(5, 37)).values
+    assert 0.0 < ex.BlocksEvaluator(x, cfg.r, cfg.k)(1.0)  # no tie at budget k
+    with pytest.raises(ex.TiesDetected) as err:
+        ex.estimate_kernel_mc(model, n, cfg, grid, replicates=100, seed=5)
+    assert str(err.value) == (
+        "replicate 37 (base_seed 5) at level t=0.5: threshold order statistic ties"
+        " the smallest of the top 11 values"
+    )
+    with pytest.raises(ex.TiesDetected, match="replicate 41 \\(base_seed 5\\): threshold"):
+        ex.estimate_kernel_mc(TiedAt({41: 20}), n, cfg, grid, replicates=100, seed=5)
+    ex.estimate_kernel_mc(TiedAt({}), n, cfg, grid, replicates=100, seed=5)
 
 
 def test_process_path_equals_per_level_sums():

@@ -174,6 +174,29 @@ def test_evaluator_takes_whole_budgets_and_levels_up_to_one():
     assert ev(1.0) == ev.at_count(100)
 
 
+def test_boolean_levels_are_rejected():
+    # a boolean level was read as t = 1: count_at(100, True) returned 100,
+    # check_grid([True]) returned [1.], the evaluator the estimate at t = 1
+    # and sweep a one-level curve
+    x = ex.generate(ex.AR1Cauchy(phi=0.6), 1000, 0)
+    for t in (True, np.True_, False, [0.5, True], np.array([True])):
+        with pytest.raises(ValueError, match="^t must not be boolean"):
+            ex.count_at(100, t)
+    for grid in ([True], [np.True_], [0.5, True], np.array([True]), (np.False_, 1.0)):
+        with pytest.raises(ValueError, match="^grid must not be boolean"):
+            ex.check_grid(grid)
+        with pytest.raises(ValueError, match="^grid must not be boolean"):
+            ex.sweep(x, ex.EstimatorConfig(r=10, k=100), grid)
+    with pytest.raises(ValueError, match="^t_grid must not be boolean"):
+        ex.check_grid([True], "t_grid")
+    for t in (True, np.True_):
+        with pytest.raises(ValueError, match="^t must not be boolean"):
+            ex.BlocksEvaluator(x, 10, 100)(t)
+    # numbers still pass, the numpy scalar types among them
+    assert ex.count_at(100, np.float64(0.5)) == ex.count_at(100, 0.5) == 50
+    assert ex.check_grid([np.float32(0.5), 1]).tolist() == [0.5, 1.0]
+
+
 def test_interior_tie_is_not_ambiguous():
     # duplicate inside the top group but not at the threshold boundary
     x = np.array([1.0, 2.0, 3.0, 4.0, 7.0, 7.0, 8.0, 9.0])

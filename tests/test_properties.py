@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import exindex as ex
-from exindex.clusterproc import _excess_rule, _level_sums, _replicate_sums
+from exindex.clusterproc import _cdf_pairs, _level_sums, _rank_budgets, _sample_counts
 from exindex import harness, sim
 from exindex.estimate import (
     CODE_NAMES,
@@ -384,14 +384,13 @@ def with_edges(grid, blocks):
 
 
 @settings(max_examples=300, deadline=None)
-@given(series(min_size=1), fractions, st.booleans(), grids, st.data())
-def test_level_sums_match_per_level_functionals(x, v, known, grid, data):
+@given(series(min_size=1), fractions, grids, st.data())
+def test_level_sums_match_per_level_functionals(x, v, grid, data):
+    # known-marginal mode; rank mode counts through the count stage (next test)
     r = data.draw(st.integers(1, len(x)))
-    cdf = scaled_cdf if known else None
-    blocks = ex.standardize(x, v=v, r=r, marginal_cdf=cdf)
+    blocks = ex.standardize(x, v=v, r=r, marginal_cdf=scaled_cdf)
     levels = with_edges(grid, blocks)
-    index, excess = _excess_rule(len(x), v, cdf)(x)
-    hit, count = _level_sums(index, excess, r, len(blocks), levels)
+    hit, count = _level_sums(*_cdf_pairs(x, v, scaled_cdf), r, len(blocks), levels)
     assert hit.tolist() == [ex.f_max(blocks, t).sum() for t in levels]
     assert count.tolist() == [ex.g_count(blocks, t).sum() for t in levels]
 
@@ -406,6 +405,12 @@ def dense_level_sums(blocks, grid):
     return hit.astype(float), count.astype(float)
 
 
+def straddles(x, budget):
+    """Does a tie straddle the cut at ``budget``: is the budget-th largest value the next one too?"""
+    desc = np.sort(x)[::-1]
+    return 0 < budget < len(x) and desc[budget - 1] == desc[budget]
+
+
 @settings(max_examples=300, deadline=None)
 @given(samples(), st.booleans(), grids)
 # v = 2/11 gives k + 1 = 3 positive rank excesses, and 11 % 3 != 0; with_edges
@@ -417,18 +422,40 @@ def dense_level_sums(blocks, grid):
 @example((np.full(9, 4.0), 2, 3), True, [0.5, 1.0])
 # every retained value lies beyond the block coverage
 @example((np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.9, 0.8]), 5, 2), False, [1.0])
-def test_replicate_sums_match_dense_level_sums_and_evaluator(sample, known, grid):
+# budget 0: v = 1/10 puts the largest rank excess at 1 - 2^-52, below 1 - 1e-20
+@example((np.arange(10.0), 2, 1), False, [1e-20, 1.0])
+# budget k + 1 at t = 1 (v = 2/11), where a tie straddles the cut but not at budget k
+@example((np.array([8.0, 1, 10, 2, 8, 3, 9, 4, 5, 6, 7]), 3, 2), False, [0.5, 1.0])
+# budget n: with k = n - 1 every rank has a positive excess, so every value exceeds at t = 1
+@example((np.arange(10.0), 3, 9), False, [1.0])
+@example((np.full(10, 1.0), 3, 9), False, [0.5, 1.0])
+def test_kernel_counts_match_dense_level_sums_and_evaluator(sample, known, grid):
+    # the kernel's sums: in rank mode the count stage at the budgets q(t), which
+    # equal the dense sums of ``standardize`` wherever no tie straddles a cut and
+    # report the tie exactly where one does; in known-marginal mode the sparse
+    # sums.  theta_hat(1) is the count stage's value at budget k.
     x, r, k = sample
     n, v = len(x), k / len(x)
     cdf = scaled_cdf if known else None
     blocks = ex.standardize(x, v=v, r=r, marginal_cdf=cdf)
     levels = with_edges(grid, blocks)
-    sf, sg, value, code = _replicate_sums(
-        x, ex.EstimatorConfig(r=r, k=k), _excess_rule(n, v, cdf), levels
-    )
     want_f, want_g = dense_level_sums(blocks, levels)
-    assert sf.tolist() == want_f.tolist()
-    assert sg.tolist() == want_g.tolist()
+    q = np.empty(0, dtype=np.int64) if known else _rank_budgets(n, v, levels)
+    budgets, at = np.unique(np.append(q, k), return_inverse=True)
+    tied, hit, in_blocks = _sample_counts(x, r, budgets)
+    if known:
+        sf, sg = _level_sums(*_cdf_pairs(x, v, cdf), r, n // r, levels)
+        assert sf.tolist() == want_f.tolist()
+        assert sg.tolist() == want_g.tolist()
+    else:
+        ranked = rank_blocks_reference(x, v, 1)  # every rank's excess, r = 1 covers them all
+        assert q.tolist() == [np.count_nonzero(ranked > 1.0 - t) for t in levels]
+        straddled = np.array([straddles(x, budget) for budget in q], dtype=bool)
+        assert tied[at[:-1]].tolist() == straddled.tolist()
+        assert hit[at[:-1]][~straddled].tolist() == want_f[~straddled].tolist()
+        assert in_blocks[at[:-1]][~straddled].tolist() == want_g[~straddled].tolist()
+    values, codes = _coded_values(tied[at[-1]], hit[at[-1]], in_blocks[at[-1]])
+    value, code = float(values), codes[()]
     try:
         want = ex.BlocksEvaluator(x, r, k)(1.0)
     except (ex.TiesDetected, ex.NoExceedances) as err:
