@@ -31,17 +31,19 @@ Every kernel is read as matrices: ``matrices(s, t)`` of two 1-D sequences of
 levels returns c, c_g and c_fg with entry (i, j) at the levels (s_i, t_j), and
 the per-point ``c(s, t)``, ``c_g`` and ``c_fg`` read its one entry.
 
-The Monte Carlo kernel never forms the m x r blocks.  In rank mode the
-excesses above 1 - t belong to the q(t) highest ranks (``_rank_budgets``), so
-the sums of f_t and g_t over the blocks are the blocks estimator's counts at
-the budget q(t), the block maxima above its threshold and the exceedances
-inside the blocks, wherever no tie straddles that threshold; the count stage
-flags one that does.  Per sample, one partial sort serves every q(t) and the
-budget k of theta_hat(1) through ``estimate._counts``, and the value stage
-runs once per group of samples.  In known-marginal mode the levels are fixed
-on the cdf scale, and the sums come from the sparse (index, excess) pairs of
-the positive excesses (``_level_sums``).  ``standardize`` scatters the pairs
-of ``_excess_rule`` into the m x r array.
+The Monte Carlo kernel never forms the m x r blocks: both modes sum f_t and
+g_t over the blocks through the blocks estimator's count stage
+(``estimate._counts``), the block maxima above a threshold and the
+exceedances inside the blocks.  In rank mode the excesses above 1 - t belong
+to the q(t) highest ranks (``_rank_budgets``), so the sums are the counts of
+the sample at the budget q(t) wherever no tie straddles that threshold; the
+count stage flags one that does.  Per sample, one partial sort serves every
+q(t) and the budget k of theta_hat(1), and the value stage runs once per
+group of samples.  In known-marginal mode the levels are fixed on the cdf
+scale: the excesses above 1 - t belong to the b(t) largest of U = F(X)
+(``_cdf_budgets``), so the sums are the counts of U itself at the budgets
+b(t), and no tie can straddle their cuts.  ``standardize`` and
+``tail_chain_probabilities`` read the dense excess array of ``_excess``.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .estimate import (
     OK,
     TIES,
     EstimatorConfig,
-    _block_maxima,
     _coded_values,
     _counts,
     _raise_coded,
@@ -91,7 +92,9 @@ def standardize(x, v: float, r: int, marginal_cdf=None) -> np.ndarray:
     estimator at the budget q(t) when no tie straddles its threshold.  That
     budget is not always ``count_at(k, t)``: the float excess of rank
     n - count_at(k, t) can land just above 1 - t, so q(t) can exceed it by
-    one.  The array is the scatter of ``_excess_rule``, the one ranking rule.
+    one.  In known-marginal mode they are the b(t) largest values of U
+    (``_cdf_budgets``), whatever the ties.  The array is the first m * r
+    entries of ``_excess``.
     """
     xs = _values(x)
     n = len(xs)
@@ -99,35 +102,51 @@ def standardize(x, v: float, r: int, marginal_cdf=None) -> np.ndarray:
         raise ValueError(f"v must lie in (0, 1), got {v}")
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    index, excess = _excess_rule(n, v, marginal_cdf)(xs)
-    blocks = np.zeros(n)
-    blocks[index] = excess
     m = n // r
-    return blocks[: m * r].reshape(m, r)
+    return _excess(xs, v, marginal_cdf)[: m * r].reshape(m, r)
 
 
-def _excess_rule(n: int, v: float, marginal_cdf=None):
-    """``pairs(xs)``: flat indices and values of the positive standardized excesses.
+def _excess(xs: np.ndarray, v: float, marginal_cdf=None) -> np.ndarray:
+    """The standardized excess of every value of ``xs``, 0 where it is not positive.
 
-    It is the one ranking rule for samples of length n.  In rank mode the
-    pairs come in ascending rank order, and the ladder of excesses is
-    computed once per rule.  In known-marginal mode the pairs come in index
-    order.
+    In known-marginal mode it is clipped from U = F(X) (``_cdf_values``).  In
+    rank mode the q positive excesses (``_rank_ladder``) belong to the q
+    highest stable ranks.  Those values are at least the (n - q)-th order
+    statistic b; stably sorting the values xs >= b, kept in index order,
+    ranks them exactly as a stable sort of the whole sample would.
     """
     if marginal_cdf is not None:
-        return lambda xs: _cdf_pairs(xs, v, marginal_cdf)
+        return np.clip((_cdf_values(xs, marginal_cdf) - (1.0 - v)) / v, 0.0, None)
+    n = len(xs)
     ladder = _rank_ladder(n, v)
-    return lambda xs: _rank_pairs(xs, ladder)
+    q = len(ladder)
+    excess = np.zeros(n)
+    if q:
+        above = np.flatnonzero(xs >= np.partition(xs, n - q)[n - q])
+        excess[above[np.argsort(xs[above], kind="stable")[-q:]]] = ladder
+    return excess
 
 
-def _cdf_pairs(xs: np.ndarray, v: float, marginal_cdf) -> tuple:
-    """Indices and values of the positive excesses of U_i = F(X_i), in index order."""
+def _cdf_values(xs: np.ndarray, marginal_cdf) -> np.ndarray:
+    """U = F(X) of every value of ``xs``, checked finite."""
     u = np.asarray(marginal_cdf(xs), dtype=float)
     if not np.isfinite(u).all():
         raise ValueError("marginal_cdf must return finite values; found NaN or inf")
-    excess = np.clip((u - (1.0 - v)) / v, 0.0, None)
-    index = np.flatnonzero(excess)
-    return index, excess[index]
+    return u
+
+
+def _cdf_budgets(u: np.ndarray, v: float, grid: np.ndarray) -> np.ndarray:
+    """b(t) at every grid level: the number of values whose excess (u - (1 - v)) / v exceeds 1 - t.
+
+    The excess is nondecreasing in u, so those values are the b(t) largest
+    of ``u`` and no tie straddles their cut: the count stage on ``u`` at
+    the budgets b(t) (``_sample_counts``) gives the sums of f_t and g_t
+    over the blocks of known-marginal mode, whether or not the float cdf
+    is monotone.  Only the values above 1 - v, where the excess is
+    positive, are sorted.
+    """
+    excess = (np.sort(u[u > 1.0 - v]) - (1.0 - v)) / v
+    return len(excess) - np.searchsorted(excess, 1.0 - grid, side="right")
 
 
 def _rank_ladder(n: int, v: float) -> np.ndarray:
@@ -154,21 +173,6 @@ def _rank_budgets(n: int, v: float, grid: np.ndarray) -> np.ndarray:
     return len(ladder) - np.searchsorted(ladder, 1.0 - grid, side="right")
 
 
-def _rank_pairs(xs: np.ndarray, ladder: np.ndarray) -> tuple:
-    """Indices of the values with a positive rank excess, by ascending rank, and their excesses.
-
-    The q positive excesses (the ``ladder``) belong to the q highest stable
-    ranks.  Those values are at least the (n - q)-th order statistic b;
-    stably sorting the values xs >= b, kept in index order, ranks them
-    exactly as a stable sort of the whole sample would.
-    """
-    n, q = len(xs), len(ladder)
-    if q == 0:
-        return np.empty(0, dtype=np.intp), ladder
-    above = np.flatnonzero(xs >= np.partition(xs, n - q)[n - q])
-    return above[np.argsort(xs[above], kind="stable")[-q:]], ladder
-
-
 def f_max(blocks: np.ndarray, t: float) -> np.ndarray:
     """Indicator per block: does any standardized excess exceed 1 - t?"""
     return (np.asarray(blocks).max(axis=1) > 1.0 - t).astype(float)
@@ -177,26 +181,6 @@ def f_max(blocks: np.ndarray, t: float) -> np.ndarray:
 def g_count(blocks: np.ndarray, t: float) -> np.ndarray:
     """Count per block of standardized excesses strictly above 1 - t."""
     return np.count_nonzero(np.asarray(blocks) > 1.0 - t, axis=1).astype(float)
-
-
-def _level_sums(index: np.ndarray, excess: np.ndarray, r: int, m: int, grid: np.ndarray) -> tuple:
-    """Sums over the blocks of f_max and g_count at every grid level at once.
-
-    The blocks are the m x r array that holds the positive ``excess`` at the
-    flat positions ``index`` and 0 elsewhere (``standardize`` scatters
-    ``_excess_rule`` pairs so).  For a grid inside (0, 1], 1 - t >= 0, so zero
-    excesses and empty blocks never count, and each sum is a count of sorted
-    values above 1 - t: of the block maxima (``estimate._block_maxima``) for
-    f_max, of the excesses for g_count.
-    """
-    covered = index < m * r
-    excess = excess[covered]
-    maxima = _block_maxima(index[covered] // r, excess, m)
-    positive = np.sort(excess)
-    levels = 1.0 - grid
-    hit = maxima.size - np.searchsorted(maxima, levels, side="right")
-    count = positive.size - np.searchsorted(positive, levels, side="right")
-    return hit.astype(float), count.astype(float)
 
 
 def _sample_counts(xs: np.ndarray, r: int, budgets: np.ndarray) -> tuple:
@@ -339,10 +323,11 @@ def estimate_kernel_mc(
     the grid, centers them by cross-replicate means, and returns the empirical
     covariance matrices (combined, count-count, and indicator-count cross) as
     an interpolating kernel.  theta is the Monte Carlo mean of the blocks
-    estimate at t = 1.  Each path is counted once (``_sample_counts``) at the
+    estimate at t = 1.  Each path is counted (``_sample_counts``) at the
     budget k and, in rank mode, at the budgets q(t) of the level sums
-    (``_rank_budgets``); no m x r blocks array and no ``BlocksEvaluator`` is
-    built.
+    (``_rank_budgets``); in known-marginal mode the level sums count U = F(X)
+    at its budgets b(t) (``_cdf_budgets``).  No m x r blocks array and no
+    ``BlocksEvaluator`` is built.
 
     In rank mode (``marginal_cdf=None``) the count sum at each level is the
     number of top-ranked values among the covered ones, which is fixed when r
@@ -353,41 +338,43 @@ def estimate_kernel_mc(
     A path whose estimate at t = 1 is undefined raises its coded error
     (``TiesDetected`` or ``NoExceedances``); in rank mode, so does a path
     whose threshold at some q(t) ties the smallest value above it, since its
-    stable ranks would then split equal values.  The error names the
-    replicate i, ``seed`` and, for a tie at a grid level, the level t, so
-    ``sim.substream(seed, i)`` regenerates the path; within a group of paths
-    the earliest failing replicate's error is raised.
+    stable ranks would then split equal values (no tie can straddle a b(t)).
+    The error names the replicate i, ``seed`` and, for a tie at a grid
+    level, the level t, so ``sim.substream(seed, i)`` regenerates the path;
+    within a group of paths the earliest failing replicate's error is raised.
     """
     if replicates < 100:
         raise ValueError(f"need at least 100 replicates, got {replicates}")
     grid = check_grid(grid)
     cfg.validate_for(n)
     v = cfg.v(n)
-    m = n // cfg.r
-    q = _rank_budgets(n, v, grid) if marginal_cdf is None else np.empty(0, dtype=np.int64)
-    budgets, at = np.unique(np.append(q, cfg.k), return_inverse=True)
-    at_grid, at_k = at[:-1], at[-1]
+    if marginal_cdf is None:
+        q_k = np.append(_rank_budgets(n, v, grid), cfg.k)  # q(t) at every grid level, then k
+        budgets, at = np.unique(q_k, return_inverse=True)
+    else:
+        budgets = np.array([cfg.k])
 
     def counted(x):
+        """The budgets of the grid levels and then of k, and the counts of ``x`` at them."""
         xs = _values(x)
-        tied, hit, in_blocks = _sample_counts(xs, cfg.r, budgets)
+        counts = _sample_counts(xs, cfg.r, budgets)
         if marginal_cdf is None:
-            sums = hit[at_grid], in_blocks[at_grid]
-        else:
-            sums = _level_sums(*_cdf_pairs(xs, v, marginal_cdf), cfg.r, m, grid)
-        return tied, hit, in_blocks, *sums
+            return q_k, *(part[at] for part in counts)
+        u = _cdf_values(xs, marginal_cdf)
+        b = _cdf_budgets(u, v, grid)
+        return np.append(b, cfg.k), *map(np.append, _sample_counts(u, cfg.r, b), counts)
 
     def step(first, paths):
-        tied, hit, in_blocks, sf, sg = map(np.array, zip(*map(counted, paths)))
-        values, codes = _coded_values(tied[:, at_k], hit[:, at_k], in_blocks[:, at_k])
-        failed = np.column_stack([codes, np.where(tied[:, at_grid], TIES, OK)])
+        k_t, tied, hit, in_blocks = map(np.array, zip(*map(counted, paths)))
+        values, codes = _coded_values(tied[:, -1], hit[:, -1], in_blocks[:, -1])
+        failed = np.column_stack([codes, np.where(tied[:, :-1], TIES, OK)])
         if failed.any():
             i, j = np.argwhere(failed)[0]  # the earliest failing replicate, its first failure
             where = f"replicate {first + i} (base_seed {seed})"
             if j == 0:
                 _raise_coded(failed[i, 0], cfg.k, f"{where}: ")
-            _raise_coded(TIES, q[j - 1], f"{where} at level t={grid[j - 1]}: ")
-        return sf, sg, values
+            _raise_coded(TIES, k_t[i, j - 1], f"{where} at level t={grid[j - 1]}: ")
+        return hit[:, :-1], in_blocks[:, :-1], values
 
     sf, sg, theta_hats = (
         np.concatenate(parts).astype(float)
@@ -411,7 +398,7 @@ def tail_chain_probabilities(
     """Kernel from standardized windows of length K started at each exceedance.
 
     Windows are collected over ``replicates`` simulated paths using the exact
-    model marginal, through ``_excess_rule`` in known-marginal mode; windows
+    model marginal, from the known-marginal excesses of ``_excess``; windows
     running past a path's end are discarded.
     """
     if not 0.0 < v < 1.0:
@@ -420,14 +407,10 @@ def tail_chain_probabilities(
         raise ValueError(f"need at least 1 replicate, got {replicates}")
     if not 2 <= K <= n:
         raise ValueError(f"need 2 <= K <= n, got K={K}, n={n}")
-    pairs = _excess_rule(n, v, model.marginal.cdf)
 
     def windows(x):
-        index, positive = pairs(x.values)
-        excess = np.zeros(n)
-        excess[index] = positive
-        starts = index[index <= n - K]
-        return sliding_window_view(excess, K)[starts]
+        excess = _excess(x.values, v, model.marginal.cdf)
+        return sliding_window_view(excess, K)[np.flatnonzero(excess[: n - K + 1])]
 
     def step(_, paths):
         return list(map(windows, paths))

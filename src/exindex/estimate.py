@@ -25,8 +25,9 @@ drops it, and runs the value stage once for the group.  The Monte Carlo
 driver calls it once per group of replicates, and ``sweep`` and
 ``biascorrect.corrected_curve`` call it on a group of one sample
 (``_sample_curve``).  ``clusterproc.estimate_kernel_mc`` counts each
-replicate through ``_counts`` at its own budgets, which may be 0 or run
-past k up to n, and runs the value stage once per group of replicates.
+replicate, and in known-marginal mode its cdf values U = F(X) too, through
+``_counts`` at its own budgets, which may be 0 or run past k up to n, and
+runs the value stage once per group of replicates.
 
 The runs estimator counts an exceedance as a cluster end when the next
 ``run_length`` observations all stay below the threshold:
@@ -122,9 +123,10 @@ def count_at(k: int, t):
     integer before the ceiling is taken, so grid values like j/k never flip to
     the next count; everything else is nudged up by 1e-12 and ceiled.  A
     scalar ``t`` gives an int, an array of levels an integer array.  A
-    boolean level is an error, not the level 1.
+    level must be a real number: a boolean is an error, not the level 1,
+    and a string an error, not the number it spells.
     """
-    _reject_booleans(t, "t")
+    _reject_non_reals(t, "t")
     ts = np.asarray(t, dtype=float)
     if not np.all((ts > 0.0) & np.isfinite(ts)):
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -135,13 +137,21 @@ def count_at(k: int, t):
     return int(kt) if kt.ndim == 0 else kt
 
 
-def _reject_booleans(levels, what: str) -> None:
-    """Raise a ``ValueError`` if ``levels`` (a level or a sequence of them) holds a boolean."""
+def _reject_non_reals(levels, what: str) -> None:
+    """Raise a ``ValueError`` naming ``what`` unless ``levels`` holds real, non-boolean numbers only.
+
+    ``levels`` is a level or a (possibly nested) sequence of them; a ragged
+    one holds sequences where numbers belong and is rejected too.  An
+    integer or float array passes without a look at its entries.
+    """
     items = levels if isinstance(levels, np.ndarray) else np.asarray(levels, dtype=object)
-    if items.dtype == bool or (
-        items.dtype == object and not {bool, np.bool_}.isdisjoint(map(type, items.ravel().tolist()))
-    ):
+    if items.dtype.kind in "iuf":
+        return
+    kinds = {items.dtype.type} if items.dtype != object else set(map(type, items.ravel().tolist()))
+    if any(issubclass(kind, (bool, np.bool_)) for kind in kinds):
         raise ValueError(f"{what} must not be boolean, got {levels}")
+    if not all(issubclass(kind, numbers.Real) for kind in kinds):
+        raise ValueError(f"{what} must hold real numbers only, got {levels}")
 
 
 def _values(x) -> np.ndarray:
@@ -254,29 +264,23 @@ def _top_slice(xs: np.ndarray, k: int) -> tuple:
     return top, np.flatnonzero(xs >= top[0])
 
 
-def _block_maxima(block: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
-    """Sorted maxima of the nonempty blocks among m, block[i] holding values[i].
-
-    Series values are finite, so the -inf fill marks only the empty blocks.
-    """
-    maxima = np.full(m, -np.inf)
-    np.maximum.at(maxima, block, values)
-    maxima = maxima[maxima > -np.inf]
-    maxima.sort()
-    return maxima
-
-
 def _top_tables(xs: np.ndarray, above: np.ndarray, r: int) -> tuple:
     """Sorted block maxima and uncovered tail of block length r, over ``above`` of ``_top_slice``.
 
     A budget k_t <= k puts its threshold at or above top[0], so
     ``_counts`` counts only block maxima and tail values above top[0].
     Every block holding such a value keeps its exact maximum, taken over its
-    positions in ``above``; no other block of the sample is reduced.
+    positions in ``above``; no other block of the sample is reduced.  Series
+    values are finite, so the -inf fill marks only the blocks that hold none
+    of those positions.
     """
     m = len(xs) // r
     covered = above[: np.searchsorted(above, m * r)]
-    return _block_maxima(covered // r, xs[covered], m), np.sort(xs[above[len(covered) :]])
+    maxima = np.full(m, -np.inf)
+    np.maximum.at(maxima, covered // r, xs[covered])
+    maxima = maxima[maxima > -np.inf]
+    maxima.sort()
+    return maxima, np.sort(xs[above[len(covered) :]])
 
 
 def _thresholds(top: np.ndarray, k_t) -> tuple:
@@ -513,11 +517,11 @@ def check_grid(grid, what: str = "grid") -> np.ndarray:
     """``grid`` as a new float array, once it passes the one rule for threshold grids.
 
     A grid is 1-D, nonempty, finite, strictly increasing and inside (0, 1],
-    and holds no boolean; ``what`` names it in the ``ValueError`` that a bad
-    one raises.  The array is a copy, so a curve or kernel that keeps it
-    never shares the caller's array.
+    and holds real numbers only, no boolean; ``what`` names it in the
+    ``ValueError`` that a bad one raises.  The array is a copy, so a curve or
+    kernel that keeps it never shares the caller's array.
     """
-    _reject_booleans(grid, what)
+    _reject_non_reals(grid, what)
     levels = np.array(grid, dtype=float)
     if levels.size == 0:
         raise ValueError(f"{what} must be nonempty")

@@ -8,19 +8,24 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import exindex as ex
 import exindex.sim as sim_module
-from exindex.clusterproc import _cdf_pairs, _level_sums, _rank_budgets, _sample_counts
+from exindex.clusterproc import _cdf_budgets, _cdf_values, _rank_budgets, _sample_counts
 
 
 def level_sums(x, v, r, grid, marginal_cdf=None):
     """The kernel's sums of f_max and g_count over the blocks of one sample, at every level.
 
-    In rank mode they are the count stage's block maxima and in-block
-    exceedances at the budgets q(t); the sample must not tie at any of them.
+    They are the count stage's block maxima and in-block exceedances: of the
+    sample at the budgets q(t) in rank mode, where it must not tie at any
+    of them, and of U = F(X) at the budgets b(t) in known-marginal mode,
+    where no tie can straddle a cut.
     """
     grid = np.asarray(grid, dtype=float)
     if marginal_cdf is not None:
-        return _level_sums(*_cdf_pairs(x, v, marginal_cdf), r, len(x) // r, grid)
-    tied, hit, in_blocks = _sample_counts(x, r, _rank_budgets(len(x), v, grid))
+        x = _cdf_values(x, marginal_cdf)
+        budgets = _cdf_budgets(x, v, grid)
+    else:
+        budgets = _rank_budgets(len(x), v, grid)
+    tied, hit, in_blocks = _sample_counts(x, r, budgets)
     assert not tied.any()
     return hit, in_blocks
 
@@ -267,6 +272,22 @@ def test_kernel_mc_equals_per_level_loop(case):
     assert got.theta == want.theta
 
 
+@pytest.mark.parametrize("cdf", [
+    lambda z: np.round(z, 3),  # coarse: many values of U tie, some of them at a cut
+    lambda z: (np.sin(7.0 * z) + 1.0) / 2.0,  # not monotone in z
+], ids=["coarse", "non_monotone"])
+def test_kernel_mc_known_marginal_counts_u_itself(cdf):
+    # the known-marginal sums count the values of U = F(X) at their own
+    # budgets; nothing assumes that F orders U as it orders X, or that U is untied
+    model, cfg = ex.IID(innovation=ex.Uniform01()), ex.EstimatorConfig(r=5, k=40)
+    grid = np.linspace(0.1, 1.0, 8)
+    got = ex.estimate_kernel_mc(model, 4000, cfg, grid, replicates=100, seed=3, marginal_cdf=cdf)
+    want = kernel_mc_reference(model, 4000, cfg, grid, 100, 3, marginal_cdf=cdf)
+    for name in ("_c", "_cg", "_cfg"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.theta == want.theta
+
+
 def test_kernel_mc_sorts_each_sample_once_per_replicate(monkeypatch):
     # one partial sort per replicate serves the level sums and theta_hat(1):
     # no evaluator is built and no m x r blocks array is standardized.  The
@@ -464,7 +485,7 @@ TAIL_MODELS = {
 @pytest.mark.parametrize("name", sorted(TAIL_MODELS))
 def test_tail_chain_windows_equal_the_inline_excess_formula(name):
     # the reference writes the known-marginal excess formula out inline; the kernel
-    # takes its excesses from ``_excess_rule``
+    # takes its excesses from the dense array of ``_excess``
     model, v, K, n = TAIL_MODELS[name], 0.02, 20, 5000
     series = ex.tail_chain_probabilities(model, v=v, K=K, replicates=10, seed=3, n=n)
     rows = []

@@ -1,6 +1,7 @@
 """Blocks and runs estimators, threshold sweeps, and their counting rules."""
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -195,6 +196,40 @@ def test_boolean_levels_are_rejected():
     # numbers still pass, the numpy scalar types among them
     assert ex.count_at(100, np.float64(0.5)) == ex.count_at(100, 0.5) == 50
     assert ex.check_grid([np.float32(0.5), 1]).tolist() == [0.5, 1.0]
+
+
+def test_levels_must_be_real_numbers():
+    # a string level was read as the number it spells (count_at(10, '0.5')
+    # returned 5, check_grid(['0.5', '1']) returned [0.5, 1.]) or failed on a
+    # comparison (the evaluator's TypeError), and a ragged grid raised numpy's
+    # "inhomogeneous shape" message without naming the grid
+    x = ex.generate(ex.AR1Cauchy(phi=0.6), 1000, 0)
+    cfg = ex.EstimatorConfig(r=10, k=100)
+    for t in ("0.5", ["0.5", 1.0], np.array(["0.5"]), 0.5 + 0j, [None], [[0.5], [0.5, 1.0]]):
+        with pytest.raises(ValueError, match="^t must hold real numbers only, got"):
+            ex.count_at(10, t)
+    for t in ("0.5", 0.5 + 0j, None):
+        with pytest.raises(ValueError, match="^t must hold real numbers only, got"):
+            ex.BlocksEvaluator(x, 10, 100)(t)
+    bad_grids = (["0.5", "1"], np.array(["0.5", "1"]), [0.5, "1"], [[0.5], [0.5, 1.0]],
+                 np.array([0.5, 1.0], dtype=complex), (0.5, None))
+    for grid in bad_grids:
+        with pytest.raises(ValueError, match="^grid must hold real numbers only, got"):
+            ex.check_grid(grid)
+        with pytest.raises(ValueError, match="^grid must hold real numbers only, got"):
+            ex.sweep(x, cfg, grid)
+        with pytest.raises(ValueError, match="^grid must hold real numbers only, got"):
+            ex.MCGrid(grid, np.eye(2), np.eye(2), np.eye(2), 1.0)
+    with pytest.raises(ValueError, match="^t_grid must hold real numbers only, got"):
+        ex.check_grid(["0.5"], "t_grid")
+    # a nested grid of numbers still meets the grid rule's own message
+    with pytest.raises(ValueError, match="^grid must be finite, strictly increasing"):
+        ex.check_grid([[0.5, 1.0]])
+    # integer, fraction and numpy levels pass
+    assert ex.count_at(10, Fraction(1, 2)) == 5
+    assert ex.check_grid([Fraction(1, 2), 1]).tolist() == [0.5, 1.0]
+    assert ex.check_grid(np.array([1])).tolist() == [1.0]
+    assert ex.sweep(x, cfg, [0.5, 1]).k_t.tolist() == [50, 100]
 
 
 def test_interior_tie_is_not_ambiguous():

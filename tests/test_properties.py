@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import exindex as ex
-from exindex.clusterproc import _cdf_pairs, _level_sums, _rank_budgets, _sample_counts
+from exindex.clusterproc import _cdf_budgets, _cdf_values, _rank_budgets, _sample_counts
 from exindex import harness, sim
 from exindex.estimate import (
     CODE_NAMES,
@@ -374,6 +374,28 @@ def scaled_cdf(z):
     return z / (1.0 + np.max(z))
 
 
+def wavy_cdf(z):
+    """A stand-in that is not monotone in z."""
+    return (np.sin(7.0 * z) + 1.0) / 2.0
+
+
+def coarse_cdf(z):
+    """``scaled_cdf`` to two decimals: many equal values of U."""
+    return np.round(scaled_cdf(z), 2)
+
+
+def high_cdf(z):
+    """Every U equal to 0.999, above 1 - v for every v above 0.001."""
+    return np.full(np.shape(z), 0.999)
+
+
+@st.composite
+def blocked_series(draw):
+    """(x, r): a ``series`` of at least one value and a block length r <= n."""
+    x = draw(series(min_size=1))
+    return x, draw(st.integers(1, len(x)))
+
+
 def with_edges(grid, blocks):
     """``grid`` plus the levels that put 1 - t on or next to a standardized excess."""
     edges = set()
@@ -384,13 +406,23 @@ def with_edges(grid, blocks):
 
 
 @settings(max_examples=300, deadline=None)
-@given(series(min_size=1), fractions, grids, st.data())
-def test_level_sums_match_per_level_functionals(x, v, grid, data):
-    # known-marginal mode; rank mode counts through the count stage (next test)
-    r = data.draw(st.integers(1, len(x)))
-    blocks = ex.standardize(x, v=v, r=r, marginal_cdf=scaled_cdf)
+@given(blocked_series(), fractions, grids, st.sampled_from([scaled_cdf, wavy_cdf, coarse_cdf, high_cdf]))
+@example((np.linspace(0.0, 1.0, 12), 3), 0.3, [0.5, 1.0], wavy_cdf)
+# four values of U equal 0.95, and with_edges puts 1 - t on their excess and next to it
+@example((np.array([19.0, 19, 4, 18.9, 19, 12, 18.2, 19]), 2), 0.1, [0.5, 1.0], coarse_cdf)
+# every U at or below 1 - v: every budget is 0
+@example((np.arange(5.0), 2), 0.1, [0.5, 1.0], scaled_cdf)
+# every U above 1 - v: the budget at t = 1 is n
+@example((np.arange(7.0), 3), 0.5, [0.5, 1.0], high_cdf)
+def test_level_sums_match_per_level_functionals(sample, v, grid, cdf):
+    # known-marginal mode: the count stage on U = F(X) at its budgets b(t),
+    # where no tie straddles a cut; rank mode counts at q(t) (next test)
+    x, r = sample
+    blocks = ex.standardize(x, v=v, r=r, marginal_cdf=cdf)
     levels = with_edges(grid, blocks)
-    hit, count = _level_sums(*_cdf_pairs(x, v, scaled_cdf), r, len(blocks), levels)
+    u = _cdf_values(x, cdf)
+    tied, hit, count = _sample_counts(u, r, _cdf_budgets(u, v, levels))
+    assert not tied.any()
     assert hit.tolist() == [ex.f_max(blocks, t).sum() for t in levels]
     assert count.tolist() == [ex.g_count(blocks, t).sum() for t in levels]
 
@@ -432,8 +464,9 @@ def straddles(x, budget):
 def test_kernel_counts_match_dense_level_sums_and_evaluator(sample, known, grid):
     # the kernel's sums: in rank mode the count stage at the budgets q(t), which
     # equal the dense sums of ``standardize`` wherever no tie straddles a cut and
-    # report the tie exactly where one does; in known-marginal mode the sparse
-    # sums.  theta_hat(1) is the count stage's value at budget k.
+    # report the tie exactly where one does; in known-marginal mode the count
+    # stage on U = F(X) at the budgets b(t), which never ties.  theta_hat(1) is
+    # the count stage's value at budget k.
     x, r, k = sample
     n, v = len(x), k / len(x)
     cdf = scaled_cdf if known else None
@@ -444,7 +477,9 @@ def test_kernel_counts_match_dense_level_sums_and_evaluator(sample, known, grid)
     budgets, at = np.unique(np.append(q, k), return_inverse=True)
     tied, hit, in_blocks = _sample_counts(x, r, budgets)
     if known:
-        sf, sg = _level_sums(*_cdf_pairs(x, v, cdf), r, n // r, levels)
+        u = _cdf_values(x, cdf)
+        tied_u, sf, sg = _sample_counts(u, r, _cdf_budgets(u, v, levels))
+        assert not tied_u.any()
         assert sf.tolist() == want_f.tolist()
         assert sg.tolist() == want_g.tolist()
     else:

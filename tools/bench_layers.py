@@ -49,6 +49,9 @@ and the median raw time.  Layers, each on n = 20 000 and the 81 levels
   level sums of f_max and g_count and theta_hat(1) of one replicate, on the
   benchmark's kernel config (AR(1) Cauchy, r = 10, k = 200, the 20 levels
   0.05, 0.1, ..., 1, 200 replicates, rank mode).
+* ``kernel_replicate.ar1_known`` (array): the same, in known-marginal mode
+  (``marginal_cdf`` the AR(1) Cauchy marginal cdf): the level sums count
+  U = F(X) at its own budgets, beside the count of the sample at budget k.
 * ``kernel_mc.ar1_kernel`` (array): the same call with generation, as a
   user runs it, so across every core the replicate driver uses, divided by
   the replicate count.
@@ -341,9 +344,13 @@ def layers() -> dict:
 
     kernel = AR1_KERNEL
     paths = generated(kernel["model"], kernel["n"], kernel["seed"], kernel["replicates"])
+    known = dict(kernel, marginal_cdf=kernel["model"].marginal.cdf)
     with replayed(paths):
         out["kernel_replicate.ar1_kernel"] = timed(
             "array", lambda: clusterproc.estimate_kernel_mc(**kernel), per=kernel["replicates"]
+        )
+        out["kernel_replicate.ar1_known"] = timed(
+            "array", lambda: clusterproc.estimate_kernel_mc(**known), per=kernel["replicates"]
         )
     del paths
     out["kernel_mc.ar1_kernel"] = timed(
