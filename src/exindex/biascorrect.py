@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, MeasureConditionError
-from .estimate import CurveKernel, ThresholdCurve, _combine, _sample_curve
+from .estimate import CurveKernel, ThresholdCurve, _combine, _sample_curve, _whole
 from .estimate import BlocksEvaluator  # noqa: F401  (perfbench/layers.py traces this binding)
 
 __all__ = [
@@ -133,8 +133,7 @@ def product_measure(kappa: float, a: float, b: float, m: int) -> SignedMeasureAt
         raise ValueError(f"kappa must be positive, got {kappa}")
     if not (a > 1.0 and b > 1.0):
         raise ValueError(f"a and b must exceed 1, got a={a}, b={b}")
-    if m < 1:
-        raise ValueError(f"discretization size must be at least 1, got {m}")
+    m = _whole(m, "m")
     mid = (np.arange(m) + 0.5) / m
     mass = mid**kappa
     if not mass.sum() > 0:  # 0/0 below: every weight would be NaN

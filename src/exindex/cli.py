@@ -87,7 +87,7 @@ def _parse_grid(spec):
         return [float(p) for p in s.split(",") if p.strip()]
     if any(ch in s for ch in ".eE"):
         return [float(s)]
-    return default_grid(int(s))
+    return default_grid(int(s)) if int(s) > 0 else []  # a count below 1 is an empty grid
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,7 @@ from .estimate import (
     _top_slice,
     _top_tables,
     _values,
+    _whole,
     check_grid,
 )
 from .estimate import BlocksEvaluator  # noqa: F401  (perfbench/layers.py traces this binding)
@@ -100,8 +101,7 @@ def standardize(x, v: float, r: int, marginal_cdf=None) -> np.ndarray:
     n = len(xs)
     if not 0.0 < v < 1.0:
         raise ValueError(f"v must lie in (0, 1), got {v}")
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    r = _whole(r, "r", high=n)
     m = n // r
     return _excess(xs, v, marginal_cdf)[: m * r].reshape(m, r)
 
@@ -278,6 +278,10 @@ class MCGrid(_Kernel):
 
     def __init__(self, grid, c_mat, cg_mat, cfg_mat, theta: float):
         self.grid = check_grid(grid)
+        named = {"c_mat": c_mat, "cg_mat": cg_mat, "cfg_mat": cfg_mat, "theta": theta}
+        for what, value in named.items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"{what} must be finite; found NaN or inf")
         self.theta = theta
         self._ext = np.concatenate([[0.0], self.grid])
         self._c, self._cg, self._cfg = map(self._pad, (c_mat, cg_mat, cfg_mat))
@@ -343,8 +347,7 @@ def estimate_kernel_mc(
     level, the level t, so ``sim.substream(seed, i)`` regenerates the path;
     within a group of paths the earliest failing replicate's error is raised.
     """
-    if replicates < 100:
-        raise ValueError(f"need at least 100 replicates, got {replicates}")
+    replicates = _whole(replicates, "replicates", low=100)
     grid = check_grid(grid)
     cfg.validate_for(n)
     v = cfg.v(n)
@@ -403,10 +406,9 @@ def tail_chain_probabilities(
     """
     if not 0.0 < v < 1.0:
         raise ValueError(f"v must lie in (0, 1), got {v}")
-    if replicates < 1:
-        raise ValueError(f"need at least 1 replicate, got {replicates}")
-    if not 2 <= K <= n:
-        raise ValueError(f"need 2 <= K <= n, got K={K}, n={n}")
+    replicates = _whole(replicates, "replicates")
+    n = _whole(n, "n")
+    K = _whole(K, "K", low=2, high=n)
 
     def windows(x):
         excess = _excess(x.values, v, model.marginal.cdf)

@@ -69,16 +69,12 @@ class EstimatorConfig:
     k: int
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"r must be at least 1, got {self.r}")
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
+        object.__setattr__(self, "r", _whole(self.r, "r"))
+        object.__setattr__(self, "k", _whole(self.k, "k"))
 
     def validate_for(self, n: int) -> None:
-        if self.r > n:
-            raise ValueError(f"r={self.r} exceeds series length n={n}")
-        if self.k >= n:
-            raise ValueError(f"k={self.k} must be smaller than n={n}")
+        _whole(self.r, "r", high=n)
+        _whole(self.k, "k", high=n - 1)
 
     def v(self, n: int) -> float:
         return self.k / n
@@ -126,6 +122,7 @@ def count_at(k: int, t):
     level must be a real number: a boolean is an error, not the level 1,
     and a string an error, not the number it spells.
     """
+    k = _whole(k, "k")
     _reject_non_reals(t, "t")
     ts = np.asarray(t, dtype=float)
     if not np.all((ts > 0.0) & np.isfinite(ts)):
@@ -154,6 +151,23 @@ def _reject_non_reals(levels, what: str) -> None:
         raise ValueError(f"{what} must hold real numbers only, got {levels}")
 
 
+def _whole(value, what: str, low: int = 1, high: int = None) -> int:
+    """``value`` as an int, once it passes the one rule for counts: a whole number in [low, high].
+
+    ``high`` None sets no upper bound.  A boolean, fraction, NaN, inf or non-number, or a count
+    out of range, raises ``ValueError`` naming ``what``; an integral float gives its int.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    if not (real and (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise ValueError(f"{what} must be a whole number, got {value}")
+    count = int(value)
+    if high is None and count < low:
+        raise ValueError(f"{what} must be at least {low}, got {count}")
+    if high is not None and not low <= count <= high:
+        raise ValueError(f"{what} must lie in [{low}, {high}], got {count}")
+    return count
+
+
 def _values(x) -> np.ndarray:
     xs = np.asarray(getattr(x, "values", x), dtype=float)
     if xs.ndim != 1:
@@ -167,8 +181,9 @@ def blocks_fixed(x, r: int, u: float) -> float:
     """Blocks estimate at a fixed threshold ``u``."""
     xs = _values(x)
     n = len(xs)
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    r = _whole(r, "r", high=n)
+    if np.isnan(u):
+        raise ValueError(f"u must not be NaN, got {u}")
     m = n // r
     covered = xs[: m * r]
     exceed = int(np.count_nonzero(covered > u))
@@ -178,17 +193,18 @@ def blocks_fixed(x, r: int, u: float) -> float:
     return hit / exceed
 
 
-def check_run_length(run_length: int, n: int) -> None:
-    """Reject a run length the runs estimator cannot use on a series of length ``n``."""
-    if not 1 <= run_length < n:
-        raise ValueError(f"need 1 <= run_length < n, got run_length={run_length}, n={n}")
+def check_run_length(run_length: int, n: int) -> int:
+    """``run_length`` as an int, once it is a count (``_whole``) below the series length ``n``."""
+    return _whole(run_length, "run_length", high=n - 1)
 
 
 def runs_estimator(x, run_length: int, u: float) -> float:
     """Runs estimate at a fixed threshold ``u``."""
     xs = _values(x)
     n = len(xs)
-    check_run_length(run_length, n)
+    run_length = check_run_length(run_length, n)
+    if np.isnan(u):
+        raise ValueError(f"u must not be NaN, got {u}")
     exc = xs > u
     stop = n - run_length
     denom = int(np.count_nonzero(exc[:stop]))
@@ -468,25 +484,15 @@ class BlocksEvaluator:
 
     def __init__(self, x, r: int, k: int):
         xs = _values(x)
-        n = len(xs)
         cfg = EstimatorConfig(r=r, k=k)
-        cfg.validate_for(n)
-        self.n = n
-        self.r = r
-        self.k = k
-        self._top, above = _top_slice(xs, k)
-        self._tables = _top_tables(xs, above, r)
+        cfg.validate_for(len(xs))
+        self.n, self.r, self.k = len(xs), cfg.r, cfg.k
+        self._top, above = _top_slice(xs, self.k)
+        self._tables = _top_tables(xs, above, self.r)
 
     def at_count(self, k_t: int) -> float:
-        """The estimate for one whole-number budget; an undefined one raises its coded error."""
-        whole = isinstance(k_t, numbers.Integral) or (
-            isinstance(k_t, numbers.Real) and float(k_t).is_integer()
-        )
-        if isinstance(k_t, (bool, np.bool_)) or not whole:
-            raise ValueError(f"k_t must be a whole number, got {k_t}")
-        k_t = int(k_t)
-        if not 1 <= k_t <= self.k:
-            raise ValueError(f"need 1 <= k_t <= k={self.k}, got {k_t}")
+        """The estimate at a budget k_t, a count (``_whole``) in [1, k], or its coded error."""
+        k_t = _whole(k_t, "k_t", high=self.k)
         values, codes = _coded_values(*_counts(self._top, [self._tables], np.array([k_t])))
         _raise_coded(codes[0, 0], k_t)
         return float(values[0, 0])
@@ -502,7 +508,7 @@ def blocks_true_quantile(x, cfg: EstimatorConfig, t: float, marginal_quantile) -
     """Blocks estimate with the threshold at the known marginal (1 - v*t)-quantile."""
     xs = _values(x)
     cfg.validate_for(len(xs))
-    if t <= 0.0 or t > 1.0:
+    if not 0.0 < t <= 1.0:  # NaN too
         raise ValueError(f"t must lie in (0, 1], got {t}")
     u = float(marginal_quantile(1.0 - cfg.v(len(xs)) * t))
     return blocks_fixed(xs, cfg.r, u)
@@ -510,6 +516,7 @@ def blocks_true_quantile(x, cfg: EstimatorConfig, t: float, marginal_quantile) -
 
 def default_grid(k: int) -> np.ndarray:
     """One grid point per distinct order-statistic threshold: t_j = j/k."""
+    k = _whole(k, "k")
     return np.arange(1, k + 1) / k
 
 
@@ -523,17 +530,14 @@ def check_grid(grid, what: str = "grid") -> np.ndarray:
     """
     _reject_non_reals(grid, what)
     levels = np.array(grid, dtype=float)
+    if levels.ndim != 1:
+        raise ValueError(f"{what} must be one-dimensional, got shape {levels.shape}")
     if levels.size == 0:
         raise ValueError(f"{what} must be nonempty")
-    if (
-        levels.ndim != 1
-        or not np.isfinite(levels).all()
-        or np.any(np.diff(levels) <= 0)
-        or not 0.0 < levels[0] <= levels[-1] <= 1.0
-    ):
-        raise ValueError(
-            f"{what} must be finite, strictly increasing and inside (0, 1], got {levels}"
-        )
+    inside = np.isfinite(levels).all() and 0.0 < levels[0] <= levels[-1] <= 1.0
+    if not (inside and np.all(np.diff(levels) > 0)):
+        rule = "finite, strictly increasing and inside (0, 1]"
+        raise ValueError(f"{what} must be {rule}, got {levels}")
     return levels
 
 

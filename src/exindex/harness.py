@@ -40,7 +40,7 @@ from .biascorrect import (
     two_atom_measure,
 )
 from .errors import MeasureConditionError
-from .estimate import CODE_NAMES, CurveKernel, EstimatorConfig, check_grid, check_run_length
+from .estimate import CODE_NAMES, CurveKernel, _whole, check_grid, check_run_length
 # perfbench/layers.py traces these bindings
 from .biascorrect import corrected_curve  # noqa: F401
 from .estimate import runs_estimator, sweep  # noqa: F401
@@ -260,7 +260,7 @@ def _grid_from_spec(spec, k: int):
         lo = _number(spec, "lo", "t_grid", default=1.0 / k)
         hi = _number(spec, "hi", "t_grid", default=1.0)
         count = _number(spec, "count", "t_grid", _int)
-        return tuple(np.linspace(lo, hi, count))
+        return tuple(np.linspace(lo, hi, max(count, 0)))  # a count below 1 is an empty grid
     return _numbers(spec, "t_grid", "config")
 
 
@@ -282,28 +282,21 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "t_grid", tuple(check_grid(self.t_grid, "t_grid").tolist()))
-        for key in ("r_list", "run_lengths"):
-            lengths = getattr(self, key)
-            if lengths is None:  # every block length a run can take: a run stays below n
-                lengths = [r for r in self.r_list if r < self.n]
-            try:
-                whole = tuple(_int(r) for r in lengths)
-            except ValueError:
-                raise ValueError(f"{key} must hold whole numbers, got {lengths}") from None
+        for key, low in (("n", 1), ("replicates", 1), ("base_seed", 0)):
+            object.__setattr__(self, key, _whole(getattr(self, key), key, low))
+        n = self.n
+        object.__setattr__(self, "k", _whole(self.k, "k", high=n - 1))
+        if not self.r_list:
+            raise ValueError("r_list must be nonempty")
+        r_list = tuple(_whole(r, "r_list entry", high=n) for r in self.r_list)
+        # every block length a run can take, by default: a run stays below n
+        lengths = [r for r in r_list if r < n] if self.run_lengths is None else self.run_lengths
+        run_lengths = tuple(check_run_length(length, n) for length in lengths)
+        for key, whole in (("r_list", r_list), ("run_lengths", run_lengths)):
             # a repeat would write its rows twice, or once where meta.json lists it twice
             if len(set(whole)) < len(whole):
                 raise ValueError(f"{key} must not repeat a value, got {whole}")
             object.__setattr__(self, key, whole)
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be at least 1, got {self.replicates}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be nonnegative, got {self.base_seed}")
-        if not self.r_list:
-            raise ValueError("r_list must be nonempty")
-        for r in self.r_list:
-            EstimatorConfig(r=r, k=self.k).validate_for(self.n)
-        for run_length in self.run_lengths:
-            check_run_length(run_length, self.n)
         if not 0 < self.delta < np.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         failed = self.measure and check_conditions(self.measure, (self.delta,)).violations()

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimate import _whole
+
 __all__ = [
     "BiasExpansion",
     "MMExpansionReport",
@@ -63,18 +65,18 @@ class BiasExpansion:
         return self.theta_n + self.c_n * np.asarray(t, dtype=float) ** self.delta
 
 
-def _check_wn_args(psi: float, r: int, v: float, t: float) -> None:
+def _check_wn_args(psi: float, r: int, v: float, t: float) -> int:
     if not 0.0 <= psi < 1.0:
         raise ValueError(f"psi must lie in [0, 1), got {psi}")
-    if r < 1:
-        raise ValueError(f"r must be at least 1, got {r}")
+    r = _whole(r, "r")
     if not 0.0 < v * t < 1.0:
         raise ValueError(f"v*t must lie in (0, 1), got {v * t}")
+    return r
 
 
 def theta_nt_wn(psi: float, r: int, v: float, t: float) -> float:
     """Exact mean curve of the blocks estimator under random repetition."""
-    _check_wn_args(psi, r, v, t)
+    r = _check_wn_args(psi, r, v, t)
     theta = 1.0 - psi
     vt = v * t
     return (1.0 - (1.0 - vt) * (1.0 - theta * vt) ** (r - 1)) / (r * vt)
@@ -82,7 +84,7 @@ def theta_nt_wn(psi: float, r: int, v: float, t: float) -> float:
 
 def bias_expansion_wn(psi: float, r: int, v: float) -> BiasExpansion:
     """Leading curve model under random repetition: linear in t (delta = 1)."""
-    _check_wn_args(psi, r, v, 1.0)
+    r = _check_wn_args(psi, r, v, 1.0)
     theta = 1.0 - psi
     return BiasExpansion(
         theta=theta,
@@ -106,8 +108,7 @@ def _block_coefficients(spec, r: int) -> list:
     innovations with no applicable coefficient, or only zero ones, are left
     out, since they contribute factor 1.
     """
-    if r < 1:
-        raise ValueError(f"r must be at least 1, got {r}")
+    r = _whole(r, "r")
     q = spec.q
     out = []
     for m in range(1 - q, r + 1):
@@ -196,8 +197,7 @@ class MMExpansionReport:
 
 def bias_expansion_mm(spec, r: int, v: float) -> MMExpansionReport:
     """Leading curve models for the moving-maxima blocks estimator."""
-    if r < 1:
-        raise ValueError(f"r must be at least 1, got {r}")
+    r = _whole(r, "r")
     if not 0.0 < v < 1.0:
         raise ValueError(f"v must lie in (0, 1), got {v}")
     s1 = sum(c ** spec.beta1 for c in spec.coeffs)

@@ -23,8 +23,8 @@ one row per block length for a sequence ``r``), and ``bias_expansion(r, v)``,
 its leading bias model.  Both return None where no exact form is known
 (AR(1)).  ``IID`` is the psi = 0 case of ``RandomRepetition`` and shares its
 oracles.  The constructor fields, as :func:`config_fields` lists them, are
-the only list of a class's parameters: ``to_dict``, the config parser and
-the CLI model flags all read them.
+the parameter list that ``to_dict``, the config parser and the CLI's model
+flag reader follow; ``cli._add_model_args`` declares the flags by hand.
 
 All generators are deterministic functions of (model, n, seed, top).
 Every Monte Carlo loop runs its replicates through :func:`map_replicates`,
@@ -44,6 +44,8 @@ import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from .estimate import _whole
 
 __all__ = [
     "StandardCauchy",
@@ -758,10 +760,8 @@ def generate(model, n: int, seed, top=None) -> SeriesSample:
     every call without ``top``, draw the full path; the result's ``top`` says
     which was drawn.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if top is not None and top < 1:
-        raise ValueError(f"top must be at least 1, got {top}")
+    n = _whole(n, "n")
+    top = None if top is None else _whole(top, "top")
     sample = getattr(model, "sample", None)
     if sample is None:
         raise ValueError(f"unknown model spec: {model!r}")

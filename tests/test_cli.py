@@ -659,7 +659,7 @@ MM_MODEL = {"name": "mm", "coeffs": [1.0, 0.5], "beta1": 2.0, "beta2": 1.0, "c1"
         ({"model": {**MM_MODEL, "coeffs": 1.0}}, "model key 'coeffs' must be a list, got 1.0"),
         ({"run_lengths": 5}, "config key 'run_lengths' must be a list, got 5"),
         ({"out_dir": 5}, "config key 'out_dir' must be a string, got 5"),
-        ({"base_seed": -1}, "base_seed must be nonnegative, got -1"),
+        ({"base_seed": -1}, "base_seed must be at least 0, got -1"),
         # a repeat would write its summary and curves rows twice
         ({"r_list": [5, 5]}, "r_list must not repeat a value, got (5, 5)"),
         ({"run_lengths": [5, 5]}, "run_lengths must not repeat a value, got (5, 5)"),
@@ -946,9 +946,10 @@ def test_every_entry_point_rejects_a_bad_grid_alike(series_file, grid, flag, cap
             call()
         messages.add(str(err.value))
     (message,) = messages
-    assert message == "grid must be nonempty" or message.startswith(
-        "grid must be finite, strictly increasing and inside (0, 1], got "
-    )
+    assert message == "grid must be nonempty" or message.startswith((
+        "grid must be finite, strictly increasing and inside (0, 1], got ",
+        "grid must be one-dimensional, got shape ",
+    ))
     base = dict(model={"name": "iid"}, n=1000, r_list=[5], k=50)
     with pytest.raises(ValueError, match="t_grid"):
         ex.ExperimentConfig.from_dict({**base, "t_grid": grid})
@@ -974,7 +975,7 @@ def test_mc_bad_run_length_exits_1_before_simulating(tmp_path, run_length, monke
     for extra in ([], ["--figure1"]):
         assert dispatch(["mc", "--config", str(config_path), "--out", str(out), *extra]) == 1
         assert capsys.readouterr().err == (
-            f"INVALID_ARGUMENT: need 1 <= run_length < n, got run_length={run_length}, n=400\n"
+            f"INVALID_ARGUMENT: run_length must lie in [1, 399], got {run_length}\n"
         )
     assert calls == []
     assert not out.exists()
@@ -1220,3 +1221,10 @@ def test_model_flags_are_the_constructor_fields_of_every_model_and_law(command):
     assert flags - {"-h", "--help"} == {"--model", "--innovation"} | fields
     sub = build_parser()._subparsers._group_actions[0].choices[command]
     assert flags <= {opt for action in sub._actions for opt in action.option_strings}
+
+
+@pytest.mark.parametrize("command", [["blocks", "--r", "3"], ["runs", "--run-length", "2"]])
+def test_a_nan_threshold_is_an_invalid_argument(series_file, command, capsys):
+    # it was reported as NO_EXCEEDANCES, a result of the data, not of the input
+    assert dispatch([command[0], "--series", series_file, *command[1:], "--u", "nan"]) == 1
+    assert capsys.readouterr().err == "INVALID_ARGUMENT: u must not be NaN, got nan\n"

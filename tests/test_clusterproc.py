@@ -177,7 +177,7 @@ def test_tail_chain_rejects_bad_v_and_replicates_before_simulating(monkeypatch):
         with pytest.raises(ValueError, match=r"v must lie in \(0, 1\), got"):
             ex.tail_chain_probabilities(model, v=v, replicates=2, n=1000)
     for replicates in (0, -1):
-        with pytest.raises(ValueError, match="need at least 1 replicate"):
+        with pytest.raises(ValueError, match=f"^replicates must be at least 1, got {replicates}$"):
             ex.tail_chain_probabilities(model, v=0.1, replicates=replicates, n=1000)
     assert seeds == []
 
@@ -535,5 +535,19 @@ def test_tail_chain_windows_equal_per_exceedance_loop():
         for i in np.flatnonzero(excess[: n - K + 1] > 0.0):
             rows.append(excess[i : i + K])
     assert np.array_equal(series.windows, np.array(rows))
-    with pytest.raises(ValueError, match="K <= n"):
+    with pytest.raises(ValueError, match=r"^K must lie in \[2, 1000\], got 1001$"):
         ex.tail_chain_probabilities(model, v=0.01, K=1001, replicates=100, seed=0, n=1000)
+
+
+def test_mc_grid_rejects_non_finite_matrices_and_theta():
+    # a NaN or infinite entry made every read near it a silent NaN
+    grid, good = [0.5, 1.0], np.eye(2)
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, name in enumerate(("c_mat", "cg_mat", "cfg_mat")):
+            mats = [good, good, good]
+            mats[i] = np.array([[1.0, bad], [bad, 1.0]])
+            with pytest.raises(ValueError, match=f"^{name} must be finite; found NaN or inf$"):
+                ex.MCGrid(grid, *mats, 1.0)
+        with pytest.raises(ValueError, match="^theta must be finite; found NaN or inf$"):
+            ex.MCGrid(grid, good, good, good, bad)
+    assert ex.MCGrid(grid, good, good, good, 1.0).c(0.5, 1.0) == 0.0

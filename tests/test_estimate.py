@@ -167,7 +167,7 @@ def test_evaluator_takes_whole_budgets_and_levels_up_to_one():
     for k_t in (2.5, 0.5, True, np.bool_(True), np.nan, np.inf, "2"):
         with pytest.raises(ValueError, match=f"^k_t must be a whole number, got {k_t}$"):
             ev.at_count(k_t)
-    with pytest.raises(ValueError, match=r"^need 1 <= k_t <= k=100, got 0$"):
+    with pytest.raises(ValueError, match=r"^k_t must lie in \[1, 100\], got 0$"):
         ev.at_count(0)
     # a level above 1 is named as the level, not as its budget 150
     with pytest.raises(ValueError, match=r"^t must lie in \(0, 1\], got 1.5$"):
@@ -222,8 +222,8 @@ def test_levels_must_be_real_numbers():
             ex.MCGrid(grid, np.eye(2), np.eye(2), np.eye(2), 1.0)
     with pytest.raises(ValueError, match="^t_grid must hold real numbers only, got"):
         ex.check_grid(["0.5"], "t_grid")
-    # a nested grid of numbers still meets the grid rule's own message
-    with pytest.raises(ValueError, match="^grid must be finite, strictly increasing"):
+    # a nested grid of numbers meets the grid rule's one-dimensional message
+    with pytest.raises(ValueError, match=r"^grid must be one-dimensional, got shape \(1, 2\)$"):
         ex.check_grid([[0.5, 1.0]])
     # integer, fraction and numpy levels pass
     assert ex.count_at(10, Fraction(1, 2)) == 5
@@ -377,3 +377,118 @@ def test_a_series_that_is_not_one_dimensional_is_rejected(shape):
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_grid_must_be_one_dimensional():
+    # a nested grid was told it must be "finite, strictly increasing and inside
+    # (0, 1]", three conditions it met, and not the one it broke
+    for grid, shape in ((0.5, "()"), (np.ones((2, 2)) / 2, "(2, 2)"), ([[]], "(1, 0)")):
+        message = f"^grid must be one-dimensional, got shape {re.escape(shape)}$"
+        with pytest.raises(ValueError, match=message):
+            ex.check_grid(grid)
+    with pytest.raises(ValueError, match=r"^t_grid must be one-dimensional, got shape \(1, 2\)$"):
+        ex.check_grid([[0.5, 1.0]], "t_grid")
+
+
+def test_a_nan_threshold_is_bad_input():
+    # it raised NoExceedances, a domain result: nothing exceeds u = nan
+    x = ex.generate(ex.AR1Cauchy(phi=0.6), 1000, 0)
+    calls = (
+        lambda: ex.blocks_fixed(x, 10, np.nan),
+        lambda: ex.runs_estimator(x, 5, float("nan")),
+        lambda: ex.blocks_true_quantile(x, ex.EstimatorConfig(r=10, k=100), 0.5, lambda p: np.nan),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^u must not be NaN, got nan$"):
+            call()
+    # a NaN level is named as the level, not as the NaN threshold it gives
+    with pytest.raises(ValueError, match=r"^t must lie in \(0, 1\], got nan$"):
+        ex.blocks_true_quantile(x, ex.EstimatorConfig(r=10, k=100), np.nan, lambda p: p)
+    # an infinite threshold is a threshold nothing exceeds, as before
+    with pytest.raises(ex.NoExceedances):
+        ex.blocks_fixed(x, 10, np.inf)
+
+
+def _count_entry_points():
+    """(call of one count argument, the name its error gives, a value below its range)."""
+    x = ex.generate(ex.AR1Cauchy(phi=0.6), 1000, 0)
+    wn = ex.RandomRepetition(psi=0.5, innovation=ex.Uniform01())
+    mm = ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5)
+    cfg = ex.EstimatorConfig(r=10, k=100)
+    base = dict(model=wn, n=1000, r_list=(5,), k=50, t_grid=(0.5, 1.0))
+
+    def config(key, value):
+        return ex.ExperimentConfig(**{**base, key: value})
+
+    return [
+        (lambda v: ex.EstimatorConfig(r=v, k=100), "r", 0),
+        (lambda v: ex.EstimatorConfig(r=10, k=v), "k", 0),
+        (lambda v: ex.blocks_fixed(x, v, 1.0), "r", 0),
+        (lambda v: ex.runs_estimator(x, v, 1.0), "run_length", 0),
+        (lambda v: ex.BlocksEvaluator(x, v, 100), "r", 0),
+        (lambda v: ex.BlocksEvaluator(x, 10, v), "k", 0),
+        (ex.BlocksEvaluator(x, 10, 100).at_count, "k_t", 0),
+        (lambda v: ex.count_at(v, 0.5), "k", 0),
+        (ex.default_grid, "k", 0),
+        (lambda v: ex.standardize(x, 0.1, v), "r", 0),
+        (lambda v: ex.estimate_kernel_mc(wn, 1000, cfg, [0.5, 1.0], replicates=v, seed=0),
+         "replicates", 99),
+        (lambda v: ex.tail_chain_probabilities(wn, 0.1, replicates=v, n=1000), "replicates", 0),
+        (lambda v: ex.tail_chain_probabilities(wn, 0.1, K=v, n=1000), "K", 1),
+        (lambda v: ex.tail_chain_probabilities(wn, 0.1, n=v), "n", 0),
+        (lambda v: ex.theta_nt_wn(0.5, v, 0.1, 0.5), "r", 0),
+        (lambda v: ex.bias_expansion_wn(0.5, v, 0.1), "r", 0),
+        (lambda v: ex.mm_block_nonexceed(mm, v, 1.0), "r", 0),
+        (lambda v: ex.theta_nt_mm_exact(mm, v, 0.1, 0.5), "r", 0),
+        (lambda v: ex.bias_expansion_mm(mm, v, 0.1), "r", 0),
+        (lambda v: ex.product_measure(1.0, 2.0, 1.5, v), "m", 0),
+        (lambda v: ex.generate(wn, v, 0), "n", 0),
+        (lambda v: ex.generate(mm, 100, 0, top=v), "top", 0),
+        (lambda v: config("n", v), "n", 0),
+        (lambda v: config("k", v), "k", 0),
+        (lambda v: config("replicates", v), "replicates", 0),
+        (lambda v: config("base_seed", v), "base_seed", -1),
+        (lambda v: config("r_list", (v,)), "r_list entry", 0),
+        (lambda v: config("run_lengths", (v,)), "run_length", 0),
+    ]
+
+
+def test_every_count_follows_one_rule():
+    # fractions were truncated or went through (count_at(2.5, 0.5) returned 2),
+    # booleans read as 1, and integral floats crashed inside numpy
+    for call, name, low in _count_entry_points():
+        for value in (2.5, True, np.True_, np.nan, np.inf, -np.inf, "3", low):
+            with pytest.raises(ValueError) as err:
+                call(value)
+            message = str(err.value)
+            assert message.startswith(f"{name} must "), (name, value, message)
+            assert message.endswith(f", got {value}"), (name, value, message)
+
+
+def test_integral_counts_give_the_bits_of_the_int():
+    x = ex.generate(ex.AR1Cauchy(phi=0.6), 1000, 0)
+    wn = ex.RandomRepetition(psi=0.5, innovation=ex.Uniform01())
+    mm = ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5)
+
+    def bits(ten):
+        curve = ex.sweep(x, ex.EstimatorConfig(r=ten, k=10 * ten))
+        top = ex.generate(mm, 100, 0, top=ten)
+        return [
+            curve.theta_hat.tobytes(), curve.k_t.tobytes(), curve.config,
+            ex.sweep(x, ex.EstimatorConfig(r=10, k=ten)).theta_hat.tobytes(),
+            ex.BlocksEvaluator(x, ten, 100)(0.5), ex.BlocksEvaluator(x, 10, ten).at_count(ten),
+            ex.standardize(x, 0.1, ten).tobytes(),
+            ex.theta_nt_wn(0.5, ten, 0.1, 0.5).hex(),
+            ex.generate(wn, ten, 0).values.tobytes(), top.values.tobytes(), top.top,
+        ]
+
+    expected = bits(10)
+    for ten in (10.0, np.int64(10), np.float64(10)):
+        assert bits(ten) == expected, ten
+        cfg = ex.EstimatorConfig(r=ten, k=ten)
+        assert type(cfg.r) is int and type(cfg.k) is int
+        exp = ex.ExperimentConfig(model=wn, n=100 * ten, r_list=(ten,), k=ten, t_grid=(0.5, 1.0),
+                                  replicates=ten, base_seed=ten, run_lengths=(ten,))
+        for key in ("n", "k", "replicates", "base_seed"):
+            assert type(getattr(exp, key)) is int, key
+        assert exp.r_list == exp.run_lengths == (10,) and type(exp.r_list[0]) is int

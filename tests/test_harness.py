@@ -188,8 +188,10 @@ def test_config_validation():
     assert small_config(run_lengths=None).run_lengths == (5,)
     assert small_config(run_lengths=(3, 7)).run_lengths == (3, 7)
     # a fractional length is rejected, as from_dict rejects it, not truncated
-    for key, lengths in (("r_list", (5.7,)), ("run_lengths", (3, 7.5))):
-        with pytest.raises(ValueError, match=rf"^{key} must hold whole numbers, got \({lengths[0]}"):
+    for key, lengths, entry in (("r_list", (5.7,), "r_list entry"),
+                                ("run_lengths", (3, 7.5), "run_length")):
+        message = f"^{entry} must be a whole number, got {lengths[-1]}$"
+        with pytest.raises(ValueError, match=message):
             small_config(**{key: lengths})
     assert small_config(r_list=(5.0,), run_lengths=(3.0,)).r_list == (5,)
 
@@ -351,8 +353,7 @@ def test_embedded_atoms_are_labelled_with_a_provenance_the_package_writes(tmp_pa
 def test_config_rejects_a_run_length_the_runs_estimator_cannot_use(run_lengths):
     base = dict(model={"name": "wn", "psi": 0.6}, n=2000, r_list=[5], k=100)
     bad = next(length for length in run_lengths if not 1 <= length < 2000)
-    with pytest.raises(ValueError, match=f"^need 1 <= run_length < n, got run_length={bad}, "
-                                         "n=2000$"):
+    with pytest.raises(ValueError, match=rf"^run_length must lie in \[1, 1999\], got {bad}$"):
         ex.ExperimentConfig.from_dict({**base, "run_lengths": run_lengths})
 
 
@@ -374,7 +375,7 @@ def test_default_run_lengths_are_the_block_lengths_below_n(tmp_path):
         assert written["run_lengths"] == run_lengths
         assert ex.ExperimentConfig.from_dict(written) == cfg
     # a run length the config names keeps the strict check
-    with pytest.raises(ValueError, match="^need 1 <= run_length < n, got run_length=2000"):
+    with pytest.raises(ValueError, match=r"^run_length must lie in \[1, 1999\], got 2000$"):
         ex.ExperimentConfig.from_dict({**base, "r_list": [2000], "run_lengths": [2000]})
 
 
@@ -727,7 +728,8 @@ def test_normality_check_draws_the_replicates_a_direct_loop_draws():
 
 def test_empty_grid_is_rejected():
     base = dict(model={"name": "iid"}, n=1000, r_list=[5], k=50)
-    for grid in ([], {"count": 0}):
+    # a negative count raised numpy's "Number of samples, -3, must be non-negative."
+    for grid in ([], {"count": 0}, {"count": -3}):
         with pytest.raises(ValueError, match="^t_grid must be nonempty$"):
             ex.ExperimentConfig.from_dict({**base, "t_grid": grid})
 
