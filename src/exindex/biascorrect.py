@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, MeasureConditionError
-from .estimate import CurveKernel, ThresholdCurve, _combine, _sample_curve, _whole
+from .estimate import CurveKernel, ThresholdCurve, _combine, _real, _sample_curve, _whole
 from .estimate import BlocksEvaluator  # noqa: F401  (perfbench/layers.py traces this binding)
 
 __all__ = [
@@ -67,15 +67,17 @@ class SignedMeasureAtoms:
     def __post_init__(self):
         if len(self.atoms) == 0:
             raise ValueError("measure must have at least one atom")
-        for atom in self.atoms:
+        atoms = []
+        for i, atom in enumerate(self.atoms):
             if not hasattr(atom, "__len__") or len(atom) != 3:
                 raise ValueError(f"each atom must be (s, t, w), got {atom!r}")
-        object.__setattr__(self, "atoms", tuple((float(s), float(t), float(w)) for s, t, w in self.atoms))
-        for s, t, w in self.atoms:
-            if not (0.0 < s <= 1.0 and 0.0 < t <= 1.0):
-                raise ValueError(f"atom coordinates must lie in (0, 1], got ({s}, {t})")
-            if not math.isfinite(w):
-                raise ValueError(f"atom weights must be finite, got atom ({s}, {t}, {w})")
+            s, t, w = atom
+            try:  # the atom is named on failure only, so that valid atoms format no name
+                atoms.append((_real(s, "s", 0, 1, "(]"), _real(t, "t", 0, 1, "(]"),
+                              _real(w, "weight")))
+            except ValueError as err:
+                raise ValueError(f"atom {i} {err}") from None
+        object.__setattr__(self, "atoms", tuple(atoms))
         if self.total_variation == 0.0:
             raise ValueError("measure must have a nonzero weight")
         # Total weight 0 is implied by the cancellation condition and is
@@ -106,10 +108,7 @@ def two_atom_measure(p: float, q: float, a: float) -> SignedMeasureAtoms:
     Both atoms share the product p*q/a, so the product pushforward vanishes;
     the level integral is (p^d - q^d)(a^-d - 1), nonzero whenever p != q.
     """
-    if not (0.0 < p <= 1.0 and 0.0 < q <= 1.0):
-        raise ValueError(f"p and q must lie in (0, 1], got p={p}, q={q}")
-    if not a > 1.0:
-        raise ValueError(f"a must exceed 1, got {a}")
+    p, q, a = _real(p, "p", 0, 1, "(]"), _real(q, "q", 0, 1, "(]"), _real(a, "a", 1)
     if p == q:
         raise MeasureConditionError(
             f"p and q must differ (p={p}): equal levels make every level integral vanish",
@@ -129,10 +128,7 @@ def product_measure(kappa: float, a: float, b: float, m: int) -> SignedMeasureAt
     part at the same product t_i t_j/(a b), so cancellation is exact by
     construction.  kappa > 0 keeps 1/(s t) integrable near the origin.
     """
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if not (a > 1.0 and b > 1.0):
-        raise ValueError(f"a and b must exceed 1, got a={a}, b={b}")
+    kappa, a, b = _real(kappa, "kappa", 0), _real(a, "a", 1), _real(b, "b", 1)
     m = _whole(m, "m")
     mid = (np.arange(m) + 0.5) / m
     mass = mid**kappa
@@ -180,18 +176,16 @@ def check_conditions(
 
     (M1): atoms grouped by product s*t within relative tolerance 1e-9 must
     have weights summing to 0 in every group.  (M2): the integral of
-    s^delta + t^delta must exceed 1e-10 in magnitude for every probed delta
+    s^delta + t^delta must be above 1e-10 in magnitude for every probed delta
     (unverifiable for all delta > 0, so a finite probe set is used; callers
     should include the delta actually in use).  (M3): the integral of 1/(s t)
     under |mu| is finite for atomic measures and is reported.  An empty probe
-    set, or a probe that is not positive and finite, raises ``ValueError``.
+    set, or a probe outside (0, inf), raises ``ValueError``.
     """
     probes = DEFAULT_DELTA_PROBE if delta_probe is None else tuple(delta_probe)
     if not probes:
         raise ValueError("delta probes must name at least one delta")
-    for d in probes:
-        if not 0 < d < math.inf:
-            raise ValueError(f"delta probes must be positive and finite, got {d}")
+    probes = tuple(_real(d, "delta probe", 0) for d in probes)
     s, t, w = mu.arrays()
     tv = mu.total_variation
 
@@ -214,9 +208,9 @@ def check_conditions(
     failures = []
     for d in probes:
         val = float((w * (s**d + t**d)).sum())
-        integrals[float(d)] = val
+        integrals[d] = val
         if abs(val) <= 1e-10:
-            failures.append(float(d))
+            failures.append(d)
 
     return ConditionReport(
         m1_ok=m1_ok,
@@ -235,8 +229,7 @@ def scale_measure(mu: SignedMeasureAtoms, t0: float) -> SignedMeasureAtoms:
     Products scale by t0^2 so cancellation groups are preserved; level
     integrals scale by t0^delta != 0.
     """
-    if not 0.0 < t0 <= 1.0:
-        raise ValueError(f"t0 must lie in (0, 1], got {t0}")
+    t0 = _real(t0, "t0", 0, 1, "(]")
     return SignedMeasureAtoms(
         tuple((t0 * s, t0 * t, w) for s, t, w in mu.atoms), provenance=mu.provenance
     )
@@ -298,8 +291,7 @@ def sigma2_mu(mu: SignedMeasureAtoms, delta: float, kernel) -> float:
     coordinates, divided by [sum of w s^delta]^2.  The kernel must expose
     ``matrices(s, t)``, whose first matrix holds c(s_i, t_j) at entry (i, j).
     """
-    if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
+    delta = _real(delta, "delta", 0)
     sym = mu.symmetrized()
     s, t, w = sym.arrays()
     norm = float((w * s**delta).sum())
@@ -336,7 +328,15 @@ def read_measure_csv(path) -> SignedMeasureAtoms:
         for row in reader:
             if not row:
                 continue
+            where = f"{path} line {reader.line_num}"
             if len(row) < 3:
-                raise ValueError(f"{path} line {reader.line_num}: expected s,t,w, got {row}")
-            atoms.append((float(row[0]), float(row[1]), float(row[2])))
+                raise ValueError(f"{where}: expected s,t,w, got {row}")
+            atom = []
+            for name, value in zip("stw", row):
+                try:
+                    atom.append(float(value))
+                except ValueError:
+                    message = f"{where}: field {name} must be a number, got {value!r}"
+                    raise ValueError(message) from None
+            atoms.append(tuple(atom))
     return SignedMeasureAtoms(tuple(atoms), provenance="custom")

@@ -62,6 +62,7 @@ from .estimate import (
     _coded_values,
     _counts,
     _raise_coded,
+    _real,
     _top_slice,
     _top_tables,
     _values,
@@ -99,8 +100,7 @@ def standardize(x, v: float, r: int, marginal_cdf=None) -> np.ndarray:
     """
     xs = _values(x)
     n = len(xs)
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"v must lie in (0, 1), got {v}")
+    v = _real(v, "v", 0, 1)
     r = _whole(r, "r", high=n)
     m = n // r
     return _excess(xs, v, marginal_cdf)[: m * r].reshape(m, r)
@@ -175,12 +175,13 @@ def _rank_budgets(n: int, v: float, grid: np.ndarray) -> np.ndarray:
 
 def f_max(blocks: np.ndarray, t: float) -> np.ndarray:
     """Indicator per block: does any standardized excess exceed 1 - t?"""
-    return (np.asarray(blocks).max(axis=1) > 1.0 - t).astype(float)
+    return (np.asarray(blocks).max(axis=1) > 1.0 - _real(t, "t", 0, 1, "(]")).astype(float)
 
 
 def g_count(blocks: np.ndarray, t: float) -> np.ndarray:
     """Count per block of standardized excesses strictly above 1 - t."""
-    return np.count_nonzero(np.asarray(blocks) > 1.0 - t, axis=1).astype(float)
+    above = np.asarray(blocks) > 1.0 - _real(t, "t", 0, 1, "(]")
+    return np.count_nonzero(above, axis=1).astype(float)
 
 
 def _sample_counts(xs: np.ndarray, r: int, budgets: np.ndarray) -> tuple:
@@ -278,11 +279,10 @@ class MCGrid(_Kernel):
 
     def __init__(self, grid, c_mat, cg_mat, cfg_mat, theta: float):
         self.grid = check_grid(grid)
-        named = {"c_mat": c_mat, "cg_mat": cg_mat, "cfg_mat": cfg_mat, "theta": theta}
-        for what, value in named.items():
+        for what, value in {"c_mat": c_mat, "cg_mat": cg_mat, "cfg_mat": cfg_mat}.items():
             if not np.isfinite(value).all():
                 raise ValueError(f"{what} must be finite; found NaN or inf")
-        self.theta = theta
+        self.theta = _real(theta, "theta")
         self._ext = np.concatenate([[0.0], self.grid])
         self._c, self._cg, self._cfg = map(self._pad, (c_mat, cg_mat, cfg_mat))
 
@@ -404,8 +404,7 @@ def tail_chain_probabilities(
     model marginal, from the known-marginal excesses of ``_excess``; windows
     running past a path's end are discarded.
     """
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"v must lie in (0, 1), got {v}")
+    v = _real(v, "v", 0, 1)
     replicates = _whole(replicates, "replicates")
     n = _whole(n, "n")
     K = _whole(K, "K", low=2, high=n)

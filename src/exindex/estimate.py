@@ -126,7 +126,7 @@ def count_at(k: int, t):
     _reject_non_reals(t, "t")
     ts = np.asarray(t, dtype=float)
     if not np.all((ts > 0.0) & np.isfinite(ts)):
-        raise ValueError(f"t must be positive and finite, got {t}")
+        raise ValueError(f"t must lie in (0, inf), got {t}")
     prod = k * ts
     nearest = np.rint(prod)
     exact = np.abs(prod - nearest) <= 1e-12 * np.maximum(1.0, np.abs(prod))
@@ -163,9 +163,30 @@ def _whole(value, what: str, low: int = 1, high: int = None) -> int:
     count = int(value)
     if high is None and count < low:
         raise ValueError(f"{what} must be at least {low}, got {count}")
+    if high is not None and high < low:  # every upper bound is set by a series length
+        raise ValueError(f"no {what} fits: it must be at least {low} and at most {high}, "
+                         f"so the series is too short, got {count}")
     if high is not None and not low <= count <= high:
         raise ValueError(f"{what} must lie in [{low}, {high}], got {count}")
     return count
+
+
+def _real(value, what: str, low: float = -np.inf, high: float = np.inf, ends: str = "()") -> float:
+    """``value`` as a float, once it passes the one rule for reals: a real number in an interval.
+
+    ``ends`` holds the brackets, so ``_real(t, "t", 0, 1, "(]")`` takes t in (0, 1] and the
+    default every finite number.  A boolean, NaN or non-number, or a value outside the interval,
+    raises ``ValueError`` naming ``what``; an int or numpy number gives its float.
+    """
+    # a float, np.float64 included, skips the slower type tests: most calls pass one
+    if not (isinstance(value, float) or isinstance(value, numbers.Real)
+            and not isinstance(value, (bool, np.bool_))) or value != value:
+        raise ValueError(f"{what} must be a real number, got {value}")
+    real = float(value)
+    if not ((low < real or low == real and ends[0] == "[")
+            and (real < high or real == high and ends[1] == "]")):
+        raise ValueError(f"{what} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {value}")
+    return real
 
 
 def _values(x) -> np.ndarray:
@@ -182,8 +203,7 @@ def blocks_fixed(x, r: int, u: float) -> float:
     xs = _values(x)
     n = len(xs)
     r = _whole(r, "r", high=n)
-    if np.isnan(u):
-        raise ValueError(f"u must not be NaN, got {u}")
+    u = _real(u, "u", -np.inf, np.inf, "[]")
     m = n // r
     covered = xs[: m * r]
     exceed = int(np.count_nonzero(covered > u))
@@ -203,8 +223,7 @@ def runs_estimator(x, run_length: int, u: float) -> float:
     xs = _values(x)
     n = len(xs)
     run_length = check_run_length(run_length, n)
-    if np.isnan(u):
-        raise ValueError(f"u must not be NaN, got {u}")
+    u = _real(u, "u", -np.inf, np.inf, "[]")
     exc = xs > u
     stop = n - run_length
     denom = int(np.count_nonzero(exc[:stop]))
@@ -498,18 +517,14 @@ class BlocksEvaluator:
         return float(values[0, 0])
 
     def __call__(self, t: float) -> float:
-        k_t = count_at(self.k, t)
-        if t > 1.0:
-            raise ValueError(f"t must lie in (0, 1], got {t}")
-        return self.at_count(k_t)
+        return self.at_count(count_at(self.k, _real(t, "t", 0, 1, "(]")))
 
 
 def blocks_true_quantile(x, cfg: EstimatorConfig, t: float, marginal_quantile) -> float:
     """Blocks estimate with the threshold at the known marginal (1 - v*t)-quantile."""
     xs = _values(x)
     cfg.validate_for(len(xs))
-    if not 0.0 < t <= 1.0:  # NaN too
-        raise ValueError(f"t must lie in (0, 1], got {t}")
+    t = _real(t, "t", 0, 1, "(]")
     u = float(marginal_quantile(1.0 - cfg.v(len(xs)) * t))
     return blocks_fixed(xs, cfg.r, u)
 

@@ -40,7 +40,7 @@ from .biascorrect import (
     two_atom_measure,
 )
 from .errors import MeasureConditionError
-from .estimate import CODE_NAMES, CurveKernel, _whole, check_grid, check_run_length
+from .estimate import CODE_NAMES, CurveKernel, _real, _whole, check_grid, check_run_length
 # perfbench/layers.py traces these bindings
 from .biascorrect import corrected_curve  # noqa: F401
 from .estimate import runs_estimator, sweep  # noqa: F401
@@ -297,8 +297,7 @@ class ExperimentConfig:
             if len(set(whole)) < len(whole):
                 raise ValueError(f"{key} must not repeat a value, got {whole}")
             object.__setattr__(self, key, whole)
-        if not 0 < self.delta < np.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        object.__setattr__(self, "delta", _real(self.delta, "delta", 0))
         failed = self.measure and check_conditions(self.measure, (self.delta,)).violations()
         if failed:
             code = failed[0]

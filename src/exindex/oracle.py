@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import _whole
+from .estimate import _real, _whole
 
 __all__ = [
     "BiasExpansion",
@@ -56,27 +56,25 @@ class BiasExpansion:
     note: str = ""
 
     def __post_init__(self):
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        object.__setattr__(self, "theta", _real(self.theta, "theta", 0, 1, "(]"))
+        object.__setattr__(self, "delta", _real(self.delta, "delta", 0))
 
     def curve(self, t):
         return self.theta_n + self.c_n * np.asarray(t, dtype=float) ** self.delta
 
 
-def _check_wn_args(psi: float, r: int, v: float, t: float) -> int:
-    if not 0.0 <= psi < 1.0:
-        raise ValueError(f"psi must lie in [0, 1), got {psi}")
-    r = _whole(r, "r")
-    if not 0.0 < v * t < 1.0:
+def _check_wn_args(psi: float, r: int, v: float, t: float) -> tuple:
+    """``(psi, r, v, t)`` as floats and an int, once each passes its rule and v*t lies below 1."""
+    psi, r = _real(psi, "psi", 0, 1, "[)"), _whole(r, "r")
+    v, t = _real(v, "v", 0, 1), _real(t, "t", 0)
+    if not v * t < 1.0:
         raise ValueError(f"v*t must lie in (0, 1), got {v * t}")
-    return r
+    return psi, r, v, t
 
 
 def theta_nt_wn(psi: float, r: int, v: float, t: float) -> float:
     """Exact mean curve of the blocks estimator under random repetition."""
-    r = _check_wn_args(psi, r, v, t)
+    psi, r, v, t = _check_wn_args(psi, r, v, t)
     theta = 1.0 - psi
     vt = v * t
     return (1.0 - (1.0 - vt) * (1.0 - theta * vt) ** (r - 1)) / (r * vt)
@@ -84,7 +82,7 @@ def theta_nt_wn(psi: float, r: int, v: float, t: float) -> float:
 
 def bias_expansion_wn(psi: float, r: int, v: float) -> BiasExpansion:
     """Leading curve model under random repetition: linear in t (delta = 1)."""
-    r = _check_wn_args(psi, r, v, 1.0)
+    psi, r, v, _ = _check_wn_args(psi, r, v, 1.0)
     theta = 1.0 - psi
     return BiasExpansion(
         theta=theta,
@@ -130,6 +128,7 @@ def mm_block_nonexceed(spec, r: int, u: float) -> float:
     Innovations with no applicable coefficient (or only zero ones) contribute
     factor 1.  The factors F_Z(u / psi*_m) are multiplied in the order of m.
     """
+    u = _real(u, "u", -np.inf, np.inf, "[]")
     fz = spec.innovation.cdf
     prob = 1.0
     for best in _block_coefficients(spec, r):
@@ -152,7 +151,7 @@ def theta_nt_mm_exact(spec, r: int, v: float, t):
     block length multiplies its columns into a ones array in the order of m:
     the IEEE products of ``mm_block_nonexceed``, element by element.
     """
-    vt = v * np.asarray(t, dtype=float)
+    vt = _real(v, "v", 0, 1) * np.asarray(t, dtype=float)
     if not np.all((0.0 < vt) & (vt < 1.0)):
         raise ValueError(f"v*t must lie in (0, 1), got {vt}")
     lengths = np.ravel(r).tolist()
@@ -197,9 +196,7 @@ class MMExpansionReport:
 
 def bias_expansion_mm(spec, r: int, v: float) -> MMExpansionReport:
     """Leading curve models for the moving-maxima blocks estimator."""
-    r = _whole(r, "r")
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"v must lie in (0, 1), got {v}")
+    r, v = _whole(r, "r"), _real(v, "v", 0, 1)
     s1 = sum(c ** spec.beta1 for c in spec.coeffs)
     s2 = sum(c ** (spec.beta1 + spec.beta2) for c in spec.coeffs)
     theta = 1.0 / s1

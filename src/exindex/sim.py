@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .estimate import _whole
+from .estimate import _real, _whole
 
 __all__ = [
     "StandardCauchy",
@@ -144,8 +144,7 @@ class UnitPareto(_ConfigForm):
     name = "pareto"
 
     def __post_init__(self):
-        if not (self.alpha > 0 and np.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha", 0))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -193,13 +192,8 @@ class SecondOrderPareto(_ConfigForm):
     name = "second_order_pareto"
 
     def __post_init__(self):
-        params = (self.beta1, self.beta2, self.c1, self.c2)
-        if not np.all(np.isfinite(params)):
-            raise ValueError(f"beta1, beta2, c1 and c2 must be finite, got {params}")
-        if not (self.beta1 > 0 and self.beta2 > 0):
-            raise ValueError("beta1 and beta2 must be positive")
-        if not self.c1 > 0:
-            raise ValueError("c1 must be positive")
+        for key, low in (("beta1", 0), ("beta2", 0), ("c1", 0), ("c2", -np.inf)):
+            object.__setattr__(self, key, _real(getattr(self, key), key, low))
         if self.c2 == 0:
             raise ValueError("c2 must be nonzero")
         object.__setattr__(self, "z_min", self._solve_support_start())
@@ -523,8 +517,7 @@ class AR1Cauchy(_ConfigForm):
     name = "ar1_cauchy"
 
     def __post_init__(self):
-        if not 0.0 < self.phi < 1.0:
-            raise ValueError(f"phi must lie in (0, 1), got {self.phi}")
+        object.__setattr__(self, "phi", _real(self.phi, "phi", 0, 1))
 
     @property
     def marginal(self):
@@ -597,8 +590,7 @@ class RandomRepetition(_Repetition):
     name = "wn"
 
     def __post_init__(self):
-        if not 0.0 <= self.psi < 1.0:
-            raise ValueError(f"psi must lie in [0, 1), got {self.psi}")
+        object.__setattr__(self, "psi", _real(self.psi, "psi", 0, 1, "[)"))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         z = self.innovation.sample(rng, size + 1)  # Z_0 .. Z_size
@@ -630,20 +622,16 @@ class MovingMaxima(_ConfigForm):
     name = "mm"
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(_real(c, "coeffs entry", 0, np.inf, "[)") for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) == 0:
             raise ValueError("coeffs must be nonempty")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError(f"coeffs must be finite, got {coeffs}")
-        if any(c < 0 for c in coeffs):
-            raise ValueError("coeffs must be nonnegative")
         if abs(max(coeffs) - 1.0) > 1e-12:
             raise ValueError("coeffs must be normalized so max_j psi_j = 1")
-        # validates the tail parameters
-        object.__setattr__(
-            self, "innovation", SecondOrderPareto(self.beta1, self.beta2, self.c1, self.c2)
-        )
+        innovation = SecondOrderPareto(self.beta1, self.beta2, self.c1, self.c2)
+        for key in ("beta1", "beta2", "c1", "c2"):  # as the innovation checked and stored them
+            object.__setattr__(self, key, getattr(innovation, key))
+        object.__setattr__(self, "innovation", innovation)
 
     @property
     def q(self) -> int:

@@ -88,15 +88,20 @@ def test_measure_names_an_atom_that_is_not_three_numbers(atom):
 
 @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
 def test_measure_rejects_a_non_finite_weight_naming_its_atom(weight):
-    message = rf"weights must be finite, got atom \(0.5, 0.25, {weight}\)"
+    rule = "be a real number" if np.isnan(weight) else r"lie in \(-inf, inf\)"
+    message = rf"^atom 1 weight must {rule}, got {weight}$"
     with pytest.raises(ValueError, match=message):
         ex.SignedMeasureAtoms(((0.25, 0.5, 1.0), (0.5, 0.25, weight)))
 
 
 @pytest.mark.parametrize("kappa", [np.inf, 1e4])
 def test_product_measure_rejects_a_kappa_that_leaves_no_mass(kappa):
-    # t^kappa underflows to 0 at every midpoint, so the normalized masses would be 0/0
-    with pytest.raises(ValueError, match=f"kappa={kappa} underflows every midpoint mass"):
+    # t^kappa underflows to 0 at every midpoint, so the normalized masses would be 0/0;
+    # an infinite kappa is outside the real-number rule's interval
+    message = f"kappa={kappa} underflows every midpoint mass"
+    if kappa == np.inf:
+        message = r"^kappa must lie in \(0, inf\), got inf$"
+    with pytest.raises(ValueError, match=message):
         ex.product_measure(kappa, 2.0, 1.5, 2)
 
 
@@ -400,8 +405,9 @@ def test_sigma2_zero_normalizer_raises():
         ex.sigma2_mu(mu, 1.0, ex.ClosedFormIID())
     assert err.value.code == "M2_VIOLATION"
     # delta = inf once returned a number (0.8505 on an AR(1) Monte Carlo kernel)
-    for delta in (0.0, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match=f"delta must be positive and finite, got {delta}"):
+    for delta, rule in ((0.0, r"lie in \(0, inf\)"), (float("inf"), r"lie in \(0, inf\)"),
+                        (float("nan"), "be a real number")):
+        with pytest.raises(ValueError, match=f"^delta must {rule}, got {delta}$"):
             ex.sigma2_mu(ex.two_atom_measure(0.5, 1.0, 2.0), delta, ex.ClosedFormIID())
 
 
@@ -419,6 +425,17 @@ def test_measure_csv_roundtrip(tmp_path):
     short.write_text("s,t,w\n0.25,1,1\n0.5,1\n")
     with pytest.raises(ValueError, match=rf"{short} line 3: expected s,t,w, got \['0.5', '1'\]"):
         ex.read_measure_csv(short)
+
+
+@pytest.mark.parametrize("row, field", [("abc,0.5,-1", "s"), ("0.25,1,", "w"), ("0.5, x ,1", "t")])
+def test_measure_csv_with_a_non_numeric_field_names_the_file_line_and_field(tmp_path, row, field):
+    # it raised float()'s bare "could not convert string to float: 'abc'"
+    path = tmp_path / "mu.csv"
+    path.write_text(f"s,t,w\n0.25,1,1\n{row}\n")
+    value = dict(zip("stw", row.split(",")))[field]
+    message = rf"^{re.escape(str(path))} line 3: field {field} must be a number, got {value!r}$"
+    with pytest.raises(ValueError, match=message):
+        ex.read_measure_csv(path)
 
 
 def test_bias_model_curve():

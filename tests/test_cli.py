@@ -123,9 +123,8 @@ def test_check_measure_rejects_a_bad_probe_delta(delta, capsys):
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"INVALID_ARGUMENT: delta probes must be positive and finite, got {float(delta)}\n"
-    )
+    rule = "be a real number" if delta == "nan" else "lie in (0, inf)"
+    assert captured.err == f"INVALID_ARGUMENT: delta probe must {rule}, got {float(delta)}\n"
 
 
 def test_check_measure_single_atom_fails_m1(tmp_path, capsys):
@@ -594,7 +593,8 @@ def test_kernel_tail_v_outside_unit_interval_exit_1(capsys):
         assert rc == 1, v
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("INVALID_ARGUMENT: v must lie in (0, 1), got"), v
+        rule = "be a real number" if v == "nan" else "lie in (0, 1)"
+        assert captured.err == f"INVALID_ARGUMENT: v must {rule}, got {float(v)}\n", v
 
 
 def test_kernel_levels_outside_unit_interval_exit_1_for_every_method(monkeypatch, capsys):
@@ -632,9 +632,9 @@ def test_mc_bad_model_parameters_and_missing_keys_exit_1(tmp_path, capsys):
     mm = {"name": "mm", "coeffs": [float("nan"), 1.0], "beta1": 2.0, "beta2": 1.0, "c1": 1.0,
           "c2": 0.5}
     cases = [
-        ({**base, "model": mm}, "INVALID_ARGUMENT: coeffs must be finite"),
+        ({**base, "model": mm}, "INVALID_ARGUMENT: coeffs entry must be a real number, got nan\n"),
         ({**base, "model": {**mm, "coeffs": [1.0], "c2": float("nan")}},
-         "INVALID_ARGUMENT: beta1, beta2, c1 and c2 must be finite"),
+         "INVALID_ARGUMENT: c2 must be a real number, got nan\n"),
         ({**base, "model": {"name": "wn"}}, "INVALID_ARGUMENT: missing key 'psi' in model\n"),
         ({"model": {"name": "iid"}, "n": 200, "r_list": [5]},
          "INVALID_ARGUMENT: missing key 'k' in config\n"),
@@ -1095,8 +1095,19 @@ def test_measure_csv_with_a_non_finite_weight_exits_1(series_file, tmp_path, wei
         assert dispatch(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        rule = "be a real number" if weight == "nan" else "lie in (-inf, inf)"
+        assert captured.err == f"INVALID_ARGUMENT: atom 1 weight must {rule}, got {weight}\n"
+
+
+def test_measure_csv_with_a_non_numeric_field_exits_1(series_file, tmp_path, capsys):
+    path = tmp_path / "mu.csv"
+    path.write_text("s,t,w\n0.25,1,1\nabc,0.5,-1\n")
+    for argv in _measure_commands(series_file, str(path)):
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
         assert captured.err == (
-            f"INVALID_ARGUMENT: atom weights must be finite, got atom (0.5, 0.5, {weight})\n"
+            f"INVALID_ARGUMENT: {path} line 3: field s must be a number, got 'abc'\n"
         )
 
 
@@ -1116,26 +1127,24 @@ def test_measure_csv_with_a_short_row_exits_1(series_file, tmp_path, capsys):
 def test_product_flag_that_leaves_no_mass_exits_1(series_file, capsys):
     argv = ["correct", "--series", series_file, "--r", "3", "--k", "4", "--product", "inf,2,1.5,2"]
     assert dispatch(argv) == 1
-    assert capsys.readouterr().err == (
-        "INVALID_ARGUMENT: kappa=inf underflows every midpoint mass t^kappa to 0 (m=2)\n"
-    )
+    assert capsys.readouterr().err == "INVALID_ARGUMENT: kappa must lie in (0, inf), got inf\n"
 
 
 @pytest.mark.parametrize(
     "measure, err",
     [
         ({"atoms": [[0.25, 1.0, float("nan")], [0.5, 0.5, -1.0]]},
-         "INVALID_ARGUMENT: atom weights must be finite, got atom (0.25, 1.0, nan)\n"),
+         "INVALID_ARGUMENT: atom 0 weight must be a real number, got nan\n"),
         ({"atoms": [[0.25, 1.0, 1.0], [0.5, 0.5, float("-inf")]]},
-         "INVALID_ARGUMENT: atom weights must be finite, got atom (0.5, 0.5, -inf)\n"),
+         "INVALID_ARGUMENT: atom 1 weight must lie in (-inf, inf), got -inf\n"),
         ({"kind": "product", "kappa": float("inf"), "a": 2.0, "b": 1.5, "m": 2},
-         "INVALID_ARGUMENT: kappa=inf underflows every midpoint mass t^kappa to 0 (m=2)\n"),
+         "INVALID_ARGUMENT: kappa must lie in (0, inf), got inf\n"),
         ({"atoms": [[0.25, 1.0, 1.0], [0.5, 1.0, -1.0]]},
          "M1_VIOLATION: measure fails M1_VIOLATION at delta=1.0\n"),
         ({"atoms": [[0.5, 1.0, 1.0], [1.0, 0.5, -1.0]], "delta": 2.0},
          "M2_VIOLATION: measure fails M2_VIOLATION at delta=2.0\n"),
         ({"kind": "two_atom", "p": 0.5, "q": 1.0, "a": 2.0, "delta": float("inf")},
-         "INVALID_ARGUMENT: delta must be positive and finite, got inf\n"),
+         "INVALID_ARGUMENT: delta must lie in (0, inf), got inf\n"),
         ({"kind": "two_atom", "atoms": [[0.25, 1, 1], [0.5, 0.5, -1]], "atom_count": 7},
          "INVALID_ARGUMENT: measure key 'atom_count' is 7, but the atoms give 2\n"),
         ({"atoms": [[0.25, 1, 1], [0.5, 0.5, -1]], "total_variation": -3},
@@ -1227,4 +1236,4 @@ def test_model_flags_are_the_constructor_fields_of_every_model_and_law(command):
 def test_a_nan_threshold_is_an_invalid_argument(series_file, command, capsys):
     # it was reported as NO_EXCEEDANCES, a result of the data, not of the input
     assert dispatch([command[0], "--series", series_file, *command[1:], "--u", "nan"]) == 1
-    assert capsys.readouterr().err == "INVALID_ARGUMENT: u must not be NaN, got nan\n"
+    assert capsys.readouterr().err == "INVALID_ARGUMENT: u must be a real number, got nan\n"

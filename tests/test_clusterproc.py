@@ -173,9 +173,11 @@ def test_tail_chain_rejects_bad_v_and_replicates_before_simulating(monkeypatch):
     # a v outside (0, 1) once printed a kernel (v = 1.5, -0.1) or divided by zero (v = 0)
     seeds = recording_generate(monkeypatch)
     model = ex.AR1Cauchy(phi=0.6)
-    for v in (0.0, 1.0, 1.5, -0.1, float("nan")):
-        with pytest.raises(ValueError, match=r"v must lie in \(0, 1\), got"):
+    for v in (0.0, 1.0, 1.5, -0.1):
+        with pytest.raises(ValueError, match=rf"^v must lie in \(0, 1\), got {v}$"):
             ex.tail_chain_probabilities(model, v=v, replicates=2, n=1000)
+    with pytest.raises(ValueError, match="^v must be a real number, got nan$"):
+        ex.tail_chain_probabilities(model, v=float("nan"), replicates=2, n=1000)
     for replicates in (0, -1):
         with pytest.raises(ValueError, match=f"^replicates must be at least 1, got {replicates}$"):
             ex.tail_chain_probabilities(model, v=0.1, replicates=replicates, n=1000)
@@ -548,6 +550,7 @@ def test_mc_grid_rejects_non_finite_matrices_and_theta():
             mats[i] = np.array([[1.0, bad], [bad, 1.0]])
             with pytest.raises(ValueError, match=f"^{name} must be finite; found NaN or inf$"):
                 ex.MCGrid(grid, *mats, 1.0)
-        with pytest.raises(ValueError, match="^theta must be finite; found NaN or inf$"):
+        rule = "be a real number" if np.isnan(bad) else r"lie in \(-inf, inf\)"
+        with pytest.raises(ValueError, match=f"^theta must {rule}, got {bad}$"):
             ex.MCGrid(grid, good, good, good, bad)
     assert ex.MCGrid(grid, good, good, good, 1.0).c(0.5, 1.0) == 0.0

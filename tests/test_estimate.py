@@ -1,5 +1,6 @@
 """Blocks and runs estimators, threshold sweeps, and their counting rules."""
 
+import json
 import re
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import exindex as ex
+from exindex.estimate import check_run_length
 
 X6 = np.array([5.0, 1.0, 4.0, 2.0, 3.0, 6.0])
 
@@ -111,9 +113,9 @@ def test_count_at_interior_points():
         ex.count_at(3, 0.0)
     # an infinite level has no budget: it is rejected, not cast to -2**63
     for t in (np.inf, [0.5, np.inf], np.nan):
-        with pytest.raises(ValueError, match="^t must be positive and finite"):
+        with pytest.raises(ValueError, match=r"^t must lie in \(0, inf\), got"):
             ex.count_at(10, t)
-    with pytest.raises(ValueError, match="^t must be positive and finite, got inf$"):
+    with pytest.raises(ValueError, match=r"^t must lie in \(0, 1\], got inf$"):
         ex.BlocksEvaluator(np.arange(100.0), 5, 50)(np.inf)
 
 
@@ -191,7 +193,7 @@ def test_boolean_levels_are_rejected():
     with pytest.raises(ValueError, match="^t_grid must not be boolean"):
         ex.check_grid([True], "t_grid")
     for t in (True, np.True_):
-        with pytest.raises(ValueError, match="^t must not be boolean"):
+        with pytest.raises(ValueError, match=f"^t must be a real number, got {t}$"):
             ex.BlocksEvaluator(x, 10, 100)(t)
     # numbers still pass, the numpy scalar types among them
     assert ex.count_at(100, np.float64(0.5)) == ex.count_at(100, 0.5) == 50
@@ -209,7 +211,7 @@ def test_levels_must_be_real_numbers():
         with pytest.raises(ValueError, match="^t must hold real numbers only, got"):
             ex.count_at(10, t)
     for t in ("0.5", 0.5 + 0j, None):
-        with pytest.raises(ValueError, match="^t must hold real numbers only, got"):
+        with pytest.raises(ValueError, match="^t must be a real number, got"):
             ex.BlocksEvaluator(x, 10, 100)(t)
     bad_grids = (["0.5", "1"], np.array(["0.5", "1"]), [0.5, "1"], [[0.5], [0.5, 1.0]],
                  np.array([0.5, 1.0], dtype=complex), (0.5, None))
@@ -399,10 +401,10 @@ def test_a_nan_threshold_is_bad_input():
         lambda: ex.blocks_true_quantile(x, ex.EstimatorConfig(r=10, k=100), 0.5, lambda p: np.nan),
     )
     for call in calls:
-        with pytest.raises(ValueError, match="^u must not be NaN, got nan$"):
+        with pytest.raises(ValueError, match="^u must be a real number, got nan$"):
             call()
     # a NaN level is named as the level, not as the NaN threshold it gives
-    with pytest.raises(ValueError, match=r"^t must lie in \(0, 1\], got nan$"):
+    with pytest.raises(ValueError, match=r"^t must be a real number, got nan$"):
         ex.blocks_true_quantile(x, ex.EstimatorConfig(r=10, k=100), np.nan, lambda p: p)
     # an infinite threshold is a threshold nothing exceeds, as before
     with pytest.raises(ex.NoExceedances):
@@ -492,3 +494,131 @@ def test_integral_counts_give_the_bits_of_the_int():
         for key in ("n", "k", "replicates", "base_seed"):
             assert type(getattr(exp, key)) is int, key
         assert exp.r_list == exp.run_lengths == (10,) and type(exp.r_list[0]) is int
+
+
+def test_an_empty_count_range_says_the_series_is_too_short():
+    # it said "k must lie in [1, 0], got 1", a range no count fits
+    calls = (
+        (lambda: ex.EstimatorConfig(r=1, k=1).validate_for(1), "k"),
+        (lambda: ex.sweep(np.array([1.0]), ex.EstimatorConfig(r=1, k=1)), "k"),
+        (lambda: check_run_length(1, 1), "run_length"),
+    )
+    for call, name in calls:
+        rule = "it must be at least 1 and at most 0, so the series is too short"
+        with pytest.raises(ValueError, match=f"^no {name} fits: {rule}, got 1$"):
+            call()
+
+
+def _real_entry_points():
+    """(call of one real argument, the name its error gives, values outside its interval)."""
+    x = ex.generate(ex.AR1Cauchy(phi=0.6), 1000, 0)
+    wn = ex.RandomRepetition(psi=0.5, innovation=ex.Uniform01())
+    mm = ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=0.5)
+    mu = ex.two_atom_measure(0.5, 1.0, 2.0)
+    cfg = ex.EstimatorConfig(r=10, k=100)
+    base = dict(model=wn, n=1000, r_list=(5,), k=50, t_grid=(0.5, 1.0), measure=mu)
+    # the outside values, by the finite ends an interval excludes
+    inf = np.inf
+    zero, unit, one, none = (0, -inf, inf), (0, 1, -inf, inf), (1, -inf, inf), (-inf, inf)
+    return [
+        (lambda v: ex.UnitPareto(alpha=v), "alpha", zero),
+        (lambda v: ex.SecondOrderPareto(v, 1, 1, 0.5), "beta1", zero),
+        (lambda v: ex.SecondOrderPareto(2, v, 1, 0.5), "beta2", zero),
+        (lambda v: ex.SecondOrderPareto(2, 1, v, 0.5), "c1", zero),
+        (lambda v: ex.SecondOrderPareto(2, 1, 1, v), "c2", none),
+        (lambda v: ex.AR1Cauchy(phi=v), "phi", unit),
+        (lambda v: ex.RandomRepetition(psi=v, innovation=ex.Uniform01()), "psi", one),
+        (lambda v: ex.MovingMaxima((1.0, v), 2, 1, 1, 0.5), "coeffs entry", none),
+        (lambda v: ex.MovingMaxima((1.0, 0.5), v, 1, 1, 0.5), "beta1", zero),
+        (lambda v: ex.SignedMeasureAtoms(((v, 0.5, 1.0),)), "atom 0 s", zero),
+        (lambda v: ex.SignedMeasureAtoms(((0.5, 0.5, 1.0), (0.5, v, -1.0))), "atom 1 t", zero),
+        (lambda v: ex.SignedMeasureAtoms(((0.5, 0.5, v),)), "atom 0 weight", none),
+        (lambda v: ex.two_atom_measure(v, 1.0, 2.0), "p", zero),
+        (lambda v: ex.two_atom_measure(0.5, v, 2.0), "q", zero),
+        (lambda v: ex.two_atom_measure(0.5, 1.0, v), "a", one),
+        (lambda v: ex.product_measure(v, 2.0, 1.5, 2), "kappa", zero),
+        (lambda v: ex.product_measure(1.0, v, 1.5, 2), "a", one),
+        (lambda v: ex.product_measure(1.0, 2.0, v, 2), "b", one),
+        (lambda v: ex.check_conditions(mu, [v]), "delta probe", zero),
+        (lambda v: ex.scale_measure(mu, v), "t0", zero),
+        (lambda v: ex.sigma2_mu(mu, v, ex.ClosedFormIID()), "delta", zero),
+        (lambda v: ex.blocks_fixed(x, 5, v), "u", ()),
+        (lambda v: ex.runs_estimator(x, 5, v), "u", ()),
+        (ex.BlocksEvaluator(x, 10, 100), "t", zero),
+        (lambda v: ex.blocks_true_quantile(x, cfg, v, ex.Uniform01().quantile), "t", zero),
+        (lambda v: ex.standardize(x, v, 5), "v", unit),
+        (lambda v: ex.tail_chain_probabilities(wn, v, n=1000), "v", unit),
+        (lambda v: ex.f_max(np.ones((2, 5)), v), "t", zero),
+        (lambda v: ex.g_count(np.ones((2, 5)), v), "t", zero),
+        (lambda v: ex.BiasExpansion(theta=v, theta_n=0.5, c_n=0.1, delta=1.0), "theta", zero),
+        (lambda v: ex.BiasExpansion(theta=0.5, theta_n=0.5, c_n=0.1, delta=v), "delta", zero),
+        (lambda v: ex.theta_nt_wn(v, 5, 0.1, 1.0), "psi", one),
+        (lambda v: ex.theta_nt_wn(0.5, 5, v, 1.0), "v", unit),
+        (lambda v: ex.theta_nt_wn(0.5, 5, 0.1, v), "t", zero),
+        (lambda v: ex.bias_expansion_wn(0.5, 5, v), "v", unit),
+        (lambda v: ex.bias_expansion_mm(mm, 5, v), "v", unit),
+        (lambda v: ex.theta_nt_mm_exact(mm, 5, v, 0.5), "v", unit),
+        (lambda v: ex.mm_block_nonexceed(mm, 5, v), "u", ()),
+        (lambda v: ex.ExperimentConfig(**base, delta=v), "delta", zero),
+    ]
+
+
+def test_every_real_parameter_follows_one_rule():
+    # booleans read as 1 or 0 (UnitPareto(alpha=True) was the law with alpha = 1),
+    # and strings raised operator or numpy TypeErrors that carried no code
+    for call, name, outside in _real_entry_points():
+        for value in (True, np.True_, "0.5", None, np.nan, *outside):
+            with pytest.raises(ValueError) as err:
+                call(value)
+            message = str(err.value)
+            assert message.startswith(f"{name} must "), (name, value, message)
+            assert message.endswith(f", got {value}"), (name, value, message)
+
+
+def test_integral_reals_give_the_bits_of_the_float():
+    x = ex.generate(ex.AR1Cauchy(phi=0.6), 1000, 0)
+    cfg = ex.EstimatorConfig(r=10, k=100)
+
+    def bits(real):
+        """Paths, atoms, curves and oracle values, each real parameter given as ``real(value)``."""
+        one, half, two, tenth = real(1.0), real(0.5), real(2.0), real(0.1)
+        mm = ex.MovingMaxima(coeffs=(one, half), beta1=two, beta2=one, c1=one, c2=half)
+        models = (
+            ex.IID(innovation=ex.UnitPareto(alpha=two)),
+            ex.IID(innovation=ex.SecondOrderPareto(two, one, one, half)),
+            ex.AR1Cauchy(phi=half),
+            ex.RandomRepetition(psi=real(0.0), innovation=ex.Uniform01()),
+            ex.RandomRepetition(psi=half, innovation=ex.Uniform01()),
+            mm,
+        )
+        mu = ex.two_atom_measure(half, one, two)
+        measures = (
+            mu, ex.product_measure(one, two, real(1.5), 2), ex.scale_measure(mu, half),
+            ex.SignedMeasureAtoms(((half, one, one), (one, half, real(-1.0)))),
+        )
+        kernel = ex.MCGrid([0.25, 0.5, 1.0], np.eye(3) + 1, np.eye(3), np.eye(3), 0.5)
+        config = ex.ExperimentConfig(model=models[3], n=1000, r_list=(5,), k=50,
+                                     t_grid=(0.5, 1.0), measure=mu, delta=one)
+        evaluator = ex.BlocksEvaluator(x, 10, 100)
+        return [
+            *(repr(model) for model in models),
+            *(ex.generate(model, 200, 0).values.tobytes() for model in models),
+            *(repr(measure.atoms) for measure in measures),
+            repr(ex.check_conditions(mu, [one, two])),
+            ex.sigma2_mu(mu, one, kernel).hex(),
+            ex.corrected_curve(x, cfg, mu, [0.5, 1.0]).theta_hat.tobytes(),
+            ex.blocks_fixed(x, 5, one).hex(), ex.runs_estimator(x, 5, one).hex(),
+            evaluator(half).hex(), evaluator(one).hex(),
+            ex.blocks_true_quantile(x, cfg, one, ex.AR1Cauchy(phi=0.6).marginal.quantile).hex(),
+            ex.standardize(x, tenth, 5).tobytes(),
+            repr(ex.BiasExpansion(theta=one, theta_n=1.0, c_n=0.0, delta=one)),
+            ex.theta_nt_wn(real(0.0), 5, tenth, one).hex(), ex.theta_nt_wn(half, 5, tenth, half).hex(),
+            repr(ex.bias_expansion_wn(half, 5, tenth)), repr(ex.bias_expansion_mm(mm, 5, tenth)),
+            ex.theta_nt_mm_exact(mm, 5, tenth, 0.5).hex(), ex.mm_block_nonexceed(mm, 5, two).hex(),
+            repr(config), json.dumps(config.to_dict()),
+        ]
+
+    expected = bits(float)
+    for real in (lambda v: int(v) if v.is_integer() else v,
+                 lambda v: np.int64(v) if v.is_integer() else np.float64(v), np.float64):
+        assert bits(real) == expected

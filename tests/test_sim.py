@@ -580,7 +580,7 @@ def test_scipy_signal_imports_after_the_ar1_filter_loaded_alone():
     ids=["mm_coeff_nan", "mm_c2_nan", "c1_inf", "beta1_inf", "pareto_alpha_inf"],
 )
 def test_non_finite_parameters_are_rejected(build):
-    with pytest.raises(ValueError, match="must be .*finite"):
+    with pytest.raises(ValueError, match=r" must (be a real number|lie in \(0, inf\)), got (nan|inf)$"):
         build()
 
 
