@@ -241,7 +241,7 @@ class TailChainSeries(_Kernel):
         self.windows = np.asarray(windows, dtype=float)
         if self.windows.ndim != 2 or self.windows.shape[0] < 50:
             raise ValueError("need at least 50 collected windows")
-        self.theta = theta
+        self.theta = _real(theta, "theta")
 
     def matrices(self, s, t) -> tuple:
         levels, index = np.unique(np.concatenate([s, t]), return_inverse=True)

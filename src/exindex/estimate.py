@@ -157,10 +157,13 @@ def _whole(value, what: str, low: int = 1, high: int = None) -> int:
     ``high`` None sets no upper bound.  A boolean, fraction, NaN, inf or non-number, or a count
     out of range, raises ``ValueError`` naming ``what``; an integral float gives its int.
     """
-    real = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
-    if not (real and (isinstance(value, numbers.Integral) or float(value).is_integer())):
-        raise ValueError(f"{what} must be a whole number, got {value}")
-    count = int(value)
+    if type(value) is int:  # the usual count skips the slower abstract-type tests
+        count = value
+    else:
+        real = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+        if not (real and (isinstance(value, numbers.Integral) or float(value).is_integer())):
+            raise ValueError(f"{what} must be a whole number, got {value}")
+        count = int(value)
     if high is None and count < low:
         raise ValueError(f"{what} must be at least {low}, got {count}")
     if high is not None and high < low:  # every upper bound is set by a series length
@@ -248,15 +251,22 @@ def _runs_curves(values, above, run_lengths, thresholds) -> np.ndarray:
     lies below), and M_i is built at those positions alone, for every L
     from one running maximum: each offset j = 1..max L is gathered once, at
     the positions with i + j < n, and each L takes its minima as the maximum
-    passes it.  Both counts of an L come from one binary search per
-    threshold on a sorted array of its positions' values: the same integers
-    as over every position.  The caller checks each run length
+    passes it.  Every count comes from one binary search per threshold on a
+    sorted array: the same integers as over every position.  The values
+    X_i are sorted once; an L takes its denominator as their count above u
+    less that of the few positions i >= n - L at the end of ``index``, and
+    sorts its minima.  The caller checks each run length
     (``check_run_length``).
     """
     n = len(values)
     index = above[: np.searchsorted(above, n - min(run_lengths))]
     index = index[values[index] > thresholds.min()]
     starts = values[index]
+
+    def exceeding(sample):
+        return len(sample) - np.searchsorted(np.sort(sample), thresholds, side="right")
+
+    exceed = exceeding(starts)
     # ends[j]: the count of positions i < n - j, a prefix of ``index``
     ends = np.searchsorted(index, n - np.arange(max(run_lengths) + 1))
     after = values[index + 1]  # i < n - 1 throughout
@@ -264,11 +274,10 @@ def _runs_curves(values, above, run_lengths, thresholds) -> np.ndarray:
     for length in sorted(set(run_lengths)):
         for j in range(done + 1, length + 1):
             head = after[: ends[j]]
-            np.maximum(head, values[index[: ends[j]] + j], out=head)
+            np.maximum(head, values[j:][index[: ends[j]]], out=head)
         done, stop = length, ends[length]
-        both = np.minimum(starts[:stop], after[:stop])
-        denom = stop - np.searchsorted(np.sort(starts[:stop]), thresholds, side="right")
-        kept = stop - np.searchsorted(np.sort(both), thresholds, side="right")
+        denom = exceed - exceeding(starts[stop:])
+        kept = exceeding(np.minimum(starts[:stop], after[:stop]))
         curves[length] = np.full(len(thresholds), np.nan)
         np.divide(denom - kept, denom, out=curves[length], where=denom > 0)
     return np.array([curves[length] for length in run_lengths])

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import _real, _whole
+from .estimate import _real, _reject_non_reals, _whole
 
 __all__ = [
     "BiasExpansion",
@@ -151,6 +151,7 @@ def theta_nt_mm_exact(spec, r: int, v: float, t):
     block length multiplies its columns into a ones array in the order of m:
     the IEEE products of ``mm_block_nonexceed``, element by element.
     """
+    _reject_non_reals(t, "t")
     vt = _real(v, "v", 0, 1) * np.asarray(t, dtype=float)
     if not np.all((0.0 < vt) & (vt < 1.0)):
         raise ValueError(f"v*t must lie in (0, 1), got {vt}")

@@ -176,12 +176,13 @@ class SecondOrderPareto(_ConfigForm):
 
     ``quantile`` bisects the survival test of ``_tail_test``.  For c2 > 0 it
     starts each element's bracket at a Newton estimate of the quantile
-    (``_newton_start``), which ends the bisection after ~5 steps instead of
-    ~60 with the same bits: every operation of the test is then monotone in
-    z, so the test flips at one pair of adjacent floats, which any confirmed
-    bracket finds.  For c2 < 0 the float survival is not monotone just above
-    ``z_min``, so a narrow bracket could end on another flip; those laws keep
-    the wide bracket [z_min, max(2 * z_min, 2)].
+    (``_newton_start``), which ends the bisection after 2 confirmations and
+    4 halvings instead of ~60 steps, with the same bits: every operation of
+    the test is then monotone in z, so the test flips at one pair of
+    adjacent floats, which any confirmed bracket finds.  For c2 < 0 the
+    float survival is not monotone just above ``z_min``, so a narrow bracket
+    could end on another flip; those laws keep the wide bracket
+    [z_min, max(2 * z_min, 2)].
     """
 
     beta1: float
@@ -257,15 +258,18 @@ class SecondOrderPareto(_ConfigForm):
         )
 
     def _newton_start(self, p):
-        """``start`` for :func:`_bisect_quantile`: the quantile after 4 Newton steps.
+        """``start`` for :func:`_bisect_quantile`: the quantile after 3 Newton steps.
 
         With w = beta1 * log z, survival(z) = 1 - p reads f(w) = 0 for
         f(w) = a - w + log1p(c2 * exp(-r * w)), a = log(c1) - log1p(-p) and
         r = beta2 / beta1.  The steps start at w = a, the quantile of the
         Pareto part c1 * z^(-beta1).  For c2 > 0, f is convex and decreasing
-        with f(a) > 0, so they approach the root from below.  The result and
-        three scratch arrays are made once per call; the steps allocate
-        nothing.
+        with f(a) > 0, so they approach the root from below.  On the benchmark
+        law (2, 1, 1, 0.5) the third step lands at most 6 floats from the
+        quantile, over 20 001 uniform draws and over a grid of 20 001 levels
+        spanning (0, 1); a fourth step moves no draw closer than 6 floats, and
+        two steps leave it ~5e8 floats off.  The result and three scratch
+        arrays are made once per call; the steps allocate nothing.
         """
         r = self.beta2 / self.beta1
         a = np.negative(p)
@@ -274,7 +278,7 @@ class SecondOrderPareto(_ConfigForm):
         e = np.empty_like(p)
         f = np.empty_like(p)
         z = a.copy()
-        for _ in range(4):
+        for _ in range(3):
             np.multiply(-r, z, out=e)
             np.exp(e, out=e)
             np.multiply(self.c2, e, out=e)
@@ -315,16 +319,19 @@ class SecondOrderPareto(_ConfigForm):
 
     @staticmethod
     def _uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
-        """The levels ``sample`` inverts: ``size`` uniform draws, 0 raised to 2**-53."""
+        """The levels ``sample`` inverts: ``size`` uniform draws, 0 raised to 2**-53.
+
+        Every draw is a multiple of 2**-53, so the maximum changes zeros alone.
+        """
         u = rng.random(size)
-        u[u == 0.0] = 0.5**53  # keep p strictly inside (0, 1)
-        return u
+        return np.maximum(u, 0.5**53, out=u)  # keep p strictly inside (0, 1)
 
 
 # half-width in floats of a bracket around a ``start`` guess: the c2 > 0 Newton
-# start of the innovation lies within 8 floats of the quantile on the benchmark
-# law; that of the moving-maxima marginal lies up to 18 floats off there
-_ULPS = 16
+# start of the innovation lies within 6 floats of the quantile on the benchmark
+# law, so 2 confirmations and 4 halvings end its bisection; that of the
+# moving-maxima marginal lies up to 18 floats off there
+_ULPS = 8
 _MM_ULPS = 32
 
 
@@ -694,13 +701,19 @@ class MovingMaxima(_ConfigForm):
         return values
 
     def _combine(self, z: np.ndarray, size: int) -> np.ndarray:
-        """X_t = max_j psi_j * Z_{t-j} for t = 1..size, from z = (Z_{1-q}, ..., Z_size)."""
+        """X_t = max_j psi_j * Z_{t-j} for t = 1..size, from z = (Z_{1-q}, ..., Z_size).
+
+        The first positive coefficient's products are the path, and each later
+        one's are folded in through one scratch array, made only if there is
+        one: the bits of a maximum over a path filled with -inf.
+        """
         q = self.q
-        values, scaled = np.full(size, -np.inf), np.empty(size)
-        for j, coeff in enumerate(self.coeffs):
-            if coeff > 0:
-                np.maximum(values, np.multiply(coeff, z[q - j : q - j + size], out=scaled),
-                           out=values)
+        (j, coeff), *rest = [(j, c) for j, c in enumerate(self.coeffs) if c > 0]
+        values = np.multiply(coeff, z[q - j : q - j + size])
+        scaled = np.empty(size) if rest else None
+        for j, coeff in rest:
+            np.maximum(values, np.multiply(coeff, z[q - j : q - j + size], out=scaled),
+                       out=values)
         return values
 
 
@@ -943,8 +956,8 @@ class _MovingMaximaMarginal:
         flips at one pair of adjacent floats and a Newton start
         (``_newton_start``) keeps the bits of the wide bracket.  The start
         lands up to 18 floats off the flip point, so its bracket spans
-        ``_MM_ULPS`` floats either side, twice the innovation's.  c2 < 0 keeps
-        the wide bracket, as the innovation law does.
+        ``_MM_ULPS`` floats either side, four times the innovation's.  c2 < 0
+        keeps the wide bracket, as the innovation law does.
         """
         z_min = self.innovation.z_min
         start = self._newton_start if self.innovation.c2 > 0 else None

@@ -550,6 +550,7 @@ def _real_entry_points():
         (lambda v: ex.tail_chain_probabilities(wn, v, n=1000), "v", unit),
         (lambda v: ex.f_max(np.ones((2, 5)), v), "t", zero),
         (lambda v: ex.g_count(np.ones((2, 5)), v), "t", zero),
+        (lambda v: ex.TailChainSeries(np.ones((60, 3)), v), "theta", none),
         (lambda v: ex.BiasExpansion(theta=v, theta_n=0.5, c_n=0.1, delta=1.0), "theta", zero),
         (lambda v: ex.BiasExpansion(theta=0.5, theta_n=0.5, c_n=0.1, delta=v), "delta", zero),
         (lambda v: ex.theta_nt_wn(v, 5, 0.1, 1.0), "psi", one),

@@ -1,5 +1,7 @@
 """Finite-sample mean-curve targets and leading bias expansions."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,22 @@ def test_theta_nt_mm_consistency():
     prob = 1.0 - ex.mm_block_nonexceed(MM_SPEC, 50, u)
     assert val == pytest.approx(prob / (50 * 0.005), rel=1e-12)
     assert 0.0 < val <= 1.0
+
+
+def test_mm_oracle_rejects_boolean_and_string_levels():
+    # a boolean level was read as t = 1 and a string "0.5" as t = 0.5
+    for t in (True, np.True_, [0.5, True]):
+        rule = f"^t must not be boolean, got {re.escape(str(t))}$"
+        for call in (lambda: ex.theta_nt_mm_exact(MM_SPEC, 5, 0.1, t),
+                     lambda: MM_SPEC.theta_nt(5, 0.1, t)):
+            with pytest.raises(ValueError, match=rule):
+                call()
+    for t in ("0.5", ["0.5"], None):
+        with pytest.raises(ValueError, match="^t must hold real numbers only, got"):
+            MM_SPEC.theta_nt(5, 0.1, t)
+    grid = np.linspace(0.2, 1.0, 5)
+    assert MM_SPEC.theta_nt(5, 0.1, list(grid)).tolist() == MM_SPEC.theta_nt(5, 0.1, grid).tolist()
+    assert MM_SPEC.theta_nt(5, 0.1, 1) == MM_SPEC.theta_nt(5, 0.1, 1.0)
 
 
 def test_theta_nt_mm_single_coeff_matches_iid():

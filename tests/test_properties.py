@@ -863,6 +863,19 @@ def test_tail_quantiles_have_the_bits_of_the_where_bisection(law, ps):
             law.quantile(bad)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.2, 4.0), st.floats(0.2, 4.0), st.floats(0.5, 20.0), st.floats(1e-3, 2.0),
+       st.lists(st.floats(0.5**53, 1.0 - 2.0**-53), max_size=20), st.integers(0, 2**32))
+def test_positive_c2_quantile_has_the_bits_of_the_wide_bracket(beta1, beta2, c1, c2, ps, seed):
+    # the narrow bracket around the 3-step Newton start, 8 floats either way,
+    # against the same bisection from [z_min, max(2 z_min, 2)] with no start
+    law = ex.SecondOrderPareto(beta1, beta2, c1, c2)
+    draws = np.random.Generator(np.random.Philox(seed)).random(500)
+    p = np.concatenate([[0.5**53, 1.0 - 2.0**-53, 0.5], ps, np.maximum(draws, 0.5**53)])
+    wide = sim._bisect_quantile(p, law._tail_test, law.z_min, max(2 * law.z_min, 2), None)
+    np.testing.assert_array_equal(law.quantile(p).view(np.int64), wide.view(np.int64))
+
+
 @pytest.mark.parametrize("params", [(0.2, 1.0, 20.0, 0.5), (0.5, 1.0, 1.0, 0.5)])
 def test_tail_quantile_keeps_the_bits_where_the_narrow_bracket_falls_back(params):
     # at p = 0.5**53 the test fails at z_min itself, so the lower end of the

@@ -173,9 +173,10 @@ def count_tail_tests(monkeypatch, law, p):
 def test_newton_start_shortens_the_bisection_for_positive_c2_only(monkeypatch):
     p = np.random.Generator(np.random.Philox(0)).random(20001)
     # the wide bracket takes 63 evaluations on these draws, for either sign of c2;
-    # the narrow one takes 2 to confirm its ends and 5 to halve 2 * 16 floats
-    assert sim._ULPS == 16
-    assert count_tail_tests(monkeypatch, ex.SecondOrderPareto(2.0, 1.0, 1.0, 0.5), p) <= 7
+    # the narrow one, around a 3-step start at most 6 floats off, takes 2 to
+    # confirm its ends and 4 to halve 2 * 8 floats
+    assert sim._ULPS == 8
+    assert count_tail_tests(monkeypatch, ex.SecondOrderPareto(2.0, 1.0, 1.0, 0.5), p) <= 6
     assert count_tail_tests(monkeypatch, ex.SecondOrderPareto(2.0, 1.0, 1.0, -0.3), p) == 63
 
 
@@ -187,7 +188,7 @@ def test_a_stray_newton_guess_falls_back_to_the_relative_bracket_alone(monkeypat
 
     def stray(self, q):
         guess = newton(self, q)
-        guess.view(np.int64)[0] += 100  # 100 floats off: outside 16 floats, inside 1e-12
+        guess.view(np.int64)[0] += 100  # 100 floats off: outside 8 floats, inside 1e-12
         return guess
 
     monkeypatch.setattr(ex.SecondOrderPareto, "_newton_start", stray)
@@ -340,11 +341,25 @@ def test_moving_maxima_marginal_newton_start_shortens_the_bisection(monkeypatch)
         return counted
 
     monkeypatch.setattr(sim._MovingMaximaMarginal, "_below", counting)
-    assert sim._MM_ULPS == 32 and sim._ULPS == 16
+    assert sim._MM_ULPS == 32 and sim._ULPS == 8
     for c2, most in ((0.5, 8), (-0.3, 58)):
         calls.clear()
         ex.MovingMaxima(coeffs=(1.0, 0.5), beta1=2, beta2=1, c1=1, c2=c2).marginal.quantile(p)
         assert len(calls) <= most
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 1.0, 0.5), (1.0,), (0.5, 0.0, 1.0), (1.0, 0.0)])
+def test_moving_maxima_combine_has_the_bits_of_a_maximum_over_minus_inf(coeffs):
+    model = ex.MovingMaxima(coeffs=coeffs, beta1=2, beta2=1, c1=1, c2=0.5)
+    rng = np.random.Generator(np.random.Philox(4))
+    z = np.concatenate([model.innovation.sample(rng, 500), -rng.random(10)])
+    rng.shuffle(z)
+    size = len(z) - model.q
+    want = np.full(size, -np.inf)
+    for j, coeff in enumerate(coeffs):
+        if coeff > 0:
+            want = np.maximum(want, coeff * z[model.q - j : model.q - j + size])
+    np.testing.assert_array_equal(model._combine(z, size).view(np.int64), want.view(np.int64))
 
 
 def test_moving_maxima_marginal_matches_empirical():
