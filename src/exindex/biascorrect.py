@@ -278,9 +278,9 @@ def corrected_curve(x, cfg, mu: SignedMeasureAtoms, t_grid) -> ThresholdCurve:
     ``DEGENERATE_DENOMINATOR`` when the denominator falls below 1e-8 times
     the total variation; such levels are NaN, not interpolated.
     """
-    if mu is None:  # the kernel would return the raw row alone
+    if mu is None:  # the kernel's corrected pair would have no row
         raise ValueError("corrected_curve needs a measure, got None")
-    return _sample_curve(x, cfg, CurveKernel(cfg.k, t_grid, mu, (cfg.r,)), "corrected")
+    return _sample_curve(x, cfg, CurveKernel(cfg.k, t_grid, mu, (cfg.r,)), 2, "corrected")
 
 
 def sigma2_mu(mu: SignedMeasureAtoms, delta: float, kernel) -> float:

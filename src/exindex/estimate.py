@@ -21,13 +21,15 @@ in two stages: ``_counts`` takes the integer counts of one sample, and
 ``CurveKernel`` runs a group of samples through both stages into raw curves
 and, under a signed measure, corrected ones: it counts each sample from its
 one slice, takes its runs curves (``_runs_curves``) from the same slice,
-drops it, and runs the value stage once for the group.  The Monte Carlo
-driver calls it once per group of replicates, and ``sweep`` and
-``biascorrect.corrected_curve`` call it on a group of one sample
-(``_sample_curve``).  ``clusterproc.estimate_kernel_mc`` counts each
-replicate, and in known-marginal mode its cdf values U = F(X) too, through
-``_counts`` at its own budgets, which may be 0 or run past k up to n, and
-runs the value stage once per group of replicates.
+drops it, and runs the value stage once for the group.  It returns one
+``(values, codes)`` pair per curve kind, raw, runs and corrected in that
+order.  The Monte Carlo driver calls it once per group of replicates, and
+``sweep`` and ``biascorrect.corrected_curve`` take the raw and the corrected
+pair of a group of one sample (``_sample_curve``).
+``clusterproc.estimate_kernel_mc`` counts each replicate, and in
+known-marginal mode its cdf values U = F(X) too, through ``_counts`` at its
+own budgets, which may be 0 or run past k up to n, and runs the value stage
+once per group of replicates.
 
 The runs estimator counts an exceedance as a cluster end when the next
 ``run_length`` observations all stay below the threshold:
@@ -379,7 +381,7 @@ def _coded_values(tied, hit, in_blocks) -> tuple:
 
 
 class CurveKernel:
-    """Raw, corrected and runs curves on a fixed (k, grid, measure), for many samples.
+    """Raw, runs and corrected curves on a fixed (k, grid, measure), for many samples.
 
     Built once per configuration: it checks the grid, tabulates the budgets
     count_at(k, grid) and, under a ``biascorrect.SignedMeasureAtoms`` ``mu``,
@@ -391,7 +393,9 @@ class CurveKernel:
     lengths ``run_lengths``, read into runs curves at the grid thresholds
     (``_runs_curves``), all from that one slice, and then dropped.  The
     value stage (``_coded_values``) then runs once on the group's stacked
-    counts, and the grid rows and atom levels are gathered from it.
+    counts, and the raw grid rows and the atom levels of the corrected rows
+    are gathered from it.  A call returns one ``(values, codes)`` pair per
+    kind, in the order raw, runs, corrected; the runs pair has codes None.
     """
 
     def __init__(self, k: int, grid, mu=None, lengths=(), run_lengths=()):
@@ -422,28 +426,28 @@ class CurveKernel:
         return counts, _runs_curves(xs, above, self.run_lengths, _thresholds(top, self.k_t)[0])
 
     def __call__(self, samples) -> tuple:
-        """``(values, codes, runs)`` of the B one-dimensional arrays of ``samples``.
+        """One ``(values, codes)`` pair per curve kind of the B one-dimensional ``samples``.
 
-        ``values`` and ``codes`` are (rows, B, grid) arrays, raw rows first:
-        row i holds the raw curves of ``lengths[i]`` and, under a measure,
-        row len(lengths) + i their corrected curves; codes are the integer
-        skip codes of ``CODE_NAMES``.  ``runs`` is (run lengths, B, grid),
-        NaN where undefined.  ``samples`` may be lazy: each sample is
+        The kinds come in the order raw, runs, corrected, each pair (rows, B,
+        grid) arrays: a row per block length of ``lengths``; per run length of
+        ``run_lengths``, with codes None; and per block length under a
+        measure, none without.  Values are NaN where undefined, codes the skip
+        codes of ``CODE_NAMES``.  ``samples`` may be lazy: each sample is
         dropped once it is counted, before the next is drawn.
         """
         counts, runs = zip(*map(self._sample, samples))
         tied, hit, in_blocks = zip(*counts)
         hit, in_blocks = (np.stack(part, axis=1) for part in (hit, in_blocks))
-        return (*self._rows(np.stack(tied), hit, in_blocks), np.stack(runs, axis=1))
+        raw, corrected = self._rows(np.stack(tied), hit, in_blocks)
+        return raw, (np.stack(runs, axis=1), None), corrected
 
     def _rows(self, tied, hit, in_blocks) -> tuple:
-        """The value stage of a call: ``(values, codes)`` of stacked counts."""
+        """The value stage of a call: raw and corrected ``(values, codes)`` of stacked counts."""
         values, codes = _coded_values(tied, hit, in_blocks)
         raw = values[..., self._raw_at], codes[..., self._raw_at]
         if self.mu is None:
-            return raw
-        corrected = _corrected_rows(self._w, self._eps_den, self._levels_at, values, codes)
-        return tuple(np.concatenate(pair) for pair in zip(raw, corrected))
+            return raw, tuple(part[:0] for part in raw)
+        return raw, _corrected_rows(self._w, self._eps_den, self._levels_at, values, codes)
 
 
 def _corrected_rows(w, eps_den, at, values, codes) -> tuple:
@@ -565,20 +569,20 @@ def check_grid(grid, what: str = "grid") -> np.ndarray:
     return levels
 
 
-def _sample_curve(x, cfg: EstimatorConfig, kernel: CurveKernel, variant: str) -> ThresholdCurve:
-    """The last row of ``kernel``, built with the one block length ``cfg.r``, on the sample ``x``.
+def _sample_curve(x, cfg: EstimatorConfig, kernel, pair: int, variant: str) -> ThresholdCurve:
+    """Pair ``pair`` of ``kernel``, built with the one block length ``cfg.r``, on the sample ``x``.
 
-    A group of B = 1 samples: the last row is the raw curve without a
-    measure and the corrected curve under one.
+    A group of B = 1 samples; ``pair`` is the position in the kernel's
+    order of kinds: 0 the raw curve, 2 the corrected one.
     """
     xs = _values(x)
     cfg.validate_for(len(xs))
-    values, codes, _ = kernel([xs])
+    values, codes = kernel([xs])[pair]
     return ThresholdCurve(
         t=kernel.grid,
         k_t=kernel.k_t,
-        theta_hat=values[-1, 0],
-        code=CODE_NAMES[codes[-1, 0]],
+        theta_hat=values[0, 0],
+        code=CODE_NAMES[codes[0, 0]],
         variant=variant,
         config=cfg,
         n=len(xs),
@@ -595,4 +599,4 @@ def sweep(x, cfg: EstimatorConfig, grid=None) -> ThresholdCurve:
     value and the error code, instead of silently disappearing.
     """
     grid = default_grid(cfg.k) if grid is None else grid
-    return _sample_curve(x, cfg, CurveKernel(cfg.k, grid, lengths=(cfg.r,)), "empirical_quantile")
+    return _sample_curve(x, cfg, CurveKernel(cfg.k, grid, None, (cfg.r,)), 0, "empirical_quantile")

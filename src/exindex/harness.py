@@ -16,12 +16,17 @@ corrected curves averaged with standard-deviation bands.
 One ``estimate.CurveKernel``, built once per config, is called once per
 group of replicates: it partially sorts each replicate once, takes the
 integer counts of every block length and the runs curves from that one slice,
-and turns the group's counts into blocks and corrected curves.  ``sweep`` and
-``corrected_curve`` call the same kernel on one sample and one block length.
+and turns the group's counts into one ``(values, codes)`` pair per curve kind.
+``sweep`` and ``corrected_curve`` call the same kernel on one sample and one
+block length.  ``_KINDS`` is the one table of curve kinds: it names each pair
+with its parameter, band file and summary reference, and every writer loops
+over the result's ``Curves``.  meta.json counts the skip codes per kind, key
+and code.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, replace
@@ -354,10 +359,10 @@ _CONFIG_KEYS = tuple(key for key in config_fields(ExperimentConfig) if key != "d
 class Curves(NamedTuple):
     """One curve kind of an ``MCResult``: ``values[i]`` and ``codes[i]`` belong to ``keys[i]``.
 
-    Both are (replicates x grid): values NaN where undefined, codes the
-    integer skip codes of ``CODE_NAMES``, and ``codes`` None for a kind
-    without them (runs).  A kind has curves.csv and summary.csv rows if and
-    only if it has codes, and a band file in a figure bundle.
+    Both are (replicates x grid): values NaN where undefined, codes the integer
+    skip codes of ``CODE_NAMES``, and ``codes`` None for a kind without them
+    (runs).  A kind has curves.csv and summary.csv rows if and only if it has
+    codes, a band file in a figure bundle and a ``reference`` rule (``_KINDS``).
     """
 
     kind: str
@@ -366,15 +371,30 @@ class Curves(NamedTuple):
     values: np.ndarray
     codes: np.ndarray
     band_file: str
+    reference: str
+
+
+# The curve kinds in the order of ``CurveKernel``'s pairs, as (kind, param, band_file, reference)
+# of their ``Curves``: its keys are the parameter's values, and its summary rows compare a kind
+# with the model's curve target of each r ("target"), its extremal index ("theta") or nothing.
+_KINDS = (
+    ("raw", "r", "blocks_curves.csv", "target"),
+    ("runs", "run_length", "runs_curves.csv", None),
+    ("corrected", "r", "corrected_curves.csv", "theta"),
+)
+
+
+def _coded(curves) -> list:
+    """The entries of the table ``curves`` that have codes, so curves.csv and summary.csv rows."""
+    return [entry for entry in curves if entry.codes is not None]
 
 
 @dataclass(frozen=True, eq=False)
 class MCResult:
     """Per-replicate curves plus per-(kind, r, t) summaries.
 
-    ``curves`` is the table of curve kinds in file order, one ``Curves``
-    each: ``raw`` (blocks) by r, ``runs`` by the run lengths a figure bundle
-    asks for, and ``corrected`` by r, empty without a measure.  A coded
+    ``curves`` is the table of curve kinds, one ``Curves`` per entry of
+    ``_KINDS`` in its order; corrected has no key without a measure.  A coded
     value is NaN exactly where its code is not OK, so n_used + n_skipped
     always equals the replicate count, and ``summarize`` recomputes the
     summary from the arrays.  ``raw[r]`` and ``corrected[r]`` read values.
@@ -393,37 +413,41 @@ class MCResult:
     def summarize(self) -> list:
         """Per-(kind, r, t) rows of each coded kind: mean, sd, bias and RMSE against references.
 
-        Raw curves are compared with the model's finite-sample curve target
-        when a closed form exists; corrected curves are compared with the
-        model's extremal index.
+        A kind's ``reference`` picks the model's finite-sample curve target
+        (NaN without a closed form), its extremal index, or NaN.
         """
         cfg = self.config
         # every r's curve target from one call: moving maxima invert the marginal once
         targets = cfg.model.theta_nt(cfg.r_list, cfg.k / cfg.n, cfg.t_grid)
-        references = {"raw": np.nan if targets is None else targets, "corrected": cfg.model.theta}
+        references = {"target": np.nan if targets is None else targets,
+                      "theta": cfg.model.theta, None: np.nan}
         rows = []
-        for entry in self.curves:
-            if entry.codes is None:
-                continue
-            refs = np.broadcast_to(references[entry.kind], (len(cfg.r_list), len(cfg.t_grid)))
-            for r, values, ref in zip(entry.keys, entry.values, refs.tolist()):
-                stats = zip(cfg.t_grid, ref, *_column_stats(values, ref))
-                for t, ref_t, used, mean, sd, rmse in stats:
-                    rows.append(
-                        {
-                            "kind": entry.kind,
-                            "r": r,
-                            "t": t,
-                            "n_used": used,
-                            "n_skipped": len(values) - used,
-                            "mean": mean,
-                            "sd": sd,
-                            "reference": ref_t,
-                            "bias": mean - ref_t if used else np.nan,
-                            "rmse": rmse,
-                        }
-                    )
+        for entry in _coded(self.curves):
+            refs = np.broadcast_to(references[entry.reference], (len(entry.keys), len(cfg.t_grid)))
+            refs, columns = refs.ravel().tolist(), _by_column(entry.values)
+            stats = zip(itertools.product(entry.keys, cfg.t_grid), refs,
+                        *_column_stats(columns, refs))
+            for (r, t), ref_t, used, mean, sd, rmse in stats:
+                rows.append(
+                    {
+                        "kind": entry.kind,
+                        "r": r,
+                        "t": t,
+                        "n_used": used,
+                        "n_skipped": len(columns) - used,
+                        "mean": mean,
+                        "sd": sd,
+                        "reference": ref_t,
+                        "bias": mean - ref_t if used else np.nan,
+                        "rmse": rmse,
+                    }
+                )
         return rows
+
+
+def _by_column(values) -> np.ndarray:
+    """(key, replicate, level) values as one (replicate, key and level) array of columns."""
+    return values.swapaxes(0, 1).reshape(values.shape[1], -1)
 
 
 def _column_stats(arr: np.ndarray, refs=np.nan) -> tuple:
@@ -452,29 +476,21 @@ def _column_stats(arr: np.ndarray, refs=np.nan) -> tuple:
     return n_used.tolist(), mean.tolist(), sd.tolist(), rmse.tolist()
 
 
-def _band_line(key, t: str, used: int, mean: str, sd: str) -> str:
-    """A figure band file's row at level text ``t``: ``mean`` and ``sd`` blank unless defined."""
-    return f"{key},{t},{mean if used else ''},{sd if used > 1 else ''},{used}\n"
-
-
 # a row's text after its value, per code: the flag and the line end
 _CODE_TAILS = [f",{name}\n" for name in CODE_NAMES.tolist()]
 
 
 def _replicates(cfg: ExperimentConfig, run_lengths=()) -> tuple:
-    """Simulate every replicate once: ``(MCResult, rows, flags)``.
+    """Simulate every replicate once: ``(MCResult, rows)``.
 
     The grid and its budgets are checked and tabulated once, in one
-    ``estimate.CurveKernel`` for every r and run length.  One kernel call
-    per group of replicates (``sim.map_replicates``) sorts each path
-    partially once, keeps only its integer counts and runs curves, so the
-    path is dropped before the next is drawn, and turns the group's counts
-    into its blocks and corrected curves.  The result's table holds the raw
-    and corrected curves of every r, the kernel's rows in that order, and
-    the runs curves of ``run_lengths``.  ``rows`` is None, or if
-    ``cfg.out_dir`` is set each replicate's curves.csv rows, formatted where
-    it ran (``_format_rows``).  ``flags`` counts the values with a skip
-    code.
+    ``estimate.CurveKernel`` for every r and run length.  One kernel call per
+    group of replicates (``sim.map_replicates``) sorts each path partially once,
+    keeps only its integer counts and runs curves, so the path is dropped before
+    the next is drawn, and turns the group's counts into one ``(values, codes)``
+    pair per curve kind: the ``Curves`` of its entry of ``_KINDS``, keyed by its
+    parameter's values.  ``rows`` is None, or if ``cfg.out_dir`` is set each
+    replicate's curves.csv rows, formatted where it ran (``_format_rows``).
 
     Every curve reads only the values at or above the (k + 1)-th largest:
     the thresholds lie there, and a block maximum, tail value or run
@@ -483,57 +499,59 @@ def _replicates(cfg: ExperimentConfig, run_lengths=()) -> tuple:
     (moving maxima) gives the same bytes as its full path.
     """
     kernel = CurveKernel(cfg.k, cfg.t_grid, cfg.measure, cfg.r_list, run_lengths)
-    corrected = cfg.r_list if cfg.measure is not None else ()
-    # the coded kinds in table order: the kernel's rows are every raw, then every corrected key
-    templates = _row_templates((("raw", cfg.r_list), ("corrected", corrected)), cfg.t_grid)
-    formatted = cfg.out_dir is not None
+    keys = {"r": cfg.r_list, "run_length": tuple(run_lengths)}
+    templates = None  # the same in every group: each process builds them once
+
+    def table(pairs) -> tuple:
+        # a kind without rows (corrected, without a measure) has no keys
+        return tuple(Curves(kind, param, keys[param][: len(values)], values, codes, *spec)
+                     for (kind, param, *spec), (values, codes) in zip(_KINDS, pairs))
 
     def step(first, paths):
-        values, codes, runs = kernel(map(attrgetter("values"), paths))
-        rows = None
-        if formatted:
-            rows = [_format_rows(templates, rep, *curves) for rep, curves in
-                    enumerate(zip(values.swapaxes(0, 1), codes.swapaxes(0, 1)), first)]
-        return values, codes, runs, rows
+        nonlocal templates
+        pairs = kernel(map(attrgetter("values"), paths))
+        if cfg.out_dir is None:
+            return pairs, None
+        coded = _coded(table(pairs))
+        templates = templates or _row_templates(coded, cfg.t_grid)
+        # (rows, replicate, level) in curves.csv order, one (rows, level) block per replicate
+        values, codes = (np.concatenate(parts).swapaxes(0, 1)
+                         for parts in zip(*((entry.values, entry.codes) for entry in coded)))
+        return pairs, [_format_rows(templates, rep, *curves)
+                       for rep, curves in enumerate(zip(values, codes), first)]
 
     groups = map_replicates(step, cfg.model, cfg.n, cfg.base_seed, cfg.replicates, top=cfg.k + 1)
-    *tables, group_rows = zip(*groups)
-    # (kind and r, replicate, level), so each (kind, r) is one contiguous array
-    values, codes, runs = (np.concatenate(parts, axis=1) for parts in tables)
-    rows = [text for texts in group_rows for text in texts] if formatted else None
-    count = len(cfg.r_list)
-    curves = (
-        Curves("raw", "r", cfg.r_list, values[:count], codes[:count], "blocks_curves.csv"),
-        Curves("runs", "run_length", tuple(run_lengths), runs, None, "runs_curves.csv"),
-        Curves("corrected", "r", corrected, values[count:], codes[count:], "corrected_curves.csv"),
-    )
-    return MCResult(cfg, curves), rows, int(np.count_nonzero(codes))
+    group_pairs, group_rows = zip(*groups)
+    # each kind's pairs joined over the groups, so each (kind, key) is one contiguous array
+    curves = table(tuple(None if parts[0] is None else np.concatenate(parts, axis=1)
+                         for parts in zip(*kind)) for kind in zip(*group_pairs))
+    rows = None if cfg.out_dir is None else [text for texts in group_rows for text in texts]
+    return MCResult(cfg, curves), rows
 
 
 def run(config: ExperimentConfig) -> MCResult:
     """Execute the experiment; write curves.csv, summary.csv, meta.json if out_dir set."""
-    result, rows, flags = _replicates(config)
+    result, rows = _replicates(config)
     if rows is not None:
-        result = replace(result, files=_persist(result, rows, flags))
+        result = replace(result, files=_persist(result, rows))
     return result
 
 
 _CURVES_HEADER = "replicate,kind,r,t,value,flag\n"
 
 
-def _row_templates(kinds, t_grid) -> list:
-    """``(heads, skipped)`` per (kind, key), in curves.csv order: the text of one replicate's rows.
+def _row_templates(curves, t_grid) -> list:
+    """``(heads, skipped)`` per coded (kind, key) of ``curves``: one replicate's curves.csv text.
 
-    ``kinds`` holds the (kind, keys) pairs of the coded kinds, in table
-    order.  ``heads[j]`` is the row at grid level j from the comma after the
+    ``heads[j]`` is the row at grid level j from the comma after the
     replicate to the comma before the value, and ``skipped[code][j]`` that
     row's text after the replicate when its value is undefined and its flag
     is ``CODE_NAMES[code]``: ``heads[j]`` and the code's tail.
     """
     templates = []
-    for kind, keys in kinds:
-        for key in keys:
-            heads = [f",{kind},{key},{t!r}," for t in t_grid]
+    for entry in _coded(curves):
+        for key in entry.keys:
+            heads = [f",{entry.kind},{key},{t!r}," for t in t_grid]
             skipped = [[head + tail for head in heads] for tail in _CODE_TAILS]
             templates.append((heads, skipped))
     return templates
@@ -559,16 +577,16 @@ def _format_rows(templates, rep: int, values, codes) -> list:
     return rows
 
 
-def _persist(result: MCResult, rows, flags: int, bands=False) -> tuple:
+def _persist(result: MCResult, rows, bands=False) -> tuple:
     """Write curves.csv, summary.csv and meta.json, and with ``bands`` the figure bundle.
 
-    ``rows`` and ``flags`` come from ``_replicates``.  A ``summarize`` row
-    is one f-string of Python scalars, ``repr`` of each float; with
-    ``bands``, its mean and sd text also make its row of its kind's band
-    file, and a kind without codes takes its band rows from
-    ``_column_stats``.  The band files are written in table order, then
-    figure1_meta.json.  Returns the paths of the CSVs and meta.json, the
-    band files last.
+    ``rows`` come from ``_replicates``.  meta.json counts the values with
+    each skip code by kind and key, and their sum.  A ``summarize`` row
+    is one f-string of Python scalars, ``repr`` of each float.  With
+    ``bands``, each kind in table order writes its band file from
+    ``_column_stats``, whose mean and sd, free of the reference, are its
+    summary rows' text, then figure1_meta.json.  Returns the paths of the
+    CSVs and meta.json, the band files last.
     """
     cfg = result.config
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -579,33 +597,35 @@ def _persist(result: MCResult, rows, flags: int, bands=False) -> tuple:
         for block in zip(*rows):
             fh.writelines(block)
     levels = {t: repr(t) for t in cfg.t_grid}
-    lines = ["kind,r,t,n_used,n_skipped,mean,sd,reference,bias,rmse\n"]
-    band_lines = {}  # (kind, key) -> rows
-    for row in result.summarize():
-        r, t, used = row["r"], levels[row["t"]], row["n_used"]
-        mean, sd = repr(row["mean"]), repr(row["sd"])
-        lines.append(
-            f"{row['kind']},{r},{t},{used},{row['n_skipped']},{mean},{sd},"
-            f"{row['reference']!r},{row['bias']!r},{row['rmse']!r}\n"
-        )
-        if bands:
-            band_lines.setdefault((row["kind"], r), []).append(_band_line(r, t, used, mean, sd))
+    lines = ["kind,r,t,n_used,n_skipped,mean,sd,reference,bias,rmse\n"] + [
+        f"{row['kind']},{row['r']},{levels[row['t']]},{row['n_used']},{row['n_skipped']},"
+        f"{row['mean']!r},{row['sd']!r},{row['reference']!r},{row['bias']!r},{row['rmse']!r}\n"
+        for row in result.summarize()
+    ]
     summary_path = os.path.join(cfg.out_dir, "summary.csv")
     Path(summary_path).write_text("".join(lines))
     paths = [curves_path, summary_path, os.path.join(cfg.out_dir, "meta.json")]
     config = cfg.to_dict()
-    _write_json(paths[-1], config, flag_count=flags, outputs=["curves.csv", "summary.csv"])
+    # the values with each skip code, keyed "<kind>/r<key>/<code>"; np.bincount here raised
+    # the wn_ties benchmark's peak resident size by 1 MB, these comparisons do not
+    counts = ((f"{entry.kind}/r{key}/{name}", int(np.count_nonzero(codes == code)))
+              for entry in _coded(result.curves) for key, codes in zip(entry.keys, entry.codes)
+              for code, name in enumerate(CODE_NAMES.tolist()) if code)
+    skips = {key: count for key, count in counts if count}
+    _write_json(paths[-1], config, flag_count=sum(skips.values()), skips=skips,
+                outputs=["curves.csv", "summary.csv"])
     if not bands:
         return tuple(paths)
     for entry in result.curves:
-        if entry.codes is None:  # no summary rows to take the band text from
-            for key, arr in zip(entry.keys, entry.values):
-                band_lines[entry.kind, key] = [
-                    _band_line(key, levels[t], used, repr(mean), repr(sd))
-                    for t, used, mean, sd, _ in zip(cfg.t_grid, *_column_stats(arr))
-                ]
+        # the keys in ascending order, each over the grid
+        cells = itertools.product(sorted(entry.keys), cfg.t_grid)
+        stats = _column_stats(_by_column(entry.values[np.argsort(entry.keys)]))
+        body = "".join(  # mean and sd blank unless defined
+            f"{key},{levels[t]},{repr(mean) if used else ''},{repr(sd) if used > 1 else ''},"
+            f"{used}\n"
+            for (key, t), used, mean, sd, _ in zip(cells, *stats)
+        )
         path = os.path.join(cfg.out_dir, entry.band_file)
-        body = "".join(line for key in sorted(entry.keys) for line in band_lines[entry.kind, key])
         Path(path).write_text(f"{entry.param},t,mean,sd,n_used\n{body}")
         paths.append(path)
     outputs = [os.path.basename(p) for p in paths[3:]]

@@ -614,13 +614,15 @@ def test_summary_file_recomputable_from_curves(tmp_path):
 
 
 def test_run_writes_its_files_without_building_a_band_line(tmp_path, monkeypatch):
-    def no_band_line(*args):
-        raise AssertionError("run builds no band line")
-
-    monkeypatch.setattr(harness, "_band_line", no_band_line)
+    # the summary reduces each coded (kind, r) once; a band file would reduce every kind again
+    calls = []
+    column_stats = harness._column_stats
+    monkeypatch.setattr(harness, "_column_stats", lambda *args: calls.append(args) or
+                        column_stats(*args))
     res = ex.run(small_config(out_dir=str(tmp_path / "exp"), replicates=4))
     assert sorted(os.listdir(tmp_path / "exp")) == ["curves.csv", "meta.json", "summary.csv"]
     assert all(os.path.getsize(p) > 0 for p in res.files)
+    assert len(calls) == sum(len(entry.keys) for entry in res.curves if entry.codes is not None)
 
 
 def test_sidecar_rejects_a_non_finite_number(tmp_path):

@@ -2,8 +2,10 @@
 
 import csv
 import itertools
+import json
 import math
 import os
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -241,12 +243,16 @@ def test_curve_kernel_matches_the_definitions_for_every_r(case, mu, grid):
     together = kernel(iter(group))
     for b, xs in enumerate(group):
         for got, alone in zip(together, kernel([xs])):
-            assert got[:, b].tobytes() == alone[:, 0].tobytes()
-    values, codes, runs = (rows[:, 0] for rows in together)
-    # every r's raw row, then under a measure every r's corrected row
-    rows = len(r_list) * (1 if mu is None else 2)
-    assert values.shape == codes.shape == (rows, len(grid))
-    assert runs.shape == (len(run_lengths), len(grid))
+            assert got[0][:, b].tobytes() == alone[0][:, 0].tobytes()
+            assert got[1] is alone[1] is None or got[1][:, b].tobytes() == alone[1][:, 0].tobytes()
+    # one (values, codes) pair per kind: raw, runs (no codes), corrected (no rows without mu)
+    (raw_values, raw_codes), (runs, runs_codes), (values, codes) = (
+        (part[:, 0] if part is not None else None for part in pair) for pair in together
+    )
+    assert raw_values.shape == raw_codes.shape == (len(r_list), len(grid))
+    assert runs.shape == (len(run_lengths), len(grid)) and runs_codes is None
+    assert values.shape == codes.shape == (0 if mu is None else len(r_list), len(grid))
+    assert raw_codes.dtype == codes.dtype == np.int8
     for run_length, curve in zip(run_lengths, runs):
         for t, got in zip(grid, curve):
             try:
@@ -255,8 +261,6 @@ def test_curve_kernel_matches_the_definitions_for_every_r(case, mu, grid):
                 assert math.isnan(got)
             else:
                 assert got == want
-    raw_values, raw_codes = values[: len(r_list)], codes[: len(r_list)]
-    values, codes = values[len(r_list) :], codes[len(r_list) :]
     for i, r in enumerate(r_list):
         for j, t in enumerate(grid):
             value, code = brute_force(x, r, k, t)
@@ -558,9 +562,8 @@ cells = st.one_of(
 )
 skip_codes = st.integers(0, len(CODE_NAMES) - 1)
 CODE_OF = {name: code for code, name in enumerate(CODE_NAMES.tolist())}
-# each kind's parameter and band file
-KINDS = {"raw": ("r", "blocks_curves.csv"), "runs": ("run_length", "runs_curves.csv"),
-         "corrected": ("r", "corrected_curves.csv")}
+# each kind's parameter, band file and reference rule, as the harness's table gives them
+KINDS = {kind: spec for kind, *spec in harness._KINDS}
 
 
 def table_result(cfg, raw, raw_codes, corrected=None, corrected_codes=None, runs=None):
@@ -568,13 +571,13 @@ def table_result(cfg, raw, raw_codes, corrected=None, corrected_codes=None, runs
     shape = (cfg.replicates, len(cfg.t_grid))
 
     def entry(kind, values, codes):
-        param, band_file = KINDS[kind]
+        param, *spec = KINDS[kind]
 
         def stack(arrays, dtype):
             return np.array(list(arrays), dtype=dtype).reshape(len(values), *shape)
 
         codes = None if codes is None else stack(codes.values(), np.int8)
-        return Curves(kind, param, tuple(values), stack(values.values(), float), codes, band_file)
+        return Curves(kind, param, tuple(values), stack(values.values(), float), codes, *spec)
 
     return MCResult(cfg, (entry("raw", raw, raw_codes), entry("runs", runs or {}, None),
                           entry("corrected", corrected or {}, corrected_codes or {})))
@@ -621,7 +624,7 @@ def replicate_rows(result):
     cfg = result.config
     coded = [entry for entry in result.curves if entry.codes is not None]
     blocks = [pair for entry in coded for pair in zip(entry.values, entry.codes)]
-    templates = _row_templates([(entry.kind, entry.keys) for entry in coded], cfg.t_grid)
+    templates = _row_templates(result.curves, cfg.t_grid)
     # (heads, skipped) per (kind, r): one head per level, one skipped row per level and code
     assert len(templates) == len(blocks)
     for heads, skipped in templates:
@@ -782,7 +785,7 @@ def test_figure_bands_and_summary_have_the_bits_of_the_per_column_path(tmp_path_
     out_dir = tmp_path_factory.mktemp("bands")
     runs = {2: result.raw[cfg.r_list[0]]}
     result = with_runs(result, runs, out_dir)
-    _persist(result, replicate_rows(result), 0, bands=True)
+    _persist(result, replicate_rows(result), bands=True)
     for name, curves, param in (("blocks_curves.csv", result.raw, "r"),
                                 ("runs_curves.csv", runs, "run_length"),
                                 ("corrected_curves.csv", result.corrected, "r")):
@@ -1097,7 +1100,7 @@ def test_csv_writer_has_the_bytes_of_the_per_cell_writer(tmp_path_factory, resul
     r_list = result.config.r_list
     runs = {7: result.raw[r_list[0]], 2: result.raw[r_list[-1]][::-1]}
     result = with_runs(result, runs, out / "text")
-    paths = _persist(result, replicate_rows(result), 0, bands=True)
+    paths = _persist(result, replicate_rows(result), bands=True)
     assert [os.path.basename(p) for p in paths] == ["curves.csv", "summary.csv", "meta.json",
                                                     *WRITTEN_FILES[2:]]
     os.mkdir(out / "cells")
@@ -1125,7 +1128,7 @@ def test_every_writer_follows_the_table_order(tmp_path_factory, result, run_leng
     runs = {length: result.raw[cfg.r_list[i % len(cfg.r_list)]]
             for i, length in enumerate(run_lengths)}
     result = with_runs(result, runs, tmp_path_factory.mktemp("order"))
-    paths = _persist(result, replicate_rows(result), 0, bands=True)
+    paths = _persist(result, replicate_rows(result), bands=True)
     assert [entry.kind for entry in result.curves] == ["raw", "runs", "corrected"]
     coded = [(entry.kind, str(r)) for entry in result.curves if entry.codes is not None
              for r in entry.keys]
@@ -1140,6 +1143,57 @@ def test_every_writer_follows_the_table_order(tmp_path_factory, result, run_leng
             assert fh.readline().startswith(f"{entry.param},t,")
         assert key_blocks(path, (entry.param,)) == [((str(key),), levels)
                                                    for key in sorted(entry.keys)]
+
+
+def csv_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mc_results(values=bounded))
+def test_meta_json_counts_the_flags_of_curves_csv(tmp_path_factory, result):
+    # skip counts by (kind, r, code), keyed as "raw/r10/TIES_DETECTED", and their sum
+    out = tmp_path_factory.mktemp("skips")
+    result = with_runs(result, {}, out)
+    _persist(result, replicate_rows(result))
+    flags = Counter(f"{row['kind']}/r{row['r']}/{row['flag']}"
+                    for row in csv_rows(out / "curves.csv") if row["flag"])
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["skips"] == dict(flags) and meta["flag_count"] == sum(flags.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(mc_results(values=bounded))
+def test_a_kind_defined_only_here_gets_rows_in_every_file(tmp_path_factory, result):
+    # the raw kind again under another name, band file and reference rule, appended to the
+    # table: every writer loops over the table, so it gets rows of its own in each file
+    out = tmp_path_factory.mktemp("kind")
+    result = with_runs(result, {}, out / "table")
+    again = result.curves[0]._replace(kind="again", band_file="again_curves.csv",
+                                      reference="theta")
+    extended = replace(result, config=replace(result.config, out_dir=str(out / "extended")),
+                       curves=(*result.curves, again))
+    names = [os.path.basename(p) for p in _persist(result, replicate_rows(result), bands=True)]
+    paths = _persist(extended, replicate_rows(extended), bands=True)
+    assert [os.path.basename(p) for p in paths] == [*names, "again_curves.csv"]
+    for name in ("curves.csv", "summary.csv"):
+        before, after = csv_rows(out / "table" / name), csv_rows(out / "extended" / name)
+        raw = [row for row in before if row["kind"] == "raw"]
+        assert after[: len(before)] == before and len(after) == len(before) + len(raw)
+        for got, want in zip(after[len(before) :], raw):
+            kept = set(want) - {"kind", "reference", "bias", "rmse"}
+            assert got["kind"] == "again" and all(got[c] == want[c] for c in kept)
+            if name == "summary.csv":
+                assert float(got["reference"]) == result.config.model.theta
+    for name in names[3:]:
+        assert (out / "extended" / name).read_text() == (out / "table" / name).read_text()
+    assert ((out / "extended" / "again_curves.csv").read_text()
+            == (out / "table" / "blocks_curves.csv").read_text())
+    skips, extended_skips = (json.loads((out / d / "meta.json").read_text())["skips"]
+                             for d in ("table", "extended"))
+    assert extended_skips == {**skips, **{"again" + key[3:]: count for key, count in skips.items()
+                                          if key.startswith("raw/")}}
 
 
 # ---------------------------------------------------------------------------
@@ -1192,11 +1246,11 @@ def grouped_replicates(cfg, group, chunks):
 @example("no_measure", GROUP_EXAMPLE_SEEDS["no_measure"], 5)
 def test_replicates_are_the_same_in_any_groups_and_chunks(name, seed, replicates):
     cfg = group_case_config(name, seed, replicates)
-    want, want_rows, want_flags = grouped_replicates(cfg, replicates, 1)
+    want, want_rows = grouped_replicates(cfg, replicates, 1)
     # groups of one, two, seven and a whole chunk, on one to three chunks
     for group, chunks in itertools.product((1, 2, 7, replicates), (1, 2, 3)):
-        got, rows, flags = grouped_replicates(cfg, group, chunks)
-        assert rows == want_rows and flags == want_flags
+        got, rows = grouped_replicates(cfg, group, chunks)
+        assert rows == want_rows
         for a, b in zip(got.curves, want.curves):  # bit for bit
             assert a.keys == b.keys and a.values.tobytes() == b.values.tobytes()
             assert np.array_equal(a.codes, b.codes)  # also where both are None (runs)
@@ -1205,7 +1259,7 @@ def test_replicates_are_the_same_in_any_groups_and_chunks(name, seed, replicates
 @pytest.mark.parametrize("name", sorted(GROUP_CASES))
 def test_group_case_examples_show_their_skip_code(name):
     cfg = group_case_config(name, GROUP_EXAMPLE_SEEDS[name], 5)
-    result, rows, _ = harness._replicates(cfg, cfg.run_lengths)
+    result, rows = harness._replicates(cfg, cfg.run_lengths)
     assert len(rows) == 5
     codes = {str(code) for entry in result.curves if entry.codes is not None
              for code in CODE_NAMES[entry.codes.ravel()]}

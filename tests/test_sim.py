@@ -753,7 +753,7 @@ def test_replicates_step_holds_one_path_at_a_time(monkeypatch):
     cfg = ex.ExperimentConfig(model=model, n=500, r_list=(5, 7), k=40, t_grid=(0.5, 1.0),
                               measure=ex.two_atom_measure(0.5, 1.0, 2.0), replicates=10,
                               out_dir="unused", run_lengths=(3,))
-    result, rows, _ = harness._replicates(cfg, cfg.run_lengths)
+    result, rows = harness._replicates(cfg, cfg.run_lengths)
     assert len(rows) == cfg.replicates and result.raw[5].shape == (10, 2)
     assert model.alive == [0] * cfg.replicates
 

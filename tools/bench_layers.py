@@ -425,8 +425,8 @@ def mm_figure_layers(timed) -> dict:
 
 def figure_persist_layer(timed, cfg) -> dict:
     """``summarize_persist.mm_figure``: every file ``_persist`` writes of ``cfg``'s replicates."""
-    result, rows, flags = harness._replicates(cfg, cfg.run_lengths)
-    return timed("interpreted", lambda: harness._persist(result, rows, flags, bands=True))
+    result, rows = harness._replicates(cfg, cfg.run_lengths)
+    return timed("interpreted", lambda: harness._persist(result, rows, bands=True))
 
 
 def run_cli(argv) -> None:
@@ -465,9 +465,9 @@ def persist_layers(timed) -> dict:
 
 def persist_result_layers(timed, cfg) -> list:
     """``[("persist.format_rows", stats), ("summarize_persist", stats)]`` of ``cfg``'s result."""
-    result, rows, flags = harness._replicates(cfg)
+    result, rows = harness._replicates(cfg)
     coded = [entry for entry in result.curves if entry.codes is not None]
-    templates = harness._row_templates([(entry.kind, entry.keys) for entry in coded], cfg.t_grid)
+    templates = harness._row_templates(result.curves, cfg.t_grid)
     # each replicate's (rows x grid) values and codes, the rows in table order, as views of
     # its group's (rows x replicates x grid) kernel arrays
     values, codes = (
@@ -482,7 +482,7 @@ def persist_result_layers(timed, cfg) -> list:
 
     return [
         ("persist.format_rows", timed("interpreted", format_rows, per=cfg.replicates)),
-        ("summarize_persist", timed("interpreted", lambda: harness._persist(result, rows, flags))),
+        ("summarize_persist", timed("interpreted", lambda: harness._persist(result, rows))),
     ]
 
 
